@@ -425,7 +425,7 @@ func parallelBenchTrace() []trace.Record {
 // BenchmarkParallelDetect sweeps the sharded engine's worker count
 // over the same multi-million-record trace; records/s per worker count
 // is the scaling figure (the CI smoke job extracts it into
-// BENCH_parallel.json). workers=1 runs the sequential Detector, so the
+// BENCH_parallel.json). workers=1 runs a single Detector, so the
 // sweep directly measures pipeline overhead and shard scaling. Note
 // the speedup can only materialize when the host actually has the
 // cores — on a single-core runner every worker count lands within
@@ -485,9 +485,11 @@ func BenchmarkNaiveVsIndexed(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamingVsBatch compares the bounded-memory streaming
-// detector with the batch detector on the same trace (they produce
-// identical loops; the trade is allocation footprint vs loop latency).
+// BenchmarkStreamingVsBatch runs the one detector the two ways it is
+// finished on the same trace: batch collects the loops and builds the
+// canonical Result with its per-record membership index; streaming
+// hands loops to a callback and ends on the counters alone. Observe is
+// the same code, so the two differ only by that final step.
 func BenchmarkStreamingVsBatch(b *testing.B) {
 	rng := stats.NewRNG(14)
 	var dests []routing.Prefix
@@ -518,11 +520,11 @@ func BenchmarkStreamingVsBatch(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sd := core.NewStreamDetector(core.DefaultConfig(), nil)
+			sd := core.NewStreamDetector(core.DefaultConfig(), func(*core.Loop) {})
 			for _, r := range recs {
 				sd.Observe(r)
 			}
-			sd.Finish()
+			sd.FinishStats()
 		}
 	})
 }

@@ -523,11 +523,15 @@ func runJSON(path string, cfg core.Config) error {
 	return enc.Encode(out)
 }
 
-// runStreaming processes the trace record by record with the
-// bounded-memory detector, printing loops as they finalize. Memory
-// stays proportional to the undecided tail of the trace, so this mode
+// runStreaming processes the trace record by record, printing loops
+// as they finalize and ending on the detector's counters alone
+// (FinishStats), so nothing is ever held per record: memory stays
+// proportional to the undecided tail of the trace and this mode
 // handles captures far larger than RAM.
 func runStreaming(path string, cfg core.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	src, dstats, err := openTrace(path)
 	if err != nil {
 		return err
@@ -535,15 +539,12 @@ func runStreaming(path string, cfg core.Config) error {
 	defer trace.CloseSource(src)
 
 	loops := 0
-	e, err := newEngine(cfg, core.WithStreaming(func(l *core.Loop) {
+	sd := core.NewStreamDetector(cfg, func(l *core.Loop) {
 		loops++
 		fmt.Printf("loop %3d: %-18s  %v .. %v  (%v)  %d streams, %d replicas\n",
 			loops, l.Prefix, l.Start.Round(time.Millisecond), l.End.Round(time.Millisecond),
 			l.Duration().Round(time.Millisecond), len(l.Streams), l.Replicas())
-	}))
-	if err != nil {
-		return err
-	}
+	})
 	observed, lossGaps, lostPackets := 0, 0, 0
 	for {
 		if interrupted.Load() {
@@ -568,12 +569,12 @@ func runStreaming(path string, cfg core.Config) error {
 			lossGaps++
 			lostPackets += rec.Lost
 		}
-		e.Observe(rec)
+		sd.Observe(rec)
 	}
-	res := e.Finish()
+	st := sd.FinishStats()
 	fmt.Printf("\n%d packets, %d looped in %d streams, %d loops (pairs discarded %d, subnet-invalidated %d)\n",
-		res.TotalPackets, res.LoopedPackets, len(res.Streams), loops,
-		res.PairsDiscarded, res.SubnetInvalidated)
+		st.TotalPackets, st.LoopedPackets, st.Streams, loops,
+		st.PairsDiscarded, st.SubnetInvalidated)
 	if dstats != nil {
 		fmt.Print(renderDecodeStats(*dstats))
 	} else if lossGaps > 0 {

@@ -1,17 +1,10 @@
 package core
 
-import (
-	"time"
+import "loopscope/internal/packet"
 
-	"loopscope/internal/packet"
-	"loopscope/internal/routing"
-)
-
-// This file holds the replica-stream building machinery shared by
-// every Engine implementation: the batch Detector, the NaiveDetector
-// reference, and each shard of the ParallelDetector run the same
-// builder life cycle (start on first observation, extend on a valid
-// TTL decrement, flush on staleness or reappearance).
+// Byte-level helpers shared by the Detector and the NaiveDetector
+// reference: what a replica is (maskReplica), how it is keyed (fnv64a)
+// and what is remembered of its first observation (summarize).
 
 // decodeDst extracts just the destination address from a snapshot.
 func decodeDst(data []byte) (packet.Addr, error) {
@@ -53,43 +46,6 @@ func maskReplica(data []byte) []byte {
 		m[10], m[11] = 0, 0 // IP header checksum
 	}
 	return m
-}
-
-// builder accumulates one replica stream during the scan.
-type builder struct {
-	masked   []byte
-	hash     uint64
-	prefix   routing.Prefix
-	summary  PacketSummary
-	replicas []Replica
-	// done marks a builder already flushed/removed, so stale expiry
-	// queue entries skip it.
-	done bool
-	// frOpen marks that a stream-open event was recorded for this
-	// builder (flight recording is lazy: nothing is recorded until the
-	// second replica arrives).
-	frOpen bool
-	// extras are record indices of link-layer duplicate observations
-	// (same bytes, TTL decrement below MinTTLDelta): not replicas,
-	// but they belong to this packet for membership purposes.
-	extras []int
-	serial int32 // membership serial, assigned at flush
-	// lastTTL/lastTime track the most recent observation — replica or
-	// duplicate — so a delta-1 chain cannot ratchet itself into a
-	// fake delta-2 stream.
-	lastTTL  uint8
-	lastTime time.Duration
-}
-
-func (b *builder) observe(ttl uint8, at time.Duration) {
-	b.lastTTL = ttl
-	b.lastTime = at
-}
-
-// expiryEntry schedules a staleness check for a builder.
-type expiryEntry struct {
-	b  *builder
-	at time.Duration
 }
 
 func summarize(p *packet.Packet) PacketSummary {

@@ -17,6 +17,17 @@
 //  3. Merge streams caused by the same routing loop: same /24 and
 //     overlapping in time, or separated by less than the merge window
 //     with no non-looped packet to the subnet in between.
+//
+// The package holds one implementation of those steps, the Detector: an
+// incremental state machine that validates, merges and emits per
+// prefix as the trace clock passes each decision's horizon, so it holds
+// only the undecided tail of the trace. Collecting what it emits and
+// canonicalising at Finish gives the whole-trace Result; taking loops
+// from its callback and ending on FinishStats gives bounded-memory
+// online detection. ParallelDetector shards a trace over several
+// Detectors, Session adds what a resumable daemon needs, and
+// NaiveDetector is the independent whole-trace reference the Detector
+// is tested against.
 package core
 
 import (
@@ -56,16 +67,16 @@ type Config struct {
 	// ValidateSubnet enables the step-2 subnet condition. Disabling
 	// it is used by the ablation benchmarks.
 	ValidateSubnet bool
-	// MaxActiveStreams caps the number of live stream builders the
-	// StreamDetector holds (0: unlimited). The cap is the detector's
-	// overload self-protection: an IPID-collision storm — every packet
+	// MaxActiveStreams caps the number of live stream builders a
+	// Detector holds (0: unlimited; under ParallelDetector the cap
+	// applies to each shard). The cap is the detector's overload
+	// self-protection: an IPID-collision storm — every packet
 	// distinct, none ever growing a replica stream — would otherwise
 	// inflate builder state without bound. At the cap the detector
 	// sheds lowest-value state first (cold single-replica builders,
 	// which cannot be loop evidence yet) and degrades to sampled
 	// admission of new streams, counting everything it gave up (see
-	// StreamDetector.Shed). Batch detectors ignore the field: they
-	// already hold the whole trace.
+	// Detector.Shed). Only the loopscoped daemon sets it.
 	MaxActiveStreams int
 }
 

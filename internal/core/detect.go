@@ -13,51 +13,249 @@ import (
 	"loopscope/internal/trace"
 )
 
-// Detector runs the three-step algorithm. Create with NewDetector,
-// feed records in capture order with Observe, then call Finish.
+// Detector is the replica-stream state machine: the one implementation
+// of the paper's three steps, run incrementally. It emits each routing
+// loop as soon as the loop can no longer change — no packet still in
+// flight could validate into it or merge with it — and evicts
+// per-packet state that no future decision can read.
+//
+// Step 2 (subnet validation) and step 3 (merging) look backwards at
+// every packet towards a prefix, but those look-backs are bounded in
+// time:
+//
+//   - a stream is validated once every packet in its window has a
+//     settled membership, which happens as soon as no still-open
+//     replica stream towards the same /24 began before the window's
+//     end;
+//   - a loop is final once no stream that could merge into it (start
+//     within MergeWindow of its end) can still appear.
+//
+// Tracking the earliest still-undecided time per prefix therefore
+// gives the whole-trace algorithm exactly (NaiveDetector is that
+// whole-trace algorithm, and the two are differentially tested) while
+// holding only the undecided tail of the trace.
+//
+// The same machine serves every use. NewDetector collects the loops
+// and Finish returns them as a canonical *Result; NewStreamDetector
+// additionally hands each loop to a callback the moment it is final,
+// and FinishStats ends such a run without building any per-record
+// output:
+//
+//	sd := core.NewStreamDetector(cfg, func(l *core.Loop) { ... })
+//	for each record { sd.Observe(rec) }
+//	stats := sd.FinishStats()
 type Detector struct {
-	cfg Config
+	cfg  Config
+	emit func(*Loop)
+	// loops retains every finalized loop, in emission order, for
+	// Finish. Loops are few (streams collapse into them), so this does
+	// not threaten the bounded-memory property, which is about
+	// per-packet state.
+	loops []*Loop
 
-	active map[uint64][]*builder
-	// flushed builders with >= MemberReplicas replicas, in flush
-	// order.
-	flushed []*builder
-	// memberOf[i] is the membership serial of record i, or -1.
-	memberOf []int32
-	// times[i] and prefixes[i] index every record for the subnet
-	// validation.
-	times    []time.Duration
-	byPrefix map[routing.Prefix][]int32
+	// active indexes open builders by the hash of their masked bytes;
+	// colliding builders chain through builder.chain.
+	active   map[uint64]*builder
+	byPrefix map[routing.Prefix]*prefixState
 
-	nextSerial  int32
+	// live threads every open builder in order of last activity, head
+	// stalest. It is both the expiry queue (a stream with no replica
+	// for MaxReplicaGap is closed from the head, amortised O(1) per
+	// record) and the governor's coldest-first victim order. The list
+	// is touched in Observe order, never map order, so expiry, shedding
+	// and the final flush are pure functions of the record sequence.
+	live         blist
+	liveBuilders int
+	shedStreams  int64 // builders evicted at the cap
+	shedPackets  int64 // packets refused a new builder at the cap
+	admitRefused int64 // refusals since start, drives sampled admission
+
+	now         time.Duration
+	lastAdvance time.Duration
+
 	n           int
 	parseErrors int
 	pairs       int
+	subnetInval int
+	looped      int
+	streams     int
+	// peakEntries gauges the bounded-memory claim in tests.
+	peakEntries int
 
 	// fr, when non-nil, receives lifecycle events for the flight
 	// recorder. Recording never changes detection decisions.
 	fr *flight.ShardRecorder
-
-	// expiry is a FIFO of (builder, lastTime-when-enqueued) used to
-	// retire stale builders in amortized O(1) per record instead of
-	// sweeping the whole active map (which profiling showed at ~20%
-	// of detection time on large traces). A builder that grew since
-	// being enqueued is simply re-enqueued at its new lastTime.
-	expiry     []expiryEntry
-	expiryHead int
 }
 
-// NewDetector returns a detector with the given configuration. It
-// panics on an invalid configuration; use New for an error-returning
+// StreamDetector is the Detector under the name its emit-as-you-go
+// constructor has always used.
+type StreamDetector = Detector
+
+// builder accumulates one replica stream while it is open.
+type builder struct {
+	masked   []byte
+	hash     uint64
+	chain    *builder // next open builder with the same hash
+	ps       *prefixState
+	summary  PacketSummary
+	replicas []Replica
+	// firstEntry and moreEntries locate every observation of this
+	// packet — replicas and link-layer duplicates — in ps.entries by
+	// sequence number, so flush can settle their membership. The first
+	// is inline: most builders never see a second observation.
+	firstEntry  int
+	moreEntries []int
+	// lastTTL/lastTime track the most recent observation — replica or
+	// duplicate — so a delta-1 chain cannot ratchet itself into a fake
+	// delta-2 stream.
+	lastTTL  uint8
+	lastTime time.Duration
+	// frOpen marks that a stream-open flight event was recorded (lazy:
+	// nothing is recorded until the second replica, so non-looping
+	// traffic never touches the recorder).
+	frOpen bool
+	links  [2]blink
+}
+
+func (b *builder) start() time.Duration { return b.replicas[0].Time }
+func (b *builder) end() time.Duration   { return b.replicas[len(b.replicas)-1].Time }
+
+// blink is one pair of intrusive list pointers on a builder.
+type blink struct{ prev, next *builder }
+
+// The two lists an open builder is on.
+const (
+	byActivity = iota // Detector.live
+	byCreation        // prefixState.open
+)
+
+// blist is an intrusive doubly-linked list of builders threaded
+// through links[which].
+type blist struct {
+	head, tail *builder
+	which      int
+}
+
+func (l *blist) pushBack(b *builder) {
+	k := &b.links[l.which]
+	k.prev, k.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.links[l.which].next = b
+	} else {
+		l.head = b
+	}
+	l.tail = b
+}
+
+func (l *blist) remove(b *builder) {
+	k := &b.links[l.which]
+	if k.prev != nil {
+		k.prev.links[l.which].next = k.next
+	} else {
+		l.head = k.next
+	}
+	if k.next != nil {
+		k.next.links[l.which].prev = k.prev
+	} else {
+		l.tail = k.prev
+	}
+	*k = blink{}
+}
+
+// pktEntry is the retained per-packet state: arrival time and whether
+// the packet turned out to belong to a replica stream.
+type pktEntry struct {
+	t      time.Duration
+	member bool
+}
+
+// prefixState is everything retained for one /PrefixBits prefix.
+type prefixState struct {
+	prefix routing.Prefix
+	// entries is the retained tail of the packets seen towards the
+	// prefix, in arrival order; entries[i] has sequence number base+i.
+	entries []pktEntry
+	base    int
+	// open lists the prefix's open builders in creation order, so the
+	// head holds the earliest first replica.
+	open blist
+	// pending are flushed candidates (>= MinReplicas) awaiting
+	// settlement, in flush order.
+	pending []*builder
+	// validated are validated streams not yet folded into loops, in
+	// canonical stream order.
+	validated []*ReplicaStream
+	// loop is the loop currently accepting streams.
+	loop *Loop
+}
+
+const never = time.Duration(1<<63 - 1)
+
+// undecided returns the earliest time at which membership towards the
+// prefix is still open: the first replica of its oldest open builder.
+func (ps *prefixState) undecided() time.Duration {
+	if ps.open.head == nil {
+		return never
+	}
+	return ps.open.head.start()
+}
+
+// earliestStream returns the earliest start of a stream — open,
+// pending or validated — that has not yet been folded into a loop.
+func (ps *prefixState) earliestStream() time.Duration {
+	at := ps.undecided()
+	for _, b := range ps.pending {
+		at = min(at, b.start())
+	}
+	if len(ps.validated) > 0 {
+		at = min(at, ps.validated[0].Start())
+	}
+	return at
+}
+
+// add retains a packet seen at time t and returns its sequence number.
+func (ps *prefixState) add(t time.Duration) int {
+	ps.entries = append(ps.entries, pktEntry{t: t})
+	return ps.base + len(ps.entries) - 1
+}
+
+// clean reports whether every retained packet towards the prefix in
+// [from, to] belongs to some replica stream (of at least
+// MemberReplicas replicas). A loop must capture all traffic to the
+// prefix; a non-looping packet in the window refutes the stream.
+func (ps *prefixState) clean(from, to time.Duration) bool {
+	lo := sort.Search(len(ps.entries), func(i int) bool {
+		return ps.entries[i].t >= from
+	})
+	for _, e := range ps.entries[lo:] {
+		if e.t > to {
+			break
+		}
+		if !e.member {
+			return false
+		}
+	}
+	return true
+}
+
+// NewDetector returns a detector whose loops are collected for Finish.
+// It panics on an invalid configuration; use New for an error-returning
 // constructor.
-func NewDetector(cfg Config) *Detector {
+func NewDetector(cfg Config) *Detector { return NewStreamDetector(cfg, nil) }
+
+// NewStreamDetector returns a detector that also hands every finalized
+// loop to emit (may be nil), in order of finalization: per prefix this
+// is start order; across prefixes it follows the trace clock.
+func NewStreamDetector(cfg Config, emit func(*Loop)) *Detector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Detector{
 		cfg:      cfg,
-		active:   make(map[uint64][]*builder),
-		byPrefix: make(map[routing.Prefix][]int32),
+		emit:     emit,
+		active:   make(map[uint64]*builder),
+		byPrefix: make(map[routing.Prefix]*prefixState),
+		live:     blist{which: byActivity},
 	}
 }
 
@@ -65,360 +263,444 @@ func NewDetector(cfg Config) *Detector {
 // Observe; a nil shard (the default) keeps recording disabled.
 func (d *Detector) SetFlight(sr *flight.ShardRecorder) { d.fr = sr }
 
+func (d *Detector) state(p routing.Prefix) *prefixState {
+	ps := d.byPrefix[p]
+	if ps == nil {
+		ps = &prefixState{prefix: p, open: blist{which: byCreation}}
+		d.byPrefix[p] = ps
+	}
+	return ps
+}
+
 // Observe processes the next trace record. Records must arrive in
 // non-decreasing time order.
 func (d *Detector) Observe(rec trace.Record) {
 	idx := d.n
 	d.n++
-	d.memberOf = append(d.memberOf, -1)
-	d.times = append(d.times, rec.Time)
+	d.now = rec.Time
+	// Close stale streams first, so memory tracks the number of
+	// concurrent streams, not trace length, and every builder the
+	// record can match is within MaxReplicaGap of it.
+	d.expire()
+	if rec.Time-d.lastAdvance > d.cfg.MaxReplicaGap {
+		d.advanceAll(false)
+		d.lastAdvance = rec.Time
+	}
 
 	pkt, err := packet.Decode(rec.Data)
 	if err != nil {
 		d.parseErrors++
 		return
 	}
-	pfx := routing.PrefixOf(pkt.IP.Dst, d.cfg.PrefixBits)
-	d.byPrefix[pfx] = append(d.byPrefix[pfx], int32(idx))
-
+	ps := d.state(routing.PrefixOf(pkt.IP.Dst, d.cfg.PrefixBits))
 	masked := maskReplica(rec.Data)
 	h := fnv64a(masked)
 	rep := Replica{Time: rec.Time, TTL: pkt.IP.TTL, Index: idx}
 
-	var match *builder
-	for _, b := range d.active[h] {
-		if bytes.Equal(b.masked, masked) {
-			match = b
-			break
-		}
+	match := d.active[h]
+	for match != nil && !bytes.Equal(match.masked, masked) {
+		match = match.chain
 	}
-	switch delta := 0; {
-	case match == nil:
-		d.startBuilder(h, masked, pfx, &pkt, rep)
-	case rec.Time-match.lastTime > d.cfg.MaxReplicaGap:
-		// Stale stream: close it and start fresh.
-		d.flush(match, flight.ReasonReplicaGap)
-		d.removeActive(match)
-		d.startBuilder(h, masked, pfx, &pkt, rep)
+	if match == nil {
+		d.startBuilder(ps, h, masked, &pkt, rep)
+		return
+	}
+	switch delta := int(match.lastTTL) - int(rep.TTL); {
+	case delta >= d.cfg.MinTTLDelta:
+		match.replicas = append(match.replicas, rep)
+		d.touch(match, rep)
+		if d.fr != nil {
+			d.frExtend(match, rep, delta)
+		}
+	case delta >= 0:
+		// Same bytes, TTL decrement below the loop threshold: a
+		// link-layer duplicate of the last observation. It belongs to
+		// this packet (so it cannot refute a concurrent loop in step
+		// 2) without extending the stream.
+		d.touch(match, rep)
+		if match.frOpen && d.fr.SampleReplica(len(match.moreEntries)+1-len(match.replicas)) {
+			d.fr.Record(flight.Event{Time: rec.Time, Kind: flight.KindDuplicate,
+				Prefix: ps.prefix, Stream: match.hash, TTL: rep.TTL, Delta: delta})
+		}
 	default:
-		delta = int(match.lastTTL) - int(pkt.IP.TTL)
-		switch {
-		case delta >= d.cfg.MinTTLDelta:
-			match.replicas = append(match.replicas, rep)
-			match.observe(pkt.IP.TTL, rec.Time)
-			if d.fr != nil {
-				d.frExtend(match, rep, delta)
-			}
-		case delta >= 0:
-			// Same bytes, TTL decrement below the loop threshold: a
-			// link-layer duplicate of the last observation. Record it
-			// as belonging to this packet (so it cannot refute a
-			// concurrent loop in step 2) without extending the
-			// stream.
-			match.extras = append(match.extras, idx)
-			match.observe(pkt.IP.TTL, rec.Time)
-			if d.fr != nil && match.frOpen && d.fr.SampleReplica(len(match.extras)) {
-				d.fr.Record(flight.Event{Time: rec.Time, Kind: flight.KindDuplicate,
-					Prefix: match.prefix, Stream: match.hash, TTL: pkt.IP.TTL, Delta: delta})
-			}
-		default:
-			// TTL went back up: a reappearance of the original
-			// packet (e.g. an identical retransmission through a
-			// middlebox). Close the old stream and start a new one.
-			d.flush(match, flight.ReasonTTLRise)
-			d.removeActive(match)
-			d.startBuilder(h, masked, pfx, &pkt, rep)
-		}
+		// TTL went back up: a reappearance of the original packet
+		// (e.g. an identical retransmission through a middlebox).
+		// Close the old stream and start a new one.
+		d.close(match, flight.ReasonTTLRise)
+		d.startBuilder(ps, h, masked, &pkt, rep)
 	}
-
-	// Expire stale streams so memory tracks the number of concurrent
-	// loops, not trace length.
-	d.expire(rec.Time)
 }
 
-func (d *Detector) startBuilder(h uint64, masked []byte, pfx routing.Prefix, pkt *packet.Packet, rep Replica) {
+// startBuilder opens a stream on a packet's first observation, the
+// governor permitting. A packet refused admission starts no builder
+// and, having no chance of ever becoming a member, is not retained in
+// the prefix window either: a non-member entry would invalidate every
+// genuine stream overlapping it (step 2).
+func (d *Detector) startBuilder(ps *prefixState, h uint64, masked []byte, pkt *packet.Packet, rep Replica) {
+	if !d.admitStream() {
+		return
+	}
 	b := &builder{
-		masked:   masked,
-		hash:     h,
-		prefix:   pfx,
-		summary:  summarize(pkt),
-		replicas: []Replica{rep},
-		serial:   -1,
-		lastTTL:  rep.TTL,
-		lastTime: rep.Time,
+		masked:     masked,
+		hash:       h,
+		chain:      d.active[h],
+		ps:         ps,
+		summary:    summarize(pkt),
+		replicas:   []Replica{rep},
+		firstEntry: ps.add(rep.Time),
+		lastTTL:    rep.TTL,
+		lastTime:   rep.Time,
 	}
-	d.active[h] = append(d.active[h], b)
-	d.expiry = append(d.expiry, expiryEntry{b: b, at: rep.Time})
+	d.active[h] = b
+	ps.open.pushBack(b)
+	d.live.pushBack(b)
+	d.liveBuilders++
 }
 
-func (d *Detector) removeActive(b *builder) {
-	b.done = true
-	lst := d.active[b.hash]
-	for i, x := range lst {
-		if x == b {
-			lst[i] = lst[len(lst)-1]
-			d.active[b.hash] = lst[:len(lst)-1]
-			break
-		}
-	}
-	if len(d.active[b.hash]) == 0 {
-		delete(d.active, b.hash)
+// touch books a further observation of b's packet: its window entry,
+// the last-seen TTL and time, and b's place at the warm end of the
+// activity list.
+func (d *Detector) touch(b *builder, rep Replica) {
+	b.moreEntries = append(b.moreEntries, b.ps.add(rep.Time))
+	b.lastTTL, b.lastTime = rep.TTL, rep.Time
+	if d.live.tail != b {
+		d.live.remove(b)
+		d.live.pushBack(b)
 	}
 }
 
-// expire retires builders whose last observation is older than
-// MaxReplicaGap, by draining the head of the expiry FIFO.
-func (d *Detector) expire(now time.Duration) {
-	for d.expiryHead < len(d.expiry) {
-		e := d.expiry[d.expiryHead]
-		if now-e.at <= d.cfg.MaxReplicaGap {
-			break
-		}
-		d.expiryHead++
-		if e.b.done {
-			continue
-		}
-		if now-e.b.lastTime > d.cfg.MaxReplicaGap {
-			d.flush(e.b, flight.ReasonReplicaGap)
-			d.removeActive(e.b)
+// close flushes an open builder and drops it from every index.
+func (d *Detector) close(b *builder, why flight.Reason) {
+	d.flush(b, why)
+	if p := d.active[b.hash]; p == b {
+		if b.chain == nil {
+			delete(d.active, b.hash)
 		} else {
-			// Grew since enqueueing: check again later.
-			d.expiry = append(d.expiry, expiryEntry{b: e.b, at: e.b.lastTime})
+			d.active[b.hash] = b.chain
 		}
+	} else {
+		for p.chain != b {
+			p = p.chain
+		}
+		p.chain = b.chain
 	}
-	// Compact the drained prefix occasionally.
-	if d.expiryHead > 4096 && d.expiryHead*2 > len(d.expiry) {
-		n := copy(d.expiry, d.expiry[d.expiryHead:])
-		d.expiry = d.expiry[:n]
-		d.expiryHead = 0
+	b.chain = nil
+	b.ps.open.remove(b)
+	d.live.remove(b)
+	d.liveBuilders--
+}
+
+// expire closes builders whose last observation is older than
+// MaxReplicaGap, from the stale end of the activity list.
+func (d *Detector) expire() {
+	for b := d.live.head; b != nil && d.now-b.lastTime > d.cfg.MaxReplicaGap; b = d.live.head {
+		d.close(b, flight.ReasonReplicaGap)
 	}
 }
 
 // frExtend records a sampled replica-extension event, lazily opening
-// the stream's flight record on its second replica so non-looping
-// traffic (single-replica builders) never touches the recorder.
+// the stream's flight record on its second replica.
 func (d *Detector) frExtend(b *builder, rep Replica, delta int) {
 	if !b.frOpen {
 		b.frOpen = true
 		first := b.replicas[0]
 		d.fr.Record(flight.Event{Time: first.Time, Kind: flight.KindStreamOpen,
-			Prefix: b.prefix, Stream: b.hash, TTL: first.TTL})
+			Prefix: b.ps.prefix, Stream: b.hash, TTL: first.TTL})
 	}
 	if n := len(b.replicas); d.fr.SampleReplica(n) {
 		d.fr.Record(flight.Event{Time: rep.Time, Kind: flight.KindReplica,
-			Prefix: b.prefix, Stream: b.hash, TTL: rep.TTL, Delta: delta, Count: n})
+			Prefix: b.ps.prefix, Stream: b.hash, TTL: rep.TTL, Delta: delta, Count: n})
 	}
 }
 
-// flush retires a builder: single observations vanish, pairs are
-// counted as link-layer duplicates, larger sets become membership-
-// bearing candidate streams.
+// note records a lifecycle event of b's stream if its flight record is
+// open.
+func (d *Detector) note(b *builder, at time.Duration, kind flight.Kind, why flight.Reason) {
+	if b.frOpen {
+		d.fr.Record(flight.Event{Time: at, Kind: kind, Reason: why,
+			Prefix: b.ps.prefix, Stream: b.hash, Count: len(b.replicas)})
+	}
+}
+
+// flush settles a closing builder: single observations vanish, pairs
+// are counted as link-layer duplicates, larger sets make their packets
+// members and, from MinReplicas up, queue as loop candidates.
 func (d *Detector) flush(b *builder, why flight.Reason) {
 	n := len(b.replicas)
-	if d.fr != nil && b.frOpen {
-		d.fr.Record(flight.Event{Time: b.lastTime, Kind: flight.KindStreamClose,
-			Reason: why, Prefix: b.prefix, Stream: b.hash, Count: n})
-	}
+	d.note(b, b.lastTime, flight.KindStreamClose, why)
 	if n < d.cfg.MemberReplicas {
 		return
 	}
 	if n == 2 {
 		d.pairs++
 	}
-	b.serial = d.nextSerial
-	d.nextSerial++
-	for _, r := range b.replicas {
-		d.memberOf[r.Index] = b.serial
+	ps := b.ps
+	ps.entries[b.firstEntry-ps.base].member = true
+	for _, seq := range b.moreEntries {
+		ps.entries[seq-ps.base].member = true
 	}
-	for _, idx := range b.extras {
-		d.memberOf[idx] = b.serial
+	if n < d.cfg.MinReplicas {
+		// Two-element sets (or anything below the evidence bar): not
+		// loop evidence on their own.
+		why := flight.ReasonBelowMinReplicas
+		if n == 2 {
+			why = flight.ReasonPairDiscarded
+		}
+		d.note(b, b.start(), flight.KindReject, why)
+		return
 	}
-	d.flushed = append(d.flushed, b)
+	d.note(b, b.start(), flight.KindCandidate, flight.ReasonNone)
+	ps.pending = append(ps.pending, b)
 }
 
-// Finish closes all open streams, runs validation and merging, and
-// returns the result.
-func (d *Detector) Finish() *Result {
-	for _, lst := range d.active {
-		for _, b := range lst {
-			if !b.done {
-				d.flush(b, flight.ReasonEndOfTrace)
-				b.done = true
-			}
+// advanceAll makes progress on validation, folding and emission for
+// every prefix with such work, and evicts unreachable entries from all
+// of them. Prefixes with work are visited in address order, never map
+// order: emission order must be a pure function of the record sequence
+// so that a resumed run can suppress replayed emissions by count
+// (core.Session.SetReplay). The others can only evict, which nothing
+// observes, so their order is free.
+func (d *Detector) advanceAll(final bool) {
+	var busy []*prefixState
+	for _, ps := range d.byPrefix {
+		if len(ps.pending) > 0 || len(ps.validated) > 0 || ps.loop != nil {
+			busy = append(busy, ps)
+		} else {
+			d.evict(ps)
 		}
 	}
-	d.active = make(map[uint64][]*builder)
-	d.expiry, d.expiryHead = nil, 0
-
-	res := &Result{
-		TotalPackets: d.n,
-		ParseErrors:  d.parseErrors,
-		Membership:   make([]int32, d.n),
-	}
-	for i := range res.Membership {
-		res.Membership[i] = -1
-	}
-
-	// Step 2: validation.
-	var candidates []*builder
-	for _, b := range d.flushed {
-		n := len(b.replicas)
-		if n < d.cfg.MinReplicas {
-			// Two-element sets (or anything below the evidence bar):
-			// not loop evidence on their own.
-			if d.fr != nil && b.frOpen {
-				why := flight.ReasonBelowMinReplicas
-				if n == 2 {
-					why = flight.ReasonPairDiscarded
-				}
-				d.fr.Record(flight.Event{Time: b.replicas[0].Time, Kind: flight.KindReject,
-					Reason: why, Prefix: b.prefix, Stream: b.hash, Count: n})
-			}
-			continue
+	sort.Slice(busy, func(i, j int) bool {
+		a, b := busy[i].prefix, busy[j].prefix
+		if a.Addr != b.Addr {
+			return a.Addr.Uint32() < b.Addr.Uint32()
 		}
-		if d.fr != nil && b.frOpen {
-			d.fr.Record(flight.Event{Time: b.replicas[0].Time, Kind: flight.KindCandidate,
-				Prefix: b.prefix, Stream: b.hash, Count: n})
-		}
-		if d.cfg.ValidateSubnet && !d.subnetClean(b.prefix, b.replicas[0].Time, b.replicas[n-1].Time) {
-			res.SubnetInvalidated++
-			if d.fr != nil && b.frOpen {
-				d.fr.Record(flight.Event{Time: b.replicas[0].Time, Kind: flight.KindReject,
-					Reason: flight.ReasonSubnetInvalidated, Prefix: b.prefix, Stream: b.hash, Count: n})
-			}
-			continue
-		}
-		if d.fr != nil && b.frOpen {
-			d.fr.Record(flight.Event{Time: b.replicas[0].Time, Kind: flight.KindValidated,
-				Prefix: b.prefix, Stream: b.hash, Count: n})
-		}
-		candidates = append(candidates, b)
-	}
-	res.PairsDiscarded = d.pairs
-
-	// Canonical order: first-replica time, then first-replica index.
-	// The index tie-break makes the order a total one, so every Engine
-	// implementation (sequential, naive, parallel shards) numbers the
-	// same streams identically.
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i].replicas[0], candidates[j].replicas[0]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		return a.Index < b.Index
+		return a.Bits < b.Bits
 	})
-	for i, b := range candidates {
-		s := &ReplicaStream{
-			ID:       i,
-			Prefix:   b.prefix,
-			Replicas: b.replicas,
-			Summary:  b.summary,
+	for _, ps := range busy {
+		d.advance(ps, final)
+		d.evict(ps)
+	}
+}
+
+// advance runs steps 2 and 3 for one prefix as far as the settled part
+// of the trace allows; final lifts that limit at end of trace.
+func (d *Detector) advance(ps *prefixState, final bool) {
+	undecided := ps.undecided()
+
+	// Step 2: validate pending streams whose windows are fully settled.
+	kept := ps.pending[:0]
+	for _, b := range ps.pending {
+		settled := undecided > b.end() && d.now-b.end() > d.cfg.MaxReplicaGap
+		if !settled && !final {
+			kept = append(kept, b)
+			continue
 		}
-		res.Streams = append(res.Streams, s)
-		res.LoopedPackets += len(b.replicas)
-		for _, r := range b.replicas {
-			res.Membership[r.Index] = int32(i)
+		if d.cfg.ValidateSubnet && !ps.clean(b.start(), b.end()) {
+			d.subnetInval++
+			d.note(b, b.start(), flight.KindReject, flight.ReasonSubnetInvalidated)
+			continue
 		}
+		d.note(b, b.start(), flight.KindValidated, flight.ReasonNone)
+		s := &ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: b.replicas, Summary: b.summary}
+		d.streams++
+		d.looped += len(b.replicas)
+		i := sort.Search(len(ps.validated), func(i int) bool { return streamLess(s, ps.validated[i]) })
+		ps.validated = append(ps.validated, nil)
+		copy(ps.validated[i+1:], ps.validated[i:])
+		ps.validated[i] = s
+	}
+	ps.pending = kept
+
+	// Step 3: fold validated streams into the open loop, in stream
+	// order. A stream may be folded once no undecided or pending stream
+	// could precede it.
+	for len(ps.validated) > 0 {
+		s := ps.validated[0]
+		if !final && (undecided <= s.Start() || ps.pendingBy(s.Start())) {
+			break
+		}
+		ps.validated = ps.validated[1:]
+		l := ps.loop
+		if l == nil {
+			d.openLoop(ps, s, flight.ReasonNone)
+			continue
+		}
+		gap := max(s.Start()-l.End, 0)
+		if gap == 0 || (gap < d.cfg.MergeWindow && (!d.cfg.ValidateSubnet || ps.clean(l.End, s.Start()))) {
+			// Overlapping, or close in time with no contradicting
+			// traffic in the gap (the loop simply had no detectable
+			// replicas for a while): same loop.
+			l.Streams = append(l.Streams, s)
+			l.End = max(l.End, s.End())
+			d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindMerge,
+				Prefix: ps.prefix, Count: len(l.Streams), Gap: gap})
+			continue
+		}
+		why := flight.ReasonDirtyGap
+		if gap >= d.cfg.MergeWindow {
+			why = flight.ReasonMergeGapWide
+		}
+		d.finalize(ps)
+		d.openLoop(ps, s, why)
 	}
 
-	// Step 3: merging.
-	res.Loops = d.merge(res.Streams)
+	// Emit the open loop once nothing can merge into it any more.
+	if l := ps.loop; l != nil {
+		deadline := l.End + d.cfg.MergeWindow
+		if final || (d.now > deadline && ps.earliestStream() > deadline) {
+			d.finalize(ps)
+		}
+	}
+}
+
+// pendingBy reports whether a pending candidate starts at or before t.
+func (ps *prefixState) pendingBy(t time.Duration) bool {
+	for _, b := range ps.pending {
+		if b.start() <= t {
+			return true
+		}
+	}
+	return false
+}
+
+// openLoop starts the prefix's next loop with stream s; why says what
+// closed the previous one, if there was one.
+func (d *Detector) openLoop(ps *prefixState, s *ReplicaStream, why flight.Reason) {
+	ps.loop = &Loop{Prefix: ps.prefix, Streams: []*ReplicaStream{s}, Start: s.Start(), End: s.End()}
+	d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindLoopOpen, Reason: why, Prefix: ps.prefix})
+}
+
+// finalize emits the prefix's open loop: nothing can change it now.
+func (d *Detector) finalize(ps *prefixState) {
+	l := ps.loop
+	ps.loop = nil
+	d.fr.Record(flight.Event{Time: l.End, Kind: flight.KindLoopFinal,
+		Prefix: ps.prefix, Count: len(l.Streams)})
+	d.loops = append(d.loops, l)
+	if d.emit != nil {
+		d.emit(l)
+	}
+}
+
+// evict drops the entries nothing can read any more — those before the
+// open loop's end, the oldest undecided packet and the earliest
+// unfolded stream — and the whole prefix once it holds nothing.
+func (d *Detector) evict(ps *prefixState) {
+	needLow := min(d.now, ps.earliestStream())
+	if ps.loop != nil {
+		needLow = min(needLow, ps.loop.End)
+	}
+	cut := sort.Search(len(ps.entries), func(i int) bool {
+		return ps.entries[i].t >= needLow
+	})
+	// Re-slicing is enough: the next append that outgrows the array
+	// copies only the retained tail.
+	ps.entries = ps.entries[cut:]
+	ps.base += cut
+	d.peakEntries = max(d.peakEntries, len(ps.entries))
+	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
+		len(ps.validated) == 0 && ps.open.head == nil && ps.loop == nil {
+		delete(d.byPrefix, ps.prefix)
+	}
+}
+
+// StreamStats summarises a finished run by its counters alone.
+type StreamStats struct {
+	TotalPackets      int
+	LoopedPackets     int
+	Streams           int
+	ParseErrors       int
+	PairsDiscarded    int
+	SubnetInvalidated int
+	// PeakPrefixEntries is the largest per-prefix retained-entry
+	// count observed — the bounded-memory gauge.
+	PeakPrefixEntries int
+	// ShedStreams and ShedPackets account for what the memory
+	// governor gave up under its cap (zero without one).
+	ShedStreams int64
+	ShedPackets int64
+}
+
+// FinishStats closes all open streams, emits every outstanding loop
+// and returns the run's counters. It allocates nothing per record, so
+// it is how a bounded-memory run (a feed, a multi-hour capture) ends;
+// the loops have all gone to the emit callback.
+func (d *Detector) FinishStats() StreamStats {
+	for d.live.head != nil {
+		d.close(d.live.head, flight.ReasonEndOfTrace)
+	}
+	d.advanceAll(true)
+	return StreamStats{
+		TotalPackets:      d.n,
+		LoopedPackets:     d.looped,
+		Streams:           d.streams,
+		ParseErrors:       d.parseErrors,
+		PairsDiscarded:    d.pairs,
+		SubnetInvalidated: d.subnetInval,
+		PeakPrefixEntries: d.peakEntries,
+		ShedStreams:       d.shedStreams,
+		ShedPackets:       d.shedPackets,
+	}
+}
+
+// Finish implements Engine: FinishStats, then the collected loops as a
+// canonical *Result (see canonicalize), including the per-record
+// Membership index.
+func (d *Detector) Finish() *Result {
+	st := d.FinishStats()
+	res := &Result{
+		Loops:             d.loops,
+		TotalPackets:      st.TotalPackets,
+		LoopedPackets:     st.LoopedPackets,
+		ParseErrors:       st.ParseErrors,
+		PairsDiscarded:    st.PairsDiscarded,
+		SubnetInvalidated: st.SubnetInvalidated,
+	}
+	res.Streams, res.Membership = canonicalize(res.Loops, d.n)
 	return res
 }
 
-// subnetClean reports whether every packet towards pfx in [from, to]
-// belongs to some replica stream (of at least MemberReplicas
-// replicas). A loop must capture all traffic to the prefix; a
-// non-looping packet in the window refutes the stream.
-func (d *Detector) subnetClean(pfx routing.Prefix, from, to time.Duration) bool {
-	idxs := d.byPrefix[pfx]
-	lo := sort.Search(len(idxs), func(i int) bool {
-		return d.times[idxs[i]] >= from
-	})
-	for i := lo; i < len(idxs) && d.times[idxs[i]] <= to; i++ {
-		if d.memberOf[idxs[i]] < 0 {
-			return false
-		}
+// streamLess is the canonical stream order: first-replica time, then
+// first-replica index. The index tie-break makes the order total, so
+// every engine numbers the same streams identically.
+func streamLess(a, b *ReplicaStream) bool {
+	x, y := a.Replicas[0], b.Replicas[0]
+	if x.Time != y.Time {
+		return x.Time < y.Time
 	}
-	return true
+	return x.Index < y.Index
 }
 
-// merge folds validated streams into loops: same prefix and
-// overlapping, or separated by less than MergeWindow with no
-// non-looped same-subnet packet in the gap.
-func (d *Detector) merge(streams []*ReplicaStream) []*Loop {
-	byPfx := make(map[routing.Prefix][]*ReplicaStream)
-	for _, s := range streams {
-		byPfx[s.Prefix] = append(byPfx[s.Prefix], s)
+// loopLess is the canonical loop order: start, then prefix address.
+func loopLess(a, b *Loop) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
 	}
-	var loops []*Loop
-	for pfx, ss := range byPfx {
-		sort.Slice(ss, func(i, j int) bool {
-			if ss[i].Start() != ss[j].Start() {
-				return ss[i].Start() < ss[j].Start()
-			}
-			return ss[i].Replicas[0].Index < ss[j].Replicas[0].Index
-		})
-		cur := &Loop{Prefix: pfx, Streams: []*ReplicaStream{ss[0]},
-			Start: ss[0].Start(), End: ss[0].End()}
-		if d.fr != nil {
-			d.fr.Record(flight.Event{Time: cur.Start, Kind: flight.KindLoopOpen, Prefix: pfx})
-		}
-		for _, s := range ss[1:] {
-			switch {
-			case s.Start() <= cur.End:
-				// Overlap: same loop.
-				cur.Streams = append(cur.Streams, s)
-				if s.End() > cur.End {
-					cur.End = s.End()
-				}
-				if d.fr != nil {
-					d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindMerge,
-						Prefix: pfx, Count: len(cur.Streams)})
-				}
-			case s.Start()-cur.End < d.cfg.MergeWindow &&
-				(!d.cfg.ValidateSubnet || d.subnetClean(pfx, cur.End, s.Start())):
-				// Close in time with no contradicting traffic in the
-				// gap: the loop simply had no detectable replicas for
-				// a while.
-				gap := s.Start() - cur.End
-				cur.Streams = append(cur.Streams, s)
-				if s.End() > cur.End {
-					cur.End = s.End()
-				}
-				if d.fr != nil {
-					d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindMerge,
-						Prefix: pfx, Count: len(cur.Streams), Gap: gap})
-				}
-			default:
-				if d.fr != nil {
-					d.fr.Record(flight.Event{Time: cur.End, Kind: flight.KindLoopFinal,
-						Prefix: pfx, Count: len(cur.Streams)})
-					why := flight.ReasonDirtyGap
-					if s.Start()-cur.End >= d.cfg.MergeWindow {
-						why = flight.ReasonMergeGapWide
-					}
-					d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindLoopOpen,
-						Reason: why, Prefix: pfx})
-				}
-				loops = append(loops, cur)
-				cur = &Loop{Prefix: pfx, Streams: []*ReplicaStream{s},
-					Start: s.Start(), End: s.End()}
-			}
-		}
-		if d.fr != nil {
-			d.fr.Record(flight.Event{Time: cur.End, Kind: flight.KindLoopFinal,
-				Prefix: pfx, Count: len(cur.Streams)})
-		}
-		loops = append(loops, cur)
+	return a.Prefix.Addr.Uint32() < b.Prefix.Addr.Uint32()
+}
+
+// canonicalize puts a run's loops into the order and numbering every
+// engine reports: loops sorted in place by loopLess, their streams
+// gathered and sorted by streamLess and renumbered from 0, and the
+// membership index over n records rebuilt from the stream replicas.
+func canonicalize(loops []*Loop, n int) ([]*ReplicaStream, []int32) {
+	sort.Slice(loops, func(i, j int) bool { return loopLess(loops[i], loops[j]) })
+	var streams []*ReplicaStream
+	for _, l := range loops {
+		streams = append(streams, l.Streams...)
 	}
-	sort.SliceStable(loops, func(i, j int) bool {
-		if loops[i].Start != loops[j].Start {
-			return loops[i].Start < loops[j].Start
+	sort.Slice(streams, func(i, j int) bool { return streamLess(streams[i], streams[j]) })
+	membership := make([]int32, n)
+	for i := range membership {
+		membership[i] = -1
+	}
+	for id, s := range streams {
+		s.ID = id
+		for _, r := range s.Replicas {
+			membership[r.Index] = int32(id)
 		}
-		return loops[i].Prefix.Addr.Uint32() < loops[j].Prefix.Addr.Uint32()
-	})
-	return loops
+	}
+	return streams, membership
 }
 
 // DetectRecords runs the full pipeline over an in-memory trace.

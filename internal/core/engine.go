@@ -11,12 +11,12 @@ import (
 	"loopscope/internal/trace"
 )
 
-// Engine is the unified detection interface: every detector variant —
-// the batch Detector, the NaiveDetector reference, the bounded-memory
-// StreamDetector and the multi-core ParallelDetector — consumes trace
-// records in capture order through Observe and delivers the analysis
-// through Finish. Callers construct an Engine with New and stop
-// switching on concrete types.
+// Engine is the detection interface: the Detector, the multi-core
+// ParallelDetector that shards the trace over several Detectors, and
+// the NaiveDetector reference all consume trace records in capture
+// order through Observe and deliver the analysis through Finish.
+// Callers construct an Engine with New and stop switching on concrete
+// types.
 //
 // Records must arrive in non-decreasing time order. Finish must be
 // called exactly once, after the last Observe; the Engine must not be
@@ -84,7 +84,6 @@ type options struct {
 	workers   int
 	streaming bool
 	emit      func(*Loop)
-	naive     bool
 	metrics   *obs.Registry
 	flight    *flight.Recorder
 }
@@ -94,24 +93,18 @@ type Option func(*options)
 
 // WithWorkers selects the multi-core ParallelDetector with n worker
 // shards. n == 0 means runtime.GOMAXPROCS(0); n == 1 degenerates to
-// the sequential Detector (identical output, no pipeline overhead).
+// a single Detector (identical output, no pipeline overhead).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithStreaming selects the bounded-memory StreamDetector; emit (may
-// be nil) receives every loop as soon as it can no longer change.
+// WithStreaming selects a single Detector that hands every loop to
+// emit (may be nil) as soon as the loop can no longer change.
 func WithStreaming(emit func(*Loop)) Option {
 	return func(o *options) {
 		o.streaming = true
 		o.emit = emit
 	}
-}
-
-// WithNaive selects the quadratic reference implementation (for
-// differential testing and the data-structure ablation).
-func WithNaive() Option {
-	return func(o *options) { o.naive = true }
 }
 
 // WithMetrics instruments the engine against a metrics registry: the
@@ -128,17 +121,16 @@ func WithMetrics(r *obs.Registry) Option {
 // prefix, so a finalized loop's decision trail can be sealed and
 // explained afterwards. A nil recorder is the uninstrumented default
 // and costs one predictable branch per replica on the hot path.
-// Recording never changes detection results. The NaiveDetector
-// reference does not record.
+// Recording never changes detection results.
 func WithFlight(rec *flight.Recorder) Option {
 	return func(o *options) { o.flight = rec }
 }
 
-// New constructs a detection engine. With no options it returns the
-// sequential batch Detector; WithWorkers, WithStreaming and WithNaive
-// select the other variants. The configuration is validated uniformly
-// (every violation surfaces as a *ConfigError); incompatible option
-// combinations are rejected.
+// New constructs a detection engine. With no options it shards the
+// trace over one Detector per core; WithWorkers sets the shard count
+// and WithStreaming selects one Detector with an emit hook. The
+// configuration is validated uniformly (every violation surfaces as a
+// *ConfigError); incompatible option combinations are rejected.
 func New(cfg Config, opts ...Option) (Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -150,11 +142,8 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("core: WithWorkers(%d): worker count must not be negative", o.workers)
 	}
-	if o.streaming && o.naive {
-		return nil, errors.New("core: WithStreaming and WithNaive are mutually exclusive")
-	}
-	if o.workers > 1 && (o.streaming || o.naive) {
-		return nil, errors.New("core: WithWorkers(>1) cannot be combined with WithStreaming or WithNaive")
+	if o.workers > 1 && o.streaming {
+		return nil, errors.New("core: WithWorkers(>1) cannot be combined with WithStreaming")
 	}
 	e, workers, err := build(cfg, &o)
 	if err != nil {
@@ -173,8 +162,6 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 			det.SetFlightRecorder(o.flight)
 		case *Detector:
 			det.SetFlight(o.flight.Shard(0))
-		case *StreamDetector:
-			det.SetFlight(o.flight.Shard(0))
 		}
 	}
 	return e, nil
@@ -186,16 +173,13 @@ func build(cfg Config, o *options) (Engine, int, error) {
 	switch {
 	case o.streaming:
 		return NewStreamDetector(cfg, o.emit), 1, nil
-	case o.naive:
-		return NewNaiveDetector(cfg), 1, nil
 	case o.workers == 1:
 		return NewDetector(cfg), 1, nil
 	case o.workers != 0:
 		return NewParallelDetector(cfg, o.workers), o.workers, nil
 	}
 	// Default: use every core the runtime gives us; a single-core
-	// box gets the sequential detector rather than a one-shard
-	// pipeline.
+	// box gets a bare Detector rather than a one-shard pipeline.
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return NewParallelDetector(cfg, n), n, nil
 	}

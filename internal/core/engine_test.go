@@ -48,9 +48,7 @@ func TestNewRejectsOptionConflicts(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, opts := range map[string][]Option{
 		"negative-workers":  {WithWorkers(-2)},
-		"streaming+naive":   {WithStreaming(nil), WithNaive()},
 		"workers+streaming": {WithWorkers(4), WithStreaming(nil)},
-		"workers+naive":     {WithWorkers(4), WithNaive()},
 	} {
 		if _, err := New(cfg, opts...); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -58,7 +56,8 @@ func TestNewRejectsOptionConflicts(t *testing.T) {
 	}
 }
 
-// TestNewDispatch: the options select the documented engine variants.
+// TestNewDispatch: the options select the documented engines — one
+// Detector, or a ParallelDetector over several.
 func TestNewDispatch(t *testing.T) {
 	cfg := DefaultConfig()
 	mustNew := func(opts ...Option) Engine {
@@ -70,18 +69,15 @@ func TestNewDispatch(t *testing.T) {
 		return e
 	}
 	if _, ok := mustNew(WithWorkers(1)).(*Detector); !ok {
-		t.Error("WithWorkers(1) did not select the sequential Detector")
+		t.Error("WithWorkers(1) did not select a single Detector")
 	}
 	p, ok := mustNew(WithWorkers(3)).(*ParallelDetector)
 	if !ok || p.Workers() != 3 {
 		t.Errorf("WithWorkers(3) = %T with %d workers", p, p.Workers())
 	}
 	p.Finish() // release the worker goroutines
-	if _, ok := mustNew(WithNaive()).(*NaiveDetector); !ok {
-		t.Error("WithNaive did not select the NaiveDetector")
-	}
-	if _, ok := mustNew(WithStreaming(nil)).(*StreamDetector); !ok {
-		t.Error("WithStreaming did not select the StreamDetector")
+	if _, ok := mustNew(WithStreaming(nil)).(*Detector); !ok {
+		t.Error("WithStreaming did not select a single Detector")
 	}
 	if e := mustNew(); e == nil {
 		t.Error("default construction failed")
@@ -90,22 +86,26 @@ func TestNewDispatch(t *testing.T) {
 	}
 }
 
-// TestEngineVariantsAgree: every Engine built by New, driven through
-// the same Run pipeline, reports the same loops on the same trace.
+// TestEngineVariantsAgree: every Engine — those New builds and the
+// naive reference — driven through the same Run pipeline, reports the
+// same loops on the same trace.
 func TestEngineVariantsAgree(t *testing.T) {
 	cfg := DefaultConfig()
 	recs := randomTrace(11, 8*time.Second, 700, 3)
 	want := DetectRecords(recs, cfg)
 
-	variants := map[string][]Option{
-		"sequential": {WithWorkers(1)},
-		"parallel-4": {WithWorkers(4)},
-		"naive":      {WithNaive()},
-		"streaming":  {WithStreaming(nil)},
+	built := func(opts ...Option) func() (Engine, error) {
+		return func() (Engine, error) { return New(cfg, opts...) }
 	}
-	for name, opts := range variants {
+	variants := map[string]func() (Engine, error){
+		"sequential": built(WithWorkers(1)),
+		"parallel-4": built(WithWorkers(4)),
+		"naive":      func() (Engine, error) { return NewNaiveDetector(cfg), nil },
+		"streaming":  built(WithStreaming(nil)),
+	}
+	for name, build := range variants {
 		t.Run(name, func(t *testing.T) {
-			e, err := New(cfg, opts...)
+			e, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,12 +26,11 @@ var ErrWorkerPanic = errors.New("core: worker shard panicked")
 // single predictable branch per batch).
 var shardConsumeHook func(shard int, recs []trace.Record)
 
-// ParallelDetector is the multi-core detection engine. It runs the
-// same three-step algorithm as the sequential Detector but fans the
+// ParallelDetector is the multi-core detection engine. It fans the
 // trace out to N worker shards keyed by the destination /PrefixBits
-// prefix, so the whole hot path — header decode, replica matching,
-// stream building, subnet validation, loop merging — runs
-// concurrently.
+// prefix, each running its own Detector, so the whole hot path —
+// header decode, replica matching, stream building, subnet validation,
+// loop merging — runs concurrently.
 //
 // Why sharding by destination prefix is exact, not approximate:
 //
@@ -45,19 +43,17 @@ var shardConsumeHook func(shard int, recs []trace.Record)
 //     exactly one shard.
 //
 // Distinct prefixes therefore never interact until the final reduce,
-// which only renumbers and re-sorts: per-shard results are remapped
-// to global record indices, streams are ordered by the canonical
-// (first-replica time, first-replica index) key and renumbered, loops
-// are ordered by (start, prefix) — the same total orders the
-// sequential Finish uses. The Result is identical in loop content to
-// the sequential Detector's regardless of worker count or goroutine
-// scheduling.
+// which only renumbers and re-sorts: the shards' loops are remapped to
+// global record indices and put through the same canonicalize a single
+// Detector's Finish uses. The Result is identical to a single
+// Detector's regardless of worker count or goroutine scheduling.
+// (Config.MaxActiveStreams, when set, caps each shard separately.)
 //
 // Ingest is a pipeline: the caller's Observe/ObserveBatch calls are
 // the decode/batch stage (they only read the destination bytes),
 // records travel to shards in slices of DefaultBatchSize over bounded
 // channels (backpressure, not unbounded queueing), and each shard
-// feeds its own sequential Detector.
+// feeds its own Detector.
 type ParallelDetector struct {
 	cfg     Config
 	workers int
@@ -97,13 +93,13 @@ type shardBatch struct {
 }
 
 // shardState is one worker: a channel of batches, the shard's own
-// sequential Detector, and the local-to-global index mapping.
+// Detector, and the local-to-global index mapping.
 type shardState struct {
 	ch  chan shardBatch
 	det *Detector
 	// globals[i] is the global index of the shard's i-th record.
 	globals []int32
-	res     *Result
+	stats   StreamStats
 
 	// Per-shard instrumentation (nil no-op sinks when uninstrumented):
 	// recs counts records this shard consumed, depth samples the
@@ -178,7 +174,7 @@ func (p *ParallelDetector) worker(i int, s *shardState) {
 		// Cancelled: the result would be discarded anyway, and the
 		// shard's state may be mid-update.
 	default:
-		s.res = s.det.Finish()
+		s.stats = s.det.FinishStats()
 	}
 }
 
@@ -318,7 +314,7 @@ func (p *ParallelDetector) flushShard(s int) {
 }
 
 // Finish drains the pipeline and reduces the per-shard results into
-// one Result identical to the sequential Detector's. If a worker
+// one Result identical to a single Detector's. If a worker
 // shard panicked during the run, Finish re-raises the recovered panic
 // on the calling goroutine as a wrapped *error* value (so the caller
 // can recover a typed error instead of the process dying on an
@@ -348,59 +344,24 @@ func (p *ParallelDetector) FinishErr() (*Result, error) {
 	sp := p.reg.StartSpan("reduce")
 	defer sp.End()
 
-	res := &Result{
-		TotalPackets: p.n,
-		Membership:   make([]int32, p.n),
-	}
-	for i := range res.Membership {
-		res.Membership[i] = -1
-	}
-
 	// Remap every shard-local record index to its global index, then
-	// collect streams and loops.
-	var streams []*ReplicaStream
-	var loops []*Loop
+	// order and number the lot as one run.
+	res := &Result{TotalPackets: p.n}
 	for _, s := range p.shards {
-		sr := s.res
-		res.ParseErrors += sr.ParseErrors
-		res.LoopedPackets += sr.LoopedPackets
-		res.PairsDiscarded += sr.PairsDiscarded
-		res.SubnetInvalidated += sr.SubnetInvalidated
-		for _, st := range sr.Streams {
-			for i := range st.Replicas {
-				st.Replicas[i].Index = int(s.globals[st.Replicas[i].Index])
+		res.ParseErrors += s.stats.ParseErrors
+		res.LoopedPackets += s.stats.LoopedPackets
+		res.PairsDiscarded += s.stats.PairsDiscarded
+		res.SubnetInvalidated += s.stats.SubnetInvalidated
+		for _, l := range s.det.loops {
+			for _, st := range l.Streams {
+				for i := range st.Replicas {
+					st.Replicas[i].Index = int(s.globals[st.Replicas[i].Index])
+				}
 			}
 		}
-		streams = append(streams, sr.Streams...)
-		loops = append(loops, sr.Loops...)
+		res.Loops = append(res.Loops, s.det.loops...)
 	}
-
-	// Renumber streams in the canonical global order (the same key the
-	// sequential Finish sorts by).
-	sort.Slice(streams, func(i, j int) bool {
-		a, b := streams[i].Replicas[0], streams[j].Replicas[0]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		return a.Index < b.Index
-	})
-	for id, st := range streams {
-		st.ID = id
-		for _, r := range st.Replicas {
-			res.Membership[r.Index] = int32(id)
-		}
-	}
-	res.Streams = streams
-
-	// Loops were merged per prefix inside their shard; the global
-	// order is the same (start, prefix) key the sequential merge uses.
-	sort.Slice(loops, func(i, j int) bool {
-		if loops[i].Start != loops[j].Start {
-			return loops[i].Start < loops[j].Start
-		}
-		return loops[i].Prefix.Addr.Uint32() < loops[j].Prefix.Addr.Uint32()
-	})
-	res.Loops = loops
+	res.Streams, res.Membership = canonicalize(res.Loops, p.n)
 	return res, nil
 }
 

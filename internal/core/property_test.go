@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"loopscope/internal/obs/flight"
 	"loopscope/internal/routing"
 	"loopscope/internal/stats"
 	"loopscope/internal/trace"
@@ -177,22 +180,124 @@ func TestDifferentialNaiveQuick(t *testing.T) {
 	}
 }
 
-// TestDetectorDeterminism: two runs over the same trace must agree
-// exactly (the sweep iterates a map, so this guards against order
-// dependence).
+// runFingerprint is everything about a run that must not vary between
+// runs over the same input: per emitted loop, in emission order, its
+// extent and each stream's (ID, first-replica index); and, per
+// destination prefix, the flight-event sequence.
+type runFingerprint struct {
+	loops  []string
+	events map[routing.Prefix][]flight.Event
+}
+
+// fingerprintRun drives one engine over recs. drive feeds the records
+// and returns the loops in the order the engine delivered them;
+// keepSeq is false for the sharded engine, whose global event numbers
+// interleave by goroutine scheduling (within a prefix — one shard —
+// the order is still fixed, and that is what is compared).
+func fingerprintRun(recs []trace.Record, keepSeq bool, drive func(fr *flight.Recorder) []*Loop) runFingerprint {
+	fr := flight.New(flight.Options{SampleEvery: 1, PerShardEvents: 1 << 20})
+	fp := runFingerprint{events: make(map[routing.Prefix][]flight.Event)}
+	for _, l := range drive(fr) {
+		key := fmt.Sprintf("%v %v..%v", l.Prefix, l.Start, l.End)
+		for _, s := range l.Streams {
+			key += fmt.Sprintf(" (%d,%d)", s.ID, s.Replicas[0].Index)
+		}
+		fp.loops = append(fp.loops, key)
+		if fp.events[l.Prefix] == nil {
+			evs := fr.Seal("t", l.Prefix, 0, recs[len(recs)-1].Time, 0).Events
+			if !keepSeq {
+				for i := range evs {
+					evs[i].Seq = 0
+				}
+			}
+			fp.events[l.Prefix] = evs
+		}
+	}
+	return fp
+}
+
+// TestDetectorDeterminism: same input, same stream IDs, loop order and
+// flight-event sequence, whichever constructor built the engine. Every
+// variant runs three times inside the test, because an order that
+// leaks from map iteration needs more than one run to show.
 func TestDetectorDeterminism(t *testing.T) {
 	recs := randomTrace(1234, 15*time.Second, 1000, 5)
-	a := DetectRecords(recs, DefaultConfig())
-	b := DetectRecords(recs, DefaultConfig())
-	if len(a.Streams) != len(b.Streams) || len(a.Loops) != len(b.Loops) {
-		t.Fatalf("nondeterministic: %d/%d streams, %d/%d loops",
-			len(a.Streams), len(b.Streams), len(a.Loops), len(b.Loops))
-	}
-	for i := range a.Streams {
-		if a.Streams[i].Start() != b.Streams[i].Start() ||
-			a.Streams[i].Count() != b.Streams[i].Count() {
-			t.Fatalf("stream %d differs between runs", i)
+	cfg := DefaultConfig()
+	governed := cfg
+	governed.MaxActiveStreams = 64
+
+	viaNew := func(opts ...Option) func(*flight.Recorder) []*Loop {
+		return func(fr *flight.Recorder) []*Loop {
+			e, err := New(cfg, append(opts, WithFlight(fr))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				e.Observe(r)
+			}
+			return e.Finish().Loops
 		}
+	}
+	emitting := func(cfg Config) func(*flight.Recorder) []*Loop {
+		return func(fr *flight.Recorder) []*Loop {
+			var loops []*Loop
+			sd := NewStreamDetector(cfg, func(l *Loop) { loops = append(loops, l) })
+			sd.SetFlight(fr.Shard(0))
+			for _, r := range recs {
+				sd.Observe(r)
+			}
+			sd.FinishStats()
+			return loops
+		}
+	}
+	variants := []struct {
+		name    string
+		keepSeq bool
+		drive   func(*flight.Recorder) []*Loop
+	}{
+		{"NewDetector", true, func(fr *flight.Recorder) []*Loop {
+			d := NewDetector(cfg)
+			d.SetFlight(fr.Shard(0))
+			for _, r := range recs {
+				d.Observe(r)
+			}
+			return d.Finish().Loops
+		}},
+		{"NewStreamDetector", true, emitting(cfg)},
+		{"NewStreamDetector/governed", true, emitting(governed)},
+		{"NewSession", true, func(fr *flight.Recorder) []*Loop {
+			var loops []*Loop
+			s, err := NewSession(cfg, func(e SessionEvent) { loops = append(loops, e.Loop) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetFlight(fr.Shard(0))
+			for _, r := range recs {
+				s.Observe(r)
+			}
+			s.Complete()
+			return loops
+		}},
+		{"New/workers=1", true, viaNew(WithWorkers(1))},
+		{"New/workers=3", false, viaNew(WithWorkers(3))},
+		{"New/streaming", true, viaNew(WithStreaming(nil))},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			want := fingerprintRun(recs, v.keepSeq, v.drive)
+			if len(want.loops) == 0 {
+				t.Fatal("no loops; test is vacuous")
+			}
+			for run := 2; run <= 3; run++ {
+				got := fingerprintRun(recs, v.keepSeq, v.drive)
+				if !reflect.DeepEqual(got.loops, want.loops) {
+					t.Fatalf("run %d: loops, stream IDs or first indices differ from run 1:\n%v\n%v", run, got.loops, want.loops)
+				}
+				if !reflect.DeepEqual(got.events, want.events) {
+					t.Fatalf("run %d: flight-event sequence differs from run 1", run)
+				}
+			}
+		})
 	}
 }
 
@@ -271,26 +376,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestObserveAllocationBudget locks in the hot-path allocation count:
-// a non-matching record costs the masked copy, the builder and
-// bookkeeping appends — if this regresses the multi-hour-trace use
-// case quietly gets slower.
+// TestObserveAllocationBudget locks in the hot-path allocation count
+// of the one Observe, uncapped (offline use) and under the daemon's
+// governor cap: a never-replicated record costs the masked copy, the
+// builder and its replica slice; map and window growth amortise to
+// nothing. If this regresses the multi-hour-trace use case quietly
+// gets slower.
 func TestObserveAllocationBudget(t *testing.T) {
 	recs := randomTrace(99, 30*time.Second, 2000, 0)
 	if len(recs) < 10000 {
 		t.Fatal("trace too small")
 	}
-	d := NewDetector(DefaultConfig())
-	i := 0
-	avg := testing.AllocsPerRun(len(recs)-1, func() {
-		d.Observe(recs[i])
-		i++
-	})
-	// Currently ~6 allocs/record (masked copy, builder, replicas
-	// slice, map/bucket growth amortised, index appends). Alarm well
-	// above that.
-	if avg > 12 {
-		t.Errorf("Observe allocates %.1f objects/record; hot path regressed", avg)
+	for _, maxStreams := range []int{0, 65536} {
+		cfg := DefaultConfig()
+		cfg.MaxActiveStreams = maxStreams
+		d := NewDetector(cfg)
+		i := 0
+		avg := testing.AllocsPerRun(len(recs)-1, func() {
+			d.Observe(recs[i])
+			i++
+		})
+		// Measured 3.0; the budget is that plus one.
+		if avg > 4 {
+			t.Errorf("MaxActiveStreams=%d: Observe allocates %.1f objects/record; hot path regressed", maxStreams, avg)
+		}
+		t.Logf("MaxActiveStreams=%d: Observe: %.2f allocs/record", maxStreams, avg)
 	}
-	t.Logf("Observe: %.2f allocs/record", avg)
 }

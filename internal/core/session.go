@@ -25,14 +25,14 @@ type SessionEvent struct {
 }
 
 // Session is the resumable, drainable streaming handle the serve
-// daemon runs a live source through. It wraps the bounded-memory
-// StreamDetector with the three things continuous operation needs and
-// a one-shot batch run does not:
+// daemon runs a live source through. It wraps a Detector with the
+// three things continuous operation needs and a one-shot run over a
+// file does not:
 //
 //   - Position accounting: Records and HighWater report how far into
 //     the stream the detector has advanced, which is what a checkpoint
 //     stores.
-//   - Replay suppression: the StreamDetector is deterministic over a
+//   - Replay suppression: the Detector is deterministic over a
 //     record sequence, so a restarted process rebuilds detector state
 //     by re-feeding the already-processed prefix of the stream.
 //     SetReplay(n) swallows the first n final emissions during that
@@ -46,7 +46,7 @@ type SessionEvent struct {
 // A Session is not safe for concurrent use; the serve daemon gives
 // each source its own.
 type Session struct {
-	sd   *StreamDetector
+	sd   *Detector
 	emit func(SessionEvent)
 
 	suppress  int
@@ -57,7 +57,7 @@ type Session struct {
 	drained   bool
 }
 
-// NewSession returns a Session over a fresh StreamDetector. Every
+// NewSession returns a Session over a fresh Detector. Every
 // emission — suppressed replays excepted — reaches emit synchronously
 // from inside Observe or Drain.
 func NewSession(cfg Config, emit func(SessionEvent)) (*Session, error) {
@@ -72,7 +72,7 @@ func NewSession(cfg Config, emit func(SessionEvent)) (*Session, error) {
 	return s, nil
 }
 
-// onLoop routes StreamDetector emissions through the replay/drain
+// onLoop routes the detector's emissions through the replay/drain
 // bookkeeping.
 func (s *Session) onLoop(l *Loop) {
 	if s.draining {

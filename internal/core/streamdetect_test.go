@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -175,6 +177,49 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	// entries, never the full 200k.
 	if stats.PeakPrefixEntries > 2000 {
 		t.Errorf("peak retained entries = %d; memory is not bounded", stats.PeakPrefixEntries)
+	}
+}
+
+// TestStreamingFinishAllocatesPerPrefix: ending a run on its counters —
+// FinishStats, and Session.Complete and Drain on top of it — must cost
+// memory in proportion to the prefixes still holding state, never to
+// the records observed; a per-record index (4 B/record for
+// Result.Membership) would be the largest allocation of a multi-hour
+// run, made at its very end.
+func TestStreamingFinishAllocatesPerPrefix(t *testing.T) {
+	const n, prefixes = 200_000, 64
+	finishers := map[string]func() (observe func(trace.Record), finish func() StreamStats){
+		"FinishStats": func() (func(trace.Record), func() StreamStats) {
+			sd := NewStreamDetector(DefaultConfig(), nil)
+			return sd.Observe, sd.FinishStats
+		},
+		"Session.Complete": func() (func(trace.Record), func() StreamStats) {
+			s, _ := NewSession(DefaultConfig(), nil)
+			return s.Observe, s.Complete
+		},
+		"Session.Drain": func() (func(trace.Record), func() StreamStats) {
+			s, _ := NewSession(DefaultConfig(), nil)
+			return s.Observe, s.Drain
+		},
+	}
+	for name, mk := range finishers {
+		observe, finish := mk()
+		for i := 0; i < n; i++ {
+			p := mkPkt("192.0.2.1", fmt.Sprintf("198.18.%d.9", i%prefixes), uint16(i%60000+1), 60, uint64(i))
+			observe(rec(t, time.Duration(i)*time.Millisecond, p))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats := finish()
+		runtime.ReadMemStats(&after)
+		if stats.TotalPackets != n {
+			t.Fatalf("%s: packets = %d", name, stats.TotalPackets)
+		}
+		// 1 KiB per prefix is generous for the sort of the busy prefixes;
+		// the membership index alone would be 800 KB.
+		if got := after.TotalAlloc - before.TotalAlloc; got > prefixes*1024 {
+			t.Errorf("%s allocated %d bytes after %d singleton records over %d prefixes", name, got, n, prefixes)
+		}
 	}
 }
 
