@@ -16,7 +16,7 @@ import (
 // merge and the finalization, timestamped on the trace clock.
 //
 // sel picks the loop: a decimal index into the detected-loop list, a
-// loop event ID (as printed by loopscoped's journal and /api/loops —
+// loop event ID (as printed by loopscoped's journal and /api/v1/loops —
 // pass -explain-source to reproduce the daemon's ID namespace), or
 // "all". Anything else lists the loops with their IDs and fails.
 func runExplain(path string, cfg core.Config, sel, source string, w io.Writer) error {

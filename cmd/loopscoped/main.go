@@ -15,14 +15,15 @@
 // A flight recorder (on by default, -flight-events 0 disables) keeps a
 // bounded ring of per-decision detector events; each emitted loop's
 // decision trail is sealed under its event ID and served at
-// /api/trace/{id}, linked from the /statusz page, and optionally
-// appended to a JSONL file (-trail-journal).
+// /api/v1/trace/{id}, linked from the /api/v1/statusz page, and
+// optionally appended to a JSONL file (-trail-journal).
 //
 // The daemon protects itself under failure and overload: torn journal
 // and checkpoint tails left by crashes are quarantined on startup, a
 // memory governor (-max-streams) bounds detector state under IPID
 // collision storms, the webhook sink sits behind a circuit breaker,
-// and per-component health is reported on /healthz and /statusz.
+// and per-component health is reported on /api/v1/health and
+// /api/v1/statusz.
 //
 // Usage:
 //
@@ -87,11 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		journalPath  = fs.String("journal", "", "append loop events to this JSONL file")
 		journalMax   = fs.Int64("journal-max-bytes", 64<<20, "rotate the journal when it would exceed this size (0: never)")
-		journalKeep  = fs.Int("journal-keep", 3, "rotated journal generations to retain (ignored with -retain)")
-		retain       = fs.Duration("retain", 0, "journal time-partitioned retention horizon: rotate into timestamped segments and delete those older than this (0: counted -journal-keep generations)")
+		retain       = fs.Duration("retain", 168*time.Hour, "journal retention horizon: rotated segments (journal.<unix-seconds>) older than this are deleted (0: keep forever)")
 		webhookURL   = fs.String("webhook", "", "POST each loop event as JSON to this URL")
 		webhookQueue = fs.Int("webhook-queue", 256, "webhook queue bound; overflow is dropped and counted")
-		httpAddr     = fs.String("http", "", "serve the /api/v1 API (plus deprecated aliases, /metrics, /debug/pprof); a bare :port binds loopback only")
+		httpAddr     = fs.String("http", "", "serve the /api/v1 API (plus /metrics, /debug/pprof); a bare :port binds loopback only")
 		cpPath       = fs.String("checkpoint", "", "periodically write an atomic resume checkpoint here")
 		statsSnap    = fs.String("stats-snapshot", "", "persist the /api/v1/stats analytics sketches here (default: <checkpoint>.analytics when -checkpoint is set)")
 		cpInterval   = fs.Duration("checkpoint-interval", time.Second, "checkpoint period")
@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		poll         = fs.Duration("poll", 200*time.Millisecond, "poll interval for file-backed sources")
 		pollMax      = fs.Duration("poll-max", 0, "let quiet tail sources back their poll interval off up to this bound (0: fixed -poll rate)")
 		dirGlob      = fs.String("watch-glob", "", "with -watch, only consume segment files matching this shell pattern")
-		ringSize     = fs.Int("ring", 1024, "recent events kept in memory for /api/loops")
+		ringSize     = fs.Int("ring", 1024, "recent events kept in memory for /api/v1/loops")
 		fsyncMode    = fs.String("fsync", "off", "journal/trail flush policy: off (OS-buffered) or always (fsync per event)")
 		maxStreams   = fs.Int("max-streams", 65536, "memory governor: live replica streams per source before cold ones are shed (0: unlimited)")
 		vantage      = fs.String("vantage", "", "stable identity of this daemon in a fleet, stamped into events and API meta (default: hostname)")
@@ -259,9 +259,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *journalPath != "" {
 		j, err := serve.NewJournal(serve.JournalOptions{
-			Path: *journalPath, MaxBytes: *journalMax, Keep: *journalKeep,
-			Retain: *retain,
-			Fsync:  fsync, Health: d.Health(),
+			Path: *journalPath, MaxBytes: *journalMax, Retain: *retain,
+			Fsync: fsync, Health: d.Health(),
 			Metrics: reg, Logger: logger,
 		})
 		if err != nil {

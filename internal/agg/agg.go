@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"loopscope/internal/analytics"
+	"loopscope/internal/durable"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/provenance"
 	"loopscope/internal/resil"
@@ -170,7 +171,7 @@ type Aggregator struct {
 	clusters []*cluster          // founding order
 	byKey    map[string][]*cluster
 	vantages map[string]*vantageState
-	journal  *journal
+	journal  *durable.Log
 	started  time.Time
 
 	gFleetLoops *obs.Gauge
@@ -220,26 +221,12 @@ func New(cfg Config) (*Aggregator, error) {
 		cJournalErr: cfg.Metrics.Counter(obs.MetricAggJournalErrors),
 	}
 	if cfg.Journal != "" {
-		j, replayed, err := openJournal(cfg.Journal, log, func(o Observation) {
-			a.apply(o)
-		})
-		if err != nil {
+		if err := a.openJournal(); err != nil {
 			return nil, err
-		}
-		a.journal = j
-		if replayed > 0 {
-			log.Info("journal replayed", "path", cfg.Journal, "observations", replayed,
-				"fleetLoops", len(a.clusters))
 		}
 	}
 	if cfg.Checkpoint != "" {
-		cursors, err := loadCheckpoint(cfg.Checkpoint, log)
-		if err != nil {
-			return nil, err
-		}
-		for name, seq := range cursors {
-			a.vantage(name).cursor = seq
-		}
+		a.loadCheckpoint()
 	}
 	return a, nil
 }
@@ -252,7 +239,7 @@ func (a *Aggregator) Close() error {
 	if a.journal == nil {
 		return nil
 	}
-	err := a.journal.close()
+	err := a.journal.Close()
 	a.journal = nil
 	return err
 }
@@ -295,7 +282,7 @@ func (a *Aggregator) Ingest(o Observation) (bool, error) {
 	// failure degrades durability, not availability: the observation
 	// still counts, the health ladder says so.
 	if a.journal != nil {
-		if err := a.journal.append(o); err != nil {
+		if err := a.appendJournal(o); err != nil {
 			a.cJournalErr.Inc()
 			a.cfg.Health.Set("journal", resil.Degraded)
 			a.log.Error("journal append failed; observation kept in memory only",

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"loopscope/internal/analytics"
+	"loopscope/internal/obs"
 	"loopscope/pkg/loopscope"
 )
 
@@ -217,12 +219,16 @@ func TestTornJournalTailQuarantined(t *testing.T) {
 	if err := os.WriteFile(journal, append(good, "\n{\"vantage\":\"bb2\",\"ev"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := newTestAgg(t, Config{Journal: journal})
+	reg := obs.NewRegistry()
+	a := newTestAgg(t, Config{Journal: journal, Metrics: reg})
 	if got := len(a.FleetLoops()); got != 1 {
 		t.Fatalf("got %d fleet loops after torn-tail repair, want 1", got)
 	}
 	if _, err := os.Stat(journal + ".quarantine"); err != nil {
 		t.Errorf("quarantine sidecar missing: %v", err)
+	}
+	if got := reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "agg-journal")).Value(); got != 1 {
+		t.Errorf("torn repair counter = %d, want 1", got)
 	}
 }
 
@@ -241,6 +247,43 @@ func TestJournalBadLineSkipped(t *testing.T) {
 	a := newTestAgg(t, Config{Journal: journal})
 	if got := len(a.FleetLoops()); got != 1 {
 		t.Fatalf("got %d fleet loops, want 1", got)
+	}
+}
+
+// One over-long garbage line (a disk that lied, a stray binary write)
+// costs one skipped line. It must not stop the aggregator from
+// starting, and it must not be read into memory whole.
+func TestJournalOverlongLineSkipped(t *testing.T) {
+	journal := t.TempDir() + "/fleet.jsonl"
+	var body []byte
+	for _, o := range []Observation{
+		obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3),
+		obs1("bb1", "10.9.9.0/24", "e2", sec(100), sec(130), 5),
+	} {
+		line, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) == 0 {
+			line = append(line, '\n')
+			line = append(line, bytes.Repeat([]byte{'x'}, 2<<20)...)
+		}
+		body = append(append(body, line...), '\n')
+	}
+	if err := os.WriteFile(journal, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	a, err := New(Config{Journal: journal, Metrics: reg, Now: pinnedNow()})
+	if err != nil {
+		t.Fatalf("New refused to start on one over-long line: %v", err)
+	}
+	defer a.Close()
+	if got := len(a.FleetLoops()); got != 2 {
+		t.Errorf("replayed %d fleet loops, want 2", got)
+	}
+	if got := reg.Counter(obs.LabelMetric(obs.MetricJournalSkipped, "file", "agg-journal")).Value(); got != 1 {
+		t.Errorf("skipped-line counter = %d, want 1", got)
 	}
 }
 
@@ -312,6 +355,30 @@ func TestCursorCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(cp + ".corrupt"); err != nil {
 		t.Errorf("corrupt sidecar missing: %v", err)
+	}
+}
+
+// A cursor checkpoint written before save/load moved onto
+// internal/durable loads unchanged, and saving the same cursors at the
+// same instant reproduces it byte for byte.
+func TestParentCursorFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent_cursors.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir() + "/cursors.json"
+	if err := os.WriteFile(cp, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := newTestAgg(t, Config{Checkpoint: cp, Now: func() time.Time { return time.Unix(1_700_000_123, 456) }})
+	if a.Cursor("bb1") != 17 || a.Cursor("bb2") != 5 {
+		t.Fatalf("cursors = %d, %d; want 17, 5", a.Cursor("bb1"), a.Cursor("bb2"))
+	}
+	if err := a.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cp); !bytes.Equal(got, want) {
+		t.Errorf("cursor checkpoint format changed:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -1,113 +1,73 @@
 package agg
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
 
-	"loopscope/internal/serve"
+	"loopscope/internal/durable"
+	"loopscope/internal/obs"
 )
 
 // The observation journal is the aggregator's source of truth: one
 // JSON line per accepted observation, appended before the observation
 // mutates in-memory state. Restart = torn-tail repair + replay in
 // order, which reproduces the exact fleet loop set (clustering is
-// deterministic in observation order). The file reuses the serve
-// tier's crash-consistency discipline — RepairTornTail quarantines a
-// write cut short by kill -9 into a .quarantine sidecar, and replay
-// skips (but counts and logs) lines that do not decode, so one
-// corrupt record costs one observation, not the journal.
+// deterministic in observation order). The file is a durable.Log, the
+// same mechanism as the daemon's journal: a write cut short by kill -9
+// is quarantined on open, and replay skips (but counts and logs) lines
+// that do not decode or are absurdly long, so one corrupt record costs
+// one observation, not the journal.
 
-// journalLineMax bounds one journal line during replay. An
-// observation with a large evidence payload is a few KB; a megabyte
-// leaves orders of magnitude of headroom.
-const journalLineMax = 1 << 20
-
-// journal is the append handle.
-type journal struct {
-	f *os.File
-}
-
-// openJournal repairs path, replays every decodable line through
-// apply (in file order), and returns the open append handle plus the
-// replay count. A missing file starts an empty journal.
-func openJournal(path string, log *slog.Logger, apply func(Observation)) (*journal, int, error) {
-	if _, err := serve.RepairTornTail(path, log); err != nil {
-		return nil, 0, fmt.Errorf("agg: repairing journal %s: %w", path, err)
-	}
-	replayed, err := replayJournal(path, log, apply)
+// openJournal opens (repairing) the journal at a.cfg.Journal and
+// replays every decodable line through a.apply, in file order. A
+// missing file starts an empty journal.
+func (a *Aggregator) openJournal() error {
+	path := a.cfg.Journal
+	j, torn, err := durable.OpenLog(path, durable.FsyncOff, nil, "")
 	if err != nil {
-		return nil, 0, err
+		return fmt.Errorf("agg: opening journal %s: %w", path, err)
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, 0, err
-		}
+	if torn > 0 {
+		a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "agg-journal")).Inc()
+		a.log.Warn("torn trailing line quarantined", "file", "agg-journal", "path", path, "bytes", torn)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("agg: opening journal %s: %w", path, err)
-	}
-	return &journal{f: f}, replayed, nil
-}
-
-// replayJournal streams the journal's complete lines through apply.
-func replayJournal(path string, log *slog.Logger, apply func(Observation)) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), journalLineMax)
-	replayed, skipped := 0, 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	replayed := 0
+	skipped, err := durable.Replay(path, func(line []byte) error {
 		var o Observation
-		if err := json.Unmarshal(line, &o); err != nil || o.Vantage == "" || o.Event.ID == "" {
-			skipped++
-			continue
+		if err := json.Unmarshal(line, &o); err != nil {
+			return err
 		}
-		apply(o)
+		if o.Vantage == "" || o.Event.ID == "" {
+			return errors.New("observation without vantage or event id")
+		}
+		a.apply(o)
 		replayed++
+		return nil
+	})
+	if err != nil {
+		j.Close()
+		return fmt.Errorf("agg: replaying journal %s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return replayed, fmt.Errorf("agg: replaying journal %s: %w", path, err)
+	if skipped > 0 {
+		a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricJournalSkipped, "file", "agg-journal")).Add(int64(skipped))
+		a.log.Warn("journal lines skipped during replay", "path", path, "skipped", skipped)
 	}
-	if skipped > 0 && log != nil {
-		log.Warn("journal lines skipped during replay", "path", path, "skipped", skipped)
+	if replayed > 0 {
+		a.log.Info("journal replayed", "path", path, "observations", replayed, "fleetLoops", len(a.clusters))
 	}
-	return replayed, nil
+	a.journal = j
+	return nil
 }
 
-// append writes one observation line. Called under the aggregator's
-// lock, so lines never interleave.
-func (j *journal) append(o Observation) error {
+// appendJournal writes one observation line. Called under the
+// aggregator's lock, so lines never interleave.
+func (a *Aggregator) appendJournal(o Observation) error {
 	buf, err := json.Marshal(o)
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	_, err = j.f.Write(buf)
-	return err
-}
-
-func (j *journal) close() error {
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	return a.journal.Append(append(buf, '\n'))
 }
 
 // checkpointVersion is the cursor checkpoint's on-disk format version.
@@ -116,17 +76,15 @@ const checkpointVersion = 1
 // checkpoint is the pull transport's resume state: per-vantage ring
 // sequence cursors. Losing it is safe — pollers refetch from the top
 // of each daemon's ring and the seen-set deduplicates — so decoding
-// is tolerant where the serve tier's source checkpoint is strict: a
-// corrupt file is quarantined to a .corrupt sidecar and polling
-// starts from scratch.
+// is tolerant where the serve tier's source checkpoint is strict, and
+// a corrupt file is quarantined and polling starts from scratch.
 type checkpoint struct {
 	Version   int              `json:"version"`
 	SavedAtNs int64            `json:"savedAtNs"`
 	Cursors   map[string]int64 `json:"cursors"`
 }
 
-// saveCheckpoint writes the cursors atomically: temp file in the same
-// directory, fsync, rename.
+// saveCheckpoint writes the cursors atomically.
 func saveCheckpoint(path string, cursors map[string]int64, nowNs int64) error {
 	buf, err := json.MarshalIndent(checkpoint{
 		Version:   checkpointVersion,
@@ -136,47 +94,28 @@ func saveCheckpoint(path string, cursors map[string]int64, nowNs int64) error {
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.Save(path, append(buf, '\n'))
 }
 
-// loadCheckpoint reads the cursor map; a corrupt file is moved aside
-// and reported as empty.
-func loadCheckpoint(path string, log *slog.Logger) (map[string]int64, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
+// loadCheckpoint restores the cursors. A missing file restores none,
+// and neither does a corrupt one: it is moved aside and logged.
+func (a *Aggregator) loadCheckpoint() {
 	var cp checkpoint
-	if err := json.Unmarshal(buf, &cp); err != nil || cp.Version != checkpointVersion {
-		side := path + ".corrupt"
-		if mvErr := os.Rename(path, side); mvErr == nil && log != nil {
-			log.Warn("corrupt cursor checkpoint quarantined", "path", path, "sidecar", side)
+	quarantined, err := durable.Load(a.cfg.Checkpoint, func(data []byte) error {
+		if err := json.Unmarshal(data, &cp); err != nil {
+			return err
 		}
-		return nil, nil
+		if cp.Version != checkpointVersion {
+			return fmt.Errorf("unsupported cursor checkpoint version %d", cp.Version)
+		}
+		return nil
+	})
+	if err != nil {
+		a.log.Warn("unusable cursor checkpoint; polling from scratch",
+			"path", a.cfg.Checkpoint, "quarantined", quarantined, "err", err)
+		return
 	}
-	return cp.Cursors, nil
+	for name, seq := range cp.Cursors {
+		a.vantage(name).cursor = seq
+	}
 }

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -336,5 +337,32 @@ func TestNilCollectorSafe(t *testing.T) {
 	}
 	if _, err := c.Query(Query{}); err == nil {
 		t.Fatal("nil query accepted")
+	}
+}
+
+// TestParentSnapshotFixture: a snapshot written before Save/Load moved
+// onto internal/durable loads unchanged and re-serializes to the same
+// bytes.
+func TestParentSnapshotFixture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "analytics.snap")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector(Options{})
+	if q, err := c.Load(path); err != nil || q {
+		t.Fatalf("fixture did not load: quarantined=%v err=%v", q, err)
+	}
+	if ing, _ := c.Counts(); ing != 6 {
+		t.Errorf("loaded ingested=%d, want 6", ing)
+	}
+	if err := c.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Errorf("snapshot image changed:\n got %s\nwant %s", got, want)
 	}
 }

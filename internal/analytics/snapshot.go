@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+
+	"loopscope/internal/durable"
 )
 
 // snapshotVersion is the on-disk analytics snapshot format version.
@@ -117,60 +117,25 @@ func (c *Collector) DecodeSnapshot(data []byte) error {
 	return nil
 }
 
-// Save writes the snapshot atomically: temp file in the same
-// directory, fsync, rename — the same crash discipline as the daemon
-// checkpoint, so kill -9 leaves either the old image or the new one,
-// never a torn hybrid.
+// Save writes the snapshot atomically (durable.Save) — the same crash
+// discipline as the daemon checkpoint, so kill -9 leaves either the old
+// image or the new one, never a torn hybrid.
 func (c *Collector) Save(path string) error {
 	data, err := c.Snapshot()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("analytics: snapshot temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("analytics: snapshot write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("analytics: snapshot sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("analytics: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("analytics: snapshot rename: %w", err)
+	if err := durable.Save(path, data); err != nil {
+		return fmt.Errorf("analytics: saving snapshot: %w", err)
 	}
 	return nil
 }
 
 // Load restores the Collector from path. A missing file is a clean
 // first start (nil error, empty state untouched). A corrupt file is
-// quarantined to path+".corrupt" and reported so the caller can log
-// and degrade health — analytics restart empty rather than refusing to
+// quarantined by durable.Load and reported so the caller can log and
+// degrade health — analytics restart empty rather than refusing to
 // start the daemon.
 func (c *Collector) Load(path string) (quarantined bool, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("analytics: read snapshot: %w", err)
-	}
-	if decErr := c.DecodeSnapshot(data); decErr != nil {
-		if renameErr := os.Rename(path, path+".corrupt"); renameErr != nil {
-			return false, fmt.Errorf("analytics: quarantine snapshot: %v (decode: %w)", renameErr, decErr)
-		}
-		return true, decErr
-	}
-	return false, nil
+	return durable.Load(path, c.DecodeSnapshot)
 }

@@ -95,7 +95,7 @@ func StrictParams(w http.ResponseWriter, r *http.Request, allowed ...string) boo
 	return true
 }
 
-// WriteJSON renders one API response (enveloped or legacy).
+// WriteJSON renders one API response.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)

@@ -71,7 +71,7 @@ const (
 	MetricBreakerTransitions = "loopscope_breaker_transitions_total"
 	MetricJournalRequeued    = "loopscope_serve_journal_requeued_total"
 	MetricTornRepairs        = "loopscope_serve_torn_repairs_total"
-	MetricFaultsInjected     = "loopscope_faults_injected_total"
+	MetricJournalSkipped     = "loopscope_journal_lines_skipped_total"
 
 	// Time-partitioned journal retention and analytics persistence.
 	MetricJournalSegmentsPruned = "loopscope_serve_journal_segments_pruned_total"
@@ -157,7 +157,7 @@ var metricHelp = map[string]string{
 	MetricJournalSegmentsPruned: "Journal segments deleted by time-partitioned retention.",
 	MetricAnalyticsIngested:     "Loop events folded into the analytics sketches.",
 	MetricAnalyticsDeduped:      "Replayed loop events suppressed by the analytics seen-ID ring.",
-	MetricFaultsInjected:        "Faults injected by the chaos plan (test builds only).",
+	MetricJournalSkipped:        "Undecodable or over-long journal lines skipped during replay, per file.",
 
 	MetricAggObservations:     "Loop observations accepted per vantage.",
 	MetricAggDuplicates:       "Redelivered observations suppressed per vantage.",

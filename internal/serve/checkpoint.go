@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
+
+	"loopscope/internal/durable"
 )
 
 // checkpointVersion is the on-disk format version this build writes
@@ -17,8 +17,8 @@ const checkpointVersion = 1
 // Checkpoint is the daemon's periodically persisted position: for
 // every source, how far into the stream the detector has advanced and
 // how many final events were already delivered. It is written
-// atomically (temp file + rename), so a crash leaves either the old or
-// the new checkpoint, never a torn one.
+// atomically (durable.Save), so a crash leaves either the old or the
+// new checkpoint, never a torn one.
 //
 // The invariant that makes resume exact: a source entry (Records,
 // Emitted) is only ever captured at a moment when the first Emitted
@@ -111,20 +111,18 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // LoadCheckpoint reads and validates the checkpoint at path. A missing
-// file is not an error: it returns (nil, nil), meaning "start fresh".
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(data)
+// file is not an error: it returns (nil, false, nil), meaning "start
+// fresh". A corrupt one is quarantined by durable.Load: cp is nil,
+// quarantined is true and err says why it was rejected.
+func LoadCheckpoint(path string) (cp *Checkpoint, quarantined bool, err error) {
+	quarantined, err = durable.Load(path, func(data []byte) (derr error) {
+		cp, derr = DecodeCheckpoint(data)
+		return derr
+	})
+	return cp, quarantined, err
 }
 
-// Save writes the checkpoint atomically: marshal, write to a temp file
-// in the same directory, fsync, rename over path.
+// Save writes the checkpoint atomically (durable.Save).
 func (c *Checkpoint) Save(path string) error {
 	c.Version = checkpointVersion
 	c.SavedAtNs = time.Now().UnixNano()
@@ -132,22 +130,5 @@ func (c *Checkpoint) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.Save(path, append(data, '\n'))
 }

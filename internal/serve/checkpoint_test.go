@@ -83,7 +83,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "cp.json")
 
 	// Missing file: start fresh, not an error.
-	cp, err := LoadCheckpoint(path)
+	cp, _, err := LoadCheckpoint(path)
 	if err != nil || cp != nil {
 		t.Fatalf("missing checkpoint: cp=%v err=%v", cp, err)
 	}
@@ -94,7 +94,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if err := want.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(path)
+	got, _, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 
 // TestDaemonFlightTraceAndStatusz runs a daemon with the flight
 // recorder attached over a trace with mid-stream finals, then checks
-// the whole explanation surface: /api/trace/{id} answers for every
-// journaled final ID, /statusz renders, the trail log holds the same
+// the whole explanation surface: /api/v1/trace/{id} answers for every
+// journaled final ID, /api/v1/statusz renders, the trail log holds the same
 // trails, and the self-observability metrics moved.
 func TestDaemonFlightTraceAndStatusz(t *testing.T) {
 	dir := t.TempDir()
@@ -75,7 +75,7 @@ func TestDaemonFlightTraceAndStatusz(t *testing.T) {
 	// Every journaled final has a queryable decision trail.
 	for id := range finals {
 		var tr flight.Trail
-		getJSON(t, srv.URL+"/api/trace/"+id, &tr)
+		getV1(t, srv.URL+"/api/v1/trace/"+id, &tr)
 		if tr.ID != id {
 			t.Errorf("trail id = %q, want %q", tr.ID, id)
 		}
@@ -95,19 +95,19 @@ func TestDaemonFlightTraceAndStatusz(t *testing.T) {
 	}
 
 	// Unknown and empty IDs.
-	if resp, err := http.Get(srv.URL + "/api/trace/deadbeef00000000"); err != nil || resp.StatusCode != http.StatusNotFound {
+	if resp, err := http.Get(srv.URL + "/api/v1/trace/deadbeef00000000"); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trail: err=%v status=%v, want 404", err, resp.StatusCode)
 	}
 	var idx struct {
 		Trails []string `json:"trails"`
 	}
-	getJSON(t, srv.URL+"/api/trace/", &idx)
+	getV1(t, srv.URL+"/api/v1/trace", &idx)
 	if len(idx.Trails) < len(finals) {
 		t.Errorf("trail index has %d ids, want >= %d", len(idx.Trails), len(finals))
 	}
 
-	// /statusz renders with the source and at least one trail link.
-	resp, err := http.Get(srv.URL + "/statusz")
+	// The status page renders with the source and at least one trail link.
+	resp, err := http.Get(srv.URL + "/api/v1/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,9 @@ func TestDaemonFlightDisabled404(t *testing.T) {
 	}
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/trace/abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404 when flight disabled", resp.StatusCode)
+	status, _, body := v1Get(t, srv.URL+"/api/v1/trace/abc")
+	if status != http.StatusNotFound || !strings.Contains(string(body), errDisabled) {
+		t.Errorf("status = %d body %s, want 404 with code %q when flight disabled", status, body, errDisabled)
 	}
 }
 

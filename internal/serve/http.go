@@ -22,72 +22,28 @@ import (
 //
 //	{"error": {"code": "bad_param", "message": "…"}}
 //
-// The pre-v1 paths (/healthz, /api/loops, /api/sources, /api/trace/,
-// /statusz) remain as thin aliases with their original payload shapes,
-// answering with a `Deprecation: true` header and a Link to their
-// successor, so existing scripts keep working while new consumers get
-// the uniform surface.
+// There are no other API paths: the pre-v1 aliases (/healthz,
+// /api/loops, /api/sources, /api/trace/, /statusz) are gone and answer
+// 404.
 
-// route is one row of the daemon's routing table: a canonical
-// /api/v1 pattern plus, optionally, the deprecated pre-v1 alias it
-// supersedes (kept byte-compatible for old consumers).
-type route struct {
-	// pattern is a canonical ServeMux pattern ("GET /api/v1/loops").
-	pattern string
-	handler http.HandlerFunc
-	// legacy, when set, registers the pre-v1 alias path with its
-	// original payload shape plus deprecation headers.
-	legacy        string
-	legacyHandler http.HandlerFunc
-	// successor is the v1 path the alias's Link header advertises.
-	successor string
-}
-
-// routes is the daemon's full API surface, in one place.
-func (d *Daemon) routes() []route {
-	return []route{
-		{pattern: "GET /api/v1/health", handler: d.v1Health,
-			legacy: "/healthz", legacyHandler: d.handleHealthz, successor: "/api/v1/health"},
-		{pattern: "GET /api/v1/loops", handler: d.v1Loops,
-			legacy: "/api/loops", legacyHandler: d.handleLoops, successor: "/api/v1/loops"},
-		{pattern: "GET /api/v1/sources", handler: d.v1Sources,
-			legacy: "/api/sources", legacyHandler: d.handleSources, successor: "/api/v1/sources"},
-		{pattern: "GET /api/v1/trace", handler: d.v1Trace,
-			legacy: "/api/trace/", legacyHandler: d.handleTrace, successor: "/api/v1/trace"},
-		{pattern: "GET /api/v1/trace/{id}", handler: d.v1Trace},
-		{pattern: "GET /api/v1/stats", handler: d.v1Stats},
-		{pattern: "GET /api/v1/statusz", handler: d.handleStatusz,
-			legacy: "/statusz", legacyHandler: d.handleStatusz, successor: "/api/v1/statusz"},
-	}
-}
-
-// Handler returns the daemon's HTTP API, built from the routes table,
-// with the obs registry's endpoints (/metrics, /debug/vars,
-// /debug/pprof) mounted alongside it when a registry is configured.
-// Serve it with obs.StartHandler for the loopback-by-default policy.
+// Handler returns the daemon's HTTP API — the full surface is the
+// seven patterns below — with the obs registry's endpoints (/metrics,
+// /debug/vars, /debug/pprof) mounted alongside it when a registry is
+// configured. Serve it with obs.StartHandler for the
+// loopback-by-default policy.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range d.routes() {
-		mux.HandleFunc(rt.pattern, rt.handler)
-		if rt.legacy != "" {
-			mux.Handle(rt.legacy, deprecatedAlias(rt.successor, rt.legacyHandler))
-		}
-	}
+	mux.HandleFunc("GET /api/v1/health", d.v1Health)
+	mux.HandleFunc("GET /api/v1/loops", d.v1Loops)
+	mux.HandleFunc("GET /api/v1/sources", d.v1Sources)
+	mux.HandleFunc("GET /api/v1/trace", d.v1Trace)
+	mux.HandleFunc("GET /api/v1/trace/{id}", d.v1Trace)
+	mux.HandleFunc("GET /api/v1/stats", d.v1Stats)
+	mux.HandleFunc("GET /api/v1/statusz", d.handleStatusz)
 	if d.cfg.Metrics != nil {
 		mux.Handle("/", d.cfg.Metrics.Handler())
 	}
 	return mux
-}
-
-// deprecatedAlias wraps a legacy handler with the RFC 8594-style
-// deprecation headers so automated consumers can discover the
-// successor endpoint without breaking.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
-	})
 }
 
 // The envelope, error object, and strict-parameter contract live in
@@ -96,7 +52,6 @@ func deprecatedAlias(successor string, h http.HandlerFunc) http.Handler {
 var (
 	strictParams = api.StrictParams
 	writeV1Error = api.WriteError
-	writeJSON    = api.WriteJSON
 )
 
 // v1 error codes (aliases of the shared protocol constants).
@@ -141,18 +96,16 @@ func (d *Daemon) checkSourceParam(w http.ResponseWriter, src string) bool {
 	return false
 }
 
-// v1Health serves GET /api/v1/health: the legacy /healthz body inside
-// the envelope.
+// v1Health serves GET /api/v1/health: liveness, coarse progress, and
+// per-component health. "status" is the worst component state ("ok"
+// only while every component is healthy), so load balancers and
+// operators read one field; the "health" map names the culprits. The
+// response stays 200 even when degraded — the process is alive and
+// self-protecting; killing it would only lose state.
 func (d *Daemon) v1Health(w http.ResponseWriter, r *http.Request) {
 	if !strictParams(w, r) {
 		return
 	}
-	d.writeV1(w, http.StatusOK, d.healthBody(), api.Meta{})
-}
-
-// healthBody builds the health document both /healthz and
-// /api/v1/health serve.
-func (d *Daemon) healthBody() map[string]any {
 	var records int64
 	for _, s := range d.sources {
 		s.mu.Lock()
@@ -173,7 +126,7 @@ func (d *Daemon) healthBody() map[string]any {
 	if snap := d.health.Snapshot(); len(snap) > 0 {
 		body["health"] = snap
 	}
-	return body
+	d.writeV1(w, http.StatusOK, body, api.Meta{})
 }
 
 // v1LoopsMaxLimit caps one page of GET /api/v1/loops.
@@ -307,75 +260,4 @@ func (d *Daemon) v1Stats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.writeV1(w, http.StatusOK, st, api.Meta{})
-}
-
-// --- legacy (pre-v1) handlers; payload shapes are frozen ---
-
-// handleTrace serves one sealed decision trail by loop event ID.
-func (d *Daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if d.cfg.Flight == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/api/trace/")
-	if id == "" {
-		writeJSON(w, http.StatusOK, map[string]any{"trails": d.cfg.Flight.TrailIDs()})
-		return
-	}
-	tr := d.cfg.Flight.Trail(id)
-	if tr == nil {
-		http.Error(w, "unknown trail "+id, http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
-}
-
-// handleHealthz reports liveness, coarse progress, and per-component
-// health. "status" is the worst component state ("ok" only while every
-// component is healthy), so load balancers and operators read one
-// field; the "health" map names the culprits. The response stays 200
-// even when degraded — the process is alive and self-protecting;
-// killing it would only lose state.
-func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, d.healthBody())
-}
-
-// handleLoops returns the most recent loop events, newest first.
-func (d *Daemon) handleLoops(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if v := r.URL.Query().Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = parsed
-	}
-	events := d.ring.Latest(n)
-	if src := r.URL.Query().Get("source"); src != "" {
-		filtered := events[:0]
-		for _, e := range events {
-			if e.Source == src {
-				filtered = append(filtered, e)
-			}
-		}
-		events = filtered
-	}
-	if events == nil {
-		events = []Event{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":  d.ring.Total(),
-		"events": events,
-	})
-}
-
-// handleSources returns every source's live status, sorted by name.
-func (d *Daemon) handleSources(w http.ResponseWriter, _ *http.Request) {
-	infos := make([]SourceInfo, 0, len(d.sources))
-	for _, s := range d.sources {
-		infos = append(infos, s.info())
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, map[string]any{"sources": infos})
 }

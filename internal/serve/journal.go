@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -16,28 +14,44 @@ import (
 	"sync"
 	"time"
 
+	"loopscope/internal/durable"
 	"loopscope/internal/obs"
 	"loopscope/internal/resil"
 )
+
+// FsyncPolicy selects how aggressively the journal and trail log flush
+// to stable storage; the type and its values live in internal/durable.
+type FsyncPolicy = durable.FsyncPolicy
+
+const (
+	FsyncOff    = durable.FsyncOff
+	FsyncAlways = durable.FsyncAlways
+)
+
+// ParseFsyncPolicy parses the -fsync flag value.
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
+	switch s {
+	case "", "off":
+		return FsyncOff, nil
+	case "always":
+		return FsyncAlways, nil
+	}
+	return FsyncOff, fmt.Errorf("serve: unknown fsync policy %q (want off or always)", s)
+}
 
 // JournalOptions configures NewJournal.
 type JournalOptions struct {
 	// Path is the JSONL file events append to.
 	Path string
 	// MaxBytes rotates the file once it would exceed this size
-	// (<= 0: never rotate).
+	// (<= 0: never rotate by size). A rotated file is a segment named
+	// path.<unix-seconds>, its rotation instant.
 	MaxBytes int64
-	// Keep is how many rotated files to retain (path.1 .. path.Keep);
-	// <= 0 selects 3. Ignored when Retain is set.
-	Keep int
-	// Retain, when positive, switches rotation from counted
-	// generations to time-partitioned segments: rotated files are
-	// named path.<unix-seconds> (the rotation instant), a live segment
+	// Retain, when positive, is the retention horizon: a live segment
 	// also rotates once its age exceeds Retain/8 (clamped to
 	// [1min, 24h]), and segments older than Retain are deleted at open
 	// and on every rotation — days of operation stay bounded on disk
-	// without an external logrotate. MaxBytes still bounds single
-	// segments in this mode.
+	// without an external logrotate. Zero never prunes.
 	Retain time.Duration
 	// Now supplies the retention clock; nil uses time.Now. Tests pin it.
 	Now func() time.Time
@@ -61,17 +75,15 @@ type JournalOptions struct {
 }
 
 // Journal is the append-only JSONL event sink — the daemon's durable
-// record of every loop it has reported. One JSON object per line.
+// record of every loop it has reported. One JSON object per line, in a
+// durable.Log (which owns torn-tail repair on open, the single write
+// per line and the fsync policy); this type is the policy around it.
 //
 // The journal is the exactly-once edge of the at-least-once pipeline:
-// on open it scans the existing file (and rotated generations) for
-// event IDs, and Publish drops events whose ID it has already written.
-// A daemon restarted from a checkpoint therefore never duplicates a
-// line no matter where the crash fell relative to the checkpoint.
-//
-// Open repairs a torn trailing line first (a crash mid-append leaves a
-// partial line; it is quarantined into a sidecar, never silently
-// fused with the next append — see repairTornTail).
+// on open it scans the existing file (and rotated segments) for event
+// IDs, and Publish drops events whose ID it has already written. A
+// daemon restarted from a checkpoint therefore never duplicates a line
+// no matter where the crash fell relative to the checkpoint.
 //
 // Writes go straight to the file descriptor (no userspace buffer), so
 // an event survives the process dying the instant Publish returns; an
@@ -90,9 +102,8 @@ type Journal struct {
 	now  func() time.Time
 
 	mu         sync.Mutex
-	f          *os.File
-	size       int64
-	segOpened  time.Time // retention mode: when the live segment began
+	file       *durable.Log
+	segOpened  time.Time // when the live segment began (age-based rotation)
 	seen       map[string]struct{}
 	pending    [][]byte // marshaled lines awaiting retry, in order
 	pendingIDs map[string]struct{}
@@ -103,15 +114,14 @@ type Journal struct {
 	drops     *obs.Counter
 	requeued  *obs.Counter
 	pruned    *obs.Counter
+	skipped   *obs.Counter
 }
 
-// NewJournal opens (creating if needed) the journal at opts.Path,
-// repairs a torn trailing line left by a crash, and loads the dedup
-// index from the existing file and its rotated generations.
+// NewJournal opens (creating if needed) the journal at opts.Path —
+// quarantining a torn trailing line left by a crash — prunes expired
+// segments, and loads the dedup index from the rotated segments and the
+// live file.
 func NewJournal(opts JournalOptions) (*Journal, error) {
-	if opts.Keep <= 0 {
-		opts.Keep = 3
-	}
 	if opts.PendingMax <= 0 {
 		opts.PendingMax = 1024
 	}
@@ -123,10 +133,17 @@ func NewJournal(opts JournalOptions) (*Journal, error) {
 	if now == nil {
 		now = time.Now
 	}
+	file, torn, err := durable.OpenLog(opts.Path, opts.Fsync, opts.Injector, resil.OpJournalWrite)
+	if err != nil {
+		return nil, fmt.Errorf("serve: journal: %w", err)
+	}
+	noteTornRepair(opts.Metrics, log, "journal", opts.Path, torn)
 	j := &Journal{
 		opts:       opts,
 		log:        log,
 		now:        now,
+		file:       file,
+		segOpened:  now(),
 		seen:       make(map[string]struct{}),
 		pendingIDs: make(map[string]struct{}),
 		delivered:  opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDelivered, "sink", "journal")),
@@ -134,53 +151,37 @@ func NewJournal(opts JournalOptions) (*Journal, error) {
 		drops:      opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDropped, "sink", "journal")),
 		requeued:   opts.Metrics.Counter(obs.MetricJournalRequeued),
 		pruned:     opts.Metrics.Counter(obs.MetricJournalSegmentsPruned),
+		skipped:    opts.Metrics.Counter(obs.LabelMetric(obs.MetricJournalSkipped, "file", "journal")),
 	}
-	if torn, err := repairTornTail(opts.Path, log); err != nil {
-		return nil, fmt.Errorf("serve: journal: %w", err)
-	} else if torn > 0 {
-		opts.Metrics.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "journal")).Inc()
-	}
-	if opts.Retain > 0 {
-		// Time-partitioned mode: prune expired segments, then index the
-		// survivors, oldest first.
-		j.pruneLocked()
-		for _, seg := range j.segmentsLocked() {
-			j.loadSeen(seg.path)
-		}
-	} else {
-		// Oldest generation first so the live file wins any (impossible,
-		// but cheap to honor) conflicts.
-		for i := opts.Keep; i >= 1; i-- {
-			j.loadSeen(fmt.Sprintf("%s.%d", opts.Path, i))
-		}
+	j.pruneLocked()
+	for _, seg := range j.segmentsLocked() {
+		j.loadSeen(seg.path)
 	}
 	j.loadSeen(opts.Path)
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.f, j.size = f, st.Size()
-	j.segOpened = now()
-	if st.Size() > 0 {
+	if st, err := os.Stat(opts.Path); err == nil && st.Size() > 0 && st.ModTime().Before(j.segOpened) {
 		// Resuming into an existing live file: age it from its last
 		// write, not from this restart, so retention holds across
 		// crash loops.
-		if mt := st.ModTime(); mt.Before(j.segOpened) {
-			j.segOpened = mt
-		}
+		j.segOpened = st.ModTime()
 	}
 	opts.Health.Set("journal", resil.Healthy)
 	return j, nil
 }
 
+// noteTornRepair counts and logs a torn tail that opening a durable.Log
+// moved into its quarantine sidecar.
+func noteTornRepair(reg *obs.Registry, log *slog.Logger, file, path string, torn int64) {
+	if torn == 0 {
+		return
+	}
+	reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", file)).Inc()
+	log.Warn("torn trailing line quarantined", "file", file, "path", path, "bytes", torn)
+}
+
 // segmentSpan is how long a live segment may grow before the journal
-// rotates it in retention mode: an eighth of the horizon, clamped to
-// [1min, 24h], so pruning granularity tracks the retention window.
+// rotates it when a retention horizon is set: an eighth of the horizon,
+// clamped to [1min, 24h], so pruning granularity tracks the retention
+// window.
 func (j *Journal) segmentSpan() time.Duration {
 	span := j.opts.Retain / 8
 	if span < time.Minute {
@@ -192,14 +193,16 @@ func (j *Journal) segmentSpan() time.Duration {
 	return span
 }
 
-// journalSegment is one rotated time-partitioned file.
+// journalSegment is one rotated file next to the live journal.
 type journalSegment struct {
 	path string
-	ts   int64 // rotation instant, unix seconds (nanoseconds for collisions)
+	// unix is the rotation instant in seconds, or 0 for a counted
+	// generation (path.1, path.2, …) written by a build that predates
+	// timestamped rotation: still indexed for dedup, never pruned.
+	unix int64
 }
 
-// segmentsLocked lists the rotated time-partitioned segments, oldest
-// first.
+// segmentsLocked lists the rotated segments, oldest first.
 func (j *Journal) segmentsLocked() []journalSegment {
 	matches, err := filepath.Glob(j.opts.Path + ".*")
 	if err != nil {
@@ -207,29 +210,33 @@ func (j *Journal) segmentsLocked() []journalSegment {
 	}
 	var segs []journalSegment
 	for _, m := range matches {
-		suffix := strings.TrimPrefix(m, j.opts.Path+".")
-		ts, err := strconv.ParseInt(suffix, 10, 64)
-		if err != nil || ts <= 0 {
-			continue // .corrupt sidecars, counted generations, tempfiles
+		n, err := strconv.ParseInt(strings.TrimPrefix(m, j.opts.Path+"."), 10, 64)
+		if err != nil || n <= 0 {
+			continue // sidecars, tempfiles, anything an operator left
 		}
-		segs = append(segs, journalSegment{path: m, ts: ts})
+		switch {
+		case n < 1e9:
+			n = 0 // a suffix this small is a generation count, not an instant
+		case n > 1e15:
+			n /= int64(time.Second) // collision fallback wrote nanoseconds
+		}
+		segs = append(segs, journalSegment{path: m, unix: n})
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].ts < segs[b].ts })
+	sort.Slice(segs, func(a, b int) bool { return segs[a].unix < segs[b].unix })
 	return segs
 }
 
-// pruneLocked deletes time-partitioned segments older than Retain.
-// A segment's timestamp is its rotation instant — the age of its
+// pruneLocked deletes segments older than Retain (none when Retain is
+// zero). A segment's timestamp is its rotation instant — the age of its
 // youngest line — so a segment is deleted only when everything in it
 // has expired.
 func (j *Journal) pruneLocked() {
+	if j.opts.Retain <= 0 {
+		return
+	}
 	cutoff := j.now().Add(-j.opts.Retain).Unix()
 	for _, seg := range j.segmentsLocked() {
-		ts := seg.ts
-		if ts > 1e15 {
-			ts /= int64(time.Second) // collision fallback wrote nanoseconds
-		}
-		if ts >= cutoff {
+		if seg.unix == 0 || seg.unix >= cutoff {
 			continue
 		}
 		if err := os.Remove(seg.path); err != nil {
@@ -241,41 +248,40 @@ func (j *Journal) pruneLocked() {
 	}
 }
 
+// lineID extracts the event ID from one journal line.
+func lineID(line []byte) (string, error) {
+	var rec struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return "", err
+	}
+	if rec.ID == "" {
+		return "", errors.New("journal line without an event id")
+	}
+	return rec.ID, nil
+}
+
 // loadSeen indexes the event IDs of an existing journal file; a
 // missing or partially unreadable file contributes what it can.
-// Unparseable lines (a torn line in a rotated generation, bit rot) are
-// tolerated and logged — a dedup index short one ID risks only a
-// duplicate line downstream consumers already handle, while refusing
+// Unparseable lines (a torn line in a rotated segment, bit rot) are
+// tolerated, counted and logged — a dedup index short one ID risks only
+// a duplicate line downstream consumers already handle, while refusing
 // to start risks the daemon.
 func (j *Journal) loadSeen(path string) {
-	f, err := os.Open(path)
+	skipped, err := durable.Replay(path, func(line []byte) error {
+		id, err := lineID(line)
+		if err == nil {
+			j.seen[id] = struct{}{}
+		}
+		return err
+	})
 	if err != nil {
-		return
+		j.log.Warn("journal: dedup scan stopped early", "path", path, "err", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	bad := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			var rec struct {
-				ID string `json:"id"`
-			}
-			if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.ID == "" {
-				bad++
-			} else {
-				j.seen[rec.ID] = struct{}{}
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				j.log.Warn("journal: dedup scan stopped early", "path", path, "err", err)
-			}
-			break
-		}
-	}
-	if bad > 0 {
-		j.log.Warn("journal: dedup scan skipped unparseable lines", "path", path, "lines", bad)
+	if skipped > 0 {
+		j.skipped.Add(int64(skipped))
+		j.log.Warn("journal: dedup scan skipped unparseable lines", "path", path, "lines", skipped)
 	}
 }
 
@@ -342,15 +348,12 @@ func (j *Journal) parkLocked(id string, data []byte) {
 func (j *Journal) flushPendingLocked() {
 	for len(j.pending) > 0 {
 		data := j.pending[0]
-		var rec struct {
-			ID string `json:"id"`
-		}
-		json.Unmarshal(data, &rec)
-		if err := j.writeLocked(rec.ID, data); err != nil {
+		id, _ := lineID(data) // parked lines were marshaled from an Event with this ID
+		if err := j.writeLocked(id, data); err != nil {
 			return
 		}
 		j.pending = j.pending[1:]
-		delete(j.pendingIDs, rec.ID)
+		delete(j.pendingIDs, id)
 	}
 	if len(j.pending) == 0 {
 		j.pending = nil
@@ -358,87 +361,49 @@ func (j *Journal) flushPendingLocked() {
 	}
 }
 
-// writeLocked appends one marshaled line, rotating and reopening as
-// needed. On success the ID is marked seen. An fsync failure after a
-// successful append is logged and degrades health but does not fail
-// the write — retrying would append the line twice.
+// writeLocked appends one marshaled line, rotating first when the live
+// segment is full or old enough. On success the ID is marked seen. An
+// fsync failure after a successful append is logged and degrades
+// health but does not fail the write — retrying would append the line
+// twice.
 func (j *Journal) writeLocked(id string, data []byte) error {
-	needRotate := j.opts.MaxBytes > 0 && j.size > 0 && j.size+int64(len(data)) > j.opts.MaxBytes
-	if j.opts.Retain > 0 && j.size > 0 && j.now().Sub(j.segOpened) >= j.segmentSpan() {
-		needRotate = true
-	}
-	if needRotate {
-		j.rotateLocked()
-	}
-	if j.f == nil {
-		// A previous rotation failed to reopen the live file; retry
-		// before giving up on this event.
-		j.reopenLocked()
-	}
-	if j.f == nil {
-		return errors.New("journal file unavailable")
-	}
-	if err := resil.Inject(j.opts.Injector, resil.OpJournalWrite); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(data); err != nil {
-		return err
-	}
-	j.size += int64(len(data))
-	j.seen[id] = struct{}{}
-	j.delivered.Inc()
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.log.Warn("journal: fsync failed", "err", err)
-			j.opts.Health.Set("journal", resil.Degraded)
+	if size := j.file.Size(); size > 0 {
+		full := j.opts.MaxBytes > 0 && size+int64(len(data)) > j.opts.MaxBytes
+		aged := j.opts.Retain > 0 && j.now().Sub(j.segOpened) >= j.segmentSpan()
+		if full || aged {
+			j.rotateLocked()
 		}
 	}
+	err := j.file.Append(data)
+	if errors.Is(err, durable.ErrNotSynced) {
+		j.log.Warn("journal: fsync failed", "err", err)
+		j.opts.Health.Set("journal", resil.Degraded)
+		err = nil
+	}
+	if err != nil {
+		return err
+	}
+	j.seen[id] = struct{}{}
+	j.delivered.Inc()
 	return nil
 }
 
-// rotateLocked retires the live file and reopens a fresh one. In
-// counted-generation mode it shifts path.i -> path.(i+1),
-// path -> path.1; in retention mode it stamps the file with the
-// rotation instant (path.<unix-seconds>) and prunes expired segments.
-// The in-memory dedup index spans rotations either way, so rotation
+// rotateLocked retires the live file as the segment path.<unix-seconds>
+// (the rotation instant), starts a fresh one and prunes expired
+// segments. The in-memory dedup index spans rotations, so rotation
 // never forgets an ID while the process lives.
 func (j *Journal) rotateLocked() {
-	j.f.Close()
-	j.f = nil
-	if j.opts.Retain > 0 {
-		dst := fmt.Sprintf("%s.%d", j.opts.Path, j.now().Unix())
-		if _, err := os.Stat(dst); err == nil {
-			// Two rotations within one second: fall back to nanoseconds.
-			dst = fmt.Sprintf("%s.%d", j.opts.Path, j.now().UnixNano())
-		}
-		if err := os.Rename(j.opts.Path, dst); err != nil {
-			j.log.Warn("journal: segment rotation failed", "err", err)
-		}
-		j.pruneLocked()
-	} else {
-		os.Remove(fmt.Sprintf("%s.%d", j.opts.Path, j.opts.Keep))
-		for i := j.opts.Keep - 1; i >= 1; i-- {
-			os.Rename(fmt.Sprintf("%s.%d", j.opts.Path, i), fmt.Sprintf("%s.%d", j.opts.Path, i+1))
-		}
-		os.Rename(j.opts.Path, j.opts.Path+".1")
+	now := j.now()
+	dst := fmt.Sprintf("%s.%d", j.opts.Path, now.Unix())
+	if _, err := os.Stat(dst); err == nil {
+		// Two rotations within one second: fall back to nanoseconds.
+		dst = fmt.Sprintf("%s.%d", j.opts.Path, now.UnixNano())
 	}
-	j.reopenLocked()
-}
-
-// reopenLocked (re)opens the live journal file, leaving j.f nil on
-// failure; Publish retries it per event.
-func (j *Journal) reopenLocked() {
-	f, err := os.OpenFile(j.opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.log.Warn("journal: reopen failed", "path", j.opts.Path, "err", err)
-		return
+	if err := j.file.Rotate(dst); err != nil {
+		j.log.Warn("journal: segment rotation failed", "err", err)
 	}
-	size := int64(0)
-	if st, err := f.Stat(); err == nil {
-		size = st.Size()
-	}
-	j.f, j.size = f, size
-	j.segOpened = j.now()
+	j.segOpened = now
+	j.pruneLocked()
 }
 
 // Pending returns how many events are parked awaiting retry.
@@ -463,13 +428,5 @@ func (j *Journal) Close(context.Context) error {
 	}
 	j.pending, j.pendingIDs = nil, nil
 	j.closed = true
-	if j.f == nil {
-		return nil
-	}
-	if j.opts.Fsync == FsyncAlways {
-		j.f.Sync()
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.file.Close()
 }

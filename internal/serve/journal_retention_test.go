@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -180,6 +181,41 @@ func TestJournalRetentionPrunesAtOpen(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counters[obs.MetricJournalSegmentsPruned]; n != 1 {
 		t.Errorf("pruned counter = %d, want 1", n)
+	}
+}
+
+// TestJournalRetentionKeepsCountedGenerations: path.1..path.3 written
+// by a build that rotated into counted generations are not rotation
+// instants in 1970. Opening with a retention horizon must leave them
+// on disk and still dedup against the events they hold.
+func TestJournalRetentionKeepsCountedGenerations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loops.jsonl")
+	line, err := json.Marshal(testEvent(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range []string{".1", ".2", ".3"} {
+		if err := os.WriteFile(path+gen, append(line, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	j, err := NewJournal(JournalOptions{Path: path, Metrics: reg, Retain: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close(context.Background())
+	for _, gen := range []string{".1", ".2", ".3"} {
+		if _, err := os.Stat(path + gen); err != nil {
+			t.Errorf("counted generation %s pruned at open: %v", gen, err)
+		}
+	}
+	if n := reg.Snapshot().Counters[obs.MetricJournalSegmentsPruned]; n != 0 {
+		t.Errorf("pruned counter = %d, want 0", n)
+	}
+	j.Publish(testEvent(7))
+	if got := reg.Counter(obs.MetricServeJournalDup).Value(); got != 1 {
+		t.Errorf("event held only by path.1 was not deduplicated (dup counter %d)", got)
 	}
 }
 

@@ -137,8 +137,7 @@ func TestJournalReopenRetryAfterFailedRotation(t *testing.T) {
 
 	// Simulate a rotation whose reopen failed: no live handle.
 	j.mu.Lock()
-	j.f.Close()
-	j.f = nil
+	j.file.Close()
 	j.mu.Unlock()
 
 	j.Publish(testEvent(1))
@@ -174,8 +173,7 @@ func TestJournalDropsCountedAndLogged(t *testing.T) {
 	// Make the live file unrecoverable: the path now names a
 	// directory, so the reopen retry fails too.
 	j.mu.Lock()
-	j.f.Close()
-	j.f = nil
+	j.file.Close()
 	j.mu.Unlock()
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -227,8 +225,7 @@ func TestJournalPendingRetryRecovers(t *testing.T) {
 
 	// Break the live file: path becomes a directory.
 	j.mu.Lock()
-	j.f.Close()
-	j.f = nil
+	j.file.Close()
 	j.mu.Unlock()
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -296,11 +293,29 @@ func splitLines(data []byte) [][]byte {
 	return out
 }
 
+// allSegmentIDs counts every event ID across the live journal and its
+// rotated segments.
+func allSegmentIDs(t *testing.T, path string) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	for _, p := range append(retentionSegments(t, path), path) {
+		for _, id := range journalIDs(t, p) {
+			counts[id]++
+		}
+	}
+	return counts
+}
+
+// TestJournalRotation drives size-based rotation with no retention
+// horizon (the library zero value): every rotated file is a
+// path.<timestamp> segment, nothing is ever pruned, no ID is lost or
+// duplicated across segments, and a reopen still dedups IDs that only
+// live in rotated segments.
 func TestJournalRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "loops.jsonl")
+	path := filepath.Join(t.TempDir(), "loops.jsonl")
 	// Each line is ~120 bytes; cap at ~3 lines per file.
-	j, err := NewJournal(JournalOptions{Path: path, MaxBytes: 360, Keep: 2})
+	opts := JournalOptions{Path: path, MaxBytes: 360}
+	j, err := NewJournal(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,33 +328,26 @@ func TestJournalRotation(t *testing.T) {
 	}
 	j.Close(context.Background())
 
-	if _, err := os.Stat(path + ".1"); err != nil {
-		t.Fatalf("no rotated file: %v", err)
+	if segs := retentionSegments(t, path); len(segs) < 3 {
+		t.Fatalf("10 events at <= 3 per file left segments %v, want at least 3", segs)
 	}
-	// Collect all IDs across live + rotated generations: no dups, and
-	// the newest IDs are in the live file.
-	seen := map[string]int{}
-	for _, p := range []string{path, path + ".1", path + ".2"} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		for _, id := range journalIDsLoose(data) {
-			seen[id]++
-		}
+	if _, err := os.Stat(path + ".1"); err == nil {
+		t.Fatal("rotation wrote a counted generation (path.1)")
+	}
+	seen := allSegmentIDs(t, path)
+	if len(seen) != 10 {
+		t.Fatalf("%d distinct events retained, want 10", len(seen))
 	}
 	for id, n := range seen {
 		if n > 1 {
-			t.Fatalf("id %s appears %d times across generations", id, n)
+			t.Fatalf("id %s appears %d times across segments", id, n)
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no events retained")
+	if ids := journalIDs(t, path); len(ids) == 0 || ids[len(ids)-1] != testEvent(9).ID {
+		t.Fatalf("live file holds %v, want it to end with the newest event", ids)
 	}
 
-	// A reopen after rotation still dedups IDs that only live in
-	// rotated generations.
-	j2, err := NewJournal(JournalOptions{Path: path, MaxBytes: 360, Keep: 2})
+	j2, err := NewJournal(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,17 +355,7 @@ func TestJournalRotation(t *testing.T) {
 		j2.Publish(Event{ID: id, Source: "test"})
 	}
 	j2.Close(context.Background())
-	after := map[string]int{}
-	for _, p := range []string{path, path + ".1", path + ".2"} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		for _, id := range journalIDsLoose(data) {
-			after[id]++
-		}
-	}
-	for id, n := range after {
+	for id, n := range allSegmentIDs(t, path) {
 		if n > 1 {
 			t.Fatalf("id %s duplicated after reopen", id)
 		}

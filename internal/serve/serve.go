@@ -50,7 +50,7 @@ type Config struct {
 	// pattern; empty matches everything).
 	DirGlob string
 	// RingSize is the capacity of the in-memory event ring behind
-	// /api/loops (<= 0: 1024).
+	// /api/v1/loops (<= 0: 1024).
 	RingSize int
 	// Metrics receives the daemon's gauges and counters (may be nil).
 	Metrics *obs.Registry
@@ -58,7 +58,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Flight, when non-nil, records per-decision lifecycle events for
 	// every source's detector; finalized loops get their decision
-	// trail sealed under the event ID, served by /api/trace/{id}.
+	// trail sealed under the event ID, served by /api/v1/trace/{id}.
 	Flight *flight.Recorder
 	// TrailPath, when set (and Flight is non-nil), appends every
 	// sealed final-loop trail to this JSONL file.
@@ -129,12 +129,12 @@ type Daemon struct {
 
 // New builds a Daemon and, when cfg.CheckpointPath is set, loads the
 // previous incarnation's checkpoint. A corrupt checkpoint is
-// quarantined (renamed to path + ".corrupt") and the daemon starts
-// fresh rather than crash-looping: resuming from zero is always safe —
-// the journal deduplicates re-emitted events — while refusing to start
-// turns one bad write into an outage. The quarantine preserves the
-// image for post-mortem and the component is marked degraded so the
-// operator sees it on /healthz.
+// quarantined (durable.Load) and the daemon starts fresh rather than
+// crash-looping: resuming from zero is always safe — the journal
+// deduplicates re-emitted events — while refusing to start turns one
+// bad write into an outage. The quarantine preserves the image for
+// post-mortem and the component is marked degraded so the operator
+// sees it on /api/v1/health.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Detector.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: detector config: %w", err)
@@ -156,7 +156,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg: cfg,
 		log: log,
 		// started is set here, not in Run: cmd/loopscoped serves
-		// Handler (whose /healthz reads it) before calling Run, so a
+		// Handler (whose /api/v1/health reads it) before calling Run, so a
 		// write from Run would race — and report uptime-since-epoch
 		// until then.
 		started: time.Now(),
@@ -166,26 +166,24 @@ func New(cfg Config) (*Daemon, error) {
 		cpG:     cfg.Metrics.Gauge(obs.MetricServeCheckpointUnixNs),
 	}
 	// Every health change is mirrored into a per-component gauge so
-	// dashboards see degradation without polling /healthz.
+	// dashboards see degradation without polling /api/v1/health.
 	d.health = resil.NewHealthSet(func(component string, h resil.Health) {
 		cfg.Metrics.Gauge(obs.LabelMetric(obs.MetricComponentHealth, "component", component)).Set(int64(h))
 		log.Info("component health changed", "component", component, "health", h.String())
 	})
 	if cfg.CheckpointPath != "" {
-		cp, err := LoadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			quarantine := cfg.CheckpointPath + ".corrupt"
-			if rerr := os.Rename(cfg.CheckpointPath, quarantine); rerr != nil {
-				// Can't even move it aside — that is an operator problem
-				// (permissions, dead disk), not a stale image.
-				return nil, fmt.Errorf("serve: quarantining corrupt checkpoint: %w (load error: %v)", rerr, err)
-			}
+		cp, quarantined, err := LoadCheckpoint(cfg.CheckpointPath)
+		switch {
+		case quarantined:
 			log.Warn("corrupt checkpoint quarantined; starting fresh",
-				"path", cfg.CheckpointPath, "quarantine", quarantine, "err", err)
+				"path", cfg.CheckpointPath, "err", err)
 			d.health.Set("checkpoint", resil.Degraded)
-		} else {
-			d.cp = cp
+		case err != nil:
+			// Can't even move it aside — that is an operator problem
+			// (permissions, dead disk), not a stale image.
+			return nil, fmt.Errorf("serve: loading checkpoint: %w", err)
 		}
+		d.cp = cp
 	}
 	if cfg.AnalyticsSnapshotPath != "" && cfg.Analytics != nil {
 		quarantined, err := cfg.Analytics.Load(cfg.AnalyticsSnapshotPath)
@@ -217,8 +215,8 @@ func New(cfg Config) (*Daemon, error) {
 }
 
 // Health exposes the daemon's per-component health set; sinks built by
-// the caller (journal, webhook) report into it, and /healthz and
-// /statusz render it.
+// the caller (journal, webhook) report into it, and /api/v1/health
+// and /api/v1/statusz render it.
 func (d *Daemon) Health() *resil.HealthSet { return d.health }
 
 // AddSink attaches a sink; every event from every source reaches it.

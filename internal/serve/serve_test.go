@@ -229,7 +229,7 @@ func TestDaemonKillRestartEquivalence(t *testing.T) {
 			if err := d1.Run(ctx); !errors.Is(err, errTestCrash) {
 				t.Fatalf("crash run returned %v", err)
 			}
-			cp, err := LoadCheckpoint(cpPath)
+			cp, _, err := LoadCheckpoint(cpPath)
 			if err != nil || cp == nil {
 				t.Fatalf("no checkpoint after crash: %v", err)
 			}
@@ -369,7 +369,7 @@ func TestDaemonDirKillRestartEquivalence(t *testing.T) {
 	if err := d1.Run(ctx); !errors.Is(err, errTestCrash) {
 		t.Fatalf("crash run returned %v", err)
 	}
-	cp, err := LoadCheckpoint(cpPath)
+	cp, _, err := LoadCheckpoint(cpPath)
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint after crash: %v", err)
 	}
@@ -770,7 +770,8 @@ func TestDaemonDirSource(t *testing.T) {
 	}
 }
 
-// TestDaemonHTTPAPI exercises /healthz, /api/loops and /api/sources.
+// TestDaemonHTTPAPI exercises /api/v1/health, /api/v1/loops and
+// /api/v1/sources.
 func TestDaemonHTTPAPI(t *testing.T) {
 	recs := serveTestTrace(t, 3, 6)
 	dir := t.TempDir()
@@ -792,27 +793,26 @@ func TestDaemonHTTPAPI(t *testing.T) {
 		Status  string `json:"status"`
 		Records int64  `json:"records"`
 	}
-	getJSON(t, srv.URL+"/healthz", &health)
+	getV1(t, srv.URL+"/api/v1/health", &health)
 	if health.Status != "ok" {
-		t.Fatalf("healthz status %q", health.Status)
+		t.Fatalf("health status %q", health.Status)
 	}
 	if health.Records != int64(len(recs)) {
-		t.Fatalf("healthz records %d, want %d", health.Records, len(recs))
+		t.Fatalf("health records %d, want %d", health.Records, len(recs))
 	}
 
 	var loops struct {
-		Total  int64   `json:"total"`
-		Events []Event `json:"events"`
+		Events []v1LoopEvent `json:"events"`
 	}
-	getJSON(t, srv.URL+"/api/loops?n=5", &loops)
-	if loops.Total == 0 || len(loops.Events) == 0 {
+	getV1(t, srv.URL+"/api/v1/loops?limit=5", &loops)
+	if len(loops.Events) == 0 {
 		t.Fatal("no loops in the API")
 	}
 	if len(loops.Events) > 5 {
-		t.Fatalf("n=5 returned %d events", len(loops.Events))
+		t.Fatalf("limit=5 returned %d events", len(loops.Events))
 	}
 	for i := 1; i < len(loops.Events); i++ {
-		if loops.Events[i-1].EmittedAtNs < loops.Events[i].EmittedAtNs {
+		if loops.Events[i-1].Event.EmittedAtNs < loops.Events[i].Event.EmittedAtNs {
 			t.Fatal("events not newest-first")
 		}
 	}
@@ -820,7 +820,7 @@ func TestDaemonHTTPAPI(t *testing.T) {
 	var sources struct {
 		Sources []SourceInfo `json:"sources"`
 	}
-	getJSON(t, srv.URL+"/api/sources", &sources)
+	getV1(t, srv.URL+"/api/v1/sources", &sources)
 	if len(sources.Sources) != 1 || sources.Sources[0].Name != "api-src" {
 		t.Fatalf("bad sources payload: %+v", sources.Sources)
 	}
@@ -828,13 +828,8 @@ func TestDaemonHTTPAPI(t *testing.T) {
 		t.Fatalf("source records %d, want %d", sources.Sources[0].Records, len(recs))
 	}
 
-	if resp, err := http.Get(srv.URL + "/api/loops?n=bogus"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad n returned %d", resp.StatusCode)
-		}
+	if status, _, _ := v1Get(t, srv.URL+"/api/v1/loops?limit=bogus"); status != http.StatusBadRequest {
+		t.Fatalf("bad limit returned %d", status)
 	}
 }
 

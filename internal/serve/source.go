@@ -21,7 +21,7 @@ import (
 	"loopscope/internal/trace"
 )
 
-// SourceInfo is one source's live status as reported by /api/sources.
+// SourceInfo is one source's live status as reported by /api/v1/sources.
 type SourceInfo struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"`
@@ -125,7 +125,7 @@ func (d *Daemon) newSourceState(name, kind, path string) *sourceState {
 // runs under s.mu (the session is only driven with the mutex held), so
 // reading the session's high-water mark here is safe. With a flight
 // recorder configured, the loop's decision trail is sealed under the
-// event ID before publication, so /api/trace/{id} can answer the
+// event ID before publication, so /api/v1/trace/{id} can answer the
 // moment the event is visible anywhere downstream.
 func (s *sourceState) emit(se core.SessionEvent) {
 	if se.Truncated {
@@ -240,7 +240,7 @@ func (s *sourceState) snapshot() SourceCheckpoint {
 	return s.cp
 }
 
-// info renders the source for /api/sources.
+// info renders the source for /api/v1/sources.
 func (s *sourceState) info() SourceInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()

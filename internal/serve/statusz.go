@@ -15,7 +15,7 @@ import (
 
 // statuszTmpl renders the human-readable daemon status page: one
 // glance answers "is it alive, is it keeping up, what has it found,
-// and can I see why" — the last via per-event links into /api/trace.
+// and can I see why" — the last via per-event links into /api/v1/trace.
 var statuszTmpl = template.Must(template.New("statusz").Parse(`<!DOCTYPE html>
 <html><head><title>loopscoped status</title>
 <style>

@@ -3,9 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"log/slog"
-	"os"
 	"sync"
 
+	"loopscope/internal/durable"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/flight"
 	"loopscope/internal/resil"
@@ -31,33 +31,28 @@ type TrailLogOptions struct {
 // line. It is deliberately append-only and dedup-free: trails are
 // keyed by the same deterministic loop ID as journal events, so a
 // consumer joins the two files on ID and resolves re-emission
-// duplicates exactly as it does for the journal. Like the journal, a
-// torn trailing line left by a crash is quarantined on open.
+// duplicates exactly as it does for the journal. Like the journal it
+// is a durable.Log: a torn trailing line left by a crash is
+// quarantined on open.
 type TrailLog struct {
 	mu     sync.Mutex
-	f      *os.File
-	opts   TrailLogOptions
+	file   *durable.Log
 	log    *slog.Logger
 	closed bool
 }
 
-// NewTrailLog opens (creating if needed) the trail log, repairing a
-// torn trailing line first.
+// NewTrailLog opens (creating if needed) the trail log.
 func NewTrailLog(opts TrailLogOptions) (*TrailLog, error) {
 	log := opts.Logger
 	if log == nil {
 		log = obs.NopLogger()
 	}
-	if torn, err := repairTornTail(opts.Path, log); err != nil {
-		return nil, err
-	} else if torn > 0 {
-		opts.Metrics.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "trails")).Inc()
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, torn, err := durable.OpenLog(opts.Path, opts.Fsync, opts.Injector, resil.OpTrailWrite)
 	if err != nil {
 		return nil, err
 	}
-	return &TrailLog{f: f, opts: opts, log: log}, nil
+	noteTornRepair(opts.Metrics, log, "trails", opts.Path, torn)
+	return &TrailLog{file: file, log: log}, nil
 }
 
 // Write appends one trail. Nil-safe: a nil receiver (trail persistence
@@ -77,21 +72,11 @@ func (t *TrailLog) Write(tr *flight.Trail) {
 	data = append(data, '\n')
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed || t.f == nil {
+	if t.closed {
 		return
 	}
-	if err := resil.Inject(t.opts.Injector, resil.OpTrailWrite); err != nil {
+	if err := t.file.Append(data); err != nil {
 		t.log.Warn("trail log: write failed", "trail", tr.ID, "err", err)
-		return
-	}
-	if _, err := t.f.Write(data); err != nil {
-		t.log.Warn("trail log: write failed", "trail", tr.ID, "err", err)
-		return
-	}
-	if t.opts.Fsync == FsyncAlways {
-		if err := t.f.Sync(); err != nil {
-			t.log.Warn("trail log: fsync failed", "err", err)
-		}
 	}
 }
 
@@ -103,13 +88,5 @@ func (t *TrailLog) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
-	if t.f == nil {
-		return nil
-	}
-	if t.opts.Fsync == FsyncAlways {
-		t.f.Sync()
-	}
-	err := t.f.Close()
-	t.f = nil
-	return err
+	return t.file.Close()
 }

@@ -256,54 +256,19 @@ func TestV1API(t *testing.T) {
 		}
 	})
 
-	// All five pre-v1 paths still answer, marked deprecated with a
-	// Link to their successor; the v1 paths carry no such marker.
-	t.Run("deprecation", func(t *testing.T) {
-		legacy := map[string]string{
-			"/healthz":     "/api/v1/health",
-			"/api/loops":   "/api/v1/loops",
-			"/api/sources": "/api/v1/sources",
-			"/api/trace/":  "/api/v1/trace",
-			"/statusz":     "/api/v1/statusz",
-		}
-		for path, successor := range legacy {
-			status, hdr, body := v1Get(t, srv.URL+path)
-			if status != http.StatusOK {
-				t.Errorf("%s: status %d (%s)", path, status, body)
-				continue
-			}
-			if dep := hdr.Get("Deprecation"); dep != "true" {
-				t.Errorf("%s: Deprecation header %q, want \"true\"", path, dep)
-			}
-			if link := hdr.Get("Link"); !strings.Contains(link, successor) || !strings.Contains(link, "successor-version") {
-				t.Errorf("%s: Link header %q, want successor %s", path, link, successor)
+	// The five pre-v1 aliases are gone (404, no redirect), and nothing
+	// under /api/v1 is marked deprecated.
+	t.Run("aliases-gone", func(t *testing.T) {
+		for _, path := range []string{"/healthz", "/api/loops", "/api/sources", "/api/trace/", "/statusz"} {
+			if status, _, body := v1Get(t, srv.URL+path); status != http.StatusNotFound {
+				t.Errorf("%s: status %d (%s), want 404", path, status, body)
 			}
 		}
-		for _, path := range []string{"/api/v1/health", "/api/v1/loops", "/api/v1/statusz"} {
-			_, hdr, _ := v1Get(t, srv.URL+path)
-			if dep := hdr.Get("Deprecation"); dep != "" {
-				t.Errorf("%s: unexpected Deprecation header %q", path, dep)
+		for _, path := range []string{"/api/v1/health", "/api/v1/loops", "/api/v1/sources", "/api/v1/trace", "/api/v1/stats", "/api/v1/statusz"} {
+			status, hdr, _ := v1Get(t, srv.URL+path)
+			if dep := hdr.Get("Deprecation"); status != http.StatusOK || dep != "" {
+				t.Errorf("%s: status %d, Deprecation header %q; want 200 and none", path, status, dep)
 			}
-		}
-	})
-
-	// The legacy payload shapes are frozen: /api/loops still answers
-	// the bare {total, events} document and its "bad n" plain-text 400.
-	t.Run("legacy-frozen", func(t *testing.T) {
-		var legacy struct {
-			Total  *int64  `json:"total"`
-			Events []Event `json:"events"`
-		}
-		getJSON(t, srv.URL+"/api/loops", &legacy)
-		if legacy.Total == nil || *legacy.Total != d.ring.Total() {
-			t.Errorf("legacy total = %v, want %d", legacy.Total, d.ring.Total())
-		}
-		status, hdr, body := v1Get(t, srv.URL+"/api/loops?n=x")
-		if status != http.StatusBadRequest {
-			t.Errorf("legacy bad n: status %d, want 400", status)
-		}
-		if ct := hdr.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-			t.Errorf("legacy bad n answered JSON %q; the plain-text shape is frozen", body)
 		}
 	})
 

@@ -87,7 +87,7 @@ if [ "$prov_lines" -lt 1 ] || [ "$prov_lines" != "$journal_lines" ]; then
 fi
 echo "OK: $(echo "$ref_finals" | wc -l) final loops, identical sets, no duplicate IDs, provenance on all $journal_lines journal lines"
 
-echo "== observability run: /statusz and /api/trace round-trip"
+echo "== observability run: /api/v1/statusz and /api/v1/trace round-trip"
 if command -v curl >/dev/null 2>&1; then
     fetch() { curl -fsS "$1"; }
 elif command -v wget >/dev/null 2>&1; then
@@ -133,20 +133,20 @@ fi
 # Capture bodies before grepping: under pipefail, `fetch | grep -q`
 # fails spuriously when grep exits at the first match and the fetcher
 # takes a SIGPIPE mid-body.
-fetch "${url}statusz" > "$work/statusz.html"
+fetch "${url}api/v1/statusz" > "$work/statusz.html"
 if ! grep -q "loopscoped" "$work/statusz.html"; then
-    echo "FAIL: /statusz did not return the status page" >&2
+    echo "FAIL: /api/v1/statusz did not return the status page" >&2
     api_cleanup
     exit 1
 fi
-fetch "${url}api/trace/$fid" > "$work/trail.json"
+fetch "${url}api/v1/trace/$fid" > "$work/trail.json"
 if ! grep -q "\"id\": \"$fid\"" "$work/trail.json"; then
-    echo "FAIL: /api/trace/$fid did not return the sealed trail" >&2
-    fetch "${url}api/trace/" >&2 || true
+    echo "FAIL: /api/v1/trace/$fid did not return the sealed trail" >&2
+    fetch "${url}api/v1/trace" >&2 || true
     api_cleanup
     exit 1
 fi
-echo "== /api/v1 run: typed client, stats, pagination, deprecation headers"
+echo "== /api/v1 run: typed client, stats, pagination, pre-v1 aliases gone"
 # The typed client (via lsq) round-trips the versioned surface.
 "$work/bin/lsq" -addr "$url" health > "$work/v1-health.json"
 if ! grep -q '"status": "ok"' "$work/v1-health.json"; then
@@ -178,18 +178,19 @@ if [ "$one_page" -lt 1 ] || [ "$one_page" != "$walked" ]; then
     api_cleanup
     exit 1
 fi
-# Every pre-v1 endpoint still answers, marked deprecated.
+# The pre-v1 aliases were removed: each must answer 404, not linger.
 if command -v curl >/dev/null 2>&1; then
     for legacy in healthz api/loops api/sources api/trace/ statusz; do
-        if ! curl -fsS -D - -o /dev/null "${url}${legacy}" | grep -qi '^deprecation: true'; then
-            echo "FAIL: legacy /$legacy missing the Deprecation header" >&2
+        code="$(curl -s -o /dev/null -w '%{http_code}' "${url}${legacy}")"
+        if [ "$code" != 404 ]; then
+            echo "FAIL: removed alias /$legacy answered $code, want 404" >&2
             api_cleanup
             exit 1
         fi
     done
-    dep_note="deprecation headers on all 5 legacy endpoints"
+    dep_note="all 5 pre-v1 aliases answer 404"
 else
-    dep_note="deprecation headers skipped (no curl)"
+    dep_note="alias 404 check skipped (no curl)"
 fi
 echo "OK: /api/v1 round-trip via lsq ($stat_loops analytics loops, $walked events paginated, $dep_note)"
 
@@ -199,4 +200,4 @@ if ! grep -q "$fid" "$work/trails.jsonl"; then
     echo "FAIL: trail journal is missing loop $fid" >&2
     exit 1
 fi
-echo "OK: /statusz served, trail $fid round-tripped via /api/trace and the trail journal"
+echo "OK: /api/v1/statusz served, trail $fid round-tripped via /api/v1/trace and the trail journal"
