@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 )
 
 // ERF (Extensible Record Format) support. The paper's traces were
@@ -103,82 +102,3 @@ func (w *ERFWriter) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *ERFWriter) Flush() error { return w.w.Flush() }
-
-// ERFReader reads ERF TYPE_HDLC_POS records.
-type ERFReader struct {
-	r           *bufio.Reader
-	meta        Meta
-	started     bool
-	start       time.Time
-	lossEvents  int
-	lostRecords int
-}
-
-// LossEvents returns the number of records read so far that carried a
-// non-zero loss counter (each marks a gap where the capture card
-// dropped packets).
-func (r *ERFReader) LossEvents() int { return r.lossEvents }
-
-// LostRecords returns the total packets the capture card reported
-// dropped (the sum of all loss counters read so far).
-func (r *ERFReader) LostRecords() int { return r.lostRecords }
-
-// NewERFReader returns a reader over r. ERF has no file header; the
-// first record's timestamp becomes the trace start.
-func NewERFReader(r io.Reader) (*ERFReader, error) {
-	return &ERFReader{
-		r:    bufio.NewReaderSize(r, 1<<16),
-		meta: Meta{Link: "erf", SnapLen: DefaultSnapLen},
-	}, nil
-}
-
-// Meta implements Source; Start is valid after the first Next.
-func (r *ERFReader) Meta() Meta { return r.meta }
-
-// Next implements Source.
-func (r *ERFReader) Next() (Record, error) {
-	var hdr [erfHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: reading ERF header: %w", err)
-	}
-	ts := binary.LittleEndian.Uint64(hdr[0:8])
-	sec := int64(ts >> 32)
-	nsec := int64((ts & 0xffffffff) * 1_000_000_000 >> 32)
-	abs := time.Unix(sec, nsec)
-	if !r.started {
-		r.started = true
-		r.start = abs
-		r.meta.Start = abs
-	}
-	if hdr[8] != erfTypeHDLCPOS {
-		return Record{}, fmt.Errorf("trace: unsupported ERF record type %d", hdr[8])
-	}
-	rlen := int(binary.BigEndian.Uint16(hdr[10:12]))
-	lctr := int(binary.BigEndian.Uint16(hdr[12:14]))
-	wlen := int(binary.BigEndian.Uint16(hdr[14:16]))
-	if rlen < erfHeaderLen+hdlcHeaderLen {
-		return Record{}, fmt.Errorf("trace: ERF rlen %d too small", rlen)
-	}
-	payload := make([]byte, rlen-erfHeaderLen)
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return Record{}, fmt.Errorf("trace: reading ERF payload: %w", err)
-	}
-	// Strip the HDLC framing.
-	rec := Record{
-		Time:    abs.Sub(r.start),
-		WireLen: wlen - hdlcHeaderLen,
-		Data:    payload[hdlcHeaderLen:],
-		Lost:    lctr,
-	}
-	if lctr > 0 {
-		r.lossEvents++
-		r.lostRecords += lctr
-	}
-	if rec.WireLen < len(rec.Data) {
-		rec.WireLen = len(rec.Data)
-	}
-	return rec, nil
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Native format:
@@ -88,68 +87,3 @@ func (w *Writer) Count() int { return w.n }
 
 // Flush flushes buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader reads the native trace format.
-type Reader struct {
-	r    *bufio.Reader
-	meta Meta
-}
-
-// NewReader parses the native-format header from r and returns a
-// Reader positioned at the first record.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != nativeMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	var hdr [14]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	version := binary.BigEndian.Uint16(hdr[0:2])
-	if version != nativeVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
-	}
-	meta := Meta{
-		SnapLen: int(binary.BigEndian.Uint16(hdr[2:4])),
-		Start:   time.Unix(0, int64(binary.BigEndian.Uint64(hdr[4:12]))),
-	}
-	linkLen := int(binary.BigEndian.Uint16(hdr[12:14]))
-	link := make([]byte, linkLen)
-	if _, err := io.ReadFull(br, link); err != nil {
-		return nil, fmt.Errorf("trace: reading link name: %w", err)
-	}
-	meta.Link = string(link)
-	return &Reader{r: br, meta: meta}, nil
-}
-
-// Meta implements Source.
-func (r *Reader) Meta() Meta { return r.meta }
-
-// Next implements Source.
-func (r *Reader) Next() (Record, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: reading record header: %w", err)
-	}
-	rec := Record{
-		Time:    time.Duration(binary.BigEndian.Uint64(hdr[0:8])),
-		WireLen: int(binary.BigEndian.Uint16(hdr[8:10])),
-	}
-	capLen := int(binary.BigEndian.Uint16(hdr[10:12]))
-	if capLen > r.meta.SnapLen {
-		return Record{}, fmt.Errorf("trace: record caplen %d exceeds snaplen %d", capLen, r.meta.SnapLen)
-	}
-	rec.Data = make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
-		return Record{}, fmt.Errorf("trace: reading record data: %w", err)
-	}
-	return rec, nil
-}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -63,68 +62,44 @@ func Open(path string, opts OpenOptions) (Source, *DecodeStats, error) {
 }
 
 // OpenStream is Open over an arbitrary reader: the same gzip and
-// format sniffing, but nothing is ever seeked or reopened, so pipes,
-// sockets and stdin work. The caller keeps ownership of r; the
-// returned Source does not close it.
+// format sniffing, done on the window's first bytes, so nothing is ever
+// seeked or reopened and pipes, sockets and stdin work. The caller
+// keeps ownership of r; the returned Source does not close it.
 func OpenStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
-	src, stats, err := openStream(r, opts)
-	if err != nil {
-		return nil, nil, err
+	w := newWindow(r)
+	if !w.need(4) {
+		return nil, nil, fmt.Errorf("reading magic: %w", w.short())
 	}
-	src = MeterSource(src, opts.Metrics, stats)
-	return src, stats, nil
-}
-
-// openStream builds the record source on top of a raw reader, sniffing
-// via buffered peeks instead of seeks.
-func openStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading magic: %w", err)
-	}
-	var rr io.Reader = br
-	if magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
+	if b := w.buffered(); b[0] == 0x1f && b[1] == 0x8b {
+		gz, err := gzip.NewReader(w)
 		if err != nil {
 			return nil, nil, fmt.Errorf("opening gzip stream: %w", err)
 		}
-		inner := bufio.NewReaderSize(gz, 1<<16)
-		if magic, err = inner.Peek(4); err != nil {
-			return nil, nil, fmt.Errorf("reading magic inside gzip: %w", err)
+		if w = newWindow(gz); !w.need(4) {
+			return nil, nil, fmt.Errorf("reading magic inside gzip: %w", w.short())
 		}
-		rr = inner
 	}
 	if opts.Salvage {
-		src, err := NewSalvageReader(rr, SalvageOptions{
+		src, err := newSalvageReader(w, SalvageOptions{
 			Format:    opts.Format,
 			MaxErrors: opts.MaxDecodeErrors,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		return src, &src.stats, nil
+		return MeterSource(src, opts.Metrics, &src.stats), &src.stats, nil
 	}
-	switch opts.Format {
-	case FormatNative:
-		src, err := NewReader(rr)
-		return src, nil, err
-	case FormatPcap:
-		src, err := NewPcapReader(rr)
-		return src, nil, err
-	case FormatERF:
-		src, err := NewERFReader(rr)
-		return src, nil, err
+	f := opts.Format
+	if f == FormatAuto {
+		if f = sniff(w.buffered()); f == FormatAuto {
+			return nil, nil, fmt.Errorf("not a native or pcap trace (optionally gzipped): magic % x", w.buffered()[:4])
+		}
 	}
-	if [4]byte(magic) == [4]byte{'L', 'S', 'P', 'T'} {
-		src, err := NewReader(rr)
-		return src, nil, err
-	}
-	src, err := NewPcapReader(rr)
+	src, err := newReader(w, f)
 	if err != nil {
-		return nil, nil, fmt.Errorf("not a native or pcap trace (optionally gzipped): %w", err)
+		return nil, nil, err
 	}
-	return src, nil, nil
+	return MeterSource(src, opts.Metrics, nil), nil, nil
 }
 
 // fileSource couples a Source with the file handle it reads from.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // libpcap file format support. Records are written with
@@ -73,87 +72,3 @@ func (w *PcapWriter) Count() int { return w.n }
 
 // Flush flushes buffered data to the underlying writer.
 func (w *PcapWriter) Flush() error { return w.w.Flush() }
-
-// PcapReader reads libpcap capture files in either byte order and at
-// either microsecond or nanosecond resolution.
-type PcapReader struct {
-	r       *bufio.Reader
-	meta    Meta
-	order   binary.ByteOrder
-	nanores bool
-	started bool
-	start   time.Time
-}
-
-// NewPcapReader parses the pcap global header from r.
-func NewPcapReader(r io.Reader) (*PcapReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading pcap header: %w", err)
-	}
-	pr := &PcapReader{r: br}
-	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
-	magicBE := binary.BigEndian.Uint32(hdr[0:4])
-	switch {
-	case magicLE == pcapMagicMicros:
-		pr.order = binary.LittleEndian
-	case magicLE == pcapMagicNanos:
-		pr.order, pr.nanores = binary.LittleEndian, true
-	case magicBE == pcapMagicMicros:
-		pr.order = binary.BigEndian
-	case magicBE == pcapMagicNanos:
-		pr.order, pr.nanores = binary.BigEndian, true
-	default:
-		return nil, fmt.Errorf("trace: not a pcap file (magic %#x)", magicLE)
-	}
-	linkType := pr.order.Uint32(hdr[20:24])
-	if linkType != LinkTypeRaw {
-		return nil, fmt.Errorf("trace: unsupported pcap link type %d (want %d, raw IP)", linkType, LinkTypeRaw)
-	}
-	pr.meta = Meta{
-		SnapLen: int(pr.order.Uint32(hdr[16:20])),
-		Link:    "pcap",
-	}
-	return pr, nil
-}
-
-// Meta implements Source. The trace start time is the timestamp of the
-// first record, so Meta is fully populated only after the first Next.
-func (r *PcapReader) Meta() Meta { return r.meta }
-
-// Next implements Source.
-func (r *PcapReader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: reading pcap record header: %w", err)
-	}
-	sec := int64(r.order.Uint32(hdr[0:4]))
-	sub := int64(r.order.Uint32(hdr[4:8]))
-	if !r.nanores {
-		sub *= 1000
-	}
-	abs := time.Unix(sec, sub)
-	if !r.started {
-		r.started = true
-		r.start = abs
-		r.meta.Start = abs
-	}
-	capLen := int(r.order.Uint32(hdr[8:12]))
-	wireLen := int(r.order.Uint32(hdr[12:16]))
-	if capLen > 1<<20 {
-		return Record{}, fmt.Errorf("trace: implausible pcap caplen %d", capLen)
-	}
-	rec := Record{
-		Time:    abs.Sub(r.start),
-		WireLen: wireLen,
-		Data:    make([]byte, capLen),
-	}
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
-		return Record{}, fmt.Errorf("trace: reading pcap record data: %w", err)
-	}
-	return rec, nil
-}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,36 +28,6 @@ import (
 // must itself be intact: without it there is no snapshot length or
 // byte order to validate records against. ERF has no file header, so
 // ERF salvage can start anywhere.
-
-// Format selects the on-disk trace format for SalvageReader.
-type Format int
-
-const (
-	// FormatAuto sniffs native and pcap magics, falling back to ERF
-	// when the first bytes look like a plausible ERF record header.
-	FormatAuto Format = iota
-	// FormatNative is the loopscope native format.
-	FormatNative
-	// FormatPcap is the libpcap file format.
-	FormatPcap
-	// FormatERF is the Endace extensible record format (HDLC PoS).
-	FormatERF
-)
-
-// String names the format.
-func (f Format) String() string {
-	switch f {
-	case FormatAuto:
-		return "auto"
-	case FormatNative:
-		return "native"
-	case FormatPcap:
-		return "pcap"
-	case FormatERF:
-		return "erf"
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
 
 // ErrErrorBudget is returned (wrapped) by SalvageReader.Next when the
 // number of distinct decode errors exceeds SalvageOptions.MaxErrors.
@@ -107,319 +76,92 @@ type SalvageOptions struct {
 	MaxGap time.Duration
 }
 
-// salvageWindow is the sliding decode buffer size. It must exceed the
-// largest record any format can claim (pcap caplen is bounded at
-// 1 MiB below) plus a lookahead header.
-const salvageWindow = 1 << 21
-
-// maxPcapCapLen mirrors PcapReader's plausibility bound on caplen.
-const maxPcapCapLen = 1 << 20
-
 // erfMaxRlen bounds ERF record lengths during salvage: jumbo-frame
 // captures stay far below 16 KiB per record.
 const erfMaxRlen = 1 << 14
 
 // SalvageReader implements Source over damaged trace files.
 type SalvageReader struct {
-	r       io.Reader
-	readErr error // io.EOF or a real read error
-	win     []byte
-	pos     int
-	end     int
-
+	w     *window
+	c     codec
 	opts  SalvageOptions
-	meta  Meta
 	stats DecodeStats
 
-	format Format
-	// pcap state
-	order   binary.ByteOrder
-	nanores bool
-	// timestamp continuity
-	started  bool
-	startAbs time.Time     // pcap/erf trace start
-	lastAbs  time.Time     // pcap/erf last good absolute timestamp
-	lastOff  time.Duration // native last good time offset
+	syncing bool // currently scanning for a record boundary
 
-	syncing  bool // currently scanning for a record boundary
-	resynced bool // at least one resync has happened
-
-	// The newest record's timestamp is provisional until the record
+	// last is the timestamp continuity anchor: the newest delivered
+	// record's codec timestamp. It is provisional until the record
 	// after it decodes: when an error region opens, the record just
 	// before it is suspect (a junk record whose decoded time landed
 	// plausibly ahead of the real stream would otherwise poison the
 	// continuity anchor for everything that follows), so the anchor
-	// rolls back to the last record with a confirmed successor.
-	prevOff time.Duration
-	prevAbs time.Time
+	// rolls back to prev, the last record with a confirmed successor.
+	last, prev int64
 }
-
-// errNeedMore signals that the buffered bytes are a valid prefix of a
-// record but the record is not complete yet.
-var errNeedMore = errors.New("trace: need more data")
-
-// errBadRecord signals an implausible record header or body.
-var errBadRecord = errors.New("trace: implausible record")
 
 // NewSalvageReader wraps r in a fault-tolerant reader. The file-level
 // header is parsed eagerly, so construction fails if it is missing or
 // corrupt (record-level damage is what salvage handles).
 func NewSalvageReader(r io.Reader, opts SalvageOptions) (*SalvageReader, error) {
+	return newSalvageReader(newWindow(r), opts)
+}
+
+func newSalvageReader(w *window, opts SalvageOptions) (*SalvageReader, error) {
 	if opts.MaxGap <= 0 {
 		opts.MaxGap = time.Hour
 	}
-	s := &SalvageReader{
-		r:    r,
-		win:  make([]byte, salvageWindow),
-		opts: opts,
+	s := &SalvageReader{w: w, c: newCodec(opts.Format), opts: opts}
+	if opts.Format == FormatAuto {
+		// ERF has no magic, so the last resort is its record decode:
+		// one whole plausible header at byte zero.
+		w.need(erfHeaderLen)
+		b := w.buffered()
+		if s.c = newCodec(sniff(b)); s.c.format == FormatAuto {
+			s.c = newCodec(FormatERF)
+			var h recHeader
+			if st := s.c.record(b, &h); len(b) < erfHeaderLen || st == stMalformed || !s.plausible(&h) {
+				if len(b) == 0 {
+					return nil, fmt.Errorf("trace: empty input")
+				}
+				return nil, fmt.Errorf("trace: unrecognized trace format (first bytes % x)", b[:min(len(b), 8)])
+			}
+		}
 	}
-	if err := s.init(); err != nil {
+	if err := s.c.readFileHeader(w); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Meta implements Source. Like the plain pcap/ERF readers, Start is
+// Meta implements Source. Like the strict pcap/ERF readers, Start is
 // populated only after the first record for formats without a file
 // header.
-func (s *SalvageReader) Meta() Meta { return s.meta }
+func (s *SalvageReader) Meta() Meta { return s.c.meta }
 
 // Stats returns a snapshot of the decode statistics so far. Call it
 // after draining the source for the full picture.
 func (s *SalvageReader) Stats() DecodeStats { return s.stats }
 
-// buffered returns the current window contents.
-func (s *SalvageReader) buffered() []byte { return s.win[s.pos:s.end] }
-
-// fill tops the window up to capacity (or EOF/error).
-func (s *SalvageReader) fill() {
-	if s.readErr != nil {
-		return
-	}
-	if s.end == len(s.win) && s.pos > 0 {
-		copy(s.win, s.win[s.pos:s.end])
-		s.end -= s.pos
-		s.pos = 0
-	}
-	for s.end < len(s.win) {
-		n, err := s.r.Read(s.win[s.end:])
-		s.end += n
-		if err != nil {
-			s.readErr = err
-			return
-		}
-	}
-}
-
-// atEOF reports that no more bytes will arrive from the underlying
-// reader.
-func (s *SalvageReader) atEOF() bool { return s.readErr != nil }
-
-// consume discards n buffered bytes.
-func (s *SalvageReader) consume(n int) { s.pos += n }
-
-// init sniffs the format and parses the file-level header.
-func (s *SalvageReader) init() error {
-	s.fill()
-	b := s.buffered()
-	f := s.opts.Format
-	if f == FormatAuto {
-		switch {
-		case len(b) >= 4 && [4]byte(b[:4]) == nativeMagic:
-			f = FormatNative
-		case len(b) >= 4 && isPcapMagic(b):
-			f = FormatPcap
-		case s.checkERFHeader(b) != nil:
-			f = FormatERF
-		default:
-			if len(b) == 0 {
-				return fmt.Errorf("trace: empty input")
-			}
-			return fmt.Errorf("trace: unrecognized trace format (first bytes % x)", b[:min(len(b), 8)])
-		}
-	}
-	s.format = f
-	switch f {
-	case FormatNative:
-		return s.initNative()
-	case FormatPcap:
-		return s.initPcap()
-	case FormatERF:
-		s.meta = Meta{Link: "erf", SnapLen: DefaultSnapLen}
-		return nil
-	}
-	return fmt.Errorf("trace: bad salvage format %v", f)
-}
-
-func isPcapMagic(b []byte) bool {
-	le := binary.LittleEndian.Uint32(b[:4])
-	be := binary.BigEndian.Uint32(b[:4])
-	return le == pcapMagicMicros || le == pcapMagicNanos ||
-		be == pcapMagicMicros || be == pcapMagicNanos
-}
-
-func (s *SalvageReader) initNative() error {
-	b := s.buffered()
-	if len(b) < 4+14 {
-		return fmt.Errorf("trace: native header truncated")
-	}
-	if [4]byte(b[:4]) != nativeMagic {
-		return fmt.Errorf("trace: bad magic %q", b[:4])
-	}
-	version := binary.BigEndian.Uint16(b[4:6])
-	if version != nativeVersion {
-		return fmt.Errorf("trace: unsupported version %d", version)
-	}
-	snap := int(binary.BigEndian.Uint16(b[6:8]))
-	start := time.Unix(0, int64(binary.BigEndian.Uint64(b[8:16])))
-	linkLen := int(binary.BigEndian.Uint16(b[16:18]))
-	if len(b) < 18+linkLen {
-		return fmt.Errorf("trace: native header truncated in link name")
-	}
-	s.meta = Meta{
-		Link:    string(b[18 : 18+linkLen]),
-		Start:   start,
-		SnapLen: snap,
-	}
-	s.consume(18 + linkLen)
-	return nil
-}
-
-func (s *SalvageReader) initPcap() error {
-	b := s.buffered()
-	if len(b) < 24 {
-		return fmt.Errorf("trace: pcap header truncated")
-	}
-	switch {
-	case binary.LittleEndian.Uint32(b[:4]) == pcapMagicMicros:
-		s.order = binary.LittleEndian
-	case binary.LittleEndian.Uint32(b[:4]) == pcapMagicNanos:
-		s.order, s.nanores = binary.LittleEndian, true
-	case binary.BigEndian.Uint32(b[:4]) == pcapMagicMicros:
-		s.order = binary.BigEndian
-	case binary.BigEndian.Uint32(b[:4]) == pcapMagicNanos:
-		s.order, s.nanores = binary.BigEndian, true
-	default:
-		return fmt.Errorf("trace: not a pcap file (magic %#x)", binary.LittleEndian.Uint32(b[:4]))
-	}
-	if lt := s.order.Uint32(b[20:24]); lt != LinkTypeRaw {
-		return fmt.Errorf("trace: unsupported pcap link type %d (want %d, raw IP)", lt, LinkTypeRaw)
-	}
-	s.meta = Meta{
-		SnapLen: int(s.order.Uint32(b[16:20])),
-		Link:    "pcap",
-	}
-	s.consume(24)
-	return nil
-}
-
-// recHeader is the decoded, format-independent view of one record
-// header, produced by the static checks.
-type recHeader struct {
-	bodyLen int           // bytes after the fixed header
-	hdrLen  int           // fixed header length
-	off     time.Duration // native time offset
-	abs     time.Time     // pcap/erf absolute time
-	wireLen int
-	capLen  int
-	lost    int
-}
-
-// checkHeader runs the static per-format plausibility checks on the
-// record header at the start of b. It returns nil when the header is
-// implausible; it never needs more than the fixed header bytes, and
-// returns nil (not "need more") when b is shorter than that.
-func (s *SalvageReader) checkHeader(b []byte) *recHeader {
-	switch s.format {
-	case FormatNative:
-		return s.checkNativeHeader(b)
-	case FormatPcap:
-		return s.checkPcapHeader(b)
-	case FormatERF:
-		return s.checkERFHeader(b)
-	}
-	return nil
-}
-
-func (s *SalvageReader) checkNativeHeader(b []byte) *recHeader {
-	if len(b) < 12 {
-		return nil
-	}
-	h := &recHeader{
-		hdrLen:  12,
-		off:     time.Duration(binary.BigEndian.Uint64(b[0:8])),
-		wireLen: int(binary.BigEndian.Uint16(b[8:10])),
-		capLen:  int(binary.BigEndian.Uint16(b[10:12])),
-	}
+// plausible is salvage's deliberately stricter reading of a header the
+// codec has already decoded: fields a strict reader obeys are treated
+// as corruption here when no real capture would carry them.
+func (s *SalvageReader) plausible(h *recHeader) bool {
 	// wireLen must be positive: no real packet is 0 bytes on the
 	// wire, and all-zero regions would otherwise parse as endless
 	// chains of empty records.
-	if h.off < 0 || h.wireLen <= 0 || h.capLen > s.meta.SnapLen || h.capLen > h.wireLen {
-		return nil
+	if h.ts < 0 || h.fracBad || h.wireLen <= 0 {
+		return false
 	}
-	h.bodyLen = h.capLen
-	return h
-}
-
-func (s *SalvageReader) checkPcapHeader(b []byte) *recHeader {
-	if len(b) < 16 {
-		return nil
+	switch s.c.format {
+	case FormatPcap:
+		snap := s.c.meta.SnapLen
+		return h.capLen() <= h.wireLen && h.wireLen <= maxPcapCapLen && (snap <= 0 || h.capLen() <= snap)
+	case FormatERF:
+		// No caplen <= wirelen rule: DAG cards pad rlen to a multiple
+		// of eight, so intact records carry a few bytes more than wlen.
+		return h.size <= erfMaxRlen
 	}
-	sec := int64(s.order.Uint32(b[0:4]))
-	sub := int64(s.order.Uint32(b[4:8]))
-	if s.nanores {
-		if sub >= 1_000_000_000 {
-			return nil
-		}
-	} else {
-		if sub >= 1_000_000 {
-			return nil
-		}
-		sub *= 1000
-	}
-	h := &recHeader{
-		hdrLen:  16,
-		abs:     time.Unix(sec, sub),
-		capLen:  int(s.order.Uint32(b[8:12])),
-		wireLen: int(s.order.Uint32(b[12:16])),
-	}
-	lim := s.meta.SnapLen
-	if lim <= 0 {
-		lim = maxPcapCapLen
-	}
-	if h.wireLen <= 0 || h.capLen > lim || h.capLen > maxPcapCapLen || h.capLen > h.wireLen || h.wireLen > maxPcapCapLen {
-		return nil
-	}
-	h.bodyLen = h.capLen
-	return h
-}
-
-func (s *SalvageReader) checkERFHeader(b []byte) *recHeader {
-	if len(b) < erfHeaderLen {
-		return nil
-	}
-	if b[8] != erfTypeHDLCPOS {
-		return nil
-	}
-	rlen := int(binary.BigEndian.Uint16(b[10:12]))
-	if rlen < erfHeaderLen+hdlcHeaderLen || rlen > erfMaxRlen {
-		return nil
-	}
-	ts := binary.LittleEndian.Uint64(b[0:8])
-	sec := int64(ts >> 32)
-	nsec := int64((ts & 0xffffffff) * 1_000_000_000 >> 32)
-	h := &recHeader{
-		hdrLen:  erfHeaderLen,
-		abs:     time.Unix(sec, nsec),
-		bodyLen: rlen - erfHeaderLen,
-		capLen:  rlen - erfHeaderLen - hdlcHeaderLen,
-		wireLen: int(binary.BigEndian.Uint16(b[14:16])) - hdlcHeaderLen,
-		lost:    int(binary.BigEndian.Uint16(b[12:14])),
-	}
-	if h.wireLen <= 0 {
-		return nil
-	}
-	return h
+	return h.capLen() <= h.wireLen
 }
 
 // timePlausible checks a record's timestamp against the last good
@@ -433,52 +175,16 @@ func (s *SalvageReader) checkERFHeader(b []byte) *recHeader {
 // epoch-based timestamps cover their whole u32 range), so the
 // lookahead check alone must carry the first resync.
 func (s *SalvageReader) timePlausible(h *recHeader) bool {
-	if s.format == FormatNative {
-		return h.off >= s.lastOff && h.off-s.lastOff <= s.opts.MaxGap
-	}
-	if !s.started {
+	if !s.c.started {
 		return true
 	}
-	return !h.abs.Before(s.lastAbs) && h.abs.Sub(s.lastAbs) <= s.opts.MaxGap
+	return h.ts >= s.last && h.ts-s.last <= int64(s.opts.MaxGap)
 }
 
-// hdrLen returns the fixed record header length for the format.
-func (s *SalvageReader) hdrLen() int {
-	switch s.format {
-	case FormatPcap, FormatERF:
-		return 16
-	default:
-		return 12
-	}
-}
-
-// finish converts a validated header plus body bytes into a Record
-// and advances the timestamp state.
-func (s *SalvageReader) finish(h *recHeader, body []byte) Record {
-	rec := Record{
-		WireLen: h.wireLen,
-		Lost:    h.lost,
-	}
-	if s.format == FormatERF {
-		body = body[hdlcHeaderLen:]
-	}
-	rec.Data = append([]byte(nil), body...)
-	if rec.WireLen < len(rec.Data) {
-		rec.WireLen = len(rec.Data)
-	}
-	if s.format == FormatNative {
-		rec.Time = h.off
-		s.prevOff, s.lastOff = s.lastOff, h.off
-	} else {
-		if !s.started {
-			s.started = true
-			s.startAbs = h.abs
-			s.meta.Start = h.abs
-		}
-		rec.Time = h.abs.Sub(s.startAbs)
-		s.prevAbs, s.lastAbs = s.lastAbs, h.abs
-	}
-	return rec
+// skip discards n bytes of a corrupt region.
+func (s *SalvageReader) skip(n int) {
+	s.w.consume(n)
+	s.stats.BytesSkipped += int64(n)
 }
 
 // Next implements Source. Decode errors are consumed internally
@@ -487,54 +193,42 @@ func (s *SalvageReader) finish(h *recHeader, body []byte) Record {
 // ErrErrorBudget.
 func (s *SalvageReader) Next() (Record, error) {
 	for {
-		if s.end-s.pos < salvageWindow {
-			s.fill()
-		}
-		b := s.buffered()
-		if len(b) == 0 {
-			if s.readErr != nil && s.readErr != io.EOF {
-				return Record{}, fmt.Errorf("trace: salvage read: %w", s.readErr)
+		if !s.w.need(s.c.recHdr) {
+			n := len(s.w.buffered())
+			switch {
+			case n > 0:
+				// Partial header at EOF: truncated tail.
+				return Record{}, s.truncatedTail(n)
+			case s.w.err != io.EOF:
+				return Record{}, fmt.Errorf("trace: salvage read: %w", s.w.err)
 			}
 			return Record{}, io.EOF
 		}
-
-		h := s.checkHeader(b)
-		switch {
-		case h == nil && len(b) < s.hdrLen() && !s.atEOF():
-			continue // short window, more coming
-		case h == nil && len(b) < s.hdrLen():
-			// Partial header at EOF: truncated tail.
-			return Record{}, s.truncatedTail(len(b))
-		case h == nil:
+		var h recHeader
+		st := s.c.record(s.w.buffered(), &h)
+		if st == stMalformed || !s.plausible(&h) {
 			// Implausible header: corruption. Skip a byte and scan.
 			if err := s.beginRegion(); err != nil {
 				return Record{}, err
 			}
-			s.consume(1)
-			s.stats.BytesSkipped++
+			s.skip(1)
 			continue
 		}
-
-		if len(b) < h.hdrLen+h.bodyLen {
-			if !s.atEOF() {
-				continue // record larger than buffered bytes; cannot exceed window by construction
-			}
+		if !s.w.need(h.size) {
 			// A record (or resync candidate) the file ends inside of.
-			return Record{}, s.truncatedTail(len(b))
+			return Record{}, s.truncatedTail(len(s.w.buffered()))
 		}
 
 		if s.syncing {
 			// Validate the candidate: plausible timestamp and a
 			// plausible next header (or clean end of file).
-			if !s.timePlausible(h) || !s.lookaheadOK(b, h.hdrLen+h.bodyLen) {
-				s.consume(1)
-				s.stats.BytesSkipped++
+			if !s.timePlausible(&h) || !s.lookaheadOK(h.size) {
+				s.skip(1)
 				continue
 			}
 			s.syncing = false
-			s.resynced = true
 			s.stats.Resyncs++
-		} else if !s.timePlausible(h) {
+		} else if !s.timePlausible(&h) {
 			// A timestamp running backwards (or jumping implausibly
 			// far forward) mid-stream means header bytes were damaged
 			// — either in this record or in the one before it (whose
@@ -548,10 +242,10 @@ func (s *SalvageReader) Next() (Record, error) {
 			continue
 		}
 
-		rec := s.finish(h, b[h.hdrLen:h.hdrLen+h.bodyLen])
-		s.consume(h.hdrLen + h.bodyLen)
+		rec := s.c.deliver(&h, s.w)
+		s.prev, s.last = s.last, h.ts
 		s.stats.Records++
-		if s.resynced {
+		if s.stats.Resyncs > 0 {
 			s.stats.Salvaged++
 		}
 		if rec.Lost > 0 {
@@ -562,19 +256,17 @@ func (s *SalvageReader) Next() (Record, error) {
 	}
 }
 
-// lookaheadOK confirms that the bytes immediately after a resync
-// candidate hold another plausible record header (or the file ends).
-func (s *SalvageReader) lookaheadOK(b []byte, n int) bool {
-	rest := b[n:]
-	if len(rest) == 0 {
-		return s.atEOF()
+// lookaheadOK confirms that the bytes immediately after an n-byte
+// resync candidate hold another plausible record header. A file that
+// ends before one whole header also passes: nothing contradicts the
+// candidate, and a stub after it becomes the truncated tail.
+func (s *SalvageReader) lookaheadOK(n int) bool {
+	if !s.w.need(n + s.c.recHdr) {
+		return true
 	}
-	if len(rest) < s.hdrLen() {
-		// Too short to judge; accept only if the file ends here (the
-		// stub becomes a truncated tail).
-		return s.atEOF()
-	}
-	return s.checkHeader(rest) != nil
+	var h recHeader
+	st := s.c.record(s.w.buffered()[n:], &h)
+	return st != stMalformed && s.plausible(&h)
 }
 
 // beginRegion opens a corrupt region (idempotent while scanning):
@@ -590,8 +282,7 @@ func (s *SalvageReader) beginRegion() error {
 	// fewer than two records decoded there is no confirmed
 	// predecessor; keep the anchor as-is.)
 	if s.stats.Records >= 2 {
-		s.lastOff = s.prevOff
-		s.lastAbs = s.prevAbs
+		s.last = s.prev
 	}
 	s.stats.Errors++
 	if s.opts.MaxErrors > 0 && s.stats.Errors > s.opts.MaxErrors {
@@ -605,7 +296,6 @@ func (s *SalvageReader) beginRegion() error {
 // record and ends the stream.
 func (s *SalvageReader) truncatedTail(n int) error {
 	s.stats.TruncatedTail = true
-	s.stats.BytesSkipped += int64(n)
-	s.consume(n)
+	s.skip(n)
 	return io.EOF
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -55,26 +54,33 @@ type TailOptions struct {
 // offset resumes exactly where it stopped.
 //
 // The reader detects the two ways a live file can change under it:
-// truncation (size drops below the consumed offset — ErrTailTruncated)
+// truncation (size drops below what has been read — ErrTailTruncated)
 // and rotation (the path names a new inode — the old file is drained
-// to its final record first, then ErrTailRotated). Reads use ReadAt
-// against remembered offsets, so a concurrent writer appending to the
-// same file is safe.
+// to its final record first, then ErrTailRotated). Both checks run
+// before every attempt at a record, and the window reads no further
+// than the record being decoded (window.exact), so the reader's I/O is
+// what it was before the shared window: two stats and two positioned
+// reads per record. Checking once per 64 KiB read-ahead instead is a
+// throughput change of its own (ROADMAP item 3(a)) and is kept out of
+// the refactor that introduced the window. The window is fed by ReadAt
+// at a remembered offset, so a concurrent writer appending to the same
+// file is safe.
 type TailReader struct {
 	path string
 	f    *os.File
 	opts TailOptions
 
-	meta      Meta
-	headerLen int64
-	hdrDone   bool
+	w       *window
+	c       codec
+	hdrDone bool
 
-	off  atomic.Int64 // next unread byte
+	off  atomic.Int64 // next undelivered byte
 	n    atomic.Int64 // records delivered
 	size atomic.Int64 // last observed file size
 
-	lastTime time.Duration
-	poll     *resil.Retrier
+	readOff int64 // next unread byte: off plus what the window holds
+	last    int64 // newest delivered record's timestamp
+	poll    *resil.Retrier
 }
 
 // OpenTail opens path for tailing. The file must exist, but may still
@@ -100,12 +106,19 @@ func OpenTail(path string, opts TailOptions) (*TailReader, error) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(path))
-	return &TailReader{path: path, f: f, opts: opts, poll: resil.NewRetrier(pol, h.Sum64())}, nil
+	t := &TailReader{
+		path: path, f: f, opts: opts,
+		c:    newCodec(FormatNative),
+		poll: resil.NewRetrier(pol, h.Sum64()),
+	}
+	t.w = newWindow(tailSource{t})
+	t.w.exact = true
+	return t, nil
 }
 
 // Meta returns the trace metadata. Before the header has been read
 // (no Next call has succeeded yet) it returns the zero Meta.
-func (t *TailReader) Meta() Meta { return t.meta }
+func (t *TailReader) Meta() Meta { return t.c.meta }
 
 // Offset returns the byte offset consumed so far (safe concurrently).
 func (t *TailReader) Offset() int64 { return t.off.Load() }
@@ -142,78 +155,6 @@ func (t *TailReader) SetIdleTimeout(d time.Duration) time.Duration {
 // Close releases the file handle.
 func (t *TailReader) Close() error { return t.f.Close() }
 
-// readAt fills p from offset off, reporting whether the file holds
-// that many bytes yet. A short read at EOF is "not yet", not an error.
-func (t *TailReader) readAt(p []byte, off int64) (complete bool, err error) {
-	n, err := t.f.ReadAt(p, off)
-	if n == len(p) {
-		return true, nil
-	}
-	if err == nil || errors.Is(err, io.EOF) {
-		return false, nil
-	}
-	return false, err
-}
-
-// parseHeader attempts to read the native file header, returning false
-// while the writer has not finished it yet.
-func (t *TailReader) parseHeader() (bool, error) {
-	var fixed [18]byte
-	ok, err := t.readAt(fixed[:], 0)
-	if err != nil || !ok {
-		return false, err
-	}
-	if [4]byte(fixed[0:4]) != nativeMagic {
-		return false, fmt.Errorf("trace: tail %s: bad magic %q", t.path, fixed[0:4])
-	}
-	if v := binary.BigEndian.Uint16(fixed[4:6]); v != nativeVersion {
-		return false, fmt.Errorf("trace: tail %s: unsupported version %d", t.path, v)
-	}
-	snapLen := int(binary.BigEndian.Uint16(fixed[6:8]))
-	start := time.Unix(0, int64(binary.BigEndian.Uint64(fixed[8:16])))
-	linkLen := int64(binary.BigEndian.Uint16(fixed[16:18]))
-	link := make([]byte, linkLen)
-	if ok, err = t.readAt(link, 18); err != nil || !ok {
-		return false, err
-	}
-	t.meta = Meta{Link: string(link), Start: start, SnapLen: snapLen}
-	t.headerLen = 18 + linkLen
-	t.off.Store(t.headerLen)
-	t.hdrDone = true
-	return true, nil
-}
-
-// tryRecord attempts to read one complete record at the current
-// offset, returning ok=false while the file does not hold it in full.
-func (t *TailReader) tryRecord() (Record, bool, error) {
-	off := t.off.Load()
-	var hdr [12]byte
-	ok, err := t.readAt(hdr[:], off)
-	if err != nil || !ok {
-		return Record{}, false, err
-	}
-	rec := Record{
-		Time:    time.Duration(binary.BigEndian.Uint64(hdr[0:8])),
-		WireLen: int(binary.BigEndian.Uint16(hdr[8:10])),
-	}
-	capLen := int(binary.BigEndian.Uint16(hdr[10:12]))
-	if capLen > t.meta.SnapLen {
-		return Record{}, false, fmt.Errorf("trace: tail %s: record caplen %d exceeds snaplen %d", t.path, capLen, t.meta.SnapLen)
-	}
-	rec.Data = make([]byte, capLen)
-	if ok, err = t.readAt(rec.Data, off+12); err != nil || !ok {
-		return Record{}, false, err
-	}
-	if rec.Time < t.lastTime {
-		return Record{}, false, fmt.Errorf("trace: tail %s: record %d goes back in time (%v < %v)",
-			t.path, t.n.Load(), rec.Time, t.lastTime)
-	}
-	t.lastTime = rec.Time
-	t.off.Store(off + 12 + int64(capLen))
-	t.n.Add(1)
-	return rec, true, nil
-}
-
 // checkFile refreshes the observed size and detects truncation and
 // rotation. rotated means the path now names a different file; the
 // current file may still hold undelivered records.
@@ -223,17 +164,32 @@ func (t *TailReader) checkFile() (rotated bool, err error) {
 		return false, err
 	}
 	t.size.Store(st.Size())
-	if st.Size() < t.off.Load() {
+	// Bytes of a half-written record may be buffered past the consumed
+	// offset; a file shorter than what was read is no longer the file
+	// they came from.
+	if st.Size() < t.readOff {
 		return false, ErrTailTruncated
 	}
+	// A path that vanished (rotation in progress, or the writer is
+	// gone) counts as rotated: keep draining the open handle; the caller
+	// sees ErrTailRotated once the drain catches up.
 	pst, err := os.Stat(t.path)
-	if err != nil {
-		// The path vanished (rotation in progress, or the writer is
-		// gone): keep draining the open handle; the caller sees
-		// ErrTailRotated once the drain catches up.
-		return true, nil
+	return err != nil || !os.SameFile(st, pst), nil
+}
+
+// tailSource feeds the window of a TailReader, reading on from where
+// the last read stopped.
+type tailSource struct{ t *TailReader }
+
+func (s tailSource) Read(p []byte) (int, error) {
+	t := s.t
+	n, err := t.f.ReadAt(p, t.readOff)
+	// The read can run past the size last observed when the writer is
+	// appending; Size never lags what has been buffered.
+	if t.readOff += int64(n); t.readOff > t.size.Load() {
+		t.size.Store(t.readOff)
 	}
-	return !os.SameFile(st, pst), nil
+	return n, err
 }
 
 // Next returns the next complete record, blocking until one is
@@ -251,32 +207,40 @@ func (t *TailReader) Next(ctx context.Context) (Record, error) {
 		if err != nil {
 			return Record{}, err
 		}
-		if !t.hdrDone {
-			ok, err := t.parseHeader()
-			if err != nil {
-				return Record{}, err
+		var h recHeader
+		switch st := t.c.pull(t.w, !t.hdrDone, &h); {
+		case st == stMalformed:
+			return Record{}, fmt.Errorf("trace: tail %s: %w", t.path, t.c.malformedErr(&h))
+		case st == stNeedMore:
+			// The end of a growing file is "not yet"; a failed read is
+			// permanent.
+			if t.w.err != io.EOF {
+				return Record{}, t.w.err
 			}
-			if !ok {
-				goto wait
+			if rotated {
+				return Record{}, ErrTailRotated
 			}
-		}
-		if rec, ok, err := t.tryRecord(); err != nil {
-			return Record{}, err
-		} else if ok {
+			if t.opts.IdleTimeout > 0 && time.Since(idleSince) >= t.opts.IdleTimeout {
+				return Record{}, ErrTailIdle
+			}
+			select {
+			case <-ctx.Done():
+				return Record{}, ctx.Err()
+			case <-time.After(t.poll.Next()):
+			}
+		case !t.hdrDone:
+			t.w.consume(h.size)
+			t.off.Store(int64(h.size))
+			t.hdrDone = true
+		case h.ts < t.last:
+			return Record{}, fmt.Errorf("trace: tail %s: record %d goes back in time (%v < %v)",
+				t.path, t.n.Load(), time.Duration(h.ts), time.Duration(t.last))
+		default:
+			t.last = h.ts
+			t.off.Add(int64(h.size))
+			t.n.Add(1)
 			t.poll.Reset()
-			return rec, nil
-		}
-		if rotated {
-			return Record{}, ErrTailRotated
-		}
-	wait:
-		if t.opts.IdleTimeout > 0 && time.Since(idleSince) >= t.opts.IdleTimeout {
-			return Record{}, ErrTailIdle
-		}
-		select {
-		case <-ctx.Done():
-			return Record{}, ctx.Err()
-		case <-time.After(t.poll.Next()):
+			return t.c.deliver(&h, t.w), nil
 		}
 	}
 }

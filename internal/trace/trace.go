@@ -1,7 +1,14 @@
 // Package trace defines the packet-trace record model used throughout
-// loopscope and implements two on-disk formats: a compact native
-// format and the classic libpcap format (LINKTYPE_RAW, so records are
-// bare IPv4 packets, matching the IP-header-only traces in the paper).
+// loopscope and implements three on-disk formats: a compact native
+// format, the classic libpcap format (LINKTYPE_RAW, so records are
+// bare IPv4 packets, matching the IP-header-only traces in the paper)
+// and ERF, the format the paper's DAG cards wrote.
+//
+// Writing is one Writer per format (native.go, pcap.go, erf.go).
+// Reading is one codec (codec.go: the only code that decodes an
+// on-disk field, and the table of input rules) and one byte window
+// (window.go) under three policies: the strict Reader, the
+// SalvageReader for damaged files and the TailReader for growing ones.
 //
 // A trace is a time-ordered sequence of Records captured on a single
 // unidirectional link. Like the Sprint traces the paper analyses,
