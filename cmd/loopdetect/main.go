@@ -636,9 +636,11 @@ func run(path string, cfg core.Config, showStreams, showLoops bool) error {
 // readAll drains a source, returning whatever was read before any
 // error alongside the error itself. A SIGINT ends the read early and
 // cleanly: the records so far are returned with no error, and main
-// turns the run into exit status 3.
-func readAll(src trace.Source) ([]trace.Record, error) {
-	var recs []trace.Record
+// turns the run into exit status 3. atLeast sizes the slice up front
+// (see recordsAtLeast); a million-record trace otherwise regrows and
+// copies it some forty times.
+func readAll(src trace.Source, atLeast int) ([]trace.Record, error) {
+	recs := make([]trace.Record, 0, atLeast)
 	for {
 		if interrupted.Load() {
 			return recs, nil
@@ -652,6 +654,32 @@ func readAll(src trace.Source) ([]trace.Record, error) {
 		}
 		recs = append(recs, r)
 	}
+}
+
+// recordsAtLeast returns a number of records the trace at path is sure
+// to hold, or 0 where nothing is sure. Only a plain native file read
+// strictly qualifies: there the reader refuses a capture longer than
+// the header's snaplen, so no record takes more than a record header
+// plus snaplen bytes. A gzipped file hides its length, pcap's snaplen
+// is advisory, ERF has none, and salvage skips bytes that hold no
+// record.
+func recordsAtLeast(path string) int {
+	const fileHdr, recHdr = 18, 12 // the native format's fixed parts, see internal/trace/native.go
+	st, err := os.Stat(path)
+	if err != nil || !st.Mode().IsRegular() || salvageMode || traceFormat == "erf" {
+		return 0
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f) // fails on anything but a native header
+	if err != nil {
+		return 0
+	}
+	m := r.Meta()
+	return max(0, int(st.Size())-fileHdr-len(m.Link)) / (recHdr + m.SnapLen)
 }
 
 // loadRecords opens a trace and reads it into memory, applying the
@@ -669,7 +697,7 @@ func loadRecords(path string) ([]trace.Record, trace.Meta, *trace.DecodeStats, e
 	}
 	defer trace.CloseSource(src)
 	sp := reg.StartSpan("read")
-	recs, err := readAll(src)
+	recs, err := readAll(src, recordsAtLeast(path))
 	sp.End()
 	if err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) && len(recs) > 0 {

@@ -107,7 +107,7 @@ func TestOpenTraceVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer trace.CloseSource(src)
-			recs, err := readAll(src)
+			recs, err := readAll(src, recordsAtLeast(path))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,4 +492,72 @@ func TestOpenTraceRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	_ = packet.Addr{}
+}
+
+// TestRecordsAtLeast: the pre-sizing hint is exact on a plain native
+// file of full snapshots (so readAll never regrows), a lower bound when
+// captures are shorter, and absent wherever record length is not
+// bounded by the file's own header.
+func TestRecordsAtLeast(t *testing.T) {
+	dir := t.TempDir()
+	native := filepath.Join(dir, "native")
+	n := writeTestTrace(t, native, false, false)
+	if got := recordsAtLeast(native); got != n {
+		t.Errorf("native file of %d full snapshots: hint %d", n, got)
+	}
+
+	// The same packets cut to 28 bytes in a file that allows 40.
+	short := filepath.Join(dir, "short")
+	f, err := os.Create(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := trace.NewWriter(f, trace.Meta{Link: "a rather long link name, longer than a record", SnapLen: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := openTrace(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.CloseSource(src)
+	recs, err := readAll(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		r.Data = r.Data[:28]
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recordsAtLeast(short); got <= 0 || got > n {
+		t.Errorf("native file of %d short snapshots: hint %d, want in (0, %d]", n, got, n)
+	}
+
+	for _, c := range []struct {
+		name    string
+		gz, erf bool
+		set     func()
+	}{
+		{"gzip", true, false, func() {}},
+		{"erf", false, true, func() { traceFormat = "erf" }},
+		{"salvage", false, false, func() { salvageMode = true }},
+	} {
+		path := filepath.Join(dir, c.name)
+		writeTestTrace(t, path, c.gz, c.erf)
+		c.set()
+		got := recordsAtLeast(path)
+		traceFormat, salvageMode = "auto", false
+		if got != 0 {
+			t.Errorf("%s: hint %d, want none", c.name, got)
+		}
+	}
+	if got := recordsAtLeast("-"); got != 0 {
+		t.Errorf("stdin: hint %d, want none", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -53,10 +54,20 @@ type Detector struct {
 	// per-packet state.
 	loops []*Loop
 
-	// active indexes open builders by the hash of their masked bytes;
-	// colliding builders chain through builder.chain.
-	active   map[uint64]*builder
-	byPrefix map[routing.Prefix]*prefixState
+	// active indexes open builders by replicaKey.index; builders whose
+	// keys collide there chain through builder.chain. The map holds a
+	// word, not the 56-byte key: inline keys quadruple the table, and an
+	// entry is looked up on arrival and deleted MaxReplicaGap later, by
+	// which time it has left every cache.
+	active map[uint64]*builder
+	seed   uint64
+	// byPrefix is keyed by the destination address masked to PrefixBits.
+	byPrefix   map[uint32]*prefixState
+	prefixMask uint32
+	// free recycles closed builders through builder.chain, so a warm
+	// detector starts a stream without allocating. It never holds more
+	// than the peak number of live builders.
+	free *builder
 
 	// live threads every open builder in order of last activity, head
 	// stalest. It is both the expiry queue (a stream with no replica
@@ -93,11 +104,19 @@ type StreamDetector = Detector
 
 // builder accumulates one replica stream while it is open.
 type builder struct {
-	masked   []byte
-	hash     uint64
-	chain    *builder // next open builder with the same hash
-	ps       *prefixState
-	summary  PacketSummary
+	key replicaKey
+	// rest copies the captured bytes past keyBytes, which the key only
+	// hashes; empty for the paper's 40-byte snapshots.
+	rest  []byte
+	index uint64
+	chain *builder // next open builder with the same index
+	ps    *prefixState
+	// replicas starts out as first[:], so the first observation lives in
+	// the builder; the append of a second replica, which over 99.9 % of
+	// packets never get, moves it to an array of its own. A published
+	// slice holds MinReplicas >= 2 replicas, so it is never the inline
+	// one, and recycling the builder cannot reach it.
+	first    [1]Replica
 	replicas []Replica
 	// firstEntry and moreEntries locate every observation of this
 	// packet — replicas and link-layer duplicates — in ps.entries by
@@ -112,8 +131,10 @@ type builder struct {
 	lastTime time.Duration
 	// frOpen marks that a stream-open flight event was recorded (lazy:
 	// nothing is recorded until the second replica, so non-looping
-	// traffic never touches the recorder).
+	// traffic never touches the recorder) and that stream, the events'
+	// stream ID, has been computed.
 	frOpen bool
+	stream uint64
 	links  [2]blink
 }
 
@@ -251,11 +272,13 @@ func NewStreamDetector(cfg Config, emit func(*Loop)) *Detector {
 		panic(err)
 	}
 	return &Detector{
-		cfg:      cfg,
-		emit:     emit,
-		active:   make(map[uint64]*builder),
-		byPrefix: make(map[routing.Prefix]*prefixState),
-		live:     blist{which: byActivity},
+		cfg:        cfg,
+		emit:       emit,
+		active:     make(map[uint64]*builder),
+		seed:       rand.Uint64(),
+		byPrefix:   make(map[uint32]*prefixState),
+		prefixMask: ^uint32(0) << (32 - cfg.PrefixBits),
+		live:       blist{which: byActivity},
 	}
 }
 
@@ -263,11 +286,12 @@ func NewStreamDetector(cfg Config, emit func(*Loop)) *Detector {
 // Observe; a nil shard (the default) keeps recording disabled.
 func (d *Detector) SetFlight(sr *flight.ShardRecorder) { d.fr = sr }
 
-func (d *Detector) state(p routing.Prefix) *prefixState {
-	ps := d.byPrefix[p]
+func (d *Detector) state(dst packet.Addr) *prefixState {
+	net := dst.Uint32() & d.prefixMask
+	ps := d.byPrefix[net]
 	if ps == nil {
-		ps = &prefixState{prefix: p, open: blist{which: byCreation}}
-		d.byPrefix[p] = ps
+		ps = &prefixState{prefix: routing.PrefixOf(dst, d.cfg.PrefixBits), open: blist{which: byCreation}}
+		d.byPrefix[net] = ps
 	}
 	return ps
 }
@@ -287,22 +311,25 @@ func (d *Detector) Observe(rec trace.Record) {
 		d.lastAdvance = rec.Time
 	}
 
-	pkt, err := packet.Decode(rec.Data)
+	// The IP header is all a first observation needs, and every error
+	// packet.Decode returns is DecodeIPv4's; the transport half is read
+	// when a stream is published (summarize).
+	ip, err := packet.DecodeIPv4(rec.Data)
 	if err != nil {
 		d.parseErrors++
 		return
 	}
-	ps := d.state(routing.PrefixOf(pkt.IP.Dst, d.cfg.PrefixBits))
-	masked := maskReplica(rec.Data)
-	h := fnv64a(masked)
-	rep := Replica{Time: rec.Time, TTL: pkt.IP.TTL, Index: idx}
+	ps := d.state(ip.Dst)
+	key, rest := keyOf(rec.Data)
+	h := key.index(d.seed)
+	rep := Replica{Time: rec.Time, TTL: ip.TTL, Index: idx}
 
 	match := d.active[h]
-	for match != nil && !bytes.Equal(match.masked, masked) {
+	for match != nil && !(match.key == key && bytes.Equal(match.rest, rest)) {
 		match = match.chain
 	}
 	if match == nil {
-		d.startBuilder(ps, h, masked, &pkt, rep)
+		d.startBuilder(ps, h, &key, rest, rep)
 		return
 	}
 	switch delta := int(match.lastTTL) - int(rep.TTL); {
@@ -320,14 +347,14 @@ func (d *Detector) Observe(rec trace.Record) {
 		d.touch(match, rep)
 		if match.frOpen && d.fr.SampleReplica(len(match.moreEntries)+1-len(match.replicas)) {
 			d.fr.Record(flight.Event{Time: rec.Time, Kind: flight.KindDuplicate,
-				Prefix: ps.prefix, Stream: match.hash, TTL: rep.TTL, Delta: delta})
+				Prefix: ps.prefix, Stream: match.stream, TTL: rep.TTL, Delta: delta})
 		}
 	default:
 		// TTL went back up: a reappearance of the original packet
 		// (e.g. an identical retransmission through a middlebox).
 		// Close the old stream and start a new one.
 		d.close(match, flight.ReasonTTLRise)
-		d.startBuilder(ps, h, masked, &pkt, rep)
+		d.startBuilder(ps, h, &key, rest, rep)
 	}
 }
 
@@ -336,21 +363,21 @@ func (d *Detector) Observe(rec trace.Record) {
 // and, having no chance of ever becoming a member, is not retained in
 // the prefix window either: a non-member entry would invalidate every
 // genuine stream overlapping it (step 2).
-func (d *Detector) startBuilder(ps *prefixState, h uint64, masked []byte, pkt *packet.Packet, rep Replica) {
+func (d *Detector) startBuilder(ps *prefixState, h uint64, key *replicaKey, rest []byte, rep Replica) {
 	if !d.admitStream() {
 		return
 	}
-	b := &builder{
-		masked:     masked,
-		hash:       h,
-		chain:      d.active[h],
-		ps:         ps,
-		summary:    summarize(pkt),
-		replicas:   []Replica{rep},
-		firstEntry: ps.add(rep.Time),
-		lastTTL:    rep.TTL,
-		lastTime:   rep.Time,
+	b := d.free
+	if b == nil {
+		b = new(builder)
+	} else {
+		d.free = b.chain
 	}
+	b.key, b.rest = *key, append([]byte(nil), rest...) // a copy, or nil: never a hold on the record's array
+	b.index, b.chain = h, d.active[h]
+	b.first[0], b.replicas = rep, b.first[:]
+	b.ps, b.firstEntry = ps, ps.add(rep.Time)
+	b.lastTTL, b.lastTime = rep.TTL, rep.Time
 	d.active[h] = b
 	ps.open.pushBack(b)
 	d.live.pushBack(b)
@@ -369,14 +396,16 @@ func (d *Detector) touch(b *builder, rep Replica) {
 	}
 }
 
-// close flushes an open builder and drops it from every index.
+// close flushes an open builder, drops it from every index and, unless
+// the flush queued it as a loop candidate (advance recycles those),
+// recycles it.
 func (d *Detector) close(b *builder, why flight.Reason) {
-	d.flush(b, why)
-	if p := d.active[b.hash]; p == b {
+	queued := d.flush(b, why)
+	if p := d.active[b.index]; p == b {
 		if b.chain == nil {
-			delete(d.active, b.hash)
+			delete(d.active, b.index)
 		} else {
-			d.active[b.hash] = b.chain
+			d.active[b.index] = b.chain
 		}
 	} else {
 		for p.chain != b {
@@ -388,6 +417,19 @@ func (d *Detector) close(b *builder, why flight.Reason) {
 	b.ps.open.remove(b)
 	d.live.remove(b)
 	d.liveBuilders--
+	if !queued {
+		d.recycle(b)
+	}
+}
+
+// recycle puts a builder nothing refers to any more on the free list,
+// zeroed. It keeps no buffer: replicas may by now belong to a published
+// stream, and the entry list of a long stream, kept, would end up pinned
+// under most of the pool (measured: 3 MiB on a daemon over the loopstorm
+// bench file) for no measurable speed.
+func (d *Detector) recycle(b *builder) {
+	*b = builder{chain: d.free}
+	d.free = b
 }
 
 // expire closes builders whose last observation is older than
@@ -402,14 +444,16 @@ func (d *Detector) expire() {
 // the stream's flight record on its second replica.
 func (d *Detector) frExtend(b *builder, rep Replica, delta int) {
 	if !b.frOpen {
-		b.frOpen = true
+		// The stream ID has always been this hash of the masked bytes,
+		// and trails and exemplars are compared across versions.
+		b.frOpen, b.stream = true, fnv64a(b.key.masked(b.rest))
 		first := b.replicas[0]
 		d.fr.Record(flight.Event{Time: first.Time, Kind: flight.KindStreamOpen,
-			Prefix: b.ps.prefix, Stream: b.hash, TTL: first.TTL})
+			Prefix: b.ps.prefix, Stream: b.stream, TTL: first.TTL})
 	}
 	if n := len(b.replicas); d.fr.SampleReplica(n) {
 		d.fr.Record(flight.Event{Time: rep.Time, Kind: flight.KindReplica,
-			Prefix: b.ps.prefix, Stream: b.hash, TTL: rep.TTL, Delta: delta, Count: n})
+			Prefix: b.ps.prefix, Stream: b.stream, TTL: rep.TTL, Delta: delta, Count: n})
 	}
 }
 
@@ -418,18 +462,19 @@ func (d *Detector) frExtend(b *builder, rep Replica, delta int) {
 func (d *Detector) note(b *builder, at time.Duration, kind flight.Kind, why flight.Reason) {
 	if b.frOpen {
 		d.fr.Record(flight.Event{Time: at, Kind: kind, Reason: why,
-			Prefix: b.ps.prefix, Stream: b.hash, Count: len(b.replicas)})
+			Prefix: b.ps.prefix, Stream: b.stream, Count: len(b.replicas)})
 	}
 }
 
 // flush settles a closing builder: single observations vanish, pairs
 // are counted as link-layer duplicates, larger sets make their packets
-// members and, from MinReplicas up, queue as loop candidates.
-func (d *Detector) flush(b *builder, why flight.Reason) {
+// members and, from MinReplicas up, queue as loop candidates, which
+// flush reports.
+func (d *Detector) flush(b *builder, why flight.Reason) (queued bool) {
 	n := len(b.replicas)
 	d.note(b, b.lastTime, flight.KindStreamClose, why)
 	if n < d.cfg.MemberReplicas {
-		return
+		return false
 	}
 	if n == 2 {
 		d.pairs++
@@ -447,10 +492,11 @@ func (d *Detector) flush(b *builder, why flight.Reason) {
 			why = flight.ReasonPairDiscarded
 		}
 		d.note(b, b.start(), flight.KindReject, why)
-		return
+		return false
 	}
 	d.note(b, b.start(), flight.KindCandidate, flight.ReasonNone)
 	ps.pending = append(ps.pending, b)
+	return true
 }
 
 // advanceAll makes progress on validation, folding and emission for
@@ -498,12 +544,15 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 		if d.cfg.ValidateSubnet && !ps.clean(b.start(), b.end()) {
 			d.subnetInval++
 			d.note(b, b.start(), flight.KindReject, flight.ReasonSubnetInvalidated)
+			d.recycle(b)
 			continue
 		}
 		d.note(b, b.start(), flight.KindValidated, flight.ReasonNone)
-		s := &ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: b.replicas, Summary: b.summary}
+		s := &ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: b.replicas,
+			Summary: summarize(b.key.masked(b.rest))}
 		d.streams++
 		d.looped += len(b.replicas)
+		d.recycle(b) // the stream owns the replicas now
 		i := sort.Search(len(ps.validated), func(i int) bool { return streamLess(s, ps.validated[i]) })
 		ps.validated = append(ps.validated, nil)
 		copy(ps.validated[i+1:], ps.validated[i:])
@@ -600,7 +649,7 @@ func (d *Detector) evict(ps *prefixState) {
 	d.peakEntries = max(d.peakEntries, len(ps.entries))
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
 		len(ps.validated) == 0 && ps.open.head == nil && ps.loop == nil {
-		delete(d.byPrefix, ps.prefix)
+		delete(d.byPrefix, ps.prefix.Addr.Uint32())
 	}
 }
 

@@ -89,7 +89,7 @@ func (n *NaiveDetector) Observe(rec trace.Record) {
 	}
 	fresh := func() *naiveStream {
 		return &naiveStream{
-			masked: masked, prefix: pfx, summary: summarize(&pkt),
+			masked: masked, prefix: pfx, summary: summarize(rec.Data),
 			replicas: []Replica{rep}, lastTTL: rep.TTL, lastTime: rep.Time,
 		}
 	}

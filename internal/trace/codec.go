@@ -84,6 +84,9 @@ const (
 	// maxRecordLen is the longest record any format's decode admits
 	// (native and ERF lengths are 16-bit fields); it sizes the window.
 	maxRecordLen = pcapRecHdrLen + maxPcapCapLen
+	// slabLen is how much deliver allocates at a time to cut captures
+	// from: some six hundred of the paper's 40-byte snapshots.
+	slabLen = 32 << 10
 )
 
 // status is a decode verdict on the bytes shown so far, for a file
@@ -126,6 +129,9 @@ type codec struct {
 	// becomes Meta.Start.
 	started bool
 	epoch   int64
+
+	// slab is the unused rest of the allocation deliver cuts Data from.
+	slab []byte
 }
 
 func newCodec(f Format) codec {
@@ -286,7 +292,15 @@ func (c *codec) malformedErr(h *recHeader) error {
 }
 
 // deliver consumes the decoded record at the front of w as a Record the
-// caller owns: Data is a fresh copy, never a view into the window.
+// caller owns: Data is a copy nothing will overwrite, cut from a slab
+// that neighbouring records share, with cap == len so that an append
+// cannot reach the next record's bytes. A slab is written once and
+// never reused, so it lives exactly as long as some record cut from it
+// does. (Data is not a view into the window, which would spare this
+// copy: every consumer that keeps records — ReadAll, Batcher, the
+// parallel hand-off, salvage's look-ahead — would then need a copy rule
+// of its own.) A capture over a quarter slab gets its own allocation
+// rather than strand the rest of the current slab.
 func (c *codec) deliver(h *recHeader, w *window) Record {
 	if !c.started {
 		c.started, c.epoch = true, h.ts
@@ -295,8 +309,15 @@ func (c *codec) deliver(h *recHeader, w *window) Record {
 	rec := Record{
 		Time:    time.Duration(h.ts - c.epoch),
 		WireLen: h.wireLen,
-		Data:    make([]byte, h.capLen()),
 		Lost:    h.lost,
+	}
+	if n := h.capLen(); n > slabLen/4 {
+		rec.Data = make([]byte, n)
+	} else {
+		if n > len(c.slab) {
+			c.slab = make([]byte, slabLen)
+		}
+		rec.Data, c.slab = c.slab[:n:n], c.slab[n:]
 	}
 	copy(rec.Data, w.buffered()[h.data:h.size])
 	w.consume(h.size)

@@ -35,7 +35,9 @@ type Record struct {
 	// WireLen is the original packet length on the wire.
 	WireLen int
 	// Data holds the captured snapshot (at most the trace's SnapLen
-	// bytes, never more than WireLen).
+	// bytes, never more than WireLen). From a reader of this package it
+	// shares a backing array with neighbouring records; treat as
+	// read-only, cap == len.
 	Data []byte
 	// Lost counts packets the capture hardware dropped immediately
 	// before this record (the ERF per-record loss counter). Only the

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"container/heap"
 	"time"
 
 	"loopscope/internal/packet"
@@ -47,14 +46,56 @@ type SynthConfig struct {
 	SnapLen int
 }
 
-// recordHeap orders pending records by timestamp.
+// recordHeap is a binary min-heap of pending records by timestamp.
+// siftUp and siftDown make container/heap's comparisons and swaps in
+// container/heap's order, so records with equal timestamps leave as
+// they always have; what they spare is boxing every Record into an
+// interface on the way in and again on the way out.
 type recordHeap []trace.Record
 
-func (h recordHeap) Len() int           { return len(h) }
-func (h recordHeap) Less(i, j int) bool { return h[i].Time < h[j].Time }
-func (h recordHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *recordHeap) Push(x any)        { *h = append(*h, x.(trace.Record)) }
-func (h *recordHeap) Pop() any          { old := *h; n := len(old); r := old[n-1]; *h = old[:n-1]; return r }
+// siftUp restores the heap after h[j] was appended.
+func (h recordHeap) siftUp(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].Time < h[i].Time) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// siftDown restores the heap after h[0] was replaced.
+func (h recordHeap) siftDown() {
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].Time < h[j].Time {
+			j = r
+		}
+		if !(h[j].Time < h[i].Time) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+func (h *recordHeap) push(r trace.Record) {
+	*h = append(*h, r)
+	h.siftUp(len(*h) - 1)
+}
+
+func (h *recordHeap) pop() trace.Record {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old[:n].siftDown()
+	*h = old[:n]
+	return old[n]
+}
 
 // SynthesizeStream is Synthesize without materialising the trace: it
 // emits records in time order through emit, holding only the replicas
@@ -112,7 +153,7 @@ func synthesize(cfg SynthConfig, rng *stats.RNG, emit func(trace.Record)) {
 	var pending recordHeap
 	flush := func(upTo time.Duration) {
 		for len(pending) > 0 && pending[0].Time <= upTo {
-			emit(heap.Pop(&pending).(trace.Record))
+			emit(pending.pop())
 		}
 	}
 	put := func(at time.Duration, pkt *packet.Packet) {
@@ -121,7 +162,7 @@ func synthesize(cfg SynthConfig, rng *stats.RNG, emit func(trace.Record)) {
 		if err != nil {
 			return
 		}
-		heap.Push(&pending, trace.Record{Time: at, WireLen: pkt.WireLen(), Data: buf[:n]})
+		pending.push(trace.Record{Time: at, WireLen: pkt.WireLen(), Data: buf[:n]})
 	}
 
 	meanGap := float64(time.Second) / cfg.PacketsPerSecond

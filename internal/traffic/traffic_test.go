@@ -1,6 +1,8 @@
 package traffic_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -252,6 +254,70 @@ func TestSynthesizeDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i].Time != b[i].Time || string(a[i].Data) != string(b[i].Data) {
 			t.Fatalf("diverges at %d", i)
+		}
+	}
+}
+
+// TestSynthesizeGolden pins the synthesizer's output byte for byte:
+// the SHA-256 of the native-format encoding of three small seeded
+// traces. The constants were taken before the replica heap was
+// rewritten without container/heap, so they hold the rewrite to the
+// same pops in the same order, ties included.
+func TestSynthesizeGolden(t *testing.T) {
+	dests := []routing.Prefix{
+		routing.MustParsePrefix("198.51.100.0/24"),
+		routing.MustParsePrefix("198.51.101.0/24"),
+		routing.MustParsePrefix("203.0.113.0/24"),
+	}
+	base := traffic.SynthConfig{
+		Link:     "golden",
+		Duration: 8 * time.Second, PacketsPerSecond: 400,
+		Mix: traffic.DefaultMix(), DestPrefixes: dests,
+		HopsMin: 3, HopsMax: 8,
+	}
+	loop := func(p routing.Prefix, start, dur time.Duration, delta int, rev time.Duration) traffic.LoopSpec {
+		return traffic.LoopSpec{Prefix: p, Start: start, Duration: dur, TTLDelta: delta, Revolution: rev}
+	}
+	loops, reused := base, base
+	loops.Loops = []traffic.LoopSpec{
+		loop(dests[0], 1*time.Second, 2*time.Second, 2, 4*time.Millisecond),
+		loop(dests[2], 2*time.Second, 3*time.Second, 5, 7*time.Millisecond),
+	}
+	// One prefix looping three times, twice back to back, under a
+	// second prefix's loop that spans them all: the heap holds replicas
+	// of several loops at once.
+	reused.SnapLen = 64
+	reused.Loops = []traffic.LoopSpec{
+		loop(dests[1], 1*time.Second, 1*time.Second, 3, 2*time.Millisecond),
+		loop(dests[1], 2*time.Second, 1*time.Second, 2, 3*time.Millisecond),
+		loop(dests[1], 5*time.Second, 2*time.Second, 4, 1*time.Millisecond),
+		loop(dests[0], 500*time.Millisecond, 7*time.Second, 2, 5*time.Millisecond),
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  traffic.SynthConfig
+		seed uint64
+		want string
+	}{
+		{"background", base, 11, "b5dbbb4e292642e68b230c6e7dd1e06d5fd1b0c99525c93867e1c896c3f78ce8"},
+		{"loops", loops, 12, "ad99b0f394bee3adc57dae48d3766e09a0324c178f0524d96c59c1b5d1558d05"},
+		{"reused prefixes", reused, 13, "a646fe1c34169808fcf57520e7949d9ef0c13db5adc45397c82ba803098be046"},
+	} {
+		sum := sha256.New()
+		w, err := trace.NewWriter(sum, trace.Meta{Link: tc.cfg.Link, SnapLen: tc.cfg.SnapLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic.SynthesizeStream(tc.cfg, stats.NewRNG(tc.seed), func(r trace.Record) {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+			t.Errorf("%s: %d records hash to %s, want %s", tc.name, w.Count(), got, tc.want)
 		}
 	}
 }
