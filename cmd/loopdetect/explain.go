@@ -20,10 +20,6 @@ import (
 // pass -explain-source to reproduce the daemon's ID namespace), or
 // "all". Anything else lists the loops with their IDs and fails.
 func runExplain(path string, cfg core.Config, sel, source string, w io.Writer) error {
-	recs, _, _, err := loadRecords(path)
-	if err != nil {
-		return err
-	}
 	// Offline explanation wants the whole story, not a sampled sketch:
 	// record every replica append and keep rings deep enough that the
 	// window seal never wraps on a normal trace.
@@ -33,28 +29,11 @@ func runExplain(path string, cfg core.Config, sel, source string, w io.Writer) e
 		SampleEvery:    1,
 		TrailCap:       1 << 12,
 	})
-	e, err := newEngine(cfg, core.WithWorkers(workerCount), core.WithMetrics(reg), core.WithFlight(fr))
+	sc, err := scan(path, cfg, false, core.WithFlight(fr))
 	if err != nil {
 		return err
 	}
-	sp := reg.StartSpan("detect")
-	if bo, ok := e.(core.BatchObserver); ok {
-		bo.ObserveBatch(recs)
-	} else {
-		for _, r := range recs {
-			e.Observe(r)
-		}
-	}
-	var res *core.Result
-	if ef, ok := e.(core.ErrFinisher); ok {
-		if res, err = ef.FinishErr(); err != nil {
-			sp.End()
-			return err
-		}
-	} else {
-		res = e.Finish()
-	}
-	sp.End()
+	res := sc.res
 
 	// Seal a trail per detected loop under the same deterministic ID the
 	// daemon journals (empty source unless -explain-source).

@@ -13,7 +13,7 @@
 //	loopdetect backbone1.lspt              # summary + merged loops
 //	loopdetect -streams capture.pcap.gz    # every replica stream (gzip ok)
 //	loopdetect -report backbone1.lspt      # full figure set for the trace
-//	loopdetect -stream huge.pcap           # bounded-memory, loops as they finalize
+//	loopdetect -stream huge.pcap           # loops as they finalize, then the counters
 //	loopdetect -workers 8 backbone1.lspt   # 8 parallel detection shards
 //	loopdetect -json backbone1.lspt        # machine-readable output
 //	loopdetect -format erf capture.erf     # DAG PoS records
@@ -23,6 +23,9 @@
 //	loopdetect -metrics-addr :9090 big.lspt  # live /metrics, /debug/vars, /debug/pprof
 //	loopdetect -progress huge.pcap.gz      # periodic rate/ETA/skew line on stderr
 //	cat capture.lspt | loopdetect -        # read the trace from stdin
+//
+// Every mode reads the trace once, record by record, and keeps none of
+// it: memory follows the detector's undecided tail, not the file.
 //
 // A SIGINT (ctrl-C) stops ingestion cleanly: whatever was read so far
 // is analyzed and printed as a partial result, and the process exits
@@ -59,7 +62,7 @@ func main() {
 		noValidate  = flag.Bool("no-validate", false, "disable the step-2 subnet validation")
 		showStreams = flag.Bool("streams", false, "dump every validated replica stream")
 		showLoops   = flag.Bool("loops", true, "dump merged routing loops")
-		streamMode  = flag.Bool("stream", false, "bounded-memory streaming mode: print loops as they finalize (for very large traces)")
+		streamMode  = flag.Bool("stream", false, "print loops as they finalize and end on the counters, instead of the report")
 		jsonOut     = flag.Bool("json", false, "emit the analysis as JSON instead of text")
 		format      = flag.String("format", "auto", "trace format: auto (sniff native/pcap), or erf (DAG PoS records, which have no magic to sniff)")
 		report      = flag.Bool("report", false, "print the full per-trace report: every figure's series for this trace")
@@ -67,7 +70,7 @@ func main() {
 		extractOut  = flag.String("extract-out", "loop.pcap", "output file for -extract")
 		salvage     = flag.Bool("salvage", false, "fault-tolerant ingestion: skip corrupt regions and resync on the next plausible record instead of aborting")
 		maxDecode   = flag.Int("max-decode-errors", -1, "with -salvage, fail once this many corrupt regions have been skipped (<= 0: unlimited)")
-		validate    = flag.Bool("validate", false, "check structural trace invariants (monotonic timestamps, caplen <= wirelen) after ingest and fail on violation")
+		validate    = flag.Bool("validate", false, "check structural trace invariants (monotonic timestamps, caplen <= wirelen) during ingest and fail on violation")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "detection worker shards (1: sequential; not used by -stream)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live pipeline metrics over HTTP (/metrics, /debug/vars, /debug/pprof); a bare :port binds loopback only")
 		progress    = flag.Bool("progress", false, "report ingest rate, percent done, ETA and shard skew on stderr while running")
@@ -164,8 +167,8 @@ func main() {
 	}
 }
 
-// interrupted is set by the SIGINT handler; the ingest loops poll it
-// at record granularity and stop cleanly.
+// interrupted is set by the SIGINT handler; scan polls it at record
+// granularity and stops cleanly.
 var interrupted atomic.Bool
 
 // dispatch routes to the selected mode; exactly one mode runs.
@@ -237,53 +240,135 @@ func openTrace(path string) (trace.Source, *trace.DecodeStats, error) {
 	return src, stats, err
 }
 
-// newEngine is the tool's single core.New call site.
-func newEngine(cfg core.Config, opts ...core.Option) (core.Engine, error) {
-	return core.New(cfg, opts...)
+// scanned is what one pass over a trace leaves behind: the detection
+// result, the report if one was asked for, and a handful of tallies —
+// nothing per record.
+type scanned struct {
+	meta trace.Meta
+	res  *core.Result
+	rep  *analysis.Report
+	// dstats is the salvage pass's decode statistics, nil when the
+	// trace was read strictly.
+	dstats *trace.DecodeStats
+	// gaps and lost sum the per-record capture-loss counters (the ERF
+	// lctr): records preceded by a drop gap, and the packets the
+	// capture card reported dropping.
+	gaps, lost int
+	// end is the last record's timestamp.
+	end time.Duration
 }
 
-// detect runs the detection engine selected by -workers over an
-// in-memory trace. A worker panic inside the parallel engine comes
-// back as an error wrapping core.ErrWorkerPanic rather than crashing
-// the tool.
-func detect(recs []trace.Record, cfg core.Config) (*core.Result, error) {
-	e, err := newEngine(cfg, core.WithWorkers(workerCount), core.WithMetrics(reg))
+// scan is the tool's one pass over a trace, which every mode runs: open
+// it, hand each record to the -validate check, the capture-loss tally,
+// the report accumulator (when report is set) and the engine, and
+// finish. The engine is the one -workers selects unless opts say
+// otherwise. The ingestion policy flags apply here and nowhere else: in
+// salvage mode corrupt regions are skipped, a trace that ends mid-record
+// is analyzed up to the truncation point with a warning rather than
+// thrown away, and on any other read error the salvage statistics so far
+// go to stderr, so the operator sees how bad the damage was. A -validate
+// failure does not stop the read — a read error further on outranks it.
+// A worker panic inside the parallel engine comes back as an error
+// wrapping core.ErrWorkerPanic rather than crashing the tool.
+func scan(path string, cfg core.Config, report bool, opts ...core.Option) (*scanned, error) {
+	src, dstats, err := openTrace(path)
 	if err != nil {
 		return nil, err
 	}
-	sp := reg.StartSpan("detect")
-	defer sp.End()
-	if bo, ok := e.(core.BatchObserver); ok {
-		bo.ObserveBatch(recs)
-	} else {
-		for _, r := range recs {
-			e.Observe(r)
+	defer trace.CloseSource(src)
+	return scanSource(src, dstats, cfg, report, opts...)
+}
+
+// scanSource is scan over an open source; it holds the tool's single
+// core.New call site.
+func scanSource(src trace.Source, dstats *trace.DecodeStats, cfg core.Config, report bool, opts ...core.Option) (*scanned, error) {
+	e, err := core.New(cfg, append([]core.Option{core.WithWorkers(workerCount), core.WithMetrics(reg)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	sc := &scanned{dstats: dstats}
+	var acc *analysis.Accumulator
+	if report {
+		acc = analysis.NewAccumulator(src.Meta())
+	}
+	var (
+		check   trace.Validator
+		invalid error // the first -validate failure
+		readErr error
+		n       int
+	)
+	sp := reg.StartSpan("ingest")
+	for !interrupted.Load() {
+		rec, err := src.Next()
+		if err != nil {
+			readErr = err
+			break
 		}
+		if validateMode && invalid == nil {
+			invalid = check.Check(rec)
+		}
+		if rec.Lost > 0 {
+			sc.gaps++
+			sc.lost += rec.Lost
+		}
+		if acc != nil {
+			acc.Add(rec)
+		}
+		e.Observe(rec)
+		sc.end = rec.Time
+		n++
 	}
+	sp.End()
+	sc.meta = src.Meta() // complete only now: pcap and ERF date the trace by their first record
+
+	// Finish whatever happened: the parallel engine's workers wait on
+	// their queues until it is.
+	sp = reg.StartSpan("finish")
 	if ef, ok := e.(core.ErrFinisher); ok {
-		return ef.FinishErr()
+		sc.res, err = ef.FinishErr()
+	} else {
+		sc.res = e.Finish()
 	}
-	return e.Finish(), nil
+	sp.End()
+
+	switch {
+	case readErr == nil || errors.Is(readErr, io.EOF):
+	case errors.Is(readErr, io.ErrUnexpectedEOF) && n > 0:
+		logger.Warn("trace truncated mid-record; analyzing the partial trace", "records", n)
+	default:
+		if dstats != nil {
+			fmt.Fprint(os.Stderr, renderDecodeStats(*dstats))
+		}
+		return nil, readErr
+	}
+	if invalid != nil {
+		return nil, fmt.Errorf("validation failed: %w", invalid)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if acc != nil {
+		sp = reg.StartSpan("analyze")
+		sc.rep = acc.Finish(sc.res)
+		sp.End()
+	}
+	return sc, nil
 }
 
 // runReport prints the paper's full figure set for one trace.
 func runReport(path string, cfg core.Config) error {
-	recs, meta, dstats, err := loadRecords(path)
+	sc, err := scan(path, cfg, true)
 	if err != nil {
 		return err
 	}
-	res, err := detect(recs, cfg)
-	if err != nil {
-		return err
-	}
-	rep := analysis.Analyze(meta, recs, res)
+	res, rep, dstats := sc.res, sc.rep, sc.dstats
 	reps := []*analysis.Report{rep}
 
 	if dstats != nil {
 		fmt.Print(renderDecodeStats(*dstats))
 		fmt.Println()
-	} else if gaps, lost := captureLoss(recs); gaps > 0 {
-		fmt.Printf("capture loss: %d gaps, %d packets reported lost by the capture card\n\n", gaps, lost)
+	} else if sc.gaps > 0 {
+		fmt.Printf("capture loss: %d gaps, %d packets reported lost by the capture card\n\n", sc.gaps, sc.lost)
 	}
 
 	fmt.Print(analysis.RenderTableI(reps))
@@ -307,11 +392,7 @@ func runReport(path string, cfg core.Config) error {
 	fmt.Print(analysis.RenderFigure9(reps))
 	fmt.Println()
 
-	var end time.Duration
-	if n := len(recs); n > 0 {
-		end = recs[n-1].Time
-	}
-	split := res.SplitPersistence(end, cfg.MergeWindow, time.Minute)
+	split := res.SplitPersistence(sc.end, cfg.MergeWindow, time.Minute)
 	fmt.Printf("persistence: %d transient, %d persistent loops\n",
 		len(split.Transient), len(split.Persistent))
 	if f := rep.ReservedICMPFraction(); f > 0 {
@@ -322,21 +403,31 @@ func runReport(path string, cfg core.Config) error {
 }
 
 // runExtract writes one loop's evidence as a standalone pcap — the
-// artifact to hand to a neighboring NOC.
+// artifact to hand to a neighboring NOC. The loop is known only once
+// the trace has been scanned, so its records are picked out in a second
+// pass over the file.
 func runExtract(path string, cfg core.Config, n int, outPath string) error {
-	recs, meta, _, err := loadRecords(path)
+	if st, err := os.Stat(path); path == "-" || (err == nil && !st.Mode().IsRegular()) {
+		return errors.New("-extract needs a file it can read twice")
+	}
+	sc, err := scan(path, cfg, false)
 	if err != nil {
 		return err
 	}
-	res, err := detect(recs, cfg)
-	if err != nil {
-		return err
-	}
+	res, meta := sc.res, sc.meta
 	if n >= len(res.Loops) {
 		return fmt.Errorf("loop %d does not exist (%d loops detected)", n, len(res.Loops))
 	}
 	l := res.Loops[n]
-	evidence := core.ExtractLoopRecords(recs, l, 5*time.Second)
+	src, _, err := openTrace(path)
+	if err != nil {
+		return err
+	}
+	defer trace.CloseSource(src)
+	evidence, err := core.ExtractLoopSource(src, l, 5*time.Second)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) { // a truncated tail: scan has said so
+		return err
+	}
 
 	out, err := os.Create(outPath)
 	if err != nil {
@@ -457,19 +548,11 @@ func runSection(start time.Time) *jsonRun {
 // registry is live in JSON mode).
 func runJSON(path string, cfg core.Config) error {
 	start := time.Now()
-	recs, meta, dstats, err := loadRecords(path)
+	sc, err := scan(path, cfg, true)
 	if err != nil {
 		return err
 	}
-	res, err := detect(recs, cfg)
-	if err != nil {
-		return err
-	}
-	asp := reg.StartSpan("analyze")
-	rep := analysis.Analyze(meta, recs, res)
-	asp.End()
-
-	gaps, lost := captureLoss(recs)
+	res, rep, meta, dstats := sc.res, sc.rep, sc.meta, sc.dstats
 	out := jsonResult{
 		Link:               meta.Link,
 		Packets:            rep.TotalPackets,
@@ -478,8 +561,8 @@ func runJSON(path string, cfg core.Config) error {
 		LoopedPackets:      rep.LoopedPackets,
 		PairsDiscarded:     res.PairsDiscarded,
 		SubnetInvalidated:  res.SubnetInvalidated,
-		CaptureLossGaps:    gaps,
-		CaptureLossPackets: lost,
+		CaptureLossGaps:    sc.gaps,
+		CaptureLossPackets: sc.lost,
 		Streams:            []jsonStream{},
 		Loops:              []jsonLoop{},
 	}
@@ -523,83 +606,47 @@ func runJSON(path string, cfg core.Config) error {
 	return enc.Encode(out)
 }
 
-// runStreaming processes the trace record by record, printing loops
-// as they finalize and ending on the detector's counters alone
-// (FinishStats), so nothing is ever held per record: memory stays
-// proportional to the undecided tail of the trace and this mode
-// handles captures far larger than RAM.
+// runStreaming prints each loop the moment it is final and ends on the
+// detector's counters. It is an output choice, not a memory mode: every
+// mode holds only the undecided tail of the trace.
 func runStreaming(path string, cfg core.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	src, dstats, err := openTrace(path)
-	if err != nil {
-		return err
-	}
-	defer trace.CloseSource(src)
-
 	loops := 0
-	sd := core.NewStreamDetector(cfg, func(l *core.Loop) {
+	// One detector whatever -workers says: shards finalize loops on their
+	// own clocks, and this mode promises them in the trace's order.
+	sc, err := scan(path, cfg, false, core.WithWorkers(1), core.WithStreaming(func(l *core.Loop) {
 		loops++
 		fmt.Printf("loop %3d: %-18s  %v .. %v  (%v)  %d streams, %d replicas\n",
 			loops, l.Prefix, l.Start.Round(time.Millisecond), l.End.Round(time.Millisecond),
 			l.Duration().Round(time.Millisecond), len(l.Streams), l.Replicas())
-	})
-	observed, lossGaps, lostPackets := 0, 0, 0
-	for {
-		if interrupted.Load() {
-			break
-		}
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) && observed > 0 {
-				logger.Warn("trace truncated mid-record; analyzing the partial trace", "records", observed)
-				break
-			}
-			if dstats != nil {
-				fmt.Fprint(os.Stderr, renderDecodeStats(*dstats))
-			}
-			return err
-		}
-		observed++
-		if rec.Lost > 0 {
-			lossGaps++
-			lostPackets += rec.Lost
-		}
-		sd.Observe(rec)
+	}))
+	if err != nil {
+		return err
 	}
-	st := sd.FinishStats()
+	res := sc.res
 	fmt.Printf("\n%d packets, %d looped in %d streams, %d loops (pairs discarded %d, subnet-invalidated %d)\n",
-		st.TotalPackets, st.LoopedPackets, st.Streams, loops,
-		st.PairsDiscarded, st.SubnetInvalidated)
-	if dstats != nil {
-		fmt.Print(renderDecodeStats(*dstats))
-	} else if lossGaps > 0 {
-		fmt.Printf("capture loss:    %d gaps, %d packets reported lost by the capture card\n", lossGaps, lostPackets)
+		res.TotalPackets, res.LoopedPackets, len(res.Streams), loops,
+		res.PairsDiscarded, res.SubnetInvalidated)
+	if sc.dstats != nil {
+		fmt.Print(renderDecodeStats(*sc.dstats))
+	} else if sc.gaps > 0 {
+		fmt.Printf("capture loss:    %d gaps, %d packets reported lost by the capture card\n", sc.gaps, sc.lost)
 	}
 	return nil
 }
 
 func run(path string, cfg core.Config, showStreams, showLoops bool) error {
-	recs, meta, dstats, err := loadRecords(path)
+	sc, err := scan(path, cfg, true)
 	if err != nil {
 		return err
 	}
-	res, err := detect(recs, cfg)
-	if err != nil {
-		return err
-	}
-	rep := analysis.Analyze(meta, recs, res)
+	res, rep, meta, dstats := sc.res, sc.rep, sc.meta, sc.dstats
 
 	fmt.Printf("trace %s: %d packets over %v (%.1f Mbps avg)\n",
 		meta.Link, rep.TotalPackets, rep.Duration.Round(time.Second), rep.AvgBandwidthMbps)
 	if dstats != nil {
 		fmt.Print(renderDecodeStats(*dstats))
-	} else if gaps, lost := captureLoss(recs); gaps > 0 {
-		fmt.Printf("capture loss:    %d gaps, %d packets reported lost by the capture card\n", gaps, lost)
+	} else if sc.gaps > 0 {
+		fmt.Printf("capture loss:    %d gaps, %d packets reported lost by the capture card\n", sc.gaps, sc.lost)
 	}
 	fmt.Printf("replica streams: %d (pairs discarded %d, subnet-invalidated %d)\n",
 		rep.ReplicaStreams, res.PairsDiscarded, res.SubnetInvalidated)
@@ -633,90 +680,6 @@ func run(path string, cfg core.Config, showStreams, showLoops bool) error {
 	return nil
 }
 
-// readAll drains a source, returning whatever was read before any
-// error alongside the error itself. A SIGINT ends the read early and
-// cleanly: the records so far are returned with no error, and main
-// turns the run into exit status 3. atLeast sizes the slice up front
-// (see recordsAtLeast); a million-record trace otherwise regrows and
-// copies it some forty times.
-func readAll(src trace.Source, atLeast int) ([]trace.Record, error) {
-	recs := make([]trace.Record, 0, atLeast)
-	for {
-		if interrupted.Load() {
-			return recs, nil
-		}
-		r, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, r)
-	}
-}
-
-// recordsAtLeast returns a number of records the trace at path is sure
-// to hold, or 0 where nothing is sure. Only a plain native file read
-// strictly qualifies: there the reader refuses a capture longer than
-// the header's snaplen, so no record takes more than a record header
-// plus snaplen bytes. A gzipped file hides its length, pcap's snaplen
-// is advisory, ERF has none, and salvage skips bytes that hold no
-// record.
-func recordsAtLeast(path string) int {
-	const fileHdr, recHdr = 18, 12 // the native format's fixed parts, see internal/trace/native.go
-	st, err := os.Stat(path)
-	if err != nil || !st.Mode().IsRegular() || salvageMode || traceFormat == "erf" {
-		return 0
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f) // fails on anything but a native header
-	if err != nil {
-		return 0
-	}
-	m := r.Meta()
-	return max(0, int(st.Size())-fileHdr-len(m.Link)) / (recHdr + m.SnapLen)
-}
-
-// loadRecords opens a trace and reads it into memory, applying the
-// ingestion policy flags: in salvage mode corrupt regions are skipped
-// (with decode statistics returned), a trace that ends mid-record is
-// analyzed up to the truncation point with a warning rather than
-// thrown away, and -validate checks structural invariants. On an
-// error-budget failure the partial statistics are printed to stderr
-// before the error is returned, so the operator sees how bad the
-// damage was.
-func loadRecords(path string) ([]trace.Record, trace.Meta, *trace.DecodeStats, error) {
-	src, stats, err := openTrace(path)
-	if err != nil {
-		return nil, trace.Meta{}, nil, err
-	}
-	defer trace.CloseSource(src)
-	sp := reg.StartSpan("read")
-	recs, err := readAll(src, recordsAtLeast(path))
-	sp.End()
-	if err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) && len(recs) > 0 {
-			logger.Warn("trace truncated mid-record; analyzing the partial trace", "records", len(recs))
-		} else {
-			if stats != nil {
-				fmt.Fprint(os.Stderr, renderDecodeStats(*stats))
-			}
-			return nil, trace.Meta{}, stats, err
-		}
-	}
-	if validateMode {
-		if verr := trace.Validate(recs); verr != nil {
-			return nil, trace.Meta{}, stats, fmt.Errorf("validation failed: %w", verr)
-		}
-	}
-	return recs, src.Meta(), stats, nil
-}
-
 // renderDecodeStats formats the salvage decode-stats section.
 func renderDecodeStats(s trace.DecodeStats) string {
 	tail := "intact"
@@ -730,17 +693,4 @@ func renderDecodeStats(s trace.DecodeStats) string {
 			s.LossEvents, s.LostRecords)
 	}
 	return out
-}
-
-// captureLoss sums the per-record capture-loss counters (the ERF
-// lctr): gaps is the number of records preceded by a drop gap, lost
-// the total packets the capture card reported dropping.
-func captureLoss(recs []trace.Record) (gaps, lost int) {
-	for _, r := range recs {
-		if r.Lost > 0 {
-			gaps++
-			lost += r.Lost
-		}
-	}
-	return gaps, lost
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +84,18 @@ func writeTestTrace(t *testing.T, path string, gz bool, erf bool) int {
 	return len(recs)
 }
 
+// quietStdout sends the modes' output to /dev/null until the test ends.
+func quietStdout(t *testing.T) {
+	t.Helper()
+	old := os.Stdout
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = devnull
+	t.Cleanup(func() { os.Stdout = old; devnull.Close() })
+}
+
 func TestOpenTraceVariants(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -102,20 +115,14 @@ func TestOpenTraceVariants(t *testing.T) {
 			n := writeTestTrace(t, path, c.gz, c.erf)
 			traceFormat = c.format
 			defer func() { traceFormat = "auto" }()
-			src, _, err := openTrace(path)
+			sc, err := scan(path, core.DefaultConfig(), false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer trace.CloseSource(src)
-			recs, err := readAll(src, recordsAtLeast(path))
-			if err != nil {
-				t.Fatal(err)
+			if sc.res.TotalPackets != n {
+				t.Fatalf("read %d of %d records", sc.res.TotalPackets, n)
 			}
-			if len(recs) != n {
-				t.Fatalf("read %d of %d records", len(recs), n)
-			}
-			res := core.DetectRecords(recs, core.DefaultConfig())
-			if len(res.Loops) == 0 {
+			if len(sc.res.Loops) == 0 {
 				t.Error("loop not detected through this format path")
 			}
 		})
@@ -128,14 +135,7 @@ func TestRunModesDoNotError(t *testing.T) {
 	writeTestTrace(t, path, false, false)
 	cfg := core.DefaultConfig()
 
-	// Redirect stdout so test output stays readable.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
+	quietStdout(t) // so test output stays readable
 
 	if err := run(path, cfg, true, true); err != nil {
 		t.Errorf("run: %v", err)
@@ -330,27 +330,28 @@ func TestSalvageCLIBehavior(t *testing.T) {
 	}
 
 	// Strict ingestion fails.
-	if _, _, _, err := loadRecords(path); err == nil {
+	cfg := core.DefaultConfig()
+	if _, err := scan(path, cfg, false); err == nil {
 		t.Error("strict path read a corrupted trace cleanly")
 	}
 
 	// Salvage succeeds and reports stats.
 	salvageMode = true
 	defer func() { salvageMode = false; maxDecodeErrors = -1 }()
-	got, _, dstats, err := loadRecords(path)
+	sc, err := scan(path, cfg, false)
 	if err != nil {
 		t.Fatalf("salvage path: %v", err)
 	}
-	if dstats == nil || dstats.Resyncs == 0 {
-		t.Fatalf("decode stats missing or empty: %+v", dstats)
+	if sc.dstats == nil || sc.dstats.Resyncs == 0 {
+		t.Fatalf("decode stats missing or empty: %+v", sc.dstats)
 	}
-	if len(got) < len(recs)*9/10 {
-		t.Errorf("salvaged %d of %d records", len(got), len(recs))
+	if got := sc.res.TotalPackets; got < len(recs)*9/10 {
+		t.Errorf("salvaged %d of %d records", got, len(recs))
 	}
 
 	// A tiny error budget trips.
 	maxDecodeErrors = 1
-	if _, _, _, err := loadRecords(path); !errors.Is(err, trace.ErrErrorBudget) {
+	if _, err := scan(path, cfg, false); !errors.Is(err, trace.ErrErrorBudget) {
 		t.Errorf("budget 1: err = %v, want ErrErrorBudget", err)
 	}
 }
@@ -368,26 +369,19 @@ func TestTruncatedTraceAnalyzedPartially(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, _, _, err := loadRecords(path)
+	sc, err := scan(path, core.DefaultConfig(), false)
 	if err != nil {
 		t.Fatalf("truncated trace rejected: %v", err)
 	}
-	if len(got) != len(recs)-1 {
-		t.Fatalf("analyzed %d records, want %d", len(got), len(recs)-1)
+	if got := sc.res.TotalPackets; got != len(recs)-1 {
+		t.Fatalf("analyzed %d records, want %d", got, len(recs)-1)
 	}
-	res := core.DetectRecords(got, core.DefaultConfig())
-	if len(res.Loops) == 0 {
+	if len(sc.res.Loops) == 0 {
 		t.Error("loop lost with the truncated tail")
 	}
 
 	// The streaming path tolerates the same truncation.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
+	quietStdout(t)
 	if err := runStreaming(path, core.DefaultConfig()); err != nil {
 		t.Errorf("runStreaming on truncated trace: %v", err)
 	}
@@ -417,13 +411,50 @@ func TestValidateFlag(t *testing.T) {
 	}
 	f.Close()
 
-	if _, _, _, err := loadRecords(path); err != nil {
+	cfg := core.DefaultConfig()
+	if _, err := scan(path, cfg, false); err != nil {
 		t.Fatalf("without -validate: %v", err)
 	}
 	validateMode = true
 	defer func() { validateMode = false }()
-	if _, _, _, err := loadRecords(path); err == nil {
+	if _, err := scan(path, cfg, false); err == nil {
 		t.Error("-validate accepted a time-travelling trace")
+	}
+	// Every mode validates, the one that prints as it goes included.
+	quietStdout(t)
+	if err := runStreaming(path, cfg); err == nil || !strings.Contains(err.Error(), "validation failed") {
+		t.Errorf("-stream -validate: err = %v, want a validation failure", err)
+	}
+}
+
+// TestReadErrorOutranksValidation: a -validate failure is remembered,
+// not returned on the spot, so a trace that is both invalid and broken
+// is reported as broken.
+func TestReadErrorOutranksValidation(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, trace.Meta{Link: "t", SnapLen: 40, Start: time.Unix(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Duration{5 * time.Millisecond, 2 * time.Millisecond, 9 * time.Millisecond} {
+		if err := w.Write(trace.Record{Time: at, WireLen: 40, Data: make([]byte, 20)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)-20-2] = 0xff // the last record's caplen: far over the file's snaplen
+	path := filepath.Join(t.TempDir(), "broken.lspt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	validateMode = true
+	defer func() { validateMode = false }()
+	_, err = scan(path, core.DefaultConfig(), false)
+	if err == nil || strings.Contains(err.Error(), "validation failed") {
+		t.Errorf("err = %v, want the read error", err)
 	}
 }
 
@@ -492,72 +523,4 @@ func TestOpenTraceRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	_ = packet.Addr{}
-}
-
-// TestRecordsAtLeast: the pre-sizing hint is exact on a plain native
-// file of full snapshots (so readAll never regrows), a lower bound when
-// captures are shorter, and absent wherever record length is not
-// bounded by the file's own header.
-func TestRecordsAtLeast(t *testing.T) {
-	dir := t.TempDir()
-	native := filepath.Join(dir, "native")
-	n := writeTestTrace(t, native, false, false)
-	if got := recordsAtLeast(native); got != n {
-		t.Errorf("native file of %d full snapshots: hint %d", n, got)
-	}
-
-	// The same packets cut to 28 bytes in a file that allows 40.
-	short := filepath.Join(dir, "short")
-	f, err := os.Create(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f, trace.Meta{Link: "a rather long link name, longer than a record", SnapLen: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _, err := openTrace(native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trace.CloseSource(src)
-	recs, err := readAll(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		r.Data = r.Data[:28]
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := recordsAtLeast(short); got <= 0 || got > n {
-		t.Errorf("native file of %d short snapshots: hint %d, want in (0, %d]", n, got, n)
-	}
-
-	for _, c := range []struct {
-		name    string
-		gz, erf bool
-		set     func()
-	}{
-		{"gzip", true, false, func() {}},
-		{"erf", false, true, func() { traceFormat = "erf" }},
-		{"salvage", false, false, func() { salvageMode = true }},
-	} {
-		path := filepath.Join(dir, c.name)
-		writeTestTrace(t, path, c.gz, c.erf)
-		c.set()
-		got := recordsAtLeast(path)
-		traceFormat, salvageMode = "auto", false
-		if got != 0 {
-			t.Errorf("%s: hint %d, want none", c.name, got)
-		}
-	}
-	if got := recordsAtLeast("-"); got != 0 {
-		t.Errorf("stdin: hint %d, want none", got)
-	}
 }

@@ -66,7 +66,7 @@ func TestJSONRunSection(t *testing.T) {
 	for _, st := range res.Run.Stages {
 		stages[st.Stage] = st
 	}
-	for _, want := range []string{"open", "read", "detect", "reduce", "analyze"} {
+	for _, want := range []string{"open", "ingest", "reduce", "finish", "analyze"} {
 		st, ok := stages[want]
 		if !ok {
 			t.Errorf("run.stages missing %q (got %v)", want, res.Run.Stages)
@@ -88,17 +88,18 @@ func TestJSONRunSection(t *testing.T) {
 // change the analysis — the Result is deep-equal to the uninstrumented
 // run's for both the sequential and parallel engines.
 func TestInstrumentedDetectIdentical(t *testing.T) {
-	recs := synthLoopTrace()
+	path := filepath.Join(t.TempDir(), "t.lspt")
+	writeTestTrace(t, path, false, false)
 	cfg := core.DefaultConfig()
 	for _, workers := range []int{1, 4} {
 		workerCount = workers
 		reg = nil
-		want, err := detect(recs, cfg)
+		want, err := scan(path, cfg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withRegistry(t)
-		got, err := detect(recs, cfg)
+		got, err := scan(path, cfg, true)
 		reg = nil
 		if err != nil {
 			t.Fatal(err)

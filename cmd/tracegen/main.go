@@ -152,23 +152,27 @@ func run(path string, cfg genConfig) error {
 		})
 	}
 
-	recs := traffic.Synthesize(scfg, rng)
-
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	// Byte-level faults need the encoded image in hand before it
-	// reaches the file (and before gzip, which would otherwise turn
-	// one flipped bit into an undecodable stream). Live mode skips the
-	// buffer entirely: records go straight to the file in flushed
-	// batches so a concurrent tailer sees the capture grow.
+	// Records go from the synthesizer straight to the file, through gzip
+	// if asked, so a trace of any length is written in constant memory.
+	// Only byte-level faults need the encoded image in hand before it
+	// reaches the file (and before gzip, which would otherwise turn one
+	// flipped bit into an undecodable stream).
+	var dst io.Writer = f
+	var gzw *gzip.Writer
+	if cfg.gz {
+		gzw = gzip.NewWriter(f)
+		dst = gzw
+	}
 	var enc bytes.Buffer
-	var out io.Writer = &enc
-	if cfg.live() {
-		out = f
+	out := dst
+	if cfg.hasByteFaults() {
+		out = &enc
 	}
 
 	meta := trace.Meta{Link: "tracegen", SnapLen: trace.DefaultSnapLen, Start: time.Unix(0, 0)}
@@ -196,16 +200,25 @@ func run(path string, cfg genConfig) error {
 		faultSink = chaos.NewSink(w, cfg.recordFaults)
 		sink = faultSink
 	}
-	for i, r := range recs {
-		if err := sink.Write(r); err != nil {
-			return err
+	// The synthesizer cannot be stopped, so after a failed write the
+	// rest of the trace is drawn and dropped.
+	var n int
+	var werr error
+	traffic.SynthesizeStream(scfg, rng, func(r trace.Record) {
+		if werr != nil {
+			return
 		}
-		if cfg.live() && (i+1)%cfg.liveEvery == 0 {
-			if err := w.Flush(); err != nil {
-				return err
+		n++
+		if werr = sink.Write(r); werr == nil && cfg.live() && n%cfg.liveEvery == 0 {
+			// A live capture grows in flushed batches, so a concurrent
+			// tailer sees it grow.
+			if werr = w.Flush(); werr == nil {
+				time.Sleep(cfg.liveDelay)
 			}
-			time.Sleep(cfg.liveDelay)
 		}
+	})
+	if werr != nil {
+		return werr
 	}
 	if faultSink != nil {
 		if err := faultSink.Flush(); err != nil {
@@ -216,11 +229,10 @@ func run(path string, cfg genConfig) error {
 		return err
 	}
 	if cfg.live() {
-		fmt.Printf("wrote %d records (%d scripted loops) live to %s\n", len(recs), cfg.loops, path)
+		fmt.Printf("wrote %d records (%d scripted loops) live to %s\n", n, cfg.loops, path)
 		return nil
 	}
 
-	image := enc.Bytes()
 	var damaged []chaos.Range
 	if cfg.hasByteFaults() {
 		// Never damage the file-level header: salvage needs it, and a
@@ -232,17 +244,11 @@ func run(path string, cfg genConfig) error {
 		}
 		bf := cfg.byteFaults
 		bf.Protect = append(bf.Protect, chaos.Range{Off: 0, Len: hdr})
-		image, damaged = chaos.CorruptBytes(image, bf)
-	}
-
-	var dst io.Writer = f
-	var gzw *gzip.Writer
-	if cfg.gz {
-		gzw = gzip.NewWriter(f)
-		dst = gzw
-	}
-	if _, err := dst.Write(image); err != nil {
-		return err
+		var image []byte
+		image, damaged = chaos.CorruptBytes(enc.Bytes(), bf)
+		if _, err := dst.Write(image); err != nil {
+			return err
+		}
 	}
 	if gzw != nil {
 		if err := gzw.Close(); err != nil {
@@ -250,7 +256,7 @@ func run(path string, cfg genConfig) error {
 		}
 	}
 
-	fmt.Printf("wrote %d records (%d scripted loops) to %s\n", len(recs), cfg.loops, path)
+	fmt.Printf("wrote %d records (%d scripted loops) to %s\n", n, cfg.loops, path)
 	if faultSink != nil {
 		st := faultSink.Stats()
 		fmt.Printf("chaos: dropped %d, duplicated %d, truncated %d, reordered %d records\n",

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -166,5 +168,37 @@ func TestRunRecordChaosStaysReadable(t *testing.T) {
 	}
 	if len(recs) < 3000 {
 		t.Fatalf("only %d records", len(recs))
+	}
+}
+
+// TestOutputBytesUnchanged: writing records as they are synthesized —
+// through gzip, through the record-fault sink — produces the files that
+// synthesizing the whole trace and encoding it in memory produced. The
+// hashes are of the previous implementation's output.
+func TestOutputBytesUnchanged(t *testing.T) {
+	chaotic := gen(8*time.Second, 1000, 2, 32, 5, false, false)
+	chaotic.recordFaults.Drop, chaotic.recordFaults.Dup = 0.01, 0.005
+	chaotic.recordFaults.Reorder, chaotic.recordFaults.Truncate = 0.002, 0.003
+	chaotic.recordFaults.Seed, chaotic.recordFaults.CountLoss = 9, true
+	for _, c := range []struct {
+		name string
+		cfg  genConfig
+		want string
+	}{
+		{"native", gen(10*time.Second, 2000, 3, 64, 7, false, false), "9c61e2a8ffa6bdbb8ff8889eef97428079246c0cbd1f6b2c6789c595b4cecc49"},
+		{"pcap.gz", gen(5*time.Second, 1500, 2, 32, 3, true, true), "c7108c6831318675d3ca22bbc6be92dda4f2828cbe9cce1699bd48c1d20f6535"},
+		{"record faults", chaotic, "4aa0e9c74f16707806a6155a0cc1533a56f9d4df104c921455c2d3e0ce268218"},
+	} {
+		path := filepath.Join(t.TempDir(), "t")
+		if err := run(path, c.cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
+			t.Errorf("%s: SHA-256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -72,56 +72,88 @@ type Report struct {
 	EscapeDelayMs *stats.CDF
 }
 
-// Analyze computes a Report from a trace and its detection result.
-// recs must be the same records the detector consumed.
-func Analyze(meta trace.Meta, recs []trace.Record, res *core.Result) *Report {
+// Accumulator folds a trace into the per-record half of a Report as the
+// records go by — wire volume, first and last timestamp, the ICMP-type
+// tally and the all-traffic class counts — so a caller that feeds it
+// from the same loop that feeds the detector keeps no record. Finish
+// adds the half that comes from the detection result.
+type Accumulator struct {
+	link        string
+	records     int
+	first, last time.Duration
+	wireBytes   uint64
+	allCounts   [NumClasses]int
+	icmpTypes   *stats.Histogram
+}
+
+// NewAccumulator returns an empty accumulator for a trace described by
+// meta.
+func NewAccumulator(meta trace.Meta) *Accumulator {
+	return &Accumulator{link: meta.Link, icmpTypes: stats.NewHistogram()}
+}
+
+// Add accounts for the next record of the trace.
+func (a *Accumulator) Add(rec trace.Record) {
+	if a.records == 0 {
+		a.first = rec.Time
+	}
+	a.records++
+	a.last = rec.Time
+	a.wireBytes += uint64(rec.WireLen)
+	pkt, err := packet.Decode(rec.Data)
+	if err != nil {
+		return
+	}
+	if pkt.Kind == packet.KindICMP && pkt.HasTransport {
+		a.icmpTypes.Add(int(pkt.ICMP.Type))
+	}
+	mask := packet.Classify(&pkt)
+	for c := 0; c < NumClasses; c++ {
+		if mask&(1<<c) != 0 {
+			a.allCounts[c]++
+		}
+	}
+}
+
+// Finish computes the Report of the records added and of res, the
+// result of detection over the same records. The accumulator must not
+// be used afterwards.
+func (a *Accumulator) Finish(res *core.Result) *Report {
 	r := &Report{
-		Link:              meta.Link,
+		Link:              a.link,
+		Duration:          a.last - a.first,
 		TotalPackets:      res.TotalPackets,
 		LoopedPackets:     res.LoopedPackets,
 		ReplicaStreams:    len(res.Streams),
 		RoutingLoops:      len(res.Loops),
 		TTLDelta:          stats.NewHistogram(),
-		ICMPTypes:         stats.NewHistogram(),
+		ICMPTypes:         a.icmpTypes,
 		ReplicasPerStream: &stats.CDF{},
 		SpacingMs:         &stats.CDF{},
 		StreamDurationMs:  &stats.CDF{},
 		LoopDurationSec:   &stats.CDF{},
 		EscapeDelayMs:     &stats.CDF{},
 	}
-	if n := len(recs); n > 0 {
-		r.Duration = recs[n-1].Time - recs[0].Time
+	if r.Duration > 0 {
+		r.AvgBandwidthMbps = float64(a.wireBytes) * 8 / r.Duration.Seconds() / 1e6
 	}
 
-	// Wire volume for average bandwidth.
-	var wireBytes uint64
-	var allCounts, loopCounts [NumClasses]int
-	for i, rec := range recs {
-		wireBytes += uint64(rec.WireLen)
-		pkt, err := packet.Decode(rec.Data)
-		if err != nil {
-			continue
-		}
-		if pkt.Kind == packet.KindICMP && pkt.HasTransport {
-			r.ICMPTypes.Add(int(pkt.ICMP.Type))
-		}
-		mask := packet.Classify(&pkt)
-		looped := i < len(res.Membership) && res.Membership[i] >= 0
+	// The looped packets of a class are the replicas of the validated
+	// streams of that class: a looped record is a replica of exactly
+	// one stream, and replicas differ from the stream's summarised
+	// packet in TTL and IP checksum only, neither of which the
+	// classification reads.
+	var loopCounts [NumClasses]int
+	for _, s := range res.Streams {
 		for c := 0; c < NumClasses; c++ {
-			if mask&(1<<c) != 0 {
-				allCounts[c]++
-				if looped {
-					loopCounts[c]++
-				}
+			if s.Summary.ClassMask&(1<<c) != 0 {
+				loopCounts[c] += s.Count()
 			}
 		}
 	}
-	if r.Duration > 0 {
-		r.AvgBandwidthMbps = float64(wireBytes) * 8 / r.Duration.Seconds() / 1e6
-	}
 	for c := 0; c < NumClasses; c++ {
 		if r.TotalPackets > 0 {
-			r.AllClassFrac[c] = float64(allCounts[c]) / float64(r.TotalPackets)
+			r.AllClassFrac[c] = float64(a.allCounts[c]) / float64(r.TotalPackets)
 		}
 		if r.LoopedPackets > 0 {
 			r.LoopedClassFrac[c] = float64(loopCounts[c]) / float64(r.LoopedPackets)
@@ -143,6 +175,17 @@ func Analyze(meta trace.Meta, recs []trace.Record, res *core.Result) *Report {
 		r.LoopDurationSec.Add(l.Duration().Seconds())
 	}
 	return r
+}
+
+// Analyze computes a Report from a trace held in memory and its
+// detection result. recs must be the same records the detector
+// consumed.
+func Analyze(meta trace.Meta, recs []trace.Record, res *core.Result) *Report {
+	a := NewAccumulator(meta)
+	for _, rec := range recs {
+		a.Add(rec)
+	}
+	return a.Finish(res)
 }
 
 // ReservedICMPFraction returns the fraction of ICMP packets whose

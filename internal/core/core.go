@@ -249,8 +249,22 @@ type Result struct {
 	// same-subnet packet was not looping during the stream (step 2,
 	// second condition).
 	SubnetInvalidated int
-	// Membership maps record index -> validated stream ID, or -1 for
-	// records outside every validated stream. Its length is
-	// TotalPackets.
-	Membership []int32
+}
+
+// Membership maps record index -> validated stream ID, or -1 for
+// records outside every validated stream; its length is TotalPackets.
+// It is rebuilt from Streams on every call and costs four bytes per
+// record of the trace, which is why no Result carries it: a caller that
+// wants to know which packets looped usually wants the streams.
+func (r *Result) Membership() []int32 {
+	m := make([]int32, r.TotalPackets)
+	for i := range m {
+		m[i] = -1
+	}
+	for _, s := range r.Streams {
+		for _, rep := range s.Replicas {
+			m[rep.Index] = int32(s.ID)
+		}
+	}
+	return m
 }

@@ -195,7 +195,11 @@ type prefixState struct {
 	prefix routing.Prefix
 	// entries is the retained tail of the packets seen towards the
 	// prefix, in arrival order; entries[i] has sequence number base+i.
+	// It is a window of store, the whole array: evict moves its front to
+	// the right, add its end, and cap(entries) always reaches the end of
+	// store, so add can tell when the window has run out of array.
 	entries []pktEntry
+	store   []pktEntry
 	base    int
 	// open lists the prefix's open builders in creation order, so the
 	// head holds the earliest first replica.
@@ -235,10 +239,35 @@ func (ps *prefixState) earliestStream() time.Duration {
 }
 
 // add retains a packet seen at time t and returns its sequence number.
+// When the window has reached the end of store, the retained tail
+// slides back to the front if it fills no more than half of it, and
+// moves to an array of twice its length otherwise: either way at least
+// as many adds follow for free as entries were copied, and the evicted
+// front is reused where a bare append would have left it behind and
+// grown a new array by a quarter, over and over. Sequence numbers are
+// positions in the window, so moving it changes none.
 func (ps *prefixState) add(t time.Duration) int {
+	if len(ps.entries) == cap(ps.entries) {
+		if live := len(ps.entries); live > len(ps.store)/2 || ps.store == nil {
+			ps.store = make([]pktEntry, max(2*live, minEntryStore))
+		}
+		ps.entries = ps.store[:copy(ps.store, ps.entries)]
+	}
 	ps.entries = append(ps.entries, pktEntry{t: t})
 	return ps.base + len(ps.entries) - 1
 }
+
+// dropFront forgets the first cut retained entries. Re-slicing is
+// enough: add reclaims the front of the array when the window reaches
+// its end.
+func (ps *prefixState) dropFront(cut int) {
+	ps.entries = ps.entries[cut:]
+	ps.base += cut
+}
+
+// minEntryStore is the first array a prefix gets; most prefixes of a
+// backbone trace never hold more than a few packets at once.
+const minEntryStore = 4
 
 // clean reports whether every retained packet towards the prefix in
 // [from, to] belongs to some replica stream (of at least
@@ -298,8 +327,15 @@ func (d *Detector) state(dst packet.Addr) *prefixState {
 
 // Observe processes the next trace record. Records must arrive in
 // non-decreasing time order.
-func (d *Detector) Observe(rec trace.Record) {
-	idx := d.n
+func (d *Detector) Observe(rec trace.Record) { d.observeAt(rec, d.n) }
+
+// observeAt is Observe for a record whose position in the whole trace
+// is idx. The index is only ever written into the Replica that reports
+// the record (and breaks ties between streams whose first replicas share
+// a timestamp, which any increasing numbering breaks the same way), so a
+// ParallelDetector shard passes the global one and its streams need no
+// renumbering afterwards.
+func (d *Detector) observeAt(rec trace.Record, idx int) {
 	d.n++
 	d.now = rec.Time
 	// Close stale streams first, so memory tracks the number of
@@ -642,10 +678,7 @@ func (d *Detector) evict(ps *prefixState) {
 	cut := sort.Search(len(ps.entries), func(i int) bool {
 		return ps.entries[i].t >= needLow
 	})
-	// Re-slicing is enough: the next append that outgrows the array
-	// copies only the retained tail.
-	ps.entries = ps.entries[cut:]
-	ps.base += cut
+	ps.dropFront(cut)
 	d.peakEntries = max(d.peakEntries, len(ps.entries))
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
 		len(ps.validated) == 0 && ps.open.head == nil && ps.loop == nil {
@@ -693,8 +726,7 @@ func (d *Detector) FinishStats() StreamStats {
 }
 
 // Finish implements Engine: FinishStats, then the collected loops as a
-// canonical *Result (see canonicalize), including the per-record
-// Membership index.
+// canonical *Result (see canonicalize).
 func (d *Detector) Finish() *Result {
 	st := d.FinishStats()
 	res := &Result{
@@ -705,7 +737,7 @@ func (d *Detector) Finish() *Result {
 		PairsDiscarded:    st.PairsDiscarded,
 		SubnetInvalidated: st.SubnetInvalidated,
 	}
-	res.Streams, res.Membership = canonicalize(res.Loops, d.n)
+	res.Streams = canonicalize(res.Loops)
 	return res
 }
 
@@ -730,26 +762,18 @@ func loopLess(a, b *Loop) bool {
 
 // canonicalize puts a run's loops into the order and numbering every
 // engine reports: loops sorted in place by loopLess, their streams
-// gathered and sorted by streamLess and renumbered from 0, and the
-// membership index over n records rebuilt from the stream replicas.
-func canonicalize(loops []*Loop, n int) ([]*ReplicaStream, []int32) {
+// gathered, sorted by streamLess and renumbered from 0.
+func canonicalize(loops []*Loop) []*ReplicaStream {
 	sort.Slice(loops, func(i, j int) bool { return loopLess(loops[i], loops[j]) })
 	var streams []*ReplicaStream
 	for _, l := range loops {
 		streams = append(streams, l.Streams...)
 	}
 	sort.Slice(streams, func(i, j int) bool { return streamLess(streams[i], streams[j]) })
-	membership := make([]int32, n)
-	for i := range membership {
-		membership[i] = -1
-	}
 	for id, s := range streams {
 		s.ID = id
-		for _, r := range s.Replicas {
-			membership[r.Index] = int32(id)
-		}
 	}
-	return streams, membership
+	return streams
 }
 
 // DetectRecords runs the full pipeline over an in-memory trace.

@@ -290,11 +290,12 @@ func TestMembershipIndex(t *testing.T) {
 	sortRecords(recs)
 
 	res := DetectRecords(recs, DefaultConfig())
-	if len(res.Membership) != len(recs) {
-		t.Fatalf("membership length = %d, want %d", len(res.Membership), len(recs))
+	membership := res.Membership()
+	if len(membership) != len(recs) {
+		t.Fatalf("membership length = %d, want %d", len(membership), len(recs))
 	}
 	members := 0
-	for _, m := range res.Membership {
+	for _, m := range membership {
 		if m >= 0 {
 			members++
 		}
@@ -302,7 +303,7 @@ func TestMembershipIndex(t *testing.T) {
 	if members != 5 {
 		t.Errorf("members = %d, want 5", members)
 	}
-	if res.Membership[len(recs)-1] != -1 {
+	if membership[len(recs)-1] != -1 {
 		t.Errorf("clean packet marked as member")
 	}
 }

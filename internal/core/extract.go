@@ -1,48 +1,68 @@
 package core
 
 import (
+	"errors"
+	"io"
 	"sort"
 	"time"
 
 	"loopscope/internal/trace"
 )
 
-// ExtractLoopRecords returns the trace records that constitute a
-// detected loop's evidence: every replica of every stream, plus —
-// when context is positive — all records towards the loop's prefix
-// within context of the loop window. The result is a small, self-
-// contained trace an operator can hand to the neighboring network's
-// NOC (the paper notes persistent loops "require cooperation of many
-// network operation groups to be analyzed"; this is the artifact that
-// cooperation runs on).
+// ExtractLoopSource reads src to the end of a detected loop's evidence
+// and returns the records that constitute it: every replica of every
+// stream, plus — when context is positive — all records towards the
+// loop's prefix within context of the loop window. The result is a
+// small, self-contained trace an operator can hand to the neighboring
+// network's NOC (the paper notes persistent loops "require cooperation
+// of many network operation groups to be analyzed"; this is the
+// artifact that cooperation runs on).
 //
-// recs must be the records the detector consumed, in the same order.
-func ExtractLoopRecords(recs []trace.Record, l *Loop, context time.Duration) []trace.Record {
+// src must yield the records the detector consumed, in the same order;
+// nothing but the evidence is held. A read error comes back with the
+// evidence gathered before it.
+func ExtractLoopSource(src trace.Source, l *Loop, context time.Duration) ([]trace.Record, error) {
 	take := make(map[int]bool)
+	last := -1
 	for _, s := range l.Streams {
 		for _, r := range s.Replicas {
 			take[r.Index] = true
+			last = max(last, r.Index)
 		}
 	}
+	lo, hi := l.Start-context, l.End+context
 	out := make([]trace.Record, 0, len(take))
-	for idx := range take {
-		if idx >= 0 && idx < len(recs) {
-			out = append(out, recs[idx])
+	var rerr error
+	for i := 0; ; i++ {
+		rec, err := src.Next()
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				rerr = err
+			}
+			break
 		}
-	}
-	if context > 0 {
-		lo, hi := l.Start-context, l.End+context
-		// Records are time-ordered; find the window once.
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].Time >= lo })
-		for ; i < len(recs) && recs[i].Time <= hi; i++ {
-			if take[i] {
+		if i > last && rec.Time > hi {
+			break // records are time-ordered: nothing further is evidence
+		}
+		if !take[i] {
+			if context <= 0 || rec.Time < lo || rec.Time > hi {
 				continue
 			}
-			if pkt, err := decodeDst(recs[i].Data); err == nil && l.Prefix.Contains(pkt) {
-				out = append(out, recs[i])
+			if dst, err := decodeDst(rec.Data); err != nil || !l.Prefix.Contains(dst) {
+				continue
 			}
 		}
+		// A copy: a reader's record shares its array with some eight
+		// hundred neighbours, which one kept record would keep alive.
+		rec.Data = append([]byte(nil), rec.Data...)
+		out = append(out, rec)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	return out, rerr
+}
+
+// ExtractLoopRecords is ExtractLoopSource over an in-memory trace.
+func ExtractLoopRecords(recs []trace.Record, l *Loop, context time.Duration) []trace.Record {
+	out, _ := ExtractLoopSource(trace.NewSliceSource(trace.Meta{}, recs), l, context) // a slice source does not fail
 	return out
 }

@@ -171,10 +171,6 @@ func (n *NaiveDetector) Finish() *Result {
 		TotalPackets:   len(n.times),
 		ParseErrors:    n.parseErrors,
 		PairsDiscarded: n.pairs,
-		Membership:     make([]int32, len(n.times)),
-	}
-	for i := range res.Membership {
-		res.Membership[i] = -1
 	}
 
 	// Step 2: validation.
@@ -193,9 +189,6 @@ func (n *NaiveDetector) Finish() *Result {
 	for id, st := range res.Streams {
 		st.ID = id
 		res.LoopedPackets += len(st.Replicas)
-		for _, r := range st.Replicas {
-			res.Membership[r.Index] = int32(id)
-		}
 	}
 
 	// Step 3: merging.

@@ -43,9 +43,10 @@ var shardConsumeHook func(shard int, recs []trace.Record)
 //     exactly one shard.
 //
 // Distinct prefixes therefore never interact until the final reduce,
-// which only renumbers and re-sorts: the shards' loops are remapped to
-// global record indices and put through the same canonicalize a single
-// Detector's Finish uses. The Result is identical to a single
+// which only re-sorts and renumbers: each shard is told every record's
+// position in the whole trace (observeAt), so the shards' loops go
+// straight through the same canonicalize a single Detector's Finish
+// uses. The Result is identical to a single
 // Detector's regardless of worker count or goroutine scheduling.
 // (Config.MaxActiveStreams, when set, caps each shard separately.)
 //
@@ -86,20 +87,20 @@ type ParallelDetector struct {
 // workers × (depth+2) × DefaultBatchSize records.
 const parallelBatchChannelDepth = 4
 
-// shardBatch is one hand-off unit: records plus their global indices.
+// shardBatch is one hand-off unit: records plus their global indices
+// (int: a capture of 2^31 records is ten hours of OC-12, and nothing
+// holds it in memory any more to keep that out of reach).
 type shardBatch struct {
 	recs []trace.Record
-	idxs []int32
+	idxs []int
 }
 
-// shardState is one worker: a channel of batches, the shard's own
-// Detector, and the local-to-global index mapping.
+// shardState is one worker: a channel of batches and the shard's own
+// Detector.
 type shardState struct {
-	ch  chan shardBatch
-	det *Detector
-	// globals[i] is the global index of the shard's i-th record.
-	globals []int32
-	stats   StreamStats
+	ch    chan shardBatch
+	det   *Detector
+	stats StreamStats
 
 	// Per-shard instrumentation (nil no-op sinks when uninstrumented):
 	// recs counts records this shard consumed, depth samples the
@@ -164,9 +165,8 @@ func (p *ParallelDetector) worker(i int, s *shardState) {
 			hook(i, b.recs)
 		}
 		s.recs.Add(int64(len(b.recs)))
-		s.globals = append(s.globals, b.idxs...)
-		for _, r := range b.recs {
-			s.det.Observe(r)
+		for i, r := range b.recs {
+			s.det.observeAt(r, b.idxs[i])
 		}
 	}
 	select {
@@ -264,10 +264,10 @@ func (p *ParallelDetector) Observe(rec trace.Record) {
 	b := &p.pending[s]
 	if b.recs == nil {
 		b.recs = make([]trace.Record, 0, trace.DefaultBatchSize)
-		b.idxs = make([]int32, 0, trace.DefaultBatchSize)
+		b.idxs = make([]int, 0, trace.DefaultBatchSize)
 	}
 	b.recs = append(b.recs, rec)
-	b.idxs = append(b.idxs, int32(p.n))
+	b.idxs = append(b.idxs, p.n)
 	p.n++
 	if len(b.recs) >= trace.DefaultBatchSize {
 		p.flushShard(s)
@@ -344,24 +344,16 @@ func (p *ParallelDetector) FinishErr() (*Result, error) {
 	sp := p.reg.StartSpan("reduce")
 	defer sp.End()
 
-	// Remap every shard-local record index to its global index, then
-	// order and number the lot as one run.
+	// Order and number the shards' loops as one run.
 	res := &Result{TotalPackets: p.n}
 	for _, s := range p.shards {
 		res.ParseErrors += s.stats.ParseErrors
 		res.LoopedPackets += s.stats.LoopedPackets
 		res.PairsDiscarded += s.stats.PairsDiscarded
 		res.SubnetInvalidated += s.stats.SubnetInvalidated
-		for _, l := range s.det.loops {
-			for _, st := range l.Streams {
-				for i := range st.Replicas {
-					st.Replicas[i].Index = int(s.globals[st.Replicas[i].Index])
-				}
-			}
-		}
 		res.Loops = append(res.Loops, s.det.loops...)
 	}
-	res.Streams, res.Membership = canonicalize(res.Loops, p.n)
+	res.Streams = canonicalize(res.Loops)
 	return res, nil
 }
 

@@ -32,7 +32,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 			got.TotalPackets, got.ParseErrors, got.LoopedPackets, got.PairsDiscarded, got.SubnetInvalidated,
 			want.TotalPackets, want.ParseErrors, want.LoopedPackets, want.PairsDiscarded, want.SubnetInvalidated)
 	}
-	if !reflect.DeepEqual(got.Membership, want.Membership) {
+	if !reflect.DeepEqual(got.Membership(), want.Membership()) {
 		t.Fatalf("%s: membership differs", label)
 	}
 	if len(got.Streams) != len(want.Streams) {
@@ -136,7 +136,7 @@ func TestParallelParseErrors(t *testing.T) {
 func TestParallelEmptyTrace(t *testing.T) {
 	for _, w := range parallelWorkerCounts {
 		res := NewParallelDetector(DefaultConfig(), w).Finish()
-		if res.TotalPackets != 0 || len(res.Streams) != 0 || len(res.Loops) != 0 || len(res.Membership) != 0 {
+		if res.TotalPackets != 0 || len(res.Streams) != 0 || len(res.Loops) != 0 || len(res.Membership()) != 0 {
 			t.Errorf("workers %d: non-empty result from empty trace: %+v", w, res)
 		}
 	}

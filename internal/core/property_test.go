@@ -88,7 +88,8 @@ func TestMembershipConsistencyQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		recs := randomTrace(seed, 8*time.Second, 600, 2)
 		res := DetectRecords(recs, DefaultConfig())
-		if len(res.Membership) != len(recs) {
+		membership := res.Membership()
+		if len(membership) != len(recs) {
 			return false
 		}
 		fromStreams := make(map[int]int32)
@@ -97,7 +98,7 @@ func TestMembershipConsistencyQuick(t *testing.T) {
 				fromStreams[r.Index] = int32(s.ID)
 			}
 		}
-		for i, m := range res.Membership {
+		for i, m := range membership {
 			want, ok := fromStreams[i]
 			if ok != (m >= 0) {
 				return false

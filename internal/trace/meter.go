@@ -14,6 +14,10 @@ type meteredSource struct {
 	wireB    *obs.Counter
 	lossGaps *obs.Counter
 	lostPkts *obs.Counter
+	// The three per-record tallies since the last publish: plain adds
+	// here, so the registry's atomics are paid once per
+	// meterPublishEvery records and not three times per record.
+	nRecs, nCap, nWire int64
 
 	// stats is the live salvage DecodeStats, nil for strict readers.
 	// The gauges mirror it so /metrics shows decode health mid-run.
@@ -56,15 +60,41 @@ func MeterSource(src Source, r *obs.Registry, stats *DecodeStats) Source {
 // Meta implements Source.
 func (m *meteredSource) Meta() Meta { return m.src.Meta() }
 
-// Next implements Source, counting successful reads.
+// meterPublishEvery is how many records the tap counts privately
+// between publishes; a live reader of the registry (-progress,
+// /metrics) lags the source by fewer than this many.
+const meterPublishEvery = 256
+
+// publish moves the private tallies into the registry.
+func (m *meteredSource) publish() {
+	m.recs.Add(m.nRecs)
+	m.capBytes.Add(m.nCap)
+	m.wireB.Add(m.nWire)
+	m.nRecs, m.nCap, m.nWire = 0, 0, 0
+}
+
+// Close publishes what a reader that stopped early (an interrupted
+// run) left unpublished; CloseSource reaches it.
+func (m *meteredSource) Close() error {
+	m.publish()
+	return CloseSource(m.src)
+}
+
+// Next implements Source, counting successful reads. Every error —
+// end of trace, a tail with no data yet, a failure — publishes first,
+// so whoever looks at the registry after one sees exact counts.
 func (m *meteredSource) Next() (Record, error) {
 	rec, err := m.src.Next()
 	if err != nil {
+		m.publish()
 		return rec, err
 	}
-	m.recs.Inc()
-	m.capBytes.Add(int64(len(rec.Data)))
-	m.wireB.Add(int64(rec.WireLen))
+	m.nRecs++
+	m.nCap += int64(len(rec.Data))
+	m.nWire += int64(rec.WireLen)
+	if m.nRecs == meterPublishEvery {
+		m.publish()
+	}
 	if rec.Lost > 0 {
 		m.lossGaps.Inc()
 		m.lostPkts.Add(int64(rec.Lost))

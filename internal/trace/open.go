@@ -108,8 +108,12 @@ type fileSource struct {
 	f *os.File
 }
 
-// Close implements io.Closer.
-func (s *fileSource) Close() error { return s.f.Close() }
+// Close implements io.Closer: the wrapped source first (a metered one
+// has counts to publish), then the file.
+func (s *fileSource) Close() error {
+	CloseSource(s.Source)
+	return s.f.Close()
+}
 
 // Progress implements Progresser: the file offset consumed so far and
 // the file's total size. For gzipped traces both figures are in

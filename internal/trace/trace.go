@@ -116,18 +116,35 @@ func ReadAll(src Source) ([]Record, error) {
 	}
 }
 
-// Validate checks structural invariants of a record sequence:
-// non-decreasing timestamps and caplen <= wirelen. It returns the
-// first violation found.
+// Validator checks the structural invariants of a record sequence one
+// record at a time: non-decreasing timestamps and caplen <= wirelen.
+// The zero value is ready for the first record.
+type Validator struct {
+	n    int
+	last time.Duration
+}
+
+// Check returns the violation the next record commits, if any.
+func (v *Validator) Check(r Record) error {
+	i := v.n
+	v.n++
+	if r.Time < v.last {
+		return fmt.Errorf("trace: record %d goes back in time (%v < %v)", i, r.Time, v.last)
+	}
+	v.last = r.Time
+	if len(r.Data) > r.WireLen {
+		return fmt.Errorf("trace: record %d caplen %d exceeds wirelen %d", i, len(r.Data), r.WireLen)
+	}
+	return nil
+}
+
+// Validate runs a Validator over recs and returns the first violation
+// found.
 func Validate(recs []Record) error {
-	var last time.Duration
-	for i, r := range recs {
-		if r.Time < last {
-			return fmt.Errorf("trace: record %d goes back in time (%v < %v)", i, r.Time, last)
-		}
-		last = r.Time
-		if len(r.Data) > r.WireLen {
-			return fmt.Errorf("trace: record %d caplen %d exceeds wirelen %d", i, len(r.Data), r.WireLen)
+	var v Validator
+	for _, r := range recs {
+		if err := v.Check(r); err != nil {
+			return err
 		}
 	}
 	return nil
