@@ -222,7 +222,19 @@ func TestDaemonKillRestartEquivalence(t *testing.T) {
 
 			// First incarnation: dies abruptly mid-file.
 			d1 := newTestDaemon(t, journal, cpPath)
-			d1.testCrash = func(_ string, n int64) bool { return n >= killAt }
+			// The kill waits for a checkpoint tick to have landed, so the
+			// test holds however fast the reader gets to killAt.
+			d1.testCrash = func(_ string, n int64) bool {
+				if n < killAt {
+					return false
+				}
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if cp, _, err := LoadCheckpoint(cpPath); err == nil && cp != nil && cp.Sources["src"].Records > 0 {
+						break
+					}
+				}
+				return true
+			}
 			if err := d1.AddTailSource("src", tracePath); err != nil {
 				t.Fatal(err)
 			}

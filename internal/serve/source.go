@@ -183,13 +183,14 @@ func (s *sourceState) recordShedLocked() {
 	s.lastShed = shed
 }
 
-// observe feeds one record and refreshes the checkpoint position, all
-// under the mutex (see the type comment for why that ordering is the
-// resume invariant). Besides errTestCrash (the in-process kill hook
-// tests use), an injected source-read fault surfaces here — before the
-// record touches the session or the checkpoint, so the supervisor's
-// restart re-reads it instead of losing it.
-func (s *sourceState) observe(rec trace.Record, records, offset int64) error {
+// observe feeds one record and refreshes the checkpoint position and
+// the byte lag (zero for a feed), all in one critical section (see the
+// type comment for why that ordering is the resume invariant). Besides
+// errTestCrash (the in-process kill hook tests use), an injected
+// source-read fault surfaces here — before the record touches the
+// session or the checkpoint, so the supervisor's restart re-reads it
+// instead of losing it.
+func (s *sourceState) observe(rec trace.Record, records, offset, lag int64) error {
 	if err := resil.Inject(s.d.cfg.FaultInjector, resil.OpSourceRead); err != nil {
 		return err
 	}
@@ -200,11 +201,13 @@ func (s *sourceState) observe(rec trace.Record, records, offset int64) error {
 	s.cp.Offset = offset
 	s.cp.Emitted = s.sess.Emitted()
 	s.cp.HighWaterNs = int64(s.sess.HighWater())
+	s.posBytes = offset
+	s.lagBytes = lag
+	s.lagG.Set(lag)
 	s.idle = false
 	s.recordsC.Inc()
-	n := s.cp.Records
 	s.mu.Unlock()
-	if s.d.testCrash != nil && s.d.testCrash(s.name, n) {
+	if s.d.testCrash != nil && s.d.testCrash(s.name, records) {
 		return errTestCrash
 	}
 	return nil
@@ -332,14 +335,10 @@ func (s *sourceState) runTail(ctx context.Context) error {
 		rec, err := tr.Next(ctx)
 		switch {
 		case err == nil:
-			if err := s.observe(rec, tr.Records(), tr.Offset()); err != nil {
+			off := tr.Offset()
+			if err := s.observe(rec, tr.Records(), off, tr.Size()-off); err != nil {
 				return err
 			}
-			s.mu.Lock()
-			s.posBytes = tr.Offset()
-			s.lagBytes = tr.Size() - tr.Offset()
-			s.lagG.Set(s.lagBytes)
-			s.mu.Unlock()
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			return ctx.Err()
 		case errors.Is(err, trace.ErrTailIdle):
@@ -613,7 +612,7 @@ func (s *sourceState) consumeSegment(ctx context.Context, seg string, baseWall *
 		segBaseSet = true
 	}
 
-	idleSince := time.Now()
+	var idleSince time.Time // first ErrTailIdle since the last record: no clock read per record
 	s.setStatus("live")
 	for {
 		rec, err := tr.Next(ctx)
@@ -624,7 +623,7 @@ func (s *sourceState) consumeSegment(ctx context.Context, seg string, baseWall *
 			if ierr := resil.Inject(s.d.cfg.FaultInjector, resil.OpSourceRead); ierr != nil {
 				return ierr
 			}
-			idleSince = time.Now()
+			idleSince = time.Time{}
 			if !segBaseSet {
 				// Header is available once the first record decoded:
 				// place this segment on the shared timeline.
@@ -690,6 +689,9 @@ func (s *sourceState) consumeSegment(ctx context.Context, seg string, baseWall *
 			if s.refreshDirLag(seg, tr) {
 				s.segmentDone(tr)
 				return nil
+			}
+			if idleSince.IsZero() {
+				idleSince = time.Now()
 			}
 			s.markIdleMaybe(&idleSince)
 		case errors.Is(err, trace.ErrTailRotated), errors.Is(err, trace.ErrTailTruncated):
@@ -821,7 +823,7 @@ func (s *sourceState) serveConn(ctx context.Context, conn net.Conn) error {
 			return err
 		}
 		n++
-		if err := s.observe(rec, n, 0); err != nil {
+		if err := s.observe(rec, n, 0, 0); err != nil {
 			return err
 		}
 	}

@@ -48,23 +48,25 @@ type TailOptions struct {
 
 // TailReader follows a native-format trace file that is still being
 // written. Next delivers complete records as they are appended,
-// blocking (by polling) while the writer is mid-record or idle; a
-// record is never delivered twice and a half-written record is never
-// delivered at all, so a reader killed and restarted at a recorded
-// offset resumes exactly where it stopped.
+// blocking (by polling) while the writer is mid-record or idle:
 //
-// The reader detects the two ways a live file can change under it:
-// truncation (size drops below what has been read — ErrTailTruncated)
-// and rotation (the path names a new inode — the old file is drained
-// to its final record first, then ErrTailRotated). Both checks run
-// before every attempt at a record, and the window reads no further
-// than the record being decoded (window.exact), so the reader's I/O is
-// what it was before the shared window: two stats and two positioned
-// reads per record. Checking once per 64 KiB read-ahead instead is a
-// throughput change of its own (ROADMAP item 3(a)) and is kept out of
-// the refactor that introduced the window. The window is fed by ReadAt
-// at a remembered offset, so a concurrent writer appending to the same
-// file is safe.
+//   - every complete record is delivered once, in file order, and a
+//     half-written record never, however the writer sizes its appends;
+//   - Offset and Records count delivered bytes and records, whatever has
+//     been read ahead of them, so a reader killed and restarted at a
+//     recorded offset resumes exactly where it stopped;
+//   - a file shorter than what has been read from it was rewritten in
+//     place: ErrTailTruncated at the next refill, and a half-written
+//     record at the cut is never completed from the rewritten file;
+//   - a path that names another file means the writer rotated: the old
+//     file is drained to its final record, then ErrTailRotated.
+//
+// The window reads ahead like every other reader's, by ReadAt at a
+// remembered offset so a writer appending to the same file is safe, and
+// the file is checked before each refill — once per 64 KiB of backlog,
+// once per poll when caught up — not once per record. So up to one
+// window of records already read from a file may still be delivered
+// after it is truncated or replaced, as if read a moment sooner.
 type TailReader struct {
 	path string
 	f    *os.File
@@ -76,9 +78,11 @@ type TailReader struct {
 
 	off  atomic.Int64 // next undelivered byte
 	n    atomic.Int64 // records delivered
-	size atomic.Int64 // last observed file size
+	size atomic.Int64 // file size at the last refill or poll
 
 	readOff int64 // next unread byte: off plus what the window holds
+	rotated bool  // the last refill found another file at path
+	refills int64 // refills: one check and one read each (tests pin it)
 	last    int64 // newest delivered record's timestamp
 	poll    *resil.Retrier
 }
@@ -112,7 +116,6 @@ func OpenTail(path string, opts TailOptions) (*TailReader, error) {
 		poll: resil.NewRetrier(pol, h.Sum64()),
 	}
 	t.w = newWindow(tailSource{t})
-	t.w.exact = true
 	return t, nil
 }
 
@@ -126,8 +129,9 @@ func (t *TailReader) Offset() int64 { return t.off.Load() }
 // Records returns the number of records delivered (safe concurrently).
 func (t *TailReader) Records() int64 { return t.n.Load() }
 
-// Size returns the file size observed at the last read attempt (safe
-// concurrently). Size-Offset is the reader's byte lag.
+// Size returns the file size observed at the last refill or poll (safe
+// concurrently). Size-Offset is the reader's byte lag: what is buffered
+// but undelivered counts as lag.
 func (t *TailReader) Size() int64 { return t.size.Load() }
 
 // FileID identifies the open file (device:inode on Unix) so a
@@ -155,40 +159,35 @@ func (t *TailReader) SetIdleTimeout(d time.Duration) time.Duration {
 // Close releases the file handle.
 func (t *TailReader) Close() error { return t.f.Close() }
 
-// checkFile refreshes the observed size and detects truncation and
-// rotation. rotated means the path now names a different file; the
-// current file may still hold undelivered records.
-func (t *TailReader) checkFile() (rotated bool, err error) {
-	st, err := t.f.Stat()
-	if err != nil {
-		return false, err
-	}
-	t.size.Store(st.Size())
-	// Bytes of a half-written record may be buffered past the consumed
-	// offset; a file shorter than what was read is no longer the file
-	// they came from.
-	if st.Size() < t.readOff {
-		return false, ErrTailTruncated
-	}
-	// A path that vanished (rotation in progress, or the writer is
-	// gone) counts as rotated: keep draining the open handle; the caller
-	// sees ErrTailRotated once the drain catches up.
-	pst, err := os.Stat(t.path)
-	return err != nil || !os.SameFile(st, pst), nil
-}
-
-// tailSource feeds the window of a TailReader, reading on from where
-// the last read stopped.
+// tailSource feeds the window of a TailReader: check for truncation and
+// rotation, then read on from where the last read stopped. A failed
+// check is the window's sticky error, which Next returns once the
+// records buffered ahead of it are delivered.
 type tailSource struct{ t *TailReader }
 
 func (s tailSource) Read(p []byte) (int, error) {
 	t := s.t
-	n, err := t.f.ReadAt(p, t.readOff)
-	// The read can run past the size last observed when the writer is
-	// appending; Size never lags what has been buffered.
-	if t.readOff += int64(n); t.readOff > t.size.Load() {
-		t.size.Store(t.readOff)
+	t.refills++
+	st, err := t.f.Stat()
+	if err != nil {
+		return 0, err
 	}
+	// Bytes of a half-written record may be buffered past the consumed
+	// offset; a file shorter than what was read is no longer the file
+	// they came from.
+	if st.Size() < t.readOff {
+		return 0, ErrTailTruncated
+	}
+	// A path that vanished (rotation in progress, or the writer is gone)
+	// counts as rotated: keep draining the open handle; the caller sees
+	// ErrTailRotated once the drain catches up.
+	pst, err := os.Stat(t.path)
+	t.rotated = err != nil || !os.SameFile(st, pst)
+	n, err := t.f.ReadAt(p, t.readOff)
+	// A writer appending meanwhile lets the read run past the size just
+	// observed; Size never lags what has been buffered.
+	t.readOff += int64(n)
+	t.size.Store(max(st.Size(), t.readOff))
 	return n, err
 }
 
@@ -198,35 +197,39 @@ func (s tailSource) Read(p []byte) (int, error) {
 // the old one is drained, ErrTailIdle on idle timeout, and any decode
 // error permanently.
 func (t *TailReader) Next(ctx context.Context) (Record, error) {
-	idleSince := time.Now()
+	// Per call, not per wait: draining a backlog never waits and must still stop.
+	if err := ctx.Err(); err != nil {
+		return Record{}, err
+	}
+	var idleSince time.Time // set at this call's first wait
 	for {
-		if err := ctx.Err(); err != nil {
-			return Record{}, err
-		}
-		rotated, err := t.checkFile()
-		if err != nil {
-			return Record{}, err
-		}
 		var h recHeader
 		switch st := t.c.pull(t.w, !t.hdrDone, &h); {
 		case st == stMalformed:
 			return Record{}, fmt.Errorf("trace: tail %s: %w", t.path, t.c.malformedErr(&h))
 		case st == stNeedMore:
-			// The end of a growing file is "not yet"; a failed read is
-			// permanent.
+			// The end of a growing file is "not yet"; a failed check or read
+			// is permanent. The refill ran inside this pull: t.rotated is current.
 			if t.w.err != io.EOF {
 				return Record{}, t.w.err
 			}
-			if rotated {
+			if t.rotated {
 				return Record{}, ErrTailRotated
 			}
-			if t.opts.IdleTimeout > 0 && time.Since(idleSince) >= t.opts.IdleTimeout {
-				return Record{}, ErrTailIdle
+			wait := t.poll.Next()
+			if d := t.opts.IdleTimeout; d > 0 {
+				if idleSince.IsZero() {
+					idleSince = time.Now()
+				}
+				// A timeout shorter than the poll is still honoured on time.
+				if wait = min(wait, d-time.Since(idleSince)); wait <= 0 {
+					return Record{}, ErrTailIdle
+				}
 			}
 			select {
 			case <-ctx.Done():
 				return Record{}, ctx.Err()
-			case <-time.After(t.poll.Next()):
+			case <-time.After(wait):
 			}
 		case !t.hdrDone:
 			t.w.consume(h.size)

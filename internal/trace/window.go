@@ -11,20 +11,19 @@ const (
 	windowMax = maxRecordLen + pcapRecHdrLen
 )
 
-// window is the byte buffer every reader decodes from. Consuming only
-// advances an offset; bytes are moved to the front only when the space
-// behind them cannot hold what need asks for, so a pass over a file
-// moves at most one partial record per refill. need never waits for
-// more bytes than it was asked for, which lets the same window sit on
-// a socket or a growing file without stalling behind data that has not
-// been written yet.
+// window is the byte buffer every reader decodes from, and it has no
+// per-reader mode: strict, salvage and tail all read ahead through the
+// same need. Consuming only advances an offset; bytes are moved to the
+// front only when the space behind them cannot hold what need asks for,
+// so a pass over a file moves at most one partial record per refill. A
+// refill offers src all the free space but need never waits for more
+// bytes than it was asked for, so the same window sits on a socket or a
+// growing file without stalling behind data not yet written. What a
+// source owes each read (a tailed file's checks) lives in its own Read.
 type window struct {
 	src      io.Reader
 	buf      []byte
 	pos, end int
-	// exact makes need read no further than it was asked to, so nothing
-	// past the record being decoded is ever buffered (the tail policy).
-	exact bool
 	// err is why the last read came up short. A failure is sticky; an
 	// io.EOF is not, so the next need asks src again, which is all a
 	// growing file takes.
@@ -67,11 +66,7 @@ func (w *window) need(n int) bool {
 		w.buf, w.pos, w.end = dst, 0, w.end-w.pos
 	}
 	for empty := 0; w.end-w.pos < n; {
-		dst := w.buf[w.end:]
-		if w.exact {
-			dst = dst[:w.pos+n-w.end]
-		}
-		m, err := w.src.Read(dst)
+		m, err := w.src.Read(w.buf[w.end:])
 		w.end += m
 		if err != nil {
 			w.err = err
