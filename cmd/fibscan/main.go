@@ -105,16 +105,26 @@ func run(w io.Writer, snapPath, loopPath string, jsonOut bool, slack, mergeGap t
 		return fmt.Errorf("unknown -fail-on bucket %q", failOn)
 	}
 
-	f, err := fibscan.ReadFile(snapPath)
+	// One snapshot is held at a time; only its report is kept.
+	in, err := os.Open(snapPath)
 	if err != nil {
 		return err
 	}
-	reports := fibscan.ScanTimeline(f.Snapshots)
+	defer in.Close()
+	snaps := fibscan.NewReader(in)
+	var timeline fibscan.Timeline
+	var reports []*fibscan.Report
+	if err := snaps.Each(func(s *fibscan.Snapshot) error {
+		reports = append(reports, timeline.Step(s))
+		return nil
+	}); err != nil {
+		return err
+	}
 	table := fibscan.Collate(reports, mergeGap)
 
 	out := output{
-		Network:    f.Network,
-		Snapshots:  len(f.Snapshots),
+		Network:    snaps.Network(),
+		Snapshots:  len(reports),
 		Reports:    reports,
 		TableLoops: table,
 	}

@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"loopscope/internal/core"
 	"loopscope/internal/fibscan"
+	"loopscope/internal/scenario"
 )
 
 // writeSnaps writes a two-capture snapshot file with injected loops.
@@ -174,5 +180,120 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if err := run(&buf, path, badLoops, false, time.Second, 2*time.Second, "none"); err == nil {
 		t.Errorf("bad loops file accepted")
+	}
+}
+
+// update rewrites testdata/golden from the current code. The committed
+// files were printed by the last build that decoded the whole file and
+// rescanned every changed snapshot from scratch, which is what makes
+// TestGoldenOutputs an equivalence proof; regenerate them only for a
+// change that means to alter the output.
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
+
+// goldenSynthetic writes a timeline of Synthetic captures whose loop
+// count comes and goes, with a heartbeat after every change, and a
+// trace report confirming one looped prefix and inventing another. A
+// router's revision moves when its table does: the build that printed
+// the golden files trusted it.
+func goldenSynthetic(t *testing.T, dir string) (snaps, loops string) {
+	t.Helper()
+	f := &fibscan.SnapshotFile{Network: "golden-synthetic"}
+	var confirmed string
+	for i, k := range []int{3, 3, 7, 7, 0, 3} {
+		snap, looped := fibscan.Synthetic(40, 200, k)
+		snap.TakenNs = int64(i) * int64(time.Second)
+		if i == 0 {
+			confirmed = looped[0].String()
+		} else {
+			for r, prev := range f.Snapshots[i-1].Routers {
+				now := &snap.Routers[r]
+				now.Revision = prev.Revision
+				if !reflect.DeepEqual(now.Routes, prev.Routes) || !reflect.DeepEqual(now.Locals, prev.Locals) {
+					now.Revision++
+				}
+			}
+		}
+		f.Snapshots = append(f.Snapshots, snap)
+	}
+	snaps = filepath.Join(dir, "synthetic.json")
+	if err := fibscan.WriteFile(snaps, f); err != nil {
+		t.Fatal(err)
+	}
+	loops = writeLoops(t, dir, []map[string]any{
+		{"prefix": confirmed, "startNs": int64(500 * time.Millisecond), "endNs": int64(1500 * time.Millisecond)},
+		{"prefix": "9.9.9.0/24", "startNs": 0, "endNs": 1000},
+	})
+	return snaps, loops
+}
+
+// goldenBackbone reproduces the smoke scenario's inputs in process:
+// backbonesim -only backbone3 -scale 0.25 -fib-snapshots -fib-every
+// 25ms, and the loops the trace detector finds in its packets.
+func goldenBackbone(t *testing.T, dir string) (snaps, loops string) {
+	t.Helper()
+	var cv *scenario.CrossVal
+	for _, spec := range scenario.PaperBackbones() {
+		if spec.Name == "backbone3" {
+			spec.Duration = time.Duration(float64(spec.Duration) * 0.25)
+			spec.PacketsPerSecond *= 0.25
+			cv = scenario.BuildCrossVal(spec, 25*time.Millisecond)
+		}
+	}
+	cv.Run()
+	snaps = filepath.Join(dir, "backbone3_fibs.json")
+	if err := fibscan.WriteFile(snaps, cv.SnapshotFile()); err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	for _, l := range core.DetectRecords(cv.Records(), core.DefaultConfig()).Loops {
+		rows = append(rows, map[string]any{"prefix": l.Prefix.String(), "startNs": int64(l.Start), "endNs": int64(l.End)})
+	}
+	if len(rows) == 0 {
+		t.Fatal("the trace detector found no loop in backbone3")
+	}
+	return snaps, writeLoops(t, dir, rows)
+}
+
+// TestGoldenOutputs compares the text, -json and -json -loops output on
+// a synthetic timeline and on the smoke scenario, byte for byte, with
+// what the whole-file reader and per-snapshot rescan printed.
+func TestGoldenOutputs(t *testing.T) {
+	inputs := map[string]func(*testing.T, string) (string, string){"synthetic": goldenSynthetic}
+	if !testing.Short() {
+		inputs["backbone3"] = goldenBackbone
+	}
+	for name, generate := range inputs {
+		snaps, loops := generate(t, t.TempDir())
+		for mode, args := range map[string]struct {
+			loops string
+			json  bool
+		}{"text": {"", false}, "json": {"", true}, "json-loops": {loops, true}} {
+			var buf bytes.Buffer
+			if err := run(&buf, snaps, args.loops, args.json, time.Second, 2*time.Second, "none"); err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			// As in cmd/loopdetect, an output over 16 KiB is committed
+			// as its SHA-256.
+			path, got := filepath.Join("testdata", "golden", name+"."+mode), buf.Bytes()
+			if len(got) > 16<<10 {
+				path, got = path+".sha256", []byte(fmt.Sprintf("%x\n", sha256.Sum256(got)))
+			}
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: output (%d bytes) differs from %s", name, buf.Len(), path)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fibscan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,48 +21,165 @@ const (
 // panics on degraded input: unknown next hops, missing routers and
 // duplicate names degrade the scan and surface in Report.Warnings.
 func Scan(s *Snapshot) *Report {
+	return new(Timeline).Step(s)
+}
+
+// ScanTimeline scans a sequence of snapshots through one Timeline.
+// Reports are returned in input order with their own capture times.
+func ScanTimeline(snaps []Snapshot) []*Report {
+	var t Timeline
+	out := make([]*Report, len(snaps))
+	for i := range snaps {
+		out[i] = t.Step(&snaps[i])
+	}
+	return out
+}
+
+// Timeline scans consecutive snapshots of one network, keeping from
+// each step what spares the next one work: its own copy of the tables,
+// the atom boundaries, the router × atom next-hop matrix (allocated per
+// partition, not per scan) and the cycles found on each atom. A step
+// re-flattens only routers whose table differs from the kept one — the
+// tables decide, never the revision field — re-walks only atoms on
+// which a flattened column moved, and rebuilds the cycle list from the
+// per-atom findings.
+//
+// There is one code path. A router list that differs in length, name
+// or order, or a last step that warned (duplicate name, missing next
+// hop) or saw no routers, voids the name → index map or the claim that
+// an unchanged table flattens as before: the step forgets the kept
+// tables, so every router is changed. Boundaries that moved void the
+// matrix: every router is flattened anew and every atom is dirty. A
+// first step is both, which is Scan.
+//
+// The zero value is ready to use; Step only reads its argument.
+type Timeline struct {
+	routers []RouterFIB      // own copy of the last step's tables
+	idx     map[string]int32 // router name → index, first occurrence
+	clean   bool             // the last step scanned routers and warned of nothing
+
+	bounds  []uint64    // atom a is [bounds[a], bounds[a+1])
+	next    []int32     // next[r*atoms+a]: router r's decision on atom a
+	cycles  [][][]int32 // per atom, the canonical cycles found on it
+	dirty   []bool      // per atom: some router's decision moved this step
+	scratch []int32     // one router's freshly flattened column
+
+	rewalked int // atoms walked, over the Timeline's life
+}
+
+// Step scans the next snapshot of the timeline. The report is what a
+// fresh Scan of s would return, warnings included.
+func (t *Timeline) Step(s *Snapshot) *Report {
 	rep := &Report{TakenNs: s.TakenNs, Routers: len(s.Routers)}
-	if len(s.Routers) == 0 {
+	R := len(s.Routers)
+	if R == 0 {
+		t.clean = false // nothing for the next snapshot to differ from
 		return rep
 	}
-
-	// Router name → index. Duplicates keep the first occurrence: the
-	// scan must not guess which table is current.
-	idx := make(map[string]int32, len(s.Routers))
-	for i := range s.Routers {
-		name := s.Routers[i].Name
-		if _, dup := idx[name]; dup {
-			rep.warnf("duplicate router %q in snapshot; keeping the first", name)
-			continue
+	sameName := func(a, b RouterFIB) bool { return a.Name == b.Name }
+	if !t.clean || !slices.EqualFunc(s.Routers, t.routers, sameName) {
+		// Forget: index the names and keep empty tables. Duplicates
+		// keep the first occurrence: the scan must not guess which
+		// table is current.
+		t.routers = make([]RouterFIB, R)
+		t.idx = make(map[string]int32, R)
+		t.bounds = nil
+		for i := range s.Routers {
+			name := s.Routers[i].Name
+			t.routers[i].Name = name
+			if _, dup := t.idx[name]; dup {
+				rep.warnf("duplicate router %q in snapshot; keeping the first", name)
+				continue
+			}
+			t.idx[name] = int32(i)
 		}
-		idx[name] = int32(i)
 	}
 
+	changed := make([]bool, R)
+	moved := t.bounds == nil // some table moved, or none is kept
+	for r := range s.Routers {
+		old, now := &t.routers[r], &s.Routers[r]
+		if !sameTable(old, now) {
+			old.Routes = append(old.Routes[:0], now.Routes...)
+			old.Locals = append(old.Locals[:0], now.Locals...)
+			changed[r], moved = true, true
+		}
+	}
 	// Atom boundaries: the endpoints of every prefix in every table.
 	// Within an interval that crosses no prefix boundary, every
 	// router's LPM result is constant, so these intervals ARE the
 	// atoms (modulo merging equal-behaviour neighbours, which the
 	// cycle accumulator does per cycle).
-	bounds := collectBounds(s)
-	atoms := len(bounds) - 1
+	all := false // new partition: every router flattened, every atom dirty
+	if moved {
+		if bounds := collectBounds(s); !slices.Equal(bounds, t.bounds) {
+			all = true
+			atoms := len(bounds) - 1
+			t.bounds = bounds
+			t.next = slices.Grow(t.next[:0], R*atoms)[:R*atoms]
+			t.cycles = make([][][]int32, atoms)
+			t.scratch = make([]int32, atoms)
+			t.dirty = make([]bool, atoms)
+			for a := range t.dirty {
+				t.dirty[a] = true
+			}
+		}
+	}
+	atoms := len(t.bounds) - 1
 	rep.Atoms = atoms
 
-	// next[r*atoms+a] is router r's forwarding decision on atom a.
-	R := len(s.Routers)
-	next := make([]int32, R*atoms)
-	for i := range next {
-		next[i] = nhDrop
+	// Flatten: straight into the matrix on a new partition; otherwise
+	// into scratch, and the atoms where the column differs from the
+	// matrix are the dirty ones.
+	var missing []string
+	for r := 0; r < R; r++ {
+		if !changed[r] && !all {
+			continue
+		}
+		row := t.next[r*atoms : (r+1)*atoms]
+		col := row
+		if !all {
+			col = t.scratch
+		}
+		for a := range col {
+			col[a] = nhDrop
+		}
+		fillRouter(&t.routers[r], t.idx, t.bounds, col, &missing)
+		if !all {
+			for a, v := range col {
+				if row[a] != v {
+					row[a], t.dirty[a] = v, true
+				}
+			}
+		}
 	}
-	missing := make(map[string]bool)
-	for r := range s.Routers {
-		fillRouter(&s.Routers[r], idx, bounds, next[r*atoms:(r+1)*atoms], missing)
-	}
-	for _, name := range sortedKeys(missing) {
+	slices.Sort(missing)
+	for _, name := range slices.Compact(missing) {
 		rep.warnf("next hop %q is not in the snapshot; treating its routes as exits (degraded scan)", name)
 	}
+	t.clean = len(rep.Warnings) == 0
 
-	// Per-atom cycle extraction over the functional graph.
-	acc := newCycleAccumulator(bounds)
+	t.walk(R)
+	acc := newCycleAccumulator(t.bounds)
+	for a, found := range t.cycles {
+		for _, cycle := range found {
+			acc.record(a, cycle)
+		}
+	}
+	rep.Cycles = acc.finish(t.routers)
+	return rep
+}
+
+// sameTable reports whether two routers forward alike, entry for entry.
+func sameTable(a, b *RouterFIB) bool {
+	return slices.Equal(a.Routes, b.Routes) && slices.Equal(a.Locals, b.Locals)
+}
+
+// walk extracts the cycles of every dirty atom's functional graph over
+// R routers, replacing what was known for the atom, and leaves no atom
+// dirty.
+func (t *Timeline) walk(R int) {
+	next, atoms := t.next, len(t.dirty)
 	seen := make([]int32, R)   // last atom that fully processed the router
 	onPath := make([]int32, R) // walk id currently holding the router
 	pathPos := make([]int32, R)
@@ -72,6 +190,12 @@ func Scan(s *Snapshot) *Report {
 	path := make([]int32, 0, R)
 	walkID := int32(-1)
 	for a := 0; a < atoms; a++ {
+		if !t.dirty[a] {
+			continue
+		}
+		t.dirty[a] = false
+		t.rewalked++
+		var found [][]int32
 		for start := 0; start < R; start++ {
 			if seen[start] == int32(a) {
 				continue
@@ -83,7 +207,7 @@ func Scan(s *Snapshot) *Report {
 				if onPath[cur] == walkID {
 					// Closed a cycle: the tail of path from cur's
 					// position is the loop, in forwarding order.
-					acc.record(a, path[pathPos[cur]:])
+					found = append(found, canonical(path[pathPos[cur]:]))
 					break
 				}
 				onPath[cur] = walkID
@@ -95,10 +219,8 @@ func Scan(s *Snapshot) *Report {
 				seen[r] = int32(a)
 			}
 		}
+		t.cycles[a] = found
 	}
-
-	rep.Cycles = acc.finish(s)
-	return rep
 }
 
 // warnf appends a formatted warning to the report.
@@ -110,40 +232,31 @@ func (r *Report) warnf(format string, args ...any) {
 // every prefix endpoint in every router's FIB and local table, plus
 // the ends of the address space.
 func collectBounds(s *Snapshot) []uint64 {
-	set := make(map[uint64]struct{}, 64)
-	set[0] = struct{}{}
-	set[1<<32] = struct{}{}
-	add := func(p routing.Prefix) {
-		lo, hi := p.Range()
-		set[lo] = struct{}{}
-		set[hi] = struct{}{}
-	}
+	bounds := []uint64{0, 1 << 32}
 	for i := range s.Routers {
 		for _, rt := range s.Routers[i].Routes {
-			add(rt.Prefix)
+			lo, hi := rt.Prefix.Range()
+			bounds = append(bounds, lo, hi)
 		}
 		for _, p := range s.Routers[i].Locals {
-			add(p)
+			lo, hi := p.Range()
+			bounds = append(bounds, lo, hi)
 		}
 	}
-	bounds := make([]uint64, 0, len(set))
-	for b := range set {
-		bounds = append(bounds, b)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	return bounds
+	slices.Sort(bounds)
+	return slices.Compact(bounds)
 }
 
 // fillRouter computes one router's forwarding decision per atom into
 // col (length = number of atoms). The FIB is flattened once through
 // RangeWalk; locals are painted last because local delivery wins over
 // any FIB match.
-func fillRouter(rf *RouterFIB, idx map[string]int32, bounds []uint64, col []int32, missing map[string]bool) {
+func fillRouter(rf *RouterFIB, idx map[string]int32, bounds []uint64, col []int32, missing *[]string) {
 	tab := routing.NewTable[int32]()
 	for _, rt := range rf.Routes {
 		nh, ok := idx[rt.NextHop]
 		if !ok {
-			missing[rt.NextHop] = true
+			*missing = append(*missing, rt.NextHop)
 			nh = nhDrop
 		}
 		tab.Insert(rt.Prefix, nh)
@@ -199,10 +312,9 @@ func newCycleAccumulator(bounds []uint64) *cycleAccumulator {
 	return &cycleAccumulator{bounds: bounds, byKey: make(map[string]*cycleAcc)}
 }
 
-// record notes that atom a forwards around cycle (router indices in
-// forwarding order). The slice aliases the walk path and is copied.
-func (ca *cycleAccumulator) record(a int, cycle []int32) {
-	// Canonical rotation: smallest router index first, order kept.
+// canonical copies a cycle (router indices in forwarding order) out of
+// the walk path, rotated so the smallest index comes first.
+func canonical(cycle []int32) []int32 {
 	minAt := 0
 	for i := 1; i < len(cycle); i++ {
 		if cycle[i] < cycle[minAt] {
@@ -211,8 +323,12 @@ func (ca *cycleAccumulator) record(a int, cycle []int32) {
 	}
 	canon := make([]int32, 0, len(cycle))
 	canon = append(canon, cycle[minAt:]...)
-	canon = append(canon, cycle[:minAt]...)
+	return append(canon, cycle[:minAt]...)
+}
 
+// record notes that atom a forwards around the canonical cycle canon,
+// which is kept, not copied.
+func (ca *cycleAccumulator) record(a int, canon []int32) {
 	var sb strings.Builder
 	for _, r := range canon {
 		fmt.Fprintf(&sb, "%d,", r)
@@ -235,7 +351,7 @@ func (ca *cycleAccumulator) record(a int, cycle []int32) {
 // finish materialises the accumulated cycles: names resolved, affected
 // prefixes attached, deterministic order (first affected address, then
 // membership).
-func (ca *cycleAccumulator) finish(s *Snapshot) []Cycle {
+func (ca *cycleAccumulator) finish(routers []RouterFIB) []Cycle {
 	if len(ca.byKey) == 0 {
 		return nil
 	}
@@ -247,13 +363,13 @@ func (ca *cycleAccumulator) finish(s *Snapshot) []Cycle {
 			Ranges:  acc.ranges,
 		}
 		for i, r := range acc.routers {
-			c.Routers[i] = s.Routers[r].Name
+			c.Routers[i] = routers[r].Name
 		}
 		// Affected prefixes: entries in the cycle members' own FIBs —
 		// the routes steering traffic around the loop — whose range
 		// intersects the looping space. An ingress default route
 		// elsewhere also reaches the loop, but it does not define it.
-		for _, p := range memberPrefixes(s, acc.routers) {
+		for _, p := range memberPrefixes(routers, acc.routers) {
 			plo, phi := p.Range()
 			for _, rg := range c.Ranges {
 				if plo < rg.hi && rg.lo < phi {
@@ -275,11 +391,11 @@ func (ca *cycleAccumulator) finish(s *Snapshot) []Cycle {
 }
 
 // memberPrefixes returns every distinct FIB prefix across the given
-// routers, sorted by range start then by length.
-func memberPrefixes(s *Snapshot, routers []int32) []routing.Prefix {
+// members of routers, sorted by range start then by length.
+func memberPrefixes(routers []RouterFIB, members []int32) []routing.Prefix {
 	set := make(map[routing.Prefix]struct{})
-	for _, r := range routers {
-		for _, rt := range s.Routers[r].Routes {
+	for _, r := range members {
+		for _, rt := range routers[r].Routes {
 			set[rt.Prefix] = struct{}{}
 		}
 	}
@@ -295,38 +411,5 @@ func memberPrefixes(s *Snapshot, routers []int32) []routing.Prefix {
 		}
 		return out[i].Bits < out[j].Bits
 	})
-	return out
-}
-
-// sortedKeys returns the map's keys in sorted order, for deterministic
-// warning output.
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ScanTimeline scans a sequence of snapshots, reusing the scan result
-// when consecutive snapshots carry identical revision stamps (a
-// periodic capture of an idle network costs one scan, not many).
-// Reports are returned in input order with their own capture times.
-func ScanTimeline(snaps []Snapshot) []*Report {
-	out := make([]*Report, len(snaps))
-	var lastKey string
-	var last *Report
-	for i := range snaps {
-		key := snaps[i].revisionKey()
-		if last != nil && key == lastKey {
-			clone := *last
-			clone.TakenNs = snaps[i].TakenNs
-			out[i] = &clone
-			continue
-		}
-		out[i] = Scan(&snaps[i])
-		last, lastKey = out[i], key
-	}
 	return out
 }

@@ -24,6 +24,17 @@
 // O(entries + atoms × routers) — topologies far larger than
 // packet-level simulation can drive.
 //
+// A timeline is read and scanned one snapshot at a time, and a snapshot
+// costs what changed in it: the Reader does not decode again a router
+// whose bytes repeat (decode ∝ the changed routers' bytes, plus one
+// scanner pass over the rest); the Timeline re-flattens only routers
+// whose tables moved (∝ their entries) and re-walks only atoms where a
+// column moved (∝ dirty atoms × routers). What would make that unsound
+// falls back to the same code with every router changed and every atom
+// dirty (see Timeline). Equal bytes and equal tables license reuse; the
+// revision field is carried and never consulted. Held at any time: one
+// snapshot's tables and the router × atom matrix, whatever the length.
+//
 // Results can be cross-validated against the trace detector (diff.go):
 // loops the tables predict but packets never hit, versus loops packets
 // saw that the snapshot timeline missed.
@@ -68,20 +79,6 @@ type Snapshot struct {
 
 // Taken returns the capture time as a duration since run start.
 func (s *Snapshot) Taken() time.Duration { return time.Duration(s.TakenNs) }
-
-// revisionKey summarises the per-router revisions; two snapshots of
-// the same network with equal keys hold identical tables, letting
-// ScanTimeline reuse scan results across unchanged captures.
-func (s *Snapshot) revisionKey() string {
-	key := make([]byte, 0, 16*len(s.Routers))
-	for i := range s.Routers {
-		key = append(key, s.Routers[i].Name...)
-		key = append(key, '=')
-		key = fmt.Appendf(key, "%d", s.Routers[i].Revision)
-		key = append(key, ';')
-	}
-	return string(key)
-}
 
 // AddrRange is an inclusive range of destination addresses — one or
 // more adjacent header-space atoms with identical forwarding

@@ -47,18 +47,19 @@ func (f *SnapshotFile) Encode(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// Decode reads and validates a snapshot file.
+// Decode reads and validates a snapshot file: what a Reader yields,
+// collected. Routers whose bytes repeat from one snapshot to the next
+// share their tables (see Reader), so the result is read-only.
 func Decode(r io.Reader) (*SnapshotFile, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var f SnapshotFile
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("fibscan: decoding snapshot file: %w", err)
-	}
-	if err := f.Validate(); err != nil {
+	rd := NewReader(r)
+	err := rd.Each(func(s *Snapshot) error {
+		rd.file.Snapshots = append(rd.file.Snapshots, *s)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &f, nil
+	return &rd.file, nil
 }
 
 // WriteFile writes the snapshot file to path.

@@ -1,0 +1,400 @@
+package fibscan
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"loopscope/internal/routing"
+)
+
+// Equal revisions prove nothing: a loop in the first snapshot and a
+// healed table under the same revision stamps in the second must not be
+// reported twice.
+func TestTimelineHealedTableSameRevision(t *testing.T) {
+	looped := mkSnap(t, 100,
+		rspec{name: "a", routes: map[string]string{"10.0.0.0/8": "b"}},
+		rspec{name: "b", routes: map[string]string{"10.0.0.0/8": "a"}},
+	)
+	healed := mkSnap(t, 200,
+		rspec{name: "a", routes: map[string]string{"10.0.0.0/8": "b"}},
+		rspec{name: "b", locals: []string{"10.0.0.0/8"}},
+	)
+	for r := range healed.Routers {
+		if healed.Routers[r].Revision != looped.Routers[r].Revision {
+			t.Fatalf("router %d: revisions differ; the test needs them equal", r)
+		}
+	}
+	reps := ScanTimeline([]Snapshot{*looped, *healed})
+	if len(reps[0].Cycles) != 1 {
+		t.Fatalf("first snapshot: %d cycles, want 1", len(reps[0].Cycles))
+	}
+	if len(reps[1].Cycles) != 0 {
+		t.Errorf("healed table under an unchanged revision still reports %+v", reps[1].Cycles)
+	}
+}
+
+// A file from a tool that writes no revision field reads as revision 0
+// everywhere; every snapshot still gets its own report.
+func TestTimelineWithoutRevisions(t *testing.T) {
+	const file = `{"version":1,"snapshots":[
+	 {"takenNs":1,"routers":[{"name":"a","routes":[{"prefix":"10.0.0.0/8","nextHop":"b"}]},
+	                         {"name":"b","routes":[{"prefix":"10.0.0.0/8","nextHop":"a"}]}]},
+	 {"takenNs":2,"routers":[{"name":"a","routes":[{"prefix":"10.0.0.0/8","nextHop":"b"}]},
+	                         {"name":"b","routes":[],"locals":["10.0.0.0/8"]}]},
+	 {"takenNs":3,"routers":[{"name":"a","routes":[{"prefix":"10.0.0.0/8","nextHop":"b"}]},
+	                         {"name":"b","routes":[{"prefix":"10.0.0.0/8","nextHop":"a"}]}]}]}`
+	f, err := Decode(strings.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, rep := range ScanTimeline(f.Snapshots) {
+		got = append(got, len(rep.Cycles))
+	}
+	if want := []int{1, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cycles per snapshot %v, want %v", got, want)
+	}
+}
+
+// mutator applies seeded edits to one snapshot, in place — the Timeline
+// keeps its own copy of what it compares against, so reusing the value
+// between steps must be safe.
+type mutator struct {
+	rng   *rand.Rand
+	s     *Snapshot
+	fresh int // counter behind never-seen-before names and prefixes
+}
+
+func (m *mutator) router() *RouterFIB { return &m.s.Routers[m.rng.Intn(len(m.s.Routers))] }
+
+func (m *mutator) name() string { return m.router().Name }
+
+// knownPrefix picks a prefix some table already holds (no new
+// endpoints); newPrefix makes one nobody holds, nested at random depth
+// so that it splits existing atoms.
+func (m *mutator) knownPrefix() (routing.Prefix, bool) {
+	for try := 0; try < 8; try++ {
+		rf := m.router()
+		if n := len(rf.Routes); n > 0 {
+			return rf.Routes[m.rng.Intn(n)].Prefix, true
+		}
+	}
+	return routing.Prefix{}, false
+}
+
+func (m *mutator) newPrefix() routing.Prefix {
+	m.fresh++
+	bits := []int{8, 12, 16, 20, 24, 28}[m.rng.Intn(6)]
+	base := []string{"10.0.0.0", "16.0.0.0", "172.16.0.0"}[m.rng.Intn(3)]
+	p := routing.MustParsePrefix(fmt.Sprintf("%s/%d", base, bits))
+	lo, _ := p.Range()
+	lo += uint64(m.fresh%200) << (32 - bits)
+	return routing.MustParsePrefix(fmt.Sprintf("%d.%d.%d.%d/%d", byte(lo>>24), byte(lo>>16), byte(lo>>8), byte(lo), bits))
+}
+
+// mutate applies one edit and names it.
+func (m *mutator) mutate() string {
+	if len(m.s.Routers) == 0 {
+		m.s.Routers = append(m.s.Routers, RouterFIB{Name: "r0"})
+		return "refill"
+	}
+	rf := m.router()
+	// Nine edits in ten touch tables only (0–8), so that the
+	// incremental path has preconditions left to run on.
+	op := m.rng.Intn(9)
+	if m.rng.Intn(10) == 0 {
+		op = 9 + m.rng.Intn(6)
+	}
+	switch op {
+	case 0: // change a next hop
+		if n := len(rf.Routes); n > 0 {
+			rf.Routes[m.rng.Intn(n)].NextHop = m.name()
+		}
+		return "next hop"
+	case 1: // add a route on endpoints the partition already has
+		if p, ok := m.knownPrefix(); ok {
+			rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: m.name()})
+		}
+		return "add route, known endpoints"
+	case 2: // add a route that moves the partition
+		rf.Routes = append(rf.Routes, Route{Prefix: m.newPrefix(), NextHop: m.name()})
+		return "add route, new endpoints"
+	case 3: // remove a route
+		if n := len(rf.Routes); n > 0 {
+			i := m.rng.Intn(n)
+			rf.Routes = append(rf.Routes[:i:i], rf.Routes[i+1:]...)
+		}
+		return "remove route"
+	case 4: // attach a local
+		if p, ok := m.knownPrefix(); ok && m.rng.Intn(2) == 0 {
+			rf.Locals = append(rf.Locals, p)
+		} else {
+			rf.Locals = append(rf.Locals, m.newPrefix())
+		}
+		return "attach local"
+	case 5: // detach a local
+		if n := len(rf.Locals); n > 0 {
+			i := m.rng.Intn(n)
+			rf.Locals = append(rf.Locals[:i:i], rf.Locals[i+1:]...)
+		}
+		return "detach local"
+	case 9: // add a router
+		m.fresh++
+		m.s.Routers = append(m.s.Routers, RouterFIB{
+			Name:   fmt.Sprintf("new%d", m.fresh),
+			Routes: []Route{{Prefix: routing.MustParsePrefix("0.0.0.0/0"), NextHop: m.name()}},
+		})
+		return "add router"
+	case 10: // remove a router; routes towards it now point nowhere
+		i := m.rng.Intn(len(m.s.Routers))
+		m.s.Routers = append(m.s.Routers[:i:i], m.s.Routers[i+1:]...)
+		return "remove router"
+	case 11: // reorder
+		i, j := m.rng.Intn(len(m.s.Routers)), m.rng.Intn(len(m.s.Routers))
+		m.s.Routers[i], m.s.Routers[j] = m.s.Routers[j], m.s.Routers[i]
+		return "reorder"
+	case 12: // rename
+		m.fresh++
+		rf.Name = fmt.Sprintf("renamed%d", m.fresh)
+		return "rename"
+	case 13: // duplicate a name
+		rf.Name = m.name()
+		return "duplicate name"
+	case 14: // point at a router the snapshot lacks
+		if n := len(rf.Routes); n > 0 {
+			rf.Routes[m.rng.Intn(n)].NextHop = "ghost"
+		}
+		return "missing next hop"
+	case 6: // swap two routes: same table, other order
+		if n := len(rf.Routes); n > 1 {
+			i, j := m.rng.Intn(n), m.rng.Intn(n)
+			rf.Routes[i], rf.Routes[j] = rf.Routes[j], rf.Routes[i]
+		}
+		return "reorder routes"
+	case 8: // repair: names unique again, every next hop present
+		names := map[string]bool{}
+		for i := range m.s.Routers {
+			m.s.Routers[i].Name = fmt.Sprintf("r%d", i)
+			names[m.s.Routers[i].Name] = true
+		}
+		for i := range m.s.Routers {
+			for j := range m.s.Routers[i].Routes {
+				if nh := &m.s.Routers[i].Routes[j].NextHop; !names[*nh] {
+					*nh = m.name()
+				}
+			}
+		}
+		return "repair"
+	default:
+		return "unchanged"
+	}
+}
+
+// randomTables builds a handful of routers over a small pool of nested
+// prefixes, dense enough that random next hops close cycles.
+func randomTables(rng *rand.Rand) Snapshot {
+	pool := []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16", "172.16.0.0/12", "172.16.40.0/24"}
+	n := 3 + rng.Intn(4)
+	var s Snapshot
+	for r := 0; r < n; r++ {
+		rf := RouterFIB{Name: fmt.Sprintf("r%d", r)}
+		for _, p := range pool {
+			switch rng.Intn(4) {
+			case 0, 1:
+				rf.Routes = append(rf.Routes, Route{Prefix: routing.MustParsePrefix(p), NextHop: fmt.Sprintf("r%d", rng.Intn(n))})
+			case 2:
+				if rng.Intn(3) == 0 {
+					rf.Locals = append(rf.Locals, routing.MustParsePrefix(p))
+				}
+			}
+		}
+		s.Routers = append(s.Routers, rf)
+	}
+	return s
+}
+
+// loopedPrefixes collects the affected prefixes of every cycle, sorted.
+func loopedPrefixes(rep *Report) []string {
+	set := map[string]bool{}
+	for _, c := range rep.Cycles {
+		for _, p := range c.Prefixes {
+			set[p.String()] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestTimelineMatchesFreshScan is the differential the incremental
+// step rests on: over seeded timelines of mutating snapshots, every
+// Step must return exactly what a Timeline that has seen nothing
+// returns for the same snapshot — cycles, atoms and warnings.
+func TestTimelineMatchesFreshScan(t *testing.T) {
+	const timelines, steps = 240, 14
+	partial, full := 0, 0
+	for seed := int64(0); seed < timelines; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tl Timeline
+		step := func(s *Snapshot, what string) *Report {
+			t.Helper()
+			before := tl.rewalked
+			got := tl.Step(s)
+			want := new(Timeline).Step(s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, after %q:\nstep  %+v\nfresh %+v", seed, what, got, want)
+			}
+			if walked := tl.rewalked - before; walked < got.Atoms {
+				partial++
+			} else {
+				full++
+			}
+			return got
+		}
+
+		var snap Snapshot
+		if seed%2 == 0 {
+			// The generator's own timeline first: loop counts coming
+			// and going, each snapshot reporting exactly what was
+			// injected.
+			routers, prefixes := 4+rng.Intn(30), 10+rng.Intn(50)
+			for i := 0; i < 4; i++ {
+				var looped []routing.Prefix
+				snap, looped = Synthetic(routers, prefixes, rng.Intn(6))
+				snap.TakenNs = int64(i)
+				want := make([]string, 0, len(looped))
+				for _, p := range looped {
+					want = append(want, p.String())
+				}
+				sort.Strings(want)
+				if got := loopedPrefixes(step(&snap, "synthetic")); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, synthetic %d: looped %v, injected %v", seed, i, got, want)
+				}
+			}
+		} else {
+			snap = randomTables(rng)
+			step(&snap, "random tables")
+		}
+
+		m := &mutator{rng: rng, s: &snap}
+		for i := 0; i < steps; i++ {
+			snap.TakenNs++
+			if rng.Intn(12) == 0 {
+				step(&Snapshot{TakenNs: snap.TakenNs}, "empty snapshot")
+				continue
+			}
+			var what []string
+			for n := rng.Intn(3); n >= 0; n-- {
+				what = append(what, m.mutate())
+			}
+			step(&snap, strings.Join(what, " + "))
+		}
+	}
+	t.Logf("%d steps re-walked part of the atoms, %d all of them", partial, full)
+	if partial < 3*timelines {
+		t.Errorf("only %d steps took the incremental path; the test no longer exercises it", partial)
+	}
+}
+
+// changedColumns counts the atoms on which some router forwards
+// differently in b than in a, from two independent fresh scans; every
+// atom when the partitions differ.
+func changedColumns(a, b *Snapshot) int {
+	var ta, tb Timeline
+	ta.Step(a)
+	tb.Step(b)
+	atoms := len(tb.bounds) - 1
+	if !reflect.DeepEqual(ta.bounds, tb.bounds) || len(ta.next) != len(tb.next) {
+		return atoms
+	}
+	n := 0
+	for at := 0; at < atoms; at++ {
+		for r := 0; r < len(b.Routers); r++ {
+			if ta.next[r*atoms+at] != tb.next[r*atoms+at] {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestTimelineAllocationBudget: a long timeline costs what its changes
+// cost. Through Reader and Step, the live heap after 32 snapshots is
+// what it was after 8; encoding/json sees the first snapshot's routers
+// and then only routers whose tables moved; and the walk visits only
+// atoms where some router's decision moved.
+func TestTimelineAllocationBudget(t *testing.T) {
+	const routers, prefixes, snapshots = 200, 1000, 32
+	loops := func(i int) int { return []int{8, 8, 20, 20}[i%4] } // every other capture a heartbeat
+	counts := make([]int, snapshots)
+	for i := range counts {
+		counts[i] = loops(i)
+	}
+	file := encodedTimeline(t, routers, prefixes, counts...)
+
+	first, _ := Synthetic(routers, prefixes, loops(0))
+	other, _ := Synthetic(routers, prefixes, loops(2))
+	moved := 0
+	for r := range first.Routers {
+		if !sameTable(&first.Routers[r], &other.Routers[r]) {
+			moved++
+		}
+	}
+	changes := snapshots/2 - 1
+	wantDecoded := routers + changes*moved
+
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	rd := NewReader(bytes.NewReader(file))
+	var tl Timeline
+	var at8, at32 uint64
+	totalAtoms := 0
+	i := 0
+	if err := rd.Each(func(s *Snapshot) error {
+		totalAtoms = tl.Step(s).Atoms
+		switch i++; i {
+		case 8:
+			at8 = liveHeap()
+		case snapshots:
+			at32 = liveHeap()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("live heap %d KiB after 8 snapshots, %d KiB after %d", at8>>10, at32>>10, snapshots)
+	if at32 > at8+at8/10 {
+		t.Errorf("live heap grew from %d to %d bytes between snapshot 8 and %d", at8, at32, snapshots)
+	}
+	if rd.decoded != wantDecoded {
+		t.Errorf("encoding/json decoded %d routers, want %d (first snapshot's %d + %d changes × %d)",
+			rd.decoded, wantDecoded, routers, changes, moved)
+	}
+	dirty := changedColumns(&first, &other)
+	if back := changedColumns(&other, &first); back != dirty {
+		t.Fatalf("changed columns %d one way, %d the other", dirty, back)
+	}
+	budget := totalAtoms + changes*dirty
+	t.Logf("decoded %d routers; walked %d atoms of %d × %d, budget %d", rd.decoded, tl.rewalked, snapshots, totalAtoms, budget)
+	if dirty == 0 || dirty >= totalAtoms/4 {
+		t.Fatalf("%d of %d atoms change between the two tables; the budget would prove nothing", dirty, totalAtoms)
+	}
+	if tl.rewalked > budget {
+		t.Errorf("walked %d atoms, budget %d (all %d once + %d changes × %d changed columns)",
+			tl.rewalked, budget, totalAtoms, changes, dirty)
+	}
+}
