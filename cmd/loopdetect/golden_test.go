@@ -247,3 +247,82 @@ func TestScanHoldsNoRecords(t *testing.T) {
 	}
 	workerCount = 0
 }
+
+// backwardsCapture writes a capture whose clock runs backwards now and
+// then, which the strict reader passes through to the detector: single
+// records stamped up to 1.5 s early (inside MaxReplicaGap), others
+// 2.5–4 s early (across it), and two blocks of a few hundred records
+// shifted back 3 s and 0.8 s, so the steps land inside replica streams,
+// between them and across merge decisions. It is generated from fixed
+// seeds, so the file is the same on every run.
+func backwardsCapture(t *testing.T) string {
+	t.Helper()
+	dests := make([]routing.Prefix, 24)
+	for i := range dests {
+		dests[i] = routing.NewPrefix(packet.AddrFrom(198, 51, byte(i), 0), 24)
+	}
+	var loops []traffic.LoopSpec
+	for i, start := range []time.Duration{1500, 4200, 4700, 7300, 9100} {
+		loops = append(loops, traffic.LoopSpec{Prefix: dests[3*i], Start: start * time.Millisecond,
+			Duration: 900 * time.Millisecond, TTLDelta: 2 + i%3, Revolution: time.Duration(2+i) * time.Millisecond})
+	}
+	recs := traffic.Synthesize(traffic.SynthConfig{Duration: 12 * time.Second, PacketsPerSecond: 1500,
+		Mix: traffic.DefaultMix(), DestPrefixes: dests, HopsMin: 3, HopsMax: 8, Loops: loops}, stats.NewRNG(27))
+	rng := stats.NewRNG(28)
+	for i := range recs {
+		switch {
+		case i%211 == 17:
+			recs[i].Time -= time.Duration(1+rng.Intn(1500)) * time.Millisecond
+		case i%1013 == 500:
+			recs[i].Time -= time.Duration(2500+rng.Intn(1500)) * time.Millisecond
+		case i >= 6000 && i < 6400:
+			recs[i].Time -= 3 * time.Second
+		case i >= 11000 && i < 11250:
+			recs[i].Time -= 800 * time.Millisecond
+		}
+		recs[i].Time = max(recs[i].Time, 0)
+	}
+	path := filepath.Join(t.TempDir(), "backwards.lspt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := trace.NewWriter(f, trace.Meta{Link: "backwards", SnapLen: 40, Start: time.Unix(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGoldenBackwardsTimestamps: on a capture whose clock steps
+// backwards, -json, -stream and -streams print, at every worker count,
+// what the detector printed when every first observation was a builder.
+// What the detector does with such records is specified by the Detector
+// doc comment; these files are that specification's test.
+func TestGoldenBackwardsTimestamps(t *testing.T) {
+	path := backwardsCapture(t)
+	cfg := core.DefaultConfig()
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			workerCount = workers
+			reg = nil
+			defer func() { workerCount = 0 }()
+
+			withRegistry(t)
+			doc := captureStdout(t, func() error { return runJSON(path, cfg) })
+			reg = nil
+			checkGolden(t, "backwards.json", runSectionRE.ReplaceAll(doc, nil))
+			checkGolden(t, "backwards.streams", captureStdout(t, func() error { return run(path, cfg, true, true) }))
+			checkGolden(t, "backwards.stream", captureStdout(t, func() error { return runStreaming(path, cfg) }))
+		})
+	}
+}

@@ -67,16 +67,18 @@ type Config struct {
 	// ValidateSubnet enables the step-2 subnet condition. Disabling
 	// it is used by the ablation benchmarks.
 	ValidateSubnet bool
-	// MaxActiveStreams caps the number of live stream builders a
-	// Detector holds (0: unlimited; under ParallelDetector the cap
-	// applies to each shard). The cap is the detector's overload
-	// self-protection: an IPID-collision storm — every packet
-	// distinct, none ever growing a replica stream — would otherwise
-	// inflate builder state without bound. At the cap the detector
-	// sheds lowest-value state first (cold single-replica builders,
-	// which cannot be loop evidence yet) and degrades to sampled
-	// admission of new streams, counting everything it gave up (see
-	// Detector.Shed). Only the loopscoped daemon sets it.
+	// MaxActiveStreams caps the per-packet state a Detector holds —
+	// packets seen once plus builders of packets seen again, see
+	// Detector.LiveBuilders (0: unlimited; under ParallelDetector the
+	// cap applies to each shard). The cap is the detector's overload
+	// self-protection: an IPID-collision storm — every packet distinct,
+	// none ever growing a replica stream — would otherwise inflate that
+	// state without bound. At the cap the detector sheds lowest-value
+	// state first, coldest first by the record index of each packet's
+	// last observation (packets below MemberReplicas, which cannot be
+	// loop evidence yet), and degrades to sampled admission of new
+	// packets, counting everything it gave up (see Detector.Shed). Only
+	// the loopscoped daemon sets it.
 	MaxActiveStreams int
 }
 

@@ -36,6 +36,15 @@ import (
 // whole-trace algorithm, and the two are differentially tested) while
 // holding only the undecided tail of the trace.
 //
+// A record stamped earlier than its predecessor, which the strict
+// readers pass through, is taken at its stamp in arrival order: the
+// clock moves back with it, so nothing expires, rotates or advances
+// until the clock passes where it was; expiry, which stops at the least
+// recently observed packet seen within MaxReplicaGap, can leave a packet
+// matchable beyond the gap, as a match checks TTLs, never times; and its
+// window entry goes after every earlier arrival. The backwards capture
+// in cmd/loopdetect's golden set pins this.
+//
 // The same machine serves every use. NewDetector collects the loops
 // and Finish returns them as a canonical *Result; NewStreamDetector
 // additionally hands each loop to a callback the moment it is final,
@@ -54,31 +63,27 @@ type Detector struct {
 	// per-packet state.
 	loops []*Loop
 
-	// active indexes open builders by replicaKey.index; builders whose
-	// keys collide there chain through builder.chain. The map holds a
-	// word, not the 56-byte key: inline keys quadruple the table, and an
-	// entry is looked up on arrival and deleted MaxReplicaGap later, by
-	// which time it has left every cache.
+	// first holds packets seen once (first.go); active indexes the
+	// builders of packets seen again by replicaKey.index, and builders
+	// whose keys collide there chain through builder.chain.
+	first  firstTable
 	active map[uint64]*builder
 	seed   uint64
 	// byPrefix is keyed by the destination address masked to PrefixBits.
 	byPrefix   map[uint32]*prefixState
 	prefixMask uint32
-	// free recycles closed builders through builder.chain, so a warm
-	// detector starts a stream without allocating. It never holds more
-	// than the peak number of live builders.
-	free *builder
 
-	// live threads every open builder in order of last activity, head
-	// stalest. It is both the expiry queue (a stream with no replica
-	// for MaxReplicaGap is closed from the head, amortised O(1) per
-	// record) and the governor's coldest-first victim order. The list
-	// is touched in Observe order, never map order, so expiry, shedding
-	// and the final flush are pure functions of the record sequence.
+	// live threads every builder in order of last activity, head
+	// stalest. Merged by record index with first's entries (coldest),
+	// it is both the expiry queue (a packet unseen for MaxReplicaGap is
+	// dropped from the cold end, amortised O(1) per record) and the
+	// governor's coldest-first victim order. Both are touched in Observe
+	// order, never map order, so expiry, shedding and the final flush
+	// are pure functions of the record sequence.
 	live         blist
-	liveBuilders int
-	shedStreams  int64 // builders evicted at the cap
-	shedPackets  int64 // packets refused a new builder at the cap
+	builders     int
+	shedStreams  int64 // entries and builders evicted at the cap
+	shedPackets  int64 // packets refused admission at the cap
 	admitRefused int64 // refusals since start, drives sampled admission
 
 	now         time.Duration
@@ -102,66 +107,48 @@ type Detector struct {
 // constructor has always used.
 type StreamDetector = Detector
 
-// builder accumulates one replica stream while it is open.
+// builder accumulates one replica stream from the packet's second
+// observation (Detector.promote) until it closes.
 type builder struct {
 	key replicaKey
 	// rest copies the captured bytes past keyBytes, which the key only
 	// hashes; empty for the paper's 40-byte snapshots.
-	rest  []byte
-	index uint64
-	chain *builder // next open builder with the same index
-	ps    *prefixState
-	// replicas starts out as first[:], so the first observation lives in
-	// the builder; the append of a second replica, which over 99.9 % of
-	// packets never get, moves it to an array of its own. A published
-	// slice holds MinReplicas >= 2 replicas, so it is never the inline
-	// one, and recycling the builder cannot reach it.
-	first    [1]Replica
+	rest     []byte
+	index    uint64
+	chain    *builder // next open builder with the same index
+	ps       *prefixState
 	replicas []Replica
 	// firstEntry and moreEntries locate every observation of this
 	// packet — replicas and link-layer duplicates — in ps.entries by
-	// sequence number, so flush can settle their membership. The first
-	// is inline: most builders never see a second observation.
+	// sequence number, so flush can settle their membership.
 	firstEntry  int
 	moreEntries []int
 	// lastTTL/lastTime track the most recent observation — replica or
 	// duplicate — so a delta-1 chain cannot ratchet itself into a fake
-	// delta-2 stream.
+	// delta-2 stream; lastIdx is its record index, its place in the
+	// last-activity order.
 	lastTTL  uint8
 	lastTime time.Duration
+	lastIdx  int
 	// frOpen marks that a stream-open flight event was recorded (lazy:
 	// nothing is recorded until the second replica, so non-looping
 	// traffic never touches the recorder) and that stream, the events'
 	// stream ID, has been computed.
-	frOpen bool
-	stream uint64
-	links  [2]blink
+	frOpen     bool
+	stream     uint64
+	prev, next *builder // on Detector.live
 }
 
 func (b *builder) start() time.Duration { return b.replicas[0].Time }
 func (b *builder) end() time.Duration   { return b.replicas[len(b.replicas)-1].Time }
 
-// blink is one pair of intrusive list pointers on a builder.
-type blink struct{ prev, next *builder }
-
-// The two lists an open builder is on.
-const (
-	byActivity = iota // Detector.live
-	byCreation        // prefixState.open
-)
-
-// blist is an intrusive doubly-linked list of builders threaded
-// through links[which].
-type blist struct {
-	head, tail *builder
-	which      int
-}
+// blist is an intrusive doubly-linked list of builders.
+type blist struct{ head, tail *builder }
 
 func (l *blist) pushBack(b *builder) {
-	k := &b.links[l.which]
-	k.prev, k.next = l.tail, nil
+	b.prev, b.next = l.tail, nil
 	if l.tail != nil {
-		l.tail.links[l.which].next = b
+		l.tail.next = b
 	} else {
 		l.head = b
 	}
@@ -169,25 +156,26 @@ func (l *blist) pushBack(b *builder) {
 }
 
 func (l *blist) remove(b *builder) {
-	k := &b.links[l.which]
-	if k.prev != nil {
-		k.prev.links[l.which].next = k.next
+	if b.prev != nil {
+		b.prev.next = b.next
 	} else {
-		l.head = k.next
+		l.head = b.next
 	}
-	if k.next != nil {
-		k.next.links[l.which].prev = k.prev
+	if b.next != nil {
+		b.next.prev = b.prev
 	} else {
-		l.tail = k.prev
+		l.tail = b.prev
 	}
-	*k = blink{}
+	b.prev, b.next = nil, nil
 }
 
-// pktEntry is the retained per-packet state: arrival time and whether
-// the packet turned out to belong to a replica stream.
+// pktEntry is the retained per-packet state: arrival time, whether
+// the packet turned out to belong to a replica stream, and whether it
+// is the first observation of a packet still open.
 type pktEntry struct {
 	t      time.Duration
 	member bool
+	open   bool
 }
 
 // prefixState is everything retained for one /PrefixBits prefix.
@@ -201,9 +189,9 @@ type prefixState struct {
 	entries []pktEntry
 	store   []pktEntry
 	base    int
-	// open lists the prefix's open builders in creation order, so the
-	// head holds the earliest first replica.
-	open blist
+	// open counts the entries marked open; none is before cursor.
+	open   int
+	cursor int
 	// pending are flushed candidates (>= MinReplicas) awaiting
 	// settlement, in flush order.
 	pending []*builder
@@ -217,13 +205,28 @@ type prefixState struct {
 const never = time.Duration(1<<63 - 1)
 
 // undecided returns the earliest time at which membership towards the
-// prefix is still open: the first replica of its oldest open builder.
+// prefix is still open: the first observation of the earliest-arrived
+// packet still open.
 func (ps *prefixState) undecided() time.Duration {
-	if ps.open.head == nil {
-		return never
+	for ps.cursor = max(ps.cursor, ps.base); ps.open > 0 && ps.cursor-ps.base < len(ps.entries); ps.cursor++ {
+		if e := ps.entries[ps.cursor-ps.base]; e.open {
+			return e.t
+		}
 	}
-	return ps.open.head.start()
+	return never
 }
+
+// decide clears the open mark of the packet whose first entry is seq.
+func (ps *prefixState) decide(seq int) {
+	if i := seq - ps.base; i >= 0 && i < len(ps.entries) {
+		ps.entries[i].open = false
+	}
+	ps.open--
+}
+
+// seqOf recovers the sequence number a table entry holds modulo 2³²;
+// one the window no longer holds comes out past its end.
+func (ps *prefixState) seqOf(s uint32) int { return ps.base + int(s-uint32(ps.base)) }
 
 // earliestStream returns the earliest start of a stream — open,
 // pending or validated — that has not yet been folded into a loop.
@@ -303,11 +306,11 @@ func NewStreamDetector(cfg Config, emit func(*Loop)) *Detector {
 	return &Detector{
 		cfg:        cfg,
 		emit:       emit,
+		first:      newFirstTable(defaultGenerations, minSlots, cfg.MaxReplicaGap),
 		active:     make(map[uint64]*builder),
 		seed:       rand.Uint64(),
 		byPrefix:   make(map[uint32]*prefixState),
 		prefixMask: ^uint32(0) << (32 - cfg.PrefixBits),
-		live:       blist{which: byActivity},
 	}
 }
 
@@ -319,7 +322,7 @@ func (d *Detector) state(dst packet.Addr) *prefixState {
 	net := dst.Uint32() & d.prefixMask
 	ps := d.byPrefix[net]
 	if ps == nil {
-		ps = &prefixState{prefix: routing.PrefixOf(dst, d.cfg.PrefixBits), open: blist{which: byCreation}}
+		ps = &prefixState{prefix: routing.PrefixOf(dst, d.cfg.PrefixBits)}
 		d.byPrefix[net] = ps
 	}
 	return ps
@@ -330,10 +333,9 @@ func (d *Detector) state(dst packet.Addr) *prefixState {
 func (d *Detector) Observe(rec trace.Record) { d.observeAt(rec, d.n) }
 
 // observeAt is Observe for a record whose position in the whole trace
-// is idx. The index is only ever written into the Replica that reports
-// the record (and breaks ties between streams whose first replicas share
-// a timestamp, which any increasing numbering breaks the same way), so a
-// ParallelDetector shard passes the global one and its streams need no
+// is idx. The index is written into the Replica that reports the record
+// and otherwise only compared, as any increasing numbering would be, so
+// a ParallelDetector shard passes the global one and its streams need no
 // renumbering afterwards.
 func (d *Detector) observeAt(rec trace.Record, idx int) {
 	d.n++
@@ -342,6 +344,7 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 	// concurrent streams, not trace length, and every builder the
 	// record can match is within MaxReplicaGap of it.
 	d.expire()
+	d.first.rotate(d.now)
 	if rec.Time-d.lastAdvance > d.cfg.MaxReplicaGap {
 		d.advanceAll(false)
 		d.lastAdvance = rec.Time
@@ -365,8 +368,12 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		match = match.chain
 	}
 	if match == nil {
-		d.startBuilder(ps, h, &key, rest, rep)
-		return
+		e := d.first.find(h, &key, rest)
+		if e == nil {
+			d.addFirst(ps, h, &key, rest, rep)
+			return
+		}
+		match = d.promote(ps, h, &key, rest, e)
 	}
 	switch delta := int(match.lastTTL) - int(rep.TTL); {
 	case delta >= d.cfg.MinTTLDelta:
@@ -390,34 +397,52 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		// (e.g. an identical retransmission through a middlebox).
 		// Close the old stream and start a new one.
 		d.close(match, flight.ReasonTTLRise)
-		d.startBuilder(ps, h, &key, rest, rep)
+		d.addFirst(ps, h, &key, rest, rep)
 	}
 }
 
-// startBuilder opens a stream on a packet's first observation, the
-// governor permitting. A packet refused admission starts no builder
-// and, having no chance of ever becoming a member, is not retained in
-// the prefix window either: a non-member entry would invalidate every
-// genuine stream overlapping it (step 2).
-func (d *Detector) startBuilder(ps *prefixState, h uint64, key *replicaKey, rest []byte, rep Replica) {
+// addFirst remembers a packet's first observation, the governor
+// permitting. A packet refused admission is not remembered and, having
+// no chance of ever becoming a member, is not retained in the prefix
+// window either: a non-member entry would invalidate every genuine
+// stream overlapping it (step 2).
+func (d *Detector) addFirst(ps *prefixState, h uint64, key *replicaKey, rest []byte, rep Replica) {
 	if !d.admitStream() {
 		return
 	}
-	b := d.free
-	if b == nil {
-		b = new(builder)
-	} else {
-		d.free = b.chain
-	}
-	b.key, b.rest = *key, append([]byte(nil), rest...) // a copy, or nil: never a hold on the record's array
-	b.index, b.chain = h, d.active[h]
-	b.first[0], b.replicas = rep, b.first[:]
-	b.ps, b.firstEntry = ps, ps.add(rep.Time)
-	b.lastTTL, b.lastTime = rep.TTL, rep.Time
+	seq := ps.add(rep.Time)
+	ps.entries[len(ps.entries)-1].open = true
+	ps.open++
+	d.first.insert(h, d.seed, key, rest, rep, seq)
+}
+
+// promote replaces a packet's table entry, on its second observation,
+// with a builder holding the first; its window entry stays open.
+func (d *Detector) promote(ps *prefixState, h uint64, key *replicaKey, rest []byte, e *firstObs) *builder {
+	b := &builder{key: *key, rest: bytes.Clone(rest), index: h, chain: d.active[h], ps: ps,
+		replicas:   append(make([]Replica, 0, 2), Replica{Time: e.t, TTL: e.ttl(), Index: e.idx()}),
+		firstEntry: ps.seqOf(e.seq), lastTTL: e.ttl(), lastTime: e.t, lastIdx: e.idx()}
+	d.first.drop(e)
 	d.active[h] = b
-	ps.open.pushBack(b)
 	d.live.pushBack(b)
-	d.liveBuilders++
+	d.builders++
+	return b
+}
+
+// dropFirst forgets a table entry, shed or expired.
+func (d *Detector) dropFirst(e *firstObs) {
+	ps := d.byPrefix[e.net()&d.prefixMask]
+	ps.decide(ps.seqOf(e.seq))
+	d.first.drop(e)
+}
+
+// coldest returns whichever of the coldest table entry and b was last
+// observed at the lower record index, with the other nil.
+func (d *Detector) coldest(b *builder) (*firstObs, *builder) {
+	if e := d.first.coldest(); e != nil && (b == nil || e.idx() < b.lastIdx) {
+		return e, nil
+	}
+	return nil, b
 }
 
 // touch books a further observation of b's packet: its window entry,
@@ -425,18 +450,16 @@ func (d *Detector) startBuilder(ps *prefixState, h uint64, key *replicaKey, rest
 // activity list.
 func (d *Detector) touch(b *builder, rep Replica) {
 	b.moreEntries = append(b.moreEntries, b.ps.add(rep.Time))
-	b.lastTTL, b.lastTime = rep.TTL, rep.Time
+	b.lastTTL, b.lastTime, b.lastIdx = rep.TTL, rep.Time, rep.Index
 	if d.live.tail != b {
 		d.live.remove(b)
 		d.live.pushBack(b)
 	}
 }
 
-// close flushes an open builder, drops it from every index and, unless
-// the flush queued it as a loop candidate (advance recycles those),
-// recycles it.
+// close flushes an open builder and drops it from every index.
 func (d *Detector) close(b *builder, why flight.Reason) {
-	queued := d.flush(b, why)
+	d.flush(b, why)
 	if p := d.active[b.index]; p == b {
 		if b.chain == nil {
 			delete(d.active, b.index)
@@ -450,29 +473,23 @@ func (d *Detector) close(b *builder, why flight.Reason) {
 		p.chain = b.chain
 	}
 	b.chain = nil
-	b.ps.open.remove(b)
+	b.ps.decide(b.firstEntry)
 	d.live.remove(b)
-	d.liveBuilders--
-	if !queued {
-		d.recycle(b)
-	}
+	d.builders--
 }
 
-// recycle puts a builder nothing refers to any more on the free list,
-// zeroed. It keeps no buffer: replicas may by now belong to a published
-// stream, and the entry list of a long stream, kept, would end up pinned
-// under most of the pool (measured: 3 MiB on a daemon over the loopstorm
-// bench file) for no measurable speed.
-func (d *Detector) recycle(b *builder) {
-	*b = builder{chain: d.free}
-	d.free = b
-}
-
-// expire closes builders whose last observation is older than
-// MaxReplicaGap, from the stale end of the activity list.
+// expire drops table entries and closes builders unseen for
+// MaxReplicaGap, from the cold end of the last-activity order.
 func (d *Detector) expire() {
-	for b := d.live.head; b != nil && d.now-b.lastTime > d.cfg.MaxReplicaGap; b = d.live.head {
-		d.close(b, flight.ReasonReplicaGap)
+	for {
+		switch e, b := d.coldest(d.live.head); {
+		case e != nil && d.now-e.t > d.cfg.MaxReplicaGap:
+			d.dropFirst(e)
+		case b != nil && d.now-b.lastTime > d.cfg.MaxReplicaGap:
+			d.close(b, flight.ReasonReplicaGap)
+		default:
+			return
+		}
 	}
 }
 
@@ -504,13 +521,12 @@ func (d *Detector) note(b *builder, at time.Duration, kind flight.Kind, why flig
 
 // flush settles a closing builder: single observations vanish, pairs
 // are counted as link-layer duplicates, larger sets make their packets
-// members and, from MinReplicas up, queue as loop candidates, which
-// flush reports.
-func (d *Detector) flush(b *builder, why flight.Reason) (queued bool) {
+// members and, from MinReplicas up, queue as loop candidates.
+func (d *Detector) flush(b *builder, why flight.Reason) {
 	n := len(b.replicas)
 	d.note(b, b.lastTime, flight.KindStreamClose, why)
 	if n < d.cfg.MemberReplicas {
-		return false
+		return
 	}
 	if n == 2 {
 		d.pairs++
@@ -528,11 +544,10 @@ func (d *Detector) flush(b *builder, why flight.Reason) (queued bool) {
 			why = flight.ReasonPairDiscarded
 		}
 		d.note(b, b.start(), flight.KindReject, why)
-		return false
+		return
 	}
 	d.note(b, b.start(), flight.KindCandidate, flight.ReasonNone)
 	ps.pending = append(ps.pending, b)
-	return true
 }
 
 // advanceAll makes progress on validation, folding and emission for
@@ -580,7 +595,6 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 		if d.cfg.ValidateSubnet && !ps.clean(b.start(), b.end()) {
 			d.subnetInval++
 			d.note(b, b.start(), flight.KindReject, flight.ReasonSubnetInvalidated)
-			d.recycle(b)
 			continue
 		}
 		d.note(b, b.start(), flight.KindValidated, flight.ReasonNone)
@@ -588,7 +602,6 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 			Summary: summarize(b.key.masked(b.rest))}
 		d.streams++
 		d.looped += len(b.replicas)
-		d.recycle(b) // the stream owns the replicas now
 		i := sort.Search(len(ps.validated), func(i int) bool { return streamLess(s, ps.validated[i]) })
 		ps.validated = append(ps.validated, nil)
 		copy(ps.validated[i+1:], ps.validated[i:])
@@ -681,7 +694,7 @@ func (d *Detector) evict(ps *prefixState) {
 	ps.dropFront(cut)
 	d.peakEntries = max(d.peakEntries, len(ps.entries))
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
-		len(ps.validated) == 0 && ps.open.head == nil && ps.loop == nil {
+		len(ps.validated) == 0 && ps.open == 0 && ps.loop == nil {
 		delete(d.byPrefix, ps.prefix.Addr.Uint32())
 	}
 }
@@ -710,6 +723,9 @@ type StreamStats struct {
 func (d *Detector) FinishStats() StreamStats {
 	for d.live.head != nil {
 		d.close(d.live.head, flight.ReasonEndOfTrace)
+	}
+	for e := d.first.coldest(); e != nil; e = d.first.coldest() {
+		d.dropFirst(e)
 	}
 	d.advanceAll(true)
 	return StreamStats{

@@ -172,3 +172,35 @@ func TestConfigRejectsNegativeMaxActiveStreams(t *testing.T) {
 		t.Fatal("Validate accepted negative MaxActiveStreams")
 	}
 }
+
+// TestGovernorShedCountsMatchParent pins what the governor gives up on
+// the governed traces of this file and of TestDetectorDeterminism, as
+// counted when every first observation was a builder. The cap counts
+// unpromoted first observations and builders alike and sheds the
+// coldest of either kind first, so those counts carry over exactly.
+func TestGovernorShedCountsMatchParent(t *testing.T) {
+	storm := func(nLoops, nStorm int) func() []trace.Record {
+		return func() []trace.Record { recs, _ := stormTrace(t, nLoops, nStorm); return recs }
+	}
+	for _, c := range []struct {
+		name          string
+		recs          func() []trace.Record
+		cap, peak     int
+		streams, pkts int64
+	}{
+		{"storm 20x8000 cap 512", storm(20, 8000), 512, 512, 7313, 195},
+		{"storm 8x3000 cap 128", storm(8, 3000), 128, 128, 2880, 0},
+		{"storm 8x1000 cap 100000", storm(8, 1000), 100000, 1008, 0, 0},
+		{"storm 4x3000 cap 64", storm(4, 3000), 64, 64, 2975, 0},
+		{"random 1234 cap 64", func() []trace.Record { return randomTrace(1234, 15*time.Second, 1000, 5) }, 64, 64, 9701, 10605},
+	} {
+		cfg := DefaultConfig()
+		cfg.MaxActiveStreams = c.cap
+		_, peak, st := runStorm(cfg, c.recs())
+		t.Logf("%s: {%d, %d, %d}", c.name, peak, st.ShedStreams, st.ShedPackets)
+		if peak != c.peak || st.ShedStreams != c.streams || st.ShedPackets != c.pkts {
+			t.Errorf("%s: peak of %d live, shed %d streams and %d packets; want %d, %d and %d",
+				c.name, peak, st.ShedStreams, st.ShedPackets, c.peak, c.streams, c.pkts)
+		}
+	}
+}

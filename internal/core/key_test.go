@@ -161,12 +161,15 @@ func TestDetectorMatchesNaiveOnOddCaptures(t *testing.T) {
 	}
 }
 
-// TestIndexInfluencesNothing: the seeded index only finds builders; it
-// decides nothing. One trace gives the same Result and flight events
-// under two seeds and under a third chosen so that forty concurrent
-// streams collide in the index, leaving the chain to tell them apart: a
-// seed equal to a key's first word makes index ignore its second, and
-// the forty packets differ only there, in their source address.
+// TestIndexInfluencesNothing: the seeded index, the number of table
+// generations and the table's capacity only find first observations and
+// builders; they decide nothing. One trace gives the same Result and
+// flight events under two seeds and under a third chosen so that forty
+// concurrent streams collide in the index, leaving the chain and the
+// probe sequence to tell them apart (a seed equal to a key's first word
+// makes index ignore its second, and the forty packets differ only
+// there, in their source address), each at the default table and at two
+// and three generations whose index starts at two and four slots.
 func TestIndexInfluencesNothing(t *testing.T) {
 	var recs []trace.Record
 	base := capture(t, mkPkt("192.0.2.1", "10.3.0.9", 7, 250, 5), 40)
@@ -185,97 +188,139 @@ func TestIndexInfluencesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MergeWindow = oracleMergeWindow
 	var longestChain int
-	run := func(seed uint64) (*Result, runFingerprint) {
+	run := func(seed uint64, k, slots int) (*Result, runFingerprint) {
 		var res *Result
 		fp := fingerprintRun(recs, true, func(fr *flight.Recorder) []*Loop {
 			d := NewDetector(cfg)
 			d.seed = seed
+			if k != 0 {
+				d.first = newFirstTable(k, slots, cfg.MaxReplicaGap)
+			}
 			d.SetFlight(fr.Shard(0))
 			for _, r := range recs {
 				d.Observe(r)
-				longestChain = max(longestChain, d.liveBuilders-len(d.active))
+				longestChain = max(longestChain, d.builders-len(d.active))
 			}
 			res = d.Finish()
 			return res.Loops
 		})
 		return res, fp
 	}
-	want, wantFP := run(1)
+	want, wantFP := run(1, 0, 0)
 	if len(want.Loops) < 3 || len(want.Streams) < 45 {
 		t.Fatalf("%d loops of %d streams; the trace tests nothing", len(want.Loops), len(want.Streams))
 	}
 	requireSameResult(t, "seed 1 vs naive", want, NaiveDetectRecords(recs, cfg))
-	for _, seed := range []uint64{2, colliding} {
-		longestChain = 0
-		got, gotFP := run(seed)
-		requireSameResult(t, fmt.Sprintf("seed %#x vs seed 1", seed), got, want)
-		if !reflect.DeepEqual(gotFP, wantFP) {
-			t.Errorf("seed %#x: emission order or flight events differ from seed 1", seed)
-		}
-		if seed == colliding && longestChain < 10 {
-			t.Errorf("colliding seed chained at most %d builders; the chain was not exercised", longestChain)
+	for _, seed := range []uint64{1, 2, colliding} {
+		for _, table := range [][2]int{{0, 0}, {2, 2}, {3, 4}} {
+			if seed == 1 && table[0] == 0 {
+				continue
+			}
+			longestChain = 0
+			label := fmt.Sprintf("seed %#x, table %v", seed, table)
+			got, gotFP := run(seed, table[0], table[1])
+			requireSameResult(t, label+" vs seed 1", got, want)
+			if !reflect.DeepEqual(gotFP, wantFP) {
+				t.Errorf("%s: emission order or flight events differ from seed 1", label)
+			}
+			if seed == colliding && longestChain < 10 {
+				t.Errorf("%s: chained at most %d builders; the chain was not exercised", label, longestChain)
+			}
 		}
 	}
 }
 
-// TestRecycledBuilderCarriesNothing: a builder that had bytes past the
-// key, further entries, an open flight record and a replica slice that
-// went out in a published stream comes back from the free list with
-// nothing of all that, and the stream the next packet builds in it
-// leaves the published one alone.
-func TestRecycledBuilderCarriesNothing(t *testing.T) {
+// TestPromotedBuilderCarriesItsEntry: a packet's second observation
+// promotes its table entry to a builder that carries exactly that
+// entry's first observation and bytes past the key — nothing of the
+// earlier packet whose expired entry occupied the same array slot and
+// arena bytes — and owns those bytes, so the next occupant of the slot
+// cannot reach it.
+func TestPromotedBuilderCarriesItsEntry(t *testing.T) {
 	cfg := DefaultConfig()
 	d := NewDetector(cfg)
-	d.SetFlight(flight.New(flight.Options{SampleEvery: 1}).Shard(0))
+	d.first = newFirstTable(2, 2, cfg.MaxReplicaGap)
 	observe := func(at time.Duration, data []byte, ttl uint8) {
 		data = bytes.Clone(data)
 		data[8] = ttl
 		d.Observe(trace.Record{Time: at, WireLen: 400, Data: data})
 	}
-	pkt := mkPkt("192.0.2.1", "10.4.0.9", 1, 0, 1)
-	pkt.PayloadLen = 300
-	first := capture(t, pkt, 64)
-	for i, ttl := range []uint8{200, 198, 197, 195, 193} { // 197 is a delta-1 duplicate
-		observe(time.Duration(i)*time.Millisecond, first, ttl)
+	packet64 := func(src string, id uint16, fill byte) []byte {
+		pkt := mkPkt(src, "10.4.0.9", id, 0, uint64(id))
+		pkt.PayloadLen = 300
+		data := capture(t, pkt, 64)
+		for i := keyBytes; i < len(data); i++ {
+			data[i] = fill
+		}
+		return data
 	}
-	b := d.live.tail
-	if len(b.rest) != 64-keyBytes || len(b.replicas) != 4 || len(b.moreEntries) != 4 || !b.frOpen || b.stream == 0 {
-		t.Fatalf("the builder under test is not the one described: %+v", b)
+	slotOf := func(data []byte) (*generation, int) {
+		key, rest := keyOf(data)
+		e := d.first.find(key.index(d.seed), &key, rest)
+		for i := range d.first.gens {
+			g := &d.first.gens[i]
+			for j := range g.obs {
+				if &g.obs[j] == e {
+					return g, j
+				}
+			}
+		}
+		t.Fatal("no live entry for the packet")
+		return nil, 0
 	}
 
-	// A record too short to parse starts no builder but moves the
-	// clock: past MaxReplicaGap, so b expires into its prefix's pending
-	// list, and the advance of the same Observe validates and publishes
-	// it.
-	d.Observe(trace.Record{Time: 3 * time.Second})
-	if d.free != b {
-		t.Fatal("the published builder is not at the head of the free list")
+	// The earlier occupant: seen once, then left to expire.
+	old := packet64("192.0.2.1", 1, 0xaa)
+	observe(0, old, 200)
+	gOld, iOld := slotOf(old)
+	// Clock steps past MaxReplicaGap twice: the entry expires and both
+	// generations rotate, so the next insert reuses its slot.
+	d.Observe(trace.Record{Time: 3 * time.Second}) // too short to parse
+	d.Observe(trace.Record{Time: 6 * time.Second})
+	if d.first.live != 0 || len(gOld.obs) != 0 {
+		t.Fatalf("the old entry has not gone: %d live, %d in its generation", d.first.live, len(gOld.obs))
 	}
-	if bare := *b; !reflect.DeepEqual(bare, builder{chain: b.chain}) { // chain links the free list
-		t.Errorf("recycled builder still carries %+v", bare)
+
+	pkt := packet64("192.0.2.3", 3, 0x55)
+	observe(6*time.Second+time.Millisecond, pkt, 100)
+	if g, i := slotOf(pkt); g != gOld || i != iOld || d.first.gen(0) != gOld {
+		t.Fatalf("the new packet did not take the old one's slot")
 	}
 	ps := d.byPrefix[routing.MustParsePrefix("10.4.0.0/24").Addr.Uint32()]
-	if ps == nil || ps.loop == nil {
-		t.Fatal("the stream was not published into a loop")
+	if ps.open != 1 || !ps.entries[len(ps.entries)-1].open {
+		t.Fatalf("the first observation is not marked open in its window: %d open", ps.open)
 	}
-	published := ps.loop.Streams[0]
-	before := append([]Replica(nil), published.Replicas...)
+	seq := ps.base + len(ps.entries) - 1
 
-	// The next new packet gets b; grow its stream past the old one's.
-	second := capture(t, mkPkt("192.0.2.3", "10.4.0.10", 3, 0, 3), 40)
-	for i := 0; i < 8; i++ {
-		observe(3*time.Second+time.Duration(1+i)*time.Millisecond, second, uint8(100-2*i))
+	observe(6*time.Second+2*time.Millisecond, pkt, 98) // the second sighting
+	b := d.live.tail
+	key, rest := keyOf(pkt)
+	wantRest := bytes.Repeat([]byte{0x55}, 64-keyBytes)
+	if b == nil || b.key != key || !bytes.Equal(b.rest, wantRest) || !bytes.Equal(rest, wantRest) {
+		t.Fatalf("the promoted builder does not carry the packet's key and bytes: %+v", b)
 	}
-	if d.live.tail != b || len(b.replicas) != 8 || len(b.rest) != 0 || b.frOpen == false {
-		t.Fatalf("the recycled builder was not reused as expected: %+v", b)
+	if want := []Replica{{6*time.Second + time.Millisecond, 100, 3}, {6*time.Second + 2*time.Millisecond, 98, 4}}; !reflect.DeepEqual(b.replicas, want) {
+		t.Fatalf("replicas %v, want %v", b.replicas, want)
 	}
-	if !reflect.DeepEqual(published.Replicas, before) || len(before) != 4 {
-		t.Errorf("published replicas changed under reuse:\n got %v\nwant %v", published.Replicas, before)
+	if b.firstEntry != seq || len(b.moreEntries) != 1 || b.moreEntries[0] != seq+1 || b.frOpen || b.chain != nil {
+		t.Fatalf("the promoted builder's entries or links are not its own: %+v", b)
+	}
+	if d.first.live != 0 || ps.open != 1 || !ps.entries[seq-ps.base].open || d.LiveBuilders() != 1 || ps.undecided() != b.start() {
+		t.Fatalf("promotion left the entry behind or closed the packet: %d live entries, %d open, %d live", d.first.live, ps.open, d.LiveBuilders())
+	}
+
+	// The next packet into the same generation writes the same arena
+	// bytes; the builder's copy is its own.
+	gOld.arena[0] = 0x11
+	if !bytes.Equal(b.rest, wantRest) {
+		t.Fatal("the builder's bytes alias the table's arena")
+	}
+	for i, ttl := range []uint8{96, 94} {
+		observe(6*time.Second+time.Duration(3+i)*time.Millisecond, pkt, ttl)
 	}
 	res := d.Finish()
-	if len(res.Streams) != 2 || res.Streams[0].Summary.ID != 1 || res.Streams[1].Summary.ID != 3 ||
-		res.Streams[0].Count() != 4 || res.Streams[1].Count() != 8 {
-		t.Errorf("streams after reuse: %+v", res.Streams)
+	if len(res.Streams) != 1 || res.Streams[0].Summary.ID != 3 || res.Streams[0].Count() != 4 || res.Streams[0].Replicas[0].Index != 3 {
+		t.Errorf("streams after promotion: %+v", res.Streams)
 	}
 }
 

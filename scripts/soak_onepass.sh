@@ -11,18 +11,19 @@
 #     wrote;
 #   - tracegen itself, which streams too, stayed under 100 MiB.
 #
-# SOAK_RECORDS sets the background records (default 20,000,000, about
-# twenty seconds; the scripted loops add their replicas on top) at 50,000
-# packets per second of trace clock. Do not go much below the default:
-# at this rate the detector's RSS climbs from 82 to about 100 MiB over
-# its first six million records — the Go map behind Detector.active
-# settling to a lower load factor under steady insert/delete churn, a
-# heap profile shows, at a constant number of live entries — so a run of
-# two or five million still ends inside that ramp and reads 8-13 %.
+# SOAK_RECORDS sets the background records (default 5,000,000, about
+# five seconds; the scripted loops add their replicas on top) at 50,000
+# packets per second of trace clock. A packet seen once is a pointer-free
+# entry in generations the detector reuses, not a map entry, so its RSS
+# has no warm-up ramp to outlast: on a 2-core x86-64 box it reads
+# 52-54 MiB in both halves at five million records and 52-55 MiB at
+# twenty million. (When every packet had a builder in a Go map, the map
+# settling under churn took RSS from 82 to about 100 MiB over the first
+# six million records, and this soak needed twenty million.)
 # Run from the repository root: ./scripts/soak_onepass.sh
 set -euo pipefail
 
-records="${SOAK_RECORDS:-20000000}"
+records="${SOAK_RECORDS:-5000000}"
 pps=50000
 
 work="$(mktemp -d)"
