@@ -691,6 +691,9 @@ func (d *Detector) evict(ps *prefixState) {
 	cut := sort.Search(len(ps.entries), func(i int) bool {
 		return ps.entries[i].t >= needLow
 	})
+	if ps.open > 0 { // after a backwards step the search can pass an open builder's first entry
+		cut = min(cut, ps.cursor-ps.base)
+	}
 	ps.dropFront(cut)
 	d.peakEntries = max(d.peakEntries, len(ps.entries))
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&

@@ -6,6 +6,7 @@ import (
 
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
+	"loopscope/internal/stats"
 	"loopscope/internal/trace"
 )
 
@@ -367,6 +368,44 @@ func TestExtractLoopRecords(t *testing.T) {
 		}
 		if p.IP.Dst[0] != 203 {
 			t.Errorf("unrelated record extracted: dst %v", p.IP.Dst)
+		}
+	}
+}
+
+// TestBackwardsTimestampsNoPanic feeds captures in which 1 % of the
+// records are stamped up to 5 s early. A backwards step used to let
+// evict cut the window entry an open builder still pointed at, and
+// flush then indexed before the window's start.
+func TestBackwardsTimestampsNoPanic(t *testing.T) {
+	cfg := DefaultConfig()
+	engines := []struct {
+		name string
+		opts []Option
+	}{{"workers1", []Option{WithWorkers(1)}}, {"workers3", []Option{WithWorkers(3)}}, {"streaming", []Option{WithStreaming(nil)}}}
+	for seed := uint64(1); seed <= 40; seed++ {
+		recs := randomTrace(seed, 20*time.Second, 2000, 8)
+		rng := stats.NewRNG(seed + 1000)
+		for i := range recs {
+			if rng.Float64() < 0.01 {
+				recs[i].Time -= time.Duration(rng.Int63n(int64(5 * time.Second)))
+			}
+		}
+		for _, eng := range engines {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("seed %d, %s: panic: %v", seed, eng.name, p)
+					}
+				}()
+				e, err := New(cfg, eng.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					e.Observe(r)
+				}
+				e.Finish()
+			}()
 		}
 	}
 }
