@@ -192,12 +192,37 @@ func (d *Daemon) v1Sources(w http.ResponseWriter, r *http.Request) {
 	if !strictParams(w, r) {
 		return
 	}
+	d.writeV1(w, http.StatusOK, map[string]any{"sources": d.sourceInfos()}, api.Meta{})
+}
+
+// SourceInfo is one source's live status as reported by /api/v1/sources.
+type SourceInfo struct {
+	Name     string `json:"name"`
+	Kind     string `json:"kind"`
+	Path     string `json:"path,omitempty"`
+	Status   string `json:"status"`
+	Link     string `json:"link,omitempty"`
+	Records  int64  `json:"records"`
+	Emitted  int    `json:"emitted"`
+	LagBytes int64  `json:"lagBytes"`
+	// Segment/Segments locate a dir source within its rotation
+	// sequence (1-based; zero for other kinds), and LagSegments counts
+	// rotated segments between it and the directory head.
+	Segment     int    `json:"segment,omitempty"`
+	Segments    int    `json:"segments,omitempty"`
+	LagSegments int64  `json:"lagSegments,omitempty"`
+	Restarts    int64  `json:"restarts"`
+	LastErr     string `json:"lastError,omitempty"`
+}
+
+// sourceInfos renders every source, by name.
+func (d *Daemon) sourceInfos() []SourceInfo {
 	infos := make([]SourceInfo, 0, len(d.sources))
 	for _, s := range d.sources {
 		infos = append(infos, s.info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	d.writeV1(w, http.StatusOK, map[string]any{"sources": infos}, api.Meta{})
+	return infos
 }
 
 // v1Trace serves GET /api/v1/trace (trail index) and

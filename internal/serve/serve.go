@@ -44,7 +44,7 @@ type Config struct {
 	// forever. It exists for batch-ish deployments and tests.
 	ExitIdle time.Duration
 	// TailPoll is the poll interval for file-backed sources (<= 0:
-	// trace.TailOptions' 200ms default).
+	// 200ms).
 	TailPoll time.Duration
 	// DirGlob filters directory-source segment filenames (shell
 	// pattern; empty matches everything).
@@ -63,8 +63,8 @@ type Config struct {
 	// TrailPath, when set (and Flight is non-nil), appends every
 	// sealed final-loop trail to this JSONL file.
 	TrailPath string
-	// TailPollMax, when greater than TailPoll, lets quiet tail sources
-	// escalate their poll interval (doubling, jittered) up to this
+	// TailPollMax, when greater than TailPoll, lets quiet file-backed
+	// sources escalate their poll interval (doubling, jittered) up to this
 	// bound instead of polling at the fixed rate forever. Zero keeps
 	// the fixed interval.
 	TailPollMax time.Duration
@@ -148,6 +148,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
 	}
+	if cfg.TailPoll <= 0 {
+		cfg.TailPoll = 200 * time.Millisecond
+	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -173,29 +176,15 @@ func New(cfg Config) (*Daemon, error) {
 	})
 	if cfg.CheckpointPath != "" {
 		cp, quarantined, err := LoadCheckpoint(cfg.CheckpointPath)
-		switch {
-		case quarantined:
-			log.Warn("corrupt checkpoint quarantined; starting fresh",
-				"path", cfg.CheckpointPath, "err", err)
-			d.health.Set("checkpoint", resil.Degraded)
-		case err != nil:
-			// Can't even move it aside — that is an operator problem
-			// (permissions, dead disk), not a stale image.
-			return nil, fmt.Errorf("serve: loading checkpoint: %w", err)
+		if err := d.loaded("checkpoint", "checkpoint", cfg.CheckpointPath, quarantined, err); err != nil {
+			return nil, err
 		}
 		d.cp = cp
 	}
 	if cfg.AnalyticsSnapshotPath != "" && cfg.Analytics != nil {
 		quarantined, err := cfg.Analytics.Load(cfg.AnalyticsSnapshotPath)
-		switch {
-		case quarantined:
-			// Same policy as a corrupt checkpoint: preserve the image for
-			// post-mortem, start with empty sketches, surface the loss.
-			log.Warn("corrupt analytics snapshot quarantined; starting fresh",
-				"path", cfg.AnalyticsSnapshotPath, "err", err)
-			d.health.Set("analytics", resil.Degraded)
-		case err != nil:
-			return nil, fmt.Errorf("serve: loading analytics snapshot: %w", err)
+		if err := d.loaded("analytics", "analytics snapshot", cfg.AnalyticsSnapshotPath, quarantined, err); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.TrailPath != "" && cfg.Flight != nil {
@@ -212,6 +201,21 @@ func New(cfg Config) (*Daemon, error) {
 		d.trailLog = tl
 	}
 	return d, nil
+}
+
+// loaded settles a durable.Load of component's image at path: a
+// quarantined image starts the component fresh and marks it degraded;
+// an image that could not even be moved aside is an operator problem
+// (permissions, dead disk), not a stale image, and fails New.
+func (d *Daemon) loaded(component, what, path string, quarantined bool, err error) error {
+	switch {
+	case quarantined:
+		d.log.Warn("corrupt "+what+" quarantined; starting fresh", "path", path, "err", err)
+		d.health.Set(component, resil.Degraded)
+	case err != nil:
+		return fmt.Errorf("serve: loading %s: %w", what, err)
+	}
+	return nil
 }
 
 // Health exposes the daemon's per-component health set; sinks built by
@@ -248,44 +252,50 @@ func (d *Daemon) publish(e Event) {
 	}
 }
 
-// addSource registers a source, restoring its checkpoint entry if the
-// previous incarnation had one of the same name and kind.
-func (d *Daemon) addSource(s *sourceState) {
-	if d.cp != nil {
-		if cp, ok := d.cp.Sources[s.name]; ok && cp.Kind == s.kind {
-			s.cp = cp
+// addSource registers a source under name, restoring its checkpoint
+// entry if the previous incarnation had one of the same name and kind.
+// The name is the event-ID namespace and the checkpoint key, so it must
+// be unique and non-empty.
+func (d *Daemon) addSource(name, kind, path string) (*sourceState, error) {
+	if name == "" {
+		return nil, errors.New("serve: empty source name")
+	}
+	for _, s := range d.sources {
+		if s.name == name {
+			return nil, fmt.Errorf("serve: duplicate source name %q", name)
 		}
 	}
+	s := d.newSourceState(name, kind, path)
+	if d.cp != nil && d.cp.Sources[name].Kind == kind {
+		s.cp = d.cp.Sources[name]
+	}
 	d.sources = append(d.sources, s)
+	return s, nil
 }
 
 // AddTailSource follows a growing native trace file at path.
 func (d *Daemon) AddTailSource(name, path string) error {
-	if err := d.checkName(name); err != nil {
-		return err
+	s, err := d.addSource(name, "tail", path)
+	if err == nil {
+		s.run = func(ctx context.Context) error { return s.consume(ctx, s.tailUnit) }
 	}
-	s := d.newSourceState(name, "tail", path)
-	s.run = s.runTail
-	d.addSource(s)
-	return nil
+	return err
 }
 
 // AddDirSource processes a rotated-capture directory: segments are
 // consumed in lexical filename order as they appear, the newest one
 // followed live.
 func (d *Daemon) AddDirSource(name, dir string) error {
-	if err := d.checkName(name); err != nil {
-		return err
-	}
 	if st, err := os.Stat(dir); err != nil {
 		return err
 	} else if !st.IsDir() {
 		return fmt.Errorf("serve: %s is not a directory", dir)
 	}
-	s := d.newSourceState(name, "dir", dir)
-	s.run = s.runDir
-	d.addSource(s)
-	return nil
+	s, err := d.addSource(name, "dir", dir)
+	if err == nil {
+		s.run = func(ctx context.Context) error { return s.consume(ctx, (&dirKind{s: s, resume: s.snapshot()}).next) }
+	}
+	return err
 }
 
 // AddFeedSource listens on network/addr ("tcp", "127.0.0.1:4444" or
@@ -293,60 +303,36 @@ func (d *Daemon) AddDirSource(name, dir string) error {
 // listener is created eagerly so callers (and tests binding port 0)
 // learn the bound address before Run.
 func (d *Daemon) AddFeedSource(name, network, addr string) (net.Addr, error) {
-	if err := d.checkName(name); err != nil {
-		return nil, err
-	}
 	ln, err := net.Listen(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	s := d.newSourceState(name, "feed", addr)
+	s, err := d.addSource(name, "feed", addr)
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
 	s.listener = ln
-	s.run = s.runFeed
-	d.addSource(s)
+	s.run = func(ctx context.Context) error { return s.consume(ctx, s.feedUnit) }
 	return ln.Addr(), nil
-}
-
-// checkName rejects duplicate or empty source names; the name is the
-// event-ID namespace and the checkpoint key, so it must be unique.
-func (d *Daemon) checkName(name string) error {
-	if name == "" {
-		return errors.New("serve: empty source name")
-	}
-	for _, s := range d.sources {
-		if s.name == name {
-			return fmt.Errorf("serve: duplicate source name %q", name)
-		}
-	}
-	return nil
 }
 
 // sourceIdle is called by a source that has seen no data for ExitIdle;
 // when every source is idle the daemon stops gracefully.
 func (d *Daemon) sourceIdle() {
-	if d.cfg.ExitIdle <= 0 {
-		return
-	}
 	d.idleMu.Lock()
-	all := true
+	defer d.idleMu.Unlock()
 	for _, s := range d.sources {
 		s.mu.Lock()
 		idle := s.idle
 		s.mu.Unlock()
 		if !idle {
-			all = false
-			break
+			return
 		}
 	}
-	d.idleMu.Unlock()
-	if all {
-		d.log.Info("all sources idle; stopping", "idle", d.cfg.ExitIdle)
-		d.stop(nil)
-	}
+	d.log.Info("all sources idle; stopping", "idle", d.cfg.ExitIdle)
+	d.stop(nil)
 }
-
-// fail stops the daemon abruptly with err (test crash path).
-func (d *Daemon) fail(err error) { d.stop(err) }
 
 // stop triggers Run's shutdown exactly once.
 func (d *Daemon) stop(err error) {
@@ -468,11 +454,33 @@ loop:
 			firstErr = fmt.Errorf("serve: closing sink %s: %w", s.Name(), err)
 		}
 	}
-	for _, s := range d.sources {
-		if s.listener != nil {
-			s.listener.Close()
-		}
-	}
 	d.trailLog.Close()
 	return firstErr
+}
+
+// Progress reports bytes consumed and total bytes known across all
+// file-backed sources, for the progress reporter's percentage/ETA. A
+// dir source's total covers every remaining segment, so the ETA spans
+// the whole backlog instead of resetting at each rotation.
+func (d *Daemon) Progress() (offset, size int64) {
+	for _, s := range d.sources {
+		s.mu.Lock()
+		done := s.segDoneBytes + s.posBytes
+		offset += done
+		size += done + s.lagBytes
+		s.mu.Unlock()
+	}
+	return offset, size
+}
+
+// Segments reports dir-source rotation position summed across sources:
+// (current segment index, total segments seen).
+func (d *Daemon) Segments() (current, total int) {
+	for _, s := range d.sources {
+		s.mu.Lock()
+		current += s.segIndex
+		total += s.segCount
+		s.mu.Unlock()
+	}
+	return current, total
 }

@@ -537,6 +537,98 @@ func TestDaemonTailResumeShortFile(t *testing.T) {
 	finalIDSet(t, journalEvents(t, journal2)) // no duplicate IDs
 }
 
+// TestDaemonDirResumeShortSegment is TestDaemonTailResumeShortFile for
+// a dir source: the checkpointed segment lost its tail after the
+// checkpoint was written. The resume must notice before replaying and
+// read the segment fresh, so the checkpoint stops claiming bytes the
+// file does not hold.
+func TestDaemonDirResumeShortSegment(t *testing.T) {
+	recs := serveScriptedTrace(t, 23, []scriptedLoop{
+		{0, 2 * time.Second}, {0, 8 * time.Second},
+		{1, 4 * time.Second}, {1, 11 * time.Second},
+	})
+	var emitIdx []int
+	idx := 0
+	probe, err := core.NewSession(core.DefaultConfig(), func(e core.SessionEvent) {
+		if !e.Truncated {
+			emitIdx = append(emitIdx, idx)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx = range recs {
+		probe.Observe(recs[idx])
+	}
+	if len(emitIdx) < 2 || emitIdx[len(emitIdx)-1]+500 >= len(recs) {
+		t.Fatalf("scripted trace emitted %d mid-stream finals, want >= 2 well before the end", len(emitIdx))
+	}
+	keep := emitIdx[len(emitIdx)-1] + 500
+
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segs")
+	if err := os.Mkdir(segDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segPath := filepath.Join(segDir, "seg-000.lspt")
+	writeTraceFile(t, segPath, testMeta(), recs)
+	cpPath := filepath.Join(dir, "cp.json")
+	d1 := newTestDaemon(t, filepath.Join(dir, "j1.jsonl"), cpPath)
+	if err := d1.AddDirSource("src", segDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cutBytes := offsetAfter(t, segPath, keep) + 5
+	if err := os.Truncate(segPath, cutBytes); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(Config{
+		Detector:           core.DefaultConfig(),
+		CheckpointPath:     cpPath,
+		CheckpointInterval: 10 * time.Millisecond,
+		DrainTimeout:       5 * time.Second,
+		TailPoll:           2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal2 := filepath.Join(dir, "j2.jsonl")
+	j2, err := NewJournal(JournalOptions{Path: journal2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2.AddSink(j2)
+	if err := d2.AddDirSource("src", segDir); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d2.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run after cancel: %v", err)
+		}
+	}()
+
+	var got SourceCheckpoint
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if cp, _, err := LoadCheckpoint(cpPath); err == nil && cp != nil {
+			got = cp.Sources["src"]
+		}
+		if looseFinalCount(journal2) >= 2 && got.Records == int64(keep) && got.Offset <= cutBytes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint claims %d records ending at %d; the segment holds %d records in %d bytes",
+				got.Records, got.Offset, keep, cutBytes)
+		}
+	}
+}
+
 // looseFinalCount counts parseable final events in a journal the
 // daemon may still be appending to (torn tail lines are skipped).
 func looseFinalCount(path string) int {

@@ -175,11 +175,7 @@ func analyticsRows(st *analytics.Stats) []statuszAnalyticsRow {
 
 // handleStatusz renders the status page.
 func (d *Daemon) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	infos := make([]SourceInfo, 0, len(d.sources))
-	for _, s := range d.sources {
-		infos = append(infos, s.info())
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
+	infos := d.sourceInfos()
 
 	var recent []statuszRecent
 	for _, e := range d.ring.Latest(20) {

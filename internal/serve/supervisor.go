@@ -43,7 +43,7 @@ func (d *Daemon) supervise(ctx context.Context, s *sourceState) {
 			return
 		}
 		if errors.Is(err, errTestCrash) {
-			d.fail(err)
+			d.stop(err) // abrupt: no drain, no final checkpoint
 			return
 		}
 		s.mu.Lock()
