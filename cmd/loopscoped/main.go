@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for detector drain and sink flush")
 		exitIdle     = fs.Duration("exit-idle", 0, "exit cleanly once every source has been idle this long (0: run forever)")
 		poll         = fs.Duration("poll", 200*time.Millisecond, "poll interval for file-backed sources")
-		pollMax      = fs.Duration("poll-max", 0, "let quiet tail sources back their poll interval off up to this bound (0: fixed -poll rate)")
+		pollMax      = fs.Duration("poll-max", 0, "let quiet file-backed sources back their poll interval off up to this bound (0: fixed -poll rate)")
 		dirGlob      = fs.String("watch-glob", "", "with -watch, only consume segment files matching this shell pattern")
 		ringSize     = fs.Int("ring", 1024, "recent events kept in memory for /api/v1/loops")
 		fsyncMode    = fs.String("fsync", "off", "journal/trail flush policy: off (OS-buffered) or always (fsync per event)")

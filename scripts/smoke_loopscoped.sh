@@ -38,6 +38,60 @@ if [ -z "$ref_finals" ]; then
     exit 1
 fi
 
+# The same capture under the same source name, read as a one-segment
+# directory and as a feed, must give the same loops: the directory the
+# same finals, the feed (whose clean close completes the session) the
+# tail's finals plus what the tail drained as truncated at idle exit,
+# without the -t<end> suffix.
+no_dups() {
+    local dups
+    dups="$(ids "$1" | uniq -d)"
+    if [ -n "$dups" ]; then
+        echo "FAIL: duplicate event IDs in $(basename "$1"):" >&2
+        echo "$dups" >&2
+        exit 1
+    fi
+}
+echo "== kind equivalence: the reference capture via -watch and -listen"
+mkdir "$work/watch"
+cp "$work/ref.lspt" "$work/watch/seg-000.lspt"
+"$work/bin/loopscoped" -watch "trace=$work/watch" -journal "$work/watch.jsonl" \
+    "${daemon_flags[@]}" 2>"$work/watch.log"
+if [ "$ref_finals" != "$(final_ids "$work/watch.jsonl")" ]; then
+    echo "FAIL: -watch finals differ from the -tail reference" >&2
+    diff <(echo "$ref_finals") <(final_ids "$work/watch.jsonl") >&2 || true
+    exit 1
+fi
+no_dups "$work/watch.jsonl"
+
+# A longer -exit-idle than the other runs: the feed counts as idle from
+# the moment it listens until the capture is connected.
+"$work/bin/loopscoped" -listen "trace=tcp:127.0.0.1:0" -journal "$work/feed.jsonl" \
+    "${daemon_flags[@]}" -exit-idle 5s 2>"$work/feed.log" &
+fpid=$!
+port=""
+for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening addr=127\.0\.0\.1:\([0-9]*\).*/\1/p' "$work/feed.log" | head -n1)"
+    [ -n "$port" ] && break
+    sleep 0.1
+done
+if [ -z "$port" ]; then
+    echo "FAIL: the -listen daemon never logged its address" >&2
+    cat "$work/feed.log" >&2
+    exit 1
+fi
+cat "$work/ref.lspt" > "/dev/tcp/127.0.0.1/$port"
+wait "$fpid"
+want_feed="$( { final_ids "$work/ref.jsonl"
+    grep '"truncated":true' "$work/ref.jsonl" | sed -n 's/.*"id":"\([^"]*\)-t[0-9a-f]*".*/\1/p'; } | sort)"
+if [ "$want_feed" != "$(final_ids "$work/feed.jsonl")" ]; then
+    echo "FAIL: -listen finals are not the -tail finals plus its truncated IDs" >&2
+    diff <(echo "$want_feed") <(final_ids "$work/feed.jsonl") >&2 || true
+    exit 1
+fi
+no_dups "$work/feed.jsonl"
+echo "OK: -watch and -listen agree with -tail ($(echo "$want_feed" | wc -l) feed finals, no duplicate IDs)"
+
 echo "== interrupted run: tail a growing file, SIGKILL, restart from checkpoint"
 "$work/bin/tracegen" "${gen_flags[@]}" -live-every 800 -live-delay 120ms \
     "$work/grow.lspt" >/dev/null &
