@@ -54,14 +54,7 @@ import (
 
 func main() {
 	var (
-		minReplicas = flag.Int("min-replicas", 3, "smallest replica set reported as loop evidence")
-		minDelta    = flag.Int("ttl-delta", 2, "smallest acceptable TTL decrement between replicas")
-		prefixBits  = flag.Int("prefix-bits", 24, "destination aggregation width for validation/merging")
-		mergeWindow = flag.Duration("merge-window", time.Minute, "gap within which same-prefix streams merge")
-		replicaGap  = flag.Duration("replica-gap", 2*time.Second, "max spacing between successive replicas")
-		noValidate  = flag.Bool("no-validate", false, "disable the step-2 subnet validation")
 		showStreams = flag.Bool("streams", false, "dump every validated replica stream")
-		showLoops   = flag.Bool("loops", true, "dump merged routing loops")
 		streamMode  = flag.Bool("stream", false, "print loops as they finalize and end on the counters, instead of the report")
 		jsonOut     = flag.Bool("json", false, "emit the analysis as JSON instead of text")
 		format      = flag.String("format", "auto", "trace format: auto (sniff native/pcap), or erf (DAG PoS records, which have no magic to sniff)")
@@ -73,33 +66,25 @@ func main() {
 		validate    = flag.Bool("validate", false, "check structural trace invariants (monotonic timestamps, caplen <= wirelen) during ingest and fail on violation")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "detection worker shards (1: sequential; not used by -stream)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live pipeline metrics over HTTP (/metrics, /debug/vars, /debug/pprof); a bare :port binds loopback only")
-		progress    = flag.Bool("progress", false, "report ingest rate, percent done, ETA and shard skew on stderr while running")
-		progressInt = flag.Duration("progress-interval", 2*time.Second, "reporting period for -progress")
+		progress    = flag.Bool("progress", false, "report ingest rate, percent done, ETA and shard skew on stderr every 2s while running")
 		explain     = flag.String("explain", "", `print one loop's flight-recorder decision trail: a loop index, an event ID, or "all"`)
 		explainSrc  = flag.String("explain-source", "", "source name mixed into event IDs by -explain; match the daemon's source name to look up journal IDs")
-		logLevel    = flag.String("log-level", "info", "minimum diagnostic log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 	)
+	detector := core.BindFlags(flag.CommandLine)
+	newLogger := obs.BindLogFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: loopdetect [flags] trace-file   (use - for stdin)")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	level, lerr := obs.ParseLogLevel(*logLevel)
-	if lerr != nil {
+	// Diagnostics keep their historical `loopdetect: message` shape by
+	// default (text format, no timestamp); results stay on stdout.
+	var lerr error
+	if logger, lerr = newLogger(obs.LogOptions{Prefix: "loopdetect", NoTimestamp: true}); lerr != nil {
 		fmt.Fprintf(os.Stderr, "loopdetect: %v\n", lerr)
 		os.Exit(2)
 	}
-	if *logFormat != "text" && *logFormat != "json" {
-		fmt.Fprintf(os.Stderr, "loopdetect: bad -log-format %q: want text or json\n", *logFormat)
-		os.Exit(2)
-	}
-	// Diagnostics keep their historical `loopdetect: message` shape by
-	// default (text format, no timestamp); results stay on stdout.
-	logger = obs.NewLogger(obs.LogOptions{
-		Level: level, Format: *logFormat, Prefix: "loopdetect", NoTimestamp: true,
-	})
 
 	// SIGINT stops ingestion at the next record boundary; the partial
 	// trace is analyzed and the exit status becomes 3. Restoring the
@@ -118,15 +103,7 @@ func main() {
 	maxDecodeErrors = *maxDecode
 	validateMode = *validate
 	workerCount = *workers
-	cfg := core.Config{
-		MinReplicas:    *minReplicas,
-		MinTTLDelta:    *minDelta,
-		MemberReplicas: 2,
-		PrefixBits:     *prefixBits,
-		MaxReplicaGap:  *replicaGap,
-		MergeWindow:    *mergeWindow,
-		ValidateSubnet: !*noValidate,
-	}
+	cfg := detector()
 	// Observability: -metrics-addr and -progress turn instrumentation
 	// on; -json does too, so its run section always carries stage
 	// timings. With none of them reg stays nil and every layer runs on
@@ -144,12 +121,12 @@ func main() {
 		logger.Info("serving metrics", "url", "http://"+srv.Addr()+"/metrics")
 	}
 	if *progress {
-		prog = obs.NewProgress(reg, obs.ProgressOptions{Interval: *progressInt})
+		prog = obs.NewProgress(reg, obs.ProgressOptions{})
 		prog.Start()
 	}
 
 	explainSel, explainSource = *explain, *explainSrc
-	err := dispatch(flag.Arg(0), cfg, *streamMode, *jsonOut, *report, *extract, *extractOut, *showStreams, *showLoops)
+	err := dispatch(flag.Arg(0), cfg, *streamMode, *jsonOut, *report, *extract, *extractOut, *showStreams)
 
 	// Shut the reporters down before exiting so the final progress
 	// line lands and the listener closes cleanly.
@@ -172,7 +149,7 @@ func main() {
 var interrupted atomic.Bool
 
 // dispatch routes to the selected mode; exactly one mode runs.
-func dispatch(path string, cfg core.Config, streamMode, jsonOut, report bool, extract int, extractOut string, showStreams, showLoops bool) error {
+func dispatch(path string, cfg core.Config, streamMode, jsonOut, report bool, extract int, extractOut string, showStreams bool) error {
 	switch {
 	case explainSel != "":
 		return runExplain(path, cfg, explainSel, explainSource, os.Stdout)
@@ -185,7 +162,7 @@ func dispatch(path string, cfg core.Config, streamMode, jsonOut, report bool, ex
 	case extract >= 0:
 		return runExtract(path, cfg, extract, extractOut)
 	}
-	return run(path, cfg, showStreams, showLoops)
+	return run(path, cfg, showStreams, true)
 }
 
 // traceFormat is the -format flag value ("auto" or "erf").

@@ -86,9 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		aggBits      = fs.Int("agg-bits", agg.DefaultAggBits, "aggregate destination prefixes to this length for correlation")
 		joinWindow   = fs.Duration("join-window", agg.DefaultJoinWindow, "time slack when matching observation windows across vantages")
 		ttlSlack     = fs.Int("ttl-slack", agg.DefaultTTLSlack, "max TTL-delta difference still considered the same loop")
-		logLevel     = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat    = fs.String("log-format", "text", "log output format: text or json")
 	)
+	newLogger := obs.BindLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -106,18 +105,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	reg := obs.NewRegistry()
-	level, err := obs.ParseLogLevel(*logLevel)
+	logger, err := newLogger(obs.LogOptions{Prefix: "loopscope-agg", Metrics: reg, W: stderr})
 	if err != nil {
 		fmt.Fprintf(stderr, "loopscope-agg: %v\n", err)
 		return 2
 	}
-	if *logFormat != "text" && *logFormat != "json" {
-		fmt.Fprintf(stderr, "loopscope-agg: bad -log-format %q: want text or json\n", *logFormat)
-		return 2
-	}
-	logger := obs.NewLogger(obs.LogOptions{
-		Level: level, Format: *logFormat, Prefix: "loopscope-agg", Metrics: reg, W: stderr,
-	})
 
 	health := resil.NewHealthSet(func(component string, h resil.Health) {
 		reg.Gauge(obs.LabelMetric(obs.MetricComponentHealth, "component", component)).Set(int64(h))

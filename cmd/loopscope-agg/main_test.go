@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -29,6 +31,26 @@ func TestRunHelpExitsZero(t *testing.T) {
 		if !strings.Contains(stderr, flag) {
 			t.Errorf("-h output does not document %s", flag)
 		}
+	}
+}
+
+// TestFlagSurface pins the flags loopscope-agg registers, so a new one
+// shows up as a diff of this list.
+func TestFlagSurface(t *testing.T) {
+	_, _, stderr := runCLI(t, "-h")
+	var got []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"agg-bits", "checkpoint", "checkpoint-interval", "http", "join-window",
+		"journal", "log-format", "log-level", "poll", "poll-interval", "ttl-slack",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags = %q\nwant    %q", got, want)
 	}
 }
 

@@ -62,6 +62,9 @@ import (
 	"loopscope/internal/serve"
 )
 
+// journalMaxBytes is the size past which the journal rotates.
+const journalMaxBytes = 64 << 20
+
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
 
@@ -87,39 +90,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Var(&listens, "listen", "accept native trace streams: [name=]tcp:host:port or [name=]unix:/path.sock (repeatable)")
 	var (
 		journalPath  = fs.String("journal", "", "append loop events to this JSONL file")
-		journalMax   = fs.Int64("journal-max-bytes", 64<<20, "rotate the journal when it would exceed this size (0: never)")
 		retain       = fs.Duration("retain", 168*time.Hour, "journal retention horizon: rotated segments (journal.<unix-seconds>) older than this are deleted (0: keep forever)")
 		webhookURL   = fs.String("webhook", "", "POST each loop event as JSON to this URL")
-		webhookQueue = fs.Int("webhook-queue", 256, "webhook queue bound; overflow is dropped and counted")
 		httpAddr     = fs.String("http", "", "serve the /api/v1 API (plus /metrics, /debug/pprof); a bare :port binds loopback only")
-		cpPath       = fs.String("checkpoint", "", "periodically write an atomic resume checkpoint here")
-		statsSnap    = fs.String("stats-snapshot", "", "persist the /api/v1/stats analytics sketches here (default: <checkpoint>.analytics when -checkpoint is set)")
+		cpPath       = fs.String("checkpoint", "", "periodically write an atomic resume checkpoint here, and the /api/v1/stats sketches to <checkpoint>.analytics")
 		cpInterval   = fs.Duration("checkpoint-interval", time.Second, "checkpoint period")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for detector drain and sink flush")
 		exitIdle     = fs.Duration("exit-idle", 0, "exit cleanly once every source has been idle this long (0: run forever)")
 		poll         = fs.Duration("poll", 200*time.Millisecond, "poll interval for file-backed sources")
 		pollMax      = fs.Duration("poll-max", 0, "let quiet file-backed sources back their poll interval off up to this bound (0: fixed -poll rate)")
-		dirGlob      = fs.String("watch-glob", "", "with -watch, only consume segment files matching this shell pattern")
-		ringSize     = fs.Int("ring", 1024, "recent events kept in memory for /api/v1/loops")
 		fsyncMode    = fs.String("fsync", "off", "journal/trail flush policy: off (OS-buffered) or always (fsync per event)")
 		maxStreams   = fs.Int("max-streams", 65536, "memory governor: live replica streams per source before cold ones are shed (0: unlimited)")
 		vantage      = fs.String("vantage", "", "stable identity of this daemon in a fleet, stamped into events and API meta (default: hostname)")
-
-		logLevel     = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat    = fs.String("log-format", "text", "log output format: text or json")
 		flightEvents = fs.Int("flight-events", 4096, "flight-recorder ring capacity per detector shard (0: disable decision tracing)")
-		flightSample = fs.Int("flight-sample", 16, "after the first replicas of a stream, record every Nth replica append")
 		trailPath    = fs.String("trail-journal", "", "append each finalized loop's sealed decision trail to this JSONL file")
-		progress     = fs.Bool("progress", false, "report periodic progress lines on stderr")
-		progressInt  = fs.Duration("progress-interval", 2*time.Second, "progress reporting period")
-
-		minReplicas = fs.Int("min-replicas", 3, "smallest replica set reported as loop evidence")
-		minDelta    = fs.Int("ttl-delta", 2, "smallest acceptable TTL decrement between replicas")
-		prefixBits  = fs.Int("prefix-bits", 24, "destination aggregation width for validation/merging")
-		mergeWindow = fs.Duration("merge-window", time.Minute, "gap within which same-prefix streams merge")
-		replicaGap  = fs.Duration("replica-gap", 2*time.Second, "max spacing between successive replicas")
-		noValidate  = fs.Bool("no-validate", false, "disable the step-2 subnet validation")
 	)
+	detector := core.BindFlags(fs)
+	newLogger := obs.BindLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -136,29 +123,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	reg := obs.NewRegistry()
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(stderr, "loopscoped: %v\n", err)
-		return 2
-	}
-	if *logFormat != "text" && *logFormat != "json" {
-		fmt.Fprintf(stderr, "loopscoped: bad -log-format %q: want text or json\n", *logFormat)
-		return 2
-	}
-	fsync, err := serve.ParseFsyncPolicy(*fsyncMode)
-	if err != nil {
-		fmt.Fprintf(stderr, "loopscoped: bad -fsync %q: want off or always\n", *fsyncMode)
-		return 2
-	}
-	logger := obs.NewLogger(obs.LogOptions{
-		Level: level, Format: *logFormat, Prefix: "loopscoped", Metrics: reg, W: stderr,
-	})
 	// Configuration mistakes before anything started exit 2 so init
 	// systems distinguish "fix the flags" from "the daemon died".
 	usage := func(err error) int {
 		fmt.Fprintf(stderr, "loopscoped: %v\n", err)
 		return 2
+	}
+	reg := obs.NewRegistry()
+	logger, err := newLogger(obs.LogOptions{Prefix: "loopscoped", Metrics: reg, W: stderr})
+	if err != nil {
+		return usage(err)
+	}
+	fsync, err := serve.ParseFsyncPolicy(*fsyncMode)
+	if err != nil {
+		return usage(fmt.Errorf("bad -fsync %q: want off or always", *fsyncMode))
 	}
 
 	// The vantage identity must be stable across restarts (it is part
@@ -172,46 +150,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Analytics are always on: the collector is cheap (a few sketch
 	// increments per finalized loop) and /api/v1/stats answering 404
-	// on a stock build would be a trap. Only persistence is optional.
+	// on a stock build would be a trap. They persist next to the
+	// checkpoint, on its ticks.
 	collector := analytics.NewCollector(analytics.Options{
 		OnIngest: reg.Counter(obs.MetricAnalyticsIngested).Inc,
 		OnDedup:  reg.Counter(obs.MetricAnalyticsDeduped).Inc,
 	})
-	snapPath := *statsSnap
-	if snapPath == "" && *cpPath != "" {
+	var snapPath string
+	if *cpPath != "" {
 		snapPath = *cpPath + ".analytics"
 	}
 
 	var fr *flight.Recorder
 	if *flightEvents > 0 {
-		fr = flight.New(flight.Options{
-			PerShardEvents: *flightEvents,
-			SampleEvery:    *flightSample,
-		})
+		fr = flight.New(flight.Options{PerShardEvents: *flightEvents})
 	} else if *trailPath != "" {
 		return usage(fmt.Errorf("-trail-journal needs the flight recorder; drop -flight-events 0"))
 	}
 
+	dcfg := detector()
+	dcfg.MaxActiveStreams = *maxStreams
 	d, err := serve.New(serve.Config{
-		Vantage: *vantage,
-		Detector: core.Config{
-			MinReplicas:      *minReplicas,
-			MinTTLDelta:      *minDelta,
-			MemberReplicas:   2,
-			PrefixBits:       *prefixBits,
-			MaxReplicaGap:    *replicaGap,
-			MergeWindow:      *mergeWindow,
-			ValidateSubnet:   !*noValidate,
-			MaxActiveStreams: *maxStreams,
-		},
+		Vantage:               *vantage,
+		Detector:              dcfg,
 		CheckpointPath:        *cpPath,
 		CheckpointInterval:    *cpInterval,
 		DrainTimeout:          *drainTimeout,
 		ExitIdle:              *exitIdle,
 		TailPoll:              *poll,
 		TailPollMax:           *pollMax,
-		DirGlob:               *dirGlob,
-		RingSize:              *ringSize,
 		Fsync:                 fsync,
 		Metrics:               reg,
 		Logger:                logger,
@@ -259,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *journalPath != "" {
 		j, err := serve.NewJournal(serve.JournalOptions{
-			Path: *journalPath, MaxBytes: *journalMax, Retain: *retain,
+			Path: *journalPath, MaxBytes: journalMaxBytes, Retain: *retain,
 			Fsync: fsync, Health: d.Health(),
 			Metrics: reg, Logger: logger,
 		})
@@ -270,8 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *webhookURL != "" {
 		d.AddSink(serve.NewWebhook(serve.WebhookOptions{
-			URL: *webhookURL, QueueSize: *webhookQueue,
-			Health: d.Health(), Metrics: reg,
+			URL: *webhookURL, Health: d.Health(), Metrics: reg,
 		}))
 	}
 
@@ -284,22 +250,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"endpoints", "api/v1/{health,loops,sources,trace,stats,statusz} metrics")
 	}
 
-	var pr *obs.Progress
-	if *progress {
-		pr = obs.NewProgress(reg, obs.ProgressOptions{Interval: *progressInt})
-		pr.SetOffset(d.Progress)
-		pr.SetSegments(d.Segments)
-		pr.Start()
-	}
-
 	// SIGTERM/SIGINT trigger one graceful drain; a second signal kills.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 
 	err = d.Run(ctx)
-	if pr != nil {
-		pr.Stop()
-	}
 	if srv != nil {
 		srv.Close()
 	}

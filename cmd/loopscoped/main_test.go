@@ -3,11 +3,17 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"loopscope/internal/analytics"
+	"loopscope/internal/routing"
+	"loopscope/internal/stats"
 	"loopscope/internal/trace"
+	"loopscope/internal/traffic"
 )
 
 // runCLI invokes run with captured output.
@@ -19,7 +25,27 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // writeEmptyTrace creates a valid native trace file with no records.
-func writeEmptyTrace(t *testing.T, path string) {
+func writeEmptyTrace(t *testing.T, path string) { writeTrace(t, path, nil) }
+
+// writeLoopTrace creates a 20 s native trace with two scripted loops.
+func writeLoopTrace(t *testing.T, path string) {
+	t.Helper()
+	dests := []routing.Prefix{routing.MustParsePrefix("198.18.0.0/24"), routing.MustParsePrefix("198.18.1.0/24")}
+	cfg := traffic.SynthConfig{
+		Duration: 20 * time.Second, PacketsPerSecond: 300,
+		Mix: traffic.DefaultMix(), DestPrefixes: dests,
+		HopsMin: 3, HopsMax: 9,
+	}
+	for i, start := range []time.Duration{2 * time.Second, 8 * time.Second} {
+		cfg.Loops = append(cfg.Loops, traffic.LoopSpec{
+			Prefix: dests[i], Start: start, Duration: 1200 * time.Millisecond,
+			TTLDelta: 3, Revolution: 3 * time.Millisecond,
+		})
+	}
+	writeTrace(t, path, traffic.Synthesize(cfg, stats.NewRNG(1)))
+}
+
+func writeTrace(t *testing.T, path string, recs []trace.Record) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -29,6 +55,11 @@ func writeEmptyTrace(t *testing.T, path string) {
 	w, err := trace.NewWriter(f, trace.Meta{Link: "test", Start: time.Unix(1700000000, 0), SnapLen: trace.DefaultSnapLen})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -136,5 +167,60 @@ func TestRunTailToJournalEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "stopped") {
 		t.Errorf("clean shutdown not logged: %q", stderr)
+	}
+}
+
+// TestRunAnalyticsSnapshotBesideCheckpoint: a -checkpoint run leaves the
+// /api/v1/stats sketches in <checkpoint>.analytics, and a second run over
+// the same capture and checkpoint starts from them: the loops it emits
+// again count as duplicates instead of being ingested afresh.
+func TestRunAnalyticsSnapshotBesideCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.lspt")
+	writeLoopTrace(t, tracePath)
+	cp := filepath.Join(dir, "cp.json")
+	counts := func() (ingested, deduped uint64) {
+		t.Helper()
+		code, _, stderr := runCLI(t, "-tail", tracePath, "-journal", filepath.Join(dir, "loops.jsonl"),
+			"-checkpoint", cp, "-exit-idle", "200ms", "-poll", "5ms")
+		if code != 0 {
+			t.Fatalf("daemon exited %d; stderr:\n%s", code, stderr)
+		}
+		c := analytics.NewCollector(analytics.Options{})
+		if _, err := c.Load(cp + ".analytics"); err != nil {
+			t.Fatal(err)
+		}
+		return c.Counts()
+	}
+	in1, dup1 := counts()
+	if in1 == 0 {
+		t.Fatalf("no loops in %s.analytics after the first run", cp)
+	}
+	if in2, dup2 := counts(); in2 != in1 || dup2 <= dup1 {
+		t.Errorf("second run: %d ingested, %d deduped; want %d ingested and more than %d deduped",
+			in2, dup2, in1, dup1)
+	}
+}
+
+// TestFlagSurface pins the flags loopscoped registers, so a new one shows
+// up as a diff of this list.
+func TestFlagSurface(t *testing.T) {
+	_, _, stderr := runCLI(t, "-h")
+	var got []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"checkpoint", "checkpoint-interval", "drain-timeout", "exit-idle",
+		"flight-events", "fsync", "http", "journal", "listen", "log-format",
+		"log-level", "max-streams", "merge-window", "min-replicas", "no-validate",
+		"poll", "poll-max", "prefix-bits", "replica-gap", "retain", "tail",
+		"trail-journal", "ttl-delta", "vantage", "watch", "webhook",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags = %q\nwant    %q", got, want)
 	}
 }

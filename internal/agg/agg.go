@@ -598,9 +598,6 @@ func (a *Aggregator) Counts() (observations int64, duplicates int64, fleetLoops 
 	return observations, duplicates, len(a.clusters), len(a.vantages)
 }
 
-// Started returns the construction time (the daemon's uptime base).
-func (a *Aggregator) Started() time.Time { return a.started }
-
 // Cursor returns the pull transport's resume position for a vantage.
 func (a *Aggregator) Cursor(name string) int64 {
 	a.mu.Lock()

@@ -28,10 +28,7 @@ func (a *Aggregator) openJournal() error {
 	if err != nil {
 		return fmt.Errorf("agg: opening journal %s: %w", path, err)
 	}
-	if torn > 0 {
-		a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "agg-journal")).Inc()
-		a.log.Warn("torn trailing line quarantined", "file", "agg-journal", "path", path, "bytes", torn)
-	}
+	obs.NoteTornRepair(a.cfg.Metrics, a.log, "agg-journal", path, torn)
 	replayed := 0
 	skipped, err := durable.Replay(path, func(line []byte) error {
 		var o Observation

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"flag"
 	"time"
 
 	"loopscope/internal/packet"
@@ -92,6 +93,25 @@ func DefaultConfig() Config {
 		MaxReplicaGap:  2 * time.Second,
 		MergeWindow:    time.Minute,
 		ValidateSubnet: true,
+	}
+}
+
+// BindFlags registers the paper's detector parameters on fs, defaulting
+// to DefaultConfig, and returns the Config they describe once fs has been
+// parsed. loopdetect and loopscoped both declare them through it, so
+// their defaults live in DefaultConfig alone.
+func BindFlags(fs *flag.FlagSet) func() Config {
+	def := DefaultConfig()
+	cfg := def
+	fs.IntVar(&cfg.MinReplicas, "min-replicas", def.MinReplicas, "smallest replica set reported as loop evidence")
+	fs.IntVar(&cfg.MinTTLDelta, "ttl-delta", def.MinTTLDelta, "smallest acceptable TTL decrement between replicas")
+	fs.IntVar(&cfg.PrefixBits, "prefix-bits", def.PrefixBits, "destination aggregation width for validation/merging")
+	fs.DurationVar(&cfg.MergeWindow, "merge-window", def.MergeWindow, "gap within which same-prefix streams merge")
+	fs.DurationVar(&cfg.MaxReplicaGap, "replica-gap", def.MaxReplicaGap, "max spacing between successive replicas")
+	noValidate := fs.Bool("no-validate", !def.ValidateSubnet, "disable the step-2 subnet validation")
+	return func() Config {
+		cfg.ValidateSubnet = !*noValidate
+		return cfg
 	}
 }
 

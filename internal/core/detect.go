@@ -103,10 +103,6 @@ type Detector struct {
 	fr *flight.ShardRecorder
 }
 
-// StreamDetector is the Detector under the name its emit-as-you-go
-// constructor has always used.
-type StreamDetector = Detector
-
 // builder accumulates one replica stream from the packet's second
 // observation (Detector.promote) until it closes.
 type builder struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"testing"
 	"time"
 
@@ -407,5 +408,30 @@ func TestBackwardsTimestampsNoPanic(t *testing.T) {
 				e.Finish()
 			}()
 		}
+	}
+}
+
+// TestBindFlags: unset flags describe DefaultConfig exactly, and each
+// flag moves its own field.
+func TestBindFlags(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	cfg := BindFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg(); got != DefaultConfig() {
+		t.Errorf("defaults = %+v, want %+v", got, DefaultConfig())
+	}
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	cfg = BindFlags(fs)
+	if err := fs.Parse([]string{"-min-replicas", "4", "-ttl-delta", "3", "-prefix-bits", "16",
+		"-merge-window", "2m", "-replica-gap", "5s", "-no-validate"}); err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.MinReplicas, want.MinTTLDelta, want.PrefixBits = 4, 3, 16
+	want.MergeWindow, want.MaxReplicaGap, want.ValidateSubnet = 2*time.Minute, 5*time.Second, false
+	if got := cfg(); got != want {
+		t.Errorf("parsed = %+v, want %+v", got, want)
 	}
 }

@@ -38,7 +38,7 @@ func stormTrace(t *testing.T, nLoops, nStorm int) ([]trace.Record, map[routing.P
 	return recs, truth
 }
 
-// runStorm feeds recs through a StreamDetector, tracking the peak live
+// runStorm feeds recs through an emitting Detector, tracking the peak live
 // builder count after every record.
 func runStorm(cfg Config, recs []trace.Record) (loops []*Loop, peak int, stats StreamStats) {
 	sd := NewStreamDetector(cfg, func(l *Loop) { loops = append(loops, l) })

@@ -103,11 +103,6 @@ func (s *Session) SetReplay(n int) {
 	}
 }
 
-// Replaying reports whether suppressed emissions are still pending —
-// true until the replayed prefix has caught up with every loop the
-// previous incarnation delivered.
-func (s *Session) Replaying() bool { return s.suppress > 0 }
-
 // ClearReplay cancels any remaining replay suppression and returns how
 // many suppressed emissions were still pending. Callers use it when a
 // replay ends without reaching its target: leftover suppression would

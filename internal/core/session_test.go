@@ -197,7 +197,7 @@ func TestSessionDrain(t *testing.T) {
 }
 
 // TestSessionMatchesStreamDetector pins Session as a thin wrapper: the
-// final emissions equal the raw StreamDetector's, in order.
+// final emissions equal the raw emitting Detector's, in order.
 func TestSessionMatchesStreamDetector(t *testing.T) {
 	recs := sessionTestTrace(t, 3, 6)
 	cfg := DefaultConfig()

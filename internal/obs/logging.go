@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -63,6 +64,37 @@ func NewLogger(opts LogOptions) *slog.Logger {
 // NopLogger returns a logger that discards everything (its handler
 // reports every level disabled, so arguments are never evaluated).
 func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
+
+// BindLogFlags registers -log-level and -log-format on fs and returns
+// the logger constructor they feed: once fs has been parsed, it checks
+// both values and builds NewLogger(opts) with them filled in. All three
+// binaries declare their log flags through it.
+func BindLogFlags(fs *flag.FlagSet) func(LogOptions) (*slog.Logger, error) {
+	level := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
+	format := fs.String("log-format", "text", "log output format: text or json")
+	return func(opts LogOptions) (*slog.Logger, error) {
+		l, err := ParseLogLevel(*level)
+		if err != nil {
+			return nil, err
+		}
+		if *format != "text" && *format != "json" {
+			return nil, fmt.Errorf("bad -log-format %q: want text or json", *format)
+		}
+		opts.Level, opts.Format = l, *format
+		return NewLogger(opts), nil
+	}
+}
+
+// NoteTornRepair counts and logs a torn trailing line that opening a
+// durable.Log moved into its quarantine sidecar; file names the log in
+// the MetricTornRepairs label. A torn count of zero does nothing.
+func NoteTornRepair(reg *Registry, log *slog.Logger, file, path string, torn int64) {
+	if torn == 0 {
+		return
+	}
+	reg.Counter(LabelMetric(MetricTornRepairs, "file", file)).Inc()
+	log.Warn("torn trailing line quarantined", "file", file, "path", path, "bytes", torn)
+}
 
 // ParseLogLevel maps a -log-level flag value to a slog.Level.
 func ParseLogLevel(s string) (slog.Level, error) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"flag"
 	"log/slog"
 	"strings"
 	"testing"
@@ -137,4 +138,36 @@ func TestNopLogger(t *testing.T) {
 		t.Error("nop logger claims enabled")
 	}
 	lg.Error("into the void") // must not panic
+}
+
+func TestBindLogFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		lines int    // lines written by one Info and one Warn; 0: the values are rejected
+		want  string // substring of those lines
+	}{
+		{nil, 2, "i\nWARN w\n"},
+		{[]string{"-log-level", "warn", "-log-format", "json"}, 1, `"msg":"w"`},
+		{[]string{"-log-level", "shout"}, 0, ""},
+		{[]string{"-log-format", "xml"}, 0, ""},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		newLogger := BindLogFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		lg, err := newLogger(LogOptions{W: &sb, NoTimestamp: true})
+		if (err != nil) != (tc.lines == 0) {
+			t.Errorf("%v: err = %v", tc.args, err)
+		}
+		if err != nil {
+			continue
+		}
+		lg.Info("i")
+		lg.Warn("w")
+		if out := sb.String(); strings.Count(out, "\n") != tc.lines || !strings.Contains(out, tc.want) {
+			t.Errorf("%v wrote %q, want %d line(s) with %q", tc.args, out, tc.lines, tc.want)
+		}
+	}
 }

@@ -38,7 +38,6 @@ const (
 	// LabelMetric.
 	MetricServeSourceRecords   = "loopscope_serve_source_records_total"
 	MetricServeSourceLagBytes  = "loopscope_serve_source_lag_bytes"
-	MetricServeSourceRate      = "loopscope_serve_source_records_per_s"
 	MetricServeSourceRestarts  = "loopscope_serve_source_restarts_total"
 	MetricServeEventsFinal     = "loopscope_serve_events_final_total"
 	MetricServeEventsTruncated = "loopscope_serve_events_truncated_total"
@@ -132,7 +131,6 @@ var metricHelp = map[string]string{
 
 	MetricServeSourceRecords:     "Records consumed per source.",
 	MetricServeSourceLagBytes:    "Bytes between a source's read position and the newest capture data.",
-	MetricServeSourceRate:        "Recent per-source record rate.",
 	MetricServeSourceRestarts:    "Source supervisor restarts.",
 	MetricServeEventsFinal:       "Final loop events emitted.",
 	MetricServeEventsTruncated:   "Truncated loop events emitted during drain.",

@@ -18,13 +18,8 @@ type ProgressOptions struct {
 	W io.Writer
 	// Offset optionally reports (bytes consumed, total bytes) of the
 	// input, enabling the percentage and ETA fields. Set it up front
-	// or later via SetOffset once the input is open. For multi-segment
-	// inputs the reported size must cover every remaining segment, not
-	// just the open file — otherwise the ETA resets at each rotation.
+	// or later via SetOffset once the input is open.
 	Offset func() (offset, size int64)
-	// Segments optionally reports (current segment, total segments) for
-	// directory inputs, adding a `segment i/N` field to each line.
-	Segments func() (current, total int)
 }
 
 // Progress periodically reports pipeline liveness on one line:
@@ -40,9 +35,8 @@ type Progress struct {
 	interval time.Duration
 	w        io.Writer
 
-	mu       sync.Mutex
-	offset   func() (int64, int64)
-	segments func() (int, int)
+	mu     sync.Mutex
+	offset func() (int64, int64)
 
 	stop chan struct{}
 	done chan struct{}
@@ -71,7 +65,6 @@ func NewProgress(r *Registry, opts ProgressOptions) *Progress {
 		interval: opts.Interval,
 		w:        opts.W,
 		offset:   opts.Offset,
-		segments: opts.Segments,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -85,17 +78,6 @@ func (p *Progress) SetOffset(fn func() (offset, size int64)) {
 	}
 	p.mu.Lock()
 	p.offset = fn
-	p.mu.Unlock()
-}
-
-// SetSegments installs (or replaces) the segment-position source; safe
-// to call while the reporter runs.
-func (p *Progress) SetSegments(fn func() (current, total int)) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.segments = fn
 	p.mu.Unlock()
 }
 
@@ -137,16 +119,6 @@ func (p *Progress) Stop() {
 func (p *Progress) Line(now time.Time) string {
 	snap := p.reg.Snapshot()
 	recs := snap.Counters[MetricTraceRecords]
-	if recs == 0 {
-		// Serve daemons count per source, not through the one-shot
-		// ingest meter; fall back to summing the per-source series.
-		prefix := MetricServeSourceRecords + "{"
-		for name, v := range snap.Counters {
-			if strings.HasPrefix(name, prefix) {
-				recs += v
-			}
-		}
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "progress: %s records", humanCount(recs))
@@ -158,7 +130,7 @@ func (p *Progress) Line(now time.Time) string {
 	}
 
 	p.mu.Lock()
-	offsetFn, segmentsFn := p.offset, p.segments
+	offsetFn := p.offset
 	p.mu.Unlock()
 	var off int64
 	if offsetFn != nil {
@@ -172,12 +144,6 @@ func (p *Progress) Line(now time.Time) string {
 			}
 		}
 	}
-	if segmentsFn != nil {
-		if cur, total := segmentsFn(); total > 1 {
-			fmt.Fprintf(&b, "  segment %d/%d", cur, total)
-		}
-	}
-
 	if skew, ok := shardSkew(snap); ok {
 		fmt.Fprintf(&b, "  shard skew %.2f", skew)
 	}

@@ -53,37 +53,6 @@ func TestProgressWithoutOffset(t *testing.T) {
 	}
 }
 
-func TestProgressSegments(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(MetricTraceRecords).Add(10)
-	p := NewProgress(r, ProgressOptions{
-		Interval: time.Hour,
-		W:        &strings.Builder{},
-		Segments: func() (int, int) { return 3, 8 },
-	})
-	p.lastAt = time.Now().Add(-time.Second)
-	if line := p.Line(time.Now()); !strings.Contains(line, "segment 3/8") {
-		t.Errorf("line missing segment position: %s", line)
-	}
-	// A single-segment input stays quiet — the field only helps when
-	// rotation is in play.
-	p.SetSegments(func() (int, int) { return 1, 1 })
-	if line := p.Line(time.Now()); strings.Contains(line, "segment") {
-		t.Errorf("segment field shown for single-segment input: %s", line)
-	}
-}
-
-func TestProgressServeRecordsFallback(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(LabelMetric(MetricServeSourceRecords, "source", "a")).Add(7)
-	r.Counter(LabelMetric(MetricServeSourceRecords, "source", "b")).Add(5)
-	p := NewProgress(r, ProgressOptions{Interval: time.Hour, W: &strings.Builder{}})
-	p.lastAt = time.Now().Add(-time.Second)
-	if line := p.Line(time.Now()); !strings.Contains(line, "12 records") {
-		t.Errorf("line missing per-source record sum: %s", line)
-	}
-}
-
 func TestProgressStartStop(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricTraceRecords).Add(3)

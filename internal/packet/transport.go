@@ -49,8 +49,7 @@ func DecodeTCP(data []byte) (TCPHeader, error) {
 }
 
 // Encode serialises the header into buf (>= TCPHeaderLen bytes)
-// without computing a checksum; use ComputeTCPChecksum once the full
-// segment is assembled. Returns bytes written.
+// without computing a checksum. Returns bytes written.
 func (h *TCPHeader) Encode(buf []byte) (int, error) {
 	if len(buf) < TCPHeaderLen {
 		return 0, fmt.Errorf("packet: buffer too small for TCP header")
@@ -68,17 +67,6 @@ func (h *TCPHeader) Encode(buf []byte) (int, error) {
 	binary.BigEndian.PutUint16(buf[16:18], h.Checksum)
 	binary.BigEndian.PutUint16(buf[18:20], h.Urgent)
 	return TCPHeaderLen, nil
-}
-
-// ComputeTCPChecksum computes the TCP checksum over segment (header +
-// payload) using the IPv4 pseudo-header, stores it in the serialised
-// segment bytes, and returns it. segment[16:18] must be zero on entry
-// or the result is undefined.
-func ComputeTCPChecksum(src, dst Addr, segment []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, ProtoTCP, uint16(len(segment)))
-	ck := Checksum(segment, sum)
-	binary.BigEndian.PutUint16(segment[16:18], ck)
-	return ck
 }
 
 // UDPHeaderLen is the length of a UDP header.
@@ -115,20 +103,6 @@ func (h *UDPHeader) Encode(buf []byte) (int, error) {
 	binary.BigEndian.PutUint16(buf[4:6], h.Length)
 	binary.BigEndian.PutUint16(buf[6:8], h.Checksum)
 	return UDPHeaderLen, nil
-}
-
-// ComputeUDPChecksum computes the UDP checksum over datagram (header +
-// payload) using the IPv4 pseudo-header, stores it in the serialised
-// datagram bytes, and returns it. Per RFC 768 a computed zero is sent
-// as 0xffff.
-func ComputeUDPChecksum(src, dst Addr, datagram []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, ProtoUDP, uint16(len(datagram)))
-	ck := Checksum(datagram, sum)
-	if ck == 0 {
-		ck = 0xffff
-	}
-	binary.BigEndian.PutUint16(datagram[6:8], ck)
-	return ck
 }
 
 // ICMP message types used by the simulator and the analysis.

@@ -166,8 +166,7 @@ func TestDaemonFlightDisabled404(t *testing.T) {
 }
 
 // TestDaemonDirSegmentsProgress checks the dir source's rotation
-// position reporting: segment i/N in SourceInfo and a Progress total
-// spanning all segments.
+// position reporting: segment i/N and the lag in SourceInfo.
 func TestDaemonDirSegmentsProgress(t *testing.T) {
 	dir := t.TempDir()
 	segDir := filepath.Join(dir, "segs")
@@ -202,15 +201,7 @@ func TestDaemonDirSegmentsProgress(t *testing.T) {
 	if inf.Segments != 2 || inf.Segment != 2 {
 		t.Errorf("segment position = %d/%d, want 2/2", inf.Segment, inf.Segments)
 	}
-	if inf.LagSegments != 0 {
-		t.Errorf("lag segments = %d, want 0 after consuming both", inf.LagSegments)
-	}
-	off, size := d.Progress()
-	if off <= 0 || off != size {
-		t.Errorf("Progress = %d/%d, want consumed == total > 0", off, size)
-	}
-	cur, total := d.Segments()
-	if cur != 2 || total != 2 {
-		t.Errorf("Segments = %d/%d, want 2/2", cur, total)
+	if inf.LagSegments != 0 || inf.LagBytes != 0 {
+		t.Errorf("lag = %d segments, %d bytes, want 0 after consuming both", inf.LagSegments, inf.LagBytes)
 	}
 }

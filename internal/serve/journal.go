@@ -137,7 +137,7 @@ func NewJournal(opts JournalOptions) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal: %w", err)
 	}
-	noteTornRepair(opts.Metrics, log, "journal", opts.Path, torn)
+	obs.NoteTornRepair(opts.Metrics, log, "journal", opts.Path, torn)
 	j := &Journal{
 		opts:       opts,
 		log:        log,
@@ -166,16 +166,6 @@ func NewJournal(opts JournalOptions) (*Journal, error) {
 	}
 	opts.Health.Set("journal", resil.Healthy)
 	return j, nil
-}
-
-// noteTornRepair counts and logs a torn tail that opening a durable.Log
-// moved into its quarantine sidecar.
-func noteTornRepair(reg *obs.Registry, log *slog.Logger, file, path string, torn int64) {
-	if torn == 0 {
-		return
-	}
-	reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", file)).Inc()
-	log.Warn("torn trailing line quarantined", "file", file, "path", path, "bytes", torn)
 }
 
 // segmentSpan is how long a live segment may grow before the journal

@@ -51,7 +51,7 @@ func TestProvenancePushPullIdenticalRecords(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	pulled := d.ring.Latest(1 << 20)
+	pulled := d.ring.PageAfter(0, ringSize, nil).Events
 	if len(pulled) == 0 {
 		t.Fatal("ring holds no events; trace too quiet")
 	}

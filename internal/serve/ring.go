@@ -52,27 +52,6 @@ func (r *Ring) Total() int64 {
 	return r.total
 }
 
-// Latest returns up to n events, newest first. n <= 0 returns all
-// retained events.
-func (r *Ring) Latest(n int) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	size := len(r.buf)
-	if size == 0 {
-		return nil
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Event, 0, n)
-	// Walk backwards from the most recently written slot.
-	for i := 0; i < n; i++ {
-		idx := (r.next - 1 - i + 2*size) % size
-		out = append(out, r.buf[idx])
-	}
-	return out
-}
-
 // Page is one page of a cursor walk over the ring.
 type Page struct {
 	// Events are up to limit retained events, newest first.

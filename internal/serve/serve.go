@@ -46,12 +46,6 @@ type Config struct {
 	// TailPoll is the poll interval for file-backed sources (<= 0:
 	// 200ms).
 	TailPoll time.Duration
-	// DirGlob filters directory-source segment filenames (shell
-	// pattern; empty matches everything).
-	DirGlob string
-	// RingSize is the capacity of the in-memory event ring behind
-	// /api/v1/loops (<= 0: 1024).
-	RingSize int
 	// Metrics receives the daemon's gauges and counters (may be nil).
 	Metrics *obs.Registry
 	// Logger receives operational events (nil: silent).
@@ -87,7 +81,9 @@ type Config struct {
 	// AnalyticsSnapshotPath, when set (with Analytics non-nil),
 	// persists the analytics state atomically on every checkpoint tick
 	// and restores it on start, so sketches survive kill -9 the same
-	// way source positions do. The snapshot is written before the
+	// way source positions do. It is saved with the checkpoint, so it
+	// needs CheckpointPath; cmd/loopscoped always puts it at
+	// <checkpoint>.analytics. The snapshot is written before the
 	// checkpoint: on a crash between the two, the resumed sources
 	// re-emit events the analytics already hold, and the collector's
 	// seen-ID ring (persisted with the snapshot) suppresses them — the
@@ -95,6 +91,10 @@ type Config struct {
 	// fault-free run.
 	AnalyticsSnapshotPath string
 }
+
+// ringSize is how many recent events the ring behind /api/v1/loops and
+// the status page keeps.
+const ringSize = 1024
 
 // Daemon is the continuous-operation core: sources in, detection in
 // the middle, sinks out, with checkpointed resume and graceful drain.
@@ -145,9 +145,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 1024
-	}
 	if cfg.TailPoll <= 0 {
 		cfg.TailPoll = 200 * time.Millisecond
 	}
@@ -163,7 +160,7 @@ func New(cfg Config) (*Daemon, error) {
 		// write from Run would race — and report uptime-since-epoch
 		// until then.
 		started: time.Now(),
-		ring:    NewRing(cfg.RingSize),
+		ring:    NewRing(ringSize),
 		stopped: make(chan struct{}),
 		cpC:     cfg.Metrics.Counter(obs.MetricServeCheckpoints),
 		cpG:     cfg.Metrics.Gauge(obs.MetricServeCheckpointUnixNs),
@@ -456,31 +453,4 @@ loop:
 	}
 	d.trailLog.Close()
 	return firstErr
-}
-
-// Progress reports bytes consumed and total bytes known across all
-// file-backed sources, for the progress reporter's percentage/ETA. A
-// dir source's total covers every remaining segment, so the ETA spans
-// the whole backlog instead of resetting at each rotation.
-func (d *Daemon) Progress() (offset, size int64) {
-	for _, s := range d.sources {
-		s.mu.Lock()
-		done := s.segDoneBytes + s.posBytes
-		offset += done
-		size += done + s.lagBytes
-		s.mu.Unlock()
-	}
-	return offset, size
-}
-
-// Segments reports dir-source rotation position summed across sources:
-// (current segment index, total segments seen).
-func (d *Daemon) Segments() (current, total int) {
-	for _, s := range d.sources {
-		s.mu.Lock()
-		current += s.segIndex
-		total += s.segCount
-		s.mu.Unlock()
-	}
-	return current, total
 }

@@ -952,9 +952,11 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-func TestRingLatest(t *testing.T) {
+// TestRingPageNewest: a page from cursor 0 is the newest retained
+// events, newest first — what the status page shows.
+func TestRingPageNewest(t *testing.T) {
 	r := NewRing(4)
-	if got := r.Latest(3); got != nil {
+	if got := r.PageAfter(0, 3, nil).Events; len(got) != 0 {
 		t.Fatalf("empty ring returned %v", got)
 	}
 	for i := 0; i < 6; i++ {
@@ -963,16 +965,16 @@ func TestRingLatest(t *testing.T) {
 	if r.Total() != 6 {
 		t.Fatalf("total = %d", r.Total())
 	}
-	got := r.Latest(0)
+	got := r.PageAfter(0, 10, nil).Events
 	if len(got) != 4 {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
 	for i, e := range got {
 		if want := testEvent(5 - i).ID; e.ID != want {
-			t.Fatalf("latest[%d] = %s, want %s", i, e.ID, want)
+			t.Fatalf("newest[%d] = %s, want %s", i, e.ID, want)
 		}
 	}
-	if got := r.Latest(2); len(got) != 2 || got[0].ID != testEvent(5).ID {
-		t.Fatalf("Latest(2) = %v", got)
+	if got := r.PageAfter(0, 2, nil).Events; len(got) != 2 || got[0].ID != testEvent(5).ID {
+		t.Fatalf("PageAfter(0, 2) = %v", got)
 	}
 }

@@ -52,16 +52,13 @@ type sourceState struct {
 	anchor   time.Time
 	anchored bool
 
-	// Position for Progress and /api/v1/sources: the open segment's
-	// 1-based index among the segments seen (dir), the rotated segments
-	// and bytes after it, the bytes of units fully consumed, and the
-	// read offset within the open file.
-	segIndex     int
-	segCount     int
-	lagSegments  int64
-	laterBytes   int64
-	segDoneBytes int64
-	posBytes     int64
+	// Position for /api/v1/sources: the open segment's 1-based index
+	// among the segments seen (dir), and the rotated segments and bytes
+	// after it.
+	segIndex    int
+	segCount    int
+	lagSegments int64
+	laterBytes  int64
 
 	// lastShed is the session's shed counters at the previous record;
 	// diffs feed the shed metrics so restarts don't re-count.
@@ -212,8 +209,7 @@ type reader interface {
 
 // consume is every source's runner: each run starts a new session and
 // reads the units next hands it until an error, which goes to the
-// supervisor. A finished unit's bytes move into the done total, so
-// Progress stays monotone across rotations.
+// supervisor.
 func (s *sourceState) consume(ctx context.Context, next func(context.Context) (*unit, error)) error {
 	s.mu.Lock()
 	s.sess = nil
@@ -228,10 +224,6 @@ func (s *sourceState) consume(ctx context.Context, next func(context.Context) (*
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.segDoneBytes += u.r.Offset()
-		s.posBytes = 0
-		s.mu.Unlock()
 	}
 }
 
@@ -383,7 +375,7 @@ func (s *sourceState) take(u *unit, rec trace.Record, replaying bool) error {
 	s.cp.File, s.cp.FileID, s.cp.TimeBaseNs = u.file, u.fileID, int64(u.base)
 	s.cp.Records, s.cp.Offset, s.cp.Emitted = u.n, off, s.sess.Emitted()
 	s.cp.HighWaterNs = int64(s.sess.HighWater())
-	s.posBytes, s.lagBytes = off, u.r.Size()-off+s.laterBytes
+	s.lagBytes = u.r.Size() - off + s.laterBytes
 	s.lagG.Set(s.lagBytes)
 	s.idle = false
 	s.recordsC.Inc()
@@ -533,7 +525,7 @@ func (s *sourceState) listSegments() ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if ok, _ := filepath.Match(s.d.cfg.DirGlob, e.Name()); !e.IsDir() && (ok || s.d.cfg.DirGlob == "") {
+		if !e.IsDir() {
 			out = append(out, e.Name())
 		}
 	}

@@ -178,7 +178,7 @@ func (d *Daemon) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	infos := d.sourceInfos()
 
 	var recent []statuszRecent
-	for _, e := range d.ring.Latest(20) {
+	for _, e := range d.ring.PageAfter(0, 20, nil).Events {
 		row := statuszRecent{
 			ID: e.ID, Source: e.Source, Prefix: e.Prefix,
 			Streams: e.Streams, Replicas: e.Replicas,

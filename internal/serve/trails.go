@@ -51,7 +51,7 @@ func NewTrailLog(opts TrailLogOptions) (*TrailLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	noteTornRepair(opts.Metrics, log, "trails", opts.Path, torn)
+	obs.NoteTornRepair(opts.Metrics, log, "trails", opts.Path, torn)
 	return &TrailLog{file: file, log: log}, nil
 }
 
