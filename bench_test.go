@@ -106,7 +106,7 @@ func BenchmarkTableI(b *testing.B) {
 		detectAll(runs, core.DefaultConfig())
 	}
 	b.StopTimer()
-	printFirst("table1", analysis.RenderTableI(reports(runs)))
+	printFirst("table1", figure("table1").Text(reports(runs), 0))
 	var looped int
 	for _, r := range runs {
 		looped += r.rep.LoopedPackets
@@ -128,13 +128,24 @@ func BenchmarkTableII(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	printFirst("table2", analysis.RenderTableII(reports(runs)))
+	printFirst("table2", figure("table2").Text(reports(runs), 0))
 	b.ReportMetric(float64(loops), "loops")
 }
 
+// figure returns the named entry of analysis.Figures.
+func figure(name string) analysis.Figure {
+	for _, f := range analysis.Figures {
+		if f.Name == name {
+			return f
+		}
+	}
+	panic("no figure " + name)
+}
+
 // benchFigure is the shared harness for figure benchmarks: measures
-// the analysis extraction and prints the regenerated figure.
-func benchFigure(b *testing.B, name string, render func([]*analysis.Report) string) {
+// the analysis extraction and prints the regenerated figure (Figure 7
+// to 25 rows), followed by what extra adds when it is not nil.
+func benchFigure(b *testing.B, name string, extra func([]*analysis.Report) string) {
 	runs := backbones(b)
 	b.ResetTimer()
 	var reps []*analysis.Report
@@ -145,29 +156,33 @@ func benchFigure(b *testing.B, name string, render func([]*analysis.Report) stri
 		}
 	}
 	b.StopTimer()
-	printFirst(name, render(reps))
+	out := figure(name).Text(reps, 25)
+	if extra != nil {
+		out += extra(reps)
+	}
+	printFirst(name, out)
 }
 
 // BenchmarkFigure2 regenerates the TTL-delta distribution.
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, "fig2", analysis.RenderFigure2) }
+func BenchmarkFigure2(b *testing.B) { benchFigure(b, "fig2", nil) }
 
 // BenchmarkFigure3 regenerates the CDF of replicas per stream.
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, "fig3", analysis.RenderFigure3) }
+func BenchmarkFigure3(b *testing.B) { benchFigure(b, "fig3", nil) }
 
 // BenchmarkFigure4 regenerates the CDF of inter-replica spacing.
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, "fig4", analysis.RenderFigure4) }
+func BenchmarkFigure4(b *testing.B) { benchFigure(b, "fig4", nil) }
 
 // BenchmarkFigure5 regenerates the traffic-type mix of all traffic.
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, "fig5", analysis.RenderFigure5) }
+func BenchmarkFigure5(b *testing.B) { benchFigure(b, "fig5", nil) }
 
 // BenchmarkFigure6 regenerates the traffic-type mix of looped traffic.
-func BenchmarkFigure6(b *testing.B) { benchFigure(b, "fig6", analysis.RenderFigure6) }
+func BenchmarkFigure6(b *testing.B) { benchFigure(b, "fig6", nil) }
 
 // BenchmarkFigure7 regenerates the destination time series (plotted
 // for one trace, as in the paper).
 func BenchmarkFigure7(b *testing.B) {
 	benchFigure(b, "fig7", func(reps []*analysis.Report) string {
-		s := analysis.RenderFigure7(reps[3], 25)
+		var s string
 		for _, r := range reps {
 			s += fmt.Sprintf("%s: class-C fraction %.2f\n", r.Link, r.ClassCFraction())
 		}
@@ -176,10 +191,10 @@ func BenchmarkFigure7(b *testing.B) {
 }
 
 // BenchmarkFigure8 regenerates the CDF of replica-stream duration.
-func BenchmarkFigure8(b *testing.B) { benchFigure(b, "fig8", analysis.RenderFigure8) }
+func BenchmarkFigure8(b *testing.B) { benchFigure(b, "fig8", nil) }
 
 // BenchmarkFigure9 regenerates the CDF of routing-loop duration.
-func BenchmarkFigure9(b *testing.B) { benchFigure(b, "fig9", analysis.RenderFigure9) }
+func BenchmarkFigure9(b *testing.B) { benchFigure(b, "fig9", nil) }
 
 // BenchmarkLossImpact regenerates the §VI per-minute loss analysis.
 func BenchmarkLossImpact(b *testing.B) {

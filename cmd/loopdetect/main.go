@@ -348,26 +348,10 @@ func runReport(path string, cfg core.Config) error {
 		fmt.Printf("capture loss: %d gaps, %d packets reported lost by the capture card\n\n", sc.gaps, sc.lost)
 	}
 
-	fmt.Print(analysis.RenderTableI(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderTableII(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure2(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure3(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure4(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure5(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure6(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure7(rep, 30))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure8(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure9(reps))
-	fmt.Println()
+	for _, f := range analysis.Figures {
+		fmt.Print(f.Text(reps, 30))
+		fmt.Println()
+	}
 
 	split := res.SplitPersistence(sc.end, cfg.MergeWindow, time.Minute)
 	fmt.Printf("persistence: %d transient, %d persistent loops\n",
@@ -633,7 +617,7 @@ func run(path string, cfg core.Config, showStreams, showLoops bool) error {
 	if rep.ReplicaStreams > 0 {
 		fmt.Printf("escaped streams: %d (%.1f%%)\n", rep.EscapedStreams, 100*rep.EscapeFraction())
 		fmt.Println()
-		fmt.Print(rep.TTLDelta.RenderASCII("ttl delta"))
+		fmt.Print(analysis.RenderTTLDelta(rep))
 	}
 
 	if showStreams {

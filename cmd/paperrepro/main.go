@@ -148,6 +148,10 @@ func run(exp string, scale float64, csvDir string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote figure CSVs to %s\n", csvDir)
 	}
+	figure := map[string]analysis.Figure{}
+	for _, f := range analysis.Figures {
+		figure[f.Name] = f
+	}
 	section := func(title, paperShape string) {
 		fmt.Println()
 		fmt.Println(strings.Repeat("=", 72))
@@ -156,64 +160,44 @@ func run(exp string, scale float64, csvDir string) error {
 		fmt.Println(strings.Repeat("-", 72))
 	}
 
-	if want("table1") {
-		section("Table I", "four traces; backbone2 has a several-times-higher rate, so its looped count is similar absolutely but much smaller relatively")
-		fmt.Print(analysis.RenderTableI(reps))
-	}
-	if want("fig2") {
-		section("Figure 2", "TTL delta 2 is the mode everywhere; 5-10% of streams spread over deltas 3-8; backbone4 splits ~55%/35% between deltas 2 and 3")
-		fmt.Print(analysis.RenderFigure2(reps))
-	}
-	if want("fig3") {
-		section("Figure 3", "jumps near 31 and 63 replicas (initial TTLs 64/128 with delta 2)")
-		fmt.Print(analysis.RenderFigure3(reps))
-	}
-	if want("fig4") {
-		section("Figure 4", "backbones 1/2: ~90% under 8 ms; backbones 3/4: 65%/55% under 10 ms with tails to ~22 ms; larger deltas mean larger spacing")
-		fmt.Print(analysis.RenderFigure4(reps))
-	}
-	if want("fig5") {
-		section("Figure 5", "TCP > 80% of packets, UDP 5-15%, SYN/FIN a few percent, small ICMP/MCAST/OTHER")
-		fmt.Print(analysis.RenderFigure5(reps))
-	}
-	if want("fig6") {
-		section("Figure 6", "looped traffic over-represents SYNs (stalled handshakes keep retrying) and ICMP (pings towards unreachable destinations, time-exceeded)")
-		fmt.Print(analysis.RenderFigure6(reps))
-		fmt.Println()
-		for _, r := range reps {
-			syn := packet.ClassIndex(packet.ClassSYN)
-			icmp := packet.ClassIndex(packet.ClassICMP)
-			fmt.Printf("%s: SYN looped/all = %.3f/%.3f (x%.1f), ICMP looped/all = %.3f/%.3f (x%.1f)\n",
-				r.Link,
-				r.LoopedClassFrac[syn], r.AllClassFrac[syn], ratio(r.LoopedClassFrac[syn], r.AllClassFrac[syn]),
-				r.LoopedClassFrac[icmp], r.AllClassFrac[icmp], ratio(r.LoopedClassFrac[icmp], r.AllClassFrac[icmp]))
+	// The paper's tables and figures, in the order it discusses them.
+	for _, fig := range []struct{ name, title, shape string }{
+		{"table1", "Table I", "four traces; backbone2 has a several-times-higher rate, so its looped count is similar absolutely but much smaller relatively"},
+		{"fig2", "Figure 2", "TTL delta 2 is the mode everywhere; 5-10% of streams spread over deltas 3-8; backbone4 splits ~55%/35% between deltas 2 and 3"},
+		{"fig3", "Figure 3", "jumps near 31 and 63 replicas (initial TTLs 64/128 with delta 2)"},
+		{"fig4", "Figure 4", "backbones 1/2: ~90% under 8 ms; backbones 3/4: 65%/55% under 10 ms with tails to ~22 ms; larger deltas mean larger spacing"},
+		{"fig5", "Figure 5", "TCP > 80% of packets, UDP 5-15%, SYN/FIN a few percent, small ICMP/MCAST/OTHER"},
+		{"fig6", "Figure 6", "looped traffic over-represents SYNs (stalled handshakes keep retrying) and ICMP (pings towards unreachable destinations, time-exceeded)"},
+		{"fig7", "Figure 7", "wide spectrum of destinations over time, concentrated in the historical class-C space"},
+		{"fig8", "Figure 8", "most streams last under 500 ms; step pattern from TTL/delta; backbone4 shows three distinct steps (three dominant initial TTLs)"},
+		{"table2", "Table II", "many replica streams merge into comparatively few routing loops"},
+		{"fig9", "Figure 9", "~90% of loops under 10 s on backbones 3/4; backbones 1/2 carry a longer (BGP-driven) tail"},
+	} {
+		if !want(fig.name) {
+			continue
 		}
-	}
-	if want("fig6") {
-		for _, r := range reps {
-			if f := r.ReservedICMPFraction(); f > 0 {
-				fmt.Printf("%s: %.2f%% of ICMP uses reserved type fields (the paper's anomalous host)\n", r.Link, 100*f)
+		section(fig.title, fig.shape)
+		fmt.Print(figure[fig.name].Text(reps, 40)) // Figure 7: Backbone 4's first 40 streams
+		switch fig.name {
+		case "fig6":
+			fmt.Println()
+			syn, icmp := packet.ClassIndex(packet.ClassSYN), packet.ClassIndex(packet.ClassICMP)
+			for _, r := range reps {
+				fmt.Printf("%s: SYN looped/all = %.3f/%.3f (x%.1f), ICMP looped/all = %.3f/%.3f (x%.1f)\n",
+					r.Link,
+					r.LoopedClassFrac[syn], r.AllClassFrac[syn], ratio(r.LoopedClassFrac[syn], r.AllClassFrac[syn]),
+					r.LoopedClassFrac[icmp], r.AllClassFrac[icmp], ratio(r.LoopedClassFrac[icmp], r.AllClassFrac[icmp]))
+			}
+			for _, r := range reps {
+				if f := r.ReservedICMPFraction(); f > 0 {
+					fmt.Printf("%s: %.2f%% of ICMP uses reserved type fields (the paper's anomalous host)\n", r.Link, 100*f)
+				}
+			}
+		case "fig7":
+			for _, r := range reps {
+				fmt.Printf("%s: class-C fraction of replica streams = %.2f\n", r.Link, r.ClassCFraction())
 			}
 		}
-	}
-	if want("fig7") {
-		section("Figure 7", "wide spectrum of destinations over time, concentrated in the historical class-C space")
-		fmt.Print(analysis.RenderFigure7(reps[3], 40))
-		for _, r := range reps {
-			fmt.Printf("%s: class-C fraction of replica streams = %.2f\n", r.Link, r.ClassCFraction())
-		}
-	}
-	if want("fig8") {
-		section("Figure 8", "most streams last under 500 ms; step pattern from TTL/delta; backbone4 shows three distinct steps (three dominant initial TTLs)")
-		fmt.Print(analysis.RenderFigure8(reps))
-	}
-	if want("table2") {
-		section("Table II", "many replica streams merge into comparatively few routing loops")
-		fmt.Print(analysis.RenderTableII(reps))
-	}
-	if want("fig9") {
-		section("Figure 9", "~90% of loops under 10 s on backbones 3/4; backbones 1/2 carry a longer (BGP-driven) tail")
-		fmt.Print(analysis.RenderFigure9(reps))
 	}
 	if want("loss") {
 		section("Loss impact (§VI)", "loop loss is small overall but contributes up to ~9% of a bad minute's packet loss")

@@ -31,16 +31,13 @@ func main() {
 	rep := analysis.Analyze(bb.Meta(), recs, res)
 	reps := []*analysis.Report{rep}
 
-	fmt.Println()
-	fmt.Print(analysis.RenderTableI(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderTableII(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure2(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure5(reps))
-	fmt.Println()
-	fmt.Print(analysis.RenderFigure6(reps))
+	for _, f := range analysis.Figures {
+		switch f.Name {
+		case "table1", "table2", "fig2", "fig5", "fig6":
+			fmt.Println()
+			fmt.Print(f.Text(reps, 0))
+		}
+	}
 	fmt.Println()
 
 	fmt.Println("merged routing loops:")

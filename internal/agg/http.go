@@ -116,9 +116,8 @@ func (a *Aggregator) v1FleetVantages(w http.ResponseWriter, r *http.Request) {
 // the per-vantage analytics merged fleet-wide (the vantage param
 // narrows to one daemon). Mirrors the daemon's /api/v1/stats error
 // discipline: unknown metric and bad window are bad_param, an unknown
-// vantage is not_found, a known-but-silent one would be empty stats —
-// but the aggregator only learns names from observations, so known
-// always has data.
+// vantage is not_found, and a known vantage that has sent no loops yet
+// (a poll target, say) gets the empty document.
 func (a *Aggregator) v1FleetStats(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "window", "vantage", "metric") {
 		return
@@ -136,12 +135,9 @@ func (a *Aggregator) v1FleetStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := a.Stats(analytics.Query{Window: window, Source: vantage, Metric: q.Get("metric")})
 	if err != nil {
-		switch err.(type) {
-		case *analytics.ErrUnknownMetric:
+		if _, ok := err.(*analytics.ErrUnknownMetric); ok {
 			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam, err.Error())
-		case *analytics.ErrUnknownSource:
-			api.WriteOK(w, http.StatusOK, analytics.EmptyStats(q.Get("window"), vantage), api.Meta{})
-		default:
+		} else {
 			api.WriteError(w, http.StatusNotFound, api.ErrDisabled, err.Error())
 		}
 		return

@@ -89,6 +89,25 @@ func TestFleetStatsEndpoint(t *testing.T) {
 	}
 }
 
+// A polled vantage that has sent no loops gets the empty document, with
+// the window spelled as for a vantage that has.
+func TestFleetStatsIdleVantageWindow(t *testing.T) {
+	a, _, client := fleetServer(t)
+	a.SetCursor("idle", 0) // what a poll target's first round records
+	ctx := context.Background()
+	idle, err := client.FleetStats(ctx, loopscope.FleetStatsQuery{Window: "300s", Vantage: "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := client.FleetStats(ctx, loopscope.FleetStatsQuery{Window: "300s", Vantage: "bb1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Loops != 0 || idle.Window != busy.Window || busy.Window != "5m0s" {
+		t.Errorf("idle vantage: %d loops, window %q; bb1 window %q; want 0 loops and 5m0s for both", idle.Loops, idle.Window, busy.Window)
+	}
+}
+
 // The latency endpoint serves the provenance sketch table through the
 // typed client, with the fleet tier's filter and error discipline.
 func TestFleetLatencyEndpoint(t *testing.T) {

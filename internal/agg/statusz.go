@@ -16,8 +16,8 @@ import (
 	"strconv"
 	"time"
 
-	"loopscope/internal/analytics"
 	"loopscope/internal/resil"
+	"loopscope/internal/stats"
 )
 
 var aggStatuszTmpl = template.Must(template.New("agg-statusz").Parse(`<!DOCTYPE html>
@@ -97,27 +97,6 @@ type aggStatuszLatency struct {
 	Exemplars string
 }
 
-// aggSparkRunes duplicate the daemon's sparkline alphabet (the serve
-// package is a sibling, not a dependency of agg's status page).
-var aggSparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-func aggSpark(buckets []analytics.Bucket) string {
-	var max uint64
-	for _, b := range buckets {
-		if b.Count > max {
-			max = b.Count
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := make([]rune, len(buckets))
-	for i, b := range buckets {
-		out[i] = aggSparkRunes[int(b.Count*uint64(len(aggSparkRunes)-1)/max)]
-	}
-	return string(out)
-}
-
 // statuszDur renders nanoseconds as a compact human duration.
 func statuszDur(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
@@ -164,7 +143,7 @@ func (a *Aggregator) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			P50:     statuszDur(seg.Quantiles["p50"]),
 			P90:     statuszDur(seg.Quantiles["p90"]),
 			P99:     statuszDur(seg.Quantiles["p99"]),
-			Spark:   aggSpark(seg.Buckets),
+			Spark:   stats.Spark(seg.Buckets),
 		}
 		for i, e := range seg.Exemplars {
 			if i > 0 {

@@ -27,8 +27,8 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 		LoopedPackets:     res.LoopedPackets,
 		ReplicaStreams:    len(res.Streams),
 		RoutingLoops:      len(res.Loops),
-		TTLDelta:          stats.NewHistogram(),
-		ICMPTypes:         stats.NewHistogram(),
+		TTLDelta:          &stats.IntHist{},
+		ICMPTypes:         &stats.IntHist{},
 		ReplicasPerStream: &stats.CDF{},
 		SpacingMs:         &stats.CDF{},
 		StreamDurationMs:  &stats.CDF{},

@@ -43,7 +43,7 @@ type Report struct {
 	RoutingLoops   int
 
 	// Figure 2: fraction of replica streams per TTL delta.
-	TTLDelta *stats.Histogram
+	TTLDelta *stats.IntHist
 	// Figure 3: CDF of replicas per stream.
 	ReplicasPerStream *stats.CDF
 	// Figure 4: CDF of mean inter-replica spacing (milliseconds).
@@ -63,7 +63,7 @@ type Report struct {
 	// ICMPTypes tallies ICMP message types over all traffic — the
 	// lens through which the paper spotted the host emitting messages
 	// with reserved type fields on Backbones 1 and 2 (§V-B).
-	ICMPTypes *stats.Histogram
+	ICMPTypes *stats.IntHist
 
 	// §VI delay impact, estimated from the trace alone.
 	EscapedStreams int
@@ -83,13 +83,13 @@ type Accumulator struct {
 	first, last time.Duration
 	wireBytes   uint64
 	allCounts   [NumClasses]int
-	icmpTypes   *stats.Histogram
+	icmpTypes   stats.IntHist
 }
 
 // NewAccumulator returns an empty accumulator for a trace described by
 // meta.
 func NewAccumulator(meta trace.Meta) *Accumulator {
-	return &Accumulator{link: meta.Link, icmpTypes: stats.NewHistogram()}
+	return &Accumulator{link: meta.Link}
 }
 
 // Add accounts for the next record of the trace.
@@ -126,8 +126,8 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 		LoopedPackets:     res.LoopedPackets,
 		ReplicaStreams:    len(res.Streams),
 		RoutingLoops:      len(res.Loops),
-		TTLDelta:          stats.NewHistogram(),
-		ICMPTypes:         a.icmpTypes,
+		TTLDelta:          &stats.IntHist{},
+		ICMPTypes:         &a.icmpTypes,
 		ReplicasPerStream: &stats.CDF{},
 		SpacingMs:         &stats.CDF{},
 		StreamDurationMs:  &stats.CDF{},
@@ -192,16 +192,16 @@ func Analyze(meta trace.Meta, recs []trace.Record, res *core.Result) *Report {
 // type field is outside the assigned range (the anomalous-host
 // signature).
 func (r *Report) ReservedICMPFraction() float64 {
-	if r.ICMPTypes.Total() == 0 {
+	if r.ICMPTypes.N == 0 {
 		return 0
 	}
-	n := 0
-	for _, k := range r.ICMPTypes.Keys() {
+	var n uint64
+	for k, c := range r.ICMPTypes.Counts {
 		if k >= 44 { // types 44-252 were reserved at the time
-			n += r.ICMPTypes.Count(k)
+			n += c
 		}
 	}
-	return float64(n) / float64(r.ICMPTypes.Total())
+	return float64(n) / float64(r.ICMPTypes.N)
 }
 
 // EscapeFraction returns the fraction of validated streams whose

@@ -105,34 +105,53 @@ func TestRenderersContainSeries(t *testing.T) {
 	rep := analysis.Analyze(meta, recs, res)
 	reps := []*analysis.Report{rep}
 
-	cases := []struct {
-		name, out string
-		wants     []string
-	}{
-		{"table1", analysis.RenderTableI(reps), []string{"Table I", "test-link", "looped packets"}},
-		{"table2", analysis.RenderTableII(reps), []string{"Table II", "replica streams", "routing loops"}},
-		{"fig2", analysis.RenderFigure2(reps), []string{"Figure 2", "ttl delta"}},
-		{"fig3", analysis.RenderFigure3(reps), []string{"Figure 3", "size [packets]"}},
-		{"fig4", analysis.RenderFigure4(reps), []string{"Figure 4", "spacing [ms]"}},
-		{"fig5", analysis.RenderFigure5(reps), []string{"Figure 5", "TCP", "MCAST"}},
-		{"fig6", analysis.RenderFigure6(reps), []string{"Figure 6", "SYN"}},
-		{"fig7", analysis.RenderFigure7(rep, 5), []string{"Figure 7", "destination"}},
-		{"fig8", analysis.RenderFigure8(reps), []string{"Figure 8", "duration [ms]"}},
-		{"fig9", analysis.RenderFigure9(reps), []string{"Figure 9", "duration [s]"}},
+	wants := map[string][]string{
+		"table1": {"Table I", "test-link", "looped packets"},
+		"table2": {"Table II", "replica streams", "routing loops"},
+		"fig2":   {"Figure 2", "ttl delta"},
+		"fig3":   {"Figure 3", "size [packets]"},
+		"fig4":   {"Figure 4", "spacing [ms]"},
+		"fig5":   {"Figure 5", "TCP", "MCAST"},
+		"fig6":   {"Figure 6", "SYN"},
+		"fig7":   {"Figure 7", "destination"},
+		"fig8":   {"Figure 8", "duration [ms]"},
+		"fig9":   {"Figure 9", "duration [s]"},
 	}
-	for _, c := range cases {
-		for _, w := range c.wants {
-			if !strings.Contains(c.out, w) {
-				t.Errorf("%s output missing %q:\n%s", c.name, w, c.out)
+	var fig7 analysis.Figure
+	for _, f := range analysis.Figures {
+		out := f.Text(reps, 5)
+		for _, w := range wants[f.Name] {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s output missing %q:\n%s", f.Name, w, out)
 			}
 		}
+		delete(wants, f.Name)
+		if f.Name == "fig7" {
+			fig7 = f
+		}
+	}
+	if len(wants) != 0 {
+		t.Errorf("Figures lacks %v", wants)
 	}
 
 	// Figure 7 row limiting.
-	full := analysis.RenderFigure7(rep, 0)
-	limited := analysis.RenderFigure7(rep, 1)
+	full := fig7.Text(reps, 0)
+	limited := fig7.Text(reps, 1)
 	if len(limited) >= len(full) && rep.ReplicaStreams > 1 {
 		t.Error("maxRows did not limit output")
+	}
+}
+
+func TestRenderTTLDelta(t *testing.T) {
+	rep := &analysis.Report{TTLDelta: &stats.IntHist{}}
+	for _, d := range []int{2, 5, 2, 2} {
+		rep.TTLDelta.Add(d)
+	}
+	out := analysis.RenderTTLDelta(rep)
+	for _, w := range []string{"ttl delta", "2             0.7500", "5             0.2500", "#"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("render missing %q:\n%s", w, out)
+		}
 	}
 }
 
@@ -462,10 +481,10 @@ func (nopCloser) Close() error { return nil }
 func TestICMPTypeHistogram(t *testing.T) {
 	meta, recs, res := detected(t)
 	rep := analysis.Analyze(meta, recs, res)
-	if rep.ICMPTypes.Total() == 0 {
+	if rep.ICMPTypes.N == 0 {
 		t.Fatal("no ICMP types recorded")
 	}
-	if rep.ICMPTypes.Count(packet.ICMPEchoRequest) == 0 {
+	if rep.ICMPTypes.Counts[packet.ICMPEchoRequest] == 0 {
 		t.Error("echo requests missing from type histogram")
 	}
 	if f := rep.ReservedICMPFraction(); f != 0 {

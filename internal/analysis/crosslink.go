@@ -66,7 +66,7 @@ func MatchCrossLink(a, b *core.Result) *CrossLinkReport {
 		byKey[keyOf(s)] = s
 	}
 	matchedB := make(map[*core.ReplicaStream]bool)
-	offsets := stats.NewHistogram()
+	var offsets stats.IntHist
 	for _, sa := range a.Streams {
 		sb, ok := byKey[keyOf(sa)]
 		if !ok {
@@ -91,7 +91,7 @@ func MatchCrossLink(a, b *core.Result) *CrossLinkReport {
 			rep.OnlyB++
 		}
 	}
-	if offsets.Total() > 0 {
+	if offsets.N > 0 {
 		rep.HopDistance = offsets.Mode()
 	}
 

@@ -97,25 +97,20 @@ func csvFiles(t *testing.T, reports []*analysis.Report) map[string]*strings.Buil
 // what the renderers printed before they shared one figure table.
 func TestGoldenFigures(t *testing.T) {
 	reps := goldenReports(t)
-	if keys := reps[1].TTLDelta.Keys(); len(keys) == 0 || keys[len(keys)-1] <= 16 {
-		t.Fatalf("the second trace's TTL deltas are %v; the golden needs one above 16", keys)
+	if _, top := reps[1].TTLDelta.MinMax(); top <= 16 {
+		t.Fatalf("the second trace's largest TTL delta is %d; the golden needs one above 16", top)
 	}
 
 	var out bytes.Buffer
 	section := func(name, body string) { fmt.Fprintf(&out, "== %s ==\n%s", name, body) }
-	section("table1", analysis.RenderTableI(reps))
-	section("table2", analysis.RenderTableII(reps))
-	section("fig2", analysis.RenderFigure2(reps))
-	section("fig3", analysis.RenderFigure3(reps))
-	section("fig4", analysis.RenderFigure4(reps))
-	section("fig5", analysis.RenderFigure5(reps))
-	section("fig6", analysis.RenderFigure6(reps))
-	section("fig7", analysis.RenderFigure7(reps[1], 0))
-	section("fig7 maxRows=4", analysis.RenderFigure7(reps[1], 4))
-	section("fig8", analysis.RenderFigure8(reps))
-	section("fig9", analysis.RenderFigure9(reps))
+	for _, f := range analysis.Figures {
+		section(f.Name, f.Text(reps, 0))
+		if f.Name == "fig7" {
+			section("fig7 maxRows=4", f.Text(reps, 4))
+		}
+	}
 	for _, r := range reps {
-		section("ttl delta "+r.Link, r.TTLDelta.RenderASCII("ttl delta"))
+		section("ttl delta "+r.Link, analysis.RenderTTLDelta(r))
 	}
 
 	files := csvFiles(t, reps)

@@ -4,178 +4,17 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"loopscope/internal/packet"
-	"loopscope/internal/stats"
 )
 
-// header prints a title row with one column per report.
-func header(b *strings.Builder, firstCol string, reports []*Report) {
-	fmt.Fprintf(b, "%-16s", firstCol)
-	for _, r := range reports {
-		fmt.Fprintf(b, "  %12s", r.Link)
-	}
-	b.WriteByte('\n')
-}
-
-// RenderTableI prints trace length, average bandwidth, total and
-// looped packet counts per trace (the paper's Table I).
-func RenderTableI(reports []*Report) string {
+// RenderTTLDelta prints the fraction of r's replica streams at each TTL
+// delta it saw, with a bar per delta: the short form of Figure 2 that
+// loopdetect prints for one trace.
+func RenderTTLDelta(r *Report) string {
 	var b strings.Builder
-	b.WriteString("Table I: details of traces\n")
-	header(&b, "", reports)
-	fmt.Fprintf(&b, "%-16s", "length")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12s", r.Duration.Round(time.Second))
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-16s", "avg bw (Mbps)")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12.1f", r.AvgBandwidthMbps)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-16s", "packets")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12d", r.TotalPackets)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-16s", "looped packets")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12d", r.LoopedPackets)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// RenderTableII prints replica-stream and merged-loop counts per trace
-// (the paper's Table II).
-func RenderTableII(reports []*Report) string {
-	var b strings.Builder
-	b.WriteString("Table II: number of routing loops\n")
-	header(&b, "", reports)
-	fmt.Fprintf(&b, "%-16s", "replica streams")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12d", r.ReplicaStreams)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-16s", "routing loops")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "  %12d", r.RoutingLoops)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// RenderFigure2 prints the TTL-delta distribution of replica streams.
-func RenderFigure2(reports []*Report) string {
-	var b strings.Builder
-	b.WriteString("Figure 2: TTL delta distribution (fraction of replica streams)\n")
-	header(&b, "ttl delta", reports)
-	maxDelta := 2
-	for _, r := range reports {
-		for _, k := range r.TTLDelta.Keys() {
-			if k > maxDelta {
-				maxDelta = k
-			}
-		}
-	}
-	if maxDelta > 16 {
-		maxDelta = 16
-	}
-	for d := 2; d <= maxDelta; d++ {
-		fmt.Fprintf(&b, "%-16d", d)
-		for _, r := range reports {
-			fmt.Fprintf(&b, "  %12.3f", r.TTLDelta.Fraction(d))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// renderCDF prints a multi-trace CDF table evaluated at xs.
-func renderCDF(title, axis string, xs []float64, pick func(*Report) *stats.CDF, reports []*Report) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	header(&b, axis, reports)
-	for _, x := range xs {
-		fmt.Fprintf(&b, "%-16.6g", x)
-		for _, r := range reports {
-			fmt.Fprintf(&b, "  %12.3f", pick(r).At(x))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderFigure3 prints the CDF of replicas per stream.
-func RenderFigure3(reports []*Report) string {
-	return renderCDF(
-		"Figure 3: CDF of the number of replicas in a replica stream",
-		"size [packets]",
-		[]float64{2, 4, 8, 16, 31, 40, 63, 100, 127, 200},
-		func(r *Report) *stats.CDF { return r.ReplicasPerStream },
-		reports)
-}
-
-// RenderFigure4 prints the CDF of mean inter-replica spacing.
-func RenderFigure4(reports []*Report) string {
-	return renderCDF(
-		"Figure 4: CDF of inter-replica spacing time",
-		"spacing [ms]",
-		[]float64{0.5, 1, 2, 5, 8, 10, 22, 50, 100, 500},
-		func(r *Report) *stats.CDF { return r.SpacingMs },
-		reports)
-}
-
-// classRows prints one row per traffic class from a per-report
-// fraction array.
-func classRows(title string, pick func(*Report) [NumClasses]float64, reports []*Report) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	header(&b, "class", reports)
-	for c := 0; c < NumClasses; c++ {
-		fmt.Fprintf(&b, "%-16s", packet.ClassNames[c])
-		for _, r := range reports {
-			fmt.Fprintf(&b, "  %12.4f", pick(r)[c])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderFigure5 prints the traffic-type distribution of all traffic.
-func RenderFigure5(reports []*Report) string {
-	return classRows("Figure 5: traffic type distribution of all traffic (fraction of packets)",
-		func(r *Report) [NumClasses]float64 { return r.AllClassFrac }, reports)
-}
-
-// RenderFigure6 prints the traffic-type distribution of looped
-// traffic.
-func RenderFigure6(reports []*Report) string {
-	return classRows("Figure 6: traffic type distribution of looped traffic (fraction of looped packets)",
-		func(r *Report) [NumClasses]float64 { return r.LoopedClassFrac }, reports)
-}
-
-// RenderFigure7 prints the destination-address time series of replica
-// streams for one trace (the paper plots Backbone 4). maxRows bounds
-// the output; 0 means all.
-func RenderFigure7(r *Report, maxRows int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: destination addresses of replica streams in %s\n", r.Link)
-	fmt.Fprintf(&b, "%-14s  %-16s  %s\n", "time", "destination", "class-C?")
-	rows := r.DestSeries
-	if maxRows > 0 && len(rows) > maxRows {
-		rows = rows[:maxRows]
-	}
-	for _, p := range rows {
-		classC := ""
-		if p.Dst[0] >= 192 && p.Dst[0] < 224 {
-			classC = "C"
-		}
-		fmt.Fprintf(&b, "%-14s  %-16s  %s\n", p.Time.Round(time.Millisecond), p.Dst, classC)
-	}
-	if len(r.DestSeries) > len(rows) {
-		fmt.Fprintf(&b, "... (%d more)\n", len(r.DestSeries)-len(rows))
+	fmt.Fprintf(&b, "%-10s  %8s  %s\n", "ttl delta", "fraction", "")
+	for _, bk := range r.TTLDelta.Buckets() {
+		f := r.TTLDelta.Fraction(int(bk.Lo))
+		fmt.Fprintf(&b, "%-10d  %8.4f  %s\n", bk.Lo, f, strings.Repeat("#", int(f*40+0.5)))
 	}
 	return b.String()
 }
@@ -189,31 +28,11 @@ func (r *Report) ClassCFraction() float64 {
 	}
 	n := 0
 	for _, p := range r.DestSeries {
-		if p.Dst[0] >= 192 && p.Dst[0] < 224 {
+		if classC(p.Dst) {
 			n++
 		}
 	}
 	return float64(n) / float64(len(r.DestSeries))
-}
-
-// RenderFigure8 prints the CDF of replica-stream duration.
-func RenderFigure8(reports []*Report) string {
-	return renderCDF(
-		"Figure 8: CDF of replica stream duration",
-		"duration [ms]",
-		[]float64{1, 10, 50, 100, 150, 200, 300, 400, 500, 700, 800, 1000, 5000},
-		func(r *Report) *stats.CDF { return r.StreamDurationMs },
-		reports)
-}
-
-// RenderFigure9 prints the CDF of merged routing-loop duration.
-func RenderFigure9(reports []*Report) string {
-	return renderCDF(
-		"Figure 9: CDF of routing loop duration",
-		"duration [s]",
-		[]float64{0.1, 0.5, 1, 2, 5, 10, 30, 60, 120, 300},
-		func(r *Report) *stats.CDF { return r.LoopDurationSec },
-		reports)
 }
 
 // RenderLoss prints the §VI loss-impact summary.

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"loopscope/internal/stats"
 )
 
 // Metric names the stats API accepts. Sketch-backed metrics answer
@@ -72,13 +74,13 @@ const topKCap = 64
 // metricSet is one window's worth of sketches: every metric plus the
 // prefix top-K. It is the unit of merging.
 type metricSet struct {
-	Duration    Sketch  `json:"duration"`
-	TTLDelta    IntHist `json:"ttlDelta"`
-	Streams     IntHist `json:"streams"`
-	Replicas    Sketch  `json:"replicas"`
-	EscapeDelay Sketch  `json:"escapeDelay"`
-	Prefixes    *TopK   `json:"prefixes,omitempty"`
-	Loops       uint64  `json:"loops"`
+	Duration    Sketch        `json:"duration"`
+	TTLDelta    stats.IntHist `json:"ttlDelta"`
+	Streams     stats.IntHist `json:"streams"`
+	Replicas    Sketch        `json:"replicas"`
+	EscapeDelay Sketch        `json:"escapeDelay"`
+	Prefixes    *TopK         `json:"prefixes,omitempty"`
+	Loops       uint64        `json:"loops"`
 }
 
 // record folds one loop observation in.
@@ -120,10 +122,11 @@ func (m *metricSet) merge(other *metricSet) {
 
 // validate checks a decoded metricSet.
 func (m *metricSet) validate() error {
-	for _, v := range []interface{ validate() error }{
-		&m.Duration, &m.TTLDelta, &m.Streams, &m.Replicas, &m.EscapeDelay,
+	for _, err := range []error{
+		m.Duration.validate(), m.TTLDelta.Validate(), m.Streams.Validate(),
+		m.Replicas.validate(), m.EscapeDelay.validate(),
 	} {
-		if err := v.validate(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -263,21 +266,6 @@ func (c *Collector) Counts() (ingested, deduped uint64) {
 	return c.ingested, c.deduped
 }
 
-// Sources returns the source names with any recorded state, sorted.
-func (c *Collector) Sources() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.sources))
-	for name := range c.sources {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ParseWindow parses a stats window parameter: "all" (or empty) means
 // the cumulative view; otherwise a Go duration between one minute and
 // MaxWindow.
@@ -316,7 +304,7 @@ type MetricStats struct {
 	Min       int64            `json:"min"`
 	Max       int64            `json:"max"`
 	Quantiles map[string]int64 `json:"quantiles"`
-	Buckets   []Bucket         `json:"buckets"`
+	Buckets   []stats.Bucket   `json:"buckets"`
 }
 
 // Stats is a stats query's result.
@@ -344,16 +332,11 @@ func (e *ErrUnknownMetric) Error() string {
 	return fmt.Sprintf("unknown metric %q: want one of %v", e.Name, Metrics)
 }
 
-// ErrUnknownSource reports a source with no analytics state.
-type ErrUnknownSource struct{ Name string }
-
-func (e *ErrUnknownSource) Error() string {
-	return fmt.Sprintf("unknown source %q", e.Name)
-}
-
 // Query answers one stats request by merging the relevant window
 // segments (and sources) into a scratch metricSet — the stored
-// segments are never mutated by reads.
+// segments are never mutated by reads. A source with nothing recorded
+// merges nothing and gets the empty document, so which names exist is
+// the caller's to decide.
 func (c *Collector) Query(q Query) (*Stats, error) {
 	if c == nil {
 		return nil, fmt.Errorf("analytics disabled")
@@ -366,11 +349,9 @@ func (c *Collector) Query(q Query) (*Stats, error) {
 
 	var sws []*sourceWindows
 	if q.Source != "" {
-		sw := c.sources[q.Source]
-		if sw == nil {
-			return nil, &ErrUnknownSource{Name: q.Source}
+		if sw := c.sources[q.Source]; sw != nil {
+			sws = []*sourceWindows{sw}
 		}
-		sws = []*sourceWindows{sw}
 	} else {
 		for _, name := range c.sourceNamesLocked() {
 			sws = append(sws, c.sources[name])
@@ -416,31 +397,12 @@ func (c *Collector) Query(q Query) (*Stats, error) {
 		if q.Metric != "" && q.Metric != name {
 			continue
 		}
-		st.Metrics[name] = metricStats(name, merged)
+		d, kind := merged.metric(name)
+		ms := summarize(d)
+		ms.Metric, ms.Kind = name, kind
+		st.Metrics[name] = ms
 	}
 	return st, nil
-}
-
-// EmptyStats returns the stats document of a source with no
-// observations: every metric present with zero counts, correct kinds,
-// and empty buckets — the shape the stats API serves before a
-// source's first loop.
-func EmptyStats(window, source string) *Stats {
-	if window == "" {
-		window = "all"
-	}
-	st := &Stats{
-		Window:      window,
-		Source:      source,
-		ErrorBound:  SketchAlpha,
-		Metrics:     make(map[string]MetricStats),
-		TopPrefixes: []TopKItem{},
-	}
-	empty := &metricSet{}
-	for _, name := range Metrics {
-		st.Metrics[name] = metricStats(name, empty)
-	}
-	return st
 }
 
 // sourceNamesLocked returns source names sorted, under c.mu — sorted
@@ -475,56 +437,48 @@ func validMetric(name string) bool {
 	return false
 }
 
-// metricStats renders one metric of a merged set.
-func metricStats(name string, m *metricSet) MetricStats {
-	var (
-		kind       string
-		count      uint64
-		mean       float64
-		min, max   int64
-		quantileAt func(float64) int64
-		buckets    []Bucket
-	)
+// metric returns the named distribution of m and its kind: "sketch"
+// or "exact".
+func (m *metricSet) metric(name string) (distribution, string) {
 	switch name {
-	case MetricDuration, MetricReplicas, MetricEscapeDelay:
-		var s *Sketch
-		switch name {
-		case MetricDuration:
-			s = &m.Duration
-		case MetricReplicas:
-			s = &m.Replicas
-		default:
-			s = &m.EscapeDelay
-		}
-		kind, count, mean = "sketch", s.Count(), s.Mean()
-		if count > 0 {
-			min, max = s.Min, s.Max
-		}
-		quantileAt, buckets = s.Quantile, s.Buckets()
-	case MetricTTLDelta, MetricStreams:
-		h := &m.TTLDelta
-		if name == MetricStreams {
-			h = &m.Streams
-		}
-		kind, count, mean = "exact", h.Count(), h.Mean()
-		min, max = h.MinMax()
-		quantileAt, buckets = h.Quantile, h.Buckets()
+	case MetricDuration:
+		return &m.Duration, "sketch"
+	case MetricTTLDelta:
+		return &m.TTLDelta, "exact"
+	case MetricStreams:
+		return &m.Streams, "exact"
+	case MetricReplicas:
+		return &m.Replicas, "sketch"
 	}
+	return &m.EscapeDelay, "sketch"
+}
+
+// distribution is what a stats row reads: a Sketch or a stats.IntHist.
+type distribution interface {
+	Count() uint64
+	Mean() float64
+	MinMax() (int64, int64)
+	Quantile(q float64) int64
+	Buckets() []stats.Bucket
+}
+
+// summarize derives the count, mean, extremes, quantiles and buckets
+// that every stats row reports — the metric rows of Query and the
+// latency rows of LatencyStore.Snapshot — leaving Metric and Kind
+// unset.
+func summarize(d distribution) MetricStats {
 	ms := MetricStats{
-		Metric: name, Kind: kind, Count: count, Mean: mean,
-		Min: min, Max: max,
+		Count:     d.Count(),
+		Mean:      d.Mean(),
 		Quantiles: make(map[string]int64, len(quantilePoints)),
-		Buckets:   buckets,
+		Buckets:   d.Buckets(),
 	}
+	ms.Min, ms.Max = d.MinMax()
 	if ms.Buckets == nil {
-		ms.Buckets = []Bucket{}
+		ms.Buckets = []stats.Bucket{}
 	}
 	for _, qp := range quantilePoints {
-		if count > 0 {
-			ms.Quantiles[qp.name] = quantileAt(qp.q)
-		} else {
-			ms.Quantiles[qp.name] = 0
-		}
+		ms.Quantiles[qp.name] = d.Quantile(qp.q)
 	}
 	return ms
 }

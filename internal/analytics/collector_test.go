@@ -76,16 +76,25 @@ func TestCollectorRecordAndQuery(t *testing.T) {
 		t.Fatalf("metric-filtered stats %+v", st.Metrics)
 	}
 
-	// Unknown metric and unknown source are typed errors.
+	// An unknown metric is a typed error.
 	if _, err := c.Query(Query{Metric: "bogus"}); err == nil {
 		t.Fatal("unknown metric accepted")
 	} else if _, ok := err.(*ErrUnknownMetric); !ok {
 		t.Fatalf("error type %T", err)
 	}
-	if _, err := c.Query(Query{Source: "nope"}); err == nil {
-		t.Fatal("unknown source accepted")
-	} else if _, ok := err.(*ErrUnknownSource); !ok {
-		t.Fatalf("error type %T", err)
+	// A source with nothing recorded gets the empty document: every
+	// metric, zero counts, the window spelled as for any other source.
+	st, err = c.Query(Query{Window: 5 * time.Minute, Source: "nope"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Loops != 0 || st.Source != "nope" || st.Window != "5m0s" || len(st.Metrics) != len(Metrics) {
+		t.Fatalf("idle source document %+v", st)
+	}
+	for name, ms := range st.Metrics {
+		if ms.Count != 0 || ms.Buckets == nil || len(ms.Quantiles) != 3 {
+			t.Errorf("idle source metric %s: %+v", name, ms)
+		}
 	}
 }
 
@@ -169,8 +178,10 @@ func TestCollectorMultiSourceMerge(t *testing.T) {
 	if st.Loops != 10 {
 		t.Fatalf("merged loops=%d, want 10", st.Loops)
 	}
-	if got := c.Sources(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("sources %v", got)
+	for src, want := range map[string]uint64{"a": 4, "b": 6} {
+		if st, err := c.Query(Query{Source: src}); err != nil || st.Loops != want {
+			t.Fatalf("source %s: %+v, %v; want %d loops", src, st, err, want)
+		}
 	}
 }
 
@@ -261,18 +272,21 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 	}
 }
 
+// badSnapshots are snapshot images DecodeSnapshot must refuse, by what
+// is wrong with them.
+var badSnapshots = map[string]string{
+	"unknown field": `{"version":1,"sources":{},"bogus":1}`,
+	"wrong version": `{"version":2,"sources":{}}`,
+	"trailing data": `{"version":1,"sources":{}}{"more":true}`,
+	"empty source":  `{"version":1,"sources":{"":null}}`,
+	"tier count":    `{"version":1,"sources":{"s":{"tiers":[],"all":{"duration":{"n":0,"sum":0,"min":0,"max":0},"ttlDelta":{"n":0},"streams":{"n":0},"replicas":{"n":0,"sum":0,"min":0,"max":0},"escapeDelay":{"n":0,"sum":0,"min":0,"max":0},"loops":0}}}}`,
+	"count lies":    `{"version":1,"sources":{"s":{"tiers":[[],[],[]],"all":{"duration":{"n":5,"sum":0,"min":0,"max":0},"ttlDelta":{"n":0},"streams":{"n":0},"replicas":{"n":0,"sum":0,"min":0,"max":0},"escapeDelay":{"n":0,"sum":0,"min":0,"max":0},"loops":0}}}}`,
+	"dup seen id":   `{"version":1,"sources":{},"seen":["a","a"]}`,
+	"empty seen id": `{"version":1,"sources":{},"seen":[""]}`,
+}
+
 func TestSnapshotRejectsBadImages(t *testing.T) {
-	cases := map[string]string{
-		"unknown field": `{"version":1,"sources":{},"bogus":1}`,
-		"wrong version": `{"version":2,"sources":{}}`,
-		"trailing data": `{"version":1,"sources":{}}{"more":true}`,
-		"empty source":  `{"version":1,"sources":{"":null}}`,
-		"tier count":    `{"version":1,"sources":{"s":{"tiers":[],"all":{"duration":{"n":0,"sum":0,"min":0,"max":0},"ttlDelta":{"n":0},"streams":{"n":0},"replicas":{"n":0,"sum":0,"min":0,"max":0},"escapeDelay":{"n":0,"sum":0,"min":0,"max":0},"loops":0}}}}`,
-		"count lies":    `{"version":1,"sources":{"s":{"tiers":[[],[],[]],"all":{"duration":{"n":5,"sum":0,"min":0,"max":0},"ttlDelta":{"n":0},"streams":{"n":0},"replicas":{"n":0,"sum":0,"min":0,"max":0},"escapeDelay":{"n":0,"sum":0,"min":0,"max":0},"loops":0}}}}`,
-		"dup seen id":   `{"version":1,"sources":{},"seen":["a","a"]}`,
-		"empty seen id": `{"version":1,"sources":{},"seen":[""]}`,
-	}
-	for name, img := range cases {
+	for name, img := range badSnapshots {
 		c := NewCollector(Options{})
 		if err := c.DecodeSnapshot([]byte(img)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -331,9 +345,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.RecordLoop("s", obsN(0)) // must not panic
 	if ing, dup := c.Counts(); ing != 0 || dup != 0 {
 		t.Fatal("nil counts")
-	}
-	if c.Sources() != nil {
-		t.Fatal("nil sources")
 	}
 	if _, err := c.Query(Query{}); err == nil {
 		t.Fatal("nil query accepted")

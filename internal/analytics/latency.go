@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"loopscope/internal/obs/provenance"
+	"loopscope/internal/stats"
 )
 
 // This file is the pipeline-provenance analytics: per-hop-segment
@@ -44,7 +45,7 @@ type SegmentStats struct {
 	Min       int64             `json:"min"`
 	Max       int64             `json:"max"`
 	Quantiles map[string]int64  `json:"quantiles"`
-	Buckets   []Bucket          `json:"buckets"`
+	Buckets   []stats.Bucket    `json:"buckets"`
 	Exemplars []LatencyExemplar `json:"exemplars,omitempty"`
 }
 
@@ -194,23 +195,11 @@ func (s *LatencyStore) Snapshot(vantage, segment string) *LatencyStats {
 		sort.Strings(vantages)
 		for _, v := range vantages {
 			c := byV[v]
+			ms := summarize(&c.Sketch)
 			row := SegmentStats{
-				Segment:   seg,
-				Vantage:   v,
-				Count:     c.Sketch.Count(),
-				Clamped:   c.Clamped,
-				Mean:      c.Sketch.Mean(),
-				Quantiles: make(map[string]int64, len(quantilePoints)),
-				Buckets:   c.Sketch.Buckets(),
-			}
-			if row.Buckets == nil {
-				row.Buckets = []Bucket{}
-			}
-			if row.Count > 0 {
-				row.Min, row.Max = c.Sketch.Min, c.Sketch.Max
-			}
-			for _, qp := range quantilePoints {
-				row.Quantiles[qp.name] = c.Sketch.Quantile(qp.q)
+				Segment: seg, Vantage: v, Count: ms.Count, Clamped: c.Clamped,
+				Mean: ms.Mean, Min: ms.Min, Max: ms.Max,
+				Quantiles: ms.Quantiles, Buckets: ms.Buckets,
 			}
 			if len(c.Exemplars) > 0 {
 				row.Exemplars = append([]LatencyExemplar(nil), c.Exemplars...)

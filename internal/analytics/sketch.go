@@ -1,8 +1,9 @@
 // Package analytics is loopscope's streaming analytics subsystem: the
-// paper's offline distributions (loop duration, TTL delta, replica and
-// stream counts per loop, escape delay — Figures 2–9) computed
-// incrementally, in bounded memory, while the daemon serves days of
-// traffic.
+// paper's loop-level distributions computed incrementally, in bounded
+// memory, while the daemon serves days of traffic — loop duration
+// (Figure 9), the TTL delta (Figure 2, counted per loop rather than per
+// stream), streams and replicas per loop, the escape delay of §VI, and
+// the top looping prefixes (Figure 7's destination concentration).
 //
 // Everything here is mergeable and serializable by construction:
 //
@@ -13,8 +14,8 @@
 //     quantile answer, which is what lets per-window segments roll up
 //     into hours and days, and per-daemon sketches roll up into a
 //     fleet view, without drift.
-//   - IntHist: an exact integer-keyed histogram for the small discrete
-//     distributions (TTL delta, streams per loop).
+//   - stats.IntHist: the exact integer-keyed histogram, for the small
+//     discrete distributions (TTL delta, streams per loop).
 //   - TopK: a space-saving heavy-hitter counter for per-prefix loop
 //     counts, mergeable with a documented error bound.
 //
@@ -23,13 +24,19 @@
 // `loopdetect -json` feed, so online and offline answers agree within
 // the sketch bounds.
 //
-// The package is dependency-free (stdlib only), like internal/obs.
+// Beyond the standard library it imports internal/stats (IntHist,
+// Bucket), internal/core (ObsFromLoop reduces a core.Loop),
+// internal/durable (the snapshot file) and internal/obs/provenance (the
+// latency document's segment order) — none of the daemon or aggregator
+// packages that feed it.
 package analytics
 
 import (
 	"errors"
 	"fmt"
 	"math"
+
+	"loopscope/internal/stats"
 )
 
 // SketchAlpha is the Sketch's guaranteed relative error bound: any
@@ -168,6 +175,15 @@ func (s *Sketch) Merge(other *Sketch) {
 // Count returns the number of observations.
 func (s *Sketch) Count() uint64 { return s.N }
 
+// MinMax returns the exact smallest and largest observations (0, 0
+// when empty).
+func (s *Sketch) MinMax() (int64, int64) {
+	if s.N == 0 {
+		return 0, 0
+	}
+	return s.Min, s.Max
+}
+
 // Mean returns the arithmetic mean, or 0 when empty.
 func (s *Sketch) Mean() float64 {
 	if s.N == 0 {
@@ -214,20 +230,12 @@ func (s *Sketch) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Bucket is one histogram bucket of a sketch or integer histogram, for
-// API exposition: observations v with Lo <= v <= Hi.
-type Bucket struct {
-	Lo    int64  `json:"lo"`
-	Hi    int64  `json:"hi"`
-	Count uint64 `json:"count"`
-}
-
 // Buckets returns the non-empty log-scale buckets in increasing value
 // order, the zero bucket first when populated.
-func (s *Sketch) Buckets() []Bucket {
-	var out []Bucket
+func (s *Sketch) Buckets() []stats.Bucket {
+	var out []stats.Bucket
 	if s.Zeros > 0 {
-		out = append(out, Bucket{Lo: 0, Hi: 0, Count: s.Zeros})
+		out = append(out, stats.Bucket{Lo: 0, Hi: 0, Count: s.Zeros})
 	}
 	gamma := math.Exp(sketchGammaLn)
 	for j, c := range s.Bins {
@@ -237,7 +245,7 @@ func (s *Sketch) Buckets() []Bucket {
 		i := s.Off + j
 		hi := math.Exp(float64(i) * sketchGammaLn)
 		lo := hi / gamma
-		out = append(out, Bucket{Lo: int64(lo) + 1, Hi: int64(hi), Count: c})
+		out = append(out, stats.Bucket{Lo: int64(lo) + 1, Hi: int64(hi), Count: c})
 	}
 	return out
 }

@@ -37,7 +37,7 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			var s Sketch
-			cdf := stats.NewCDF()
+			cdf := &stats.CDF{}
 			for i := 0; i < 20_000; i++ {
 				v := gen(rng)
 				s.Add(v)
@@ -198,61 +198,6 @@ func TestSketchBuckets(t *testing.T) {
 	}
 }
 
-func TestIntHistExact(t *testing.T) {
-	var h IntHist
-	cdf := stats.NewCDF()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		k := rng.Intn(40)
-		h.Add(k)
-		cdf.Add(float64(k))
-	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
-		if got, want := h.Quantile(q), int64(cdf.Quantile(q)); got != want {
-			t.Errorf("q=%v: %d, want exact %d", q, got, want)
-		}
-	}
-	min, max := h.MinMax()
-	if min != int64(cdf.Min()) || max != int64(cdf.Max()) {
-		t.Errorf("minmax (%d,%d) vs (%v,%v)", min, max, cdf.Min(), cdf.Max())
-	}
-	if math.Abs(h.Mean()-cdf.Mean()) > 1e-9 {
-		t.Errorf("mean %v vs %v", h.Mean(), cdf.Mean())
-	}
-
-	// Merge in halves equals direct build.
-	var a, b, m IntHist
-	for i := 0; i < 1000; i++ {
-		k := rng.Intn(20)
-		if i%2 == 0 {
-			a.Add(k)
-		} else {
-			b.Add(k)
-		}
-		m.Add(k)
-	}
-	a.Merge(&b)
-	if a.N != m.N || len(a.Counts) != len(m.Counts) {
-		t.Fatal("merged halves diverge from direct build")
-	}
-	for k, c := range m.Counts {
-		if a.Counts[k] != c {
-			t.Fatalf("key %d: %d vs %d", k, a.Counts[k], c)
-		}
-	}
-
-	// Clamping.
-	var c IntHist
-	c.Add(-5)
-	c.Add(999999)
-	if c.Counts[0] != 1 || c.Counts[intHistMaxKey] != 1 {
-		t.Fatalf("clamp failed: %+v", c.Counts)
-	}
-	if err := c.validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopKSpaceSaving(t *testing.T) {
 	tk := NewTopK(3)
 	counts := map[string]int{"a": 100, "b": 50, "c": 30, "d": 2, "e": 1}
@@ -285,10 +230,16 @@ func TestTopKSpaceSaving(t *testing.T) {
 
 func TestTopKMerge(t *testing.T) {
 	a, b := NewTopK(2), NewTopK(2)
-	a.AddN("x", 10)
-	a.AddN("y", 5)
-	b.AddN("x", 7)
-	b.AddN("z", 6)
+	for key, n := range map[string]int{"x": 10, "y": 5} {
+		for i := 0; i < n; i++ {
+			a.Add(key)
+		}
+	}
+	for key, n := range map[string]int{"x": 7, "z": 6} {
+		for i := 0; i < n; i++ {
+			b.Add(key)
+		}
+	}
 	a.Merge(b)
 	top := a.Top()
 	if len(top) != 2 || top[0].Key != "x" || top[0].Count != 17 {

@@ -51,21 +51,15 @@ func (t *TopK) ensureIdx() {
 }
 
 // Add counts one occurrence of key.
-func (t *TopK) Add(key string) { t.AddN(key, 1) }
-
-// AddN counts n occurrences of key.
-func (t *TopK) AddN(key string, n uint64) {
-	if n == 0 {
-		return
-	}
+func (t *TopK) Add(key string) {
 	t.ensureIdx()
 	if i, ok := t.idx[key]; ok {
-		t.Items[i].Count += n
+		t.Items[i].Count++
 		return
 	}
 	if len(t.Items) < t.Cap {
 		t.idx[key] = len(t.Items)
-		t.Items = append(t.Items, TopKItem{Key: key, Count: n})
+		t.Items = append(t.Items, TopKItem{Key: key, Count: 1})
 		return
 	}
 	// Evict the minimum-count key; the newcomer inherits its count as
@@ -78,7 +72,7 @@ func (t *TopK) AddN(key string, n uint64) {
 	}
 	evicted := t.Items[min]
 	delete(t.idx, evicted.Key)
-	t.Items[min] = TopKItem{Key: key, Count: evicted.Count + n, Err: evicted.Count}
+	t.Items[min] = TopKItem{Key: key, Count: evicted.Count + 1, Err: evicted.Count}
 	t.idx[key] = min
 }
 

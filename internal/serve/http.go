@@ -272,14 +272,9 @@ func (d *Daemon) v1Stats(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := a.Query(analytics.Query{Window: window, Source: src, Metric: q.Get("metric")})
 	if err != nil {
-		switch err.(type) {
-		case *analytics.ErrUnknownMetric:
+		if _, ok := err.(*analytics.ErrUnknownMetric); ok {
 			writeV1Error(w, http.StatusBadRequest, errBadParam, err.Error())
-		case *analytics.ErrUnknownSource:
-			// The source exists but has recorded nothing yet: an empty
-			// stats document, not an error.
-			d.writeV1(w, http.StatusOK, analytics.EmptyStats(q.Get("window"), src), api.Meta{})
-		default:
+		} else {
 			writeV1Error(w, http.StatusNotFound, errDisabled, err.Error())
 		}
 		return

@@ -11,6 +11,7 @@ import (
 	"loopscope/internal/analytics"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/flight"
+	"loopscope/internal/stats"
 )
 
 // statuszTmpl renders the human-readable daemon status page: one
@@ -116,28 +117,6 @@ type statuszAnalyticsRow struct {
 	Spark         string
 }
 
-// sparkRunes render a histogram as a one-line sparkline.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// spark scales bucket counts into sparkline runes (empty input: "").
-func spark(counts []uint64) string {
-	var max uint64
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := make([]rune, len(counts))
-	for i, c := range counts {
-		lvl := int(c * uint64(len(sparkRunes)-1) / max)
-		out[i] = sparkRunes[lvl]
-	}
-	return string(out)
-}
-
 // statuszQuantile formats a quantile for the analytics table:
 // nanosecond metrics as durations, counts as integers.
 func statuszQuantile(metric string, v int64) string {
@@ -157,17 +136,13 @@ func analyticsRows(st *analytics.Stats) []statuszAnalyticsRow {
 		if !ok {
 			continue
 		}
-		counts := make([]uint64, len(ms.Buckets))
-		for i, b := range ms.Buckets {
-			counts[i] = b.Count
-		}
 		rows = append(rows, statuszAnalyticsRow{
 			Metric: name,
 			Count:  ms.Count,
 			P50:    statuszQuantile(name, ms.Quantiles["p50"]),
 			P90:    statuszQuantile(name, ms.Quantiles["p90"]),
 			P99:    statuszQuantile(name, ms.Quantiles["p99"]),
-			Spark:  spark(counts),
+			Spark:  stats.Spark(ms.Buckets),
 		})
 	}
 	return rows

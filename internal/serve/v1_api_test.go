@@ -419,6 +419,43 @@ func TestV1StatsQuietSource(t *testing.T) {
 	}
 }
 
+// TestV1StatsIdleSourceWindow: one request against a source that has
+// recorded nothing and against one that has spells the window the same
+// way, because both documents come from Query.
+func TestV1StatsIdleSourceWindow(t *testing.T) {
+	col := analytics.NewCollector(analytics.Options{})
+	d, err := New(Config{Detector: core.DefaultConfig(), Analytics: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"idle", "busy"} {
+		if err := d.AddDirSource(name, t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col.RecordLoop("busy", analytics.LoopObs{ID: "e1", Prefix: "10.0.0.0/24", DurationNs: 1e9, TTLDelta: 2, Streams: 1, Replicas: 5})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	window := map[string]string{}
+	for _, src := range []string{"idle", "busy"} {
+		status, _, body := v1Get(t, srv.URL+"/api/v1/stats?window=300s&source="+src)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", src, status, body)
+		}
+		var env struct {
+			Data analytics.Stats `json:"data"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		window[src] = env.Data.Window
+	}
+	if window["idle"] != window["busy"] || window["busy"] != "5m0s" {
+		t.Errorf("window spelled %q for the idle source and %q for the busy one, want 5m0s for both", window["idle"], window["busy"])
+	}
+}
+
 // TestV1StatsDisabled checks a daemon without a collector reports the
 // subsystem disabled rather than an empty document.
 func TestV1StatsDisabled(t *testing.T) {

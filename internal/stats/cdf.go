@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical cumulative distribution function built from a
@@ -15,22 +14,9 @@ type CDF struct {
 	sorted  bool
 }
 
-// NewCDF returns a CDF pre-populated with the given samples.
-func NewCDF(samples ...float64) *CDF {
-	c := &CDF{}
-	c.AddAll(samples)
-	return c
-}
-
 // Add records one observation.
 func (c *CDF) Add(v float64) {
 	c.samples = append(c.samples, v)
-	c.sorted = false
-}
-
-// AddAll records a batch of observations.
-func (c *CDF) AddAll(vs []float64) {
-	c.samples = append(c.samples, vs...)
 	c.sorted = false
 }
 
@@ -102,113 +88,4 @@ func (c *CDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(c.samples))
-}
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting: one point
-// per distinct sample value, in increasing x order.
-func (c *CDF) Points() []Point {
-	c.sort()
-	var pts []Point
-	n := float64(len(c.samples))
-	for i := 0; i < len(c.samples); {
-		j := i
-		for j < len(c.samples) && c.samples[j] == c.samples[i] {
-			j++
-		}
-		pts = append(pts, Point{X: c.samples[i], Y: float64(j) / n})
-		i = j
-	}
-	return pts
-}
-
-// Point is one (x, y) sample of a plotted series.
-type Point struct {
-	X, Y float64
-}
-
-// RenderASCII renders the CDF as a fixed-width text table with the
-// given axis label, evaluated at the given x values. It is how the
-// paper-reproduction harness prints "figures".
-func (c *CDF) RenderASCII(label string, xs []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s  %s\n", label, "cdf")
-	for _, x := range xs {
-		y := c.At(x)
-		bar := strings.Repeat("#", int(y*40+0.5))
-		fmt.Fprintf(&b, "%-14.4g  %5.3f %s\n", x, y, bar)
-	}
-	return b.String()
-}
-
-// Histogram counts observations in integer-keyed buckets. It backs the
-// discrete distributions in the paper (TTL delta, packet type counts).
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Add increments the bucket for key.
-func (h *Histogram) Add(key int) { h.AddN(key, 1) }
-
-// AddN increments the bucket for key by n.
-func (h *Histogram) AddN(key, n int) {
-	h.counts[key] += n
-	h.total += n
-}
-
-// Count returns the observations recorded for key.
-func (h *Histogram) Count(key int) int { return h.counts[key] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bucket key, or 0
-// if the histogram is empty.
-func (h *Histogram) Fraction(key int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[key]) / float64(h.total)
-}
-
-// Keys returns the bucket keys in increasing order.
-func (h *Histogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Mode returns the key with the highest count. It panics on an empty
-// histogram.
-func (h *Histogram) Mode() int {
-	if h.total == 0 {
-		panic("stats: Mode of empty histogram")
-	}
-	best, bestN := 0, -1
-	for _, k := range h.Keys() {
-		if h.counts[k] > bestN {
-			best, bestN = k, h.counts[k]
-		}
-	}
-	return best
-}
-
-// RenderASCII renders the histogram as fraction-per-key rows.
-func (h *Histogram) RenderASCII(label string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s  %8s  %s\n", label, "fraction", "")
-	for _, k := range h.Keys() {
-		f := h.Fraction(k)
-		bar := strings.Repeat("#", int(f*40+0.5))
-		fmt.Fprintf(&b, "%-10d  %8.4f  %s\n", k, f, bar)
-	}
-	return b.String()
 }

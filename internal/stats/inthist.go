@@ -1,4 +1,4 @@
-package analytics
+package stats
 
 import (
 	"errors"
@@ -6,15 +6,15 @@ import (
 )
 
 // intHistMaxKey clamps IntHist keys: the discrete distributions it
-// backs (TTL delta, streams per loop) live well below it, and the
-// clamp keeps a hostile snapshot or a pathological loop from growing
-// the key space without bound.
+// backs (TTL delta, streams per loop, ICMP type, cross-link offset)
+// live well below it, and the clamp keeps a hostile snapshot or a
+// pathological loop from growing the key space without bound.
 const intHistMaxKey = 4096
 
 // IntHist is an exact integer-keyed histogram for small discrete
-// distributions. Unlike Sketch it has no error bound at all: merging
-// is key-wise addition, quantiles are exact. The zero value is ready
-// for Add.
+// distributions. Unlike a quantile sketch it has no error bound at
+// all: merging is key-wise addition, quantiles are exact. The zero
+// value is ready for Add.
 type IntHist struct {
 	Counts map[int]uint64 `json:"counts,omitempty"`
 	N      uint64         `json:"n"`
@@ -60,6 +60,30 @@ func (h *IntHist) keys() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Fraction returns the fraction of observations at key k, or 0 when
+// empty.
+func (h *IntHist) Fraction(k int) float64 {
+	if h.N == 0 {
+		return 0
+	}
+	return float64(h.Counts[k]) / float64(h.N)
+}
+
+// Mode returns the key with the highest count, the smallest such key
+// on a tie. It panics when empty.
+func (h *IntHist) Mode() int {
+	if h.N == 0 {
+		panic("stats: Mode of empty histogram")
+	}
+	best := -1
+	for _, k := range h.keys() {
+		if best < 0 || h.Counts[k] > h.Counts[best] {
+			best = k
+		}
+	}
+	return best
 }
 
 // Quantile returns the exact q-quantile (smallest key k with
@@ -123,17 +147,49 @@ func (h *IntHist) Buckets() []Bucket {
 	return out
 }
 
-// validate rejects impossible images from a snapshot.
-func (h *IntHist) validate() error {
+// Validate rejects an image no sequence of Adds could have built: a
+// key outside the clamp, or counts that disagree with N. Decoders of
+// persisted histograms call it before trusting one.
+func (h *IntHist) Validate() error {
 	var sum uint64
 	for k, c := range h.Counts {
 		if k < 0 || k > intHistMaxKey {
-			return errors.New("analytics: int histogram key out of range")
+			return errors.New("stats: int histogram key out of range")
 		}
 		sum += c
 	}
 	if sum != h.N {
-		return errors.New("analytics: int histogram counts disagree with N")
+		return errors.New("stats: int histogram counts disagree with N")
 	}
 	return nil
+}
+
+// Bucket is one histogram bucket of a quantile sketch or an integer
+// histogram, for API exposition: observations v with Lo <= v <= Hi.
+type Bucket struct {
+	Lo    int64  `json:"lo"`
+	Hi    int64  `json:"hi"`
+	Count uint64 `json:"count"`
+}
+
+// sparkRunes are the sparkline levels, lowest first.
+var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// Spark draws the bucket counts as a one-line sparkline scaled to the
+// largest count, "" when there is none.
+func Spark(buckets []Bucket) string {
+	var max uint64
+	for _, b := range buckets {
+		if b.Count > max {
+			max = b.Count
+		}
+	}
+	if max == 0 {
+		return ""
+	}
+	out := make([]rune, len(buckets))
+	for i, b := range buckets {
+		out[i] = sparkRunes[int(b.Count*uint64(len(sparkRunes)-1)/max)]
+	}
+	return string(out)
 }

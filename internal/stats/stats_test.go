@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,8 +105,17 @@ func TestRNGFork(t *testing.T) {
 	}
 }
 
+// cdfOf returns a CDF of vs.
+func cdfOf(vs ...float64) *CDF {
+	c := &CDF{}
+	for _, v := range vs {
+		c.Add(v)
+	}
+	return c
+}
+
 func TestCDFBasics(t *testing.T) {
-	c := NewCDF(3, 1, 2, 2, 5)
+	c := cdfOf(3, 1, 2, 2, 5)
 	if c.N() != 5 {
 		t.Errorf("N = %d", c.N())
 	}
@@ -156,7 +164,7 @@ func TestCDFEmptyAndPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	full := NewCDF(1)
+	full := cdfOf(1)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -179,7 +187,7 @@ func TestCDFMonotoneQuick(t *testing.T) {
 				return true
 			}
 		}
-		c := NewCDF(raw...)
+		c := cdfOf(raw...)
 		if x2 < x1 {
 			x1, x2 = x2, x1
 		}
@@ -200,45 +208,98 @@ func TestCDFMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF(1, 1, 2, 3)
-	pts := c.Points()
-	want := []Point{{1, 0.5}, {2, 0.75}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("points = %v", pts)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Add(2)
-	h.Add(2)
-	h.Add(3)
-	h.AddN(8, 2)
-	if h.Total() != 5 {
-		t.Errorf("Total = %d", h.Total())
+	var h IntHist
+	for _, k := range []int{8, 2, 2, 3, 8} {
+		h.Add(k)
 	}
-	if h.Count(2) != 2 || h.Count(99) != 0 {
+	if h.Count() != 5 {
+		t.Errorf("Count = %d", h.Count())
+	}
+	if h.Counts[2] != 2 || h.Counts[99] != 0 {
 		t.Errorf("counts wrong")
 	}
 	if got := h.Fraction(8); got != 0.4 {
 		t.Errorf("Fraction(8) = %v", got)
 	}
-	keys := h.Keys()
-	if len(keys) != 3 || keys[0] != 2 || keys[2] != 8 {
-		t.Errorf("Keys = %v", keys)
+	if b := h.Buckets(); len(b) != 3 || b[0].Lo != 2 || b[2].Lo != 8 {
+		t.Errorf("Buckets = %v", b)
 	}
+	// 2 and 8 tie; the smaller key wins.
 	if h.Mode() != 2 {
 		t.Errorf("Mode = %d", h.Mode())
 	}
-	empty := NewHistogram()
+	var empty IntHist
 	if empty.Fraction(1) != 0 {
 		t.Error("empty histogram fraction != 0")
+	}
+}
+
+func TestIntHistExact(t *testing.T) {
+	var h IntHist
+	var cdf CDF
+	rng := NewRNG(3)
+	for i := 0; i < 5000; i++ {
+		k := rng.Intn(40)
+		h.Add(k)
+		cdf.Add(float64(k))
+	}
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
+		if got, want := h.Quantile(q), int64(cdf.Quantile(q)); got != want {
+			t.Errorf("q=%v: %d, want exact %d", q, got, want)
+		}
+	}
+	min, max := h.MinMax()
+	if min != int64(cdf.Min()) || max != int64(cdf.Max()) {
+		t.Errorf("minmax (%d,%d) vs (%v,%v)", min, max, cdf.Min(), cdf.Max())
+	}
+	if math.Abs(h.Mean()-cdf.Mean()) > 1e-9 {
+		t.Errorf("mean %v vs %v", h.Mean(), cdf.Mean())
+	}
+
+	// Merge in halves equals direct build.
+	var a, b, m IntHist
+	for i := 0; i < 1000; i++ {
+		k := rng.Intn(20)
+		if i%2 == 0 {
+			a.Add(k)
+		} else {
+			b.Add(k)
+		}
+		m.Add(k)
+	}
+	a.Merge(&b)
+	if a.N != m.N || len(a.Counts) != len(m.Counts) {
+		t.Fatal("merged halves diverge from direct build")
+	}
+	for k, c := range m.Counts {
+		if a.Counts[k] != c {
+			t.Fatalf("key %d: %d vs %d", k, a.Counts[k], c)
+		}
+	}
+
+	// Clamping.
+	var c IntHist
+	c.Add(-5)
+	c.Add(999999)
+	if c.Counts[0] != 1 || c.Counts[intHistMaxKey] != 1 {
+		t.Fatalf("clamp failed: %+v", c.Counts)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c.N++
+	if c.Validate() == nil {
+		t.Fatal("count mismatch accepted")
+	}
+}
+
+func TestSpark(t *testing.T) {
+	if got := Spark(nil); got != "" {
+		t.Errorf("Spark(nil) = %q", got)
+	}
+	if got := Spark([]Bucket{{Count: 0}, {Count: 1}, {Count: 7}, {Count: 4}}); got != "▁▂█▅" {
+		t.Errorf("Spark = %q", got)
 	}
 }
 
@@ -286,25 +347,6 @@ func TestZipfDeterministicCum(t *testing.T) {
 	}
 }
 
-func TestRenderASCII(t *testing.T) {
-	c := NewCDF(1, 2, 3, 4, 5)
-	out := c.RenderASCII("val", []float64{0, 2.5, 5})
-	for _, w := range []string{"val", "0.400", "1.000", "#"} {
-		if !strings.Contains(out, w) {
-			t.Errorf("CDF render missing %q:\n%s", w, out)
-		}
-	}
-	h := NewHistogram()
-	h.AddN(2, 3)
-	h.Add(5)
-	hout := h.RenderASCII("delta")
-	for _, w := range []string{"delta", "0.7500", "0.2500"} {
-		if !strings.Contains(hout, w) {
-			t.Errorf("histogram render missing %q:\n%s", w, hout)
-		}
-	}
-}
-
 func TestZipfPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewZipf(NewRNG(1), 1, 0) },
@@ -337,7 +379,7 @@ func TestHistogramModePanicsEmpty(t *testing.T) {
 			t.Error("Mode of empty histogram accepted")
 		}
 	}()
-	NewHistogram().Mode()
+	new(IntHist).Mode()
 }
 
 func TestRNGInt63n(t *testing.T) {
