@@ -73,8 +73,11 @@ func TestFleetVantagesEndpoint(t *testing.T) {
 	}
 }
 
+// TestFleetStatsEndpoint also checks that a polled vantage that has
+// sent no loops gets the empty document, with the window spelled as for
+// a vantage that has.
 func TestFleetStatsEndpoint(t *testing.T) {
-	_, _, client := fleetServer(t)
+	a, _, client := fleetServer(t)
 	ctx := context.Background()
 	st, err := client.FleetStats(ctx, loopscope.FleetStatsQuery{})
 	if err != nil {
@@ -87,14 +90,8 @@ func TestFleetStatsEndpoint(t *testing.T) {
 	if err != nil || one.Loops != 1 {
 		t.Errorf("bb2 stats = %+v, %v; want 1 loop", one, err)
 	}
-}
 
-// A polled vantage that has sent no loops gets the empty document, with
-// the window spelled as for a vantage that has.
-func TestFleetStatsIdleVantageWindow(t *testing.T) {
-	a, _, client := fleetServer(t)
 	a.SetCursor("idle", 0) // what a poll target's first round records
-	ctx := context.Background()
 	idle, err := client.FleetStats(ctx, loopscope.FleetStatsQuery{Window: "300s", Vantage: "idle"})
 	if err != nil {
 		t.Fatal(err)

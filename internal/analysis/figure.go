@@ -25,7 +25,7 @@ type Figure struct {
 	axis    string // the text form's first-column heading
 	csv     string // the CSV file name; "" for a table with no CSV form
 	csvAxis string // the CSV header's first cell
-	prec    int    // decimals of a fractional text cell; CSV cells carry 4
+	prec    int    // decimals of a value's text cell; CSV cells carry 4
 	// names, when set, head the rows, and the row keys are their
 	// indices; otherwise keys gives the keys and a key heads its row.
 	names []string
@@ -33,9 +33,11 @@ type Figure struct {
 	// textMax, when non-zero, is the last key of the text form: the
 	// text of Figure 2 stops at TTL delta 16, its CSV does not.
 	textMax float64
-	// value is one report's cell in the row of key: a float64, or for
-	// Tables I and II whatever prints as is.
-	value func(r *Report, key float64) any
+	// value is one report's cell in the row of key.
+	value func(r *Report, key float64) float64
+	// cell, set for Tables I and II in place of value, is one report's
+	// cell in row i as printed: a duration, a rate or a count.
+	cell func(r *Report, i int) string
 	// dests marks Figure 7, which is not a table but one trace's
 	// replica-stream destinations over time.
 	dests bool
@@ -44,18 +46,21 @@ type Figure struct {
 // Figures are the paper's tables and figures, in the order
 // `loopdetect -report` prints them.
 var Figures = []Figure{
-	{Name: "table1", title: "Table I: details of traces", prec: 1,
+	{Name: "table1", title: "Table I: details of traces",
 		names: []string{"length", "avg bw (Mbps)", "packets", "looped packets"},
-		value: func(r *Report, i float64) any {
-			return [...]any{r.Duration.Round(time.Second), r.AvgBandwidthMbps, r.TotalPackets, r.LoopedPackets}[int(i)]
+		cell: func(r *Report, i int) string {
+			return [...]string{r.Duration.Round(time.Second).String(), strconv.FormatFloat(r.AvgBandwidthMbps, 'f', 1, 64),
+				strconv.Itoa(r.TotalPackets), strconv.Itoa(r.LoopedPackets)}[i]
 		}},
 	{Name: "table2", title: "Table II: number of routing loops",
 		names: []string{"replica streams", "routing loops"},
-		value: func(r *Report, i float64) any { return [...]any{r.ReplicaStreams, r.RoutingLoops}[int(i)] }},
+		cell: func(r *Report, i int) string {
+			return [...]string{strconv.Itoa(r.ReplicaStreams), strconv.Itoa(r.RoutingLoops)}[i]
+		}},
 	{Name: "fig2", title: "Figure 2: TTL delta distribution (fraction of replica streams)",
 		axis: "ttl delta", csv: "fig2_ttl_delta.csv", csvAxis: "ttl_delta", prec: 3,
 		keys: ttlDeltas, textMax: 16,
-		value: func(r *Report, d float64) any { return r.TTLDelta.Fraction(int(d)) }},
+		value: func(r *Report, d float64) float64 { return r.TTLDelta.Fraction(int(d)) }},
 	{Name: "fig3", title: "Figure 3: CDF of the number of replicas in a replica stream",
 		axis: "size [packets]", csv: "fig3_replicas_cdf.csv", csvAxis: "replicas", prec: 3,
 		keys:  points(2, 4, 8, 16, 31, 40, 63, 100, 127, 200),
@@ -67,11 +72,11 @@ var Figures = []Figure{
 	{Name: "fig5", title: "Figure 5: traffic type distribution of all traffic (fraction of packets)",
 		axis: "class", csv: "fig5_all_classes.csv", csvAxis: "class", prec: 4,
 		names: packet.ClassNames[:],
-		value: func(r *Report, c float64) any { return r.AllClassFrac[int(c)] }},
+		value: func(r *Report, c float64) float64 { return r.AllClassFrac[int(c)] }},
 	{Name: "fig6", title: "Figure 6: traffic type distribution of looped traffic (fraction of looped packets)",
 		axis: "class", csv: "fig6_looped_classes.csv", csvAxis: "class", prec: 4,
 		names: packet.ClassNames[:],
-		value: func(r *Report, c float64) any { return r.LoopedClassFrac[int(c)] }},
+		value: func(r *Report, c float64) float64 { return r.LoopedClassFrac[int(c)] }},
 	{Name: "fig7", title: "Figure 7: destination addresses of replica streams in",
 		csv: "fig7_destinations.csv", dests: true},
 	{Name: "fig8", title: "Figure 8: CDF of replica stream duration",
@@ -90,8 +95,8 @@ func points(xs ...float64) func([]*Report) []float64 {
 }
 
 // cdfAt reads the CDF pick selects at the row's key.
-func cdfAt(pick func(*Report) *stats.CDF) func(*Report, float64) any {
-	return func(r *Report, x float64) any { return pick(r).At(x) }
+func cdfAt(pick func(*Report) *stats.CDF) func(*Report, float64) float64 {
+	return func(r *Report, x float64) float64 { return pick(r).At(x) }
 }
 
 // ttlDeltas are Figure 2's keys: every delta from 2 to the largest any
@@ -124,6 +129,15 @@ func (f Figure) rows(reports []*Report) (keys []float64, heads []string) {
 	return keys, heads
 }
 
+// at is r's cell in row i, whose key is x, with prec decimals if it
+// is a value.
+func (f Figure) at(r *Report, i int, x float64, prec int) string {
+	if f.cell != nil {
+		return f.cell(r, i)
+	}
+	return strconv.FormatFloat(f.value(r, x), 'f', prec, 64)
+}
+
 // figure7Trace is the report Figure 7 plots: the fourth, as the paper
 // plots Backbone 4, or the last of fewer.
 func figure7Trace(reports []*Report) *Report {
@@ -151,12 +165,7 @@ func (f Figure) Text(reports []*Report, maxRows int) string {
 		}
 		fmt.Fprintf(&b, "%-16s", heads[i])
 		for _, r := range reports {
-			switch v := f.value(r, x).(type) {
-			case float64:
-				fmt.Fprintf(&b, "  %12.*f", f.prec, v)
-			default:
-				fmt.Fprintf(&b, "  %12v", v)
-			}
+			fmt.Fprintf(&b, "  %12s", f.at(r, i, x, f.prec))
 		}
 		b.WriteByte('\n')
 	}
@@ -229,7 +238,7 @@ func (f Figure) writeCSV(w io.Writer, reports []*Report) error {
 		for i, x := range keys {
 			row := []string{heads[i]}
 			for _, r := range reports {
-				row = append(row, strconv.FormatFloat(f.value(r, x).(float64), 'f', 4, 64))
+				row = append(row, f.at(r, i, x, 4))
 			}
 			rows = append(rows, row)
 		}

@@ -382,53 +382,16 @@ func TestV1API(t *testing.T) {
 
 // TestV1StatsQuietSource checks the deliberate asymmetry: a source
 // the daemon knows but that has recorded nothing answers an empty
-// stats document (200), while an unconfigured name is a 404.
+// stats document (200), while an unconfigured name is a 404. The empty
+// document spells its window as a populated source's does, because
+// both come from Query.
 func TestV1StatsQuietSource(t *testing.T) {
-	d, err := New(Config{
-		Detector:  core.DefaultConfig(),
-		Analytics: analytics.NewCollector(analytics.Options{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddDirSource("quiet", t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-
-	status, _, body := v1Get(t, srv.URL+"/api/v1/stats?source=quiet")
-	if status != http.StatusOK {
-		t.Fatalf("quiet source: status %d (%s)", status, body)
-	}
-	var env struct {
-		Data analytics.Stats `json:"data"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Data.Loops != 0 || env.Data.Source != "quiet" {
-		t.Errorf("quiet stats = %+v, want zero loops for source quiet", env.Data)
-	}
-	if len(env.Data.Metrics) == 0 {
-		t.Error("quiet stats should still enumerate every metric")
-	}
-
-	if status, _, _ := v1Get(t, srv.URL+"/api/v1/stats?source=nope"); status != http.StatusNotFound {
-		t.Errorf("unknown source: status %d, want 404", status)
-	}
-}
-
-// TestV1StatsIdleSourceWindow: one request against a source that has
-// recorded nothing and against one that has spells the window the same
-// way, because both documents come from Query.
-func TestV1StatsIdleSourceWindow(t *testing.T) {
 	col := analytics.NewCollector(analytics.Options{})
 	d, err := New(Config{Detector: core.DefaultConfig(), Analytics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"idle", "busy"} {
+	for _, name := range []string{"quiet", "busy"} {
 		if err := d.AddDirSource(name, t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
@@ -437,11 +400,11 @@ func TestV1StatsIdleSourceWindow(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	window := map[string]string{}
-	for _, src := range []string{"idle", "busy"} {
-		status, _, body := v1Get(t, srv.URL+"/api/v1/stats?window=300s&source="+src)
+	stats := func(query string) analytics.Stats {
+		t.Helper()
+		status, _, body := v1Get(t, srv.URL+"/api/v1/stats?"+query)
 		if status != http.StatusOK {
-			t.Fatalf("%s: status %d (%s)", src, status, body)
+			t.Fatalf("%s: status %d (%s)", query, status, body)
 		}
 		var env struct {
 			Data analytics.Stats `json:"data"`
@@ -449,10 +412,22 @@ func TestV1StatsIdleSourceWindow(t *testing.T) {
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)
 		}
-		window[src] = env.Data.Window
+		return env.Data
 	}
-	if window["idle"] != window["busy"] || window["busy"] != "5m0s" {
-		t.Errorf("window spelled %q for the idle source and %q for the busy one, want 5m0s for both", window["idle"], window["busy"])
+	quiet := stats("source=quiet")
+	if quiet.Loops != 0 || quiet.Source != "quiet" {
+		t.Errorf("quiet stats = %+v, want zero loops for source quiet", quiet)
+	}
+	if len(quiet.Metrics) == 0 {
+		t.Error("quiet stats should still enumerate every metric")
+	}
+	idle, busy := stats("window=300s&source=quiet"), stats("window=300s&source=busy")
+	if idle.Window != busy.Window || busy.Window != "5m0s" {
+		t.Errorf("window spelled %q for the quiet source and %q for the busy one, want 5m0s for both", idle.Window, busy.Window)
+	}
+
+	if status, _, _ := v1Get(t, srv.URL+"/api/v1/stats?source=nope"); status != http.StatusNotFound {
+		t.Errorf("unknown source: status %d, want 404", status)
 	}
 }
 
