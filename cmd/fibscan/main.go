@@ -174,11 +174,26 @@ func run(w io.Writer, snapPath, loopPath string, jsonOut bool, slack, mergeGap t
 	return nil
 }
 
-// readTraceLoops pulls the loop list out of a loopdetect -json report.
-// Only the fields fibscan needs are decoded; the rest of the report is
-// ignored.
+// readTraceLoops pulls the loop list out of the loopdetect -json report
+// at path.
 func readTraceLoops(path string) ([]fibscan.TraceLoop, error) {
-	data, err := os.ReadFile(path)
+	in, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	loops, err := parseTraceLoops(in)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return loops, nil
+}
+
+// parseTraceLoops reads a loopdetect -json report: one JSON document,
+// of which only the loops' prefixes and windows are decoded and the
+// rest is ignored.
+func parseTraceLoops(r io.Reader) ([]fibscan.TraceLoop, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
@@ -190,13 +205,13 @@ func readTraceLoops(path string) ([]fibscan.TraceLoop, error) {
 		} `json:"loops"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
+		return nil, fmt.Errorf("parsing: %w", err)
 	}
 	out := make([]fibscan.TraceLoop, 0, len(doc.Loops))
 	for i, l := range doc.Loops {
 		p, err := routing.ParsePrefix(l.Prefix)
 		if err != nil {
-			return nil, fmt.Errorf("%s: loop %d: %w", path, i, err)
+			return nil, fmt.Errorf("loop %d: %w", i, err)
 		}
 		out = append(out, fibscan.TraceLoop{
 			Prefix: p,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -77,12 +79,95 @@ func TestReaderSharesRepeatedRouters(t *testing.T) {
 	}
 }
 
+// The Reader hands encoding/json the first snapshot's routers and then
+// only the routers whose bytes changed, besides keys and scalars.
+func TestReaderScansOnlyChangedBytes(t *testing.T) {
+	loops := []int{2, 2, 2, 3, 3, 2}
+	file := encodedTimeline(t, 40, 400, loops...)
+	var doc struct {
+		Snapshots []struct{ Routers []json.RawMessage }
+	}
+	if err := json.Unmarshal(file, &doc); err != nil {
+		t.Fatal(err)
+	}
+	first, changed := 0, 0
+	for i, s := range doc.Snapshots {
+		for r, raw := range s.Routers {
+			switch {
+			case i == 0:
+				first += len(raw)
+			case !bytes.Equal(raw, doc.Snapshots[i-1].Routers[r]):
+				changed += len(raw)
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no router's bytes changed")
+	}
+	rd := NewReader(bytes.NewReader(file))
+	if err := rd.Each(func(*Snapshot) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if extra := rd.decodedBytes - first - changed; extra < 0 || extra > 64*len(loops) {
+		t.Errorf("encoding/json read %d bytes; routers first %d + changed %d, keys and scalars %d",
+			rd.decodedBytes, first, changed, extra)
+	}
+}
+
+// windowEdgeFiles are snapshot files whose values meet the edges of the
+// Reader's window: outgrowing it, or ending at or just past its first
+// refill; and repeats that the bytes after them must still frame.
+// They also seed FuzzReadTimeline.
+func windowEdgeFiles() map[string]string {
+	// at fills the %s in doc so that the value ending v ends end bytes
+	// into the file.
+	at := func(doc, v string, end int) string {
+		pad := end - strings.Index(fmt.Sprintf(doc, ""), v) - len(v)
+		return fmt.Sprintf(doc, strings.Repeat("p", pad))
+	}
+	big := `{"name":"` + strings.Repeat("r", window) + `"}`
+	taken := `{"version":1,"snapshots":[{"routers":[{"name":"%s"}],"takenNs":123}]}`
+	return map[string]string{
+		"router bigger than the window": `{"version":1,"snapshots":[{"takenNs":1,"routers":[` + big + `,{"name":"b"}]},` +
+			`{"takenNs":2,"routers":[` + big + `,{"name":"c"}]}]}`,
+		"takenNs ends at a refill": at(taken, `"takenNs":123`, window),
+		"takenNs cut by a refill":  at(taken, `"takenNs":123`, window+1),
+		"version ends at a refill": at(`{"snapshots":[{"routers":[{"name":"%s"}]}],"version":1}`, `"version":1`, window),
+		"version cut by a refill":  at(`{"snapshots":[{"routers":[{"name":"%s"}]}],"version":10}`, `"version":10`, window+1),
+		"repeated null routers":    `{"version":1,"snapshots":[{"takenNs":1,"routers":[null,null]},{"takenNs":2,"routers":[null ,null]},{"takenNs":3,"routers":[null]}]}`,
+		"repeat then garbage":      `{"version":1,"snapshots":[{"takenNs":1,"routers":[{"name":"a"}]},{"takenNs":2,"routers":[{"name":"a"}x]}]}`,
+		"repeat in other whitespace": `{"version":1,"snapshots":[{"takenNs":1,"routers":[{"name":"a"},{"name":"b"}]},` +
+			"{\"takenNs\":2,\"routers\":[ \n\t{\"name\":\"a\"}\r\n , {\"name\":\"b\"} ]}]}",
+	}
+}
+
+// Values at the window's edges read the same whatever the Read sizes,
+// and as encoding/json reads the whole document.
+func TestReaderWindowEdges(t *testing.T) {
+	for name, in := range windowEdgeFiles() {
+		want, wantErr := decodeWhole(strings.NewReader(in))
+		for how, src := range map[string]io.Reader{
+			"one read":     strings.NewReader(in),
+			"byte by byte": iotest.OneByteReader(strings.NewReader(in)),
+			"half reads":   iotest.HalfReader(strings.NewReader(in)),
+		} {
+			got, err := Decode(src)
+			if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
+				t.Errorf("%s, %s: read as another value (%v) than encoding/json's (%v)", name, how, err, wantErr)
+			}
+		}
+	}
+}
+
 // FuzzReadTimeline holds the streaming Reader against decodeWhole: it
 // accepts nothing the reference refuses; what the reference accepts it
 // either decodes to the same value or refuses for one of the three
 // documented reasons; and it reads the same through one-byte Reads.
 func FuzzReadTimeline(f *testing.F) {
 	for _, in := range badSnapshotFiles {
+		f.Add([]byte(in))
+	}
+	for _, in := range windowEdgeFiles() {
 		f.Add([]byte(in))
 	}
 	f.Add(encodedTimeline(f, 20, 40, 2, 4))
