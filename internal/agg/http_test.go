@@ -306,3 +306,47 @@ func TestAggHealthEndpoint(t *testing.T) {
 		t.Errorf("content-type = %q", resp.Header.Get("Content-Type"))
 	}
 }
+
+// FuzzIngestBody: POST /api/v1/ingest never panics and never answers
+// 5xx, whatever the body. It answers 200 exactly for a body that
+// unmarshals as a loopscope.Event with an ID and a vantage (or source),
+// which a fresh aggregator then accepts and lists among its vantages.
+func FuzzIngestBody(f *testing.F) {
+	ev, _ := json.Marshal(mkEvent("bb9", "tap", "10.5.5.0/24", "push1", sec(1), sec(30), 4))
+	for _, seed := range []string{string(ev), "", "null", "{}", `{"source":"x"}`, `{"id":"e"}`,
+		`{"id":"e","source":"s","prefix":"not a prefix","startNs":-1,"endNs":-9}`,
+		`{"id":"e","vantage":"v","prefix":"10.0.0.0/33","ttlDelta":-4,"prov":{"detectedNs":9}}`,
+		`{"id":1}`, `[{"id":"e","source":"s"}]`, "definitely not json"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h := newTestAgg(t, Config{}).Handler()
+		do := func(method, path string, body []byte) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			return w
+		}
+		resp := do(http.MethodPost, "/api/v1/ingest", body)
+		var ev loopscope.Event
+		valid := json.Unmarshal(body, &ev) == nil && ev.ID != "" && (ev.Vantage != "" || ev.Source != "")
+		if resp.Code >= 500 || (resp.Code == http.StatusOK) != valid {
+			t.Fatalf("status %d for a body that is a valid event: %v (%s)", resp.Code, valid, resp.Body)
+		}
+		if !valid {
+			return
+		}
+		var res struct{ Data ingestResult }
+		if err := json.Unmarshal(resp.Body.Bytes(), &res); err != nil || !res.Data.Accepted {
+			t.Fatalf("200 with %s (%v), want a fresh event accepted", resp.Body, err)
+		}
+		var list struct {
+			Data struct{ Vantages []loopscope.FleetVantage }
+		}
+		if err := json.Unmarshal(do(http.MethodGet, "/api/v1/fleet/vantages", nil).Body.Bytes(), &list); err != nil {
+			t.Fatal(err)
+		}
+		if v := list.Data.Vantages; len(v) != 1 || v[0].Name != res.Data.Vantage || v[0].Observations != 1 {
+			t.Fatalf("vantages %+v after accepting an event from %q", v, res.Data.Vantage)
+		}
+	})
+}

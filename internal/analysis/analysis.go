@@ -82,9 +82,15 @@ type Accumulator struct {
 	records     int
 	first, last time.Duration
 	wireBytes   uint64
-	allCounts   [NumClasses]int
-	icmpTypes   stats.IntHist
+	// tally counts records by the header bits packet.Classify reads (see
+	// tallyCells); icmpTypes by ICMP type where the header was captured.
+	tally     [2 * tallyCells]int
+	icmpTypes [256]int
 }
+
+// A tally cell is the protocol, or 256 plus the TCP flags where the TCP
+// header was captured, plus tallyCells for a multicast destination.
+const tallyCells = 256 + 64
 
 // NewAccumulator returns an empty accumulator for a trace described by
 // meta.
@@ -100,19 +106,36 @@ func (a *Accumulator) Add(rec trace.Record) {
 	a.records++
 	a.last = rec.Time
 	a.wireBytes += uint64(rec.WireLen)
-	pkt, err := packet.Decode(rec.Data)
-	if err != nil {
+	// DecodeIPv4's checks, then only what Classify and the ICMP tally read.
+	d := rec.Data
+	if len(d) < packet.IPv4HeaderLen || d[0]>>4 != 4 || d[0]&0x0f < 5 || len(d) < int(d[0]&0x0f)*4 {
 		return
 	}
-	if pkt.Kind == packet.KindICMP && pkt.HasTransport {
-		a.icmpTypes.Add(int(pkt.ICMP.Type))
+	cell, l4 := int(d[9]), d[int(d[0]&0x0f)*4:]
+	switch {
+	case cell == packet.ProtoTCP && len(l4) >= packet.TCPHeaderLen:
+		cell = 256 + int(l4[13]&0x3f)
+	case cell == packet.ProtoICMP && len(l4) >= packet.ICMPHeaderLen:
+		a.icmpTypes[l4[0]]++
 	}
-	mask := packet.Classify(&pkt)
-	for c := 0; c < NumClasses; c++ {
-		if mask&(1<<c) != 0 {
-			a.allCounts[c]++
-		}
+	if packet.AddrFrom(d[16], 0, 0, 0).IsMulticast() {
+		cell += tallyCells
 	}
+	a.tally[cell]++
+}
+
+// cellPacket decodes the shortest header bytes that land in cell, so
+// that the classes of a cell are whatever packet.Classify makes of it.
+func cellPacket(cell int) packet.Packet {
+	b, n := [packet.IPv4HeaderLen + packet.TCPHeaderLen]byte{0: 0x45}, packet.IPv4HeaderLen
+	if cell >= tallyCells {
+		b[16], cell = 0xe0, cell-tallyCells
+	}
+	if b[9] = byte(cell); cell >= 256 {
+		b[9], b[n+13], n = packet.ProtoTCP, byte(cell-256), len(b)
+	}
+	p, _ := packet.Decode(b[:n])
+	return p
 }
 
 // Finish computes the Report of the records added and of res, the
@@ -127,7 +150,7 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 		ReplicaStreams:    len(res.Streams),
 		RoutingLoops:      len(res.Loops),
 		TTLDelta:          &stats.IntHist{},
-		ICMPTypes:         &a.icmpTypes,
+		ICMPTypes:         &stats.IntHist{},
 		ReplicasPerStream: &stats.CDF{},
 		SpacingMs:         &stats.CDF{},
 		StreamDurationMs:  &stats.CDF{},
@@ -143,7 +166,23 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 	// one stream, and replicas differ from the stream's summarised
 	// packet in TTL and IP checksum only, neither of which the
 	// classification reads.
-	var loopCounts [NumClasses]int
+	for t, n := range a.icmpTypes {
+		for range n {
+			r.ICMPTypes.Add(t)
+		}
+	}
+	var allCounts, loopCounts [NumClasses]int
+	for cell, n := range a.tally {
+		if n > 0 {
+			p := cellPacket(cell)
+			mask := packet.Classify(&p)
+			for c := 0; c < NumClasses; c++ {
+				if mask&(1<<c) != 0 {
+					allCounts[c] += n
+				}
+			}
+		}
+	}
 	for _, s := range res.Streams {
 		for c := 0; c < NumClasses; c++ {
 			if s.Summary.ClassMask&(1<<c) != 0 {
@@ -153,7 +192,7 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 	}
 	for c := 0; c < NumClasses; c++ {
 		if r.TotalPackets > 0 {
-			r.AllClassFrac[c] = float64(a.allCounts[c]) / float64(r.TotalPackets)
+			r.AllClassFrac[c] = float64(allCounts[c]) / float64(r.TotalPackets)
 		}
 		if r.LoopedPackets > 0 {
 			r.LoopedClassFrac[c] = float64(loopCounts[c]) / float64(r.LoopedPackets)

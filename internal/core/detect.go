@@ -45,6 +45,12 @@ import (
 // window entry goes after every earlier arrival. The backwards capture
 // in cmd/loopdetect's golden set pins this.
 //
+// A capture that packet.DecodeIPv4 rejects — under 20 bytes, or with an
+// IHL that runs past the capture — is counted in ParseErrors and
+// otherwise ignored: it is never keyed and enters no prefix window, so
+// it neither starts a stream nor refutes one around it
+// (TestShortSnapsAreParseErrors in internal/analysis pins this).
+//
 // The same machine serves every use. NewDetector collects the loops
 // and Finish returns them as a canonical *Result; NewStreamDetector
 // additionally hands each loop to a callback the moment it is final,

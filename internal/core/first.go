@@ -40,7 +40,7 @@ func (e *firstObs) net() uint32 { return bits.ReverseBytes32(uint32(e.head[2])) 
 // entry before dead is dead.
 type generation struct {
 	obs   []firstObs
-	slots []uint32 // 0 empty, else an index into obs plus one
+	slots []uint32 // 0 empty, else a tag OR'ed with an index into obs plus one
 	rests []uint32
 	arena []byte
 	start time.Duration // trace clock when it became the newest
@@ -52,6 +52,8 @@ type firstTable struct {
 	newest int
 	period time.Duration
 	live   int
+	// entryReads counts entries a lookup loaded to compare; tests read it.
+	entryReads int
 }
 
 func newFirstTable(k, slots int, gap time.Duration) firstTable {
@@ -63,7 +65,11 @@ func newFirstTable(k, slots int, gap time.Duration) firstTable {
 }
 
 func (ft *firstTable) gen(back int) *generation {
-	return &ft.gens[(ft.newest-back+len(ft.gens))%len(ft.gens)]
+	i := ft.newest - back
+	if i < 0 {
+		i += len(ft.gens)
+	}
+	return &ft.gens[i]
 }
 
 func (g *generation) restOf(i int) []byte {
@@ -73,13 +79,24 @@ func (g *generation) restOf(i int) []byte {
 	return nil
 }
 
+// A slot holds an entry's index plus one in the bits under the index
+// mask, which an index kept at most half full never outgrows, and above
+// them the same bits of h>>32 as a tag: a lookup reads only the entries
+// whose tag matches, so a miss almost never leaves the index.
+func tagOf(h uint64, mask uint32) uint32 { return uint32(h>>32) &^ mask }
+
 // find returns the live entry with key and rest (h = key.index), or nil.
 func (ft *firstTable) find(h uint64, key *replicaKey, rest []byte) *firstObs {
 	for back := range ft.gens {
 		g := ft.gen(back)
-		mask := uint64(len(g.slots) - 1)
-		for p := h & mask; g.slots[p] != 0; p = (p + 1) & mask {
-			i := int(g.slots[p] - 1)
+		mask := uint32(len(g.slots) - 1)
+		tag := tagOf(h, mask)
+		for p := uint32(h) & mask; g.slots[p] != 0; p = (p + 1) & mask {
+			if g.slots[p]&^mask != tag {
+				continue
+			}
+			ft.entryReads++
+			i := int(g.slots[p]&mask - 1)
 			if e := &g.obs[i]; e.n == uint32(key.n) && e.head == key.head && bytes.Equal(g.restOf(i), rest) {
 				return e
 			}
@@ -113,12 +130,12 @@ func (ft *firstTable) insert(h, seed uint64, key *replicaKey, rest []byte, rep R
 }
 
 func (g *generation) place(h uint64, i int) {
-	mask := uint64(len(g.slots) - 1)
-	p := h & mask
+	mask := uint32(len(g.slots) - 1)
+	p := uint32(h) & mask
 	for g.slots[p] != 0 {
 		p = (p + 1) & mask
 	}
-	g.slots[p] = uint32(i + 1)
+	g.slots[p] = tagOf(h, mask) | uint32(i+1)
 }
 
 func (ft *firstTable) drop(e *firstObs) {
@@ -150,5 +167,7 @@ func (ft *firstTable) rotate(now time.Duration) {
 	old.obs, old.rests, old.arena, old.dead = old.obs[:0], old.rests[:0], old.arena[:0], 0
 	clear(old.slots)
 	old.start = now
-	ft.newest = (ft.newest + 1) % len(ft.gens)
+	if ft.newest++; ft.newest == len(ft.gens) {
+		ft.newest = 0
+	}
 }

@@ -52,6 +52,71 @@ func TestFirstObservationHeapBudget(t *testing.T) {
 	}
 }
 
+// TestFirstTableMissReadsNoEntry: a lookup reads only the entries whose
+// slot tag matches its own, and a matching tag still compares the key —
+// in a fresh index, in one doubled twice and in the 2-slot table
+// TestIndexInfluencesNothing uses. On a trace of singletons almost no
+// lookup reads an entry at all.
+func TestFirstTableMissReadsNoEntry(t *testing.T) {
+	const seed = 1
+	key := func(id uint16) replicaKey {
+		k, _ := keyOf(capture(t, mkPkt("192.0.2.1", "10.5.0.9", id, 0, uint64(id)), 40))
+		return k
+	}
+	other := key(999)
+	for _, c := range []struct {
+		name                  string
+		slots, entries, grown int
+	}{{"fresh index", minSlots, 3, minSlots}, {"doubled index", 2, 3, 8}, {"2-slot table", 2, 1, 2}} {
+		ft := newFirstTable(2, c.slots, time.Second)
+		for i := 0; i < c.entries; i++ {
+			k := key(uint16(i))
+			ft.insert(k.index(seed), seed, &k, nil, Replica{}, i)
+		}
+		if n := len(ft.gen(0).slots); n != c.grown {
+			t.Fatalf("%s: %d slots, want %d; the table is not the one described", c.name, n, c.grown)
+		}
+		k := key(0)
+		h := k.index(seed)
+		for _, probe := range []struct {
+			what  string
+			h     uint64
+			key   *replicaKey
+			found bool
+			reads int
+		}{
+			{"same slot, other tag", h ^ 1<<63, &k, false, 0},
+			{"same tag, other key", h, &other, false, 1},
+			{"the entry", h, &k, true, 1},
+		} {
+			ft.entryReads = 0
+			if e := ft.find(probe.h, probe.key, nil); (e != nil) != probe.found || ft.entryReads != probe.reads {
+				t.Errorf("%s, %s: found %v after %d entry reads, want %v after %d",
+					c.name, probe.what, e != nil, ft.entryReads, probe.found, probe.reads)
+			}
+		}
+	}
+
+	recs := randomTrace(9, 4*time.Second, 20000, 0)
+	d := NewDetector(DefaultConfig())
+	d.seed = seed
+	seen := make(map[string]bool, len(recs))
+	repeats := 0 // at least the promotions
+	for _, r := range recs {
+		m := string(maskReplica(r.Data))
+		if seen[m] {
+			repeats++
+		}
+		seen[m] = true
+		d.Observe(r)
+	}
+	lookups := len(recs) // at most one per record
+	t.Logf("%d lookups, %d repeats, %d entry reads", lookups, repeats, d.first.entryReads)
+	if repeats > lookups/100 || d.first.entryReads > repeats+lookups/1000 {
+		t.Errorf("%d lookups, %d repeats: %d entry reads, want at most repeats + lookups/1000", lookups, repeats, d.first.entryReads)
+	}
+}
+
 // fuzzSteps are the time steps a fuzz trace takes between records: ties,
 // the loop revolutions of the paper, the rotation period at k = 4 and
 // k = 2 and MaxReplicaGap itself, each with its neighbours, and a step
