@@ -30,7 +30,7 @@ func main() {
 	rep := analysis.Analyze(bb.Meta(), recs, res)
 
 	// Ground truth: the simulator knows every packet's fate.
-	dr := analysis.AnalyzeDelay(bb.Net)
+	dr := scenario.AnalyzeDelay(bb.Net)
 	fmt.Println("ground truth (simulator):")
 	fmt.Printf("  looped packets delivered anyway (escaped): %d (%.1f%% of looped)\n",
 		dr.EscapedCount, dr.EscapeFraction*100)
@@ -54,20 +54,14 @@ func main() {
 	}
 
 	// Loss accounting.
-	lr := analysis.AnalyzeLoss(bb.Net)
+	lr := scenario.AnalyzeLoss(bb.Net)
 	fmt.Println()
 	fmt.Println("loss accounting per minute (loop share of that minute's drops):")
-	fmt.Print(analysis.RenderLoss(spec.Name, lr))
+	fmt.Print(scenario.RenderLoss(spec.Name, lr))
 
 	// Reordering: an escaped packet is delivered after packets its
 	// sender emitted later — the out-of-order delivery the paper
 	// notes.
 	fmt.Println()
-	reordered := 0
-	for _, f := range bb.Net.Fates {
-		if f.Delivered && f.LoopCount > 0 {
-			reordered++
-		}
-	}
-	fmt.Printf("escaped packets (each delivered out of order w.r.t. its flow): %d\n", reordered)
+	fmt.Printf("escaped packets (each delivered out of order w.r.t. its flow): %d\n", dr.EscapedCount)
 }

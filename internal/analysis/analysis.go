@@ -3,14 +3,15 @@
 // the CDFs of replica count, inter-replica spacing, stream duration
 // and loop duration (Figs. 3, 4, 8, 9), the traffic-type mixes for all
 // and for looped traffic (Figs. 5, 6), the destination time series
-// (Fig. 7), and the §VI loss/delay impact estimates.
+// (Fig. 7), and the §VI escape estimate. It reads traces only: the
+// simulator's ground truth for §VI loss and delay lives in
+// internal/scenario.
 package analysis
 
 import (
 	"time"
 
 	"loopscope/internal/core"
-	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/stats"
 	"loopscope/internal/trace"
@@ -250,88 +251,4 @@ func (r *Report) EscapeFraction() float64 {
 		return 0
 	}
 	return float64(r.EscapedStreams) / float64(r.ReplicaStreams)
-}
-
-// LossReport summarises the §VI loss analysis from simulator
-// accounting.
-type LossReport struct {
-	// PerMinuteLoopShare is, for each trace minute, the share of that
-	// minute's drops attributable to loops (TTL expiry of looped
-	// packets).
-	PerMinuteLoopShare []float64
-	// MaxLoopShare is the worst minute's share — the paper reports up
-	// to 0.09 (9%) depending on the trace.
-	MaxLoopShare float64
-	// OverallLossRate is total drops / total injected.
-	OverallLossRate float64
-	// OverallLoopLossRate is loop-attributable drops / total injected.
-	OverallLoopLossRate float64
-}
-
-// AnalyzeLoss extracts a LossReport from a simulated network.
-func AnalyzeLoss(n *netsim.Network) *LossReport {
-	lr := &LossReport{}
-	var drops, loopDrops uint64
-	for _, m := range n.Minutes {
-		d := m.TotalDrops()
-		drops += d
-		loopDrops += m.LoopDrops
-		share := 0.0
-		if d > 0 {
-			share = float64(m.LoopDrops) / float64(d)
-		}
-		lr.PerMinuteLoopShare = append(lr.PerMinuteLoopShare, share)
-		if share > lr.MaxLoopShare {
-			lr.MaxLoopShare = share
-		}
-	}
-	if n.Injected > 0 {
-		lr.OverallLossRate = float64(drops) / float64(n.Injected)
-		lr.OverallLoopLossRate = float64(loopDrops) / float64(n.Injected)
-	}
-	return lr
-}
-
-// DelayReport summarises the §VI extra-delay analysis from simulator
-// ground truth: packets that escaped a loop versus packets that never
-// looped.
-type DelayReport struct {
-	// EscapedCount is the number of delivered packets that had
-	// looped.
-	EscapedCount int
-	// EscapeFraction is escaped / all looped packets.
-	EscapeFraction float64
-	// CleanMeanDelay is the mean delay of never-looped deliveries.
-	CleanMeanDelay time.Duration
-	// ExtraDelayMs is the CDF of (escaped delay - clean mean) in
-	// milliseconds.
-	ExtraDelayMs *stats.CDF
-}
-
-// AnalyzeDelay extracts a DelayReport from a simulated network. The
-// network must retain looped fates (the default FateFilter does).
-func AnalyzeDelay(n *netsim.Network) *DelayReport {
-	dr := &DelayReport{
-		CleanMeanDelay: n.CleanMeanDelay(),
-		ExtraDelayMs:   &stats.CDF{},
-	}
-	looped := 0
-	for _, f := range n.Fates {
-		if f.LoopCount == 0 {
-			continue
-		}
-		looped++
-		if f.Delivered {
-			dr.EscapedCount++
-			extra := f.Delay - dr.CleanMeanDelay
-			if extra < 0 {
-				extra = 0
-			}
-			dr.ExtraDelayMs.Add(float64(extra) / float64(time.Millisecond))
-		}
-	}
-	if looped > 0 {
-		dr.EscapeFraction = float64(dr.EscapedCount) / float64(looped)
-	}
-	return dr
 }

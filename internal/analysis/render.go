@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // RenderTTLDelta prints the fraction of r's replica streams at each TTL
@@ -33,29 +32,4 @@ func (r *Report) ClassCFraction() float64 {
 		}
 	}
 	return float64(n) / float64(len(r.DestSeries))
-}
-
-// RenderLoss prints the §VI loss-impact summary.
-func RenderLoss(link string, lr *LossReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Loss impact (%s): overall loss %.4f%%, loop-attributable %.4f%%, worst minute loop share %.1f%%\n",
-		link, lr.OverallLossRate*100, lr.OverallLoopLossRate*100, lr.MaxLoopShare*100)
-	for i, s := range lr.PerMinuteLoopShare {
-		bar := strings.Repeat("#", int(s*40+0.5))
-		fmt.Fprintf(&b, "  minute %3d: %5.1f%% %s\n", i, s*100, bar)
-	}
-	return b.String()
-}
-
-// RenderDelay prints the §VI delay-impact summary.
-func RenderDelay(link string, dr *DelayReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Delay impact (%s): escaped %d looped packets (%.1f%%), clean mean delay %s\n",
-		link, dr.EscapedCount, dr.EscapeFraction*100, dr.CleanMeanDelay.Round(time.Microsecond))
-	if dr.ExtraDelayMs.N() > 0 {
-		fmt.Fprintf(&b, "  extra delay of escapees: p10=%.1fms p50=%.1fms p90=%.1fms max=%.1fms\n",
-			dr.ExtraDelayMs.Quantile(0.10), dr.ExtraDelayMs.Quantile(0.50),
-			dr.ExtraDelayMs.Quantile(0.90), dr.ExtraDelayMs.Max())
-	}
-	return b.String()
 }

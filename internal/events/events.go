@@ -4,8 +4,8 @@
 // advertisements. The paper closes by saying that collecting
 // "complete BGP and IS-IS routing data" alongside the packet traces
 // would let loops be explained, not just detected; the journal is that
-// data source inside the simulation, and internal/corr is the analysis
-// the authors were proposing.
+// data source inside the simulation, and cmd/paperrepro/internal/corr is
+// the analysis the authors were proposing.
 package events
 
 import (

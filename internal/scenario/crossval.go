@@ -69,13 +69,13 @@ func (cv *CrossVal) tick() {
 	sum := cv.revisionSum()
 	switch {
 	case !cv.captured || sum != cv.lastSum:
-		cv.Snapshots = append(cv.Snapshots, fibscan.FromNetwork(cv.Net))
+		cv.Snapshots = append(cv.Snapshots, fibSnapshot(cv.Net))
 		cv.captured = true
 		cv.lastSum = sum
 	case now-cv.lastTaken() >= netsim.Time(cv.heartbeat):
 		// Heartbeat: same tables, new timestamp; the router data is
 		// shared with the previous capture, which is safe because
-		// FromNetwork copied it out of the live FIBs.
+		// fibSnapshot copied it out of the live FIBs.
 		prev := cv.Snapshots[len(cv.Snapshots)-1]
 		cv.Snapshots = append(cv.Snapshots, fibscan.Snapshot{
 			TakenNs: int64(now),
@@ -85,6 +85,21 @@ func (cv *CrossVal) tick() {
 	if now <= netsim.Time(cv.Spec.Duration)+30*time.Second {
 		cv.Net.Sim.At(now+netsim.Time(cv.every), cv.tick)
 	}
+}
+
+// fibSnapshot copies the network's current FIB state into the
+// analyzer's self-contained snapshot model.
+func fibSnapshot(n *netsim.Network) fibscan.Snapshot {
+	fs := n.SnapshotFIBs()
+	s := fibscan.Snapshot{TakenNs: int64(fs.At), Routers: make([]fibscan.RouterFIB, len(fs.Routers))}
+	for i, src := range fs.Routers {
+		rf := &s.Routers[i]
+		*rf = fibscan.RouterFIB{Name: src.Name, Revision: src.Revision, Locals: src.Locals, Routes: make([]fibscan.Route, len(src.Routes))}
+		for j, e := range src.Routes {
+			rf.Routes[j] = fibscan.Route{Prefix: e.Prefix, NextHop: e.Value}
+		}
+	}
+	return s
 }
 
 func (cv *CrossVal) lastTaken() netsim.Time {

@@ -207,7 +207,7 @@ func TestPaperShapes(t *testing.T) {
 
 	// --- §VI loss and delay -----------------------------------------
 	for i, bb := range nets {
-		lr := analysis.AnalyzeLoss(bb.Net)
+		lr := AnalyzeLoss(bb.Net)
 		if lr.OverallLoopLossRate <= 0 {
 			t.Errorf("loss: %s no loop loss", reps[i].Link)
 		}
@@ -217,7 +217,7 @@ func TestPaperShapes(t *testing.T) {
 		if lr.MaxLoopShare <= lr.OverallLoopLossRate {
 			t.Errorf("loss: %s no per-minute spike", reps[i].Link)
 		}
-		dr := analysis.AnalyzeDelay(bb.Net)
+		dr := AnalyzeDelay(bb.Net)
 		if dr.EscapedCount > 0 {
 			// The paper reports 1-10%. At reduced scale the TTL-32
 			// population on backbone4 lives only ~100 ms in a loop,
