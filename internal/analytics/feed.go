@@ -17,8 +17,17 @@ func ObsFromLoop(id string, l *core.Loop) LoopObs {
 	if len(l.Streams) > 0 {
 		o.TTLDelta = l.Streams[0].TTLDelta()
 	}
-	for _, d := range l.EscapeDelays() {
-		o.EscapeDelaysNs = append(o.EscapeDelaysNs, int64(d))
+	// The loop delay of each escaped stream (the paper's escape-delay
+	// distribution, Figure 9): how long the loop held each packet that
+	// plausibly left it alive. One allocation at any stream count.
+	for _, s := range l.Streams {
+		if !s.Escaped() {
+			continue
+		}
+		if o.EscapeDelaysNs == nil {
+			o.EscapeDelaysNs = make([]int64, 0, len(l.Streams))
+		}
+		o.EscapeDelaysNs = append(o.EscapeDelaysNs, int64(s.LoopDelay()))
 	}
 	return o
 }

@@ -169,16 +169,17 @@ func (s *ReplicaStream) End() time.Duration {
 func (s *ReplicaStream) Duration() time.Duration { return s.End() - s.Start() }
 
 // TTLDelta returns the dominant (most common) TTL decrement between
-// successive replicas.
+// successive replicas, the smaller on a tie; 0 below two replicas.
 func (s *ReplicaStream) TTLDelta() int {
-	counts := make(map[int]int)
+	// A decrement of two uint8 TTLs lies in [-255, 255]. The leader is
+	// kept current as the counts grow: a count that passes it, or ties
+	// it with a smaller decrement, takes over.
+	var counts [511]int32
+	best, bestN := 0, int32(0)
 	for i := 1; i < len(s.Replicas); i++ {
 		d := int(s.Replicas[i-1].TTL) - int(s.Replicas[i].TTL)
-		counts[d]++
-	}
-	best, bestN := 0, 0
-	for d, n := range counts {
-		if n > bestN || (n == bestN && d < best) {
+		counts[d+255]++
+		if n := counts[d+255]; n > bestN || (n == bestN && d < best) {
 			best, bestN = d, n
 		}
 	}
@@ -206,7 +207,8 @@ func (s *ReplicaStream) LastTTL() uint8 {
 // router update logs one could do better; from a single link this is
 // the paper's available signal.)
 func (s *ReplicaStream) Escaped() bool {
-	return int(s.LastTTL()) > s.TTLDelta() && s.TTLDelta() > 0
+	d := s.TTLDelta()
+	return int(s.LastTTL()) > d && d > 0
 }
 
 // LoopDelay estimates the extra delay the loop imposed on this packet
@@ -233,20 +235,6 @@ func (l *Loop) Replicas() int {
 		n += len(s.Replicas)
 	}
 	return n
-}
-
-// EscapeDelays returns the loop delay of each escaped stream (the
-// paper's escape-delay distribution, Figure 9): how long the loop
-// held each packet that plausibly left it alive. Streams whose packet
-// expired inside the loop contribute nothing.
-func (l *Loop) EscapeDelays() []time.Duration {
-	var out []time.Duration
-	for _, s := range l.Streams {
-		if s.Escaped() {
-			out = append(out, s.LoopDelay())
-		}
-	}
-	return out
 }
 
 // Result is the detector's output for one trace.

@@ -316,7 +316,9 @@ func (s *ShardRecorder) SampleReplica(n int) bool {
 
 // collect appends the shard's events matching (prefix, window) to out,
 // reporting whether the ring may have already overwritten events from
-// inside the window.
+// inside the window. It scans every slot, reading each in place: only
+// a match is copied, so a seal costs the ring's size in comparisons,
+// not in event copies.
 func (s *ShardRecorder) collect(prefix routing.Prefix, from, to time.Duration, out []Event) ([]Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,9 +326,9 @@ func (s *ShardRecorder) collect(prefix routing.Prefix, from, to time.Duration, o
 	if s.wrapped && len(s.buf) > 0 && s.buf[s.next].Time > from {
 		lossy = true
 	}
-	for _, ev := range s.buf {
-		if ev.Prefix == prefix && ev.Time >= from && ev.Time <= to {
-			out = append(out, ev)
+	for i := range s.buf {
+		if ev := &s.buf[i]; ev.Prefix == prefix && ev.Time >= from && ev.Time <= to {
+			out = append(out, *ev)
 		}
 	}
 	return out, lossy

@@ -3,6 +3,9 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +130,88 @@ func TestRingWrapMarksTruncated(t *testing.T) {
 	if tr2.Truncated {
 		t.Error("in-ring window marked truncated")
 	}
+}
+
+// bruteSeal is Seal's reference: copy every shard's ring, keep the
+// events towards prefix inside [from, to], order them by sequence, and
+// call the trail truncated when a wrapped ring's oldest retained event
+// (the smallest sequence number) lies after from.
+func bruteSeal(r *Recorder, prefix routing.Prefix, from, to time.Duration) ([]Event, bool) {
+	var out []Event
+	truncated := false
+	for _, s := range r.shards {
+		s.mu.Lock()
+		ring := append([]Event(nil), s.buf...)
+		wrapped := s.wrapped
+		s.mu.Unlock()
+		if wrapped {
+			oldest := ring[0]
+			for _, ev := range ring {
+				if ev.Seq < oldest.Seq {
+					oldest = ev
+				}
+			}
+			truncated = truncated || oldest.Time > from
+		}
+		for _, ev := range ring {
+			if ev.Prefix == prefix && ev.Time >= from && ev.Time <= to {
+				out = append(out, ev)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out, truncated
+}
+
+// TestSealMatchesBruteForce: across several wraps of small rings, with
+// event times that run backwards as well as forwards (a stream-open
+// carries its first replica's time), every Seal equals the brute-force
+// filter over a copy of the rings — events, order and Truncated.
+func TestSealMatchesBruteForce(t *testing.T) {
+	const ring, shards = 64, 3
+	rng := rand.New(rand.NewSource(7))
+	r := New(Options{PerShardEvents: ring})
+	prefixes := []routing.Prefix{
+		routing.MustParsePrefix("10.0.0.0/24"),
+		routing.MustParsePrefix("10.0.1.0/24"),
+		routing.MustParsePrefix("192.0.2.0/24"),
+		routing.MustParsePrefix("203.0.113.0/24"),
+	}
+	clock, seals := time.Duration(0), 0
+	var recorded [shards]int
+	for i := 0; i < 5*ring*shards; i++ {
+		clock += time.Duration(rng.Intn(50)) * time.Millisecond
+		at := clock - time.Duration(rng.Intn(2000))*time.Millisecond
+		shard := rng.Intn(shards)
+		recorded[shard]++
+		r.Shard(shard).Record(Event{
+			Time: at, Kind: Kind(1 + rng.Intn(10)), Prefix: prefixes[rng.Intn(len(prefixes))],
+			Stream: uint64(rng.Intn(8)), TTL: uint8(rng.Intn(64)),
+		})
+		if i%13 != 0 {
+			continue
+		}
+		pfx := prefixes[rng.Intn(len(prefixes))]
+		end := clock - time.Duration(rng.Intn(1000))*time.Millisecond
+		start := end - time.Duration(rng.Intn(3000))*time.Millisecond
+		margin := time.Duration(rng.Intn(2000)) * time.Millisecond
+		tr := r.Seal(fmt.Sprintf("seal-%d", i), pfx, start, end, margin)
+		want, truncated := bruteSeal(r, pfx, start-margin, end)
+		if len(tr.Events) == 0 && len(want) == 0 {
+			tr.Events = want // nil and empty alike
+		}
+		if !reflect.DeepEqual(tr.Events, want) || tr.Truncated != truncated {
+			t.Fatalf("seal %d: %d events (truncated %v), brute force %d (truncated %v)",
+				i, len(tr.Events), tr.Truncated, len(want), truncated)
+		}
+		seals++
+	}
+	for i, n := range recorded {
+		if n < 4*ring { // filled once, then overwritten three times
+			t.Fatalf("shard %d took %d events: fewer than three wraps of %d", i, n, ring)
+		}
+	}
+	t.Logf("%d seals over %d events", seals, r.events.Load())
 }
 
 func TestSampling(t *testing.T) {

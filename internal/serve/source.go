@@ -183,7 +183,7 @@ type unit struct {
 	path string        // the file r follows; "" for a connection
 	idle time.Duration // r reports ErrTailIdle after this long
 	n    int64         // records taken from r
-	// file and fileID go into the checkpoint with every record.
+	// file and fileID go into the checkpoint when the unit is placed.
 	file, fileID, link string
 	base               time.Duration // added to every record time
 	placed             bool          // base is final
@@ -359,6 +359,7 @@ func (s *sourceState) take(u *unit, rec trace.Record, replaying bool) error {
 			u.base = max(start.Sub(s.anchor), 0)
 		}
 		u.placed = true
+		s.cp.File, s.cp.FileID, s.cp.TimeBaseNs = u.file, u.fileID, int64(u.base)
 	}
 	rec.Time = max(rec.Time+u.base, s.sess.HighWater())
 	s.sess.Observe(rec)
@@ -372,7 +373,6 @@ func (s *sourceState) take(u *unit, rec trace.Record, replaying bool) error {
 		s.lastShed = shed
 	}
 	off := u.r.Offset()
-	s.cp.File, s.cp.FileID, s.cp.TimeBaseNs = u.file, u.fileID, int64(u.base)
 	s.cp.Records, s.cp.Offset, s.cp.Emitted = u.n, off, s.sess.Emitted()
 	s.cp.HighWaterNs = int64(s.sess.HighWater())
 	s.lagBytes = u.r.Size() - off + s.laterBytes

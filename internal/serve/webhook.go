@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"time"
 
@@ -229,8 +230,16 @@ func (w *Webhook) post(ctx context.Context, body []byte) bool {
 		return false
 	}
 	defer resp.Body.Close()
+	// A body closed unread costs the connection: read it to EOF (bounded,
+	// so an endpoint streaming a reply cannot hold the worker) and the
+	// next POST reuses it. A failed read costs only that reuse.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplyBytes))
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
 }
+
+// maxReplyBytes bounds how much of a reply post reads to keep its
+// connection; a longer reply closes the connection instead.
+const maxReplyBytes = 64 << 10
 
 // Breaker exposes the sink's circuit breaker (statusz, tests).
 func (w *Webhook) Breaker() *resil.Breaker { return w.breaker }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -138,4 +139,72 @@ func TestWebhookPublishAfterCloseDrops(t *testing.T) {
 	w.Close(ctx)
 	// Must not panic or block.
 	w.Publish(testEvent(0))
+}
+
+// TestWebhookReusesConnection: every delivery rides one keep-alive
+// connection. The endpoint replies with a body, as the aggregator's
+// ingest does; a reply closed unread would cost a connection per event.
+func TestWebhookReusesConnection(t *testing.T) {
+	obs.VerifyNoLeaks(t)
+	var mu sync.Mutex
+	conns, got := 0, 0
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		got++
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"data":{"id":"x","accepted":true}}`)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			mu.Lock()
+			conns++
+			mu.Unlock()
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	const n = 50
+	w := NewWebhook(WebhookOptions{URL: srv.URL, QueueSize: n})
+	for i := 0; i < n; i++ {
+		w.Publish(testEvent(i))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got != n || conns != 1 {
+		t.Fatalf("%d deliveries on %d connections, want %d on 1", got, conns, n)
+	}
+}
+
+// TestWebhookBoundsReply: an endpoint that never stops replying holds
+// the worker for a bounded read, not until the POST times out.
+func TestWebhookBoundsReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := make([]byte, 4096)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+
+	reg := obs.NewRegistry()
+	w := NewWebhook(WebhookOptions{URL: srv.URL, Timeout: time.Minute, Metrics: reg})
+	w.Publish(testEvent(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if v := reg.Counter(obs.LabelMetric(obs.MetricServeSinkDelivered, "sink", "webhook")).Value(); v != 1 {
+		t.Fatalf("delivered counter = %d, want 1", v)
+	}
 }

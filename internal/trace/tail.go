@@ -197,9 +197,12 @@ func (s tailSource) Read(p []byte) (int, error) {
 // the old one is drained, ErrTailIdle on idle timeout, and any decode
 // error permanently.
 func (t *TailReader) Next(ctx context.Context) (Record, error) {
-	// Per call, not per wait: draining a backlog never waits and must still stop.
-	if err := ctx.Err(); err != nil {
-		return Record{}, err
+	// Per call, not per wait: draining a backlog never waits and must
+	// still stop. A receive on Done costs an atomic load; ctx.Err locks.
+	select {
+	case <-ctx.Done():
+		return Record{}, ctx.Err()
+	default:
 	}
 	var idleSince time.Time // set at this call's first wait
 	for {

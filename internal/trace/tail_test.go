@@ -445,6 +445,50 @@ func TestTailCancellationWithFullWindow(t *testing.T) {
 	wantNext(t, tr, 1) // and nothing was lost to it
 }
 
+// TestTailCancellationStopsBacklogDrain: a reader draining a file that
+// is already complete never waits, so only the per-call check can stop
+// it. Cancelled partway through — in the first window and in a later
+// one, by cancel and by an expired deadline — Next delivers nothing
+// more under that context and loses nothing for the next one.
+func TestTailCancellationStopsBacklogDrain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "backlog.lspt")
+	tw := newTailTestWriter(t, path)
+	tw.appendMany(t, 0, tailTestMany)
+	tw.close(t)
+	tr := openTailMany(t, path)
+	defer tr.Close()
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	i := 0
+	for _, stopAt := range []int{100, tailTestMany / 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		for ; i < stopAt; i++ {
+			if _, err := tr.Next(ctx); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+		}
+		cancel()
+		for range 3 {
+			if rec, err := tr.Next(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Next after cancel at %d: %+v, %v", stopAt, rec, err)
+			}
+		}
+		if rec, err := tr.Next(expired); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Next past the deadline at %d: %+v, %v", stopAt, rec, err)
+		}
+		if tr.Records() != int64(stopAt) || tr.Offset() != int64(tailTestHdrLen+stopAt*tailTestRecLen) {
+			t.Fatalf("cancelled at %d: Records %d Offset %d", stopAt, tr.Records(), tr.Offset())
+		}
+	}
+	for ; i < tailTestMany; i++ {
+		wantNext(t, tr, i)
+	}
+	if _, err := tr.Next(context.Background()); !errors.Is(err, ErrTailIdle) {
+		t.Fatalf("Next past the end: %v, want ErrTailIdle", err)
+	}
+}
+
 // TestTailAllocationBudget: reading a backlog costs one file check and
 // one positioned read per window, and a slab every few hundred records —
 // not a check, a read or an allocation per record.
