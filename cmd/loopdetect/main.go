@@ -50,6 +50,7 @@ import (
 	"loopscope/internal/core"
 	"loopscope/internal/obs"
 	"loopscope/internal/trace"
+	"loopscope/pkg/loopscope"
 )
 
 func main() {
@@ -480,7 +481,7 @@ type jsonResult struct {
 	// serves at /api/v1/stats, computed by the identical code path —
 	// an offline run over a trace and an online daemon fed the same
 	// trace agree within the documented sketch error bound.
-	Analytics *analytics.Stats `json:"analytics,omitempty"`
+	Analytics *loopscope.Stats `json:"analytics,omitempty"`
 	Streams   []jsonStream     `json:"streams"`
 	Loops     []jsonLoop       `json:"loops"`
 }

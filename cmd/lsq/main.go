@@ -15,6 +15,7 @@
 // Pointed at a loopscope-agg aggregator instead, the fleet family
 // queries the cluster-level view:
 //
+//	lsq -addr … fleet health
 //	lsq -addr … fleet loops [-limit n] [-prefix p]
 //	lsq -addr … fleet vantages
 //	lsq -addr … fleet stats [-window 1h] [-vantage v] [-metric duration]
@@ -133,9 +134,11 @@ func runLoops(ctx context.Context, c *loopscope.Client, args []string) (any, err
 // runFleet dispatches the fleet subcommands against an aggregator.
 func runFleet(ctx context.Context, c *loopscope.Client, args []string) (any, error) {
 	if len(args) < 1 {
-		return nil, fmt.Errorf("usage: lsq fleet <loops|vantages|stats> [flags]")
+		return nil, fmt.Errorf("usage: lsq fleet <health|loops|vantages|stats|latency> [flags]")
 	}
 	switch sub, rest := args[0], args[1:]; sub {
+	case "health":
+		return c.FleetHealth(ctx)
 	case "loops":
 		fs := flag.NewFlagSet("fleet loops", flag.ExitOnError)
 		limit := fs.Int("limit", 0, "keep only the newest n fleet loops")
@@ -175,7 +178,7 @@ func runFleet(ctx context.Context, c *loopscope.Client, args []string) (any, err
 		printLatencyTable(fl)
 		return nil, nil
 	default:
-		return nil, fmt.Errorf("unknown fleet subcommand %q (want loops, vantages, stats or latency)", sub)
+		return nil, fmt.Errorf("unknown fleet subcommand %q (want health, loops, vantages, stats or latency)", sub)
 	}
 }
 

@@ -107,15 +107,12 @@ type Observation struct {
 	Event        loopscope.Event `json:"event"`
 }
 
-// FleetLoop mirrors pkg/loopscope.FleetLoop — the aggregator renders
-// the wire type directly so the client-side mirror pins the contract.
-type FleetLoop = loopscope.FleetLoop
-
-// Evidence mirrors pkg/loopscope.FleetEvidence.
-type Evidence = loopscope.FleetEvidence
-
-// VantageInfo mirrors pkg/loopscope.FleetVantage.
-type VantageInfo = loopscope.FleetVantage
+// The aggregator renders the wire types of pkg/loopscope directly.
+type (
+	FleetLoop   = loopscope.FleetLoop
+	Evidence    = loopscope.FleetEvidence
+	VantageInfo = loopscope.FleetVantage
+)
 
 // cluster is one fleet loop under construction. Everything in it
 // derives from journaled observations — no wall-clock state — which
@@ -363,15 +360,7 @@ func (a *Aggregator) closeOutProvenanceLocked(o *Observation, vs *vantageState) 
 		}
 		vs.skewSamples++
 	}
-	rec := provenance.Record{
-		DetectedNs:    closed.DetectedNs,
-		PublishedNs:   closed.PublishedNs,
-		JournaledNs:   closed.JournaledNs,
-		WebhookSentNs: closed.WebhookSentNs,
-		IngestedNs:    closed.IngestedNs,
-		ClusteredNs:   closed.ClusteredNs,
-	}
-	for _, l := range rec.Latencies() {
+	for _, l := range provenance.Latencies(&closed) {
 		a.latency.Observe(l.Segment, o.Vantage, o.Event.ID, l.Ns, l.Clamped)
 		if l.Clamped {
 			a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricProvenanceSkewTotal, "vantage", o.Vantage)).Inc()
@@ -569,13 +558,13 @@ func sortedSet(m map[string]bool) []string {
 // sorted name order with exactly associative and commutative sketch
 // merges, so the document does not depend on observation arrival
 // order across vantages.
-func (a *Aggregator) Stats(q analytics.Query) (*analytics.Stats, error) {
+func (a *Aggregator) Stats(q analytics.Query) (*loopscope.Stats, error) {
 	return a.stats.Query(q)
 }
 
 // Latency renders the pipeline-latency document, optionally narrowed
 // to one vantage and/or one segment.
-func (a *Aggregator) Latency(vantage, segment string) *analytics.LatencyStats {
+func (a *Aggregator) Latency(vantage, segment string) *loopscope.FleetLatency {
 	return a.latency.Snapshot(vantage, segment)
 }
 

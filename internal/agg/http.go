@@ -54,18 +54,15 @@ func (a *Aggregator) v1Health(w http.ResponseWriter, r *http.Request) {
 	if worst := a.cfg.Health.Worst(); worst != resil.Healthy {
 		status = worst.String()
 	}
-	body := map[string]any{
-		"status":       status,
-		"uptimeS":      int64(a.now().Sub(a.started).Seconds()),
-		"vantages":     vantages,
-		"observations": observations,
-		"duplicates":   duplicates,
-		"fleetLoops":   fleetLoops,
-	}
-	if snap := a.cfg.Health.Snapshot(); len(snap) > 0 {
-		body["health"] = snap
-	}
-	api.WriteOK(w, http.StatusOK, body, api.Meta{})
+	api.WriteOK(w, http.StatusOK, loopscope.FleetHealth{
+		Duplicates:   duplicates,
+		FleetLoops:   fleetLoops,
+		Health:       a.cfg.Health.Snapshot(),
+		Observations: observations,
+		Status:       status,
+		UptimeS:      int64(a.now().Sub(a.started).Seconds()),
+		Vantages:     vantages,
+	}, loopscope.Meta{})
 }
 
 // v1FleetLoops serves GET /api/v1/fleet/loops?limit=&prefix=: the
@@ -101,7 +98,7 @@ func (a *Aggregator) v1FleetLoops(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(loops) > limit {
 		loops = loops[len(loops)-limit:]
 	}
-	api.WriteOK(w, http.StatusOK, map[string]any{"loops": loops}, api.Meta{Total: &total})
+	api.WriteOK(w, http.StatusOK, map[string]any{"loops": loops}, loopscope.Meta{Total: &total})
 }
 
 // v1FleetVantages serves GET /api/v1/fleet/vantages.
@@ -109,7 +106,7 @@ func (a *Aggregator) v1FleetVantages(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r) {
 		return
 	}
-	api.WriteOK(w, http.StatusOK, map[string]any{"vantages": a.Vantages()}, api.Meta{})
+	api.WriteOK(w, http.StatusOK, map[string]any{"vantages": a.Vantages()}, loopscope.Meta{})
 }
 
 // v1FleetStats serves GET /api/v1/fleet/stats?window=&vantage=&metric=:
@@ -142,7 +139,7 @@ func (a *Aggregator) v1FleetStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	api.WriteOK(w, http.StatusOK, st, api.Meta{})
+	api.WriteOK(w, http.StatusOK, st, loopscope.Meta{})
 }
 
 // v1FleetLatency serves GET /api/v1/fleet/latency?vantage=&segment=:
@@ -168,7 +165,7 @@ func (a *Aggregator) v1FleetLatency(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown segment %q (one of %v)", segment, provenance.Segments))
 		return
 	}
-	api.WriteOK(w, http.StatusOK, a.Latency(vantage, segment), api.Meta{})
+	api.WriteOK(w, http.StatusOK, a.Latency(vantage, segment), loopscope.Meta{})
 }
 
 // ingestResult is POST /api/v1/ingest's response body.
@@ -213,5 +210,5 @@ func (a *Aggregator) v1Ingest(w http.ResponseWriter, r *http.Request) {
 	if vantage == "" {
 		vantage = ev.Source
 	}
-	api.WriteOK(w, http.StatusOK, ingestResult{ID: ev.ID, Accepted: accepted, Vantage: vantage}, api.Meta{})
+	api.WriteOK(w, http.StatusOK, ingestResult{ID: ev.ID, Accepted: accepted, Vantage: vantage}, loopscope.Meta{})
 }

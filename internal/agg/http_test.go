@@ -7,10 +7,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"loopscope/internal/resil"
 	"loopscope/pkg/loopscope"
 )
 
@@ -276,22 +278,29 @@ func TestIngestEndpoint(t *testing.T) {
 }
 
 func TestAggHealthEndpoint(t *testing.T) {
-	_, ts, _ := fleetServer(t)
+	health := resil.NewHealthSet(nil)
+	health.Set("journal", resil.Degraded)
+	a := newTestAgg(t, Config{Health: health})
+	for _, o := range []Observation{
+		obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3),
+		obs1("bb2", "10.1.2.0/24", "e2", sec(12), sec(41), 3),
+		obs1("bb1", "10.9.9.0/24", "e3", sec(100), sec(130), 5),
+		obs1("bb2", "10.1.2.0/24", "e2", sec(12), sec(41), 3), // duplicate
+	} {
+		if _, err := a.Ingest(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(a.Handler())
+	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/api/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var env struct {
-		Data struct {
-			Status       string `json:"status"`
-			Vantages     int    `json:"vantages"`
-			Observations int64  `json:"observations"`
-			FleetLoops   int    `json:"fleetLoops"`
-		} `json:"data"`
-		Meta struct {
-			API string `json:"api"`
-		} `json:"meta"`
+		Data loopscope.FleetHealth `json:"data"`
+		Meta loopscope.Meta        `json:"meta"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
@@ -299,11 +308,23 @@ func TestAggHealthEndpoint(t *testing.T) {
 	if env.Meta.API != "v1" {
 		t.Errorf("meta.api = %q, want v1", env.Meta.API)
 	}
-	if env.Data.Status != "ok" || env.Data.Vantages != 2 || env.Data.Observations != 3 || env.Data.FleetLoops != 2 {
-		t.Errorf("health = %+v, want ok/2/3/2", env.Data)
+	// The pinned clock makes the uptime zero.
+	want := loopscope.FleetHealth{
+		Duplicates: 1, FleetLoops: 2, Health: map[string]string{"journal": "degraded"},
+		Observations: 3, Status: "degraded", Vantages: 2,
+	}
+	if !reflect.DeepEqual(env.Data, want) {
+		t.Errorf("health = %+v, want %+v", env.Data, want)
 	}
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
 		t.Errorf("content-type = %q", resp.Header.Get("Content-Type"))
+	}
+	got, err := loopscope.New(ts.URL).FleetHealth(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("client.FleetHealth = %+v, want %+v", *got, want)
 	}
 }
 

@@ -31,15 +31,11 @@ func (f *fakeDaemon) handler() http.Handler {
 			cursor, _ = strconv.ParseInt(v, 10, 64)
 		}
 		page := f.ring.PageAfter(cursor, limit, nil)
-		type row struct {
-			Seq   int64       `json:"seq"`
-			Event serve.Event `json:"event"`
-		}
-		rows := make([]row, len(page.Events))
+		rows := make([]loopscope.LoopEvent, len(page.Events))
 		for i := range page.Events {
-			rows[i] = row{Seq: page.Seqs[i], Event: page.Events[i]}
+			rows[i] = loopscope.LoopEvent{Seq: page.Seqs[i], Event: page.Events[i]}
 		}
-		meta := api.Meta{Vantage: f.vantage, Total: &page.Total}
+		meta := loopscope.Meta{Vantage: f.vantage, Total: &page.Total}
 		if page.Next > 0 {
 			meta.NextCursor = &page.Next
 		}

@@ -2,58 +2,12 @@ package agg
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
 	"loopscope/internal/serve"
-	"loopscope/pkg/loopscope"
 )
-
-// The push transport's schema contract: the JSON the daemon's webhook
-// sink emits (serve.Event) must decode losslessly into the client
-// mirror (loopscope.Event) the aggregator ingests. A field added to
-// one side but not the other fails here.
-func TestWebhookPayloadSchemaRoundTrip(t *testing.T) {
-	src := serve.Event{
-		ID: "abc123", Source: "bb1-tap", Vantage: "bb1", Link: "c1->c2",
-		Prefix: "10.1.2.0/24", Seq: 7,
-		StartNs: sec(10), EndNs: sec(40), DurationNs: sec(30),
-		Streams: 3, Replicas: 42, TTLDelta: 4, Escaped: 1,
-		Truncated: true, EmittedAtNs: sec(41),
-	}
-	buf, err := json.Marshal(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got loopscope.Event
-	if err := json.Unmarshal(buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := loopscope.Event{
-		ID: "abc123", Source: "bb1-tap", Vantage: "bb1", Link: "c1->c2",
-		Prefix: "10.1.2.0/24", Seq: 7,
-		StartNs: sec(10), EndNs: sec(40), DurationNs: sec(30),
-		Streams: 3, Replicas: 42, TTLDelta: 4, Escaped: 1,
-		Truncated: true, EmittedAtNs: sec(41),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("serve.Event -> loopscope.Event lost fields:\n got %+v\nwant %+v", got, want)
-	}
-	// And the mirror encodes back to the same document (field-for-field).
-	back, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b map[string]any
-	json.Unmarshal(buf, &a)
-	json.Unmarshal(back, &b)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("re-encoded payload drifted:\n serve %s\nclient %s", buf, back)
-	}
-}
 
 // End to end over the wire: the daemon's actual webhook sink delivers
 // into the aggregator's actual ingest endpoint, and the evidence the

@@ -16,8 +16,8 @@ import (
 	"strconv"
 	"time"
 
+	"loopscope/internal/analytics"
 	"loopscope/internal/resil"
-	"loopscope/internal/stats"
 )
 
 var aggStatuszTmpl = template.Must(template.New("agg-statusz").Parse(`<!DOCTYPE html>
@@ -143,7 +143,7 @@ func (a *Aggregator) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			P50:     statuszDur(seg.Quantiles["p50"]),
 			P90:     statuszDur(seg.Quantiles["p90"]),
 			P99:     statuszDur(seg.Quantiles["p99"]),
-			Spark:   stats.Spark(seg.Buckets),
+			Spark:   analytics.Spark(seg.Buckets),
 		}
 		for i, e := range seg.Exemplars {
 			if i > 0 {

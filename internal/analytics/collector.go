@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"loopscope/internal/stats"
+	"loopscope/pkg/loopscope"
 )
 
 // Metric names the stats API accepts. Sketch-backed metrics answer
@@ -293,32 +294,6 @@ type Query struct {
 	Metric string
 }
 
-// MetricStats is one metric's distribution over the queried window.
-type MetricStats struct {
-	Metric string `json:"metric"`
-	// Kind is "sketch" (quantiles within the relative error bound) or
-	// "exact" (integer histogram).
-	Kind      string           `json:"kind"`
-	Count     uint64           `json:"count"`
-	Mean      float64          `json:"mean"`
-	Min       int64            `json:"min"`
-	Max       int64            `json:"max"`
-	Quantiles map[string]int64 `json:"quantiles"`
-	Buckets   []stats.Bucket   `json:"buckets"`
-}
-
-// Stats is a stats query's result.
-type Stats struct {
-	Window string `json:"window"`
-	Source string `json:"source,omitempty"`
-	// Loops is the number of loops the window holds.
-	Loops uint64 `json:"loops"`
-	// ErrorBound is the sketch metrics' relative quantile error.
-	ErrorBound  float64                `json:"errorBound"`
-	Metrics     map[string]MetricStats `json:"metrics"`
-	TopPrefixes []TopKItem             `json:"topPrefixes"`
-}
-
 // quantilePoints are the quantiles every stats row reports.
 var quantilePoints = []struct {
 	name string
@@ -337,7 +312,7 @@ func (e *ErrUnknownMetric) Error() string {
 // segments are never mutated by reads. A source with nothing recorded
 // merges nothing and gets the empty document, so which names exist is
 // the caller's to decide.
-func (c *Collector) Query(q Query) (*Stats, error) {
+func (c *Collector) Query(q Query) (*loopscope.Stats, error) {
 	if c == nil {
 		return nil, fmt.Errorf("analytics disabled")
 	}
@@ -382,13 +357,13 @@ func (c *Collector) Query(q Query) (*Stats, error) {
 		}
 	}
 
-	st := &Stats{
+	st := &loopscope.Stats{
 		Window:      windowName,
 		Source:      q.Source,
 		Loops:       merged.Loops,
 		ErrorBound:  SketchAlpha,
-		Metrics:     make(map[string]MetricStats),
-		TopPrefixes: []TopKItem{},
+		Metrics:     make(map[string]loopscope.MetricStats),
+		TopPrefixes: []loopscope.TopPrefix{},
 	}
 	if merged.Prefixes != nil {
 		st.TopPrefixes = merged.Prefixes.Top()
@@ -466,19 +441,42 @@ type distribution interface {
 // that every stats row reports — the metric rows of Query and the
 // latency rows of LatencyStore.Snapshot — leaving Metric and Kind
 // unset.
-func summarize(d distribution) MetricStats {
-	ms := MetricStats{
+func summarize(d distribution) loopscope.MetricStats {
+	buckets := d.Buckets()
+	ms := loopscope.MetricStats{
 		Count:     d.Count(),
 		Mean:      d.Mean(),
 		Quantiles: make(map[string]int64, len(quantilePoints)),
-		Buckets:   d.Buckets(),
+		Buckets:   make([]loopscope.Bucket, len(buckets)),
+	}
+	for i, b := range buckets {
+		ms.Buckets[i] = loopscope.Bucket(b)
 	}
 	ms.Min, ms.Max = d.MinMax()
-	if ms.Buckets == nil {
-		ms.Buckets = []stats.Bucket{}
-	}
 	for _, qp := range quantilePoints {
 		ms.Quantiles[qp.name] = d.Quantile(qp.q)
 	}
 	return ms
+}
+
+// sparkRunes are the sparkline levels, lowest first.
+var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// Spark draws the bucket counts as a one-line sparkline scaled to the
+// largest count, "" when there is none.
+func Spark(buckets []loopscope.Bucket) string {
+	var max uint64
+	for _, b := range buckets {
+		if b.Count > max {
+			max = b.Count
+		}
+	}
+	if max == 0 {
+		return ""
+	}
+	out := make([]rune, len(buckets))
+	for i, b := range buckets {
+		out[i] = sparkRunes[int(b.Count*uint64(len(sparkRunes)-1)/max)]
+	}
+	return string(out)
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"loopscope/pkg/loopscope"
 )
 
 // testClock returns a Collector clock pinned to a mutable instant.
@@ -375,5 +377,14 @@ func TestParentSnapshotFixture(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
 		t.Errorf("snapshot image changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestSpark(t *testing.T) {
+	if got := Spark(nil); got != "" {
+		t.Errorf("Spark(nil) = %q", got)
+	}
+	if got := Spark([]loopscope.Bucket{{Count: 0}, {Count: 1}, {Count: 7}, {Count: 4}}); got != "▁▂█▅" {
+		t.Errorf("Spark = %q", got)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"loopscope/internal/obs/provenance"
-	"loopscope/internal/stats"
+	"loopscope/pkg/loopscope"
 )
 
 // This file is the pipeline-provenance analytics: per-hop-segment
@@ -22,47 +22,11 @@ import (
 // trail IDs for the slow tail without growing the document.
 const latencyExemplarCap = 4
 
-// LatencyExemplar ties one slow latency observation back to the event
-// that suffered it. The event ID doubles as the originating daemon's
-// flight-recorder trail ID (both are flight.LoopID), so
-// /api/v1/trace/{eventId} on that vantage's daemon serves the decision
-// log behind the number.
-type LatencyExemplar struct {
-	EventID string `json:"eventId"`
-	Ns      int64  `json:"ns"`
-}
-
-// SegmentStats is one (segment, vantage) row of the latency document.
-type SegmentStats struct {
-	Segment string `json:"segment"`
-	Vantage string `json:"vantage"`
-	Count   uint64 `json:"count"`
-	// Clamped counts negative cross-process deltas (vantage clock ahead
-	// of the aggregator) that were clamped to zero and *not* added to
-	// the sketch.
-	Clamped   uint64            `json:"clamped,omitempty"`
-	Mean      float64           `json:"mean"`
-	Min       int64             `json:"min"`
-	Max       int64             `json:"max"`
-	Quantiles map[string]int64  `json:"quantiles"`
-	Buckets   []stats.Bucket    `json:"buckets"`
-	Exemplars []LatencyExemplar `json:"exemplars,omitempty"`
-}
-
-// LatencyStats is the full latency document: rows in canonical
-// segment order (provenance.Segments), vantages sorted within a
-// segment — a deterministic rendering of deterministic state.
-type LatencyStats struct {
-	// ErrorBound is the sketches' relative quantile error (SketchAlpha).
-	ErrorBound float64        `json:"errorBound"`
-	Segments   []SegmentStats `json:"segments"`
-}
-
 // latencyCell is one (segment, vantage) accumulation.
 type latencyCell struct {
-	Sketch    Sketch            `json:"sketch"`
-	Clamped   uint64            `json:"clamped,omitempty"`
-	Exemplars []LatencyExemplar `json:"exemplars,omitempty"`
+	Sketch    Sketch                      `json:"sketch"`
+	Clamped   uint64                      `json:"clamped,omitempty"`
+	Exemplars []loopscope.LatencyExemplar `json:"exemplars,omitempty"`
 }
 
 // LatencyStore accumulates per-segment, per-vantage latency sketches.
@@ -124,7 +88,7 @@ func (c *latencyCell) noteExemplar(eventID string, ns int64) {
 			return // replay-merge safety: the same observation twice
 		}
 	}
-	c.Exemplars = append(c.Exemplars, LatencyExemplar{EventID: eventID, Ns: ns})
+	c.Exemplars = append(c.Exemplars, loopscope.LatencyExemplar{EventID: eventID, Ns: ns})
 	sort.Slice(c.Exemplars, func(i, j int) bool {
 		if c.Exemplars[i].Ns != c.Exemplars[j].Ns {
 			return c.Exemplars[i].Ns > c.Exemplars[j].Ns
@@ -162,8 +126,8 @@ func (s *LatencyStore) Merge(other *LatencyStore) {
 
 // Snapshot renders the latency document. Optional filters narrow to
 // one vantage and/or one segment; empty strings keep everything.
-func (s *LatencyStore) Snapshot(vantage, segment string) *LatencyStats {
-	st := &LatencyStats{ErrorBound: SketchAlpha, Segments: []SegmentStats{}}
+func (s *LatencyStore) Snapshot(vantage, segment string) *loopscope.FleetLatency {
+	st := &loopscope.FleetLatency{ErrorBound: SketchAlpha, Segments: []loopscope.LatencySegment{}}
 	if s == nil {
 		return st
 	}
@@ -196,13 +160,13 @@ func (s *LatencyStore) Snapshot(vantage, segment string) *LatencyStats {
 		for _, v := range vantages {
 			c := byV[v]
 			ms := summarize(&c.Sketch)
-			row := SegmentStats{
+			row := loopscope.LatencySegment{
 				Segment: seg, Vantage: v, Count: ms.Count, Clamped: c.Clamped,
 				Mean: ms.Mean, Min: ms.Min, Max: ms.Max,
 				Quantiles: ms.Quantiles, Buckets: ms.Buckets,
 			}
 			if len(c.Exemplars) > 0 {
-				row.Exemplars = append([]LatencyExemplar(nil), c.Exemplars...)
+				row.Exemplars = append([]loopscope.LatencyExemplar(nil), c.Exemplars...)
 			}
 			st.Segments = append(st.Segments, row)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"loopscope/internal/obs/provenance"
+	"loopscope/pkg/loopscope"
 )
 
 func TestLatencyStoreOrderIndependent(t *testing.T) {
@@ -97,7 +98,7 @@ func TestLatencyStoreExemplarsDeterministicTopK(t *testing.T) {
 		t.Fatalf("kept %d exemplars, want %d", len(row.Exemplars), latencyExemplarCap)
 	}
 	// Slowest first; the three 50s beat 40, ties break by ID ascending.
-	want := []LatencyExemplar{
+	want := []loopscope.LatencyExemplar{
 		{EventID: "ev-1", Ns: 50}, {EventID: "ev-2", Ns: 50},
 		{EventID: "ev-6", Ns: 50}, {EventID: "ev-3", Ns: 40},
 	}

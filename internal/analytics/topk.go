@@ -3,6 +3,8 @@ package analytics
 import (
 	"errors"
 	"sort"
+
+	"loopscope/pkg/loopscope"
 )
 
 // TopK is a space-saving heavy-hitter counter (Metwally et al.): it
@@ -18,17 +20,9 @@ import (
 // order-insensitive in which keys survive only up to ties; the count
 // and error bounds hold regardless of merge order.
 type TopK struct {
-	Cap   int            `json:"cap"`
-	Items []TopKItem     `json:"items,omitempty"`
-	idx   map[string]int // key -> Items index; rebuilt after decode
-}
-
-// TopKItem is one tracked key.
-type TopKItem struct {
-	Key   string `json:"key"`
-	Count uint64 `json:"count"`
-	// Err is the maximum overestimation of Count.
-	Err uint64 `json:"err,omitempty"`
+	Cap   int                   `json:"cap"`
+	Items []loopscope.TopPrefix `json:"items,omitempty"`
+	idx   map[string]int        // key -> Items index; rebuilt after decode
 }
 
 // NewTopK returns a counter tracking at most cap keys (minimum 1).
@@ -59,7 +53,7 @@ func (t *TopK) Add(key string) {
 	}
 	if len(t.Items) < t.Cap {
 		t.idx[key] = len(t.Items)
-		t.Items = append(t.Items, TopKItem{Key: key, Count: 1})
+		t.Items = append(t.Items, loopscope.TopPrefix{Key: key, Count: 1})
 		return
 	}
 	// Evict the minimum-count key; the newcomer inherits its count as
@@ -72,7 +66,7 @@ func (t *TopK) Add(key string) {
 	}
 	evicted := t.Items[min]
 	delete(t.idx, evicted.Key)
-	t.Items[min] = TopKItem{Key: key, Count: evicted.Count + 1, Err: evicted.Count}
+	t.Items[min] = loopscope.TopPrefix{Key: key, Count: evicted.Count + 1, Err: evicted.Count}
 	t.idx[key] = min
 }
 
@@ -82,7 +76,7 @@ func (t *TopK) Merge(other *TopK) {
 		return
 	}
 	t.ensureIdx()
-	merged := make(map[string]TopKItem, len(t.Items)+len(other.Items))
+	merged := make(map[string]loopscope.TopPrefix, len(t.Items)+len(other.Items))
 	for _, it := range t.Items {
 		merged[it.Key] = it
 	}
@@ -95,7 +89,7 @@ func (t *TopK) Merge(other *TopK) {
 			merged[it.Key] = it
 		}
 	}
-	items := make([]TopKItem, 0, len(merged))
+	items := make([]loopscope.TopPrefix, 0, len(merged))
 	for _, it := range merged {
 		items = append(items, it)
 	}
@@ -121,8 +115,8 @@ func (t *TopK) Merge(other *TopK) {
 }
 
 // Top returns the tracked keys, heaviest first (ties by key).
-func (t *TopK) Top() []TopKItem {
-	out := make([]TopKItem, len(t.Items))
+func (t *TopK) Top() []loopscope.TopPrefix {
+	out := make([]loopscope.TopPrefix, len(t.Items))
 	copy(out, t.Items)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

@@ -9,9 +9,9 @@
 //	{"error": {"code": "bad_param", "message": "…"}}
 //
 // and one query-parameter contract: unknown or repeated parameters
-// are a 400, never silently ignored. Keeping the protocol in one
-// package is what lets pkg/loopscope talk to both tiers with a single
-// client.
+// are a 400, never silently ignored. The meta block and the error
+// object are pkg/loopscope's Meta and APIError, so the client that
+// talks to both tiers decodes exactly what they encode.
 package api
 
 import (
@@ -19,36 +19,16 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"loopscope/pkg/loopscope"
 )
 
-// Meta is the envelope's metadata block.
-type Meta struct {
-	API string `json:"api"`
-	// Vantage is the answering instance's stable identity (the
-	// loopscoped -vantage flag), so aggregators can attribute a
-	// response without transport heuristics.
-	Vantage string `json:"vantage,omitempty"`
-	// Total is the all-time event count behind a paginated listing.
-	Total *int64 `json:"total,omitempty"`
-	// NextCursor, when present, fetches the next (older) page.
-	NextCursor *int64 `json:"nextCursor,omitempty"`
-}
-
-// Envelope is every v1 success response.
+// Envelope is every v1 response: data and meta on success, the error
+// object alone on failure.
 type Envelope struct {
-	Data any  `json:"data"`
-	Meta Meta `json:"meta"`
-}
-
-// ErrorBody is every v1 error response.
-type ErrorBody struct {
-	Error ErrorDetail `json:"error"`
-}
-
-// ErrorDetail is the machine-readable error object.
-type ErrorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+	Data  any                 `json:"data,omitempty"`
+	Meta  *loopscope.Meta     `json:"meta,omitempty"`
+	Error *loopscope.APIError `json:"error,omitempty"`
 }
 
 // v1 error codes.
@@ -59,14 +39,14 @@ const (
 )
 
 // WriteOK renders one enveloped v1 response.
-func WriteOK(w http.ResponseWriter, code int, data any, meta Meta) {
+func WriteOK(w http.ResponseWriter, code int, data any, meta loopscope.Meta) {
 	meta.API = "v1"
-	WriteJSON(w, code, Envelope{Data: data, Meta: meta})
+	WriteJSON(w, code, Envelope{Data: data, Meta: &meta})
 }
 
 // WriteError renders one v1 error object.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+	WriteJSON(w, status, Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
 }
 
 // StrictParams enforces the v1 query-parameter contract: every

@@ -35,16 +35,21 @@
 // byte: no wall clock is read while closing out replayed records.
 package provenance
 
-import "time"
+import (
+	"time"
 
-// Hop names, also the keys of the aggregated latency table.
+	"loopscope/pkg/loopscope"
+)
+
+// Hop names, also the keys of the aggregated latency table. The wire
+// record declares them beside its Stamp method.
 const (
-	HopDetected    = "detected"
-	HopPublished   = "published"
-	HopJournaled   = "journaled"
-	HopWebhookSent = "webhook_sent"
-	HopIngested    = "ingested"
-	HopClustered   = "clustered"
+	HopDetected    = loopscope.HopDetected
+	HopPublished   = loopscope.HopPublished
+	HopJournaled   = loopscope.HopJournaled
+	HopWebhookSent = loopscope.HopWebhookSent
+	HopIngested    = loopscope.HopIngested
+	HopClustered   = loopscope.HopClustered
 )
 
 // Segment names: the hop-to-hop latencies the aggregator sketches,
@@ -78,23 +83,10 @@ func SegmentRank(seg string) int {
 	return len(Segments)
 }
 
-// Record is the wire-format hop-timestamp record riding on a loop
-// event ("prov" in the event JSON). All stamps are wall-clock unix
-// nanoseconds (see the package comment for the monotonic anchoring);
-// zero means the hop has not happened (or does not apply — a pulled
-// event never has a webhook_sent stamp).
-//
-// Records are treated as immutable once attached to an event: Stamp
-// copies on write, so the ring's copy, the journal line, and the
-// webhook payload can diverge in later stamps without aliasing.
-type Record struct {
-	DetectedNs    int64 `json:"detectedNs,omitempty"`
-	PublishedNs   int64 `json:"publishedNs,omitempty"`
-	JournaledNs   int64 `json:"journaledNs,omitempty"`
-	WebhookSentNs int64 `json:"webhookSentNs,omitempty"`
-	IngestedNs    int64 `json:"ingestedNs,omitempty"`
-	ClusteredNs   int64 `json:"clusteredNs,omitempty"`
-}
+// Record is the hop-timestamp record riding on a loop event ("prov"
+// in the event JSON), declared with its Stamp method in pkg/loopscope.
+// Records are treated as immutable once attached to an event.
+type Record = loopscope.Provenance
 
 // base anchors Now(): wall clock captured once, advanced monotonically.
 var base = time.Now()
@@ -104,47 +96,6 @@ var base = time.Now()
 // it never goes backwards, so same-process hop deltas are exact.
 func Now() int64 {
 	return base.Add(time.Since(base)).UnixNano()
-}
-
-// Stamp returns a record with the hop set to ns, copying on write (a
-// nil receiver allocates a fresh record). ns <= 0 or an unknown hop
-// returns the receiver unchanged — in particular, stamping nothing
-// onto a nil record stays nil and allocation-free, which is the
-// provenance-disabled no-op path.
-func (r *Record) Stamp(hop string, ns int64) *Record {
-	if ns <= 0 {
-		return r
-	}
-	var nr Record
-	if r != nil {
-		nr = *r
-	}
-	switch hop {
-	case HopDetected:
-		nr.DetectedNs = ns
-	case HopPublished:
-		nr.PublishedNs = ns
-	case HopJournaled:
-		nr.JournaledNs = ns
-	case HopWebhookSent:
-		nr.WebhookSentNs = ns
-	case HopIngested:
-		nr.IngestedNs = ns
-	case HopClustered:
-		nr.ClusteredNs = ns
-	default:
-		return r
-	}
-	return &nr
-}
-
-// Clone returns a copy (nil stays nil).
-func (r *Record) Clone() *Record {
-	if r == nil {
-		return nil
-	}
-	nr := *r
-	return &nr
 }
 
 // SegmentLatency is one hop-to-hop delta computed from a record.
@@ -166,7 +117,7 @@ type SegmentLatency struct {
 // marked; a same-process negative delta is impossible by construction
 // (monotonic anchoring) but clamped anyway for robustness against
 // hand-built records.
-func (r *Record) Latencies() []SegmentLatency {
+func Latencies(r *Record) []SegmentLatency {
 	if r == nil {
 		return nil
 	}

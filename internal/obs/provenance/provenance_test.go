@@ -52,12 +52,6 @@ func TestStampNoopPaths(t *testing.T) {
 	if got := live.Stamp("bogus", 5); got != live {
 		t.Fatal("unknown hop did not return the receiver")
 	}
-	if live.Clone() == live {
-		t.Fatal("Clone returned the receiver")
-	}
-	if (*Record)(nil).Clone() != nil {
-		t.Fatal("Clone(nil) != nil")
-	}
 }
 
 // TestStampNoopAllocationFree pins the disabled-provenance contract:
@@ -86,7 +80,7 @@ func TestLatencies(t *testing.T) {
 		Stamp(HopIngested, 5000).
 		Stamp(HopClustered, 5000)
 	got := map[string]SegmentLatency{}
-	for _, l := range r.Latencies() {
+	for _, l := range Latencies(r) {
 		got[l.Segment] = l
 	}
 	want := map[string]int64{
@@ -118,7 +112,7 @@ func TestLatenciesClampNegative(t *testing.T) {
 		Stamp(HopPublished, 9500).
 		Stamp(HopIngested, 9400).
 		Stamp(HopClustered, 9400)
-	for _, l := range r.Latencies() {
+	for _, l := range Latencies(r) {
 		switch l.Segment {
 		case SegPublishIngest:
 			if !l.Clamped || l.Ns != 0 {

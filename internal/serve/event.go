@@ -22,51 +22,12 @@ import (
 
 	"loopscope/internal/core"
 	"loopscope/internal/obs/flight"
-	"loopscope/internal/obs/provenance"
+	"loopscope/pkg/loopscope"
 )
 
 // Event is one routing-loop detection, the unit every sink consumes.
-// Durations and timestamps are nanoseconds; Start/End are on the trace
-// clock (offset from capture start), EmittedAt on the wall clock.
-type Event struct {
-	// ID is deterministic over (source, prefix, loop start): the same
-	// loop gets the same ID whether it is emitted live, after a
-	// checkpoint resume, or by an uninterrupted run — which is what
-	// lets the journal deduplicate and downstream consumers treat
-	// redelivery as idempotent. Truncated emissions carry a distinct
-	// ID (suffix "-t<end>") so a drain-flushed partial loop never
-	// masks the completed loop a resumed run emits later.
-	ID     string `json:"id"`
-	Source string `json:"source"`
-	// Vantage is the stable identity of the daemon instance that
-	// observed the loop (the -vantage flag, default hostname). It rides
-	// in every journal line and webhook payload so the fleet aggregator
-	// can attribute observations without transport heuristics.
-	Vantage string `json:"vantage,omitempty"`
-	Link    string `json:"link,omitempty"`
-	Prefix  string `json:"prefix"`
-	// Seq is the emission sequence number within the source (-1 for
-	// truncated emissions).
-	Seq        int   `json:"seq"`
-	StartNs    int64 `json:"startNs"`
-	EndNs      int64 `json:"endNs"`
-	DurationNs int64 `json:"durationNs"`
-	Streams    int   `json:"streams"`
-	Replicas   int   `json:"replicas"`
-	TTLDelta   int   `json:"ttlDelta"`
-	// Escaped counts the loop's streams whose packet plausibly left the
-	// loop alive (core.ReplicaStream.Escaped).
-	Escaped     int   `json:"escaped,omitempty"`
-	Truncated   bool  `json:"truncated,omitempty"`
-	EmittedAtNs int64 `json:"emittedAtNs"`
-	// Prov is the pipeline-provenance hop record: stamped as the event
-	// moves detect → publish → journal/webhook, carried verbatim over
-	// both transports, and closed out (ingested/clustered) by the fleet
-	// aggregator. Treated as immutable — stamping copies on write, so
-	// the ring copy, the journal line, and each webhook payload diverge
-	// without aliasing. Nil on events from pre-provenance daemons.
-	Prov *provenance.Record `json:"prov,omitempty"`
-}
+// Its wire form is declared in pkg/loopscope.
+type Event = loopscope.Event
 
 // newEvent renders a session emission as a sink event.
 func newEvent(source, link, vantage string, se core.SessionEvent, now time.Time) Event {
@@ -93,18 +54,13 @@ func newEvent(source, link, vantage string, se core.SessionEvent, now time.Time)
 			ev.Escaped++
 		}
 	}
-	ev.ID = eventID(source, ev.Prefix, ev.StartNs)
+	// The flight recorder owns the ID hash, so a sealed trail and the
+	// journal line for the same loop share one ID.
+	ev.ID = flight.LoopID(source, ev.Prefix, ev.StartNs)
 	if se.Truncated {
 		ev.ID = fmt.Sprintf("%s-t%x", ev.ID, ev.EndNs)
 	}
 	return ev
-}
-
-// eventID hashes the loop's stable identity to a compact hex token.
-// The flight recorder owns the canonical implementation so a sealed
-// trail and the journal line for the same loop share one ID.
-func eventID(source, prefix string, startNs int64) string {
-	return flight.LoopID(source, prefix, startNs)
 }
 
 // Sink consumes loop events. Publish must be safe for concurrent use

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"loopscope/internal/api"
 	"loopscope/internal/core"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/flight"
@@ -160,13 +161,13 @@ func TestDaemonFlightDisabled404(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	status, _, body := v1Get(t, srv.URL+"/api/v1/trace/abc")
-	if status != http.StatusNotFound || !strings.Contains(string(body), errDisabled) {
-		t.Errorf("status = %d body %s, want 404 with code %q when flight disabled", status, body, errDisabled)
+	if status != http.StatusNotFound || !strings.Contains(string(body), api.ErrDisabled) {
+		t.Errorf("status = %d body %s, want 404 with code %q when flight disabled", status, body, api.ErrDisabled)
 	}
 }
 
 // TestDaemonDirSegmentsProgress checks the dir source's rotation
-// position reporting: segment i/N and the lag in SourceInfo.
+// position reporting: segment i/N and the lag in its Source row.
 func TestDaemonDirSegmentsProgress(t *testing.T) {
 	dir := t.TempDir()
 	segDir := filepath.Join(dir, "segs")

@@ -11,6 +11,7 @@ import (
 	"loopscope/internal/analytics"
 	"loopscope/internal/api"
 	"loopscope/internal/resil"
+	"loopscope/pkg/loopscope"
 )
 
 // The daemon's HTTP surface is versioned. Canonical endpoints live
@@ -46,25 +47,10 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// The envelope, error object, and strict-parameter contract live in
-// internal/api, shared with the fleet aggregator. Thin aliases keep
-// the handlers below readable.
-var (
-	strictParams = api.StrictParams
-	writeV1Error = api.WriteError
-)
-
-// v1 error codes (aliases of the shared protocol constants).
-const (
-	errBadParam = api.ErrBadParam
-	errNotFound = api.ErrNotFound
-	errDisabled = api.ErrDisabled
-)
-
 // writeV1 renders one enveloped v1 response, stamping the daemon's
 // vantage identity into the meta block so aggregators can attribute
 // polled data without transport heuristics.
-func (d *Daemon) writeV1(w http.ResponseWriter, code int, data any, meta api.Meta) {
+func (d *Daemon) writeV1(w http.ResponseWriter, code int, data any, meta loopscope.Meta) {
 	meta.Vantage = d.cfg.Vantage
 	api.WriteOK(w, code, data, meta)
 }
@@ -91,7 +77,7 @@ func (d *Daemon) checkSourceParam(w http.ResponseWriter, src string) bool {
 			return true
 		}
 	}
-	writeV1Error(w, http.StatusNotFound, errNotFound,
+	api.WriteError(w, http.StatusNotFound, api.ErrNotFound,
 		fmt.Sprintf("unknown source %q (have: %s)", src, strings.Join(d.sourceNames(), ", ")))
 	return false
 }
@@ -103,7 +89,7 @@ func (d *Daemon) checkSourceParam(w http.ResponseWriter, src string) bool {
 // response stays 200 even when degraded — the process is alive and
 // self-protecting; killing it would only lose state.
 func (d *Daemon) v1Health(w http.ResponseWriter, r *http.Request) {
-	if !strictParams(w, r) {
+	if !api.StrictParams(w, r) {
 		return
 	}
 	var records int64
@@ -116,34 +102,24 @@ func (d *Daemon) v1Health(w http.ResponseWriter, r *http.Request) {
 	if worst := d.health.Worst(); worst != resil.Healthy {
 		status = worst.String()
 	}
-	body := map[string]any{
-		"status":  status,
-		"uptimeS": int64(time.Since(d.started).Seconds()),
-		"sources": len(d.sources),
-		"records": records,
-		"events":  d.ring.Total(),
-	}
-	if snap := d.health.Snapshot(); len(snap) > 0 {
-		body["health"] = snap
-	}
-	d.writeV1(w, http.StatusOK, body, api.Meta{})
+	d.writeV1(w, http.StatusOK, loopscope.Health{
+		Events:  d.ring.Total(),
+		Health:  d.health.Snapshot(),
+		Records: records,
+		Sources: len(d.sources),
+		Status:  status,
+		UptimeS: int64(time.Since(d.started).Seconds()),
+	}, loopscope.Meta{})
 }
 
 // v1LoopsMaxLimit caps one page of GET /api/v1/loops.
 const v1LoopsMaxLimit = 1000
 
-// v1LoopEvent is one event row of GET /api/v1/loops: the event plus
-// its ring sequence number (the pagination coordinate).
-type v1LoopEvent struct {
-	Seq   int64 `json:"seq"`
-	Event Event `json:"event"`
-}
-
 // v1Loops serves GET /api/v1/loops?limit=&cursor=&source= with cursor
 // pagination: walk newest-to-oldest, follow meta.nextCursor until it
 // disappears.
 func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
-	if !strictParams(w, r, "limit", "cursor", "source") {
+	if !api.StrictParams(w, r, "limit", "cursor", "source") {
 		return
 	}
 	q := r.URL.Query()
@@ -151,7 +127,7 @@ func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 || parsed > v1LoopsMaxLimit {
-			writeV1Error(w, http.StatusBadRequest, errBadParam,
+			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam,
 				fmt.Sprintf("limit must be an integer in 1..%d, got %q", v1LoopsMaxLimit, v))
 			return
 		}
@@ -161,7 +137,7 @@ func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("cursor"); v != "" {
 		parsed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || parsed < 1 {
-			writeV1Error(w, http.StatusBadRequest, errBadParam,
+			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam,
 				fmt.Sprintf("cursor must be a positive integer, got %q", v))
 			return
 		}
@@ -176,11 +152,11 @@ func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
 		keep = func(e Event) bool { return e.Source == src }
 	}
 	page := d.ring.PageAfter(cursor, limit, keep)
-	events := make([]v1LoopEvent, len(page.Events))
+	events := make([]loopscope.LoopEvent, len(page.Events))
 	for i := range page.Events {
-		events[i] = v1LoopEvent{Seq: page.Seqs[i], Event: page.Events[i]}
+		events[i] = loopscope.LoopEvent{Seq: page.Seqs[i], Event: page.Events[i]}
 	}
-	meta := api.Meta{Total: &page.Total}
+	meta := loopscope.Meta{Total: &page.Total}
 	if page.Next > 0 {
 		meta.NextCursor = &page.Next
 	}
@@ -189,35 +165,15 @@ func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
 
 // v1Sources serves GET /api/v1/sources.
 func (d *Daemon) v1Sources(w http.ResponseWriter, r *http.Request) {
-	if !strictParams(w, r) {
+	if !api.StrictParams(w, r) {
 		return
 	}
-	d.writeV1(w, http.StatusOK, map[string]any{"sources": d.sourceInfos()}, api.Meta{})
-}
-
-// SourceInfo is one source's live status as reported by /api/v1/sources.
-type SourceInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	Path     string `json:"path,omitempty"`
-	Status   string `json:"status"`
-	Link     string `json:"link,omitempty"`
-	Records  int64  `json:"records"`
-	Emitted  int    `json:"emitted"`
-	LagBytes int64  `json:"lagBytes"`
-	// Segment/Segments locate a dir source within its rotation
-	// sequence (1-based; zero for other kinds), and LagSegments counts
-	// rotated segments between it and the directory head.
-	Segment     int    `json:"segment,omitempty"`
-	Segments    int    `json:"segments,omitempty"`
-	LagSegments int64  `json:"lagSegments,omitempty"`
-	Restarts    int64  `json:"restarts"`
-	LastErr     string `json:"lastError,omitempty"`
+	d.writeV1(w, http.StatusOK, map[string]any{"sources": d.sourceInfos()}, loopscope.Meta{})
 }
 
 // sourceInfos renders every source, by name.
-func (d *Daemon) sourceInfos() []SourceInfo {
-	infos := make([]SourceInfo, 0, len(d.sources))
+func (d *Daemon) sourceInfos() []loopscope.Source {
+	infos := make([]loopscope.Source, 0, len(d.sources))
 	for _, s := range d.sources {
 		infos = append(infos, s.info())
 	}
@@ -228,42 +184,42 @@ func (d *Daemon) sourceInfos() []SourceInfo {
 // v1Trace serves GET /api/v1/trace (trail index) and
 // GET /api/v1/trace/{id} (one sealed decision trail).
 func (d *Daemon) v1Trace(w http.ResponseWriter, r *http.Request) {
-	if !strictParams(w, r) {
+	if !api.StrictParams(w, r) {
 		return
 	}
 	if d.cfg.Flight == nil {
-		writeV1Error(w, http.StatusNotFound, errDisabled, "flight recorder disabled")
+		api.WriteError(w, http.StatusNotFound, api.ErrDisabled, "flight recorder disabled")
 		return
 	}
 	id := r.PathValue("id")
 	if id == "" {
-		d.writeV1(w, http.StatusOK, map[string]any{"trails": d.cfg.Flight.TrailIDs()}, api.Meta{})
+		d.writeV1(w, http.StatusOK, map[string]any{"trails": d.cfg.Flight.TrailIDs()}, loopscope.Meta{})
 		return
 	}
 	tr := d.cfg.Flight.Trail(id)
 	if tr == nil {
-		writeV1Error(w, http.StatusNotFound, errNotFound, "unknown trail "+id)
+		api.WriteError(w, http.StatusNotFound, api.ErrNotFound, "unknown trail "+id)
 		return
 	}
-	d.writeV1(w, http.StatusOK, tr, api.Meta{})
+	d.writeV1(w, http.StatusOK, tr, loopscope.Meta{})
 }
 
 // v1Stats serves GET /api/v1/stats?window=&source=&metric=: the
 // analytics subsystem's quantiles, histogram buckets, and top-K
 // prefixes for the chosen window.
 func (d *Daemon) v1Stats(w http.ResponseWriter, r *http.Request) {
-	if !strictParams(w, r, "window", "source", "metric") {
+	if !api.StrictParams(w, r, "window", "source", "metric") {
 		return
 	}
 	a := d.cfg.Analytics
 	if a == nil {
-		writeV1Error(w, http.StatusNotFound, errDisabled, "analytics disabled")
+		api.WriteError(w, http.StatusNotFound, api.ErrDisabled, "analytics disabled")
 		return
 	}
 	q := r.URL.Query()
 	window, err := analytics.ParseWindow(q.Get("window"))
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, errBadParam, err.Error())
+		api.WriteError(w, http.StatusBadRequest, api.ErrBadParam, err.Error())
 		return
 	}
 	src := q.Get("source")
@@ -273,11 +229,11 @@ func (d *Daemon) v1Stats(w http.ResponseWriter, r *http.Request) {
 	st, err := a.Query(analytics.Query{Window: window, Source: src, Metric: q.Get("metric")})
 	if err != nil {
 		if _, ok := err.(*analytics.ErrUnknownMetric); ok {
-			writeV1Error(w, http.StatusBadRequest, errBadParam, err.Error())
+			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam, err.Error())
 		} else {
-			writeV1Error(w, http.StatusNotFound, errDisabled, err.Error())
+			api.WriteError(w, http.StatusNotFound, api.ErrDisabled, err.Error())
 		}
 		return
 	}
-	d.writeV1(w, http.StatusOK, st, api.Meta{})
+	d.writeV1(w, http.StatusOK, st, loopscope.Meta{})
 }

@@ -79,9 +79,9 @@ func TestProvenancePushPullIdenticalRecords(t *testing.T) {
 			t.Fatalf("webhook stamp precedes publish for %s: %+v", e.ID, wp)
 		}
 		// Identical modulo the transport-specific stamp.
-		norm := wp.Clone()
+		norm := *wp
 		norm.WebhookSentNs = 0
-		if *norm != *p {
+		if norm != *p {
 			t.Fatalf("push and pull hop records differ for %s:\npush %+v\npull %+v", e.ID, norm, p)
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"loopscope/internal/stats"
 	"loopscope/internal/trace"
 	"loopscope/internal/traffic"
+	"loopscope/pkg/loopscope"
 )
 
 // serveTestTrace synthesizes a trace with scripted loops (shorter than
@@ -906,7 +907,7 @@ func TestDaemonHTTPAPI(t *testing.T) {
 	}
 
 	var loops struct {
-		Events []v1LoopEvent `json:"events"`
+		Events []loopscope.LoopEvent `json:"events"`
 	}
 	getV1(t, srv.URL+"/api/v1/loops?limit=5", &loops)
 	if len(loops.Events) == 0 {
@@ -922,7 +923,7 @@ func TestDaemonHTTPAPI(t *testing.T) {
 	}
 
 	var sources struct {
-		Sources []SourceInfo `json:"sources"`
+		Sources []loopscope.Source `json:"sources"`
 	}
 	getV1(t, srv.URL+"/api/v1/sources", &sources)
 	if len(sources.Sources) != 1 || sources.Sources[0].Name != "api-src" {

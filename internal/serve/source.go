@@ -18,6 +18,7 @@ import (
 	"loopscope/internal/obs/provenance"
 	"loopscope/internal/resil"
 	"loopscope/internal/trace"
+	"loopscope/pkg/loopscope"
 )
 
 // sourceState is one live source: its session, its checkpoint position
@@ -153,10 +154,10 @@ func (s *sourceState) snapshot() SourceCheckpoint {
 }
 
 // info renders the source for /api/v1/sources.
-func (s *sourceState) info() SourceInfo {
+func (s *sourceState) info() loopscope.Source {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inf := SourceInfo{
+	inf := loopscope.Source{
 		Name: s.name, Kind: s.kind, Path: s.path,
 		Status: s.status, Link: s.link,
 		Records: s.cp.Records, LagBytes: s.lagBytes,

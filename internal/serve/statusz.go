@@ -11,7 +11,7 @@ import (
 	"loopscope/internal/analytics"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/flight"
-	"loopscope/internal/stats"
+	"loopscope/pkg/loopscope"
 )
 
 // statuszTmpl renders the human-readable daemon status page: one
@@ -129,7 +129,7 @@ func statuszQuantile(metric string, v int64) string {
 }
 
 // analyticsRows renders the cumulative analytics view for statusz.
-func analyticsRows(st *analytics.Stats) []statuszAnalyticsRow {
+func analyticsRows(st *loopscope.Stats) []statuszAnalyticsRow {
 	rows := make([]statuszAnalyticsRow, 0, len(analytics.Metrics))
 	for _, name := range analytics.Metrics {
 		ms, ok := st.Metrics[name]
@@ -142,7 +142,7 @@ func analyticsRows(st *analytics.Stats) []statuszAnalyticsRow {
 			P50:    statuszQuantile(name, ms.Quantiles["p50"]),
 			P90:    statuszQuantile(name, ms.Quantiles["p90"]),
 			P99:    statuszQuantile(name, ms.Quantiles["p99"]),
-			Spark:  stats.Spark(ms.Buckets),
+			Spark:  analytics.Spark(ms.Buckets),
 		})
 	}
 	return rows
@@ -175,14 +175,14 @@ func (d *Daemon) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		CheckpointAge time.Duration
 		Events        int64
 		RingTotal     int64
-		Sources       []SourceInfo
+		Sources       []loopscope.Source
 		Recent        []statuszRecent
 		FlightOn      bool
 		Flight        flight.Stats
 		LogCounts     []statuszLogCount
 		Health        []statuszHealth
 		Analytics     []statuszAnalyticsRow
-		TopPrefixes   []analytics.TopKItem
+		TopPrefixes   []loopscope.TopPrefix
 		SketchAlpha   float64
 	}{
 		Uptime:    time.Since(d.started).Round(time.Second),

@@ -206,13 +206,13 @@ func TestV1API(t *testing.T) {
 	// gaps or repeats, and agrees with a single max-size page.
 	t.Run("pagination", func(t *testing.T) {
 		var all struct {
-			Events []v1LoopEvent `json:"events"`
+			Events []client.LoopEvent `json:"events"`
 		}
 		getV1(t, srv.URL+"/api/v1/loops?limit=1000", &all)
 		if len(all.Events) == 0 {
 			t.Fatal("no events in the ring")
 		}
-		var walked []v1LoopEvent
+		var walked []client.LoopEvent
 		url := srv.URL + "/api/v1/loops?limit=2"
 		for pages := 0; ; pages++ {
 			if pages > len(all.Events) {
@@ -224,7 +224,7 @@ func TestV1API(t *testing.T) {
 			}
 			var env struct {
 				Data struct {
-					Events []v1LoopEvent `json:"events"`
+					Events []client.LoopEvent `json:"events"`
 				} `json:"data"`
 				Meta struct {
 					Total      *int64 `json:"total"`
@@ -274,7 +274,7 @@ func TestV1API(t *testing.T) {
 
 	// The stats endpoint serves exactly the collector's document.
 	t.Run("stats-matches-collector", func(t *testing.T) {
-		var got analytics.Stats
+		var got client.Stats
 		getV1(t, srv.URL+"/api/v1/stats", &got)
 		want, err := d.cfg.Analytics.Query(analytics.Query{})
 		if err != nil {
@@ -400,14 +400,14 @@ func TestV1StatsQuietSource(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	stats := func(query string) analytics.Stats {
+	stats := func(query string) client.Stats {
 		t.Helper()
 		status, _, body := v1Get(t, srv.URL+"/api/v1/stats?"+query)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", query, status, body)
 		}
 		var env struct {
-			Data analytics.Stats `json:"data"`
+			Data client.Stats `json:"data"`
 		}
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)

@@ -165,31 +165,11 @@ func (h *IntHist) Validate() error {
 }
 
 // Bucket is one histogram bucket of a quantile sketch or an integer
-// histogram, for API exposition: observations v with Lo <= v <= Hi.
+// histogram: observations v with Lo <= v <= Hi. It carries no JSON
+// tags: the stats documents render it as pkg/loopscope's Bucket, which
+// this package does not import, so fibscan never links the HTTP client.
 type Bucket struct {
-	Lo    int64  `json:"lo"`
-	Hi    int64  `json:"hi"`
-	Count uint64 `json:"count"`
-}
-
-// sparkRunes are the sparkline levels, lowest first.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Spark draws the bucket counts as a one-line sparkline scaled to the
-// largest count, "" when there is none.
-func Spark(buckets []Bucket) string {
-	var max uint64
-	for _, b := range buckets {
-		if b.Count > max {
-			max = b.Count
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := make([]rune, len(buckets))
-	for i, b := range buckets {
-		out[i] = sparkRunes[int(b.Count*uint64(len(sparkRunes)-1)/max)]
-	}
-	return string(out)
+	Lo    int64
+	Hi    int64
+	Count uint64
 }

@@ -294,15 +294,6 @@ func TestIntHistExact(t *testing.T) {
 	}
 }
 
-func TestSpark(t *testing.T) {
-	if got := Spark(nil); got != "" {
-		t.Errorf("Spark(nil) = %q", got)
-	}
-	if got := Spark([]Bucket{{Count: 0}, {Count: 1}, {Count: 7}, {Count: 4}}); got != "▁▂█▅" {
-		t.Errorf("Spark = %q", got)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	rng := NewRNG(11)
 	z := NewZipf(rng, 1.1, 100)

@@ -3,8 +3,10 @@ package loopscope
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,5 +111,25 @@ func TestTransportErrorPassthrough(t *testing.T) {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		t.Errorf("got *APIError %v, want raw transport error", err)
+	}
+}
+
+// A reply one byte over the 64 MiB cap is refused with an error that
+// names the cap, not cut short into a misleading JSON decoding error.
+func TestReplyOverCapRefused(t *testing.T) {
+	const limit = 64 << 20
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		head, tail := `{"data":"`, `","meta":{"api":"v1"}}`
+		chunk := strings.Repeat("x", 1<<16)
+		io.WriteString(w, head)
+		for pad := limit + 1 - len(head) - len(tail); pad > 0; pad -= len(chunk) {
+			io.WriteString(w, chunk[:min(pad, len(chunk))])
+		}
+		io.WriteString(w, tail)
+	}))
+	defer ts.Close()
+	_, err := New(ts.URL).Health(context.Background())
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(limit)) {
+		t.Fatalf("err = %v, want a refusal naming the %d-byte cap", err, limit)
 	}
 }

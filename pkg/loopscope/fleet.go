@@ -6,11 +6,24 @@ package loopscope
 // works against either daemon — point it at the aggregator's base URL
 // and use the Fleet* methods.
 
-import (
-	"context"
-	"net/url"
-	"strconv"
-)
+import "context"
+
+// FleetHealth is the aggregator's GET /api/v1/health: liveness plus
+// fleet totals. Its fields are declared in sorted key order, the order
+// the golden wire documents pin.
+type FleetHealth struct {
+	Duplicates int64 `json:"duplicates"`
+	FleetLoops int   `json:"fleetLoops"`
+	// Health names each degraded or failing component; absent while
+	// everything is healthy.
+	Health       map[string]string `json:"health,omitempty"`
+	Observations int64             `json:"observations"`
+	// Status is the worst component state: "ok" only while every
+	// component is healthy.
+	Status   string `json:"status"`
+	UptimeS  int64  `json:"uptimeS"`
+	Vantages int    `json:"vantages"`
+}
 
 // FleetEvidence is one vantage's observation backing a fleet loop:
 // which daemon saw it, the event it published, and the loop shape it
@@ -99,19 +112,21 @@ type FleetStatsQuery struct {
 	Metric  string
 }
 
+// FleetHealth fetches the aggregator's GET /api/v1/health.
+func (c *Client) FleetHealth(ctx context.Context) (*FleetHealth, error) {
+	var h FleetHealth
+	if _, err := c.get(ctx, "/api/v1/health", &h); err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
 // FleetLoops fetches the aggregator's deduplicated loop clusters.
 func (c *Client) FleetLoops(ctx context.Context, q FleetLoopsQuery) ([]FleetLoop, error) {
-	vals := url.Values{}
-	if q.Limit > 0 {
-		vals.Set("limit", strconv.Itoa(q.Limit))
-	}
-	if q.Prefix != "" {
-		vals.Set("prefix", q.Prefix)
-	}
 	var body struct {
 		Loops []FleetLoop `json:"loops"`
 	}
-	if _, err := c.get(ctx, "/api/v1/fleet/loops", vals, &body); err != nil {
+	if _, err := c.get(ctx, "/api/v1/fleet/loops", &body, "limit", positive(int64(q.Limit)), "prefix", q.Prefix); err != nil {
 		return nil, err
 	}
 	return body.Loops, nil
@@ -122,7 +137,7 @@ func (c *Client) FleetVantages(ctx context.Context) ([]FleetVantage, error) {
 	var body struct {
 		Vantages []FleetVantage `json:"vantages"`
 	}
-	if _, err := c.get(ctx, "/api/v1/fleet/vantages", nil, &body); err != nil {
+	if _, err := c.get(ctx, "/api/v1/fleet/vantages", &body); err != nil {
 		return nil, err
 	}
 	return body.Vantages, nil
@@ -133,18 +148,8 @@ func (c *Client) FleetVantages(ctx context.Context) ([]FleetVantage, error) {
 // q.Vantage is set). The document shape is the same Stats the daemon
 // serves.
 func (c *Client) FleetStats(ctx context.Context, q FleetStatsQuery) (*Stats, error) {
-	vals := url.Values{}
-	if q.Window != "" {
-		vals.Set("window", q.Window)
-	}
-	if q.Vantage != "" {
-		vals.Set("vantage", q.Vantage)
-	}
-	if q.Metric != "" {
-		vals.Set("metric", q.Metric)
-	}
 	var st Stats
-	if _, err := c.get(ctx, "/api/v1/fleet/stats", vals, &st); err != nil {
+	if _, err := c.get(ctx, "/api/v1/fleet/stats", &st, "window", q.Window, "vantage", q.Vantage, "metric", q.Metric); err != nil {
 		return nil, err
 	}
 	return &st, nil

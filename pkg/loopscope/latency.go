@@ -5,10 +5,7 @@ package loopscope
 // vantage) sketch table built from the provenance records riding on
 // ingested events.
 
-import (
-	"context"
-	"net/url"
-)
+import "context"
 
 // LatencyExemplar ties one slow observation in a latency row back to
 // its event. The event ID doubles as the originating daemon's
@@ -26,8 +23,9 @@ type LatencySegment struct {
 	Segment string `json:"segment"`
 	Vantage string `json:"vantage"`
 	Count   uint64 `json:"count"`
-	// Clamped counts negative cross-process deltas (vantage clock
-	// ahead of the aggregator) excluded from the sketch.
+	// Clamped counts negative cross-process deltas (vantage clock ahead
+	// of the aggregator) that were clamped to zero and *not* added to
+	// the sketch.
 	Clamped   uint64            `json:"clamped,omitempty"`
 	Mean      float64           `json:"mean"`
 	Min       int64             `json:"min"`
@@ -37,9 +35,11 @@ type LatencySegment struct {
 	Exemplars []LatencyExemplar `json:"exemplars,omitempty"`
 }
 
-// FleetLatency mirrors GET /api/v1/fleet/latency: rows in canonical
-// segment order, vantages sorted within a segment.
+// FleetLatency is GET /api/v1/fleet/latency: rows in canonical
+// segment order, vantages sorted within a segment — a deterministic
+// rendering of deterministic state.
 type FleetLatency struct {
+	// ErrorBound is the sketches' relative quantile error.
 	ErrorBound float64          `json:"errorBound"`
 	Segments   []LatencySegment `json:"segments"`
 }
@@ -53,15 +53,8 @@ type FleetLatencyQuery struct {
 
 // FleetLatency fetches the aggregator's pipeline-latency table.
 func (c *Client) FleetLatency(ctx context.Context, q FleetLatencyQuery) (*FleetLatency, error) {
-	vals := url.Values{}
-	if q.Vantage != "" {
-		vals.Set("vantage", q.Vantage)
-	}
-	if q.Segment != "" {
-		vals.Set("segment", q.Segment)
-	}
 	var fl FleetLatency
-	if _, err := c.get(ctx, "/api/v1/fleet/latency", vals, &fl); err != nil {
+	if _, err := c.get(ctx, "/api/v1/fleet/latency", &fl, "vantage", q.Vantage, "segment", q.Segment); err != nil {
 		return nil, err
 	}
 	return &fl, nil
