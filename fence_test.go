@@ -142,8 +142,8 @@ type jsonStruct struct {
 }
 
 // jsonStructs parses every non-test Go file under dir, testdata
-// directories aside when dir is not one itself, and returns its struct
-// types that name two or more fields in JSON tags.
+// directories below it aside, and returns its struct types that name
+// two or more fields in JSON tags.
 func jsonStructs(t *testing.T, dir string) []jsonStruct {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -152,7 +152,7 @@ func jsonStructs(t *testing.T, dir string) []jsonStruct {
 		if err != nil {
 			return err
 		}
-		if e.IsDir() && e.Name() == "testdata" && path != dir && !strings.HasPrefix(dir, "testdata") {
+		if e.IsDir() && e.Name() == "testdata" {
 			return filepath.SkipDir
 		}
 		if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
