@@ -11,7 +11,7 @@
 //	GET /api/v1/fleet/stats     fleet-wide loop statistics (mergeable sketches)
 //	GET /api/v1/fleet/latency   per-(pipeline segment, vantage) provenance latency table
 //	GET /api/v1/health          liveness and fleet totals
-//	GET /statusz                human status page: vantage health, cursor lag,
+//	GET /api/v1/statusz         human status page: vantage health, cursor lag,
 //	                            pipeline-stage latency breakdowns with exemplar links
 //
 // Two observations correlate into one fleet loop when their
@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		logger.Info("serving fleet API", "url", "http://"+srv.Addr()+"/",
-			"endpoints", "api/v1/{health,ingest,fleet/loops,fleet/vantages,fleet/stats,fleet/latency} statusz metrics")
+			"endpoints", "api/v1/{health,ingest,fleet/loops,fleet/vantages,fleet/stats,fleet/latency,statusz} metrics")
 	}
 
 	// SIGTERM/SIGINT trigger one graceful stop; a second signal kills.

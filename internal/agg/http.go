@@ -36,7 +36,7 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/fleet/vantages", a.v1FleetVantages)
 	mux.HandleFunc("GET /api/v1/fleet/stats", a.v1FleetStats)
 	mux.HandleFunc("GET /api/v1/fleet/latency", a.v1FleetLatency)
-	mux.HandleFunc("GET /statusz", a.handleStatusz)
+	mux.HandleFunc("GET /api/v1/statusz", a.handleStatusz)
 	mux.HandleFunc("POST /api/v1/ingest", a.v1Ingest)
 	if a.cfg.Metrics != nil {
 		mux.Handle("/", a.cfg.Metrics.Handler())

@@ -152,8 +152,17 @@ func TestFleetLatencyEndpoint(t *testing.T) {
 		t.Errorf("unknown segment: %v, want bad_param", err)
 	}
 
-	// The agg statusz renders the vantage and latency tables.
+	// The agg statusz renders the vantage and latency tables, under
+	// /api/v1 as the daemon's does; the bare path answers 404 on both.
 	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/statusz: %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/api/v1/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package agg
 
-// The aggregator's human status page, /statusz: the fleet-tier
+// The aggregator's human status page, /api/v1/statusz: the fleet-tier
 // counterpart of the daemon's (internal/serve/statusz.go, same visual
 // idiom). One glance answers "which vantages are reporting, how far
 // behind is each, and where in the pipeline is the time going" — the

@@ -7,7 +7,7 @@ import (
 )
 
 // The framing codec. Every on-disk field of every format is decoded
-// here and nowhere else (scripts/lint_trace_framing.sh enforces it):
+// here and nowhere else (the decode rule of internal/archtest enforces it):
 // one fileHeader and one record per format, each answering "decoded",
 // "need more bytes" or "malformed" about the bytes it is shown. The
 // three readers are policies over those answers and a shared byte
