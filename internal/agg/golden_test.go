@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"html"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,10 +30,11 @@ import (
 	"loopscope/internal/traffic"
 )
 
-// update rewrites testdata/wire.golden from the current code. The file
-// pins the bytes of every JSON document the daemon and the aggregator
-// emit; regenerate it only for a change that means to alter the wire.
-var update = flag.Bool("update", false, "rewrite testdata/wire.golden from the current code")
+// update rewrites testdata/wire.golden and testdata/statusz.golden from
+// the current code. The first pins the bytes of every JSON document the
+// daemon and the aggregator emit, the second what the two status pages
+// say; regenerate them only for a change that means to alter either.
+var update = flag.Bool("update", false, "rewrite testdata/wire.golden and testdata/statusz.golden from the current code")
 
 // wallClockFields are the keys whose values come from a wall clock.
 // Their values are masked before comparison; their presence and
@@ -49,7 +52,9 @@ var wallClockValue = regexp.MustCompile(`"(` + strings.Join(wallClockFields, "|"
 // the two emit: the daemon's health, one loops page with its cursor,
 // sources, stats, trace index and an error body; the aggregator's
 // health, fleet loops, vantages, stats, latency, an ingest reply and an
-// error body; one journal line and one webhook body.
+// error body; one journal line and one webhook body. The two status
+// pages are pinned beside them, as the projection statuszProjection
+// makes of each.
 func TestGoldenWireDocuments(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.lspt")
@@ -172,10 +177,31 @@ func TestGoldenWireDocuments(t *testing.T) {
 	}
 	section("journal line", lines[0])
 	section("webhook body", hookBodies[0])
+	compareGolden(t, "wire.golden", out.Bytes())
 
-	golden := filepath.Join("testdata", "wire.golden")
+	var pages bytes.Buffer
+	for _, srv := range []struct{ name, url string }{{"daemon", daemon.URL}, {"aggregator", aggSrv.URL}} {
+		resp, err := http.Get(srv.url + "/api/v1/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&pages, "== %s GET /api/v1/statusz (%d) ==\n%s", srv.name, resp.StatusCode, statuszProjection(string(body)))
+	}
+	compareGolden(t, "statusz.golden", pages.Bytes())
+}
+
+// compareGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -184,9 +210,88 @@ func TestGoldenWireDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("wire documents drifted from %s:\n%s", golden, firstDiff(want, out.Bytes()))
+	if !bytes.Equal(got, want) {
+		t.Errorf("documents drifted from %s:\n%s", golden, firstDiff(want, got))
 	}
+}
+
+var (
+	htmlTag   = regexp.MustCompile(`(?s)<(/?)([!a-zA-Z0-9]+)([^>]*)>`)
+	htmlHref  = regexp.MustCompile(`href="([^"]*)"`)
+	htmlStyle = regexp.MustCompile(`(?s)<style>.*?</style>`)
+	// wallClockText masks the summary line's wall-clock durations.
+	wallClockText = regexp.MustCompile(`(uptime|last checkpoint) [^ ]+`)
+)
+
+// wallClockColumns are the status-page columns whose cells come from
+// a wall clock: the daemon's detect-to-journal provenance latency.
+var wallClockColumns = []string{"detect→journal"}
+
+// statuszProjection reduces a status page to what it says, independent
+// of its markup: every text node (the style sheet aside) and every href
+// value in document order, whitespace collapsed. A table row is one line, its cells
+// separated by " | " (an href as [url]); every other element ends a
+// line at its closing tag. Cells under a wallClockColumns header, and
+// the summary line's uptime and checkpoint age, are masked.
+func statuszProjection(page string) string {
+	page = htmlStyle.ReplaceAllString(page, "")
+	var out strings.Builder
+	var line, header []string
+	cell, th := -1, false // cell: index of the open cell in line, -1 outside a row
+	add := func(s string) {
+		if s = strings.Join(strings.Fields(s), " "); s == "" {
+			return
+		}
+		if cell < 0 {
+			line = append(line, s)
+			return
+		}
+		if line[cell] != "" {
+			line[cell] += " "
+		}
+		line[cell] += s
+	}
+	flush := func() {
+		if len(line) > 0 {
+			out.WriteString(wallClockText.ReplaceAllString(strings.Join(line, " | "), "$1 <wall-clock>") + "\n")
+		}
+		line, cell = nil, -1
+	}
+	last := 0
+	for _, m := range htmlTag.FindAllStringSubmatchIndex(page, -1) {
+		add(html.UnescapeString(page[last:m[0]]))
+		last = m[1]
+		closing, tag, attrs := page[m[2]:m[3]] == "/", strings.ToLower(page[m[4]:m[5]]), page[m[6]:m[7]]
+		switch {
+		case tag == "tr" && !closing:
+			flush()
+			th = false
+		case (tag == "td" || tag == "th") && !closing:
+			line = append(line, "")
+			cell = len(line) - 1
+			th = th || tag == "th"
+		case tag == "tr" && th:
+			header = append([]string(nil), line...)
+			flush()
+		case tag == "tr":
+			for i := range line {
+				if i < len(header) && slices.Contains(wallClockColumns, header[i]) && line[i] != "" {
+					line[i] = "<wall-clock>"
+				}
+			}
+			flush()
+		case tag == "table" && closing:
+			header = nil
+		case closing && (tag == "p" || tag == "h1" || tag == "h2" || tag == "title"):
+			flush()
+		}
+		if h := htmlHref.FindStringSubmatch(attrs); h != nil {
+			add("[" + html.UnescapeString(h[1]) + "]")
+		}
+	}
+	add(html.UnescapeString(page[last:]))
+	flush()
+	return out.String()
 }
 
 // writeGoldenTrace writes a seeded 40-second trace with six scripted
