@@ -148,13 +148,13 @@ func runFleet(ctx context.Context, c *loopscope.Client, args []string) (any, err
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"loops": loops}, nil
+		return loopscope.FleetLoopList{Loops: loops}, nil
 	case "vantages":
 		vs, err := c.FleetVantages(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"vantages": vs}, nil
+		return loopscope.FleetVantageList{Vantages: vs}, nil
 	case "stats":
 		fs := flag.NewFlagSet("fleet stats", flag.ExitOnError)
 		window := fs.String("window", "", "time window (e.g. 5m, 1h; empty = all)")

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"time"
 
 	"loopscope/internal/analytics"
 	"loopscope/internal/api"
@@ -20,9 +22,6 @@ import (
 // v1 consumer, including pkg/loopscope and lsq, works against both
 // tiers without special-casing.
 
-// fleetLoopsMaxLimit caps one GET /api/v1/fleet/loops response.
-const fleetLoopsMaxLimit = 1000
-
 // ingestBodyMax bounds a webhook POST body. One loop event is under a
 // kilobyte; a megabyte is paranoid headroom.
 const ingestBodyMax = 1 << 20
@@ -36,7 +35,7 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/fleet/vantages", a.v1FleetVantages)
 	mux.HandleFunc("GET /api/v1/fleet/stats", a.v1FleetStats)
 	mux.HandleFunc("GET /api/v1/fleet/latency", a.v1FleetLatency)
-	mux.HandleFunc("GET /api/v1/statusz", a.handleStatusz)
+	mux.HandleFunc("GET /api/v1/statusz", a.v1Statusz)
 	mux.HandleFunc("POST /api/v1/ingest", a.v1Ingest)
 	if a.cfg.Metrics != nil {
 		mux.Handle("/", a.cfg.Metrics.Handler())
@@ -46,23 +45,29 @@ func (a *Aggregator) Handler() http.Handler {
 
 // v1Health serves GET /api/v1/health: liveness plus fleet totals.
 func (a *Aggregator) v1Health(w http.ResponseWriter, r *http.Request) {
-	if !api.StrictParams(w, r) {
-		return
+	if api.StrictParams(w, r) {
+		api.WriteOK(w, http.StatusOK, a.healthDoc(), loopscope.Meta{})
 	}
+}
+
+// healthDoc is the health document, the status page's summary too.
+func (a *Aggregator) healthDoc() loopscope.FleetHealth {
 	observations, duplicates, fleetLoops, vantages := a.Counts()
-	status := "ok"
-	if worst := a.cfg.Health.Worst(); worst != resil.Healthy {
-		status = worst.String()
-	}
-	api.WriteOK(w, http.StatusOK, loopscope.FleetHealth{
+	return loopscope.FleetHealth{
 		Duplicates:   duplicates,
 		FleetLoops:   fleetLoops,
 		Health:       a.cfg.Health.Snapshot(),
 		Observations: observations,
-		Status:       status,
+		Status:       a.cfg.Health.Status(),
 		UptimeS:      int64(a.now().Sub(a.started).Seconds()),
 		Vantages:     vantages,
-	}, loopscope.Meta{})
+	}
+}
+
+// vantageParam is what ?vantage= may name: a vantage the aggregator
+// has state for.
+func (a *Aggregator) vantageParam() api.Names {
+	return api.Names{Param: "vantage", Known: a.KnownVantage}
 }
 
 // v1FleetLoops serves GET /api/v1/fleet/loops?limit=&prefix=: the
@@ -73,19 +78,12 @@ func (a *Aggregator) v1FleetLoops(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "limit", "prefix") {
 		return
 	}
-	q := r.URL.Query()
-	limit := 0
-	if v := q.Get("limit"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 1 || parsed > fleetLoopsMaxLimit {
-			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam,
-				fmt.Sprintf("limit must be an integer in 1..%d, got %q", fleetLoopsMaxLimit, v))
-			return
-		}
-		limit = parsed
+	limit, ok := api.Limit(w, r, 0)
+	if !ok {
+		return
 	}
 	loops := a.FleetLoops()
-	if prefix := q.Get("prefix"); prefix != "" {
+	if prefix := r.URL.Query().Get("prefix"); prefix != "" {
 		kept := loops[:0]
 		for _, fl := range loops {
 			if fl.Prefix == prefix {
@@ -98,48 +96,28 @@ func (a *Aggregator) v1FleetLoops(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(loops) > limit {
 		loops = loops[len(loops)-limit:]
 	}
-	api.WriteOK(w, http.StatusOK, map[string]any{"loops": loops}, loopscope.Meta{Total: &total})
+	api.WriteOK(w, http.StatusOK, loopscope.FleetLoopList{Loops: loops}, loopscope.Meta{Total: &total})
 }
 
 // v1FleetVantages serves GET /api/v1/fleet/vantages.
 func (a *Aggregator) v1FleetVantages(w http.ResponseWriter, r *http.Request) {
-	if !api.StrictParams(w, r) {
-		return
+	if api.StrictParams(w, r) {
+		api.WriteOK(w, http.StatusOK, loopscope.FleetVantageList{Vantages: a.Vantages()}, loopscope.Meta{})
 	}
-	api.WriteOK(w, http.StatusOK, map[string]any{"vantages": a.Vantages()}, loopscope.Meta{})
 }
 
 // v1FleetStats serves GET /api/v1/fleet/stats?window=&vantage=&metric=:
 // the per-vantage analytics merged fleet-wide (the vantage param
-// narrows to one daemon). Mirrors the daemon's /api/v1/stats error
-// discipline: unknown metric and bad window are bad_param, an unknown
-// vantage is not_found, and a known vantage that has sent no loops yet
-// (a poll target, say) gets the empty document.
+// narrows to one daemon), with the daemon's /api/v1/stats error
+// discipline. A known vantage that has sent no loops yet (a poll
+// target, say) gets the empty document.
 func (a *Aggregator) v1FleetStats(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "window", "vantage", "metric") {
 		return
 	}
-	q := r.URL.Query()
-	window, err := analytics.ParseWindow(q.Get("window"))
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.ErrBadParam, err.Error())
-		return
+	if st := api.Stats(w, r, a.vantageParam(), a.Stats); st != nil {
+		api.WriteOK(w, http.StatusOK, st, loopscope.Meta{})
 	}
-	vantage := q.Get("vantage")
-	if vantage != "" && !a.KnownVantage(vantage) {
-		api.WriteError(w, http.StatusNotFound, api.ErrNotFound, "unknown vantage "+vantage)
-		return
-	}
-	st, err := a.Stats(analytics.Query{Window: window, Source: vantage, Metric: q.Get("metric")})
-	if err != nil {
-		if _, ok := err.(*analytics.ErrUnknownMetric); ok {
-			api.WriteError(w, http.StatusBadRequest, api.ErrBadParam, err.Error())
-		} else {
-			api.WriteError(w, http.StatusNotFound, api.ErrDisabled, err.Error())
-		}
-		return
-	}
-	api.WriteOK(w, http.StatusOK, st, loopscope.Meta{})
 }
 
 // v1FleetLatency serves GET /api/v1/fleet/latency?vantage=&segment=:
@@ -153,28 +131,17 @@ func (a *Aggregator) v1FleetLatency(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "vantage", "segment") {
 		return
 	}
-	q := r.URL.Query()
-	vantage := q.Get("vantage")
-	if vantage != "" && !a.KnownVantage(vantage) {
-		api.WriteError(w, http.StatusNotFound, api.ErrNotFound, "unknown vantage "+vantage)
+	vantage, ok := a.vantageParam().Get(w, r)
+	if !ok {
 		return
 	}
-	segment := q.Get("segment")
+	segment := r.URL.Query().Get("segment")
 	if segment != "" && provenance.SegmentRank(segment) == len(provenance.Segments) {
 		api.WriteError(w, http.StatusBadRequest, api.ErrBadParam,
 			fmt.Sprintf("unknown segment %q (one of %v)", segment, provenance.Segments))
 		return
 	}
 	api.WriteOK(w, http.StatusOK, a.Latency(vantage, segment), loopscope.Meta{})
-}
-
-// ingestResult is POST /api/v1/ingest's response body.
-type ingestResult struct {
-	ID string `json:"id"`
-	// Accepted is false for a duplicate — already-seen deliveries are
-	// a success for an at-least-once webhook sender, not an error.
-	Accepted bool   `json:"accepted"`
-	Vantage  string `json:"vantage"`
 }
 
 // v1Ingest is the push transport: the webhook target loopscoped's
@@ -210,5 +177,68 @@ func (a *Aggregator) v1Ingest(w http.ResponseWriter, r *http.Request) {
 	if vantage == "" {
 		vantage = ev.Source
 	}
-	api.WriteOK(w, http.StatusOK, ingestResult{ID: ev.ID, Accepted: accepted, Vantage: vantage}, loopscope.Meta{})
+	api.WriteOK(w, http.StatusOK, loopscope.IngestReply{ID: ev.ID, Accepted: accepted, Vantage: vantage}, loopscope.Meta{})
+}
+
+// v1Statusz serves the human status page, GET /api/v1/statusz.
+func (a *Aggregator) v1Statusz(w http.ResponseWriter, _ *http.Request) {
+	if err := api.WritePage(w, statusPage(a.healthDoc(), a.Vantages(), a.Latency("", ""))); err != nil {
+		a.log.Error("statusz render failed", "err", err)
+	}
+}
+
+// statusPage builds the aggregator's status page from its health,
+// vantage and latency documents. One glance answers "which vantages are
+// reporting, how far behind is each, and where in the pipeline is the
+// time going"; the component health table lists only the components
+// that are not healthy.
+func statusPage(h loopscope.FleetHealth, vantages []loopscope.FleetVantage, lat *loopscope.FleetLatency) api.Page {
+	p := api.Page{Title: "loopscope-agg", Summary: fmt.Sprintf("uptime %v · %d observations (%d duplicates) · %d fleet loops from %d vantages",
+		time.Duration(h.UptimeS)*time.Second, h.Observations, h.Duplicates, h.FleetLoops, h.Vantages)}
+	unhealthy := map[string]string{}
+	for component, state := range h.Health {
+		if state != resil.Healthy.String() {
+			unhealthy[component] = state
+		}
+	}
+	p.Sections = api.HealthSection(unhealthy)
+
+	vs := api.Section{Heading: "vantages", Columns: api.Columns("name", "transports", "observations#", "duplicates#", "lag#", "cursor#", "clock skew ≤#", "health", "last error")}
+	for _, v := range vantages {
+		var lag, cursor, skew string
+		if v.LagNs > 0 {
+			lag = time.Duration(v.LagNs).Round(time.Millisecond).String()
+		}
+		if v.Cursor != 0 {
+			cursor = strconv.FormatInt(v.Cursor, 10)
+		}
+		if v.SkewSamples > 0 {
+			// The running-min transport delta bounds the clock offset
+			// from above; negative means the vantage clock runs ahead.
+			skew = api.Duration(v.SkewNs)
+		}
+		vs.Rows = append(vs.Rows, api.Row(v.Name, strings.Join(v.Transports, "+"), v.Observations, v.Duplicates, lag, cursor, skew, v.Health, v.LastErr))
+	}
+
+	ls := api.Section{Heading: "pipeline latency",
+		Columns: api.Columns("segment", "vantage", "count#", "clamped#", "p50#", "p90#", "p99#", "distribution", "slowest events"),
+		Note: "cross-process segments (send_ingest, publish_ingest, ingest_cluster, detect_cluster) include inter-host clock offset; " +
+			"clamped counts negative deltas excluded from the sketches."}
+	if len(lat.Segments) == 0 {
+		ls = api.Section{Heading: ls.Heading, Note: "no provenance-carrying observations yet"}
+	}
+	for _, seg := range lat.Segments {
+		var clamped string
+		if seg.Clamped > 0 {
+			clamped = strconv.FormatUint(seg.Clamped, 10)
+		}
+		exemplars := make([]string, len(seg.Exemplars))
+		for i, e := range seg.Exemplars {
+			exemplars[i] = e.EventID + "=" + api.Duration(e.Ns)
+		}
+		ls.Rows = append(ls.Rows, api.Row(seg.Segment, seg.Vantage, seg.Count, clamped, api.Duration(seg.Quantiles["p50"]),
+			api.Duration(seg.Quantiles["p90"]), api.Duration(seg.Quantiles["p99"]), analytics.Spark(seg.Buckets), strings.Join(exemplars, " ")))
+	}
+	p.Sections = append(p.Sections, vs, ls)
+	return p
 }

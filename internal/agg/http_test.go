@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -254,7 +255,7 @@ func TestIngestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: status %d, body %v", resp.StatusCode, env)
 	}
-	var res ingestResult
+	var res loopscope.IngestReply
 	if err := json.Unmarshal(env["data"], &res); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func FuzzIngestBody(f *testing.F) {
 		if !valid {
 			return
 		}
-		var res struct{ Data ingestResult }
+		var res struct{ Data loopscope.IngestReply }
 		if err := json.Unmarshal(resp.Body.Bytes(), &res); err != nil || !res.Data.Accepted {
 			t.Fatalf("200 with %s (%v), want a fresh event accepted", resp.Body, err)
 		}
@@ -379,4 +380,30 @@ func FuzzIngestBody(f *testing.F) {
 			t.Fatalf("vantages %+v after accepting an event from %q", v, res.Data.Vantage)
 		}
 	})
+}
+
+// A fresh aggregator's status page says it has no latency yet, and its
+// health table lists only the components that are not healthy.
+func TestAggStatuszEmpty(t *testing.T) {
+	health := resil.NewHealthSet(nil)
+	health.Set("journal", resil.Healthy)
+	health.Set("vantage:bb1", resil.Degraded)
+	a := newTestAgg(t, Config{Health: health})
+	ts := httptest.NewServer(a.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/v1/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	page := string(body)
+	for _, want := range []string{"no provenance-carrying observations yet", "component health", "vantage:bb1", "degraded"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("statusz missing %q", want)
+		}
+	}
+	if strings.Contains(page, "journal") {
+		t.Error("statusz lists the healthy journal component")
+	}
 }

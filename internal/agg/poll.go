@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"loopscope/internal/api"
 	"loopscope/pkg/loopscope"
 )
 
@@ -22,10 +23,6 @@ type PollTarget struct {
 	Name string
 	URL  string
 }
-
-// pollPageLimit is the page size the poller requests — the server's
-// maximum, to minimize round trips on catch-up.
-const pollPageLimit = 1000
 
 // PollLoop polls target every interval until ctx is done. The first
 // round runs immediately. Once a round discovers the daemon's own
@@ -71,7 +68,9 @@ func (a *Aggregator) pollOnce(ctx context.Context, client *loopscope.Client, tar
 	vantage := ""
 	cursor := int64(0)
 	for {
-		page, err := client.Loops(ctx, loopscope.LoopsQuery{Limit: pollPageLimit, Cursor: cursor})
+		// The largest page the daemon serves, to minimize round trips
+		// on catch-up.
+		page, err := client.Loops(ctx, loopscope.LoopsQuery{Limit: api.MaxLimit, Cursor: cursor})
 		if err != nil {
 			return target.Name, err
 		}

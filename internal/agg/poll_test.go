@@ -31,15 +31,11 @@ func (f *fakeDaemon) handler() http.Handler {
 			cursor, _ = strconv.ParseInt(v, 10, 64)
 		}
 		page := f.ring.PageAfter(cursor, limit, nil)
-		rows := make([]loopscope.LoopEvent, len(page.Events))
-		for i := range page.Events {
-			rows[i] = loopscope.LoopEvent{Seq: page.Seqs[i], Event: page.Events[i]}
-		}
 		meta := loopscope.Meta{Vantage: f.vantage, Total: &page.Total}
 		if page.Next > 0 {
 			meta.NextCursor = &page.Next
 		}
-		api.WriteOK(w, http.StatusOK, map[string]any{"events": rows}, meta)
+		api.WriteOK(w, http.StatusOK, loopscope.EventList{Events: page.Events}, meta)
 	})
 	return mux
 }

@@ -1,6 +1,7 @@
-// Package api holds the /api/v1 wire conventions shared by every
-// HTTP surface in the system — the loopscoped daemon (internal/serve)
-// and the fleet aggregator (internal/agg). One envelope for success:
+// Package api holds the /api/v1 conventions shared by every HTTP
+// surface in the system, the loopscoped daemon (internal/serve) and the
+// fleet aggregator (internal/agg), so that each exists once. One
+// envelope for success:
 //
 //	{"data": …, "meta": {"api": "v1", …}}
 //
@@ -8,28 +9,25 @@
 //
 //	{"error": {"code": "bad_param", "message": "…"}}
 //
-// and one query-parameter contract: unknown or repeated parameters
-// are a 400, never silently ignored. The meta block and the error
-// object are pkg/loopscope's Meta and APIError, so the client that
-// talks to both tiers decodes exactly what they encode.
+// one query-parameter contract: unknown or repeated parameters are a
+// 400, never silently ignored. The envelope is pkg/loopscope's
+// Envelope, so the client that talks to both tiers decodes exactly
+// what they encode. The handler rules both tiers apply (the limit of a
+// listing, the name parameter a 404 guards, the stats query) and the
+// one HTML status page renderer live here too.
 package api
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 
+	"loopscope/internal/analytics"
 	"loopscope/pkg/loopscope"
 )
-
-// Envelope is every v1 response: data and meta on success, the error
-// object alone on failure.
-type Envelope struct {
-	Data  any                 `json:"data,omitempty"`
-	Meta  *loopscope.Meta     `json:"meta,omitempty"`
-	Error *loopscope.APIError `json:"error,omitempty"`
-}
 
 // v1 error codes.
 const (
@@ -41,12 +39,12 @@ const (
 // WriteOK renders one enveloped v1 response.
 func WriteOK(w http.ResponseWriter, code int, data any, meta loopscope.Meta) {
 	meta.API = "v1"
-	WriteJSON(w, code, Envelope{Data: data, Meta: &meta})
+	WriteJSON(w, code, loopscope.Envelope{Data: data, Meta: &meta})
 }
 
 // WriteError renders one v1 error object.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	WriteJSON(w, status, Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
+	WriteJSON(w, status, loopscope.Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
 }
 
 // StrictParams enforces the v1 query-parameter contract: every
@@ -54,14 +52,7 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 // repeated parameter is a 400, never silently ignored.
 func StrictParams(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
 	for name, vals := range r.URL.Query() {
-		known := false
-		for _, a := range allowed {
-			if name == a {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(allowed, name) {
 			WriteError(w, http.StatusBadRequest, ErrBadParam,
 				fmt.Sprintf("unknown parameter %q (allowed: %s)", name, strings.Join(allowed, ", ")))
 			return false
@@ -73,6 +64,75 @@ func StrictParams(w http.ResponseWriter, r *http.Request, allowed ...string) boo
 		}
 	}
 	return true
+}
+
+// MaxLimit caps one page of a listing (GET /api/v1/loops and
+// /api/v1/fleet/loops).
+const MaxLimit = 1000
+
+// Limit parses a listing's optional ?limit=: def when absent, else an
+// integer in 1..MaxLimit; anything else is a 400 and ok is false.
+func Limit(w http.ResponseWriter, r *http.Request, def int) (limit int, ok bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return def, true
+	}
+	limit, err := strconv.Atoi(v)
+	if err != nil || limit < 1 || limit > MaxLimit {
+		WriteError(w, http.StatusBadRequest, ErrBadParam,
+			fmt.Sprintf("limit must be an integer in 1..%d, got %q", MaxLimit, v))
+		return 0, false
+	}
+	return limit, true
+}
+
+// Names is what an optional name parameter (?source=, ?vantage=) may
+// name.
+type Names struct {
+	Param string
+	Known func(name string) bool
+	// List, when set, returns every valid name for the 404's message.
+	List func() []string
+}
+
+// Get returns the parameter's value: empty or known, or a 404
+// not_found and ok false.
+func (n Names) Get(w http.ResponseWriter, r *http.Request) (name string, ok bool) {
+	name = r.URL.Query().Get(n.Param)
+	if name == "" || n.Known(name) {
+		return name, true
+	}
+	msg := "unknown " + n.Param + " " + name
+	if n.List != nil {
+		msg = fmt.Sprintf("unknown %s %q (have: %s)", n.Param, name, strings.Join(n.List(), ", "))
+	}
+	WriteError(w, http.StatusNotFound, ErrNotFound, msg)
+	return "", false
+}
+
+// Stats runs a stats request's query: ?window= (a 400 when malformed),
+// the name parameter n guards, and ?metric=. An unknown metric is a
+// 400 and any other query error a 404 disabled; either way st is nil.
+func Stats(w http.ResponseWriter, r *http.Request, n Names, query func(analytics.Query) (*loopscope.Stats, error)) (st *loopscope.Stats) {
+	window, err := analytics.ParseWindow(r.URL.Query().Get("window"))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, ErrBadParam, err.Error())
+		return nil
+	}
+	name, ok := n.Get(w, r)
+	if !ok {
+		return nil
+	}
+	st, err = query(analytics.Query{Window: window, Source: name, Metric: r.URL.Query().Get("metric")})
+	if err == nil {
+		return st
+	}
+	if _, unknown := err.(*analytics.ErrUnknownMetric); unknown {
+		WriteError(w, http.StatusBadRequest, ErrBadParam, err.Error())
+	} else {
+		WriteError(w, http.StatusNotFound, ErrDisabled, err.Error())
+	}
+	return nil
 }
 
 // WriteJSON renders one API response.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/types"
 	"path"
 	"path/filepath"
 	"reflect"
@@ -88,9 +89,21 @@ var rules = []rule{{
 	check:  fences,
 }, {
 	name:   "wire",
-	reason: "every JSON document the daemon and the aggregator emit is declared once, in pkg/loopscope, and the servers alias it; a struct under internal/ or cmd/ whose JSON names (two or more) are the same set as a pkg/loopscope type's is a second declaration, kept in step only by luck",
+	reason: "every JSON document the daemon and the aggregator emit is declared once, in pkg/loopscope, and the servers alias it; a struct under internal/ or cmd/ whose JSON names (two or more) are the same set as a pkg/loopscope type's is a second declaration, kept in step only by luck, and a map[string]any literal in internal/serve, internal/agg or cmd/lsq, or a JSON-tagged anonymous struct in a pkg/loopscope function, is a body no type declares",
 	dirs:   []string{"pkg/loopscope", "internal", "cmd"},
-	check:  wire,
+	flag: func(f *file, d ast.Decl, e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.CompositeLit:
+			m, ok := e.Type.(*ast.MapType)
+			server := under(f.path, "internal/serve") || under(f.path, "internal/agg") || under(f.path, "cmd/lsq")
+			return ok && server && types.ExprString(m.Key) == "string" && slices.Contains([]string{"any", "interface{}"}, types.ExprString(m.Value))
+		case *ast.StructType:
+			fn, ok := d.(*ast.FuncDecl)
+			return ok && fn.Body != nil && e.Pos() > fn.Body.Lbrace && under(f.path, "pkg/loopscope") && len(jsonNames(e)) > 0
+		}
+		return false
+	},
+	check: wire,
 }, {
 	name:   "http-surface",
 	reason: `the daemon and the aggregator serve one HTTP surface, under /api/v1/, so a retired path answers 404 on both tiers; the metrics handler's own routes (/metrics, /debug/) come in through its "/" mount`,
@@ -188,11 +201,11 @@ func wire(t *tree, files []*file) []string {
 		ast.Inspect(f.syntax, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok && home && n.Assign == 0 && jsonNames(st) != "" {
-					schema[jsonNames(st)] = n.Name.Name
+				if st, ok := n.Type.(*ast.StructType); ok && home && n.Assign == 0 && len(jsonNames(st)) > 1 {
+					schema[strings.Join(jsonNames(st), ",")] = n.Name.Name
 				}
 			case *ast.StructType:
-				if w, ok := schema[jsonNames(n)]; ok && !home {
+				if w, ok := schema[strings.Join(jsonNames(n), ",")]; ok && !home && len(jsonNames(n)) > 1 {
 					out = append(out, t.at(n, "redeclares loopscope."+w))
 				}
 			}
@@ -205,10 +218,9 @@ func wire(t *tree, files []*file) []string {
 	return out
 }
 
-// jsonNames returns the JSON names st's tags give its fields, sorted and
-// comma-joined, or "" for fewer than two; untagged and "-" fields are
-// left out.
-func jsonNames(st *ast.StructType) string {
+// jsonNames returns the JSON names st's tags give its fields, sorted;
+// untagged and "-" fields are left out.
+func jsonNames(st *ast.StructType) []string {
 	var names []string
 	for _, fld := range st.Fields.List {
 		if fld.Tag == nil {
@@ -219,9 +231,6 @@ func jsonNames(st *ast.StructType) string {
 			names = append(names, name)
 		}
 	}
-	if len(names) < 2 {
-		return ""
-	}
 	slices.Sort(names)
-	return strings.Join(names, ",")
+	return names
 }

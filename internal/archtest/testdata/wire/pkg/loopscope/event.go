@@ -1,5 +1,5 @@
-// Package loopscope is not built: with internal/serve/event.go it is
-// the input that proves the wire rule fires. Event carries the real
+// Package loopscope is not built: with the rest of this tree it is the
+// input that proves the wire rule fires. Event carries the real
 // loopscope.Event's JSON names.
 package loopscope
 

@@ -101,3 +101,12 @@ func (s *HealthSet) Worst() Health {
 	}
 	return worst
 }
+
+// Status is the health documents' one-word rollup: "ok" while every
+// component is healthy, else the worst state's name.
+func (s *HealthSet) Status() string {
+	if worst := s.Worst(); worst != Healthy {
+		return worst.String()
+	}
+	return "ok"
+}

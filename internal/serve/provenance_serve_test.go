@@ -57,7 +57,8 @@ func TestProvenancePushPullIdenticalRecords(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, e := range pulled {
+	for _, le := range pulled {
+		e := le.Event
 		p := e.Prov
 		if p == nil {
 			t.Fatalf("ring event %s has no provenance", e.ID)

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"sync"
+
+	"loopscope/pkg/loopscope"
 )
 
 // Ring is the in-memory sink behind the HTTP API: a fixed-capacity
@@ -10,8 +12,7 @@ import (
 // fails; old events fall off the back.
 type Ring struct {
 	mu    sync.Mutex
-	buf   []Event
-	seqs  []int64 // seqs[i] is buf[i]'s publish sequence (1-based)
+	buf   []loopscope.LoopEvent // each event with its publish sequence (1-based)
 	next  int
 	total int64
 }
@@ -21,7 +22,7 @@ func NewRing(size int) *Ring {
 	if size < 1 {
 		size = 1
 	}
-	return &Ring{buf: make([]Event, 0, size)}
+	return &Ring{buf: make([]loopscope.LoopEvent, 0, size)}
 }
 
 // Name implements Sink.
@@ -33,11 +34,9 @@ func (r *Ring) Publish(e Event) {
 	defer r.mu.Unlock()
 	r.total++
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		r.seqs = append(r.seqs, r.total)
+		r.buf = append(r.buf, loopscope.LoopEvent{Seq: r.total, Event: e})
 	} else {
-		r.buf[r.next] = e
-		r.seqs[r.next] = r.total
+		r.buf[r.next] = loopscope.LoopEvent{Seq: r.total, Event: e}
 	}
 	r.next = (r.next + 1) % cap(r.buf)
 }
@@ -54,17 +53,17 @@ func (r *Ring) Total() int64 {
 
 // Page is one page of a cursor walk over the ring.
 type Page struct {
-	// Events are up to limit retained events, newest first.
-	Events []Event
-	// Seqs are the events' publish sequence numbers (1-based,
-	// monotonically assigned), parallel to Events.
-	Seqs []int64
+	// Events are up to limit retained events, newest first, each with
+	// its publish sequence number (1-based, monotonically assigned).
+	Events []loopscope.LoopEvent
 	// Next is the cursor for the following (older) page, or 0 when the
 	// walk is exhausted — either the ring's retention ends or event 1
 	// was reached.
 	Next int64
-	// Total is the number of events ever published.
+	// Total is the number of events ever published, Held the number
+	// the ring retains.
 	Total int64
+	Held  int
 }
 
 // PageAfter returns up to limit events with sequence <= cursor that
@@ -75,7 +74,7 @@ type Page struct {
 func (r *Ring) PageAfter(cursor int64, limit int, keep func(Event) bool) Page {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := Page{Events: []Event{}, Seqs: []int64{}, Total: r.total}
+	p := Page{Events: []loopscope.LoopEvent{}, Total: r.total, Held: len(r.buf)}
 	size := len(r.buf)
 	if size == 0 || limit <= 0 {
 		return p
@@ -84,19 +83,17 @@ func (r *Ring) PageAfter(cursor int64, limit int, keep func(Event) bool) Page {
 		cursor = r.total
 	}
 	for i := 0; i < size; i++ {
-		idx := (r.next - 1 - i + 2*size) % size
-		seq := r.seqs[idx]
-		if seq > cursor {
+		le := r.buf[(r.next-1-i+2*size)%size]
+		if le.Seq > cursor {
 			continue
 		}
 		if len(p.Events) == limit {
 			// One more retained candidate exists past the page: point at it.
-			p.Next = seq
+			p.Next = le.Seq
 			return p
 		}
-		if keep == nil || keep(r.buf[idx]) {
-			p.Events = append(p.Events, r.buf[idx])
-			p.Seqs = append(p.Seqs, seq)
+		if keep == nil || keep(le.Event) {
+			p.Events = append(p.Events, le)
 		}
 	}
 	return p

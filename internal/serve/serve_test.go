@@ -971,11 +971,11 @@ func TestRingPageNewest(t *testing.T) {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
 	for i, e := range got {
-		if want := testEvent(5 - i).ID; e.ID != want {
-			t.Fatalf("newest[%d] = %s, want %s", i, e.ID, want)
+		if want := testEvent(5 - i).ID; e.Event.ID != want {
+			t.Fatalf("newest[%d] = %s, want %s", i, e.Event.ID, want)
 		}
 	}
-	if got := r.PageAfter(0, 2, nil).Events; len(got) != 2 || got[0].ID != testEvent(5).ID {
+	if got := r.PageAfter(0, 2, nil).Events; len(got) != 2 || got[0].Event.ID != testEvent(5).ID {
 		t.Fatalf("PageAfter(0, 2) = %v", got)
 	}
 }

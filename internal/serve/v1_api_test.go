@@ -514,3 +514,21 @@ func TestV1OnlineMatchesOffline(t *testing.T) {
 		t.Errorf("top prefixes differ: online %v, offline %v", online.TopPrefixes, offline.TopPrefixes)
 	}
 }
+
+// The status page counts every event published and, separately, the
+// events the ring holds: past ringSize the two part.
+func TestStatuszRingCount(t *testing.T) {
+	d, err := New(Config{Detector: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1030; i++ {
+		d.publish(Event{ID: fmt.Sprintf("e%d", i), Source: "s", Prefix: "10.0.0.0/24"})
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	status, _, body := v1Get(t, srv.URL+"/api/v1/statusz")
+	if want := "1030 events (1024 in ring)"; status != http.StatusOK || !strings.Contains(string(body), want) {
+		t.Errorf("statusz: status %d, want 200 and %q in\n%s", status, want, body)
+	}
+}

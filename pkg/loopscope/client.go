@@ -4,9 +4,10 @@
 // Every JSON document the daemon (loopscoped) and the fleet aggregator
 // (loopscope-agg) emit is declared here, once: the loop event that is
 // a journal line, a webhook body and an /api/v1/loops row, the source,
-// stats and latency documents, the health documents and the envelope
-// metadata. The servers render these types directly, so the client
-// decodes exactly what they encode. The package imports the standard
+// stats and latency documents, the health documents, the envelope, the
+// list bodies and the ingest reply. The servers render these types
+// directly, and the client decodes into them, so it decodes exactly
+// what they encode. The package imports the standard
 // library only.
 //
 // Every v1 response arrives in one envelope — {"data": …, "meta":
@@ -55,6 +56,14 @@ type Meta struct {
 	Total *int64 `json:"total,omitempty"`
 	// NextCursor, when present, fetches the next (older) page.
 	NextCursor *int64 `json:"nextCursor,omitempty"`
+}
+
+// Envelope is every v1 reply: data and meta on success, the error
+// object alone on failure.
+type Envelope struct {
+	Data  any       `json:"data,omitempty"`
+	Meta  *Meta     `json:"meta,omitempty"`
+	Error *APIError `json:"error,omitempty"`
 }
 
 // APIError is the v1 error object ("error" in an error reply) plus the
@@ -194,6 +203,11 @@ type LoopEvent struct {
 	Event Event `json:"event"`
 }
 
+// EventList is the data of GET /api/v1/loops.
+type EventList struct {
+	Events []LoopEvent `json:"events"`
+}
+
 // LoopPage is one page of GET /api/v1/loops, newest first.
 type LoopPage struct {
 	Events []LoopEvent
@@ -232,6 +246,16 @@ type Source struct {
 	LagSegments int64  `json:"lagSegments,omitempty"`
 	Restarts    int64  `json:"restarts"`
 	LastErr     string `json:"lastError,omitempty"`
+}
+
+// SourceList is the data of GET /api/v1/sources.
+type SourceList struct {
+	Sources []Source `json:"sources"`
+}
+
+// TrailList is the data of GET /api/v1/trace: the sealed trail IDs.
+type TrailList struct {
+	Trails []string `json:"trails"`
 }
 
 // Bucket is one histogram bucket of a stats or latency row:
@@ -288,19 +312,13 @@ type StatsQuery struct {
 
 // Health fetches GET /api/v1/health.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
-	var h Health
-	if _, err := c.get(ctx, "/api/v1/health", &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return fetch[Health](ctx, c, "/api/v1/health")
 }
 
 // Loops fetches one page of GET /api/v1/loops. Walk the full ring by
 // following NextCursor until it is zero.
 func (c *Client) Loops(ctx context.Context, q LoopsQuery) (*LoopPage, error) {
-	var body struct {
-		Events []LoopEvent `json:"events"`
-	}
+	var body EventList
 	meta, err := c.get(ctx, "/api/v1/loops", &body,
 		"limit", positive(int64(q.Limit)), "cursor", positive(q.Cursor), "source", q.Source)
 	if err != nil {
@@ -318,45 +336,37 @@ func (c *Client) Loops(ctx context.Context, q LoopsQuery) (*LoopPage, error) {
 
 // Sources fetches GET /api/v1/sources, sorted by name.
 func (c *Client) Sources(ctx context.Context) ([]Source, error) {
-	var body struct {
-		Sources []Source `json:"sources"`
-	}
-	if _, err := c.get(ctx, "/api/v1/sources", &body); err != nil {
+	l, err := fetch[SourceList](ctx, c, "/api/v1/sources")
+	if err != nil {
 		return nil, err
 	}
-	return body.Sources, nil
+	return l.Sources, nil
 }
 
 // Stats fetches GET /api/v1/stats for the given window, source, and
 // metric selection.
 func (c *Client) Stats(ctx context.Context, q StatsQuery) (*Stats, error) {
-	var st Stats
-	if _, err := c.get(ctx, "/api/v1/stats", &st, "window", q.Window, "source", q.Source, "metric", q.Metric); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return fetch[Stats](ctx, c, "/api/v1/stats", "window", q.Window, "source", q.Source, "metric", q.Metric)
 }
 
 // TraceIDs fetches the sealed trail index, GET /api/v1/trace.
 func (c *Client) TraceIDs(ctx context.Context) ([]string, error) {
-	var body struct {
-		Trails []string `json:"trails"`
-	}
-	if _, err := c.get(ctx, "/api/v1/trace", &body); err != nil {
+	l, err := fetch[TrailList](ctx, c, "/api/v1/trace")
+	if err != nil {
 		return nil, err
 	}
-	return body.Trails, nil
+	return l.Trails, nil
 }
 
 // Trace fetches one sealed decision trail, GET /api/v1/trace/{id}.
 // The trail schema is owned by the daemon's flight recorder and
 // evolves with it, so the client passes the document through verbatim.
 func (c *Client) Trace(ctx context.Context, id string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if _, err := c.get(ctx, "/api/v1/trace/"+url.PathEscape(id), &raw); err != nil {
+	raw, err := fetch[json.RawMessage](ctx, c, "/api/v1/trace/"+url.PathEscape(id))
+	if err != nil {
 		return nil, err
 	}
-	return raw, nil
+	return *raw, nil
 }
 
 // maxReply caps one v1 reply body.
@@ -369,6 +379,15 @@ func positive(n int64) string {
 		return ""
 	}
 	return strconv.FormatInt(n, 10)
+}
+
+// fetch is get for a document of type T.
+func fetch[T any](ctx context.Context, c *Client, path string, params ...string) (*T, error) {
+	var doc T
+	if _, err := c.get(ctx, path, &doc, params...); err != nil {
+		return nil, err
+	}
+	return &doc, nil
 }
 
 // get performs one v1 request with the non-empty parameters of params,
@@ -406,11 +425,8 @@ func (c *Client) get(ctx context.Context, path string, data any, params ...strin
 	if len(body) > maxReply {
 		return Meta{}, fmt.Errorf("loopscope: %s reply exceeds %d bytes", path, maxReply)
 	}
-	var env struct {
-		Data  json.RawMessage `json:"data"`
-		Meta  Meta            `json:"meta"`
-		Error *APIError       `json:"error"`
-	}
+	var raw json.RawMessage
+	env := Envelope{Data: &raw}
 	decodeErr := json.Unmarshal(body, &env)
 	if resp.StatusCode != http.StatusOK {
 		if decodeErr == nil && env.Error != nil && env.Error.Code != "" {
@@ -423,13 +439,17 @@ func (c *Client) get(ctx context.Context, path string, data any, params ...strin
 	if decodeErr != nil {
 		return Meta{}, fmt.Errorf("loopscope: decoding %s envelope: %w", path, decodeErr)
 	}
-	if env.Meta.API != "v1" {
-		return Meta{}, fmt.Errorf("loopscope: %s answered api %q, want v1", path, env.Meta.API)
+	var meta Meta
+	if env.Meta != nil {
+		meta = *env.Meta
+	}
+	if meta.API != "v1" {
+		return Meta{}, fmt.Errorf("loopscope: %s answered api %q, want v1", path, meta.API)
 	}
 	if data != nil {
-		if err := json.Unmarshal(env.Data, data); err != nil {
+		if err := json.Unmarshal(raw, data); err != nil {
 			return Meta{}, fmt.Errorf("loopscope: decoding %s data: %w", path, err)
 		}
 	}
-	return env.Meta, nil
+	return meta, nil
 }

@@ -95,6 +95,25 @@ type FleetVantage struct {
 	SkewSamples int64 `json:"skewSamples,omitempty"`
 }
 
+// FleetLoopList is the data of GET /api/v1/fleet/loops.
+type FleetLoopList struct {
+	Loops []FleetLoop `json:"loops"`
+}
+
+// FleetVantageList is the data of GET /api/v1/fleet/vantages.
+type FleetVantageList struct {
+	Vantages []FleetVantage `json:"vantages"`
+}
+
+// IngestReply is the data of POST /api/v1/ingest.
+type IngestReply struct {
+	ID string `json:"id"`
+	// Accepted is false for a duplicate: an already-seen delivery is a
+	// success for an at-least-once webhook sender, not an error.
+	Accepted bool   `json:"accepted"`
+	Vantage  string `json:"vantage"`
+}
+
 // FleetLoopsQuery selects GET /api/v1/fleet/loops. Zero values mean
 // the server defaults: every fleet loop, oldest first.
 type FleetLoopsQuery struct {
@@ -114,33 +133,25 @@ type FleetStatsQuery struct {
 
 // FleetHealth fetches the aggregator's GET /api/v1/health.
 func (c *Client) FleetHealth(ctx context.Context) (*FleetHealth, error) {
-	var h FleetHealth
-	if _, err := c.get(ctx, "/api/v1/health", &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return fetch[FleetHealth](ctx, c, "/api/v1/health")
 }
 
 // FleetLoops fetches the aggregator's deduplicated loop clusters.
 func (c *Client) FleetLoops(ctx context.Context, q FleetLoopsQuery) ([]FleetLoop, error) {
-	var body struct {
-		Loops []FleetLoop `json:"loops"`
-	}
-	if _, err := c.get(ctx, "/api/v1/fleet/loops", &body, "limit", positive(int64(q.Limit)), "prefix", q.Prefix); err != nil {
+	l, err := fetch[FleetLoopList](ctx, c, "/api/v1/fleet/loops", "limit", positive(int64(q.Limit)), "prefix", q.Prefix)
+	if err != nil {
 		return nil, err
 	}
-	return body.Loops, nil
+	return l.Loops, nil
 }
 
 // FleetVantages fetches the per-vantage standing table, sorted by name.
 func (c *Client) FleetVantages(ctx context.Context) ([]FleetVantage, error) {
-	var body struct {
-		Vantages []FleetVantage `json:"vantages"`
-	}
-	if _, err := c.get(ctx, "/api/v1/fleet/vantages", &body); err != nil {
+	l, err := fetch[FleetVantageList](ctx, c, "/api/v1/fleet/vantages")
+	if err != nil {
 		return nil, err
 	}
-	return body.Vantages, nil
+	return l.Vantages, nil
 }
 
 // FleetStats fetches fleet-wide loop statistics: the per-vantage
@@ -148,9 +159,5 @@ func (c *Client) FleetVantages(ctx context.Context) ([]FleetVantage, error) {
 // q.Vantage is set). The document shape is the same Stats the daemon
 // serves.
 func (c *Client) FleetStats(ctx context.Context, q FleetStatsQuery) (*Stats, error) {
-	var st Stats
-	if _, err := c.get(ctx, "/api/v1/fleet/stats", &st, "window", q.Window, "vantage", q.Vantage, "metric", q.Metric); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return fetch[Stats](ctx, c, "/api/v1/fleet/stats", "window", q.Window, "vantage", q.Vantage, "metric", q.Metric)
 }

@@ -53,9 +53,5 @@ type FleetLatencyQuery struct {
 
 // FleetLatency fetches the aggregator's pipeline-latency table.
 func (c *Client) FleetLatency(ctx context.Context, q FleetLatencyQuery) (*FleetLatency, error) {
-	var fl FleetLatency
-	if _, err := c.get(ctx, "/api/v1/fleet/latency", &fl, "vantage", q.Vantage, "segment", q.Segment); err != nil {
-		return nil, err
-	}
-	return &fl, nil
+	return fetch[FleetLatency](ctx, c, "/api/v1/fleet/latency", "vantage", q.Vantage, "segment", q.Segment)
 }

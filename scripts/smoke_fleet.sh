@@ -119,6 +119,19 @@ if [ -z "$stat_loops" ] || [ "$stat_loops" != "$((obs1 + obs2))" ]; then
 fi
 echo "OK: $loops fleet loops deduplicated from $((obs1 + obs2)) observations, all dual-attributed"
 
+echo "== aggregator status page: both vantages listed"
+fetch() { if command -v curl >/dev/null 2>&1; then curl -fsS "$1"; else wget -qO- "$1"; fi; }
+# Capture the page before grepping it: see the pipefail note in
+# smoke_loopscoped.sh.
+fetch "${aggurl}api/v1/statusz" > "$work/agg-statusz.html"
+for want in loopscope-agg bb1 bb2; do
+    if ! grep -q "$want" "$work/agg-statusz.html"; then
+        echo "FAIL: the aggregator's /api/v1/statusz does not show $want" >&2
+        cat "$work/agg-statusz.html" >&2
+        exit 1
+    fi
+done
+
 echo "== pipeline provenance: detect->cluster latency populated for both vantages"
 "$work/bin/lsq" -addr "$aggurl" fleet latency -json > "$work/fleet-latency.json"
 flat_latency="$(tr -d ' \n' < "$work/fleet-latency.json")"
