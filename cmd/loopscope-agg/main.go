@@ -14,10 +14,12 @@
 //	GET /api/v1/statusz         human status page: vantage health, cursor lag,
 //	                            pipeline-stage latency breakdowns with exemplar links
 //
-// Two observations correlate into one fleet loop when their
-// destination prefixes agree after aggregation to -agg-bits, their
-// TTL deltas differ by at most -ttl-slack, and their time windows
-// overlap within -join-window.
+// A fleet loop is a connected component of observations: two join
+// when they share a stream identity (the same packet, seen on two
+// links of the loop's cycle), when one is a drain-truncated emission
+// of the other, or — for events from daemons that predate identities —
+// when they share a /24, a TTL delta and a window within 5 s. The loop
+// set is the same whatever order the observations arrive in.
 //
 // Accepted observations are journaled (append-only JSONL, torn tails
 // quarantined) before they mutate state, so kill -9 at any point
@@ -83,9 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpPath       = fs.String("checkpoint", "", "persist pull cursors atomically here")
 		cpInterval   = fs.Duration("checkpoint-interval", time.Second, "cursor checkpoint period")
 		pollInterval = fs.Duration("poll-interval", 2*time.Second, "poll period per -poll target")
-		aggBits      = fs.Int("agg-bits", agg.DefaultAggBits, "aggregate destination prefixes to this length for correlation")
-		joinWindow   = fs.Duration("join-window", agg.DefaultJoinWindow, "time slack when matching observation windows across vantages")
-		ttlSlack     = fs.Int("ttl-slack", agg.DefaultTTLSlack, "max TTL-delta difference still considered the same loop")
 	)
 	newLogger := obs.BindLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -115,9 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg.Gauge(obs.LabelMetric(obs.MetricComponentHealth, "component", component)).Set(int64(h))
 	})
 	a, err := agg.New(agg.Config{
-		AggBits:    *aggBits,
-		JoinWindow: *joinWindow,
-		TTLSlack:   *ttlSlack,
 		Journal:    *journalPath,
 		Checkpoint: *cpPath,
 		Metrics:    reg,

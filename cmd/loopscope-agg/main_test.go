@@ -27,7 +27,7 @@ func TestRunHelpExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-h exited %d, want 0", code)
 	}
-	for _, flag := range []string{"-poll", "-journal", "-checkpoint", "-agg-bits", "-join-window", "-ttl-slack"} {
+	for _, flag := range []string{"-poll", "-journal", "-checkpoint", "-http"} {
 		if !strings.Contains(stderr, flag) {
 			t.Errorf("-h output does not document %s", flag)
 		}
@@ -46,8 +46,8 @@ func TestFlagSurface(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"agg-bits", "checkpoint", "checkpoint-interval", "http", "join-window",
-		"journal", "log-format", "log-level", "poll", "poll-interval", "ttl-slack",
+		"checkpoint", "checkpoint-interval", "http", "journal",
+		"log-format", "log-level", "poll", "poll-interval",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags = %q\nwant    %q", got, want)
@@ -69,7 +69,6 @@ func TestRunBadFlagsUsageError(t *testing.T) {
 		{"-definitely-not-a-flag"},
 		{"-http", ":0", "-log-level", "shouting"},
 		{"-http", ":0", "-log-format", "yaml"},
-		{"-http", ":0", "-agg-bits", "40"},
 		{"-http", ":0", "positional"},
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {

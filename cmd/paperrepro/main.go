@@ -29,6 +29,7 @@ import (
 	"loopscope/cmd/paperrepro/internal/baseline"
 	"loopscope/cmd/paperrepro/internal/corr"
 	"loopscope/cmd/paperrepro/internal/indicator"
+	"loopscope/internal/agg"
 	"loopscope/internal/analysis"
 	"loopscope/internal/capture"
 	"loopscope/internal/core"
@@ -39,9 +40,11 @@ import (
 	"loopscope/internal/routing/dvr"
 	"loopscope/internal/routing/igp"
 	"loopscope/internal/scenario"
+	"loopscope/internal/serve"
 	"loopscope/internal/stats"
 	"loopscope/internal/trace"
 	"loopscope/internal/traffic"
+	"loopscope/pkg/loopscope"
 )
 
 // experiment is one section of the output: the -exp name that selects
@@ -400,7 +403,11 @@ func runDVR(w io.Writer, _ *session) {
 	fmt.Fprintf(w, "%-26s %14d %14d\n", "replica streams", s1, s2)
 }
 
-// runDual runs the two-tap experiment and correlates the traces.
+// runDual runs the two-tap experiment and correlates the traces the
+// way a fleet does: each tap's loops go to the aggregator as one
+// vantage's events, and the loops seen at both taps are the fleet
+// loops attributed to both. The stream counts and the tap separation
+// come from joining the two results on the packet identity.
 func runDual(w io.Writer, s *session) {
 	dur := time.Duration(float64(3*time.Minute) * s.scale)
 	if dur < 2*time.Minute {
@@ -427,7 +434,50 @@ func runDual(w io.Writer, s *session) {
 	resB := detect(m2, core.DefaultConfig())
 	fmt.Fprintf(w, "upstream tap:   %d packets, %d streams, %d loops\n", len(m1), len(resA.Streams), len(resA.Loops))
 	fmt.Fprintf(w, "downstream tap: %d packets, %d streams, %d loops\n", len(m2), len(resB.Streams), len(resB.Loops))
-	fmt.Fprint(w, analysis.RenderCrossLink(analysis.MatchCrossLink(resA, resB)))
+
+	a, err := agg.New(agg.Config{})
+	if err != nil {
+		panic(err)
+	}
+	defer a.Close()
+	for tap, res := range map[string]*core.Result{"upstream": resA, "downstream": resB} {
+		for i, l := range res.Loops {
+			ev := loopscope.Event{ID: fmt.Sprint(i), Prefix: l.Prefix.String(), StartNs: int64(l.Start), EndNs: int64(l.End),
+				TTLDelta: l.Streams[0].TTLDelta(), Idents: serve.LoopIdents(l)}
+			if _, err := a.Ingest(agg.Observation{Vantage: tap, Event: ev}); err != nil {
+				panic(err)
+			}
+		}
+	}
+	loops := make(map[string]int) // by attribution
+	for _, fl := range a.FleetLoops() {
+		loops[strings.Join(fl.Vantages, "+")]++
+	}
+
+	downstream := make(map[uint64]*core.ReplicaStream, len(resB.Streams))
+	for _, s := range resB.Streams {
+		downstream[s.Ident] = s
+	}
+	pairs := 0
+	var offsets stats.IntHist // TTL offset of each pair: the router hops from tap to tap
+	for _, sa := range resA.Streams {
+		if sb, ok := downstream[sa.Ident]; ok {
+			delete(downstream, sa.Ident)
+			pairs++
+			// The downstream tap may have missed the first revolution:
+			// the offset counts modulo the loop's TTL decrement.
+			d := sa.TTLDelta()
+			offsets.Add(((int(sa.Replicas[0].TTL)-int(sb.Replicas[0].TTL))%d + d) % d)
+		}
+	}
+	fmt.Fprintf(w, "Cross-link correlation:\n")
+	fmt.Fprintf(w, "  streams seen at both taps: %d (only upstream %d, only downstream %d)\n",
+		pairs, len(resA.Streams)-pairs, len(downstream))
+	fmt.Fprintf(w, "  loops seen at both taps:   %d (only upstream %d, only downstream %d)\n",
+		loops["downstream+upstream"], loops["upstream"], loops["downstream"])
+	if pairs > 0 {
+		fmt.Fprintf(w, "  inferred tap separation:   %d router hop(s) (modal TTL offset)\n", offsets.Mode())
+	}
 }
 
 // runDamping compares a flapping external prefix with and without

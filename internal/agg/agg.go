@@ -5,23 +5,35 @@
 // routing loop seen from different vantages, and emits cluster-level
 // FleetLoop records carrying per-vantage evidence.
 //
-// Correlation model: two observations describe the same loop when
-// their destination prefixes fall in the same aggregated prefix
-// (masked to Config.AggBits), their TTL deltas differ by at most
-// Config.TTLSlack (the TTL decrement is the loop's router-cycle
-// length — vantages watching the same cycle measure the same delta),
-// and their time windows overlap within Config.JoinWindow. The
-// cluster's window grows to the union of its members', so a loop that
-// flaps across a long outage accretes every vantage's view.
+// Correlation model: a packet caught in a loop crosses every link of
+// the cycle, so taps on one cycle see the same packets. A fleet loop
+// is a connected component of observations, two of which are joined
+// when
+//   - their identity sketches (Event.Idents) share a value: they saw a
+//     packet in common;
+//   - they come from one vantage and share a base event ID: a
+//     drain-truncated "<id>-t<end>" names the loop the completed
+//     "<id>" names, though a partial sketch can miss the full one;
+//   - either carries no identities (a journal line or a daemon that
+//     predates them) and they share the fallback key: the /24, an
+//     equal TTL delta and windows within 5 s.
 //
-// Determinism contract: the fleet loop set is a pure function of the
-// observation sequence. Observations are journaled (append-only
-// JSONL, torn-tail repaired, deduplicated by vantage+event ID) before
-// they mutate state, and a restart replays the journal in order — so
-// kill -9 at any point reproduces the same FleetLoop set and the same
-// fleet statistics the pre-crash process would have served. No
-// wall-clock reading participates in clustering; arrival stamps ride
-// in the journal itself.
+// Only the third relation reads the vantages' trace clocks, so
+// identity-carrying observations join however far apart those clocks
+// are. A component renders from its reference member, the first by
+// (start, vantage, event ID): its ID, prefix and TTL delta are that
+// member's, its window the union of its members'.
+//
+// Determinism contract: the fleet loop set is a function of the
+// observation set, whatever the arrival order — each relation is
+// checked when the later of its two observations arrives, and nothing
+// rendered depends on which arrived first. Observations are journaled
+// (append-only JSONL, torn-tail repaired, deduplicated by
+// vantage+event ID) before they mutate state, and a restart replays
+// the journal — so kill -9 at any point reproduces the same FleetLoop
+// set and the same fleet statistics the pre-crash process would have
+// served. No wall-clock reading participates in clustering; arrival
+// stamps ride in the journal itself.
 //
 // Fleet statistics reuse internal/analytics keyed by vantage: the
 // per-vantage sketches merge with the collector's associative,
@@ -31,11 +43,14 @@
 package agg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,20 +63,20 @@ import (
 	"loopscope/pkg/loopscope"
 )
 
-// Defaults for the correlation knobs.
+// The fallback key, for observations without identities.
 const (
-	// DefaultAggBits aggregates destination prefixes to /24 — the
-	// paper's loop identities are destination-prefix scoped, and /24
-	// absorbs per-host detail without fusing unrelated networks.
-	DefaultAggBits = 24
-	// DefaultJoinWindow is the slack allowed between observation
-	// windows: vantages tap different links of the same cycle, so
-	// their first/last looping packets differ by propagation and
-	// detection-horizon skew, not by much more than seconds.
-	DefaultJoinWindow = 5 * time.Second
-	// DefaultTTLSlack requires exact TTL-delta agreement: every tap
-	// on one cycle sees the same decrement.
-	DefaultTTLSlack = 0
+	// keyBits aggregates destination prefixes to /24: the paper's loop
+	// identities are destination-prefix scoped, and /24 absorbs
+	// per-host detail without fusing unrelated networks. A fleet
+	// loop's prefix is aggregated the same way.
+	keyBits = 24
+	// keyWindow is the slack allowed between observation windows:
+	// vantages tap different links of the same cycle, so their
+	// first/last looping packets differ by propagation and
+	// detection-horizon skew, not by much more than seconds. TTL
+	// deltas must be equal: every tap on one cycle sees the same
+	// decrement.
+	keyWindow = int64(5 * time.Second)
 )
 
 // Transports an observation can arrive by.
@@ -72,15 +87,6 @@ const (
 
 // Config configures an Aggregator.
 type Config struct {
-	// AggBits is the prefix-aggregation length of the correlation key
-	// (0 means DefaultAggBits).
-	AggBits int
-	// JoinWindow is the time slack when matching observation windows
-	// (0 means DefaultJoinWindow; negative disables slack entirely).
-	JoinWindow time.Duration
-	// TTLSlack is the maximum TTL-delta difference still considered
-	// the same loop (negative means 0).
-	TTLSlack int
 	// Journal is the observation journal path; empty keeps state in
 	// memory only (a restart starts blank).
 	Journal string
@@ -114,17 +120,13 @@ type (
 	VantageInfo = loopscope.FleetVantage
 )
 
-// cluster is one fleet loop under construction. Everything in it
-// derives from journaled observations — no wall-clock state — which
-// is what makes replay reproduce clusters exactly.
-type cluster struct {
-	id       string
-	prefix   string // aggregated correlation prefix
-	ttlDelta int
-	startNs  int64
-	endNs    int64
-	evidence []Evidence
-	vantages map[string]bool
+// member is one observation in the fleet loop graph. parent is its
+// union-find link: a component's members lead to one root, which one
+// depends on arrival order, so nothing rendered reads it.
+type member struct {
+	ev     Evidence
+	key    string // the destination prefix aggregated to keyBits
+	parent int
 }
 
 // vantageState is one daemon's standing: counters for the listing,
@@ -163,10 +165,14 @@ type Aggregator struct {
 	// deterministically alongside the cluster set.
 	latency *analytics.LatencyStore
 
-	mu       sync.Mutex
-	seen     map[string]struct{} // vantage\x00eventID
-	clusters []*cluster          // founding order
-	byKey    map[string][]*cluster
+	mu      sync.Mutex
+	seen    map[string]struct{} // vantage\x00eventID
+	members []member            // arrival order
+	byIdent map[uint64]int      // stream identity -> a member carrying it
+	byBase  map[string]int      // vantage\x00base event ID -> a member
+	byKey   map[string][]int    // fallback key -> members
+	// loops counts the components.
+	loops    int
 	vantages map[string]*vantageState
 	journal  *durable.Log
 	started  time.Time
@@ -180,21 +186,6 @@ type Aggregator struct {
 // loads the cursor checkpoint. The returned aggregator is ready to
 // ingest; Close flushes and releases the journal.
 func New(cfg Config) (*Aggregator, error) {
-	if cfg.AggBits == 0 {
-		cfg.AggBits = DefaultAggBits
-	}
-	if cfg.AggBits < 0 || cfg.AggBits > 32 {
-		return nil, fmt.Errorf("agg: AggBits %d outside [0,32]", cfg.AggBits)
-	}
-	if cfg.JoinWindow == 0 {
-		cfg.JoinWindow = DefaultJoinWindow
-	}
-	if cfg.JoinWindow < 0 {
-		cfg.JoinWindow = 0
-	}
-	if cfg.TTLSlack < 0 {
-		cfg.TTLSlack = 0
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -210,7 +201,9 @@ func New(cfg Config) (*Aggregator, error) {
 		stats:       analytics.NewCollector(analytics.Options{Now: now}),
 		latency:     analytics.NewLatencyStore(),
 		seen:        make(map[string]struct{}),
-		byKey:       make(map[string][]*cluster),
+		byIdent:     make(map[uint64]int),
+		byBase:      make(map[string]int),
+		byKey:       make(map[string][]int),
 		vantages:    make(map[string]*vantageState),
 		started:     now(),
 		gFleetLoops: cfg.Metrics.Gauge(obs.MetricAggFleetLoops),
@@ -246,7 +239,8 @@ func (a *Aggregator) Close() error {
 // when it was a duplicate of one already seen from the same vantage —
 // the at-least-once transports redeliver freely and this is the
 // idempotency point. An observation without a vantage identity or
-// event ID is rejected with an error.
+// event ID is rejected with an error. Its identities are bounded to a
+// daemon's sketch before they are journaled (see sketch).
 func (a *Aggregator) Ingest(o Observation) (bool, error) {
 	if o.Vantage == "" {
 		o.Vantage = o.Event.Vantage
@@ -263,6 +257,7 @@ func (a *Aggregator) Ingest(o Observation) (bool, error) {
 	if o.ReceivedAtNs == 0 {
 		o.ReceivedAtNs = a.now().UnixNano()
 	}
+	o.Event.Idents = sketch(o.Event.Idents)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	key := o.Vantage + "\x00" + o.Event.ID
@@ -330,7 +325,7 @@ func (a *Aggregator) applyLocked(o Observation) {
 		Replicas:   o.Event.Replicas,
 	})
 	a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricAggObservations, "vantage", o.Vantage)).Inc()
-	a.gFleetLoops.Set(int64(len(a.clusters)))
+	a.gFleetLoops.Set(int64(a.loops))
 	a.gVantages.Set(int64(len(a.vantages)))
 }
 
@@ -368,51 +363,90 @@ func (a *Aggregator) closeOutProvenanceLocked(o *Observation, vs *vantageState) 
 	}
 }
 
-// correlateLocked joins the observation to the first compatible
-// cluster in founding order, or founds a new one. First-match in a
-// deterministic order keeps replay exact; the join test is the
-// correlation key described in the package comment.
+// correlateLocked adds o to the graph and joins it to every member
+// it is related to (see the package comment). A relation is checked
+// when the later of its two observations arrives, against the members
+// themselves, so the components do not depend on arrival order.
 func (a *Aggregator) correlateLocked(o Observation) {
-	key := a.aggKey(o.Event.Prefix)
-	slack := int64(a.cfg.JoinWindow)
-	for _, c := range a.byKey[key] {
-		if intAbs(c.ttlDelta-o.Event.TTLDelta) <= a.cfg.TTLSlack &&
-			o.Event.StartNs <= c.endNs+slack && o.Event.EndNs >= c.startNs-slack {
-			if o.Event.StartNs < c.startNs {
-				c.startNs = o.Event.StartNs
-			}
-			if o.Event.EndNs > c.endNs {
-				c.endNs = o.Event.EndNs
-			}
-			c.evidence = append(c.evidence, evidence(o))
-			c.vantages[o.Vantage] = true
-			return
+	i := len(a.members)
+	a.members = append(a.members, member{ev: evidence(o), key: aggKey(o.Event.Prefix), parent: i})
+	a.loops++
+	for _, id := range o.Event.Idents {
+		if j, ok := a.byIdent[id]; ok {
+			a.union(i, j)
+		} else {
+			a.byIdent[id] = i
 		}
 	}
-	c := &cluster{
-		id:       fleetID(key, o.Vantage, o.Event.ID),
-		prefix:   key,
-		ttlDelta: o.Event.TTLDelta,
-		startNs:  o.Event.StartNs,
-		endNs:    o.Event.EndNs,
-		evidence: []Evidence{evidence(o)},
-		vantages: map[string]bool{o.Vantage: true},
+	base := o.Vantage + "\x00" + baseID(o.Event.ID)
+	if j, ok := a.byBase[base]; ok {
+		a.union(i, j)
+	} else {
+		a.byBase[base] = i
 	}
-	a.clusters = append(a.clusters, c)
-	a.byKey[key] = append(a.byKey[key], c)
+	key := fmt.Sprintf("%s\x00%d", a.members[i].key, o.Event.TTLDelta)
+	for _, j := range a.byKey[key] {
+		m := &a.members[j].ev
+		if (len(o.Event.Idents) == 0 || len(m.Idents) == 0) &&
+			o.Event.StartNs <= m.EndNs+keyWindow && o.Event.EndNs >= m.StartNs-keyWindow {
+			a.union(i, j)
+		}
+	}
+	a.byKey[key] = append(a.byKey[key], i)
 }
 
-// aggKey masks a destination prefix to the configured aggregation
-// length. An unparseable prefix correlates by its literal string —
-// identical observations still cluster, unrelated ones cannot collide
-// with real prefixes.
-func (a *Aggregator) aggKey(prefix string) string {
+// find returns the root of member i's component, halving the path.
+func (a *Aggregator) find(i int) int {
+	for a.members[i].parent != i {
+		a.members[i].parent = a.members[a.members[i].parent].parent
+		i = a.members[i].parent
+	}
+	return i
+}
+
+// union joins the components of members i and j.
+func (a *Aggregator) union(i, j int) {
+	if ri, rj := a.find(i), a.find(j); ri != rj {
+		a.members[max(ri, rj)].parent = min(ri, rj)
+		a.loops--
+	}
+}
+
+// sketch bounds an observation's identities to what a daemon sends:
+// ascending, distinct, at most loopscope.MaxIdents of them, sorting
+// ids in place. An ingest body may carry tens of thousands; the
+// smallest are kept, so every identity a daemon's sketch of the same
+// loop could share survives. Such a body is bounded, not rejected: a
+// rejected event would stall the poller that keeps refetching it.
+func sketch(ids []uint64) []uint64 {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if len(ids) > loopscope.MaxIdents {
+		ids = slices.Clone(ids[:loopscope.MaxIdents]) // not the body's whole array
+	}
+	return ids
+}
+
+// baseID strips the "-t<end>" suffix of a drain-truncated emission,
+// leaving the ID of the loop's completed emission.
+func baseID(id string) string {
+	i := strings.LastIndex(id, "-t")
+	if i < 0 || i+2 == len(id) || strings.Trim(id[i+2:], "0123456789abcdef") != "" {
+		return id
+	}
+	return id[:i]
+}
+
+// aggKey masks a destination prefix to keyBits. An unparseable prefix
+// correlates by its literal string — identical observations still
+// cluster, unrelated ones cannot collide with real prefixes.
+func aggKey(prefix string) string {
 	p, err := routing.ParsePrefix(prefix)
 	if err != nil {
 		return prefix
 	}
-	if p.Bits > a.cfg.AggBits {
-		p = routing.NewPrefix(p.Addr, a.cfg.AggBits)
+	if p.Bits > keyBits {
+		p = routing.NewPrefix(p.Addr, keyBits)
 	}
 	return p.String()
 }
@@ -430,14 +464,15 @@ func evidence(o Observation) Evidence {
 		Streams:   o.Event.Streams,
 		Replicas:  o.Event.Replicas,
 		Truncated: o.Event.Truncated,
+		Idents:    o.Event.Idents,
 		Prov:      o.Event.Prov,
 	}
 }
 
-// fleetID derives a fleet loop's stable identity from its founding
-// observation, the same FNV-1a discipline the daemon's event IDs use:
-// replay founds the same clusters from the same observations, so the
-// IDs survive restarts.
+// fleetID derives a fleet loop's stable identity from its reference
+// member, the same FNV-1a discipline the daemon's event IDs use: the
+// same observations have the same reference member in any order, so
+// the IDs survive restarts.
 func fleetID(aggPrefix, vantage, eventID string) string {
 	h := fnv.New64a()
 	h.Write([]byte(aggPrefix))
@@ -472,37 +507,52 @@ func (vs *vantageState) noteTransport(t string) {
 	}
 }
 
-// FleetLoops renders the deduplicated loop set in founding order.
-// Vantage lists are sorted; evidence stays in arrival order.
+// FleetLoops renders the deduplicated loop set ordered by (start,
+// ID), each loop's evidence by (start, vantage, event ID), vantage
+// lists sorted: the same observations render the same document in any
+// arrival order.
 func (a *Aggregator) FleetLoops() []FleetLoop {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]FleetLoop, 0, len(a.clusters))
-	for _, c := range a.clusters {
-		out = append(out, c.render())
+	order := make([]int, len(a.members))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortFunc(order, func(i, j int) int { return evidenceCmp(&a.members[i].ev, &a.members[j].ev) })
+	out := make([]FleetLoop, 0, a.loops)
+	at := make(map[int]int, a.loops) // component root -> index in out
+	for _, i := range order {
+		m, root := &a.members[i], a.find(i)
+		k, ok := at[root]
+		if !ok {
+			// The first member of a component in this order is its
+			// reference member.
+			k = len(out)
+			at[root] = k
+			out = append(out, FleetLoop{ID: fleetID(m.key, m.ev.Vantage, m.ev.EventID),
+				Prefix: m.key, TTLDelta: m.ev.TTLDelta, StartNs: m.ev.StartNs, EndNs: m.ev.EndNs})
+		}
+		fl := &out[k]
+		fl.EndNs = max(fl.EndNs, m.ev.EndNs)
+		fl.DurationNs = fl.EndNs - fl.StartNs
+		if !slices.Contains(fl.Vantages, m.ev.Vantage) {
+			fl.Vantages = append(fl.Vantages, m.ev.Vantage)
+		}
+		fl.Evidence = append(fl.Evidence, m.ev)
+		fl.Observations = len(fl.Evidence)
+	}
+	for _, fl := range out {
+		slices.Sort(fl.Vantages)
+	}
+	slices.SortFunc(out, func(x, y FleetLoop) int {
+		return cmp.Or(cmp.Compare(x.StartNs, y.StartNs), strings.Compare(x.ID, y.ID))
+	})
 	return out
 }
 
-func (c *cluster) render() FleetLoop {
-	names := make([]string, 0, len(c.vantages))
-	for v := range c.vantages {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	ev := make([]Evidence, len(c.evidence))
-	copy(ev, c.evidence)
-	return FleetLoop{
-		ID:           c.id,
-		Prefix:       c.prefix,
-		TTLDelta:     c.ttlDelta,
-		StartNs:      c.startNs,
-		EndNs:        c.endNs,
-		DurationNs:   c.endNs - c.startNs,
-		Vantages:     names,
-		Observations: len(c.evidence),
-		Evidence:     ev,
-	}
+// evidenceCmp orders evidence rows by (start, vantage, event ID).
+func evidenceCmp(x, y *Evidence) int {
+	return cmp.Or(cmp.Compare(x.StartNs, y.StartNs), strings.Compare(x.Vantage, y.Vantage), strings.Compare(x.EventID, y.EventID))
 }
 
 // Vantages renders the per-vantage standing table, sorted by name.
@@ -584,7 +634,7 @@ func (a *Aggregator) Counts() (observations int64, duplicates int64, fleetLoops 
 		observations += vs.observations
 		duplicates += vs.duplicates
 	}
-	return observations, duplicates, len(a.clusters), len(a.vantages)
+	return observations, duplicates, a.loops, len(a.vantages)
 }
 
 // Cursor returns the pull transport's resume position for a vantage.
@@ -641,11 +691,4 @@ func (a *Aggregator) SaveCheckpoint() error {
 	}
 	a.mu.Unlock()
 	return saveCheckpoint(a.cfg.Checkpoint, cursors, a.now().UnixNano())
-}
-
-func intAbs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

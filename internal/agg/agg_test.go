@@ -3,6 +3,8 @@ package agg
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"testing"
@@ -120,9 +122,9 @@ func TestDistinctLoopsStaySeparate(t *testing.T) {
 }
 
 // Host-granular and net-granular reports of the same destination
-// correlate once aggregated to AggBits.
+// correlate once aggregated to /24.
 func TestPrefixAggregation(t *testing.T) {
-	a := newTestAgg(t, Config{AggBits: 24})
+	a := newTestAgg(t, Config{})
 	if _, err := a.Ingest(obs1("bb1", "10.1.2.55/32", "e1", sec(10), sec(40), 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,22 +141,6 @@ func TestPrefixAggregation(t *testing.T) {
 	// The evidence keeps the original granularity.
 	if loops[0].Evidence[0].Prefix != "10.1.2.55/32" {
 		t.Errorf("evidence prefix = %q, want the vantage's own 10.1.2.55/32", loops[0].Evidence[0].Prefix)
-	}
-}
-
-// TTLSlack admits near-miss deltas; zero slack (default) does not.
-func TestTTLSlack(t *testing.T) {
-	strict := newTestAgg(t, Config{})
-	strict.Ingest(obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3))
-	strict.Ingest(obs1("bb2", "10.1.2.0/24", "e2", sec(11), sec(39), 4))
-	if got := len(strict.FleetLoops()); got != 2 {
-		t.Errorf("slack 0: got %d clusters, want 2", got)
-	}
-	loose := newTestAgg(t, Config{TTLSlack: 1})
-	loose.Ingest(obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3))
-	loose.Ingest(obs1("bb2", "10.1.2.0/24", "e2", sec(11), sec(39), 4))
-	if got := len(loose.FleetLoops()); got != 1 {
-		t.Errorf("slack 1: got %d clusters, want 1", got)
 	}
 }
 
@@ -287,43 +273,152 @@ func TestJournalOverlongLineSkipped(t *testing.T) {
 	}
 }
 
-// Fleet statistics must not depend on the order observations arrive
-// across vantages: the per-vantage sketches merge associatively and
-// commutatively in sorted vantage order, so any arrival interleaving
-// renders the identical stats document. This is the merge-tree
-// independence property the analytics layer guarantees, re-pinned at
-// the fleet tier.
+// withIdents gives an observation an identity sketch.
+func withIdents(o Observation, ids ...uint64) Observation {
+	o.Event.Idents = ids
+	return o
+}
+
+// Neither the fleet statistics nor the fleet loops may depend on the
+// order observations arrive. The per-vantage sketches merge
+// associatively and commutatively in sorted vantage order, and a fleet
+// loop is a connected component of the observation set, so every one
+// of the 720 arrival orders of six observations must render the
+// identical stats and fleet loops documents. The set holds a chain
+// without identities (a is within 5 s of b and b of c, but a and c are
+// 10 s apart: one loop only if the relation is closed transitively,
+// whichever arrives last) and identity-carrying observations: d and e
+// share a packet though e's clock runs 30 s behind, and f overlaps d
+// in time but shares none of its packets.
 func TestFleetStatsArrivalOrderIndependent(t *testing.T) {
 	base := []Observation{
-		obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3),
-		obs1("bb2", "10.1.2.0/24", "e2", sec(12), sec(41), 3),
-		obs1("bb3", "10.1.2.0/24", "e3", sec(9), sec(38), 3),
-		obs1("bb1", "10.9.9.0/24", "e4", sec(100), sec(130), 5),
-		obs1("bb2", "10.9.9.0/24", "e5", sec(101), sec(131), 5),
-		obs1("bb3", "10.7.7.0/24", "e6", sec(200), sec(260), 7),
+		obs1("bb1", "10.1.2.0/24", "a", sec(0), sec(10), 3),
+		obs1("bb2", "10.1.2.0/24", "b", sec(12), sec(18), 3),
+		obs1("bb3", "10.1.2.0/24", "c", sec(20), sec(30), 3),
+		withIdents(obs1("bb1", "10.9.9.0/24", "d", sec(100), sec(130), 5), 11, 12),
+		withIdents(obs1("bb2", "10.9.9.0/24", "e", sec(131), sec(160), 5), 12, 13),
+		withIdents(obs1("bb3", "10.9.9.0/24", "f", sec(101), sec(129), 5), 14),
 	}
-	orders := [][]int{
-		{0, 1, 2, 3, 4, 5},
-		{5, 4, 3, 2, 1, 0},
-		{2, 0, 4, 1, 5, 3},
-		{3, 5, 1, 0, 2, 4},
-	}
-	var want string
-	for i, order := range orders {
-		a := newTestAgg(t, Config{})
-		for _, idx := range order {
-			if _, err := a.Ingest(base[idx]); err != nil {
+	var wantStats, wantLoops string
+	orders := 0
+	var permute func(order []int, k int)
+	permute = func(order []int, k int) {
+		if k == len(order) {
+			orders++
+			a := newTestAgg(t, Config{})
+			for _, idx := range order {
+				if _, err := a.Ingest(base[idx]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loops := a.FleetLoops()
+			doc, err := json.Marshal(loops)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if got := statsJSON(t, a); wantStats == "" {
+				wantStats = got
+			} else if got != wantStats {
+				t.Fatalf("order %v renders different fleet stats:\n got %s\nwant %s", order, got, wantStats)
+			}
+			if wantLoops == "" {
+				wantLoops = string(doc)
+				if len(loops) != 3 || loops[0].Observations != 3 || loops[1].Observations != 2 || loops[2].Observations != 1 {
+					t.Fatalf("order %v: fleet loops %s, want the a-b-c chain, d+e and f", order, doc)
+				}
+			} else if string(doc) != wantLoops {
+				t.Fatalf("order %v renders different fleet loops:\n got %s\nwant %s", order, doc, wantLoops)
+			}
+			return
 		}
-		got := statsJSON(t, a)
-		if i == 0 {
-			want = got
-			continue
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(order, k+1)
+			order[k], order[i] = order[i], order[k]
 		}
-		if got != want {
-			t.Errorf("order %v renders different fleet stats:\n got %s\nwant %s", order, got, want)
-		}
+	}
+	permute([]int{0, 1, 2, 3, 4, 5}, 0)
+	if orders != 720 {
+		t.Fatalf("checked %d orders, want 720", orders)
+	}
+}
+
+// Two loops on one /24 with the same TTL delta and overlapping windows
+// stay two fleet loops when their vantages caught no packet in common.
+func TestDisjointIdentsStaySeparate(t *testing.T) {
+	a := newTestAgg(t, Config{})
+	a.Ingest(withIdents(obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(40), 3), 1, 2, 3))
+	a.Ingest(withIdents(obs1("bb2", "10.1.2.0/24", "e2", sec(12), sec(41), 3), 4, 5, 6))
+	if loops := a.FleetLoops(); len(loops) != 2 {
+		t.Fatalf("got %d fleet loops, want 2: %+v", len(loops), loops)
+	}
+}
+
+// A vantage whose trace clock is 30 s off still joins the loop it saw:
+// the packets it shares with the other vantage decide, not the clock.
+func TestClockSkewedVantageJoins(t *testing.T) {
+	a := newTestAgg(t, Config{})
+	a.Ingest(withIdents(obs1("bb1", "10.1.2.0/24", "e1", sec(10), sec(20), 3), 1, 2, 3))
+	a.Ingest(withIdents(obs1("bb2", "10.1.2.0/24", "e2", sec(40), sec(50), 3), 3, 7))
+	loops := a.FleetLoops()
+	if len(loops) != 1 || !reflect.DeepEqual(loops[0].Vantages, []string{"bb1", "bb2"}) {
+		t.Fatalf("fleet loops = %+v, want one loop seen by bb1 and bb2", loops)
+	}
+	if fl := loops[0]; fl.StartNs != sec(10) || fl.EndNs != sec(50) {
+		t.Errorf("window = [%d, %d], want the union [%d, %d]", fl.StartNs, fl.EndNs, sec(10), sec(50))
+	}
+}
+
+// A drain-truncated emission and the completed emission a resumed
+// daemon publishes later are one loop, though the partial sketch
+// misses the full one's smallest identities and the partial first
+// stream's modal TTL decrement differs (a replica the tap missed
+// counts double in a short stream).
+func TestTruncatedJoinsCompleted(t *testing.T) {
+	a := newTestAgg(t, Config{})
+	a.Ingest(withIdents(obs1("bb1", "10.1.2.0/24", "00c0ffee00c0ffee-t4a817c800", sec(10), sec(20), 6), 50, 60))
+	a.Ingest(withIdents(obs1("bb1", "10.1.2.0/24", "00c0ffee00c0ffee", sec(10), sec(40), 3), 1, 2, 3, 4, 5, 6, 7, 8))
+	loops := a.FleetLoops()
+	if len(loops) != 1 || loops[0].Observations != 2 {
+		t.Fatalf("fleet loops = %+v, want one loop of both emissions", loops)
+	}
+	// An ID that only looks truncated joins nothing.
+	a.Ingest(withIdents(obs1("bb1", "10.1.2.0/24", "00c0ffee00c0ffee-tz", sec(10), sec(20), 6), 70))
+	if got := len(a.FleetLoops()); got != 2 {
+		t.Errorf("got %d fleet loops after an unrelated -t ID, want 2", got)
+	}
+}
+
+// An ingested sketch is bounded before it is journaled: sorted,
+// deduplicated, the MaxIdents smallest kept, whatever the body brought.
+func TestIngestBoundsIdents(t *testing.T) {
+	journal := t.TempDir() + "/fleet.jsonl"
+	a := newTestAgg(t, Config{Journal: journal})
+	ts := httptest.NewServer(a.Handler())
+	defer ts.Close()
+	ev := mkEvent("bb1", "tap", "10.1.2.0/24", "big", sec(1), sec(30), 3)
+	for i := 50_000; i > 0; i-- {
+		ev.Idents = append(ev.Idents, uint64(i%25_000))
+	}
+	body, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a %d-byte body of 50 000 identities: status %d, want 200", len(body), resp.StatusCode)
+	}
+	want := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
+	if got := a.FleetLoops()[0].Evidence[0].Idents; !reflect.DeepEqual(got, want) {
+		t.Errorf("evidence idents = %v, want %v", got, want)
+	}
+	replay := newTestAgg(t, Config{Journal: journal})
+	if got := replay.FleetLoops()[0].Evidence[0].Idents; !reflect.DeepEqual(got, want) {
+		t.Errorf("journaled idents replay as %v, want %v", got, want)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/obs/flight"
 	"loopscope/internal/scenario"
+	"loopscope/internal/serve"
+	"loopscope/internal/stats"
 	"loopscope/pkg/loopscope"
 )
 
@@ -43,7 +45,7 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 	cl.Run()
 
 	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
-	a := newTestAgg(t, Config{Journal: journal, JoinWindow: 10 * time.Second})
+	a := newTestAgg(t, Config{Journal: journal})
 
 	// Run the single-vantage detector over each tap's capture and
 	// feed every detected loop to the aggregator, exactly as a fleet
@@ -66,6 +68,7 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 				Streams:    len(l.Streams),
 				Replicas:   l.Replicas(),
 				TTLDelta:   l.Streams[0].TTLDelta(),
+				Idents:     serve.LoopIdents(l),
 			}
 			accepted, err := a.Ingest(Observation{Vantage: v.Name, Transport: TransportPull, Event: ev})
 			if err != nil || !accepted {
@@ -134,8 +137,89 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 
 	// kill -9: no Close, no final sync — a fresh aggregator replaying
 	// the same journal must reproduce the identical fleet loop set.
-	replay := newTestAgg(t, Config{Journal: journal, JoinWindow: 10 * time.Second})
+	replay := newTestAgg(t, Config{Journal: journal})
 	if !reflect.DeepEqual(replay.FleetLoops(), loops) {
 		t.Errorf("journal replay diverged:\n got %+v\nwant %+v", replay.FleetLoops(), loops)
 	}
+}
+
+// TestDualVantage runs the two-tap experiment (one network monitored at
+// two consecutive links): each tap's loops go to the aggregator as one
+// vantage's events, and a loop must be attributed to both taps. The
+// two results' streams must pair on their packet identity, with equal
+// TTL deltas, and the pairs' modal TTL offset must recover the one-hop
+// separation of the taps.
+func TestDualVantage(t *testing.T) {
+	spec := scenario.Spec{
+		Name:             "dual",
+		Seed:             11,
+		Duration:         2 * time.Minute,
+		PacketsPerSecond: 600,
+		StablePrefixes:   16,
+		Pockets: []scenario.PocketSpec{
+			{Delta: 3, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
+			{Delta: 4, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
+		},
+	}
+	d := scenario.BuildDual(spec)
+	d.Run()
+	m1, m2 := d.Records()
+	if len(m1) < 5000 || len(m2) < 5000 {
+		t.Fatalf("traces too small: %d / %d", len(m1), len(m2))
+	}
+	resA := core.DetectRecords(m1, core.DefaultConfig())
+	resB := core.DetectRecords(m2, core.DefaultConfig())
+	if len(resA.Streams) == 0 || len(resB.Streams) == 0 {
+		t.Skipf("seed produced no dual-visible loops (A=%d B=%d streams)",
+			len(resA.Streams), len(resB.Streams))
+	}
+
+	a := newTestAgg(t, Config{})
+	for _, tap := range []struct {
+		name string
+		res  *core.Result
+	}{{"upstream", resA}, {"downstream", resB}} {
+		for _, l := range tap.res.Loops {
+			ev := loopscope.Event{ID: flight.LoopID(tap.name, l.Prefix.String(), int64(l.Start)), Prefix: l.Prefix.String(),
+				StartNs: int64(l.Start), EndNs: int64(l.End), TTLDelta: l.Streams[0].TTLDelta(), Idents: serve.LoopIdents(l)}
+			if _, err := a.Ingest(Observation{Vantage: tap.name, Event: ev}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both := 0
+	for _, fl := range a.FleetLoops() {
+		if len(fl.Vantages) == 2 {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Error("no loop visible from both taps")
+	}
+
+	downstream := make(map[uint64]*core.ReplicaStream, len(resB.Streams))
+	for _, s := range resB.Streams {
+		downstream[s.Ident] = s
+	}
+	var offsets stats.IntHist
+	for _, sa := range resA.Streams {
+		sb, ok := downstream[sa.Ident]
+		if !ok {
+			continue
+		}
+		if sa.TTLDelta() != sb.TTLDelta() {
+			t.Errorf("pair deltas differ: %d vs %d", sa.TTLDelta(), sb.TTLDelta())
+		}
+		// The downstream tap may have missed the first revolution.
+		d := sa.TTLDelta()
+		offsets.Add(((int(sa.Replicas[0].TTL)-int(sb.Replicas[0].TTL))%d + d) % d)
+	}
+	if offsets.N == 0 {
+		t.Fatalf("no stream pairs matched across taps (A=%d B=%d)", len(resA.Streams), len(resB.Streams))
+	}
+	// The taps sit one forwarding hop apart (c0->c1 and c1->c2).
+	if hop := offsets.Mode(); hop != 1 {
+		t.Errorf("inferred tap separation = %d hops, want 1", hop)
+	}
+	t.Logf("pairs=%d of A=%d B=%d streams; fleet loops seen by both taps=%d", offsets.N, len(resA.Streams), len(resB.Streams), both)
 }

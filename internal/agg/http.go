@@ -71,9 +71,9 @@ func (a *Aggregator) vantageParam() api.Names {
 }
 
 // v1FleetLoops serves GET /api/v1/fleet/loops?limit=&prefix=: the
-// deduplicated fleet loop set in founding order. limit keeps the
-// newest N (by founding); prefix filters on the aggregated
-// correlation prefix.
+// deduplicated fleet loop set ordered by (start, ID). limit keeps the
+// last N, those that started latest; prefix filters on the loops'
+// /24-aggregated prefix.
 func (a *Aggregator) v1FleetLoops(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "limit", "prefix") {
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -206,6 +207,9 @@ func TestFleetAPIErrors(t *testing.T) {
 	for _, bad := range []string{
 		"/api/v1/fleet/loops?limit=0",
 		"/api/v1/fleet/loops?limit=1&limit=2",
+		"/api/v1/fleet/loops?limit=%zz",
+		"/api/v1/fleet/loops?bogus%zz=1",
+		"/api/v1/fleet/loops?limit=5;x=1",
 		"/api/v1/fleet/loops?nonsense=1",
 		"/api/v1/fleet/vantages?x=y",
 	} {
@@ -341,13 +345,20 @@ func TestAggHealthEndpoint(t *testing.T) {
 // FuzzIngestBody: POST /api/v1/ingest never panics and never answers
 // 5xx, whatever the body. It answers 200 exactly for a body that
 // unmarshals as a loopscope.Event with an ID and a vantage (or source),
-// which a fresh aggregator then accepts and lists among its vantages.
+// which a fresh aggregator then accepts and lists among its vantages,
+// its identities bounded to at most MaxIdents, ascending, each from the
+// body.
 func FuzzIngestBody(f *testing.F) {
 	ev, _ := json.Marshal(mkEvent("bb9", "tap", "10.5.5.0/24", "push1", sec(1), sec(30), 4))
 	for _, seed := range []string{string(ev), "", "null", "{}", `{"source":"x"}`, `{"id":"e"}`,
 		`{"id":"e","source":"s","prefix":"not a prefix","startNs":-1,"endNs":-9}`,
 		`{"id":"e","vantage":"v","prefix":"10.0.0.0/33","ttlDelta":-4,"prov":{"detectedNs":9}}`,
-		`{"id":1}`, `[{"id":"e","source":"s"}]`, "definitely not json"} {
+		`{"id":1}`, `[{"id":"e","source":"s"}]`, "definitely not json",
+		`{"id":"e","source":"s","idents":[12,11,10,9,8,7,6,5,4,3,2,1,0,18446744073709551615]}`,
+		`{"id":"e","source":"s","idents":[9,3,7,3]}`, `{"id":"e","source":"s","idents":[5,5,5,5,5,5,5,5,5,5]}`,
+		`{"id":"e","source":"s","idents":[-1]}`, `{"id":"e","source":"s","idents":["7"]}`,
+		`{"id":"e","source":"s","idents":[1.5]}`, `{"id":"e","source":"s","idents":[18446744073709551616]}`,
+		`{"id":"e","source":"s","idents":7}`, `{"id":"e","source":"s","idents":[]}`} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -378,6 +389,16 @@ func FuzzIngestBody(f *testing.F) {
 		}
 		if v := list.Data.Vantages; len(v) != 1 || v[0].Name != res.Data.Vantage || v[0].Observations != 1 {
 			t.Fatalf("vantages %+v after accepting an event from %q", v, res.Data.Vantage)
+		}
+		var loops struct{ Data loopscope.FleetLoopList }
+		if err := json.Unmarshal(do(http.MethodGet, "/api/v1/fleet/loops", nil).Body.Bytes(), &loops); err != nil {
+			t.Fatal(err)
+		}
+		ids := loops.Data.Loops[0].Evidence[0].Idents
+		for i, id := range ids {
+			if i >= loopscope.MaxIdents || i > 0 && ids[i-1] >= id || !slices.Contains(ev.Idents, id) {
+				t.Fatalf("identities %v from a body carrying %v: want at most %d, ascending, each from the body", ids, ev.Idents, loopscope.MaxIdents)
+			}
 		}
 	})
 }

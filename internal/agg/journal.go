@@ -51,7 +51,7 @@ func (a *Aggregator) openJournal() error {
 		a.log.Warn("journal lines skipped during replay", "path", path, "skipped", skipped)
 	}
 	if replayed > 0 {
-		a.log.Info("journal replayed", "path", path, "observations", replayed, "fleetLoops", len(a.clusters))
+		a.log.Info("journal replayed", "path", path, "observations", replayed, "fleetLoops", a.loops)
 	}
 	a.journal = j
 	return nil

@@ -51,8 +51,10 @@ func (a *Aggregator) PollLoop(ctx context.Context, target PollTarget, interval t
 }
 
 // PollOnce performs one poll round: walk pages newest-to-oldest until
-// reaching the cursor, then ingest the new events oldest-first so
-// clustering sees each vantage's events in emission order. It returns
+// reaching the cursor, then ingest the new events oldest-first, so the
+// journal keeps each vantage's events in emission order (the fleet
+// loops are the same in any order) and the cursor only ever advances
+// past ingested events. It returns
 // the vantage name the round resolved to (the daemon's own identity
 // when discovered, target.Name otherwise); the outcome feeds that
 // vantage's health/lag standing.

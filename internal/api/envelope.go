@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -47,11 +48,30 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, loopscope.Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
 }
 
-// StrictParams enforces the v1 query-parameter contract: every
-// parameter must be known and appear at most once. A typo'd or
-// repeated parameter is a 400, never silently ignored.
+// query parses the request's raw query. r.URL.Query() drops every
+// pair that fails to parse (a bad escape, a semicolon separator), so a
+// malformed parameter would pass as an absent one; here the whole
+// query is a 400 instead, and ok is false.
+func query(w http.ResponseWriter, r *http.Request) (q url.Values, ok bool) {
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, ErrBadParam, "malformed query: "+err.Error())
+		return nil, false
+	}
+	return q, true
+}
+
+// StrictParams enforces the v1 query-parameter contract: the query
+// must parse, and every parameter must be known and appear at most
+// once. A malformed, typo'd or repeated parameter is a 400, never
+// silently ignored. Once it has passed, r.URL.Query() holds every
+// parameter.
 func StrictParams(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
-	for name, vals := range r.URL.Query() {
+	q, ok := query(w, r)
+	if !ok {
+		return false
+	}
+	for name, vals := range q {
 		if !slices.Contains(allowed, name) {
 			WriteError(w, http.StatusBadRequest, ErrBadParam,
 				fmt.Sprintf("unknown parameter %q (allowed: %s)", name, strings.Join(allowed, ", ")))
@@ -70,20 +90,25 @@ func StrictParams(w http.ResponseWriter, r *http.Request, allowed ...string) boo
 // /api/v1/fleet/loops).
 const MaxLimit = 1000
 
-// Limit parses a listing's optional ?limit=: def when absent, else an
-// integer in 1..MaxLimit; anything else is a 400 and ok is false.
+// Limit parses a listing's optional ?limit=: def when absent or empty,
+// else a decimal integer in 1..MaxLimit; anything else, a malformed
+// query included, is a 400 and ok is false.
 func Limit(w http.ResponseWriter, r *http.Request, def int) (limit int, ok bool) {
-	v := r.URL.Query().Get("limit")
+	q, ok := query(w, r)
+	if !ok {
+		return 0, false
+	}
+	v := q.Get("limit")
 	if v == "" {
 		return def, true
 	}
-	limit, err := strconv.Atoi(v)
-	if err != nil || limit < 1 || limit > MaxLimit {
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil || n < 1 || n > MaxLimit {
 		WriteError(w, http.StatusBadRequest, ErrBadParam,
 			fmt.Sprintf("limit must be an integer in 1..%d, got %q", MaxLimit, v))
 		return 0, false
 	}
-	return limit, true
+	return int(n), true
 }
 
 // Names is what an optional name parameter (?source=, ?vantage=) may

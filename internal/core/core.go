@@ -135,15 +135,19 @@ type ReplicaStream struct {
 	Replicas []Replica
 	// Summary is the parsed view of the first replica.
 	Summary PacketSummary
+	// Ident is FNV-1a over the replica bytes with TTL and IP checksum
+	// zeroed: the original packet's identity, equal at every tap that
+	// saw it, and the stream ID the flight recorder files it under.
+	Ident uint64
 }
 
 // PacketSummary carries the header fields the analysis cares about,
 // extracted from the first replica.
 type PacketSummary struct {
 	Src, Dst packet.Addr
-	// ID is the IP identification field — with Src it identifies the
-	// original packet, which is what lets two vantage points match
-	// observations of the same stream.
+	// ID is the IP identification field. The packet's identity across
+	// vantage points is ReplicaStream.Ident, which covers every header
+	// byte but TTL and checksum.
 	ID        uint16
 	Protocol  uint8
 	SrcPort   uint16

@@ -600,8 +600,9 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 			continue
 		}
 		d.note(b, b.start(), flight.KindValidated, flight.ReasonNone)
+		masked := b.key.masked(b.rest)
 		s := &ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: b.replicas,
-			Summary: summarize(b.key.masked(b.rest))}
+			Summary: summarize(masked), Ident: fnv64a(masked)}
 		d.streams++
 		d.looped += len(b.replicas)
 		i := sort.Search(len(ps.validated), func(i int) bool { return streamLess(s, ps.validated[i]) })

@@ -327,7 +327,8 @@ func TestPromotedBuilderCarriesItsEntry(t *testing.T) {
 // TestFlightStreamIDStable: the stream ID in flight events is FNV-1a of
 // the masked capture, as it was when the builder kept those bytes —
 // trails are compared across versions — for a 40-byte snapshot and for
-// a capture with bytes past the key.
+// a capture with bytes past the key. The validated stream's Ident is
+// the same value, so an identity in a fleet document finds its trail.
 func TestFlightStreamIDStable(t *testing.T) {
 	for _, snap := range []int{40, 96} {
 		pkt := mkPkt("192.0.2.1", "203.0.113.5", 101, 62, 1)
@@ -341,10 +342,14 @@ func TestFlightStreamIDStable(t *testing.T) {
 			r.Data[8] = ttl
 			d.Observe(r)
 		}
-		if res := d.Finish(); len(res.Loops) != 1 {
+		res := d.Finish()
+		if len(res.Loops) != 1 {
 			t.Fatalf("snaplen %d: %d loops, want 1", snap, len(res.Loops))
 		}
 		want := fnv64a(maskReplica(data))
+		if got := res.Streams[0].Ident; got != want {
+			t.Errorf("snaplen %d: stream Ident %#x, want the flight stream ID %#x", snap, got, want)
+		}
 		seen := make(map[flight.Kind]bool)
 		for _, ev := range fr.Seal("t", routing.MustParsePrefix("203.0.113.0/24"), 0, time.Second, 0).Events {
 			switch ev.Kind {

@@ -178,7 +178,7 @@ func (n *NaiveDetector) Finish() *Result {
 		if len(s.replicas) < n.cfg.MinReplicas {
 			continue
 		}
-		st := &ReplicaStream{Prefix: s.prefix, Replicas: s.replicas, Summary: s.summary}
+		st := &ReplicaStream{Prefix: s.prefix, Replicas: s.replicas, Summary: s.summary, Ident: fnv64a(s.masked)}
 		if n.cfg.ValidateSubnet && !n.subnetClean(s.prefix, st.Start(), st.End()) {
 			res.SubnetInvalidated++
 			continue

@@ -40,7 +40,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 	for i := range got.Streams {
 		g, w := got.Streams[i], want.Streams[i]
-		if g.ID != w.ID || g.Prefix != w.Prefix || g.Summary != w.Summary ||
+		if g.ID != w.ID || g.Prefix != w.Prefix || g.Summary != w.Summary || g.Ident != w.Ident ||
 			!reflect.DeepEqual(g.Replicas, w.Replicas) {
 			t.Fatalf("%s: stream %d differs:\n got %v %+v replicas %v\nwant %v %+v replicas %v",
 				label, i, g.Prefix, g.Summary, g.Replicas, w.Prefix, w.Summary, w.Replicas)

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"loopscope/internal/analysis"
-
 	"loopscope/internal/core"
 	"loopscope/internal/netsim"
 	"loopscope/internal/routing"
@@ -259,55 +257,4 @@ func TestDetectorInvariantsAcrossSeeds(t *testing.T) {
 				seed, len(res.Streams), len(res.Loops), len(windows))
 		})
 	}
-}
-
-// TestDualVantage runs the two-tap experiment: loops must be visible
-// from both links, stream pairs must match, and the TTL offset must
-// recover the one-hop separation of the taps.
-func TestDualVantage(t *testing.T) {
-	spec := Spec{
-		Name:             "dual",
-		Seed:             11,
-		Duration:         2 * time.Minute,
-		PacketsPerSecond: 600,
-		StablePrefixes:   16,
-		Pockets: []PocketSpec{
-			{Delta: 3, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
-			{Delta: 4, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
-		},
-	}
-	d := BuildDual(spec)
-	d.Run()
-	m1, m2 := d.Records()
-	if len(m1) < 5000 || len(m2) < 5000 {
-		t.Fatalf("traces too small: %d / %d", len(m1), len(m2))
-	}
-	resA := core.DetectRecords(m1, core.DefaultConfig())
-	resB := core.DetectRecords(m2, core.DefaultConfig())
-	if len(resA.Streams) == 0 || len(resB.Streams) == 0 {
-		t.Skipf("seed produced no dual-visible loops (A=%d B=%d streams)",
-			len(resA.Streams), len(resB.Streams))
-	}
-
-	rep := analysis.MatchCrossLink(resA, resB)
-	if len(rep.Pairs) == 0 {
-		t.Fatalf("no stream pairs matched across taps (A=%d B=%d)",
-			len(resA.Streams), len(resB.Streams))
-	}
-	// The taps sit one router apart (c1 between them... c0->c1 and
-	// c1->c2: one forwarding hop).
-	if rep.HopDistance != 1 {
-		t.Errorf("inferred tap separation = %d hops, want 1", rep.HopDistance)
-	}
-	if rep.LoopsBoth == 0 {
-		t.Error("no loop visible from both taps")
-	}
-	// Deltas agree across taps for each pair.
-	for _, p := range rep.Pairs {
-		if p.A.TTLDelta() != p.B.TTLDelta() {
-			t.Errorf("pair deltas differ: %d vs %d", p.A.TTLDelta(), p.B.TTLDelta())
-		}
-	}
-	t.Logf("pairs=%d loopsBoth=%d onlyA=%d onlyB=%d hop=%d",
-		len(rep.Pairs), rep.LoopsBoth, rep.OnlyA, rep.OnlyB, rep.HopDistance)
 }

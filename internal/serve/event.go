@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"loopscope/internal/core"
@@ -44,6 +45,7 @@ func newEvent(source, link, vantage string, se core.SessionEvent, now time.Time)
 		Streams:     len(l.Streams),
 		Replicas:    l.Replicas(),
 		Truncated:   se.Truncated,
+		Idents:      LoopIdents(l),
 		EmittedAtNs: now.UnixNano(),
 	}
 	if len(l.Streams) > 0 {
@@ -61,6 +63,23 @@ func newEvent(source, link, vantage string, se core.SessionEvent, now time.Time)
 		ev.ID = fmt.Sprintf("%s-t%x", ev.ID, ev.EndNs)
 	}
 	return ev
+}
+
+// LoopIdents reduces a loop to its identity sketch, Event.Idents: the
+// loopscope.MaxIdents smallest distinct stream identities, ascending,
+// or nil for a loop without streams. It allocates once, whatever the
+// stream count.
+func LoopIdents(l *core.Loop) []uint64 {
+	var low [loopscope.MaxIdents]uint64
+	n := 0
+	for _, s := range l.Streams {
+		if i, found := slices.BinarySearch(low[:n], s.Ident); !found && i < len(low) {
+			n = min(n+1, len(low))
+			copy(low[i+1:n], low[i:n-1])
+			low[i] = s.Ident
+		}
+	}
+	return append([]uint64(nil), low[:n]...)
 }
 
 // Sink consumes loop events. Publish must be safe for concurrent use

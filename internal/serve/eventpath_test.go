@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -46,5 +47,29 @@ func TestEventPathAllocationBudget(t *testing.T) {
 	}
 	if twenty > one {
 		t.Errorf("a 20-stream loop costs %.0f allocs, one stream %.0f: the event path allocates per stream", twenty, one)
+	}
+}
+
+// TestLoopIdents: the sketch is the MaxIdents smallest distinct stream
+// identities in ascending order, in one allocation.
+func TestLoopIdents(t *testing.T) {
+	l := &core.Loop{}
+	for _, id := range []uint64{90, 7, 33, 7, 1 << 63, 12, 5, 61, 33, 2, 48, 19, 3} {
+		l.Streams = append(l.Streams, &core.ReplicaStream{Ident: id})
+	}
+	want := []uint64{2, 3, 5, 7, 12, 19, 33, 48}
+	if got := LoopIdents(l); !slices.Equal(got, want) {
+		t.Errorf("LoopIdents = %v, want %v", got, want)
+	}
+	if got := LoopIdents(&core.Loop{Streams: l.Streams[:2]}); !slices.Equal(got, []uint64{7, 90}) {
+		t.Errorf("two streams: LoopIdents = %v, want [7 90]", got)
+	}
+	if got := LoopIdents(&core.Loop{}); got != nil {
+		t.Errorf("no streams: LoopIdents = %v, want nil", got)
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { LoopIdents(l) }); n != 1 {
+			t.Errorf("LoopIdents allocates %.0f times, want 1", n)
+		}
 	}
 }

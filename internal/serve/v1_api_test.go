@@ -163,6 +163,9 @@ func TestV1API(t *testing.T) {
 			{"/api/v1/loops?limit=1001", 400, "bad_param"},
 			{"/api/v1/loops?limit=x", 400, "bad_param"},
 			{"/api/v1/loops?limit=2&limit=3", 400, "bad_param"},
+			{"/api/v1/loops?limit=%zz", 400, "bad_param"},
+			{"/api/v1/loops?bogus%zz=1", 400, "bad_param"},
+			{"/api/v1/loops?limit=5;x=1", 400, "bad_param"},
 			{"/api/v1/loops?cursor=0", 400, "bad_param"},
 			{"/api/v1/loops?cursor=-1", 400, "bad_param"},
 			{"/api/v1/loops?cursor=x", 400, "bad_param"},

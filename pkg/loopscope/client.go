@@ -94,6 +94,11 @@ type Health struct {
 	UptimeS int64  `json:"uptimeS"`
 }
 
+// MaxIdents is the size of an event's identity sketch (Event.Idents):
+// enough shared packets to join vantages that each caught part of a
+// loop, and a bound on what one event brings into the aggregator.
+const MaxIdents = 8
+
 // Event is one routing-loop detection: the journal line, the webhook
 // body and the event of an /api/v1/loops row. Durations and timestamps
 // are nanoseconds; Start/End are on the trace clock (offset from
@@ -127,9 +132,16 @@ type Event struct {
 	TTLDelta   int   `json:"ttlDelta"`
 	// Escaped counts the loop's streams whose packet plausibly left the
 	// loop alive.
-	Escaped     int   `json:"escaped,omitempty"`
-	Truncated   bool  `json:"truncated,omitempty"`
-	EmittedAtNs int64 `json:"emittedAtNs"`
+	Escaped   int  `json:"escaped,omitempty"`
+	Truncated bool `json:"truncated,omitempty"`
+	// Idents is the loop's identity sketch: the MaxIdents smallest
+	// stream identities (FNV-1a of a replica's bytes with TTL and IP
+	// checksum zeroed), ascending. Taps on one cycle see the same
+	// packets, so two vantages' events share an identity exactly when
+	// they caught a packet in common; the fleet aggregator joins on it.
+	// Empty from daemons that predate it.
+	Idents      []uint64 `json:"idents,omitempty"`
+	EmittedAtNs int64    `json:"emittedAtNs"`
 	// Prov is the pipeline-provenance hop record: stamped as the event
 	// moves detect → publish → journal/webhook, carried verbatim over
 	// both transports, and closed out (ingested/clustered) by the fleet

@@ -39,6 +39,9 @@ type FleetEvidence struct {
 	Streams   int    `json:"streams"`
 	Replicas  int    `json:"replicas"`
 	Truncated bool   `json:"truncated,omitempty"`
+	// Idents is the event's identity sketch (Event.Idents), what
+	// joined it to the loop's other observations.
+	Idents []uint64 `json:"idents,omitempty"`
 	// Prov is the closed-out provenance record: the daemon-side stamps
 	// the event arrived with plus the aggregator's ingested/clustered
 	// stamps. Nil for observations from pre-provenance daemons.
@@ -46,13 +49,17 @@ type FleetEvidence struct {
 }
 
 // FleetLoop is one deduplicated routing loop as the aggregator sees
-// it across the fleet: per-vantage observations of the same
-// underlying loop (destination prefix + overlapping window +
-// compatible TTL delta) merged into a single cluster.
+// it across the fleet: a connected component of observations joined
+// because they saw a packet in common (shared Idents), because one is
+// a drain-truncated emission of the other, or — for observations
+// without identities — because they share a /24, a TTL delta and a
+// window within 5 s. The component's ID, Prefix and TTLDelta are
+// those of its reference member, the first evidence row; its window
+// is the union of its members'.
 type FleetLoop struct {
 	ID string `json:"id"`
-	// Prefix is the correlation key: the destination prefix
-	// aggregated to the configured prefix length.
+	// Prefix is the reference member's destination prefix aggregated
+	// to /24.
 	Prefix     string `json:"prefix"`
 	TTLDelta   int    `json:"ttlDelta"`
 	StartNs    int64  `json:"startNs"`
@@ -60,9 +67,11 @@ type FleetLoop struct {
 	DurationNs int64  `json:"durationNs"`
 	// Vantages lists the distinct daemons that observed the loop,
 	// sorted.
-	Vantages     []string        `json:"vantages"`
-	Observations int             `json:"observations"`
-	Evidence     []FleetEvidence `json:"evidence"`
+	Vantages     []string `json:"vantages"`
+	Observations int      `json:"observations"`
+	// Evidence lists the member observations by (StartNs, Vantage,
+	// EventID).
+	Evidence []FleetEvidence `json:"evidence"`
 }
 
 // FleetVantage is one daemon's standing with the aggregator.

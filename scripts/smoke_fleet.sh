@@ -4,8 +4,11 @@
 # loopscope-agg over the webhook, one serving /api/v1/loops for the
 # aggregator to poll — and the aggregator must collapse the two views
 # into one deduplicated fleet loop per underlying loop, each carrying
-# both vantage attributions. Then SIGKILL the aggregator and require a
-# restart from its journal to serve the identical fleet loop set.
+# both vantage attributions, joined on the stream identities each
+# event carries. Then SIGKILL the aggregator and require a restart from
+# its journal to serve the identical fleet loop set, and a third
+# aggregator replaying the journal in reverse to serve the identical
+# fleet loops document: the loop set does not depend on arrival order.
 #
 # Run from the repository root: ./scripts/smoke_fleet.sh
 # Set FLEET_SMOKE_JOURNAL to keep a copy of the aggregator journal
@@ -57,7 +60,7 @@ bb2url="$(scrape_url "$work/bb2.log" "serving API")"
 
 echo "== loopscope-agg: poll bb2, accept pushes"
 "$work/bin/loopscope-agg" -http 127.0.0.1:0 -poll "bb2=$bb2url" \
-    -poll-interval 200ms -join-window 1s \
+    -poll-interval 200ms \
     -journal "$work/agg.jsonl" -checkpoint "$work/agg-cp.json" \
     2>"$work/agg.log" &
 aggpid=$!
@@ -100,6 +103,14 @@ if [ "$loops" -lt 1 ]; then
 fi
 if [ "$loops" != "$obs1" ] || [ "$loops" != "$pairs" ]; then
     echo "FAIL: dedup broke: $loops fleet loops from $obs1+$obs2 observations ($pairs two-vantage clusters)" >&2
+    cat "$work/fleet-loops.json" >&2
+    exit 1
+fi
+# Every observation must carry its identity sketch.
+rows="$(grep -c '"eventId":' "$work/fleet-loops.json")" || rows=0
+idents="$(grep -c '"idents":' "$work/fleet-loops.json")" || idents=0
+if [ "$rows" -lt 1 ] || [ "$idents" != "$rows" ]; then
+    echo "FAIL: $idents of $rows evidence rows carry identities" >&2
     cat "$work/fleet-loops.json" >&2
     exit 1
 fi
@@ -206,7 +217,22 @@ fi
 kill "$agg2pid" 2>/dev/null || true
 wait "$agg2pid" 2>/dev/null || true
 
+echo "== the journal replayed in reverse must serve the same fleet loops document"
+tac "$work/agg.jsonl" > "$work/rev.jsonl"
+"$work/bin/loopscope-agg" -http 127.0.0.1:0 -journal "$work/rev.jsonl" \
+    2>"$work/agg3.log" &
+agg3pid=$!
+aggurl3="$(scrape_url "$work/agg3.log" "serving fleet API")"
+"$work/bin/lsq" -addr "$aggurl3" fleet loops > "$work/fleet-loops3.json"
+kill "$agg3pid" 2>/dev/null || true
+wait "$agg3pid" 2>/dev/null || true
+if ! cmp -s "$work/fleet-loops.json" "$work/fleet-loops3.json"; then
+    echo "FAIL: the fleet loops document depends on the order observations arrive in" >&2
+    diff "$work/fleet-loops.json" "$work/fleet-loops3.json" >&2 || true
+    exit 1
+fi
+
 if [ -n "${FLEET_SMOKE_JOURNAL:-}" ]; then
     cp "$work/agg.jsonl" "$FLEET_SMOKE_JOURNAL"
 fi
-echo "OK: journal replay reproduced all $loops fleet loops and the latency document byte-identically after kill -9"
+echo "OK: journal replay reproduced all $loops fleet loops and the latency document byte-identically after kill -9, and the reversed journal the fleet loops document"
