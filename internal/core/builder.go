@@ -90,14 +90,14 @@ func keyOf(data []byte) (k replicaKey, rest []byte) {
 	return k, rest
 }
 
-// masked rebuilds maskReplica's bytes from the two halves keyOf made.
-func (k *replicaKey) masked(rest []byte) []byte {
+// masked appends maskReplica's bytes, rebuilt from the two halves keyOf
+// made, to dst.
+func (k *replicaKey) masked(dst, rest []byte) []byte {
 	var head [keyBytes]byte
 	for i, w := range k.head {
 		binary.LittleEndian.PutUint64(head[8*i:], w)
 	}
-	out := append(make([]byte, 0, k.n), head[:k.n-len(rest)]...)
-	return append(out, rest...)
+	return append(append(dst, head[:k.n-len(rest)]...), rest...)
 }
 
 // index mixes the key into the word the Detector's map is keyed by

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,10 +65,21 @@ type Detector struct {
 	cfg  Config
 	emit func(*Loop)
 	// loops retains every finalized loop, in emission order, for
-	// Finish. Loops are few (streams collapse into them), so this does
-	// not threaten the bounded-memory property, which is about
-	// per-packet state.
-	loops []*Loop
+	// Finish, unless forget is set: a Session ends on FinishStats
+	// alone, so a daemon would otherwise keep every loop it ever
+	// emitted.
+	loops  []*Loop
+	forget bool
+
+	// Free lists of prefix states and builders nothing refers to any
+	// more, and the slabs validated streams and emitted loops are cut
+	// from (take, cut). A free list holds what was once live, so it
+	// never outgrows the detector's peak.
+	freeStates   []*prefixState
+	freeBuilders []*builder
+	replicaSlab  []Replica
+	streamSlab   []ReplicaStream
+	loopSlab     []*ReplicaStream
 
 	// first holds packets seen once (first.go); active indexes the
 	// builders of packets seen again by replicaKey.index, and builders
@@ -200,8 +212,10 @@ type prefixState struct {
 	// validated are validated streams not yet folded into loops, in
 	// canonical stream order.
 	validated []*ReplicaStream
-	// loop is the loop currently accepting streams.
-	loop *Loop
+	// loop is the loop currently accepting streams; its Streams grow in
+	// merged's array, which finalize copies out exactly and keeps.
+	loop   *Loop
+	merged []*ReplicaStream
 }
 
 const never = time.Duration(1<<63 - 1)
@@ -324,10 +338,38 @@ func (d *Detector) state(dst packet.Addr) *prefixState {
 	net := dst.Uint32() & d.prefixMask
 	ps := d.byPrefix[net]
 	if ps == nil {
-		ps = &prefixState{prefix: routing.PrefixOf(dst, d.cfg.PrefixBits)}
+		ps = take(&d.freeStates)
+		ps.prefix = routing.PrefixOf(dst, d.cfg.PrefixBits)
 		d.byPrefix[net] = ps
 	}
 	return ps
+}
+
+// take pops a pooled *T, or allocates one when the pool is empty.
+func take[T any](pool *[]*T) *T {
+	n := len(*pool)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*pool)[n-1]
+	*pool = (*pool)[:n-1]
+	return x
+}
+
+// slabLen is how many elements cut allocates at a time.
+const slabLen = 512
+
+// cut returns the next n elements of *slab, refilling it first when it
+// runs short. A cut is slab[:n:n], written once and never again, so
+// appending to it copies rather than run into the next cut: the aliasing
+// rule of a trace Record's Data.
+func cut[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, slabLen))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // Observe processes the next trace record. Records must arrive in
@@ -360,16 +402,18 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		d.parseErrors++
 		return
 	}
-	ps := d.state(ip.Dst)
 	key, rest := keyOf(rec.Data)
 	h := key.index(d.seed)
 	rep := Replica{Time: rec.Time, TTL: ip.TTL, Index: idx}
 
+	// An open builder knows its prefix, so only a first sighting or a
+	// promotion looks the prefix up.
 	match := d.active[h]
 	for match != nil && !(match.key == key && bytes.Equal(match.rest, rest)) {
 		match = match.chain
 	}
 	if match == nil {
+		ps := d.state(ip.Dst)
 		e := d.first.find(h, &key, rest)
 		if e == nil {
 			d.addFirst(ps, h, &key, rest, rep)
@@ -377,6 +421,7 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		}
 		match = d.promote(ps, h, &key, rest, e)
 	}
+	ps := match.ps
 	switch delta := int(match.lastTTL) - int(rep.TTL); {
 	case delta >= d.cfg.MinTTLDelta:
 		match.replicas = append(match.replicas, rep)
@@ -419,11 +464,14 @@ func (d *Detector) addFirst(ps *prefixState, h uint64, key *replicaKey, rest []b
 }
 
 // promote replaces a packet's table entry, on its second observation,
-// with a builder holding the first; its window entry stays open.
+// with a builder holding the first; its window entry stays open. The
+// builder comes from the free list with the arrays it grew before.
 func (d *Detector) promote(ps *prefixState, h uint64, key *replicaKey, rest []byte, e *firstObs) *builder {
-	b := &builder{key: *key, rest: bytes.Clone(rest), index: h, chain: d.active[h], ps: ps,
-		replicas:   append(make([]Replica, 0, 2), Replica{Time: e.t, TTL: e.ttl(), Index: e.idx()}),
-		firstEntry: ps.seqOf(e.seq), lastTTL: e.ttl(), lastTime: e.t, lastIdx: e.idx()}
+	b := take(&d.freeBuilders)
+	*b = builder{key: *key, rest: append(b.rest[:0], rest...), index: h, chain: d.active[h], ps: ps,
+		replicas:    append(b.replicas[:0], Replica{Time: e.t, TTL: e.ttl(), Index: e.idx()}),
+		moreEntries: b.moreEntries[:0],
+		firstEntry:  ps.seqOf(e.seq), lastTTL: e.ttl(), lastTime: e.t, lastIdx: e.idx()}
 	d.first.drop(e)
 	d.active[h] = b
 	d.live.pushBack(b)
@@ -459,7 +507,8 @@ func (d *Detector) touch(b *builder, rep Replica) {
 	}
 }
 
-// close flushes an open builder and drops it from every index.
+// close flushes an open builder and drops it from every index; unless
+// flush queued it, nothing refers to it any more.
 func (d *Detector) close(b *builder, why flight.Reason) {
 	d.flush(b, why)
 	if p := d.active[b.index]; p == b {
@@ -478,6 +527,9 @@ func (d *Detector) close(b *builder, why flight.Reason) {
 	b.ps.decide(b.firstEntry)
 	d.live.remove(b)
 	d.builders--
+	if len(b.replicas) < d.cfg.MinReplicas {
+		d.freeBuilders = append(d.freeBuilders, b)
+	}
 }
 
 // expire drops table entries and closes builders unseen for
@@ -501,7 +553,8 @@ func (d *Detector) frExtend(b *builder, rep Replica, delta int) {
 	if !b.frOpen {
 		// The stream ID has always been this hash of the masked bytes,
 		// and trails and exemplars are compared across versions.
-		b.frOpen, b.stream = true, fnv64a(b.key.masked(b.rest))
+		var buf [2 * keyBytes]byte
+		b.frOpen, b.stream = true, fnv64a(b.key.masked(buf[:0], b.rest))
 		first := b.replicas[0]
 		d.fr.Record(flight.Event{Time: first.Time, Kind: flight.KindStreamOpen,
 			Prefix: b.ps.prefix, Stream: b.stream, TTL: first.TTL})
@@ -597,12 +650,17 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 		if d.cfg.ValidateSubnet && !ps.clean(b.start(), b.end()) {
 			d.subnetInval++
 			d.note(b, b.start(), flight.KindReject, flight.ReasonSubnetInvalidated)
+			d.freeBuilders = append(d.freeBuilders, b)
 			continue
 		}
 		d.note(b, b.start(), flight.KindValidated, flight.ReasonNone)
-		masked := b.key.masked(b.rest)
-		s := &ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: b.replicas,
+		var buf [2 * keyBytes]byte
+		masked := b.key.masked(buf[:0], b.rest)
+		s := &cut(&d.streamSlab, 1)[0]
+		*s = ReplicaStream{ID: d.streams, Prefix: ps.prefix, Replicas: cut(&d.replicaSlab, len(b.replicas)),
 			Summary: summarize(masked), Ident: fnv64a(masked)}
+		copy(s.Replicas, b.replicas)
+		d.freeBuilders = append(d.freeBuilders, b)
 		d.streams++
 		d.looped += len(b.replicas)
 		i := sort.Search(len(ps.validated), func(i int) bool { return streamLess(s, ps.validated[i]) })
@@ -620,7 +678,7 @@ func (d *Detector) advance(ps *prefixState, final bool) {
 		if !final && (undecided <= s.Start() || ps.pendingBy(s.Start())) {
 			break
 		}
-		ps.validated = ps.validated[1:]
+		ps.validated = slices.Delete(ps.validated, 0, 1)
 		l := ps.loop
 		if l == nil {
 			d.openLoop(ps, s, flight.ReasonNone)
@@ -667,25 +725,36 @@ func (ps *prefixState) pendingBy(t time.Duration) bool {
 // openLoop starts the prefix's next loop with stream s; why says what
 // closed the previous one, if there was one.
 func (d *Detector) openLoop(ps *prefixState, s *ReplicaStream, why flight.Reason) {
-	ps.loop = &Loop{Prefix: ps.prefix, Streams: []*ReplicaStream{s}, Start: s.Start(), End: s.End()}
+	ps.loop = &Loop{Prefix: ps.prefix, Streams: append(ps.merged, s), Start: s.Start(), End: s.End()}
 	d.fr.Record(flight.Event{Time: s.Start(), Kind: flight.KindLoopOpen, Reason: why, Prefix: ps.prefix})
 }
 
 // finalize emits the prefix's open loop: nothing can change it now.
 func (d *Detector) finalize(ps *prefixState) {
 	l := ps.loop
-	ps.loop = nil
+	ps.loop, ps.merged = nil, l.Streams
+	l.Streams = cut(&d.loopSlab, len(ps.merged))
+	copy(l.Streams, ps.merged)
+	clear(ps.merged)
+	ps.merged = ps.merged[:0]
 	d.fr.Record(flight.Event{Time: l.End, Kind: flight.KindLoopFinal,
 		Prefix: ps.prefix, Count: len(l.Streams)})
-	d.loops = append(d.loops, l)
+	if !d.forget {
+		d.loops = append(d.loops, l)
+	}
 	if d.emit != nil {
 		d.emit(l)
 	}
 }
 
+// maxPooledStore is the largest entry array (16 KiB) a prefix state
+// keeps on the free list; a larger one is left to the collector.
+const maxPooledStore = 1024
+
 // evict drops the entries nothing can read any more — those before the
 // open loop's end, the oldest undecided packet and the earliest
-// unfolded stream — and the whole prefix once it holds nothing.
+// unfolded stream — and the whole prefix once it holds nothing, onto
+// the free list with its arrays.
 func (d *Detector) evict(ps *prefixState) {
 	needLow := min(d.now, ps.earliestStream())
 	if ps.loop != nil {
@@ -702,6 +771,13 @@ func (d *Detector) evict(ps *prefixState) {
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
 		len(ps.validated) == 0 && ps.open == 0 && ps.loop == nil {
 		delete(d.byPrefix, ps.prefix.Addr.Uint32())
+		store := ps.store
+		if len(store) > maxPooledStore {
+			store = nil
+		}
+		*ps = prefixState{entries: store[:0], store: store, pending: ps.pending,
+			validated: ps.validated, merged: ps.merged}
+		d.freeStates = append(d.freeStates, ps)
 	}
 }
 

@@ -69,6 +69,7 @@ func NewSession(cfg Config, emit func(SessionEvent)) (*Session, error) {
 	}
 	s := &Session{emit: emit}
 	s.sd = NewStreamDetector(cfg, s.onLoop)
+	s.sd.forget = true
 	return s, nil
 }
 

@@ -229,6 +229,31 @@ func TestSessionMatchesStreamDetector(t *testing.T) {
 	}
 }
 
+// TestSessionRetainsNoLoops: a session ends on FinishStats, never
+// Finish, so its detector must not keep what it emits; in a daemon that
+// list would hold every loop, stream and replica for the life of the
+// process.
+func TestSessionRetainsNoLoops(t *testing.T) {
+	recs := sessionTestTrace(t, 11, 12)
+	cfg := DefaultConfig()
+	want := len(DetectRecords(recs, cfg).Loops)
+	var got int
+	s, err := NewSession(cfg, func(SessionEvent) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		s.Observe(r)
+	}
+	s.Complete()
+	if want == 0 || got != want {
+		t.Fatalf("session emitted %d loops, the batch run found %d", got, want)
+	}
+	if n := len(s.sd.loops); n != 0 {
+		t.Errorf("session still holds %d of the %d loops it emitted", n, got)
+	}
+}
+
 func TestNewSessionValidatesConfig(t *testing.T) {
 	if _, err := NewSession(Config{}, nil); err == nil {
 		t.Fatal("zero config accepted")

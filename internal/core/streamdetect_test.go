@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -276,4 +278,66 @@ func TestStreamingScale(t *testing.T) {
 	}
 	t.Logf("records=%d loops=%d streams=%d peakEntries=%d",
 		n, loops, stats.Streams, stats.PeakPrefixEntries)
+}
+
+// deepCopyLoop copies l down to its replicas.
+func deepCopyLoop(l *Loop) *Loop {
+	c := *l
+	c.Streams = make([]*ReplicaStream, len(l.Streams))
+	for i, s := range l.Streams {
+		sc := *s
+		sc.Replicas = slices.Clone(s.Replicas)
+		c.Streams[i] = &sc
+	}
+	return &c
+}
+
+// TestEmittedLoopsOutlivePooledState: builders, prefix states and the
+// arrays a loop's streams grow in are reused, so what goes out must be
+// copied out of them. Loops a streaming detector emitted, deep-copied
+// at emission, must still equal their copies after the rest of a storm
+// has gone through the pools; and appending to one stream's replicas,
+// or to one loop's streams, in a Result must change no other.
+func TestEmittedLoopsOutlivePooledState(t *testing.T) {
+	recs := loopStormTrace(5)
+	cfg := DefaultConfig()
+	cfg.MergeWindow = 2 * time.Second
+	var emitted, copies []*Loop
+	d := NewStreamDetector(cfg, func(l *Loop) {
+		emitted = append(emitted, l)
+		copies = append(copies, deepCopyLoop(l))
+	})
+	early := 0
+	for i, r := range recs {
+		d.Observe(r)
+		if i == len(recs)/2 {
+			early = len(emitted)
+		}
+	}
+	d.FinishStats()
+	if early < 10 {
+		t.Fatalf("%d loops emitted in the first half of the trace; the test needs the pools to turn over after emissions", early)
+	}
+	for i, l := range emitted {
+		if !reflect.DeepEqual(l, copies[i]) {
+			t.Fatalf("loop %d of %d (%v) changed after it was emitted", i, len(emitted), l.Prefix)
+		}
+	}
+
+	res := DetectRecords(recs, cfg)
+	copies = copies[:0]
+	for _, l := range res.Loops {
+		copies = append(copies, deepCopyLoop(l))
+	}
+	for _, s := range res.Streams {
+		_ = append(s.Replicas, Replica{TTL: 1})
+	}
+	for _, l := range res.Loops {
+		_ = append(l.Streams, nil)
+	}
+	for i, l := range res.Loops {
+		if !reflect.DeepEqual(l, copies[i]) {
+			t.Fatalf("appending to a Result's slices changed loop %d (%v)", i, l.Prefix)
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Addr is an IPv4 address in network byte order. It is a fixed-size
 // array so it is comparable and usable as a map key without
@@ -24,9 +27,15 @@ func (a Addr) Uint32() uint32 {
 // IsMulticast reports whether the address is in 224.0.0.0/4.
 func (a Addr) IsMulticast() bool { return a[0]&0xf0 == 0xe0 }
 
-// String formats the address in dotted-quad notation.
+// String formats the address in dotted-quad notation. It is built in
+// a stack buffer, so the string is its one allocation.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var buf [len("255.255.255.255")]byte
+	b := strconv.AppendUint(buf[:0], uint64(a[0]), 10)
+	for _, o := range a[1:] {
+		b = strconv.AppendUint(append(b, '.'), uint64(o), 10)
+	}
+	return string(b)
 }
 
 // ParseAddr parses dotted-quad notation. It accepts exactly four

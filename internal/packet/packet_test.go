@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +43,30 @@ func TestAddrRoundTrip(t *testing.T) {
 		if a.String() != s {
 			t.Errorf("round trip %q -> %q", s, a.String())
 		}
+	}
+}
+
+// TestAddrStringMatchesFmt: every octet value in every position formats
+// as fmt's dotted quad did.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	for pos := range 4 {
+		for v := range 256 {
+			a := Addr{1, 22, 203, 4}
+			a[pos] = byte(v)
+			if got, want := a.String(), fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]); got != want {
+				t.Fatalf("Addr%v.String() = %q, want %q", [4]byte(a), got, want)
+			}
+		}
+	}
+}
+
+var sink string
+
+// TestAddrStringAllocationBudget: the string is the one allocation.
+func TestAddrStringAllocationBudget(t *testing.T) {
+	a := AddrFrom(255, 255, 255, 255)
+	if n := testing.AllocsPerRun(100, func() { sink = a.String() }); n > 1 {
+		t.Errorf("Addr.String allocates %v times, budget 1", n)
 	}
 }
 

@@ -82,9 +82,15 @@ func (p Prefix) Overlaps(q Prefix) bool {
 	return q.Addr.Uint32()&mask(p.Bits) == p.Addr.Uint32()
 }
 
-// String formats the prefix in CIDR notation.
+// String formats the prefix in CIDR notation. It is built in a stack
+// buffer, so the string is its one allocation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.Addr, p.Bits)
+	var buf [len("255.255.255.255/32")]byte
+	b := strconv.AppendUint(buf[:0], uint64(p.Addr[0]), 10)
+	for _, o := range p.Addr[1:] {
+		b = strconv.AppendUint(append(b, '.'), uint64(o), 10)
+	}
+	return string(strconv.AppendInt(append(b, '/'), int64(p.Bits), 10))
 }
 
 // ParsePrefix parses CIDR notation ("10.1.2.0/24"). The host part, if

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,33 @@ func TestPrefixParseAndString(t *testing.T) {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestPrefixStringMatchesFmt: every octet value in every position, and
+// every length from 0 to 32, formats as fmt's "%s/%d" did.
+func TestPrefixStringMatchesFmt(t *testing.T) {
+	for bits := 0; bits <= 32; bits++ {
+		for pos := range 4 {
+			for v := range 256 {
+				p := Prefix{Addr: packet.AddrFrom(10, 200, 3, 44), Bits: bits}
+				p.Addr[pos] = byte(v)
+				a := p.Addr
+				if got, want := p.String(), fmt.Sprintf("%d.%d.%d.%d/%d", a[0], a[1], a[2], a[3], bits); got != want {
+					t.Fatalf("Prefix{%v, %d}.String() = %q, want %q", [4]byte(a), bits, got, want)
+				}
+			}
+		}
+	}
+}
+
+var sink string
+
+// TestPrefixStringAllocationBudget: the string is the one allocation.
+func TestPrefixStringAllocationBudget(t *testing.T) {
+	p := MustParsePrefix("255.255.255.255/32")
+	if n := testing.AllocsPerRun(100, func() { sink = p.String() }); n > 1 {
+		t.Errorf("Prefix.String allocates %v times, budget 1", n)
 	}
 }
 
