@@ -9,7 +9,7 @@ import (
 	"loopscope/internal/routing"
 )
 
-// Sentinel next-hop codes in the atom × router forwarding matrix.
+// Sentinel next-hop codes in a router's forwarding column.
 // Non-negative values index Snapshot.Routers.
 const (
 	nhDrop  int32 = -1 // no route, or next hop outside the snapshot
@@ -37,20 +37,21 @@ func ScanTimeline(snaps []Snapshot) []*Report {
 
 // Timeline scans consecutive snapshots of one network, keeping from
 // each step what spares the next one work: its own copy of the tables,
-// the atom boundaries, the router × atom next-hop matrix (allocated per
-// partition, not per scan) and the cycles found on each atom. A step
-// re-flattens only routers whose table differs from the kept one — the
-// tables decide, never the revision field — re-walks only atoms on
-// which a flattened column moved, and rebuilds the cycle list from the
-// per-atom findings.
+// the atom boundaries, each router's forwarding column as runs of atoms
+// with one next hop (so memory grows with the tables, not with routers
+// × atoms) and the cycles found on each atom. A step re-flattens only
+// routers whose table differs from the kept one — the tables decide,
+// never the revision field — re-walks only atoms on which a flattened
+// column moved, and rebuilds the cycle list from the per-atom findings.
 //
 // There is one code path. A router list that differs in length, name
 // or order, or a last step that warned (duplicate name, missing next
 // hop) or saw no routers, voids the name → index map or the claim that
 // an unchanged table flattens as before: the step forgets the kept
 // tables, so every router is changed. Boundaries that moved void the
-// matrix: every router is flattened anew and every atom is dirty. A
-// first step is both, which is Scan.
+// columns: every router is flattened anew and every atom is dirty. The
+// boundaries are collected again only when some changed router's set of
+// prefix endpoints moved. A first step is both, which is Scan.
 //
 // The zero value is ready to use; Step only reads its argument.
 type Timeline struct {
@@ -59,13 +60,19 @@ type Timeline struct {
 	clean   bool             // the last step scanned routers and warned of nothing
 
 	bounds  []uint64    // atom a is [bounds[a], bounds[a+1])
-	next    []int32     // next[r*atoms+a]: router r's decision on atom a
+	runs    [][]run     // per router, its decisions in ascending atoms
 	cycles  [][][]int32 // per atom, the canonical cycles found on it
 	dirty   []bool      // per atom: some router's decision moved this step
 	scratch []int32     // one router's freshly flattened column
+	ends    []uint64    // two tables' sorted endpoint sets, compared
 
-	rewalked int // atoms walked, over the Timeline's life
+	rewalked  int // atoms walked, over the Timeline's life
+	collected int // boundary collections, over the Timeline's life
 }
+
+// run says that a router decides nh from atom start up to the start of
+// its next run, or to the last atom.
+type run struct{ start, nh int32 }
 
 // Step scans the next snapshot of the timeline. The report is what a
 // fresh Scan of s would return, warnings included.
@@ -96,13 +103,16 @@ func (t *Timeline) Step(s *Snapshot) *Report {
 	}
 
 	changed := make([]bool, R)
-	moved := t.bounds == nil // some table moved, or none is kept
+	moved := t.bounds == nil // some endpoint set moved, or none is kept
 	for r := range s.Routers {
 		old, now := &t.routers[r], &s.Routers[r]
 		if !sameTable(old, now) {
+			// The union of unchanged sets is unchanged: the partition
+			// can only move where a changed table's endpoints did.
+			moved = moved || !t.sameEnds(old, now)
 			old.Routes = append(old.Routes[:0], now.Routes...)
 			old.Locals = append(old.Locals[:0], now.Locals...)
-			changed[r], moved = true, true
+			changed[r] = true
 		}
 	}
 	// Atom boundaries: the endpoints of every prefix in every table.
@@ -112,11 +122,12 @@ func (t *Timeline) Step(s *Snapshot) *Report {
 	// cycle accumulator does per cycle).
 	all := false // new partition: every router flattened, every atom dirty
 	if moved {
+		t.collected++
 		if bounds := collectBounds(s); !slices.Equal(bounds, t.bounds) {
 			all = true
 			atoms := len(bounds) - 1
 			t.bounds = bounds
-			t.next = slices.Grow(t.next[:0], R*atoms)[:R*atoms]
+			t.runs = make([][]run, R)
 			t.cycles = make([][][]int32, atoms)
 			t.scratch = make([]int32, atoms)
 			t.dirty = make([]bool, atoms)
@@ -128,30 +139,38 @@ func (t *Timeline) Step(s *Snapshot) *Report {
 	atoms := len(t.bounds) - 1
 	rep.Atoms = atoms
 
-	// Flatten: straight into the matrix on a new partition; otherwise
-	// into scratch, and the atoms where the column differs from the
-	// matrix are the dirty ones.
+	// Flatten into scratch; on a kept partition the atoms where the
+	// column differs from the router's runs are the dirty ones. Then
+	// the column is kept as runs.
 	var missing []string
+	col := t.scratch
 	for r := 0; r < R; r++ {
 		if !changed[r] && !all {
 			continue
-		}
-		row := t.next[r*atoms : (r+1)*atoms]
-		col := row
-		if !all {
-			col = t.scratch
 		}
 		for a := range col {
 			col[a] = nhDrop
 		}
 		fillRouter(&t.routers[r], t.idx, t.bounds, col, &missing)
-		if !all {
-			for a, v := range col {
-				if row[a] != v {
-					row[a], t.dirty[a] = v, true
+		old := t.runs[r]
+		for i, rn := range old {
+			end := int32(atoms)
+			if i+1 < len(old) {
+				end = old[i+1].start
+			}
+			for a := rn.start; a < end; a++ {
+				if col[a] != rn.nh {
+					t.dirty[a] = true
 				}
 			}
 		}
+		runs := append(old[:0], run{0, col[0]})
+		for a := 1; a < atoms; a++ {
+			if col[a] != col[a-1] {
+				runs = append(runs, run{int32(a), col[a]})
+			}
+		}
+		t.runs[r] = runs
 	}
 	slices.Sort(missing)
 	for _, name := range slices.Compact(missing) {
@@ -175,14 +194,24 @@ func sameTable(a, b *RouterFIB) bool {
 	return slices.Equal(a.Routes, b.Routes) && slices.Equal(a.Locals, b.Locals)
 }
 
+// sameEnds reports whether two tables hold the same set of prefix
+// endpoints, sorting both in one reused buffer.
+func (t *Timeline) sameEnds(a, b *RouterFIB) bool {
+	ea := sortedSet(appendEnds(t.ends[:0], a))
+	t.ends = appendEnds(ea, b)
+	return slices.Equal(ea, sortedSet(t.ends[len(ea):]))
+}
+
 // walk extracts the cycles of every dirty atom's functional graph over
 // R routers, replacing what was known for the atom, and leaves no atom
-// dirty.
+// dirty. Atoms are walked in ascending order, so each router's cursor
+// into its runs only moves forward.
 func (t *Timeline) walk(R int) {
-	next, atoms := t.next, len(t.dirty)
+	atoms := len(t.dirty)
 	seen := make([]int32, R)   // last atom that fully processed the router
 	onPath := make([]int32, R) // walk id currently holding the router
 	pathPos := make([]int32, R)
+	at := make([]int32, R) // per router, its run holding the current atom
 	for i := range seen {
 		seen[i] = -1
 		onPath[i] = -1
@@ -213,7 +242,11 @@ func (t *Timeline) walk(R int) {
 				onPath[cur] = walkID
 				pathPos[cur] = int32(len(path))
 				path = append(path, cur)
-				cur = next[int(cur)*atoms+a]
+				runs, i := t.runs[cur], at[cur]
+				for int(i)+1 < len(runs) && int(runs[i+1].start) <= a {
+					i++
+				}
+				at[cur], cur = i, runs[i].nh
 			}
 			for _, r := range path {
 				seen[r] = int32(a)
@@ -234,17 +267,29 @@ func (r *Report) warnf(format string, args ...any) {
 func collectBounds(s *Snapshot) []uint64 {
 	bounds := []uint64{0, 1 << 32}
 	for i := range s.Routers {
-		for _, rt := range s.Routers[i].Routes {
-			lo, hi := rt.Prefix.Range()
-			bounds = append(bounds, lo, hi)
-		}
-		for _, p := range s.Routers[i].Locals {
-			lo, hi := p.Range()
-			bounds = append(bounds, lo, hi)
-		}
+		bounds = appendEnds(bounds, &s.Routers[i])
 	}
-	slices.Sort(bounds)
-	return slices.Compact(bounds)
+	return sortedSet(bounds)
+}
+
+// appendEnds appends the endpoints of every prefix in rf's FIB and
+// local table.
+func appendEnds(ends []uint64, rf *RouterFIB) []uint64 {
+	for _, rt := range rf.Routes {
+		lo, hi := rt.Prefix.Range()
+		ends = append(ends, lo, hi)
+	}
+	for _, p := range rf.Locals {
+		lo, hi := p.Range()
+		ends = append(ends, lo, hi)
+	}
+	return ends
+}
+
+// sortedSet sorts s and drops repeats, in place.
+func sortedSet(s []uint64) []uint64 {
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // fillRouter computes one router's forwarding decision per atom into

@@ -21,8 +21,10 @@
 // field-of-sets representation), the functions are aligned on the
 // global atom partition, and cycles are extracted per atom in O(R)
 // with epoch-stamped visitation, so the whole scan is
-// O(entries + atoms × routers) — topologies far larger than
-// packet-level simulation can drive.
+// O(entries + atoms × routers) in time — topologies far larger than
+// packet-level simulation can drive. Each router's function is kept as
+// runs of atoms with one next hop, not one entry per atom, so memory
+// is O(routers + entries + atoms).
 //
 // A timeline is read and scanned one snapshot at a time, and a snapshot
 // costs what changed in it: the Reader does not decode again a router
@@ -33,7 +35,8 @@
 // falls back to the same code with every router changed and every atom
 // dirty (see Timeline). Equal bytes and equal tables license reuse; the
 // revision field is carried and never consulted. Held at any time: one
-// snapshot's tables and the router × atom matrix, whatever the length.
+// snapshot's tables and each router's run-length column, whatever the
+// length.
 //
 // Results can be cross-validated against the trace detector (diff.go):
 // loops the tables predict but packets never hit, versus loops packets
@@ -159,9 +162,11 @@ type Cycle struct {
 	// Ranges are the affected destination ranges: maximal runs of
 	// adjacent atoms forwarded around this exact cycle, ascending.
 	Ranges []AddrRange `json:"ranges"`
-	// Prefixes are the FIB prefixes (from any router) intersecting
-	// Ranges — the destination aggregates whose traffic the loop
-	// captures — sorted and deduplicated.
+	// Prefixes are the cycle members' own FIB prefixes intersecting
+	// Ranges — the routes steering traffic around the loop — sorted by
+	// range start, then length, and deduplicated. Another router's
+	// route (an ingress default, say) reaches the loop but does not
+	// define it, and is left out.
 	Prefixes []routing.Prefix `json:"prefixes"`
 }
 

@@ -313,19 +313,26 @@ func changedColumns(a, b *Snapshot) int {
 	ta.Step(a)
 	tb.Step(b)
 	atoms := len(tb.bounds) - 1
-	if !reflect.DeepEqual(ta.bounds, tb.bounds) || len(ta.next) != len(tb.next) {
+	if !reflect.DeepEqual(ta.bounds, tb.bounds) || len(ta.runs) != len(tb.runs) {
 		return atoms
 	}
 	n := 0
 	for at := 0; at < atoms; at++ {
 		for r := 0; r < len(b.Routers); r++ {
-			if ta.next[r*atoms+at] != tb.next[r*atoms+at] {
+			if decision(&ta, r, at) != decision(&tb, r, at) {
 				n++
 				break
 			}
 		}
 	}
 	return n
+}
+
+// decision is router r's next hop on atom a, read off its runs.
+func decision(t *Timeline, r, a int) int32 {
+	runs := t.runs[r]
+	i := sort.Search(len(runs), func(i int) bool { return int(runs[i].start) > a })
+	return runs[i-1].nh
 }
 
 // TestTimelineAllocationBudget: a long timeline costs what its changes
@@ -353,12 +360,6 @@ func TestTimelineAllocationBudget(t *testing.T) {
 	changes := snapshots/2 - 1
 	wantDecoded := routers + changes*moved
 
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	rd := NewReader(bytes.NewReader(file))
 	var tl Timeline
 	var at8, at32 uint64
@@ -397,4 +398,113 @@ func TestTimelineAllocationBudget(t *testing.T) {
 		t.Errorf("walked %d atoms, budget %d (all %d once + %d changes × %d changed columns)",
 			tl.rewalked, budget, totalAtoms, changes, dirty)
 	}
+	// Next hops change and prefixes move between locals and routes, so
+	// no router's endpoints move: the first step's boundaries serve all.
+	if tl.collected != 1 {
+		t.Errorf("collected the atom boundaries %d times, want once", tl.collected)
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestTimelineHeapAllocationBudget: what a Timeline keeps grows with
+// the tables, not with routers × atoms. Two hubs with full tables and
+// 1,998 spokes holding one default route each: 2,000 routers, 5,998
+// entries, 2,002 atoms. Measured after one Step: 65 B per entry, atom
+// and router (630 KiB) with one run-length column per router, against
+// 1,656 B (15.8 MiB) with the router × atom matrix it replaced.
+func TestTimelineHeapAllocationBudget(t *testing.T) {
+	const budget = 128 // bytes per entry, atom and router
+	snap, _ := Synthetic(200, 2000, 8)
+	for sp := 198; sp < 1998; sp++ {
+		snap.Routers = append(snap.Routers, RouterFIB{
+			Name:   fmt.Sprintf("spoke%d", sp),
+			Routes: []Route{{Prefix: routing.MustParsePrefix("0.0.0.0/0"), NextHop: fmt.Sprintf("hub%d", sp%2)}},
+		})
+	}
+	entries := 0
+	for _, rf := range snap.Routers {
+		entries += len(rf.Routes) + len(rf.Locals)
+	}
+	before := liveHeap()
+	tl := new(Timeline)
+	rep := tl.Step(&snap)
+	if len(rep.Warnings) != 0 || len(rep.Cycles) != 1 || len(rep.Cycles[0].Ranges) != 8 {
+		t.Fatalf("cycles %+v, warnings %v; want the two hubs looping on the 8 injected ranges", rep.Cycles, rep.Warnings)
+	}
+	kept := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(tl)
+	units := entries + len(tl.dirty) + len(snap.Routers)
+	t.Logf("Timeline keeps %d KiB: %.0f B per entry, atom and router (%d entries, %d atoms, %d routers)",
+		kept>>10, float64(kept)/float64(units), entries, len(tl.dirty), len(snap.Routers))
+	if kept > int64(budget*units) {
+		t.Errorf("Timeline keeps %d bytes, budget %d B × %d entries, atoms and routers", kept, budget, units)
+	}
+}
+
+// FuzzTimelineMatchesScan holds the incremental Step against a fresh
+// Scan on arbitrary small tables: a short run of snapshots of up to 6
+// routers over 8 overlapping prefixes (0.0.0.0/0 among them), with
+// locals, next hops outside the snapshot, repeated names and empty
+// snapshots.
+func FuzzTimelineMatchesScan(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0x01, 1, 0, 0x01, 0, 0, 2, 0, 0x01, 1, 0, 0x00, 0x01})
+	f.Add([]byte{3, 0, 0x05, 1, 2, 0x10, 0, 0x06, 2, 0, 0x03, 0x00, 0x01, 0x80, 2, 0x81, 0x04,
+		3, 0, 0x05, 1, 2, 0x10, 0, 0x86, 2, 0, 1, 6, 0x08, 0, 0x00, 0x80, 0x01, 0x00,
+		0, 3, 0, 0x05, 1, 3, 0x00, 0, 0x06, 2, 0, 0x03, 0x00, 0x01, 0x80, 2, 0x81, 0x04})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pool := []routing.Prefix{
+			routing.MustParsePrefix("0.0.0.0/0"), routing.MustParsePrefix("0.0.0.0/1"),
+			routing.MustParsePrefix("10.0.0.0/8"), routing.MustParsePrefix("10.0.0.0/9"),
+			routing.MustParsePrefix("10.1.0.0/16"), routing.MustParsePrefix("10.1.2.0/24"),
+			routing.MustParsePrefix("10.128.0.0/9"), routing.MustParsePrefix("172.16.0.0/12"),
+		}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// Names r0–r5 exist when that many routers do; r6 and r7 never.
+		name := func(b byte) string { return fmt.Sprintf("r%d", b%8) }
+		var tl Timeline
+		for step := int64(0); len(data) > 0 && step < 8; step++ {
+			// Per snapshot: a router count (0 is an empty snapshot); per
+			// router a name byte (high bit set: a name of its own
+			// choosing, repeats included), a route mask over the pool
+			// with one next-hop byte per route, and a local mask.
+			s := Snapshot{TakenNs: step}
+			for r, n := 0, int(next()%7); r < n; r++ {
+				rf := RouterFIB{Name: name(byte(r))}
+				if b := next(); b&0x80 != 0 {
+					rf.Name = name(b)
+				}
+				routes := next()
+				for i, p := range pool {
+					if routes>>i&1 != 0 {
+						rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: name(next())})
+					}
+				}
+				locals := next()
+				for i, p := range pool {
+					if locals>>i&1 != 0 {
+						rf.Locals = append(rf.Locals, p)
+					}
+				}
+				s.Routers = append(s.Routers, rf)
+			}
+			if got, want := tl.Step(&s), Scan(&s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d over %+v:\nstep  %+v\nfresh %+v", step, s.Routers, got, want)
+			}
+		}
+	})
 }
