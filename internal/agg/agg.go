@@ -323,6 +323,7 @@ func (a *Aggregator) applyLocked(o Observation) {
 		TTLDelta:   o.Event.TTLDelta,
 		Streams:    o.Event.Streams,
 		Replicas:   o.Event.Replicas,
+		AtNs:       o.ReceivedAtNs, // a replayed journal keeps each in its own window
 	})
 	a.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricAggObservations, "vantage", o.Vantage)).Inc()
 	a.gFleetLoops.Set(int64(a.loops))

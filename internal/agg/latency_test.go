@@ -2,9 +2,11 @@ package agg
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"loopscope/internal/analytics"
 	"loopscope/internal/obs"
 	"loopscope/internal/obs/provenance"
 	"loopscope/pkg/loopscope"
@@ -201,5 +203,46 @@ func TestProvenanceAbsentEventsStillCluster(t *testing.T) {
 	}
 	if st := a.Latency("", ""); len(st.Segments) != 0 {
 		t.Fatalf("latency table fed by a prov-less event: %+v", st.Segments)
+	}
+}
+
+// TestStatsReplayKeepsWindows: loops ingested at t0 count in the
+// windows of t0, not of the restart that replays them from the
+// journal. Two days on, the 5-minute window holds none of them, before
+// and after a restart, while the all-time view still holds all five.
+func TestStatsReplayKeepsWindows(t *testing.T) {
+	journal := t.TempDir() + "/fleet.jsonl"
+	t0 := time.Unix(1_700_000_000, 0)
+	clock := t0
+	now := func() time.Time { return clock }
+	a1 := newTestAgg(t, Config{Journal: journal, Now: now})
+	for i := 0; i < 5; i++ {
+		if _, err := a1.Ingest(obs1("bb1", fmt.Sprintf("10.1.%d.0/24", i), fmt.Sprintf("e%d", i), sec(10), sec(40), 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loops := func(a *Aggregator, window time.Duration) int {
+		t.Helper()
+		st, err := a.Stats(analytics.Query{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(st.Loops)
+	}
+	if got := loops(a1, 5*time.Minute); got != 5 {
+		t.Fatalf("5-minute window at ingest holds %d loops, want 5", got)
+	}
+	clock = t0.Add(48 * time.Hour)
+	if got := loops(a1, 5*time.Minute); got != 0 {
+		t.Fatalf("5-minute window two days on holds %d loops, want 0", got)
+	}
+	a1.Close()
+
+	a2 := newTestAgg(t, Config{Journal: journal, Now: now})
+	if got := loops(a2, 5*time.Minute); got != 0 {
+		t.Errorf("after the restart, the 5-minute window holds %d loops, want 0", got)
+	}
+	if got := loops(a2, 0); got != 5 {
+		t.Errorf("after the restart, the all-time view holds %d loops, want 5", got)
 	}
 }

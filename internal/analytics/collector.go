@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,6 +46,10 @@ type LoopObs struct {
 	// EscapeDelaysNs holds, per escaped stream, how long the loop held
 	// the packet before it got out.
 	EscapeDelaysNs []int64
+	// AtNs is the wall-clock time (Unix ns) whose window the loop counts
+	// in: the aggregator's receive stamp, which its journal replay
+	// keeps. Zero is the collector's clock at RecordLoop.
+	AtNs int64
 }
 
 // tier is one time-partition granularity: ring of `keep` segments of
@@ -239,19 +244,27 @@ func (c *Collector) RecordLoop(source string, o LoopObs) {
 		sw = newSourceWindows()
 		c.sources[source] = sw
 	}
-	nowUnix := c.now().Unix()
+	at := c.now().Unix()
+	if o.AtNs != 0 {
+		at = time.Unix(0, o.AtNs).Unix()
+	}
 	for ti, t := range tiers {
 		spanSec := int64(t.span / time.Second)
-		start := nowUnix - nowUnix%spanSec
+		start := at - at%spanSec
+		// Almost always the newest segment; a replayed or late loop may
+		// belong to an older one, or to one the tier no longer keeps.
 		segs := sw.Tiers[ti]
-		if n := len(segs); n == 0 || segs[n-1].StartUnix != start {
-			segs = append(segs, segment{StartUnix: start, MS: &metricSet{}})
-			if len(segs) > t.keep {
-				segs = segs[len(segs)-t.keep:]
+		i := sort.Search(len(segs), func(i int) bool { return segs[i].StartUnix >= start })
+		if i == len(segs) || segs[i].StartUnix != start {
+			segs = slices.Insert(segs, i, segment{StartUnix: start, MS: &metricSet{}})
+			if cut := len(segs) - t.keep; cut > 0 {
+				segs, i = segs[cut:], i-cut
 			}
 			sw.Tiers[ti] = segs
 		}
-		sw.Tiers[ti][len(sw.Tiers[ti])-1].MS.record(o)
+		if i >= 0 {
+			segs[i].MS.record(o)
+		}
 	}
 	sw.All.record(o)
 }

@@ -165,6 +165,43 @@ func TestCollectorWindows(t *testing.T) {
 	}
 }
 
+// TestCollectorObservationTime: a loop stamped with AtNs counts in the
+// windows of that time, whether its segment is the newest, an older one
+// already held, a new one between two held or a new oldest one; the
+// segments stay in order, so the state still snapshots and restores.
+func TestCollectorObservationTime(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0).Truncate(24 * time.Hour)
+	clock, now := testClock(base.Add(time.Hour))
+	c := NewCollector(Options{Now: clock})
+	at := func(d time.Duration, i int) LoopObs {
+		o := obsN(i)
+		o.AtNs = base.Add(d).UnixNano()
+		return o
+	}
+	for i, d := range []time.Duration{50 * time.Minute, 10 * time.Minute, 30 * time.Minute, 10 * time.Minute, -5 * time.Hour} {
+		c.RecordLoop("s", at(d, i))
+	}
+	for _, tc := range []struct {
+		window time.Duration
+		want   uint64
+	}{{5 * time.Minute, 0}, {15 * time.Minute, 1}, {45 * time.Minute, 2}, {time.Hour, 4}, {6 * time.Hour, 5}, {0, 5}} {
+		st, err := c.Query(Query{Window: tc.window, Source: "s"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Loops != tc.want {
+			t.Errorf("window %v at %v: loops=%d, want %d", tc.window, now.Sub(base), st.Loops, tc.want)
+		}
+	}
+	data, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewCollector(Options{Now: clock}).DecodeSnapshot(data); err != nil {
+		t.Fatalf("snapshot of out-of-order observations: %v", err)
+	}
+}
+
 func TestCollectorMultiSourceMerge(t *testing.T) {
 	c := NewCollector(Options{})
 	for i := 0; i < 4; i++ {

@@ -104,8 +104,13 @@ type Detector struct {
 	shedPackets  int64 // packets refused admission at the cap
 	admitRefused int64 // refusals since start, drives sampled admission
 
-	now         time.Duration
-	lastAdvance time.Duration
+	now time.Duration
+	// nextAdvance is where the MaxReplicaGap-long slice of the trace
+	// clock that advanceAll last ran in ends. Advancing on entering a new
+	// slice makes the schedule a function of record times alone, so a
+	// detector fed from a restart point advances on the same records as
+	// the original.
+	nextAdvance time.Duration
 
 	n           int
 	parseErrors int
@@ -119,6 +124,13 @@ type Detector struct {
 	// fr, when non-nil, receives lifecycle events for the flight
 	// recorder. Recording never changes detection decisions.
 	fr *flight.ShardRecorder
+
+	// spans, when non-nil (a Session's detector), lists the member
+	// streams closed since the last restartPoint that may still reach
+	// past it; shedAt is one past the last record the governor shed
+	// during.
+	spans  []span
+	shedAt int
 }
 
 // builder accumulates one replica stream from the packet's second
@@ -389,9 +401,9 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 	// record can match is within MaxReplicaGap of it.
 	d.expire()
 	d.first.rotate(d.now)
-	if rec.Time-d.lastAdvance > d.cfg.MaxReplicaGap {
+	if rec.Time >= d.nextAdvance {
 		d.advanceAll(false)
-		d.lastAdvance = rec.Time
+		d.nextAdvance = (rec.Time/d.cfg.MaxReplicaGap + 1) * d.cfg.MaxReplicaGap
 	}
 
 	// The IP header is all a first observation needs, and every error
@@ -583,6 +595,9 @@ func (d *Detector) flush(b *builder, why flight.Reason) {
 	if n < d.cfg.MemberReplicas {
 		return
 	}
+	if d.spans != nil {
+		d.spans = append(d.spans, span{b.replicas[0].Index, b.lastIdx})
+	}
 	if n == 2 {
 		d.pairs++
 	}
@@ -609,9 +624,9 @@ func (d *Detector) flush(b *builder, why flight.Reason) {
 // every prefix with such work, and evicts unreachable entries from all
 // of them. Prefixes with work are visited in address order, never map
 // order: emission order must be a pure function of the record sequence
-// so that a resumed run can suppress replayed emissions by count
-// (core.Session.SetReplay). The others can only evict, which nothing
-// observes, so their order is free.
+// so that a run resumed from a restart point numbers its emissions as
+// the original did (Session.RestartPoint). The others can only evict,
+// which nothing observes, so their order is free.
 func (d *Detector) advanceAll(final bool) {
 	var busy []*prefixState
 	for _, ps := range d.byPrefix {

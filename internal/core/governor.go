@@ -31,6 +31,7 @@ func (d *Detector) admitStream() bool {
 	if d.admitRefused%16 == 0 && d.shed(d.coldest(d.live.head)) {
 		return true
 	}
+	d.shedAt = d.n
 	d.shedPackets++
 	return false
 }
@@ -47,6 +48,7 @@ func (d *Detector) shed(e *firstObs, b *builder) bool {
 	default:
 		return false
 	}
+	d.shedAt = d.n
 	d.shedStreams++
 	return true
 }

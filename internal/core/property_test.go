@@ -19,14 +19,18 @@ import (
 // randomTrace synthesizes a trace with a random background workload
 // and a random set of scripted loops, returning the trace.
 func randomTrace(seed uint64, dur time.Duration, pps float64, nLoops int) []trace.Record {
-	rng := stats.NewRNG(seed)
-	dests := []routing.Prefix{
+	return randomTraceOver(seed, dur, pps, nLoops, []routing.Prefix{
 		routing.MustParsePrefix("198.51.100.0/24"),
 		routing.MustParsePrefix("198.51.101.0/24"),
 		routing.MustParsePrefix("203.0.113.0/24"),
 		routing.MustParsePrefix("192.168.7.0/24"),
 		routing.MustParsePrefix("192.0.2.0/24"),
-	}
+	})
+}
+
+// randomTraceOver is randomTrace towards the prefixes dests.
+func randomTraceOver(seed uint64, dur time.Duration, pps float64, nLoops int, dests []routing.Prefix) []trace.Record {
+	rng := stats.NewRNG(seed)
 	cfg := traffic.SynthConfig{
 		Duration:         dur,
 		PacketsPerSecond: pps,

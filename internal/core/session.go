@@ -12,10 +12,9 @@ type SessionEvent struct {
 	// Loop is the finalized (or, under Drain, partially observed)
 	// routing loop.
 	Loop *Loop
-	// Seq numbers final emissions from 0 in emission order; replayed
-	// (suppressed) emissions consume sequence numbers, so Seq is
-	// stable across a checkpoint/resume cycle. Truncated emissions
-	// carry Seq -1: they are not part of the final sequence.
+	// Seq numbers final emissions from 0 in emission order, which is a
+	// pure function of the record sequence. Truncated emissions carry
+	// Seq -1: they are not part of the final sequence.
 	Seq int
 	// Truncated marks loops flushed by Drain before the stream reached
 	// the point where they could no longer change: the loop is real
@@ -32,12 +31,13 @@ type SessionEvent struct {
 //   - Position accounting: Records and HighWater report how far into
 //     the stream the detector has advanced, which is what a checkpoint
 //     stores.
-//   - Replay suppression: the Detector is deterministic over a
-//     record sequence, so a restarted process rebuilds detector state
-//     by re-feeding the already-processed prefix of the stream.
-//     SetReplay(n) swallows the first n final emissions during that
-//     rebuild — they were already delivered before the restart — so
-//     downstream sinks see each final loop exactly once.
+//   - A restart point: the Detector is deterministic over a record
+//     sequence and holds only the undecided tail of it, so a restarted
+//     process rebuilds detector state by feeding a fresh session the
+//     records from RestartPoint on. From the checkpointed record on, it
+//     emits exactly what this session would have; what it emits before
+//     that was delivered before the restart, and the caller, which
+//     knows the positions, drops it.
 //   - Drain: graceful shutdown flushes the detector mid-stream. Loops
 //     forced out by the flush are emitted marked Truncated (their
 //     extent could still have grown) and do not advance the final
@@ -49,7 +49,6 @@ type Session struct {
 	sd   *Detector
 	emit func(SessionEvent)
 
-	suppress  int
 	finals    int
 	records   int64
 	highWater time.Duration
@@ -57,9 +56,8 @@ type Session struct {
 	drained   bool
 }
 
-// NewSession returns a Session over a fresh Detector. Every
-// emission — suppressed replays excepted — reaches emit synchronously
-// from inside Observe or Drain.
+// NewSession returns a Session over a fresh Detector. Every emission
+// reaches emit synchronously from inside Observe or Drain.
 func NewSession(cfg Config, emit func(SessionEvent)) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -70,23 +68,19 @@ func NewSession(cfg Config, emit func(SessionEvent)) (*Session, error) {
 	s := &Session{emit: emit}
 	s.sd = NewStreamDetector(cfg, s.onLoop)
 	s.sd.forget = true
+	s.sd.spans = []span{}
 	return s, nil
 }
 
-// onLoop routes the detector's emissions through the replay/drain
+// onLoop routes the detector's emissions through the drain
 // bookkeeping.
 func (s *Session) onLoop(l *Loop) {
 	if s.draining {
 		s.emit(SessionEvent{Loop: l, Seq: -1, Truncated: true})
 		return
 	}
-	seq := s.finals
+	s.emit(SessionEvent{Loop: l, Seq: s.finals})
 	s.finals++
-	if s.suppress > 0 {
-		s.suppress--
-		return
-	}
-	s.emit(SessionEvent{Loop: l, Seq: seq})
 }
 
 // SetFlight attaches a flight-recorder shard to the underlying
@@ -94,26 +88,17 @@ func (s *Session) onLoop(l *Loop) {
 // disabled.
 func (s *Session) SetFlight(sr *flight.ShardRecorder) { s.sd.SetFlight(sr) }
 
-// SetReplay arms suppression of the next n final emissions. Call it
-// once, before the first Observe, with the emitted count a checkpoint
-// recorded; feeding the checkpointed record prefix then rebuilds
-// detector state silently.
-func (s *Session) SetReplay(n int) {
-	if n > 0 {
-		s.suppress = n
-	}
-}
-
-// ClearReplay cancels any remaining replay suppression and returns how
-// many suppressed emissions were still pending. Callers use it when a
-// replay ends without reaching its target: leftover suppression would
-// silently swallow that many genuinely new emissions (permanent loss),
-// whereas clearing it can at worst re-deliver events a downstream
-// ID-dedup absorbs.
-func (s *Session) ClearReplay() int {
-	n := s.suppress
-	s.suppress = 0
-	return n
+// RestartPoint returns the index r of the record (counted as Records
+// counts) a fresh session must be fed from to emit, from the next
+// record on, exactly what this one will; exact is false if the memory
+// governor shed since r, when that is not promised. at maps an index to
+// the nearest one at or before it the caller can re-read from, which
+// must be 0 or a record stamped later than the one before it. It costs
+// a pass over the detector's state, so take it per checkpoint, not per
+// record; r never decreases from one call to the next.
+func (s *Session) RestartPoint(at func(int64) int64) (r int64, exact bool) {
+	n, exact := s.sd.restartPoint(func(i int) int { return int(at(int64(i))) })
+	return int64(n), exact
 }
 
 // Observe feeds the next record; records must arrive in non-decreasing
@@ -141,9 +126,8 @@ func (s *Session) HighWater() time.Duration { return s.highWater }
 // daemon diffs successive snapshots into loopscope_shed_total.
 func (s *Session) Shed() ShedCounts { return s.sd.Shed() }
 
-// Emitted returns the number of final loop emissions so far, counting
-// suppressed replays: it is the value a checkpoint stores and a
-// restart passes to SetReplay.
+// Emitted returns the number of final loop emissions so far: the Seq
+// the next one will carry.
 func (s *Session) Emitted() int { return s.finals }
 
 // Drain flushes all remaining detector state. Loops forced out are

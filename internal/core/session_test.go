@@ -44,13 +44,15 @@ func eventKey(e SessionEvent) string {
 }
 
 // TestSessionReplayEquivalence is the checkpoint/resume contract: a
-// session crashed at record k and resumed by replaying the prefix with
-// SetReplay(emitted) must, across the two incarnations, deliver
-// exactly the reference run's final emissions — no duplicates, no
-// gaps, matching Seq.
+// session crashed at record k and resumed by feeding a fresh session
+// from its restart point — dropping what that emits before record k,
+// which the first incarnation delivered, and numbering on from its
+// Emitted — must, across the two incarnations, deliver exactly the
+// reference run's final emissions: no duplicates, no gaps, matching Seq.
 func TestSessionReplayEquivalence(t *testing.T) {
 	recs := sessionTestTrace(t, 7, 10)
 	cfg := DefaultConfig()
+	at := floorMark(restartMarks(recs, 1))
 
 	var ref []SessionEvent
 	refSess, err := NewSession(cfg, func(e SessionEvent) { ref = append(ref, e) })
@@ -82,24 +84,28 @@ func TestSessionReplayEquivalence(t *testing.T) {
 			if s1.Records() != int64(k) {
 				t.Fatalf("Records() = %d, want %d", s1.Records(), k)
 			}
+			r, exact := s1.RestartPoint(func(i int64) int64 { return int64(at(int(i))) })
+			if !exact || r > int64(k) {
+				t.Fatalf("restart point %d (exact %v) for a crash at %d", r, exact, k)
+			}
 
-			// Second incarnation: replay the prefix suppressed, then
-			// continue live.
-			s2, err := NewSession(cfg, func(e SessionEvent) { got = append(got, e) })
+			// Second incarnation: fed from the restart point, silent up
+			// to record k, then live.
+			live := false
+			s2, err := NewSession(cfg, func(e SessionEvent) {
+				if live {
+					e.Seq = emitted
+					emitted++
+					got = append(got, e)
+				}
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s2.SetReplay(emitted)
-			for _, r := range recs[:k] {
-				s2.Observe(r)
+			for i := int(r); i < len(recs); i++ {
+				live = i >= k
+				s2.Observe(recs[i])
 			}
-			if s2.Emitted() < emitted {
-				t.Fatalf("replay emitted %d finals, checkpoint said %d", s2.Emitted(), emitted)
-			}
-			for _, r := range recs[k:] {
-				s2.Observe(r)
-			}
-
 			if len(got) != len(ref) {
 				t.Fatalf("resumed run delivered %d events, reference %d", len(got), len(ref))
 			}
@@ -151,6 +157,7 @@ func TestSessionDrain(t *testing.T) {
 		s.Observe(r)
 	}
 	before := s.Emitted()
+	restart, _ := s.RestartPoint(func(i int64) int64 { return int64(floorMark(restartMarks(recs, 1))(int(i))) })
 	st := s.Drain()
 	if s.Emitted() != before {
 		t.Fatalf("Drain advanced Emitted from %d to %d", before, s.Emitted())
@@ -164,14 +171,13 @@ func TestSessionDrain(t *testing.T) {
 		}
 	}
 	// Every truncated loop must be re-deliverable as (part of) a final
-	// by a resumed run over the full trace.
+	// by a run resumed from the restart point taken before the drain.
 	var resumed []SessionEvent
 	s2, err := NewSession(cfg, func(e SessionEvent) { resumed = append(resumed, e) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.SetReplay(before)
-	for _, r := range recs {
+	for _, r := range recs[restart:] {
 		s2.Observe(r)
 	}
 	s2.Drain()

@@ -47,6 +47,13 @@ const (
 	MetricServeSinkRetries     = "loopscope_serve_sink_retries_total"
 	MetricServeJournalDup      = "loopscope_serve_journal_duplicates_total"
 	MetricServeCheckpoints     = "loopscope_serve_checkpoints_total"
+	// Resume: records re-fed from a checkpoint's restart point, per
+	// source, and resumes that could not rebuild the detector exactly,
+	// per reason (checkpoint_ahead_of_file, replay_read_error,
+	// position_disagrees, restart_segment_missing,
+	// governor_shed_since_restart, no_restart_point).
+	MetricServeRecordsReplayed = "loopscope_serve_records_replayed_total"
+	MetricServeResumeFresh     = "loopscope_serve_resume_fresh_total"
 
 	// Daemon self-observability: how far behind live each source is
 	// (bytes behind the tail / rotated segments behind the directory
@@ -140,6 +147,8 @@ var metricHelp = map[string]string{
 	MetricServeSinkRetries:       "Sink delivery retries.",
 	MetricServeJournalDup:        "Journal publishes suppressed as duplicates.",
 	MetricServeCheckpoints:       "Checkpoints written.",
+	MetricServeRecordsReplayed:   "Records re-fed from a checkpoint's restart point per source.",
+	MetricServeResumeFresh:       "Resumes that started fresh or inexact, by reason.",
 	MetricServeSourceLagSegments: "Rotated segments between a dir source's position and the directory head.",
 	MetricServeDetectLatencyNs:   "Nanoseconds from a loop's last packet (trace clock) to its emission.",
 	MetricServeCheckpointUnixNs:  "Unix time (ns) of the last successful checkpoint.",

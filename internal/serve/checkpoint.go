@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,17 +16,18 @@ import (
 const checkpointVersion = 1
 
 // Checkpoint is the daemon's periodically persisted position: for
-// every source, how far into the stream the detector has advanced and
-// how many final events were already delivered. It is written
+// every source, how far into the stream the detector has advanced, how
+// many final events were already delivered and where a restart must
+// re-read from to rebuild the detector's state. It is written
 // atomically (durable.Save), so a crash leaves either the old or the
 // new checkpoint, never a torn one.
 //
-// The invariant that makes resume exact: a source entry (Records,
-// Emitted) is only ever captured at a moment when the first Emitted
-// final events were already durably published, so a restart that
-// replays Records records while suppressing Emitted emissions delivers
-// each final event at least once overall and — behind the journal's ID
-// dedup — exactly once.
+// The invariant that makes resume exact: a source entry is only ever
+// captured at a moment when its first Emitted final events were already
+// durably published, so a restart that re-feeds a fresh detector from
+// Restart up to the position in silence, then publishes on numbering
+// from Emitted, delivers each final event at least once overall and —
+// behind the journal's ID dedup — exactly once.
 type Checkpoint struct {
 	Version   int    `json:"version"`
 	SavedAtNs int64  `json:"savedAtNs"`
@@ -51,13 +53,9 @@ type SourceCheckpoint struct {
 	// Offset is the byte offset those records end at (sanity check
 	// during replay).
 	Offset int64 `json:"offset"`
-	// Emitted is the number of final loop events delivered by the
-	// source's current session. Tail resume passes it to SetReplay so
-	// the replayed prefix stays silent; dir sources record it for
-	// observability only — their resume rebuilds state from the
-	// current segment alone, so the cumulative count must not arm
-	// suppression (re-derived events are re-published and deduped by
-	// the journal instead).
+	// Emitted is the number of final loop events the source's current
+	// session delivered up to the position: the Seq of the next one. A
+	// resume numbers on from it.
 	Emitted int `json:"emitted"`
 	// HighWaterNs is the detector's position on the trace clock.
 	HighWaterNs int64 `json:"highWaterNs"`
@@ -65,6 +63,26 @@ type SourceCheckpoint struct {
 	// segment's record times (dir sources stitch segments into one
 	// monotonic clock).
 	TimeBaseNs int64 `json:"timeBaseNs,omitempty"`
+	// Restart is where a resume re-reads from: the earliest record any
+	// of the detector's retained state derives from
+	// (core.Session.RestartPoint), at or before the position, possibly in
+	// an earlier segment. Nil in checkpoints written before it existed,
+	// which resume fresh. A feed's bytes are gone with its connection,
+	// so a feed never resumes from its restart point.
+	Restart *RestartPoint `json:"restart,omitempty"`
+}
+
+// RestartPoint is a record a resume can re-read from: the segment that
+// holds it (dir sources), how many records of it come before, the byte
+// offset it starts at and the segment's time base.
+type RestartPoint struct {
+	File       string `json:"file,omitempty"`
+	Records    int64  `json:"records"`
+	Offset     int64  `json:"offset"`
+	TimeBaseNs int64  `json:"timeBaseNs,omitempty"`
+	// Shed says the memory governor shed state since this record, so
+	// re-reading from it rebuilds the detector only approximately.
+	Shed bool `json:"shed,omitempty"`
 }
 
 // validKinds is the closed set of source kinds a checkpoint may name.
@@ -100,7 +118,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if !validKinds[s.Kind] {
 			return nil, fmt.Errorf("serve: checkpoint: source %q has unknown kind %q", name, s.Kind)
 		}
-		if s.Records < 0 || s.Offset < 0 || s.Emitted < 0 || s.HighWaterNs < 0 || s.TimeBaseNs < 0 {
+		r := cmp.Or(s.Restart, &RestartPoint{})
+		if s.Records < 0 || s.Offset < 0 || s.Emitted < 0 || s.HighWaterNs < 0 || s.TimeBaseNs < 0 ||
+			r.Records < 0 || r.Offset < 0 || r.TimeBaseNs < 0 {
 			return nil, fmt.Errorf("serve: checkpoint: source %q has negative position", name)
 		}
 		if s.Records > 0 && s.Offset == 0 && s.Kind != "feed" {

@@ -5,8 +5,11 @@
 // publishes finalized loop events to pluggable sinks — an append-only
 // JSONL journal, a webhook POST sink, and an in-memory ring behind an
 // HTTP API. A periodic checkpoint makes restarts resume without
-// re-emitting, and SIGTERM-style shutdown drains the detectors,
-// flushing partial loops marked truncated.
+// re-emitting: it stores each source's position and restart point, and
+// a restarted source re-feeds a fresh detector from the restart point
+// up to the position, publishing nothing, whether the restart point is
+// in the same file or in an earlier segment. SIGTERM-style shutdown
+// drains the detectors, flushing partial loops marked truncated.
 //
 // Delivery semantics: the pipeline is at-least-once end to end — after
 // a crash, events emitted between the last checkpoint and the crash

@@ -101,13 +101,12 @@ type Journal struct {
 	log  *slog.Logger
 	now  func() time.Time
 
-	mu         sync.Mutex
-	file       *durable.Log
-	segOpened  time.Time // when the live segment began (age-based rotation)
-	seen       map[string]struct{}
-	pending    [][]byte // marshaled lines awaiting retry, in order
-	pendingIDs map[string]struct{}
-	closed     bool
+	mu        sync.Mutex
+	file      *durable.Log
+	segOpened time.Time           // when the live segment began (age-based rotation)
+	seen      map[string]struct{} // IDs written or parked for retry
+	pending   [][]byte            // marshaled lines awaiting retry, in order
+	closed    bool
 
 	delivered *obs.Counter
 	dups      *obs.Counter
@@ -139,19 +138,18 @@ func NewJournal(opts JournalOptions) (*Journal, error) {
 	}
 	obs.NoteTornRepair(opts.Metrics, log, "journal", opts.Path, torn)
 	j := &Journal{
-		opts:       opts,
-		log:        log,
-		now:        now,
-		file:       file,
-		segOpened:  now(),
-		seen:       make(map[string]struct{}),
-		pendingIDs: make(map[string]struct{}),
-		delivered:  opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDelivered, "sink", "journal")),
-		dups:       opts.Metrics.Counter(obs.MetricServeJournalDup),
-		drops:      opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDropped, "sink", "journal")),
-		requeued:   opts.Metrics.Counter(obs.MetricJournalRequeued),
-		pruned:     opts.Metrics.Counter(obs.MetricJournalSegmentsPruned),
-		skipped:    opts.Metrics.Counter(obs.LabelMetric(obs.MetricJournalSkipped, "file", "journal")),
+		opts:      opts,
+		log:       log,
+		now:       now,
+		file:      file,
+		segOpened: now(),
+		seen:      make(map[string]struct{}),
+		delivered: opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDelivered, "sink", "journal")),
+		dups:      opts.Metrics.Counter(obs.MetricServeJournalDup),
+		drops:     opts.Metrics.Counter(obs.LabelMetric(obs.MetricServeSinkDropped, "sink", "journal")),
+		requeued:  opts.Metrics.Counter(obs.MetricJournalRequeued),
+		pruned:    opts.Metrics.Counter(obs.MetricJournalSegmentsPruned),
+		skipped:   opts.Metrics.Counter(obs.LabelMetric(obs.MetricJournalSkipped, "file", "journal")),
 	}
 	j.pruneLocked()
 	for _, seg := range j.segmentsLocked() {
@@ -238,20 +236,6 @@ func (j *Journal) pruneLocked() {
 	}
 }
 
-// lineID extracts the event ID from one journal line.
-func lineID(line []byte) (string, error) {
-	var rec struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return "", err
-	}
-	if rec.ID == "" {
-		return "", errors.New("journal line without an event id")
-	}
-	return rec.ID, nil
-}
-
 // loadSeen indexes the event IDs of an existing journal file; a
 // missing or partially unreadable file contributes what it can.
 // Unparseable lines (a torn line in a rotated segment, bit rot) are
@@ -260,11 +244,17 @@ func lineID(line []byte) (string, error) {
 // to start risks the daemon.
 func (j *Journal) loadSeen(path string) {
 	skipped, err := durable.Replay(path, func(line []byte) error {
-		id, err := lineID(line)
-		if err == nil {
-			j.seen[id] = struct{}{}
+		var rec struct {
+			ID string `json:"id"`
 		}
-		return err
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if rec.ID == "" {
+			return errors.New("journal line without an event id")
+		}
+		j.seen[rec.ID] = struct{}{}
+		return nil
 	})
 	if err != nil {
 		j.log.Warn("journal: dedup scan stopped early", "path", path, "err", err)
@@ -297,10 +287,6 @@ func (j *Journal) Publish(e Event) {
 		j.dups.Inc()
 		return
 	}
-	if _, dup := j.pendingIDs[e.ID]; dup {
-		j.dups.Inc()
-		return
-	}
 	if j.closed {
 		j.drops.Inc()
 		j.log.Warn("journal: event published after Close; dropped", "event", e.ID)
@@ -314,10 +300,12 @@ func (j *Journal) Publish(e Event) {
 		j.parkLocked(e.ID, data)
 		return
 	}
-	if err := j.writeLocked(e.ID, data); err != nil {
+	if err := j.writeLocked(data); err != nil {
 		j.log.Warn("journal: writing event failed; parked for retry", "event", e.ID, "err", err)
 		j.parkLocked(e.ID, data)
+		return
 	}
+	j.seen[e.ID] = struct{}{}
 }
 
 // parkLocked queues a marshaled line for retry, dropping on overflow.
@@ -328,7 +316,7 @@ func (j *Journal) parkLocked(id string, data []byte) {
 		return
 	}
 	j.pending = append(j.pending, data)
-	j.pendingIDs[id] = struct{}{}
+	j.seen[id] = struct{}{}
 	j.requeued.Inc()
 	j.opts.Health.Set("journal", resil.Degraded)
 }
@@ -337,13 +325,10 @@ func (j *Journal) parkLocked(id string, data []byte) {
 // first failure.
 func (j *Journal) flushPendingLocked() {
 	for len(j.pending) > 0 {
-		data := j.pending[0]
-		id, _ := lineID(data) // parked lines were marshaled from an Event with this ID
-		if err := j.writeLocked(id, data); err != nil {
+		if err := j.writeLocked(j.pending[0]); err != nil {
 			return
 		}
 		j.pending = j.pending[1:]
-		delete(j.pendingIDs, id)
 	}
 	if len(j.pending) == 0 {
 		j.pending = nil
@@ -352,11 +337,10 @@ func (j *Journal) flushPendingLocked() {
 }
 
 // writeLocked appends one marshaled line, rotating first when the live
-// segment is full or old enough. On success the ID is marked seen. An
-// fsync failure after a successful append is logged and degrades
-// health but does not fail the write — retrying would append the line
-// twice.
-func (j *Journal) writeLocked(id string, data []byte) error {
+// segment is full or old enough. An fsync failure after a successful
+// append is logged and degrades health but does not fail the write —
+// retrying would append the line twice.
+func (j *Journal) writeLocked(data []byte) error {
 	if size := j.file.Size(); size > 0 {
 		full := j.opts.MaxBytes > 0 && size+int64(len(data)) > j.opts.MaxBytes
 		aged := j.opts.Retain > 0 && j.now().Sub(j.segOpened) >= j.segmentSpan()
@@ -370,12 +354,10 @@ func (j *Journal) writeLocked(id string, data []byte) error {
 		j.opts.Health.Set("journal", resil.Degraded)
 		err = nil
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		j.delivered.Inc()
 	}
-	j.seen[id] = struct{}{}
-	j.delivered.Inc()
-	return nil
+	return err
 }
 
 // rotateLocked retires the live file as the segment path.<unix-seconds>
@@ -410,13 +392,11 @@ func (j *Journal) Close(context.Context) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.flushPendingLocked()
-	for range j.pending {
-		j.drops.Inc()
-	}
 	if n := len(j.pending); n > 0 {
+		j.drops.Add(int64(n))
 		j.log.Warn("journal: closed with events still parked; lost", "events", n)
 	}
-	j.pending, j.pendingIDs = nil, nil
+	j.pending = nil
 	j.closed = true
 	return j.file.Close()
 }

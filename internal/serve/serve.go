@@ -290,7 +290,7 @@ func (d *Daemon) AddDirSource(name, dir string) error {
 	}
 	s, err := d.addSource(name, "dir", dir)
 	if err == nil {
-		s.run = func(ctx context.Context) error { return s.consume(ctx, (&dirKind{s: s, resume: s.snapshot()}).next) }
+		s.run = func(ctx context.Context) error { return s.consume(ctx, (&dirKind{s: s}).next) }
 	}
 	return err
 }
@@ -342,17 +342,19 @@ func (d *Daemon) stop(err error) {
 // checkpoint snapshots every source's position and writes it
 // atomically. Positions are maintained under each source's mutex after
 // publication, so the snapshot never claims an event the journal does
-// not hold.
+// not hold. Snapshots are taken without a checkpoint file too: taking
+// one settles the source's restart point, which bounds what the source
+// keeps to find it.
 func (d *Daemon) checkpoint() error {
+	cp := &Checkpoint{Sources: make(map[string]SourceCheckpoint, len(d.sources))}
+	for _, s := range d.sources {
+		cp.Sources[s.name] = s.snapshot()
+	}
 	if d.cfg.CheckpointPath == "" {
 		return nil
 	}
-	cp := &Checkpoint{Sources: make(map[string]SourceCheckpoint, len(d.sources))}
 	if host, err := os.Hostname(); err == nil {
 		cp.Host = host
-	}
-	for _, s := range d.sources {
-		cp.Sources[s.name] = s.snapshot()
 	}
 	if err := resil.Inject(d.cfg.FaultInjector, resil.OpCheckpointSave); err != nil {
 		d.health.Set("checkpoint", resil.Failing)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,6 +66,15 @@ type sourceState struct {
 	// diffs feed the shed metrics so restarts don't re-count.
 	lastShed core.ShedCounts
 
+	// replayTo, while a resumed run re-feeds from the checkpoint's
+	// restart point, is the checkpoint: records before its position go
+	// to the session and nothing else. Only the runner writes it.
+	replayTo *SourceCheckpoint
+	// marks are where a later resume could re-read from, markEvery
+	// records apart at the least (see take), from the last restart point
+	// on.
+	marks []mark
+
 	recordsC     *obs.Counter
 	lagG         *obs.Gauge
 	lagSegsG     *obs.Gauge
@@ -74,6 +84,7 @@ type sourceState struct {
 	latencyH     *obs.Histogram
 	shedStreamsC *obs.Counter
 	shedPacketsC *obs.Counter
+	replayedC    *obs.Counter
 
 	listener net.Listener // feed only
 }
@@ -97,17 +108,26 @@ func (d *Daemon) newSourceState(name, kind, path string) *sourceState {
 		// governor's eviction pressure is a daemon-level signal.
 		shedStreamsC: m.Counter(obs.LabelMetric(obs.MetricShed, "reason", "stream_cap")),
 		shedPacketsC: m.Counter(obs.LabelMetric(obs.MetricShed, "reason", "admission")),
+		replayedC:    m.Counter(obs.LabelMetric(obs.MetricServeRecordsReplayed, "source", name)),
 	}
 }
 
 // emit is the session callback, run under s.mu: render and publish
 // synchronously, so the event is journal-durable when Observe returns,
-// with its flight trail sealed under the event ID first.
+// with its flight trail sealed under the event ID first. Before a
+// resume reaches the checkpointed position it publishes nothing: that
+// was delivered before the restart. Finals are numbered on from the
+// checkpoint's count.
 func (s *sourceState) emit(se core.SessionEvent) {
+	if s.replayTo != nil {
+		return
+	}
 	if se.Truncated {
 		s.truncC.Inc()
 	} else {
 		s.finalC.Inc()
+		se.Seq = s.cp.Emitted
+		s.cp.Emitted++
 	}
 	ev := newEvent(s.name, s.link, s.d.cfg.Vantage, se, time.Now())
 	ev.Prov = ev.Prov.Stamp(provenance.HopDetected, provenance.Now())
@@ -131,13 +151,16 @@ func (s *sourceState) emit(se core.SessionEvent) {
 }
 
 // drain flushes the session's open state as truncated events and
-// closes a feed's listener (graceful shutdown). Safe to call on a
-// source whose session already ended.
+// closes a feed's listener (graceful shutdown), keeping the restart
+// point taken before the flush. Safe to call on a source whose session
+// already ended.
 func (s *sourceState) drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sess != nil {
+		s.settle()
 		s.sess.Drain()
+		s.sess = nil
 	}
 	if s.listener != nil {
 		s.listener.Close()
@@ -150,26 +173,53 @@ func (s *sourceState) drain() {
 func (s *sourceState) snapshot() SourceCheckpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settle()
 	return s.cp
 }
 
-// info renders the source for /api/v1/sources.
+// mark is a record a resume can re-read from: its index in the session
+// and where it is.
+type mark struct {
+	idx int64
+	at  RestartPoint
+}
+
+// markEvery bounds how many records a resume re-reads beyond the
+// restart point.
+const markEvery = 256
+
+// settle puts the session's restart point, rounded down to a mark, into
+// the checkpoint and drops the marks before it, which no later restart
+// point can reach. Not while replaying: the checkpoint's own still
+// stands.
+func (s *sourceState) settle() {
+	if s.sess == nil || s.replayTo != nil || len(s.marks) == 0 {
+		return
+	}
+	markAt := func(i int64) int {
+		return sort.Search(len(s.marks), func(j int) bool { return s.marks[j].idx > i }) - 1
+	}
+	r, exact := s.sess.RestartPoint(func(i int64) int64 { return s.marks[markAt(i)].idx })
+	s.marks = s.marks[markAt(r):]
+	at := s.marks[0].at
+	at.Shed = !exact
+	s.cp.Restart = &at
+}
+
+// info renders the source for /api/v1/sources. Its records are the
+// checkpointed position in the current file: a resumed session counts
+// from its restart point, not from the file's start.
 func (s *sourceState) info() loopscope.Source {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inf := loopscope.Source{
+	return loopscope.Source{
 		Name: s.name, Kind: s.kind, Path: s.path,
 		Status: s.status, Link: s.link,
-		Records: s.cp.Records, LagBytes: s.lagBytes,
+		Records: s.cp.Records, Emitted: s.cp.Emitted, LagBytes: s.lagBytes,
 		Segment: s.segIndex, Segments: s.segCount,
 		LagSegments: s.lagSegments,
 		Restarts:    s.restarts, LastErr: s.lastErr,
 	}
-	if s.sess != nil {
-		inf.Emitted = s.sess.Emitted()
-		inf.Records = s.sess.Records()
-	}
-	return inf
 }
 
 // ---------------------------------------------------------------------
@@ -188,10 +238,7 @@ type unit struct {
 	file, fileID, link string
 	base               time.Duration // added to every record time
 	placed             bool          // base is final
-	// resume is the checkpoint to replay, swallowing its first suppress
-	// finals; zero starts the unit fresh.
-	resume   SourceCheckpoint
-	suppress int
+	at                 int64         // where the next record starts
 	// caughtUp, if set, is asked whenever r goes idle: true ends the
 	// unit. end settles what stopped r (for a file, only its rotation or
 	// truncation; other errors end the run): nil reads the next unit.
@@ -210,10 +257,24 @@ type reader interface {
 
 // consume is every source's runner: each run starts a new session and
 // reads the units next hands it until an error, which goes to the
-// supervisor.
+// supervisor. Its one resume rule, for every file-backed kind: a run
+// starts at the checkpoint's restart point and re-feeds up to its
+// position in silence (replayTo; the kinds, resume and take do the
+// rest). A checkpoint without a restart point starts fresh.
 func (s *sourceState) consume(ctx context.Context, next func(context.Context) (*unit, error)) error {
+	cp := s.snapshot()
 	s.mu.Lock()
-	s.sess = nil
+	s.sess, s.replayTo = nil, nil
+	switch {
+	case cp.Records == 0 || s.kind == "feed":
+	case cp.Restart == nil:
+		s.startFresh("no_restart_point")
+	case cp.Restart.Shed:
+		s.startFresh("governor_shed_since_restart") // and re-feed all the same
+		fallthrough
+	default:
+		s.replayTo = &cp
+	}
 	s.mu.Unlock()
 	for {
 		u, err := next(ctx)
@@ -228,12 +289,22 @@ func (s *sourceState) consume(ctx context.Context, next func(context.Context) (*
 	}
 }
 
-// read consumes one unit, resumed if it has a checkpoint, record by
+// startFresh counts and logs a resume that cannot rebuild the
+// detector's state exactly: it starts fresh, or, after the governor
+// shed, re-feeds all the same. Starting fresh is always safe: the
+// journal drops the events it already holds; stale state would lose
+// them.
+func (s *sourceState) startFresh(why string, args ...any) {
+	s.d.cfg.Metrics.Counter(obs.LabelMetric(obs.MetricServeResumeFresh, "reason", why)).Inc()
+	s.d.log.Warn("resume cannot rebuild the detector exactly", append([]any{"source", s.name, "reason", why}, args...)...)
+}
+
+// read consumes one unit, resumed if the run is replaying, record by
 // record until it ends. The source is marked idle ExitIdle after its
 // last record, at the reader's next idle report.
 func (s *sourceState) read(ctx context.Context, u *unit) error {
-	s.start(u, false)
-	if err := s.replay(ctx, u); err != nil {
+	s.start(u)
+	if err := s.resume(u); err != nil {
 		return err
 	}
 	var idleSince time.Time
@@ -242,11 +313,13 @@ func (s *sourceState) read(ctx context.Context, u *unit) error {
 		switch {
 		case err == nil:
 			idleSince = time.Time{}
-			if err := s.take(u, rec, false); err != nil {
+			if err := s.take(u, rec); err != nil {
 				return err
 			}
 		case ctx.Err() != nil:
 			return ctx.Err()
+		case s.replayTo != nil && (u.file == s.replayTo.File || !errors.Is(err, trace.ErrTailIdle)):
+			return s.fresh("replay_read_error", "file", u.path, "records", u.n, "err", err)
 		case errors.Is(err, trace.ErrTailIdle):
 			if u.caughtUp != nil && u.caughtUp(u) {
 				return nil
@@ -263,91 +336,93 @@ func (s *sourceState) read(ctx context.Context, u *unit) error {
 	}
 }
 
-// start puts u on the source's session, a new one if there is none or
-// over is set; a new session's position is zero unless u resumes.
-func (s *sourceState) start(u *unit, over bool) {
+// start puts u on the source's session, a new one if there is none; a
+// new session's position is zero unless the run replays.
+func (s *sourceState) start(u *unit) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sess == nil || over {
+	if s.sess == nil {
 		s.sess, _ = core.NewSession(s.d.cfg.Detector, s.emit) // New validated the config
 		s.sess.SetFlight(s.d.cfg.Flight.Shard(s.flightShard))
-		s.lastShed, s.anchored = core.ShedCounts{}, false
-		if u.resume.Records == 0 {
+		s.lastShed, s.anchored, s.marks = core.ShedCounts{}, false, nil
+		if s.replayTo == nil {
 			s.cp = SourceCheckpoint{Kind: s.kind, Path: s.path}
 		}
 	}
 	s.link, s.status, s.idle = u.link, "live", false
+	if s.replayTo != nil {
+		s.status = "replaying"
+	}
 }
 
-// replay is the one resume rule, for a unit with a checkpoint. The
-// claimed prefix must be on disk in full (an OS crash can lose a file's
-// tail and keep the checkpoint); it is re-fed under a bounded idle
-// timeout, since waiting for bytes that exist means the content
-// disagrees; and the reader must then stand exactly at the claimed
-// records and offset. Any disagreement starts the unit fresh, which is
-// always safe: the journal dedups re-emissions; stale state loses them.
-func (s *sourceState) replay(ctx context.Context, u *unit) error {
-	cp := u.resume
-	if cp.Records == 0 {
+// resume places a unit of a resumed run. The restart point's unit
+// starts there. The unit holding the checkpointed position must hold
+// all of it (an OS crash can lose a file's tail and keep the
+// checkpoint), and its reader gives up after a bounded idle wait, since
+// waiting for bytes the checkpoint claims means the file disagrees.
+func (s *sourceState) resume(u *unit) error {
+	t := s.replayTo
+	if t != nil && u.file == t.Restart.File {
+		u.r.(*trace.TailReader).StartAt(t.Restart.Offset, t.Restart.Records)
+		u.n, u.at, u.base = t.Restart.Records, t.Restart.Offset, time.Duration(t.Restart.TimeBaseNs)
+	}
+	if t == nil || u.file != t.File {
 		return nil
 	}
-	if st, err := os.Stat(u.path); err != nil || st.Size() < cp.Offset {
-		return s.fresh(u, "checkpoint ahead of file", err)
+	if st, err := os.Stat(u.path); err != nil || st.Size() < t.Offset {
+		return s.fresh("checkpoint_ahead_of_file", "file", u.path, "err", err)
 	}
-	tr := u.r.(*trace.TailReader)
-	defer tr.SetIdleTimeout(tr.SetIdleTimeout(max(2*time.Second, 2*s.d.cfg.TailPoll)))
-	s.mu.Lock()
-	s.status = "replaying"
-	s.sess.SetReplay(u.suppress)
-	s.mu.Unlock()
-	for u.n < cp.Records && tr.Offset() < cp.Offset {
-		rec, err := tr.Next(ctx)
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err != nil {
-			return s.fresh(u, "replay failed", err)
-		}
-		if err := s.take(u, rec, true); err != nil {
-			return err
-		}
+	u.r.(*trace.TailReader).SetIdleTimeout(max(2*time.Second, 2*s.d.cfg.TailPoll))
+	return s.replayEnd(u)
+}
+
+// replayEnd ends the replay once u stands at the checkpointed record
+// count. The offset must agree too, or the file is not the one
+// checkpointed. The checkpoint entry stands as it was loaded, Emitted
+// included.
+func (s *sourceState) replayEnd(u *unit) error {
+	switch t := s.replayTo; {
+	case u.file != t.File || u.n != t.Records:
+		return nil
+	case u.at != t.Offset:
+		return s.fresh("position_disagrees", "file", u.path, "records", u.n, "offset", u.at)
 	}
-	if u.n != cp.Records || tr.Offset() != cp.Offset {
-		return s.fresh(u, "replay position disagrees with checkpoint", nil)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.sess.ClearReplay(); n > 0 {
-		// The detector is deterministic over the prefix, so this should
-		// not happen; suppression left armed would swallow new events.
-		s.d.log.Warn("replay ended with suppressed emissions pending; cleared", "source", s.name, "pending", n)
-	}
-	s.cp = cp
-	s.cp.Emitted, s.status = s.sess.Emitted(), "live"
+	u.r.(*trace.TailReader).SetIdleTimeout(u.idle)
+	s.stopReplay()
 	return nil
 }
 
-// fresh reopens u at its first record on a new session.
-func (s *sourceState) fresh(u *unit, why string, err error) error {
-	s.d.log.Warn(why+"; starting fresh", "source", s.name, "file", u.path, "records", u.n, "offset", u.r.Offset(),
-		"claimedRecords", u.resume.Records, "claimedOffset", u.resume.Offset, "err", err)
-	tr, err := s.openTail(u.path, u.idle)
-	if err != nil {
-		return err
-	}
-	u.r.Close()
-	u.r, u.n, u.placed, u.resume = tr, 0, false, SourceCheckpoint{}
-	s.start(u, true)
-	return nil
+// stopReplay makes whatever the run reads next live.
+func (s *sourceState) stopReplay() {
+	s.mu.Lock()
+	s.replayTo, s.status = nil, "live"
+	s.mu.Unlock()
+}
+
+// fresh gives up a resume that disagrees with the files: the source
+// restarts at once without the checkpoint, so its next run reads from
+// the start (a dir source, from its first segment), publishing
+// everything.
+func (s *sourceState) fresh(why string, args ...any) error {
+	s.startFresh(why, args...)
+	s.mu.Lock()
+	s.sess, s.replayTo, s.cp = nil, nil, SourceCheckpoint{Kind: s.kind, Path: s.path}
+	s.mu.Unlock()
+	return errRestart
 }
 
 // take observes one record of u, after the fault seam (a restart
 // re-reads the record it refuses). The session's first unit anchors its
 // timeline, later ones shift by their start's distance from it, and no
 // record goes below the high water: no kind hands the detector a
-// backwards step. A live record moves the checkpoint, lag and metrics
-// in the same critical section (see sourceState).
-func (s *sourceState) take(u *unit, rec trace.Record, replaying bool) error {
+// backwards step. A record a later resume could re-read from is
+// marked: the first, then one markEvery records on, stamped later than
+// the high water (a restart point's time holds no earlier record). A
+// feed's marks are never re-read, but settling on them keeps what the
+// session tracks bounded. A live record moves the checkpoint, lag and
+// metrics in the same critical section (see sourceState); a replayed
+// one moves nothing until the replay reaches the checkpointed position.
+func (s *sourceState) take(u *unit, rec trace.Record) error {
 	if err := resil.Inject(s.d.cfg.FaultInjector, resil.OpSourceRead); err != nil {
 		return err
 	}
@@ -360,23 +435,29 @@ func (s *sourceState) take(u *unit, rec trace.Record, replaying bool) error {
 			u.base = max(start.Sub(s.anchor), 0)
 		}
 		u.placed = true
-		s.cp.File, s.cp.FileID, s.cp.TimeBaseNs = u.file, u.fileID, int64(u.base)
+		if s.replayTo == nil {
+			s.cp.File, s.cp.FileID, s.cp.TimeBaseNs = u.file, u.fileID, int64(u.base)
+		}
 	}
 	rec.Time = max(rec.Time+u.base, s.sess.HighWater())
+	if i := s.sess.Records(); i == 0 || i >= s.marks[len(s.marks)-1].idx+markEvery && rec.Time > s.sess.HighWater() {
+		s.marks = append(s.marks, mark{i, RestartPoint{File: u.file, Records: u.n - 1, Offset: u.at, TimeBaseNs: int64(u.base)}})
+	}
 	s.sess.Observe(rec)
-	if replaying {
+	u.at = u.r.Offset()
+	if s.replayTo != nil {
+		s.replayedC.Inc()
 		s.mu.Unlock()
-		return nil
+		return s.replayEnd(u)
 	}
 	if shed := s.sess.Shed(); shed != s.lastShed {
 		s.shedStreamsC.Add(shed.Streams - s.lastShed.Streams)
 		s.shedPacketsC.Add(shed.Packets - s.lastShed.Packets)
 		s.lastShed = shed
 	}
-	off := u.r.Offset()
-	s.cp.Records, s.cp.Offset, s.cp.Emitted = u.n, off, s.sess.Emitted()
+	s.cp.Records, s.cp.Offset = u.n, u.at
 	s.cp.HighWaterNs = int64(s.sess.HighWater())
-	s.lagBytes = u.r.Size() - off + s.laterBytes
+	s.lagBytes = u.r.Size() - u.at + s.laterBytes
 	s.lagG.Set(s.lagBytes)
 	s.idle = false
 	s.recordsC.Inc()
@@ -408,7 +489,7 @@ func (s *sourceState) markIdle(since time.Time) {
 	}
 }
 
-// tailUnit opens the tailed file, resuming (finals suppressed) when the
+// tailUnit opens the tailed file, from the restart point when the
 // checkpoint names its FileID. Its idle timeout is ExitIdle itself, so
 // the source is marked idle exactly ExitIdle after its last record.
 func (s *sourceState) tailUnit(context.Context) (*unit, error) {
@@ -417,8 +498,8 @@ func (s *sourceState) tailUnit(context.Context) (*unit, error) {
 		return nil, err
 	}
 	u := &unit{r: tr, path: s.path, idle: s.d.cfg.ExitIdle, fileID: tr.FileID(), end: s.tailEnd}
-	if cp := s.snapshot(); cp.Records > 0 && u.fileID != "" && cp.FileID == u.fileID {
-		u.resume, u.suppress = cp, cp.Emitted
+	if t := s.replayTo; t != nil && (u.fileID == "" || t.FileID != u.fileID) {
+		s.stopReplay()
 	}
 	return u, nil
 }
@@ -436,26 +517,21 @@ func (s *sourceState) tailEnd(_ *unit, err error) error {
 
 // dirKind reads a rotated-capture directory's segments in lexical order
 // on one session; the newest is followed until a successor exists.
-// Resume replays only the current segment, so delivery across rotation
-// is at-least-once, and suppresses nothing: the checkpointed count is
-// cumulative over every segment, while the new session re-derives the
-// current segment's loops only, so suppression would stay armed past
-// the replay and swallow that many new events. Duplicates are safe
-// (deterministic IDs, journal dedup); loss is not.
 type dirKind struct {
-	s      *sourceState
-	last   string           // the lexically greatest segment opened
-	resume SourceCheckpoint // for the run's first segment only
+	s    *sourceState
+	last string // the lexically greatest segment opened
 }
 
-// next waits for the first segment after the last one opened; a run
-// starts at the checkpointed segment unless rotation has removed it.
+// next waits for the first segment after the last one opened. A
+// resumed run starts at its restart point's segment, which may precede
+// the checkpointed one, unless rotation has removed either: then it
+// starts fresh on what the directory holds.
 func (k *dirKind) next(ctx context.Context) (*unit, error) {
-	s, poll, seg := k.s, k.s.d.cfg.TailPoll, k.resume.File
-	if seg != "" {
-		if _, err := os.Stat(filepath.Join(s.path, seg)); err != nil {
-			s.d.log.Info("checkpointed segment missing; starting fresh", "source", s.name, "segment", seg)
-			seg = ""
+	s, poll, seg := k.s, k.s.d.cfg.TailPoll, ""
+	if t := s.replayTo; t != nil && k.last == "" {
+		segs, _ := s.listSegments()
+		if seg = t.Restart.File; !slices.Contains(segs, seg) || !slices.Contains(segs, t.File) {
+			return nil, s.fresh("restart_segment_missing", "segment", seg)
 		}
 	}
 	for since := time.Now(); seg == ""; {
@@ -480,10 +556,7 @@ func (k *dirKind) next(ctx context.Context) (*unit, error) {
 		return nil, err
 	}
 	u := &unit{r: tr, path: path, idle: 2 * poll, file: seg, caughtUp: s.refreshDirLag, end: s.segmentEnd}
-	if k.resume.File == seg && k.resume.Records > 0 {
-		u.resume, u.base = k.resume, time.Duration(k.resume.TimeBaseNs)
-	}
-	k.resume, k.last = SourceCheckpoint{}, seg
+	k.last = seg
 	s.refreshDirLag(u)
 	return u, nil
 }
@@ -524,13 +597,12 @@ func (s *sourceState) listSegments() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []string
+	var out []string // in lexical order, as ReadDir returns them
 	for _, e := range ents {
 		if !e.IsDir() {
 			out = append(out, e.Name())
 		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -464,7 +466,10 @@ func offsetAfter(t *testing.T, path string, n int) int64 {
 }
 
 // TestSourceCheckpointFields asserts, field by field, the checkpoint
-// entry each kind writes at a forced checkpoint mid-capture.
+// entry each kind writes at a forced checkpoint mid-capture, the
+// restart point included: the session's own, rounded down to the
+// records the daemon marks (the first, then one markEvery records on,
+// stamped later than every record before it).
 func TestSourceCheckpointFields(t *testing.T) {
 	recs := serveTestTrace(t, 47, 8)
 	n := len(recs) * 2 / 3
@@ -472,10 +477,20 @@ func TestSourceCheckpointFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs[:n] {
+	var marks []int64
+	for i, r := range recs[:n] {
+		if i == 0 || int64(i) >= marks[len(marks)-1]+markEvery && r.Time > probe.HighWater() {
+			marks = append(marks, int64(i))
+		}
 		probe.Observe(r)
 	}
 	emitted, hw := probe.Emitted(), int64(probe.HighWater())
+	restart, exact := probe.RestartPoint(func(i int64) int64 {
+		return marks[sort.Search(len(marks), func(j int) bool { return marks[j] > i })-1]
+	})
+	if !exact || restart == 0 || restart >= int64(n) {
+		t.Fatalf("restart point %d of %d records (exact %v); the trace is not the one described", restart, n, exact)
+	}
 
 	t.Run("tail", func(t *testing.T) {
 		dir := t.TempDir()
@@ -492,8 +507,9 @@ func TestSourceCheckpointFields(t *testing.T) {
 		}
 		runToIdle(t, d, nil)
 		want := SourceCheckpoint{Kind: "tail", Path: path, FileID: trace.FileID(st),
-			Records: int64(n), Offset: offsetAfter(t, path, n), Emitted: emitted, HighWaterNs: hw}
-		if *got != want {
+			Records: int64(n), Offset: offsetAfter(t, path, n), Emitted: emitted, HighWaterNs: hw,
+			Restart: &RestartPoint{Records: restart, Offset: offsetAfter(t, path, int(restart))}}
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("tail checkpoint\n got %+v\nwant %+v", *got, want)
 		}
 	})
@@ -525,8 +541,13 @@ func TestSourceCheckpointFields(t *testing.T) {
 		runToIdle(t, d, nil)
 		want := SourceCheckpoint{Kind: "dir", Path: segDir, File: "seg-001.lspt",
 			Records: int64(n - k), Offset: offsetAfter(t, seg2Path, n-k), Emitted: emitted, HighWaterNs: hw,
-			TimeBaseNs: int64(cut)}
-		if *got != want {
+			TimeBaseNs: int64(cut), Restart: &RestartPoint{File: "seg-001.lspt", Records: restart - int64(k),
+				Offset: offsetAfter(t, seg2Path, int(restart)-k), TimeBaseNs: int64(cut)}}
+		if restart < int64(k) {
+			want.Restart = &RestartPoint{File: "seg-000.lspt", Records: restart,
+				Offset: offsetAfter(t, filepath.Join(segDir, "seg-000.lspt"), int(restart))}
+		}
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("dir checkpoint\n got %+v\nwant %+v", *got, want)
 		}
 	})
@@ -542,8 +563,8 @@ func TestSourceCheckpointFields(t *testing.T) {
 		}
 		runToIdle(t, d, func() { sendFeed(t, addr, recs, false) })
 		want := SourceCheckpoint{Kind: "feed", Path: "127.0.0.1:0",
-			Records: int64(n), Emitted: emitted, HighWaterNs: hw}
-		if *got != want {
+			Records: int64(n), Emitted: emitted, HighWaterNs: hw, Restart: &RestartPoint{Records: restart}}
+		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("feed checkpoint\n got %+v\nwant %+v", *got, want)
 		}
 	})

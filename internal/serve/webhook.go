@@ -31,7 +31,8 @@ type WebhookOptions struct {
 	Backoff resil.Policy
 	// Breaker shapes the circuit breaker protecting the endpoint. The
 	// zero value selects resil's defaults (trip after 5 consecutive
-	// failures, re-probe after 10s).
+	// failures, re-probe after 10s). Its OnChange is the sink's own: it
+	// feeds the breaker metrics and the sink's health.
 	Breaker resil.BreakerConfig
 	// Timeout bounds each POST (<= 0: 10s).
 	Timeout time.Duration
@@ -102,14 +103,10 @@ func NewWebhook(opts WebhookOptions) *Webhook {
 	bc := opts.Breaker
 	stateG := opts.Metrics.Gauge(obs.LabelMetric(obs.MetricBreakerState, "sink", "webhook"))
 	transC := opts.Metrics.Counter(obs.LabelMetric(obs.MetricBreakerTransitions, "sink", "webhook"))
-	userOnChange := bc.OnChange
 	bc.OnChange = func(to resil.BreakerState) {
 		stateG.Set(int64(to))
 		transC.Inc()
 		opts.Health.Set("sink:webhook", breakerHealth(to))
-		if userOnChange != nil {
-			userOnChange(to)
-		}
 	}
 	w.breaker = resil.NewBreaker(bc)
 	go w.run(ctx)
@@ -156,21 +153,18 @@ func (w *Webhook) run(ctx context.Context) {
 	h := fnv.New64a()
 	h.Write([]byte(w.opts.URL))
 	for {
+		var e Event
 		select {
-		case e := <-w.queue:
-			w.depth.Set(int64(len(w.queue)))
-			w.deliver(ctx, e, resil.NewRetrier(w.opts.Backoff, h.Sum64()))
+		case e = <-w.queue:
 		case <-w.done:
-			for {
-				select {
-				case e := <-w.queue:
-					w.depth.Set(int64(len(w.queue)))
-					w.deliver(ctx, e, resil.NewRetrier(w.opts.Backoff, h.Sum64()))
-				default:
-					return
-				}
+			select {
+			case e = <-w.queue:
+			default:
+				return
 			}
 		}
+		w.depth.Set(int64(len(w.queue)))
+		w.deliver(ctx, e, resil.NewRetrier(w.opts.Backoff, h.Sum64()))
 	}
 }
 
@@ -240,9 +234,6 @@ func (w *Webhook) post(ctx context.Context, body []byte) bool {
 // maxReplyBytes bounds how much of a reply post reads to keep its
 // connection; a longer reply closes the connection instead.
 const maxReplyBytes = 64 << 10
-
-// Breaker exposes the sink's circuit breaker (statusz, tests).
-func (w *Webhook) Breaker() *resil.Breaker { return w.breaker }
 
 // Close implements Sink: stop accepting events and let the worker
 // drain the queue until ctx expires, then abandon what remains. The

@@ -81,6 +81,8 @@ type TailReader struct {
 	size atomic.Int64 // file size at the last refill or poll
 
 	readOff int64 // next unread byte: off plus what the window holds
+	seekOff int64 // where the first record read starts (StartAt)
+	seekN   int64 // how many records precede it
 	rotated bool  // the last refill found another file at path
 	refills int64 // refills: one check and one read each (tests pin it)
 	last    int64 // newest delivered record's timestamp
@@ -155,6 +157,13 @@ func (t *TailReader) SetIdleTimeout(d time.Duration) time.Duration {
 	t.opts.IdleTimeout = d
 	return prev
 }
+
+// StartAt makes the reader start at byte off, where record number n
+// begins, instead of at the first record: the header is still read, and
+// Offset and Records count on from there. A resumed daemon re-reads
+// from its checkpoint's restart point this way, not from the file's
+// start. Call it before the first Next.
+func (t *TailReader) StartAt(off, n int64) { t.seekOff, t.seekN = off, n }
 
 // Close releases the file handle.
 func (t *TailReader) Close() error { return t.f.Close() }
@@ -238,6 +247,12 @@ func (t *TailReader) Next(ctx context.Context) (Record, error) {
 			t.w.consume(h.size)
 			t.off.Store(int64(h.size))
 			t.hdrDone = true
+			if t.seekOff > int64(h.size) {
+				t.w.consume(len(t.w.buffered()))
+				t.readOff = t.seekOff
+				t.off.Store(t.seekOff)
+				t.n.Store(t.seekN)
+			}
 		case h.ts < t.last:
 			return Record{}, fmt.Errorf("trace: tail %s: record %d goes back in time (%v < %v)",
 				t.path, t.n.Load(), time.Duration(h.ts), time.Duration(t.last))

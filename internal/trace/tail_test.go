@@ -336,6 +336,29 @@ func TestTailOffsetCountsDeliveredBytes(t *testing.T) {
 	}
 }
 
+// TestTailStartAt: a reader started at a record's offset reads the
+// header, delivers that record next and counts on from it, past the
+// first window; an offset at the header's end is record 0.
+func TestTailStartAt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "many.lspt")
+	tw := newTailTestWriter(t, path)
+	defer tw.close(t)
+	tw.appendMany(t, 0, tailTestMany)
+	for _, from := range []int{0, 1, tailTestMany / 2, tailTestMany - 1} {
+		tr := openTailMany(t, path)
+		tr.StartAt(int64(tailTestHdrLen+from*tailTestRecLen), int64(from))
+		for i := from; i < tailTestMany; i++ {
+			wantNext(t, tr, i)
+		}
+		if _, err := tr.Next(context.Background()); !errors.Is(err, ErrTailIdle) {
+			t.Fatalf("from %d, Next at the end: %v, want ErrTailIdle", from, err)
+		}
+		if tr.Meta().Link != "tail-test" {
+			t.Fatalf("from %d: header not read (%+v)", from, tr.Meta())
+		}
+	}
+}
+
 // TestTailRotationDrainsBufferedAndUnread: the file is renamed and
 // succeeded while the reader has a window of it buffered and most of it
 // unread. Every record arrives once, in order, then ErrTailRotated.
