@@ -275,9 +275,12 @@ func scanSource(src trace.Source, dstats *trace.DecodeStats, cfg core.Config, re
 		readErr error
 		n       int
 	)
+	// Nothing here keeps a record past the next read (Engine.Observe
+	// does not retain Data), so records are borrowed, not copied.
+	lender := trace.Lender(src)
 	sp := reg.StartSpan("ingest")
 	for !interrupted.Load() {
-		rec, err := src.Next()
+		rec, err := lender.Borrow()
 		if err != nil {
 			readErr = err
 			break

@@ -18,9 +18,11 @@ import (
 // Callers construct an Engine with New and stop switching on concrete
 // types.
 //
-// Records must arrive in non-decreasing time order. Finish must be
-// called exactly once, after the last Observe; the Engine must not be
-// reused afterwards.
+// Records must arrive in non-decreasing time order. Observe does not
+// keep rec.Data past the call, so a caller may hand it a record
+// borrowed from a reader (trace.Borrower) and reuse the bytes once
+// Observe returns. Finish must be called exactly once, after the last
+// Observe; the Engine must not be reused afterwards.
 type Engine interface {
 	Observe(trace.Record)
 	Finish() *Result

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -128,4 +130,96 @@ func TestLoopsOfDisjointTracesUnite(t *testing.T) {
 			t.Fatalf("seed %d: merged loops\n%q\nwant\n%q", seed, got, want)
 		}
 	}
+}
+
+// relabel moves an address to another /24 by a prefix-preserving
+// bijection, Crypto-PAn's construction over a fixed hash: each of bits
+// 8–23 flips by a hash of the bits before it, so two addresses share as
+// long a prefix after as before. The first octet is kept, so a
+// multicast destination stays one, and so is the host byte.
+func relabel(a packet.Addr) packet.Addr {
+	v := binary.BigEndian.Uint32(a[:])
+	out := v
+	for i := 8; i < 24; i++ {
+		if (uint64(v>>(32-i))<<5|uint64(i))*0x9e3779b97f4a7c15>>63 == 1 {
+			out ^= 1 << (31 - i)
+		}
+	}
+	var b packet.Addr
+	binary.BigEndian.PutUint32(b[:], out)
+	return b
+}
+
+// relabelRecord is a copy of an IPv4 snapshot with both addresses
+// relabelled, the header checksum recomputed and a TCP or UDP checksum
+// updated for the pseudo-header's new addresses (RFC 1624).
+func relabelRecord(data []byte) []byte {
+	d := bytes.Clone(data)
+	ihl := int(d[0]&0x0f) * 4
+	old := [8]byte(d[12:20])
+	for _, at := range []int{12, 16} {
+		a := relabel(packet.Addr(d[at : at+4]))
+		copy(d[at:], a[:])
+	}
+	d[10], d[11] = 0, 0
+	binary.BigEndian.PutUint16(d[10:], packet.Checksum(d[:ihl], 0))
+	var at int // the transport checksum's offset
+	switch d[9] {
+	case packet.ProtoTCP:
+		at = ihl + 16
+	case packet.ProtoUDP:
+		at = ihl + 6
+	}
+	if at == 0 || len(d) < at+2 || d[9] == packet.ProtoUDP && d[at] == 0 && d[at+1] == 0 {
+		return d // no transport checksum in the snapshot, or UDP without one
+	}
+	sum := uint32(^binary.BigEndian.Uint16(d[at:]))
+	for i := 0; i < 8; i += 2 {
+		sum += uint32(^binary.BigEndian.Uint16(old[i:])) + uint32(binary.BigEndian.Uint16(d[12+i:]))
+	}
+	for sum > 0xffff {
+		sum = sum>>16 + sum&0xffff
+	}
+	if ck := ^uint16(sum); ck != 0 || d[9] == packet.ProtoTCP {
+		binary.BigEndian.PutUint16(d[at:], ck)
+	} else {
+		binary.BigEndian.PutUint16(d[at:], 0xffff) // UDP sends a zero sum as all ones
+	}
+	return d
+}
+
+// TestLoopsFollowARelabelling: relabelling every address by a
+// prefix-preserving bijection of /24s, checksums recomputed, relabels
+// the loops — prefixes, the first packet's addresses and the packet
+// identities that hash them — and changes nothing else.
+func TestLoopsFollowARelabelling(t *testing.T) {
+	cfg := DefaultConfig()
+	relabelled := 0 // loops whose prefix the bijection moved
+	for seed := uint64(1); seed <= metamorphicSeeds(); seed++ {
+		recs := metamorphicTrace(seed)
+		moved := slices.Clone(recs)
+		for i := range moved {
+			moved[i].Data = relabelRecord(moved[i].Data)
+		}
+		want := DetectRecords(recs, cfg)
+		for _, l := range want.Loops {
+			if a := relabel(l.Prefix.Addr); a != l.Prefix.Addr {
+				l.Prefix.Addr = a
+				relabelled++
+			}
+		}
+		for _, s := range want.Streams {
+			s.Prefix.Addr = relabel(s.Prefix.Addr)
+			s.Summary.Src, s.Summary.Dst = relabel(s.Summary.Src), relabel(s.Summary.Dst)
+			s.Ident = fnv64a(maskReplica(moved[s.Replicas[0].Index].Data))
+		}
+		sort.SliceStable(want.Loops, func(i, j int) bool { return loopLess(want.Loops[i], want.Loops[j]) })
+		if got := DetectRecords(moved, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: relabelled loops\n%q\nwant\n%q", seed, loopSet(got.Loops, 0), loopSet(want.Loops, 0))
+		}
+	}
+	if relabelled == 0 {
+		t.Fatal("the relabelling moved no loop")
+	}
+	t.Logf("%d loops relabelled", relabelled)
 }

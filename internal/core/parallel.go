@@ -51,10 +51,11 @@ var shardConsumeHook func(shard int, recs []trace.Record)
 // (Config.MaxActiveStreams, when set, caps each shard separately.)
 //
 // Ingest is a pipeline: the caller's Observe/ObserveBatch calls are
-// the decode/batch stage (they only read the destination bytes),
-// records travel to shards in slices of DefaultBatchSize over bounded
-// channels (backpressure, not unbounded queueing), and each shard
-// feeds its own Detector.
+// the decode/batch stage (they read the destination bytes and copy the
+// record into its shard's pending batch), records travel to shards in
+// batches of DefaultBatchSize over bounded channels (backpressure, not
+// unbounded queueing), each shard feeds its own Detector, and spent
+// batches come back to be filled again.
 type ParallelDetector struct {
 	cfg     Config
 	workers int
@@ -89,16 +90,24 @@ const parallelBatchChannelDepth = 4
 
 // shardBatch is one hand-off unit: records plus their global indices
 // (int: a capture of 2^31 records is ten hours of OC-12, and nothing
-// holds it in memory any more to keep that out of reach).
+// holds it in memory any more to keep that out of reach), and the arena
+// their Data is copied into, since Observe's caller may reuse a
+// record's bytes once it returns.
 type shardBatch struct {
-	recs []trace.Record
-	idxs []int
+	recs  []trace.Record
+	idxs  []int
+	arena []byte
 }
 
 // shardState is one worker: a channel of batches and the shard's own
 // Detector.
 type shardState struct {
-	ch    chan shardBatch
+	ch chan shardBatch
+	// free holds the batches the worker is done with, for the producer
+	// to fill again. At most parallelBatchChannelDepth+2 batches of a
+	// shard exist (queued, pending, being consumed, free), so a worker's
+	// return never finds it full.
+	free  chan shardBatch
 	det   *Detector
 	stats StreamStats
 
@@ -128,8 +137,9 @@ func NewParallelDetector(cfg Config, workers int) *ParallelDetector {
 	}
 	for i := range p.shards {
 		s := &shardState{
-			ch:  make(chan shardBatch, parallelBatchChannelDepth),
-			det: NewDetector(cfg),
+			ch:   make(chan shardBatch, parallelBatchChannelDepth),
+			free: make(chan shardBatch, parallelBatchChannelDepth+2),
+			det:  NewDetector(cfg),
 		}
 		p.shards[i] = s
 		p.wg.Add(1)
@@ -167,6 +177,10 @@ func (p *ParallelDetector) worker(i int, s *shardState) {
 		s.recs.Add(int64(len(b.recs)))
 		for i, r := range b.recs {
 			s.det.observeAt(r, b.idxs[i])
+		}
+		select {
+		case s.free <- shardBatch{b.recs[:0], b.idxs[:0], b.arena[:0]}:
+		default:
 		}
 	}
 	select {
@@ -258,19 +272,38 @@ func (p *ParallelDetector) shardOf(data []byte) int {
 }
 
 // Observe routes the next record to its shard, batching hand-offs.
-// Records must arrive in non-decreasing time order.
+// Records must arrive in non-decreasing time order. The record's Data
+// is copied into the batch, not kept.
 func (p *ParallelDetector) Observe(rec trace.Record) {
 	s := p.shardOf(rec.Data)
 	b := &p.pending[s]
 	if b.recs == nil {
-		b.recs = make([]trace.Record, 0, trace.DefaultBatchSize)
-		b.idxs = make([]int, 0, trace.DefaultBatchSize)
+		*b = p.shards[s].spent()
 	}
+	// The arena grows to what a batch of this traffic needs and is
+	// recycled at that size. Growing leaves the batch's earlier records
+	// in the old array, whose bytes nothing writes again.
+	at := len(b.arena)
+	b.arena = append(b.arena, rec.Data...)
+	rec.Data = b.arena[at:len(b.arena):len(b.arena)]
 	b.recs = append(b.recs, rec)
 	b.idxs = append(b.idxs, p.n)
 	p.n++
 	if len(b.recs) >= trace.DefaultBatchSize {
 		p.flushShard(s)
+	}
+}
+
+// spent returns a batch the worker is done with, or a new one.
+func (s *shardState) spent() shardBatch {
+	select {
+	case b := <-s.free:
+		return b
+	default:
+		return shardBatch{
+			recs: make([]trace.Record, 0, trace.DefaultBatchSize),
+			idxs: make([]int, 0, trace.DefaultBatchSize),
+		}
 	}
 }
 

@@ -102,7 +102,8 @@ func (s *Session) RestartPoint(at func(int64) int64) (r int64, exact bool) {
 }
 
 // Observe feeds the next record; records must arrive in non-decreasing
-// time order. Observe must not be called after Drain.
+// time order. Like Engine.Observe it does not keep rec.Data past the
+// call. Observe must not be called after Drain.
 func (s *Session) Observe(rec trace.Record) {
 	if s.drained {
 		panic("core: Session.Observe after Drain")

@@ -246,9 +246,10 @@ type unit struct {
 	end      func(*unit, error) error
 }
 
-// reader is a *trace.TailReader or a feed's connReader.
+// reader is a *trace.TailReader or a feed's connReader. Its records
+// are borrowed: take keeps nothing of one past the next read.
 type reader interface {
-	Next(context.Context) (trace.Record, error)
+	Borrow(context.Context) (trace.Record, error)
 	Meta() trace.Meta
 	Offset() int64
 	Size() int64
@@ -309,7 +310,7 @@ func (s *sourceState) read(ctx context.Context, u *unit) error {
 	}
 	var idleSince time.Time
 	for {
-		rec, err := u.r.Next(ctx)
+		rec, err := u.r.Borrow(ctx)
 		switch {
 		case err == nil:
 			idleSince = time.Time{}
@@ -628,6 +629,7 @@ func (s *sourceState) feedUnit(ctx context.Context) (*unit, error) {
 		}
 		c := &connReader{conn: conn, stop: context.AfterFunc(ctx, func() { conn.Close() })}
 		if c.Source, _, err = trace.OpenStream(conn, trace.OpenOptions{}); err == nil {
+			c.lender = trace.Lender(c.Source)
 			return &unit{r: c, link: c.Meta().Link, end: s.feedEnd}, nil
 		}
 		c.Close()
@@ -655,11 +657,12 @@ func (s *sourceState) feedEnd(_ *unit, err error) error {
 // connReader is a feed connection's stream: no offset, no size.
 type connReader struct {
 	trace.Source
-	conn net.Conn
-	stop func() bool
+	lender trace.Borrower
+	conn   net.Conn
+	stop   func() bool
 }
 
-func (c *connReader) Next(context.Context) (trace.Record, error) { return c.Source.Next() }
-func (c *connReader) Offset() int64                              { return 0 }
-func (c *connReader) Size() int64                                { return 0 }
-func (c *connReader) Close() error                               { c.stop(); return c.conn.Close() }
+func (c *connReader) Borrow(context.Context) (trace.Record, error) { return c.lender.Borrow() }
+func (c *connReader) Offset() int64                                { return 0 }
+func (c *connReader) Size() int64                                  { return 0 }
+func (c *connReader) Close() error                                 { c.stop(); return c.conn.Close() }

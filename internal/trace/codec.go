@@ -84,7 +84,7 @@ const (
 	// maxRecordLen is the longest record any format's decode admits
 	// (native and ERF lengths are 16-bit fields); it sizes the window.
 	maxRecordLen = pcapRecHdrLen + maxPcapCapLen
-	// slabLen is how much deliver allocates at a time to cut captures
+	// slabLen is how much own allocates at a time to cut captures
 	// from: some six hundred of the paper's 40-byte snapshots.
 	slabLen = 32 << 10
 )
@@ -130,7 +130,7 @@ type codec struct {
 	started bool
 	epoch   int64
 
-	// slab is the unused rest of the allocation deliver cuts Data from.
+	// slab is the unused rest of the allocation own cuts Data from.
 	slab []byte
 }
 
@@ -291,38 +291,48 @@ func (c *codec) malformedErr(h *recHeader) error {
 		c.format, h.bad, h.size, h.wireLen)
 }
 
-// deliver consumes the decoded record at the front of w as a Record the
-// caller owns: Data is a copy nothing will overwrite, cut from a slab
-// that neighbouring records share, with cap == len so that an append
-// cannot reach the next record's bytes. A slab is written once and
-// never reused, so it lives exactly as long as some record cut from it
-// does. (Data is not a view into the window, which would spare this
-// copy: every consumer that keeps records — ReadAll, Batcher, the
-// parallel hand-off, salvage's look-ahead — would then need a copy rule
-// of its own.) A capture over a quarter slab gets its own allocation
-// rather than strand the rest of the current slab.
-func (c *codec) deliver(h *recHeader, w *window) Record {
+// lend consumes the decoded record at the front of w and returns it
+// with Data a view of the window, [h.data:h.size:h.size]: no copy and
+// no allocation, valid until the next need on w, which is the reader's
+// next Borrow or Next. Every reader decodes through it; own makes what
+// it returns a record the caller keeps.
+func (c *codec) lend(h *recHeader, w *window) Record {
 	if !c.started {
 		c.started, c.epoch = true, h.ts
 		c.meta.Start = time.Unix(0, h.ts)
 	}
 	rec := Record{
 		Time:    time.Duration(h.ts - c.epoch),
-		WireLen: h.wireLen,
+		WireLen: max(h.wireLen, h.capLen()),
 		Lost:    h.lost,
+		Data:    w.buffered()[h.data:h.size:h.size],
 	}
-	if n := h.capLen(); n > slabLen/4 {
-		rec.Data = make([]byte, n)
+	w.consume(h.size)
+	return rec
+}
+
+// own is Next's half of a read: it copies the Data of a lent record
+// into a slab that neighbouring records share, with cap == len so that
+// an append cannot reach the next record's bytes. A slab is written
+// once and never reused, so it lives exactly as long as some record cut
+// from it does. A capture over a quarter slab gets its own allocation
+// rather than strand the rest of the current slab. An error passes
+// through.
+func (c *codec) own(rec Record, err error) (Record, error) {
+	if err != nil {
+		return rec, err
+	}
+	n := len(rec.Data)
+	var data []byte
+	if n > slabLen/4 {
+		data = make([]byte, n)
 	} else {
 		if n > len(c.slab) {
 			c.slab = make([]byte, slabLen)
 		}
-		rec.Data, c.slab = c.slab[:n:n], c.slab[n:]
+		data, c.slab = c.slab[:n:n], c.slab[n:]
 	}
-	copy(rec.Data, w.buffered()[h.data:h.size])
-	w.consume(h.size)
-	if rec.WireLen < len(rec.Data) {
-		rec.WireLen = len(rec.Data)
-	}
-	return rec
+	copy(data, rec.Data)
+	rec.Data = data
+	return rec, nil
 }

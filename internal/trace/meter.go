@@ -7,7 +7,8 @@ import "loopscope/internal/obs"
 // underlying reader is a SalvageReader — the live decode-health
 // gauges. It is the ingest stage's instrumentation tap.
 type meteredSource struct {
-	src Source
+	src    Source
+	lender Borrower
 
 	recs     *obs.Counter
 	capBytes *obs.Counter
@@ -40,6 +41,7 @@ func MeterSource(src Source, r *obs.Registry, stats *DecodeStats) Source {
 	}
 	m := &meteredSource{
 		src:      src,
+		lender:   Lender(src),
 		recs:     r.Counter(obs.MetricTraceRecords),
 		capBytes: r.Counter(obs.MetricTraceCaptureBytes),
 		wireB:    r.Counter(obs.MetricTraceWireBytes),
@@ -83,8 +85,12 @@ func (m *meteredSource) Close() error {
 // Next implements Source, counting successful reads. Every error —
 // end of trace, a tail with no data yet, a failure — publishes first,
 // so whoever looks at the registry after one sees exact counts.
-func (m *meteredSource) Next() (Record, error) {
-	rec, err := m.src.Next()
+func (m *meteredSource) Next() (Record, error) { return m.count(m.src.Next()) }
+
+// Borrow implements Borrower, lending when src does, and counts as Next.
+func (m *meteredSource) Borrow() (Record, error) { return m.count(m.lender.Borrow()) }
+
+func (m *meteredSource) count(rec Record, err error) (Record, error) {
 	if err != nil {
 		m.publish()
 		return rec, err

@@ -58,7 +58,7 @@ func Open(path string, opts OpenOptions) (Source, *DecodeStats, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &fileSource{Source: src, f: f}, stats, nil
+	return &fileSource{Source: src, f: f, lender: Lender(src)}, stats, nil
 }
 
 // OpenStream is Open over an arbitrary reader: the same gzip and
@@ -105,8 +105,12 @@ func OpenStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
 // fileSource couples a Source with the file handle it reads from.
 type fileSource struct {
 	Source
-	f *os.File
+	f      *os.File
+	lender Borrower
 }
+
+// Borrow implements Borrower, lending when the wrapped source does.
+func (s *fileSource) Borrow() (Record, error) { return s.lender.Borrow() }
 
 // Close implements io.Closer: the wrapped source first (a metered one
 // has counts to publish), then the file.

@@ -69,11 +69,14 @@ func (c *codec) readFileHeader(w *window) error {
 func (r *Reader) Meta() Meta { return r.c.meta }
 
 // Next implements Source.
-func (r *Reader) Next() (Record, error) {
+func (r *Reader) Next() (Record, error) { return r.c.own(r.Borrow()) }
+
+// Borrow implements Borrower.
+func (r *Reader) Borrow() (Record, error) {
 	var h recHeader
 	switch st := r.c.pull(r.w, false, &h); {
 	case st == stOK:
-		return r.c.deliver(&h, r.w), nil
+		return r.c.lend(&h, r.w), nil
 	case st == stMalformed:
 		return Record{}, r.c.malformedErr(&h)
 	case r.w.err == io.EOF && len(r.w.buffered()) == 0:

@@ -191,7 +191,10 @@ func (s *SalvageReader) skip(n int) {
 // (skipping to the next plausible record) unless the error budget is
 // exhausted, in which case Next fails with an error wrapping
 // ErrErrorBudget.
-func (s *SalvageReader) Next() (Record, error) {
+func (s *SalvageReader) Next() (Record, error) { return s.c.own(s.Borrow()) }
+
+// Borrow implements Borrower: Next without the copy.
+func (s *SalvageReader) Borrow() (Record, error) {
 	for {
 		if !s.w.need(s.c.recHdr) {
 			n := len(s.w.buffered())
@@ -242,7 +245,7 @@ func (s *SalvageReader) Next() (Record, error) {
 			continue
 		}
 
-		rec := s.c.deliver(&h, s.w)
+		rec := s.c.lend(&h, s.w)
 		s.prev, s.last = s.last, h.ts
 		s.stats.Records++
 		if s.stats.Resyncs > 0 {

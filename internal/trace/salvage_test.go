@@ -31,7 +31,7 @@ func testRecords(n int) []Record {
 // encodeTrace writes recs in the given format and returns the encoded
 // bytes plus the byte offset where each record starts (headerOff is
 // the offset of the first record).
-func encodeTrace(t *testing.T, format Format, recs []Record) (data []byte, offs []int64) {
+func encodeTrace(t testing.TB, format Format, recs []Record) (data []byte, offs []int64) {
 	t.Helper()
 	var buf bytes.Buffer
 	meta := Meta{Link: "salvage-test", SnapLen: 48, Start: time.Unix(1_000_000, 0)}

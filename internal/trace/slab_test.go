@@ -11,7 +11,7 @@ import (
 	"unsafe"
 )
 
-// Tests of codec.deliver's slabs: records cut from a shared allocation
+// Tests of codec.own's slabs: records cut from a shared allocation
 // must behave like records that own theirs.
 
 // chunkReader hands out at most n bytes per Read, so window refills end

@@ -83,7 +83,7 @@ type TailReader struct {
 	readOff int64 // next unread byte: off plus what the window holds
 	seekOff int64 // where the first record read starts (StartAt)
 	seekN   int64 // how many records precede it
-	rotated bool  // the last refill found another file at path
+	rotated bool  // the last refill that could reach EOF found another file at path
 	refills int64 // refills: one check and one read each (tests pin it)
 	last    int64 // newest delivered record's timestamp
 	poll    *resil.Retrier
@@ -189,9 +189,13 @@ func (s tailSource) Read(p []byte) (int, error) {
 	}
 	// A path that vanished (rotation in progress, or the writer is gone)
 	// counts as rotated: keep draining the open handle; the caller sees
-	// ErrTailRotated once the drain catches up.
-	pst, err := os.Stat(t.path)
-	t.rotated = err != nil || !os.SameFile(st, pst)
+	// ErrTailRotated once the drain catches up. Only a read that can
+	// reach the end of the file needs to know; one that the size already
+	// fills is backlog, and skips the check and what it allocates.
+	if st.Size()-t.readOff < int64(len(p)) {
+		pst, err := os.Stat(t.path)
+		t.rotated = err != nil || !os.SameFile(st, pst)
+	}
 	n, err := t.f.ReadAt(p, t.readOff)
 	// A writer appending meanwhile lets the read run past the size just
 	// observed; Size never lags what has been buffered.
@@ -205,7 +209,11 @@ func (s tailSource) Read(p []byte) (int, error) {
 // the file shrank, ErrTailRotated once the path names a new file and
 // the old one is drained, ErrTailIdle on idle timeout, and any decode
 // error permanently.
-func (t *TailReader) Next(ctx context.Context) (Record, error) {
+func (t *TailReader) Next(ctx context.Context) (Record, error) { return t.c.own(t.Borrow(ctx)) }
+
+// Borrow is Next without the copy: the record's Data is a view of the
+// reader's window, valid until the next Borrow or Next (see Borrower).
+func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
 	// Per call, not per wait: draining a backlog never waits and must
 	// still stop. A receive on Done costs an atomic load; ctx.Err locks.
 	select {
@@ -261,7 +269,7 @@ func (t *TailReader) Next(ctx context.Context) (Record, error) {
 			t.off.Add(int64(h.size))
 			t.n.Add(1)
 			t.poll.Reset()
-			return t.c.deliver(&h, t.w), nil
+			return t.c.lend(&h, t.w), nil
 		}
 	}
 }

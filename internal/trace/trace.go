@@ -35,9 +35,11 @@ type Record struct {
 	// WireLen is the original packet length on the wire.
 	WireLen int
 	// Data holds the captured snapshot (at most the trace's SnapLen
-	// bytes, never more than WireLen). From a reader of this package it
-	// shares a backing array with neighbouring records; treat as
-	// read-only, cap == len.
+	// bytes, never more than WireLen). Treat it as read-only; from a
+	// reader of this package cap == len. Next hands out a copy that
+	// shares a backing array with neighbouring records and that nothing
+	// overwrites; Borrow hands out a view of the reader's buffer, valid
+	// only until the next Borrow or Next on the same source.
 	Data []byte
 	// Lost counts packets the capture hardware dropped immediately
 	// before this record (the ERF per-record loss counter). Only the
@@ -62,6 +64,29 @@ type Source interface {
 	Meta() Meta
 	Next() (Record, error)
 }
+
+// Borrower is implemented by sources that can lend records: Borrow is
+// Next without the copy, returning a record whose Data is a view of the
+// source's buffer, valid until the next Borrow or Next on the same
+// source. A consumer that keeps nothing of a record past its next read
+// borrows; one that keeps records calls Next.
+type Borrower interface {
+	Borrow() (Record, error)
+}
+
+// Lender returns src as a Borrower: src itself when it lends records,
+// otherwise one whose Borrow is src's Next. It is an interface and not
+// a func because a method value adds a closure call per record.
+func Lender(src Source) Borrower {
+	if b, ok := src.(Borrower); ok {
+		return b
+	}
+	return nextLender{src}
+}
+
+type nextLender struct{ Source }
+
+func (l nextLender) Borrow() (Record, error) { return l.Next() }
 
 // Sink consumes trace records in capture order.
 type Sink interface {

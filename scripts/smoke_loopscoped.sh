@@ -66,6 +66,7 @@ no_dups "$work/watch.jsonl"
 
 # A longer -exit-idle than the other runs: the feed counts as idle from
 # the moment it listens until the capture is connected.
+: >"$work/feed.log"
 "$work/bin/loopscoped" -listen "trace=tcp:127.0.0.1:0" -journal "$work/feed.jsonl" \
     "${daemon_flags[@]}" -exit-idle 5s 2>"$work/feed.log" &
 fpid=$!
@@ -151,6 +152,7 @@ else
     exit 0
 fi
 
+: >"$work/api.log"
 "$work/bin/loopscoped" -tail "trace=$work/ref.lspt" -journal "$work/api.jsonl" \
     -poll 25ms -checkpoint-interval 100ms -merge-window 2s -exit-idle 60s \
     -retain 1h -http 127.0.0.1:0 -trail-journal "$work/trails.jsonl" 2>"$work/api.log" &
