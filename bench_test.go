@@ -197,11 +197,12 @@ func BenchmarkStreamingVsBatch(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures what pipeline instrumentation costs:
-// mode=noop runs the full ingest/batch/detect pipeline with a nil
-// registry — the uninstrumented default, where every metric call is a
-// nil-receiver no-op — and mode=instrumented runs the identical
-// pipeline against a live registry (ingest tap, batch histogram,
-// per-shard counters, backpressure timing, stage spans). CI extracts
+// mode=noop runs core.Run over the parallel engine with a nil registry
+// — the uninstrumented default, where every metric call is a
+// nil-receiver no-op — and mode=instrumented runs the identical loop
+// the way loopdetect -json does: the source metered (ingest tap) and
+// the engine built WithMetrics (per-shard counters, queue depths,
+// backpressure timing, the reduce span). CI extracts
 // both into BENCH_obs.json and fails the build when instrumented
 // regresses more than the budget (see cmd/benchjson -mode obs): the
 // observability subsystem's overhead contract, kept honest by a
@@ -221,7 +222,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := trace.MeterSource(trace.NewSliceSource(trace.Meta{Link: "bench"}, recs), reg, nil)
-				res, err := core.RunMetered(e, src, reg)
+				res, err := core.Run(e, src)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,7 +263,7 @@ func BenchmarkFlightRecorder(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := trace.NewSliceSource(trace.Meta{Link: "bench"}, recs)
-				res, err := core.RunMetered(e, src, nil)
+				res, err := core.Run(e, src)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +313,7 @@ func BenchmarkAnalyticsIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := trace.NewSliceSource(trace.Meta{Link: "bench"}, recs)
-				res, err := core.RunMetered(e, src, nil)
+				res, err := core.Run(e, src)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -366,7 +367,7 @@ func BenchmarkProvenanceStamp(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := trace.NewSliceSource(trace.Meta{Link: "bench"}, recs)
-				res, err := core.RunMetered(e, src, nil)
+				res, err := core.Run(e, src)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -496,7 +496,7 @@ func runSection(start time.Time) *jsonRun {
 		return nil
 	}
 	r := &jsonRun{
-		Workers: workerCount,
+		Workers: int(reg.Gauge(obs.MetricEngineWorkers).Value()), // what core.New chose for -workers
 		WallNs:  time.Since(start).Nanoseconds(),
 		Stages:  []jsonStageTiming{},
 	}

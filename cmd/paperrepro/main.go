@@ -90,21 +90,19 @@ var experiments = []experiment{
 // detect runs the unified detection engine over an in-memory trace.
 // paperrepro takes the engine's default variant — parallel sharding
 // when the host has the cores, sequential otherwise; the Result is
-// identical either way. Config errors panic: every config here is a
-// program constant, so one failing is a bug, not an input problem.
+// identical either way. Errors panic: every config here is a program
+// constant and a slice source does not fail, so one failing is a bug,
+// not an input problem.
 func detect(recs []trace.Record, cfg core.Config) *core.Result {
 	e, err := core.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	if bo, ok := e.(core.BatchObserver); ok {
-		bo.ObserveBatch(recs)
-	} else {
-		for _, r := range recs {
-			e.Observe(r)
-		}
+	res, err := core.Run(e, trace.NewSliceSource(trace.Meta{}, recs))
+	if err != nil {
+		panic(err)
 	}
-	return e.Finish()
+	return res
 }
 
 type backboneRun struct {

@@ -8,7 +8,7 @@ import (
 )
 
 // Byte-level helpers: what a replica is (maskReplica, the definition
-// the NaiveDetector applies directly), the same definition as a
+// the naive oracle applies directly), the same definition as a
 // fixed-size comparable value (replicaKey, what the Detector indexes
 // by), the flight recorder's stream ID (fnv64a) and what is remembered
 // of a stream's first observation (summarize).

@@ -26,8 +26,8 @@
 // from its callback and ending on FinishStats gives bounded-memory
 // online detection. ParallelDetector shards a trace over several
 // Detectors, Session adds what a resumable daemon needs, and
-// NaiveDetector is the independent whole-trace reference the Detector
-// is tested against.
+// NaiveDetectRecords is the independent whole-trace reference the
+// Detector is tested against.
 package core
 
 import (

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -33,7 +31,7 @@ import (
 //     within MergeWindow of its end) can still appear.
 //
 // Tracking the earliest still-undecided time per prefix therefore
-// gives the whole-trace algorithm exactly (NaiveDetector is that
+// gives the whole-trace algorithm exactly (NaiveDetectRecords is that
 // whole-trace algorithm, and the two are differentially tested) while
 // holding only the undecided tail of the trace.
 //
@@ -896,20 +894,4 @@ func DetectRecords(recs []trace.Record, cfg Config) *Result {
 		d.Observe(r)
 	}
 	return d.Finish()
-}
-
-// DetectSource runs the full pipeline over a trace source.
-func DetectSource(src trace.Source, cfg Config) (*Result, error) {
-	d := NewDetector(cfg)
-	for {
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.Observe(rec)
-	}
-	return d.Finish(), nil
 }

@@ -347,8 +347,17 @@ func TestExtractLoopRecords(t *testing.T) {
 		t.Fatalf("loops = %d", len(res.Loops))
 	}
 
+	extract := func(context time.Duration) []trace.Record {
+		t.Helper()
+		got, err := ExtractLoopSource(trace.NewSliceSource(trace.Meta{}, recs), res.Loops[0], context)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
 	// Without context: exactly the six replicas.
-	got := ExtractLoopRecords(recs, res.Loops[0], 0)
+	got := extract(0)
 	if len(got) != 6 {
 		t.Fatalf("extracted %d records, want 6", len(got))
 	}
@@ -358,7 +367,7 @@ func TestExtractLoopRecords(t *testing.T) {
 
 	// With context: also the same-prefix packet nearby, but never the
 	// unrelated one.
-	got = ExtractLoopRecords(recs, res.Loops[0], 500*time.Millisecond)
+	got = extract(500 * time.Millisecond)
 	if len(got) != 7 {
 		t.Fatalf("extracted %d records with context, want 7", len(got))
 	}

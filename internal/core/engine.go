@@ -11,12 +11,11 @@ import (
 	"loopscope/internal/trace"
 )
 
-// Engine is the detection interface: the Detector, the multi-core
-// ParallelDetector that shards the trace over several Detectors, and
-// the NaiveDetector reference all consume trace records in capture
-// order through Observe and deliver the analysis through Finish.
-// Callers construct an Engine with New and stop switching on concrete
-// types.
+// Engine is the detection interface: the Detector and the multi-core
+// ParallelDetector that shards the trace over several Detectors consume
+// trace records in capture order through Observe and deliver the
+// analysis through Finish. Callers construct an Engine with New and
+// drive it with Run.
 //
 // Records must arrive in non-decreasing time order. Observe does not
 // keep rec.Data past the call, so a caller may hand it a record
@@ -28,10 +27,11 @@ type Engine interface {
 	Finish() *Result
 }
 
-// BatchObserver is implemented by engines that ingest records more
-// efficiently in slices (the ParallelDetector hands whole batches to
-// its shard channels). Run feeds batches through this interface when
-// the engine provides it.
+// BatchObserver is implemented by the ParallelDetector, which takes a
+// whole slice of records per call. Run does not use it (it observes
+// one borrowed record at a time). It is kept only because the
+// benchmark harness (bench/layers.go) compiles against it, and goes
+// when that harness moves to Run (ROADMAP items 1 and 8).
 type BatchObserver interface {
 	ObserveBatch([]trace.Record)
 }
@@ -132,7 +132,8 @@ func WithFlight(rec *flight.Recorder) Option {
 // trace over one Detector per core; WithWorkers sets the shard count
 // and WithStreaming selects one Detector with an emit hook. The
 // configuration is validated uniformly (every violation surfaces as a
-// *ConfigError); incompatible option combinations are rejected.
+// *ConfigError); incompatible option combinations are rejected. The
+// engine's metrics and flight recorder are wired as it is built.
 func New(cfg Config, opts ...Option) (Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -147,97 +148,47 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 	if o.workers > 1 && o.streaming {
 		return nil, errors.New("core: WithWorkers(>1) cannot be combined with WithStreaming")
 	}
-	e, workers, err := build(cfg, &o)
-	if err != nil {
-		return nil, err
+	// Default: use every core the runtime gives us; a single-core box
+	// gets a bare Detector rather than a one-shard pipeline.
+	workers := o.workers
+	if workers == 0 && !o.streaming {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if o.metrics != nil {
-		o.metrics.Counter(obs.MetricEngineBuilds).Inc()
-		o.metrics.Gauge(obs.MetricEngineWorkers).Set(int64(workers))
-		if pd, ok := e.(*ParallelDetector); ok {
-			pd.Instrument(o.metrics)
-		}
+	var e Engine
+	if workers > 1 {
+		e = newParallelDetector(cfg, workers, o.metrics, o.flight)
+	} else {
+		workers = 1
+		d := NewStreamDetector(cfg, o.emit)
+		d.SetFlight(o.flight.Shard(0))
+		e = d
 	}
-	if o.flight != nil {
-		switch det := e.(type) {
-		case *ParallelDetector:
-			det.SetFlightRecorder(o.flight)
-		case *Detector:
-			det.SetFlight(o.flight.Shard(0))
-		}
-	}
+	o.metrics.Counter(obs.MetricEngineBuilds).Inc()
+	o.metrics.Gauge(obs.MetricEngineWorkers).Set(int64(workers))
 	return e, nil
 }
 
-// build selects the detector variant; it reports the worker count the
-// choice implies (1 for the sequential variants) for the engine gauge.
-func build(cfg Config, o *options) (Engine, int, error) {
-	switch {
-	case o.streaming:
-		return NewStreamDetector(cfg, o.emit), 1, nil
-	case o.workers == 1:
-		return NewDetector(cfg), 1, nil
-	case o.workers != 0:
-		return NewParallelDetector(cfg, o.workers), o.workers, nil
-	}
-	// Default: use every core the runtime gives us; a single-core
-	// box gets a bare Detector rather than a one-shard pipeline.
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return NewParallelDetector(cfg, n), n, nil
-	}
-	return NewDetector(cfg), 1, nil
-}
-
-// Run drives an Engine over a Source, reading records in batches (the
-// pipeline's decode/batch stage) and handing them to the engine —
-// whole slices at a time when it implements BatchObserver. It returns
-// the engine's Result after the source is drained; an engine that
-// implements ErrFinisher (the ParallelDetector, after a worker panic)
-// can also fail at finish time.
+// Run drives an Engine over a Source: it borrows each record
+// (trace.Lender), hands it to Observe, and returns the engine's Result
+// once the source is drained. An engine that implements ErrFinisher
+// (the ParallelDetector, after a worker panic) can also fail at finish
+// time. On a read error the engine is still finished, so the parallel
+// detector's workers are released, and the error is returned.
 func Run(e Engine, src trace.Source) (*Result, error) {
-	return RunMetered(e, src, nil)
-}
-
-// RunMetered is Run with pipeline instrumentation: the batcher counts
-// hand-offs into r and the ingest and finish stages are timed as
-// spans. A nil registry makes it exactly Run.
-func RunMetered(e Engine, src trace.Source, r *obs.Registry) (*Result, error) {
-	b := trace.NewBatcher(src, trace.DefaultBatchSize)
-	b.Instrument(r)
-	bo, batched := e.(BatchObserver)
-	ingest := r.StartSpan("ingest")
-	for {
-		recs, err := b.Next()
-		if len(recs) > 0 {
-			if batched {
-				bo.ObserveBatch(recs)
-			} else {
-				for _, rec := range recs {
-					e.Observe(rec)
-				}
-			}
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			// Release engine resources before reporting: the parallel
-			// detector's workers block on their shard channels until
-			// finished, so abandoning the engine here would leak them.
-			ingest.End()
-			if ef, ok := e.(ErrFinisher); ok {
-				ef.FinishErr()
-			} else {
-				e.Finish()
-			}
-			return nil, err
-		}
+	lender := trace.Lender(src)
+	rec, err := lender.Borrow()
+	for ; err == nil; rec, err = lender.Borrow() {
+		e.Observe(rec)
 	}
-	ingest.End()
-	fin := r.StartSpan("finish")
-	defer fin.End()
+	var res *Result
+	var ferr error
 	if ef, ok := e.(ErrFinisher); ok {
-		return ef.FinishErr()
+		res, ferr = ef.FinishErr()
+	} else {
+		res = e.Finish()
 	}
-	return e.Finish(), nil
+	if !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	return res, ferr
 }

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"loopscope/internal/obs"
 	"loopscope/internal/trace"
 )
 
@@ -72,8 +79,8 @@ func TestNewDispatch(t *testing.T) {
 		t.Error("WithWorkers(1) did not select a single Detector")
 	}
 	p, ok := mustNew(WithWorkers(3)).(*ParallelDetector)
-	if !ok || p.Workers() != 3 {
-		t.Errorf("WithWorkers(3) = %T with %d workers", p, p.Workers())
+	if !ok || p.workers != 3 {
+		t.Errorf("WithWorkers(3) = %T with %d workers", p, p.workers)
 	}
 	p.Finish() // release the worker goroutines
 	if _, ok := mustNew(WithStreaming(nil)).(*Detector); !ok {
@@ -100,7 +107,7 @@ func TestEngineVariantsAgree(t *testing.T) {
 	variants := map[string]func() (Engine, error){
 		"sequential": built(WithWorkers(1)),
 		"parallel-4": built(WithWorkers(4)),
-		"naive":      func() (Engine, error) { return NewNaiveDetector(cfg), nil },
+		"naive":      func() (Engine, error) { return newNaiveDetector(cfg), nil },
 		"streaming":  built(WithStreaming(nil)),
 	}
 	for name, build := range variants {
@@ -128,6 +135,89 @@ func TestEngineVariantsAgree(t *testing.T) {
 					res.TotalPackets, res.LoopedPackets, want.TotalPackets, want.LoopedPackets)
 			}
 		})
+	}
+}
+
+// TestRunOverEveryReader: Run borrows each record from the reader
+// trace.Open returns — native, pcap, ERF and gzipped native; strict,
+// salvage and metered — and every engine New builds finds what
+// DetectRecords finds over the same file read whole. A SliceSource
+// does not lend, so this is where Run meets views of a reader's window.
+func TestRunOverEveryReader(t *testing.T) {
+	recs := randomTrace(21, 10*time.Second, 800, 3)
+	dir := t.TempDir()
+	files := []struct {
+		name   string
+		format trace.Format
+		gzip   bool
+		writer func(io.Writer, trace.Meta) (traceWriter, error)
+	}{
+		{"native", trace.FormatAuto, false, nativeWriter},
+		{"pcap", trace.FormatAuto, false, func(w io.Writer, m trace.Meta) (traceWriter, error) { return trace.NewPcapWriter(w, m) }},
+		{"erf", trace.FormatERF, false, func(w io.Writer, m trace.Meta) (traceWriter, error) { return trace.NewERFWriter(w, m) }},
+		{"native.gz", trace.FormatAuto, true, nativeWriter},
+	}
+	engines := map[string]Option{
+		"workers-1": WithWorkers(1),
+		"workers-2": WithWorkers(2),
+		"workers-4": WithWorkers(4),
+		"streaming": WithStreaming(nil),
+	}
+	for _, f := range files {
+		data := encodeTrace(t, recs, f.writer)
+		if f.gzip {
+			var buf bytes.Buffer
+			gz := gzip.NewWriter(&buf)
+			if _, err := gz.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := gz.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data = buf.Bytes()
+		}
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		policies := map[string]trace.OpenOptions{
+			"strict":  {Format: f.format},
+			"salvage": {Format: f.format, Salvage: true},
+			"metered": {Format: f.format, Metrics: obs.NewRegistry()},
+		}
+		for policy, opts := range policies {
+			open := func() trace.Source {
+				t.Helper()
+				src, _, err := trace.Open(path, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { trace.CloseSource(src) })
+				return src
+			}
+			all, err := trace.ReadAll(open())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != len(recs) {
+				t.Fatalf("%s %s: read %d of %d records", f.name, policy, len(all), len(recs))
+			}
+			want := DetectRecords(all, DefaultConfig())
+			if len(want.Loops) == 0 {
+				t.Fatalf("%s %s: no loops; test is vacuous", f.name, policy)
+			}
+			for name, opt := range engines {
+				e, err := New(DefaultConfig(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(e, open())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%s %s %s", f.name, policy, name), got, want)
+			}
+		}
 	}
 }
 

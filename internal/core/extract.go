@@ -32,9 +32,10 @@ func ExtractLoopSource(src trace.Source, l *Loop, context time.Duration) ([]trac
 	}
 	lo, hi := l.Start-context, l.End+context
 	out := make([]trace.Record, 0, len(take))
+	lender := trace.Lender(src)
 	var rerr error
 	for i := 0; ; i++ {
-		rec, err := src.Next()
+		rec, err := lender.Borrow()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				rerr = err
@@ -52,17 +53,11 @@ func ExtractLoopSource(src trace.Source, l *Loop, context time.Duration) ([]trac
 				continue
 			}
 		}
-		// A copy: a reader's record shares its array with some eight
-		// hundred neighbours, which one kept record would keep alive.
+		// Borrowed bytes are the reader's until the next read: keep a
+		// copy.
 		rec.Data = append([]byte(nil), rec.Data...)
 		out = append(out, rec)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out, rerr
-}
-
-// ExtractLoopRecords is ExtractLoopSource over an in-memory trace.
-func ExtractLoopRecords(recs []trace.Record, l *Loop, context time.Duration) []trace.Record {
-	out, _ := ExtractLoopSource(trace.NewSliceSource(trace.Meta{}, recs), l, context) // a slice source does not fail
-	return out
 }

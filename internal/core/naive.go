@@ -10,7 +10,7 @@ import (
 	"loopscope/internal/trace"
 )
 
-// NaiveDetector is the reference implementation the Detector is tested
+// naiveDetector is the reference implementation the Detector is tested
 // against: the paper's algorithm written the obvious whole-trace way.
 // Step 1 keeps open streams in a flat slice and compares every arriving
 // record against each of them; steps 2 and 3 run once at Finish over an
@@ -23,7 +23,7 @@ import (
 //
 // It also backs the data-structure ablation benchmark, quantifying
 // what the hash index buys on real trace volumes.
-type NaiveDetector struct {
+type naiveDetector struct {
 	cfg  Config
 	open []*naiveStream
 	// flushed streams with >= MemberReplicas replicas, in flush order.
@@ -53,18 +53,18 @@ type naiveStream struct {
 	lastTime time.Duration
 }
 
-// NewNaiveDetector returns a naive detector with the given
+// newNaiveDetector returns a naive detector with the given
 // configuration.
-func NewNaiveDetector(cfg Config) *NaiveDetector {
+func newNaiveDetector(cfg Config) *naiveDetector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &NaiveDetector{cfg: cfg, byPrefix: make(map[routing.Prefix][]int32)}
+	return &naiveDetector{cfg: cfg, byPrefix: make(map[routing.Prefix][]int32)}
 }
 
 // Observe processes the next trace record (records must be in
 // non-decreasing time order).
-func (n *NaiveDetector) Observe(rec trace.Record) {
+func (n *naiveDetector) Observe(rec trace.Record) {
 	idx := len(n.times)
 	n.memberOf = append(n.memberOf, -1)
 	n.times = append(n.times, rec.Time)
@@ -129,7 +129,7 @@ func (n *NaiveDetector) Observe(rec trace.Record) {
 }
 
 // replace flushes old and puts fresh in its slot.
-func (n *NaiveDetector) replace(old, fresh *naiveStream) {
+func (n *naiveDetector) replace(old, fresh *naiveStream) {
 	n.flush(old)
 	for i, s := range n.open {
 		if s == old {
@@ -142,7 +142,7 @@ func (n *NaiveDetector) replace(old, fresh *naiveStream) {
 // flush retires a stream: single observations vanish, pairs are
 // counted as link-layer duplicates, larger sets become membership-
 // bearing candidate streams.
-func (n *NaiveDetector) flush(s *naiveStream) {
+func (n *naiveDetector) flush(s *naiveStream) {
 	if len(s.replicas) < n.cfg.MemberReplicas {
 		return
 	}
@@ -161,7 +161,7 @@ func (n *NaiveDetector) flush(s *naiveStream) {
 
 // Finish closes all open streams, runs validation and merging over the
 // whole trace, and returns the result.
-func (n *NaiveDetector) Finish() *Result {
+func (n *naiveDetector) Finish() *Result {
 	for _, s := range n.open {
 		n.flush(s)
 	}
@@ -199,7 +199,7 @@ func (n *NaiveDetector) Finish() *Result {
 // subnetClean reports whether every packet towards pfx in [from, to]
 // belongs to some replica stream (of at least MemberReplicas
 // replicas).
-func (n *NaiveDetector) subnetClean(pfx routing.Prefix, from, to time.Duration) bool {
+func (n *naiveDetector) subnetClean(pfx routing.Prefix, from, to time.Duration) bool {
 	for _, i := range n.byPrefix[pfx] {
 		if t := n.times[i]; t >= from && t <= to && n.memberOf[i] < 0 {
 			return false
@@ -211,7 +211,7 @@ func (n *NaiveDetector) subnetClean(pfx routing.Prefix, from, to time.Duration) 
 // merge folds validated streams (in canonical order) into loops: same
 // prefix and overlapping, or separated by less than MergeWindow with no
 // non-looped same-subnet packet in the gap.
-func (n *NaiveDetector) merge(streams []*ReplicaStream) []*Loop {
+func (n *naiveDetector) merge(streams []*ReplicaStream) []*Loop {
 	var loops []*Loop
 	cur := make(map[routing.Prefix]*Loop)
 	for _, s := range streams {
@@ -242,7 +242,7 @@ func (n *NaiveDetector) merge(streams []*ReplicaStream) []*Loop {
 
 // NaiveDetectRecords runs the naive pipeline over an in-memory trace.
 func NaiveDetectRecords(recs []trace.Record, cfg Config) *Result {
-	d := NewNaiveDetector(cfg)
+	d := newNaiveDetector(cfg)
 	for _, r := range recs {
 		d.Observe(r)
 	}

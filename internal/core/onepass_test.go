@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
@@ -111,7 +113,7 @@ func TestRecordIndexIsOnlyReported(t *testing.T) {
 	}
 }
 
-// extractFromSlice is ExtractLoopRecords as it was when the whole trace
+// extractFromSlice is loop extraction as it was when the whole trace
 // was in memory: index into the slice for the replicas, binary-search
 // the context window.
 func extractFromSlice(recs []trace.Record, l *Loop, context time.Duration) []trace.Record {
@@ -142,6 +144,49 @@ func extractFromSlice(recs []trace.Record, l *Loop, context time.Duration) []tra
 	return out
 }
 
+// traceWriter is what every trace format's writer offers.
+type traceWriter interface {
+	Write(trace.Record) error
+	Flush() error
+}
+
+func nativeWriter(w io.Writer, m trace.Meta) (traceWriter, error) { return trace.NewWriter(w, m) }
+
+// encodeTrace returns recs as the writer newWriter makes encodes them,
+// with a snap length that fits the longest.
+func encodeTrace(t *testing.T, recs []trace.Record, newWriter func(io.Writer, trace.Meta) (traceWriter, error)) []byte {
+	t.Helper()
+	meta := trace.Meta{Link: "mem", SnapLen: trace.DefaultSnapLen, Start: time.Unix(1_000_000_000, 0)}
+	for _, r := range recs {
+		meta.SnapLen = max(meta.SnapLen, len(r.Data))
+	}
+	var buf bytes.Buffer
+	w, err := newWriter(&buf, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// nativeSource returns recs written in the native format and read back
+// by a trace.Reader, which lends its records.
+func nativeSource(t *testing.T, recs []trace.Record) trace.Source {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(encodeTrace(t, recs, nativeWriter)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestExtractFromSourceMatchesSlice: picking a loop's evidence out of a
 // source as it streams by finds the records indexing the slice found.
 func TestExtractFromSourceMatchesSlice(t *testing.T) {
@@ -161,8 +206,14 @@ func TestExtractFromSourceMatchesSlice(t *testing.T) {
 					t.Fatalf("seed %d loop %v context %v: %d records from the source, %d from the slice",
 						seed, l.Prefix, context, len(got), len(want))
 				}
-				if !reflect.DeepEqual(ExtractLoopRecords(recs, l, context), want) {
-					t.Fatalf("seed %d loop %v context %v: slice form differs", seed, l.Prefix, context)
+				// Over a reader, whose records are borrowed views of
+				// its window, what is kept must be a copy.
+				borrowed, err := ExtractLoopSource(nativeSource(t, recs), l, context)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(borrowed, want) {
+					t.Fatalf("seed %d loop %v context %v: the reader's records differ", seed, l.Prefix, context)
 				}
 				// It stops reading once nothing further can be evidence.
 				if rest, _ := trace.ReadAll(src); context > 0 && l.End+context < recs[len(recs)-1].Time && len(rest) == 0 {

@@ -75,9 +75,9 @@ type ParallelDetector struct {
 	panicMu    sync.Mutex
 	panicErr   error
 
-	// Optional instrumentation (see Instrument). reg doubles as the
-	// "is instrumented" flag guarding the clock reads; the counters
-	// are obs no-op sinks when nil.
+	// Optional instrumentation (see newParallelDetector). reg doubles
+	// as the "is instrumented" flag guarding the clock reads; the
+	// counters are obs no-op sinks when nil.
 	reg        *obs.Registry
 	backNs     *obs.Counter
 	backEvents *obs.Counter
@@ -118,29 +118,34 @@ type shardState struct {
 	depth *obs.Gauge
 }
 
-// NewParallelDetector returns a parallel engine with the given number
-// of worker shards (at least 1). Like NewDetector it panics on an
-// invalid configuration; use New for an error-returning constructor.
-func NewParallelDetector(cfg Config, workers int) *ParallelDetector {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// newParallelDetector returns a parallel engine with workers (at least
+// one) shards over a validated configuration; New builds it for two or
+// more. A non-nil registry gets per-shard record counters and
+// queue-depth gauges (shard balance) and the backpressure counters
+// (time producers spend blocked on a full shard queue — the signal that
+// detection, not ingest, is the bottleneck). A non-nil flight recorder
+// gives each worker shard its own recorder shard, so the hot paths
+// never share a lock.
+func newParallelDetector(cfg Config, workers int, reg *obs.Registry, fr *flight.Recorder) *ParallelDetector {
 	p := &ParallelDetector{
-		cfg:     cfg,
-		workers: workers,
-		pending: make([]shardBatch, workers),
-		shards:  make([]*shardState, workers),
-		cancel:  make(chan struct{}),
+		cfg:        cfg,
+		workers:    workers,
+		pending:    make([]shardBatch, workers),
+		shards:     make([]*shardState, workers),
+		cancel:     make(chan struct{}),
+		reg:        reg,
+		backNs:     reg.Counter(obs.MetricBackpressureNs),
+		backEvents: reg.Counter(obs.MetricBackpressureEvents),
 	}
 	for i := range p.shards {
 		s := &shardState{
-			ch:   make(chan shardBatch, parallelBatchChannelDepth),
-			free: make(chan shardBatch, parallelBatchChannelDepth+2),
-			det:  NewDetector(cfg),
+			ch:    make(chan shardBatch, parallelBatchChannelDepth),
+			free:  make(chan shardBatch, parallelBatchChannelDepth+2),
+			det:   NewDetector(cfg),
+			recs:  reg.Counter(obs.ShardMetric(obs.MetricShardRecords, i)),
+			depth: reg.Gauge(obs.ShardMetric(obs.MetricShardQueueDepth, i)),
 		}
+		s.det.SetFlight(fr.Shard(i))
 		p.shards[i] = s
 		p.wg.Add(1)
 		go p.worker(i, s)
@@ -210,39 +215,6 @@ func (p *ParallelDetector) canceled() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// Instrument wires the detector into a metrics registry: per-shard
-// record counters and queue-depth gauges (shard balance), and the
-// backpressure counters (time producers spend blocked on a full shard
-// queue — the signal that detection, not ingest, is the bottleneck).
-// Call it before the first Observe; core.New does so when built
-// WithMetrics. Nil registry: no-op.
-func (p *ParallelDetector) Instrument(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	p.reg = r
-	p.backNs = r.Counter(obs.MetricBackpressureNs)
-	p.backEvents = r.Counter(obs.MetricBackpressureEvents)
-	r.Gauge(obs.MetricEngineWorkers).Set(int64(p.workers))
-	for i, s := range p.shards {
-		s.recs = r.Counter(obs.ShardMetric(obs.MetricShardRecords, i))
-		s.depth = r.Gauge(obs.ShardMetric(obs.MetricShardQueueDepth, i))
-	}
-}
-
-// SetFlightRecorder attaches a flight recorder, giving each worker
-// shard its own recorder shard so the hot paths never share a lock.
-// Call it before the first Observe (core.New does so when built
-// WithFlight); a nil recorder is the disabled default.
-func (p *ParallelDetector) SetFlightRecorder(r *flight.Recorder) {
-	if r == nil {
-		return
-	}
-	for i, s := range p.shards {
-		s.det.SetFlight(r.Shard(i))
 	}
 }
 
@@ -389,6 +361,3 @@ func (p *ParallelDetector) FinishErr() (*Result, error) {
 	res.Streams = canonicalize(res.Loops)
 	return res, nil
 }
-
-// Workers returns the number of worker shards.
-func (p *ParallelDetector) Workers() int { return p.workers }

@@ -78,7 +78,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		recs := randomTrace(seed, 6*time.Second, 500, 3)
 		want := DetectRecords(recs, cfg)
 		for _, w := range parallelWorkerCounts {
-			p := NewParallelDetector(cfg, w)
+			p := newParallelDetector(cfg, w, nil, nil)
 			for _, r := range recs {
 				p.Observe(r)
 			}
@@ -96,7 +96,7 @@ func TestParallelMatchesSequentialBatched(t *testing.T) {
 	recs := randomTrace(42, 10*time.Second, 900, 5)
 	want := DetectRecords(recs, cfg)
 	for _, w := range parallelWorkerCounts {
-		p := NewParallelDetector(cfg, w)
+		p := newParallelDetector(cfg, w, nil, nil)
 		for i := 0; i < len(recs); {
 			n := 1 + (i*7)%(2*trace.DefaultBatchSize)
 			if i+n > len(recs) {
@@ -123,7 +123,7 @@ func TestParallelParseErrors(t *testing.T) {
 		t.Fatal("corruption produced no parse errors; test is vacuous")
 	}
 	for _, w := range parallelWorkerCounts {
-		p := NewParallelDetector(cfg, w)
+		p := newParallelDetector(cfg, w, nil, nil)
 		for _, r := range recs {
 			p.Observe(r)
 		}
@@ -135,21 +135,10 @@ func TestParallelParseErrors(t *testing.T) {
 // empty, well-formed Result from every worker count.
 func TestParallelEmptyTrace(t *testing.T) {
 	for _, w := range parallelWorkerCounts {
-		res := NewParallelDetector(DefaultConfig(), w).Finish()
+		res := newParallelDetector(DefaultConfig(), w, nil, nil).Finish()
 		if res.TotalPackets != 0 || len(res.Streams) != 0 || len(res.Loops) != 0 || len(res.Membership()) != 0 {
 			t.Errorf("workers %d: non-empty result from empty trace: %+v", w, res)
 		}
-	}
-}
-
-// TestParallelWorkersClamped: worker counts below one are clamped.
-func TestParallelWorkersClamped(t *testing.T) {
-	p := NewParallelDetector(DefaultConfig(), 0)
-	if p.Workers() != 1 {
-		t.Errorf("Workers() = %d, want 1", p.Workers())
-	}
-	if res := p.Finish(); res.TotalPackets != 0 {
-		t.Errorf("unexpected packets: %d", res.TotalPackets)
 	}
 }
 
@@ -169,7 +158,7 @@ func TestParallelWorkerPanic(t *testing.T) {
 	installPanicHook(t, "injected shard fault")
 	recs := randomTrace(3, 6*time.Second, 500, 3)
 	for _, w := range parallelWorkerCounts {
-		p := NewParallelDetector(DefaultConfig(), w)
+		p := newParallelDetector(DefaultConfig(), w, nil, nil)
 		// Feed far more batches than the shard channels hold: if the
 		// panicked worker stopped draining, or producers kept sending
 		// after cancellation, this would deadlock against the bounded
@@ -198,7 +187,7 @@ func TestParallelWorkerPanic(t *testing.T) {
 // value the caller can recover.
 func TestParallelWorkerPanicFinish(t *testing.T) {
 	installPanicHook(t, "finish-path fault")
-	p := NewParallelDetector(DefaultConfig(), 2)
+	p := newParallelDetector(DefaultConfig(), 2, nil, nil)
 	p.ObserveBatch(randomTrace(5, 3*time.Second, 400, 2))
 	defer func() {
 		v := recover()

@@ -349,12 +349,12 @@ func TestScriptedLoopsAreFound(t *testing.T) {
 }
 
 // TestDetectSourceMatchesDetectRecords exercises the Source-based
-// entry point.
+// entry point, Run.
 func TestDetectSourceMatchesDetectRecords(t *testing.T) {
 	recs := randomTrace(77, 5*time.Second, 400, 2)
 	a := DetectRecords(recs, DefaultConfig())
 	src := trace.NewSliceSource(trace.Meta{Link: "mem"}, recs)
-	b, err := DetectSource(src, DefaultConfig())
+	b, err := Run(NewDetector(DefaultConfig()), src)
 	if err != nil {
 		t.Fatal(err)
 	}

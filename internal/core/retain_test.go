@@ -44,7 +44,7 @@ func TestEnginesDoNotRetainRecordData(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		engines[fmt.Sprintf("ParallelDetector/%d", workers)] = func(in feed) any {
-			p := NewParallelDetector(cfg, workers)
+			p := newParallelDetector(cfg, workers, nil, nil)
 			in(p.Observe)
 			return p.Finish()
 		}
@@ -91,7 +91,7 @@ func TestParallelBatchesIgnoreCaptureLength(t *testing.T) {
 	}
 	t.Cleanup(func() { shardConsumeHook = nil })
 	const workers = 2
-	p := NewParallelDetector(DefaultConfig(), workers)
+	p := newParallelDetector(DefaultConfig(), workers, nil, nil)
 	for _, r := range recs {
 		r.Data = append(r.Data[:len(r.Data):len(r.Data)], make([]byte, 1500-len(r.Data))...)
 		p.Observe(r)
@@ -110,7 +110,7 @@ func TestParallelHandOffAllocationBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	recs := randomTrace(99, 30*time.Second, 2000, 0)
-	p := NewParallelDetector(DefaultConfig(), 2)
+	p := newParallelDetector(DefaultConfig(), 2, nil, nil)
 	warm := len(recs) / 2
 	var warmed, end runtime.MemStats
 	for _, r := range recs[:warm] {

@@ -20,10 +20,6 @@ const (
 	MetricSalvageResyncs      = "loopscope_salvage_resyncs"
 	MetricSalvageBytesSkipped = "loopscope_salvage_bytes_skipped"
 
-	// Batch stage (trace.Batcher).
-	MetricBatches   = "loopscope_batch_total"
-	MetricBatchFill = "loopscope_batch_fill"
-
 	// Detection pipeline (core.ParallelDetector). The per-shard
 	// series carry a shard label; build names with ShardMetric.
 	MetricShardRecords       = "loopscope_detect_shard_records_total"
@@ -125,9 +121,6 @@ var metricHelp = map[string]string{
 	MetricSalvageErrors:       "Decode errors consumed by the salvage budget.",
 	MetricSalvageResyncs:      "Salvage resync scans performed.",
 	MetricSalvageBytesSkipped: "Bytes skipped while resyncing.",
-
-	MetricBatches:   "Record batches handed into the pipeline.",
-	MetricBatchFill: "Records in the most recent batch.",
 
 	MetricShardRecords:       "Records consumed per detector shard.",
 	MetricShardQueueDepth:    "Batches queued per detector shard.",

@@ -182,7 +182,7 @@ func TestPrometheusExpositionValid(t *testing.T) {
 	r.Counter(LabelMetric(MetricProvenanceSkewTotal, "vantage", "bb1")).Inc()
 	r.Gauge(MetricEngineWorkers).Set(4)
 	r.Gauge(LabelMetric(MetricServeSourceLagBytes, "source", "bb1")).Set(9)
-	h := r.Histogram(MetricBatchFill, []int64{10, 100, 1000})
+	h := r.Histogram("loopscope_test_fill", []int64{10, 100, 1000})
 	for _, v := range []int64{5, 50, 500, 5000} {
 		h.Observe(v)
 	}

@@ -1,7 +1,5 @@
 package trace
 
-import "loopscope/internal/obs"
-
 // DefaultBatchSize is the record-slice size used for batched hand-off
 // between pipeline stages. Batches amortise channel sends and
 // interface calls; ~256 keeps a batch of 40-byte snapshots well
@@ -9,17 +7,14 @@ import "loopscope/internal/obs"
 const DefaultBatchSize = 256
 
 // Batcher adapts a Source to batched reads: Next returns up to size
-// records at a time instead of one. It is the reader-side stage of
-// the detection pipeline.
+// owned records at a time instead of one. No tool reads through it
+// (core.Run borrows one record at a time). It is kept only because
+// the benchmark harness (bench/layers.go) compiles against it, and
+// goes when that harness moves to core.Run (ROADMAP items 1 and 8).
 type Batcher struct {
 	src  Source
 	size int
 	err  error
-
-	// Optional instrumentation (see Instrument). Nil when
-	// uninstrumented; the obs no-op sinks make the calls free.
-	batches *obs.Counter
-	fill    *obs.Histogram
 }
 
 // NewBatcher returns a Batcher over src. size <= 0 selects
@@ -33,31 +28,6 @@ func NewBatcher(src Source, size int) *Batcher {
 
 // Meta reports the underlying source's metadata.
 func (b *Batcher) Meta() Meta { return b.src.Meta() }
-
-// Instrument wires the batcher into a metrics registry: every batch
-// counts into obs.MetricBatches and its fill (records per batch) into
-// the obs.MetricBatchFill histogram. A final short batch is normal; a
-// *steady stream* of short batches means the source cannot keep the
-// pipeline fed — the read side of the backpressure picture (the write
-// side is the detector's backpressure counter). Nil registry: no-op.
-func (b *Batcher) Instrument(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	b.batches = r.Counter(obs.MetricBatches)
-	b.fill = r.Histogram(obs.MetricBatchFill, batchFillBounds(b.size))
-}
-
-// batchFillBounds builds the fill-histogram buckets for a batch size:
-// powers of two up to the full batch, so underfilled hand-offs are
-// visible at a glance.
-func batchFillBounds(size int) []int64 {
-	var bounds []int64
-	for b := int64(1); b < int64(size); b *= 4 {
-		bounds = append(bounds, b)
-	}
-	return append(bounds, int64(size))
-}
 
 // Next returns the next batch of records. The final batch may be
 // shorter than the batch size, and a non-empty batch may accompany a
@@ -74,21 +44,9 @@ func (b *Batcher) Next() ([]Record, error) {
 		r, err := b.src.Next()
 		if err != nil {
 			b.err = err
-			b.observeBatch(recs)
 			return recs, err
 		}
 		recs = append(recs, r)
 	}
-	b.observeBatch(recs)
 	return recs, nil
-}
-
-// observeBatch records one hand-off into the instrumentation sinks
-// (no-ops when uninstrumented).
-func (b *Batcher) observeBatch(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	b.batches.Inc()
-	b.fill.Observe(int64(len(recs)))
 }

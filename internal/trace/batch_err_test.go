@@ -62,7 +62,7 @@ func TestBatcherMidStreamError(t *testing.T) {
 func TestBatcherContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	src := NewSliceSource(Meta{Link: "ctx"}, make([]Record, 100))
-	b := NewBatcher(WithContext(ctx, src), 8)
+	b := NewBatcher(withContext(ctx, src), 8)
 
 	recs, err := b.Next()
 	if err != nil || len(recs) != 8 {
@@ -95,7 +95,7 @@ func TestBatcherCancelMidBatch(t *testing.T) {
 		}
 		return Record{Time: time.Duration(n), WireLen: 40, Data: make([]byte, 40)}, nil
 	}}
-	b := NewBatcher(WithContext(ctx, src), 8)
+	b := NewBatcher(withContext(ctx, src), 8)
 	recs, err := b.Next()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Next: %v, want context.Canceled", err)
@@ -103,6 +103,25 @@ func TestBatcherCancelMidBatch(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("partial batch has %d records, want 3", len(recs))
 	}
+}
+
+// ctxSource is a Source whose Next reports ctx.Err() once ctx is
+// cancelled, before touching src: the shape of a pipeline stage that
+// polls for cancellation between reads.
+type ctxSource struct {
+	ctx context.Context
+	src Source
+}
+
+func withContext(ctx context.Context, src Source) Source { return &ctxSource{ctx: ctx, src: src} }
+
+func (s *ctxSource) Meta() Meta { return s.src.Meta() }
+
+func (s *ctxSource) Next() (Record, error) {
+	if err := s.ctx.Err(); err != nil {
+		return Record{}, err
+	}
+	return s.src.Next()
 }
 
 // funcSource adapts a closure to Source.
@@ -136,7 +155,7 @@ func TestMeterSourceMidStreamError(t *testing.T) {
 func TestMeterSourceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := obs.NewRegistry()
-	src := MeterSource(WithContext(ctx, NewSliceSource(Meta{}, make([]Record, 10))), reg, nil)
+	src := MeterSource(withContext(ctx, NewSliceSource(Meta{}, make([]Record, 10))), reg, nil)
 
 	if _, err := src.Next(); err != nil {
 		t.Fatal(err)
@@ -158,7 +177,7 @@ func TestBatcherPipelineNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		reg := obs.NewRegistry()
-		src := MeterSource(WithContext(ctx, NewSliceSource(Meta{}, make([]Record, 1000))), reg, nil)
+		src := MeterSource(withContext(ctx, NewSliceSource(Meta{}, make([]Record, 1000))), reg, nil)
 		b := NewBatcher(src, 16)
 		if _, err := b.Next(); err != nil {
 			t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"loopscope/internal/obs"
 )
 
 // openTestRecords is a tiny but non-trivial record set: plausible IPv4
@@ -211,5 +213,80 @@ func TestOpenRejectsGarbageAndMissing(t *testing.T) {
 	}
 	if _, _, err := Open(filepath.Join(dir, "nope"), OpenOptions{}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestOpenOneWrapper checks the source Open returns, metered or not: it
+// lends, reports file progress, counts every record it hands out when
+// metered, and closes the file. A metered file read goes through this
+// one wrapper and no second one.
+func TestOpenOneWrapper(t *testing.T) {
+	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", FormatNative, false)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		src, _, err := Open(path, OpenOptions{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, ok := src.(*meteredSource)
+		if !ok {
+			t.Fatalf("Open returned %T, want the one tap wrapper", src)
+		}
+		if _, ok := m.src.(*Reader); !ok {
+			t.Fatalf("tap wraps %T, want the bare *Reader", m.src)
+		}
+		progress := ProgressOf(src)
+		if progress == nil {
+			t.Fatal("a file source reports no progress")
+		}
+		lender := Lender(src)
+		n := 0
+		for ; ; n++ {
+			rec, err := lender.Borrow()
+			if err != nil {
+				break
+			}
+			if !bytes.Equal(rec.Data, want[n].Data) {
+				t.Fatalf("record %d differs", n)
+			}
+		}
+		if n != len(want) {
+			t.Fatalf("borrowed %d records, want %d", n, len(want))
+		}
+		if off, size := progress(); off != st.Size() || size != st.Size() {
+			t.Fatalf("progress = %d/%d after the last record, want %d/%d", off, size, st.Size(), st.Size())
+		}
+		if got := reg.Counter(obs.MetricTraceRecords).Value(); reg != nil && got != int64(len(want)) {
+			t.Fatalf("records counter = %d, want %d", got, len(want))
+		}
+		if err := CloseSource(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.f.Close(); err == nil {
+			t.Fatal("the file is still open after CloseSource")
+		}
+	}
+}
+
+// TestMeterSourceBorrowsOverNext: over a source that does not lend,
+// Borrow reads through Next and counts as it does.
+func TestMeterSourceBorrowsOverNext(t *testing.T) {
+	reg := obs.NewRegistry()
+	recs := openTestRecords()
+	lender := Lender(MeterSource(NewSliceSource(Meta{}, recs), reg, nil))
+	n := 0
+	for ; ; n++ {
+		if _, err := lender.Borrow(); err != nil {
+			break
+		}
+	}
+	if n != len(recs) {
+		t.Fatalf("borrowed %d records, want %d", n, len(recs))
+	}
+	if got := reg.Counter(obs.MetricTraceCaptureBytes).Value(); got != int64(len(recs)*28) {
+		t.Fatalf("capture bytes counter = %d, want %d", got, len(recs)*28)
 	}
 }
