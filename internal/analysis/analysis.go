@@ -108,11 +108,11 @@ func (a *Accumulator) Add(rec trace.Record) {
 	a.last = rec.Time
 	a.wireBytes += uint64(rec.WireLen)
 	// DecodeIPv4's checks, then only what Classify and the ICMP tally read.
-	d := rec.Data
-	if len(d) < packet.IPv4HeaderLen || d[0]>>4 != 4 || d[0]&0x0f < 5 || len(d) < int(d[0]&0x0f)*4 {
+	d, n := rec.Data, packet.FrameIPv4(rec.Data)
+	if n == 0 {
 		return
 	}
-	cell, l4 := int(d[9]), d[int(d[0]&0x0f)*4:]
+	cell, l4 := int(d[9]), d[n:]
 	switch {
 	case cell == packet.ProtoTCP && len(l4) >= packet.TCPHeaderLen:
 		cell = 256 + int(l4[13]&0x3f)

@@ -86,8 +86,11 @@ type Detector struct {
 	active map[uint64]*builder
 	seed   uint64
 	// byPrefix is keyed by the destination address masked to PrefixBits.
-	byPrefix   map[uint32]*prefixState
-	prefixMask uint32
+	// prefixCache fronts it, direct-mapped by cacheSlot; evict clears the
+	// slot of a state it frees.
+	byPrefix    map[uint32]*prefixState
+	prefixCache [1 << 10]*prefixState
+	prefixMask  uint32
 
 	// live threads every builder in order of last activity, head
 	// stalest. Merged by record index with first's entries (coldest),
@@ -346,14 +349,26 @@ func (d *Detector) SetFlight(sr *flight.ShardRecorder) { d.fr = sr }
 
 func (d *Detector) state(dst packet.Addr) *prefixState {
 	net := dst.Uint32() & d.prefixMask
-	ps := d.byPrefix[net]
+	ps := d.lookup(net)
 	if ps == nil {
 		ps = take(&d.freeStates)
 		ps.prefix = routing.PrefixOf(dst, d.cfg.PrefixBits)
 		d.byPrefix[net] = ps
+		d.prefixCache[cacheSlot(net)] = ps
 	}
 	return ps
 }
+
+// lookup returns the state of the prefix net, or nil.
+func (d *Detector) lookup(net uint32) *prefixState {
+	c := &d.prefixCache[cacheSlot(net)]
+	if *c == nil || (*c).prefix.Addr.Uint32() != net {
+		*c = d.byPrefix[net]
+	}
+	return *c
+}
+
+func cacheSlot(net uint32) uint32 { return net * 0x9e3779b1 >> 22 }
 
 // take pops a pooled *T, or allocates one when the pool is empty.
 func take[T any](pool *[]*T) *T {
@@ -404,17 +419,17 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		d.nextAdvance = (rec.Time/d.cfg.MaxReplicaGap + 1) * d.cfg.MaxReplicaGap
 	}
 
-	// The IP header is all a first observation needs, and every error
-	// packet.Decode returns is DecodeIPv4's; the transport half is read
-	// when a stream is published (summarize).
-	ip, err := packet.DecodeIPv4(rec.Data)
-	if err != nil {
+	// TTL and destination are all a first observation reads of the IP
+	// header, and FrameIPv4 fails exactly where DecodeIPv4, and with it
+	// packet.Decode, does; the transport half is read when a stream is
+	// published (summarize).
+	if packet.FrameIPv4(rec.Data) == 0 {
 		d.parseErrors++
 		return
 	}
 	key, rest := keyOf(rec.Data)
 	h := key.index(d.seed)
-	rep := Replica{Time: rec.Time, TTL: ip.TTL, Index: idx}
+	rep := Replica{Time: rec.Time, TTL: rec.Data[8], Index: idx}
 
 	// An open builder knows its prefix, so only a first sighting or a
 	// promotion looks the prefix up.
@@ -423,7 +438,7 @@ func (d *Detector) observeAt(rec trace.Record, idx int) {
 		match = match.chain
 	}
 	if match == nil {
-		ps := d.state(ip.Dst)
+		ps := d.state(packet.Addr(rec.Data[16:20]))
 		e := d.first.find(h, &key, rest)
 		if e == nil {
 			d.addFirst(ps, h, &key, rest, rep)
@@ -491,7 +506,7 @@ func (d *Detector) promote(ps *prefixState, h uint64, key *replicaKey, rest []by
 
 // dropFirst forgets a table entry, shed or expired.
 func (d *Detector) dropFirst(e *firstObs) {
-	ps := d.byPrefix[e.net()&d.prefixMask]
+	ps := d.lookup(e.net() & d.prefixMask)
 	ps.decide(ps.seqOf(e.seq))
 	d.first.drop(e)
 }
@@ -784,6 +799,9 @@ func (d *Detector) evict(ps *prefixState) {
 	if len(ps.entries) == 0 && len(ps.pending) == 0 &&
 		len(ps.validated) == 0 && ps.open == 0 && ps.loop == nil {
 		delete(d.byPrefix, ps.prefix.Addr.Uint32())
+		if c := &d.prefixCache[cacheSlot(ps.prefix.Addr.Uint32())]; *c == ps {
+			*c = nil
+		}
 		store := ps.store
 		if len(store) > maxPooledStore {
 			store = nil

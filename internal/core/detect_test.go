@@ -444,3 +444,25 @@ func TestBindFlags(t *testing.T) {
 		t.Errorf("parsed = %+v, want %+v", got, want)
 	}
 }
+
+// TestPrefixCacheForgetsEvictedState: a prefix whose state is evicted
+// and later needed again gets a live state, not the freed one its cache
+// slot held — here 0.0.0.0/24, whose address equals a freed state's, and
+// whose loops are both found.
+func TestPrefixCacheForgetsEvictedState(t *testing.T) {
+	cfg := DefaultConfig()
+	later := 3 * (cfg.MaxReplicaGap + cfg.MergeWindow)
+	var recs []trace.Record
+	for _, at := range []time.Duration{time.Second, later} {
+		recs = append(recs, replicaRun(t, at, 10*time.Millisecond, mkPkt("192.0.2.1", "0.0.0.5", 7, 60, 1), 6, 2)...)
+	}
+	for at := 2 * time.Second; at < later; at += cfg.MaxReplicaGap / 4 {
+		recs = append(recs, rec(t, at, mkPkt("192.0.2.1", "203.0.113.5", uint16(at/time.Millisecond), 60, 2)))
+	}
+	sortRecords(recs)
+	got := DetectRecords(recs, cfg)
+	requireSameResult(t, "evicted and revisited prefix", got, NaiveDetectRecords(recs, cfg))
+	if len(got.Loops) != 2 {
+		t.Errorf("%d loops, want 2", len(got.Loops))
+	}
+}

@@ -8,16 +8,18 @@ import (
 
 // The first-observation table: 999 packets in 1,000 are never seen
 // again, so a first observation is a pointer-free value, not a builder.
-// It is k generations, each a dense append-only array of entries, an
-// open-addressed index into it and an arena for capture bytes past
-// keyBytes, looked up newest first. Every MaxReplicaGap ÷ (k−1) of trace
-// clock the oldest is cleared and reused as the newest — once nothing in
-// it is live, so k and capacity decide memory, never a match. Live
-// entries in arrival order are in last-activity order (Detector.coldest).
+// It is k generations, each a dense append-only array of entries and an
+// arena for capture bytes past keyBytes, and one open-addressed index of
+// k-slot buckets whose column i indexes generation i, so a lookup that
+// misses every generation reads one bucket. Lookups go newest first.
+// Every MaxReplicaGap ÷ (k−1) of trace clock the oldest generation is
+// cleared and reused as the newest — once nothing in it is live, so k
+// and capacity decide memory, never a match. Live entries in arrival
+// order are in last-activity order (Detector.coldest).
 
 const (
 	defaultGenerations = 4       // k: at most 4/3 of the live entries held, four probes a miss
-	minSlots           = 1 << 10 // a generation's first index size
+	minSlots           = 1 << 10 // the index's first size in buckets
 )
 
 // firstObs is a first observation in 64 bytes: key head and n (bytes
@@ -40,7 +42,6 @@ func (e *firstObs) net() uint32 { return bits.ReverseBytes32(uint32(e.head[2])) 
 // entry before dead is dead.
 type generation struct {
 	obs   []firstObs
-	slots []uint32 // 0 empty, else a tag OR'ed with an index into obs plus one
 	rests []uint32
 	arena []byte
 	start time.Duration // trace clock when it became the newest
@@ -48,7 +49,11 @@ type generation struct {
 }
 
 type firstTable struct {
-	gens   []generation
+	gens []generation
+	// slots[p*k+i] is generation i's slot p: 0 empty, else a tag OR'ed
+	// with an index into its obs plus one. mask is the bucket count − 1.
+	slots  []uint32
+	mask   uint32
 	newest int
 	period time.Duration
 	live   int
@@ -57,20 +62,21 @@ type firstTable struct {
 }
 
 func newFirstTable(k, slots int, gap time.Duration) firstTable {
-	ft := firstTable{gens: make([]generation, k), period: gap / time.Duration(k-1)}
-	for i := range ft.gens {
-		ft.gens[i].slots = make([]uint32, slots)
-	}
-	return ft
+	return firstTable{gens: make([]generation, k), slots: make([]uint32, k*slots), mask: uint32(slots - 1),
+		period: gap / time.Duration(k-1)}
 }
 
-func (ft *firstTable) gen(back int) *generation {
+// col returns the column of the generation back steps older than the
+// newest.
+func (ft *firstTable) col(back int) int {
 	i := ft.newest - back
 	if i < 0 {
 		i += len(ft.gens)
 	}
-	return &ft.gens[i]
+	return i
 }
+
+func (ft *firstTable) gen(back int) *generation { return &ft.gens[ft.col(back)] }
 
 func (g *generation) restOf(i int) []byte {
 	if n := g.obs[i].n; n > keyBytes {
@@ -87,17 +93,18 @@ func tagOf(h uint64, mask uint32) uint32 { return uint32(h>>32) &^ mask }
 
 // find returns the live entry with key and rest (h = key.index), or nil.
 func (ft *firstTable) find(h uint64, key *replicaKey, rest []byte) *firstObs {
+	k, mask := len(ft.gens), ft.mask
+	tag := tagOf(h, mask)
 	for back := range ft.gens {
-		g := ft.gen(back)
-		mask := uint32(len(g.slots) - 1)
-		tag := tagOf(h, mask)
-		for p := uint32(h) & mask; g.slots[p] != 0; p = (p + 1) & mask {
-			if g.slots[p]&^mask != tag {
+		i := ft.col(back)
+		for p := uint32(h) & mask; ft.slots[int(p)*k+i] != 0; p = (p + 1) & mask {
+			s := ft.slots[int(p)*k+i]
+			if s&^mask != tag {
 				continue
 			}
 			ft.entryReads++
-			i := int(g.slots[p]&mask - 1)
-			if e := &g.obs[i]; e.n == uint32(key.n) && e.head == key.head && bytes.Equal(g.restOf(i), rest) {
+			g, j := &ft.gens[i], int(s&mask-1)
+			if e := &g.obs[j]; e.n == uint32(key.n) && e.head == key.head && bytes.Equal(g.restOf(j), rest) {
 				return e
 			}
 		}
@@ -105,16 +112,19 @@ func (ft *firstTable) find(h uint64, key *replicaKey, rest []byte) *firstObs {
 	return nil
 }
 
-// insert adds an entry to the newest generation, whose index it keeps
-// at most half full.
+// insert adds an entry to the newest generation. The index is kept at
+// most half full in every column: the newest column is the fullest one
+// at this size, and a doubling re-places the live entries of them all.
 func (ft *firstTable) insert(h, seed uint64, key *replicaKey, rest []byte, rep Replica, seq int) {
 	g := ft.gen(0)
-	if 2*(len(g.obs)+1) > len(g.slots) {
-		g.slots = make([]uint32, 2*len(g.slots))
-		for i, e := range g.obs {
-			if e.n != 0 {
-				k := replicaKey{head: e.head, n: int(e.n), restHash: fnv64a(g.restOf(i))}
-				g.place(k.index(seed), i)
+	if 2*(len(g.obs)+1) > int(ft.mask)+1 {
+		ft.slots, ft.mask = make([]uint32, 2*len(ft.slots)), 2*ft.mask+1
+		for c := range ft.gens {
+			for i, e := range ft.gens[c].obs {
+				if e.n != 0 {
+					k := replicaKey{head: e.head, n: int(e.n), restHash: fnv64a(ft.gens[c].restOf(i))}
+					ft.place(c, k.index(seed), i)
+				}
 			}
 		}
 	}
@@ -125,17 +135,17 @@ func (ft *firstTable) insert(h, seed uint64, key *replicaKey, rest []byte, rep R
 	}
 	g.obs = append(g.obs, firstObs{head: key.head, t: rep.Time, at: uint64(rep.Index)<<8 | uint64(rep.TTL),
 		seq: uint32(seq), n: uint32(key.n)})
-	g.place(h, len(g.obs)-1)
+	ft.place(ft.newest, h, len(g.obs)-1)
 	ft.live++
 }
 
-func (g *generation) place(h uint64, i int) {
-	mask := uint32(len(g.slots) - 1)
-	p := uint32(h) & mask
-	for g.slots[p] != 0 {
-		p = (p + 1) & mask
+// place puts entry i of the generation in column c into the index.
+func (ft *firstTable) place(c int, h uint64, i int) {
+	k, p := len(ft.gens), uint32(h)&ft.mask
+	for ft.slots[int(p)*k+c] != 0 {
+		p = (p + 1) & ft.mask
 	}
-	g.slots[p] = tagOf(h, mask) | uint32(i+1)
+	ft.slots[int(p)*k+c] = tagOf(h, ft.mask) | uint32(i+1)
 }
 
 func (ft *firstTable) drop(e *firstObs) {
@@ -156,16 +166,20 @@ func (ft *firstTable) coldest() *firstObs {
 	return nil
 }
 
-// rotate clears the oldest generation and makes it the newest, once the
-// newest has taken entries for a period and nothing in the oldest is
-// live. A trace clock that runs backwards delays rotation.
+// rotate clears the oldest generation and its index column and makes
+// it the newest, once the newest has taken entries for a period and
+// nothing in the oldest is live. A trace clock that runs backwards
+// delays rotation.
 func (ft *firstTable) rotate(now time.Duration) {
-	old := ft.gen(len(ft.gens) - 1)
+	c := ft.col(len(ft.gens) - 1)
+	old := &ft.gens[c]
 	if now-ft.gen(0).start < ft.period || ft.coldest() != nil && old.dead < len(old.obs) {
 		return
 	}
 	old.obs, old.rests, old.arena, old.dead = old.obs[:0], old.rests[:0], old.arena[:0], 0
-	clear(old.slots)
+	for p := c; p < len(ft.slots); p += len(ft.gens) {
+		ft.slots[p] = 0
+	}
 	old.start = now
 	if ft.newest++; ft.newest == len(ft.gens) {
 		ft.newest = 0

@@ -11,12 +11,13 @@ import (
 	"loopscope/internal/trace"
 )
 
-// TestFirstObservationHeapBudget: once warm, a first observation costs
-// the live heap at most 128 bytes — its table entry, its share of the
-// index and of the generations not yet reused — where a pooled builder
-// and its map slot cost about 300. The per-prefix windows, which hold
-// every packet whatever it turns out to be, are counted out.
-func TestFirstObservationHeapBudget(t *testing.T) {
+// TestFirstObservationHeapAllocationBudget: once warm, a first
+// observation costs the live heap at most 128 bytes — its table entry,
+// its share of the index and of the generations not yet reused — where
+// a pooled builder and its map slot cost about 300. The per-prefix
+// windows, which hold every packet whatever it turns out to be, are
+// counted out.
+func TestFirstObservationHeapAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
@@ -73,7 +74,7 @@ func TestFirstTableMissReadsNoEntry(t *testing.T) {
 			k := key(uint16(i))
 			ft.insert(k.index(seed), seed, &k, nil, Replica{}, i)
 		}
-		if n := len(ft.gen(0).slots); n != c.grown {
+		if n := len(ft.slots) / len(ft.gens); n != c.grown {
 			t.Fatalf("%s: %d slots, want %d; the table is not the one described", c.name, n, c.grown)
 		}
 		k := key(0)
@@ -114,6 +115,59 @@ func TestFirstTableMissReadsNoEntry(t *testing.T) {
 	t.Logf("%d lookups, %d repeats, %d entry reads", lookups, repeats, d.first.entryReads)
 	if repeats > lookups/100 || d.first.entryReads > repeats+lookups/1000 {
 		t.Errorf("%d lookups, %d repeats: %d entry reads, want at most repeats + lookups/1000", lookups, repeats, d.first.entryReads)
+	}
+}
+
+// TestInterleavedIndex: the k generations share one index of k-slot
+// buckets, column i indexing generation i. A doubling that the newest
+// generation starts re-places the entries of every generation, and a
+// rotation clears the reused generation's column and no other.
+func TestInterleavedIndex(t *testing.T) {
+	const seed, k = 1, 4
+	ft := newFirstTable(k, 8, (k-1)*time.Second)
+	var keys [k][]replicaKey
+	var rests [k][][]byte
+	for c, n := 0, 0; c < k; c++ {
+		ft.rotate(time.Duration(c) * time.Second)
+		for i := 0; i < 3+2*(c/(k-1)); i, n = i+1, n+1 { // 3, 3, 3 and 5 entries
+			pkt := mkPkt("192.0.2.1", "10.5.0.9", uint16(n), 0, uint64(n))
+			pkt.PayloadLen = 300
+			key, rest := keyOf(capture(t, pkt, 40+24*(n%2)))
+			ft.insert(key.index(seed), seed, &key, rest, Replica{Index: n}, n)
+			keys[c], rests[c] = append(keys[c], key), append(rests[c], rest)
+		}
+	}
+	if ft.newest != k-1 || len(ft.slots) != k*16 {
+		t.Fatalf("newest generation %d, %d buckets; want %d and 16, doubled once", ft.newest, len(ft.slots)/k, k-1)
+	}
+	find := func(c, i int) *firstObs { return ft.find(keys[c][i].index(seed), &keys[c][i], rests[c][i]) }
+	for c := range keys {
+		for i := range keys[c] {
+			if e := find(c, i); e == nil || e != &ft.gens[c].obs[i] {
+				t.Errorf("generation %d, entry %d: not found after the doubling", c, i)
+			}
+		}
+	}
+
+	for i := range keys[0] {
+		ft.drop(find(0, i))
+	}
+	ft.rotate(k * time.Second)
+	for c := range keys {
+		used := 0
+		for p := c; p < len(ft.slots); p += k {
+			if ft.slots[p] != 0 {
+				used++
+			}
+		}
+		if want := len(keys[c]) * min(c, 1); ft.newest != 0 || used != want {
+			t.Errorf("after rotation to generation %d: column %d holds %d slots, want %d", ft.newest, c, used, want)
+		}
+		for i := range keys[c] {
+			if e := find(c, i); (e != nil) != (c != 0) {
+				t.Errorf("after rotation: generation %d, entry %d found %v", c, i, e != nil)
+			}
+		}
 	}
 }
 

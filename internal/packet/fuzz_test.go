@@ -114,3 +114,28 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFrameIPv4MatchesDecode: on any bytes FrameIPv4 accepts exactly
+// what DecodeIPv4 accepts, with its header length, and the TTL and
+// destination a caller reads from the framed bytes are the decoded ones.
+func FuzzFrameIPv4MatchesDecode(f *testing.F) {
+	hdr := []byte{0x45, 0, 0, 40, 0, 9, 0, 0, 63, ProtoTCP, 0, 0, 10, 0, 0, 1, 10, 5, 0, 9}
+	f.Add(hdr)
+	f.Add(hdr[:19])
+	f.Add(append([]byte{0x46}, hdr[1:]...))                     // IHL 6, options cut off
+	f.Add(append(append([]byte{0x46}, hdr[1:]...), 1, 1, 1, 1)) // IHL 6, options captured
+	f.Add(append([]byte{0x44}, hdr[1:]...))                     // IHL 4
+	f.Add(append([]byte{0x65}, hdr[1:]...))                     // version 6
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := FrameIPv4(data)
+		h, err := DecodeIPv4(data)
+		if (n != 0) != (err == nil) {
+			t.Fatalf("FrameIPv4 says %d, DecodeIPv4 says %v", n, err)
+		}
+		if err == nil && (n != h.HeaderLen() || data[8] != h.TTL || Addr(data[16:20]) != h.Dst) {
+			t.Fatalf("framed length %d, TTL %d, destination %v; decoded %d, %d, %v",
+				n, data[8], Addr(data[16:20]), h.HeaderLen(), h.TTL, h.Dst)
+		}
+	})
+}

@@ -42,6 +42,20 @@ const (
 // HeaderLen returns the header length in bytes implied by IHL.
 func (h *IPv4Header) HeaderLen() int { return int(h.IHL) * 4 }
 
+// FrameIPv4 makes DecodeIPv4's checks on the front of data — at least
+// 20 bytes, version 4, IHL at least 5 and the whole header captured —
+// without decoding it, and returns the header length in bytes, or 0
+// where DecodeIPv4 fails. It is small enough to inline.
+func FrameIPv4(data []byte) int {
+	if len(data) < IPv4HeaderLen || data[0]>>4 != 4 {
+		return 0
+	}
+	if n := int(data[0]&0x0f) * 4; n >= IPv4HeaderLen && n <= len(data) {
+		return n
+	}
+	return 0
+}
+
 // DecodeIPv4 parses an IPv4 header from the front of data.
 func DecodeIPv4(data []byte) (IPv4Header, error) {
 	var h IPv4Header

@@ -316,13 +316,11 @@ func (c *codec) lend(h *recHeader, w *window) Record {
 // an append cannot reach the next record's bytes. A slab is written
 // once and never reused, so it lives exactly as long as some record cut
 // from it does. A capture over a quarter slab gets its own allocation
-// rather than strand the rest of the current slab. An error passes
-// through.
-func (c *codec) own(rec Record, err error) (Record, error) {
-	if err != nil {
-		return rec, err
-	}
-	n := len(rec.Data)
+// rather than strand the rest of the current slab. It takes and
+// returns only the bytes: a whole Record passed in and out of a call
+// that does not inline is copied through the stack both ways.
+func (c *codec) own(lent []byte) []byte {
+	n := len(lent)
 	var data []byte
 	if n > slabLen/4 {
 		data = make([]byte, n)
@@ -332,7 +330,6 @@ func (c *codec) own(rec Record, err error) (Record, error) {
 		}
 		data, c.slab = c.slab[:n:n], c.slab[n:]
 	}
-	copy(data, rec.Data)
-	rec.Data = data
-	return rec, nil
+	copy(data, lent)
+	return data
 }

@@ -69,7 +69,12 @@ func (c *codec) readFileHeader(w *window) error {
 func (r *Reader) Meta() Meta { return r.c.meta }
 
 // Next implements Source.
-func (r *Reader) Next() (Record, error) { return r.c.own(r.Borrow()) }
+func (r *Reader) Next() (rec Record, err error) {
+	if rec, err = r.Borrow(); err == nil {
+		rec.Data = r.c.own(rec.Data)
+	}
+	return rec, err
+}
 
 // Borrow implements Borrower.
 func (r *Reader) Borrow() (Record, error) {

@@ -191,7 +191,12 @@ func (s *SalvageReader) skip(n int) {
 // (skipping to the next plausible record) unless the error budget is
 // exhausted, in which case Next fails with an error wrapping
 // ErrErrorBudget.
-func (s *SalvageReader) Next() (Record, error) { return s.c.own(s.Borrow()) }
+func (s *SalvageReader) Next() (rec Record, err error) {
+	if rec, err = s.Borrow(); err == nil {
+		rec.Data = s.c.own(rec.Data)
+	}
+	return rec, err
+}
 
 // Borrow implements Borrower: Next without the copy.
 func (s *SalvageReader) Borrow() (Record, error) {

@@ -209,7 +209,12 @@ func (s tailSource) Read(p []byte) (int, error) {
 // the file shrank, ErrTailRotated once the path names a new file and
 // the old one is drained, ErrTailIdle on idle timeout, and any decode
 // error permanently.
-func (t *TailReader) Next(ctx context.Context) (Record, error) { return t.c.own(t.Borrow(ctx)) }
+func (t *TailReader) Next(ctx context.Context) (rec Record, err error) {
+	if rec, err = t.Borrow(ctx); err == nil {
+		rec.Data = t.c.own(rec.Data)
+	}
+	return rec, err
+}
 
 // Borrow is Next without the copy: the record's Data is a view of the
 // reader's window, valid until the next Borrow or Next (see Borrower).

@@ -123,6 +123,10 @@ func (s *SliceSource) Next() (Record, error) {
 	return r, nil
 }
 
+// Borrow implements Borrower. The records are the caller's already, so
+// lending them is Next, and Lender returns the source itself.
+func (s *SliceSource) Borrow() (Record, error) { return s.Next() }
+
 // Reset rewinds the source to the first record.
 func (s *SliceSource) Reset() { s.pos = 0 }
 

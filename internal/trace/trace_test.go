@@ -203,6 +203,14 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
+// TestSliceSourceLends: core.Run over a SliceSource borrows from it
+// directly, through no adapter.
+func TestSliceSourceLends(t *testing.T) {
+	if s := NewSliceSource(Meta{}, sampleRecords()); Lender(s) != Borrower(s) {
+		t.Errorf("Lender wraps a SliceSource")
+	}
+}
+
 func TestValidate(t *testing.T) {
 	good := sampleRecords()
 	if err := Validate(good); err != nil {
