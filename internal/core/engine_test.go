@@ -142,7 +142,8 @@ func TestEngineVariantsAgree(t *testing.T) {
 // trace.Open returns — native, pcap, ERF and gzipped native; strict,
 // salvage and metered — and every engine New builds finds what
 // DetectRecords finds over the same file read whole. A SliceSource
-// does not lend, so this is where Run meets views of a reader's window.
+// lends records it owns, so this is where Run meets views of a
+// reader's window, which the reader reuses.
 func TestRunOverEveryReader(t *testing.T) {
 	recs := randomTrace(21, 10*time.Second, 800, 3)
 	dir := t.TempDir()

@@ -272,11 +272,16 @@ func TestOpenOneWrapper(t *testing.T) {
 }
 
 // TestMeterSourceBorrowsOverNext: over a source that does not lend,
-// Borrow reads through Next and counts as it does.
+// Borrow reads through Next and counts as it does. A SliceSource lends,
+// so it is wrapped in a struct that carries only Source's methods.
 func TestMeterSourceBorrowsOverNext(t *testing.T) {
 	reg := obs.NewRegistry()
 	recs := openTestRecords()
-	lender := Lender(MeterSource(NewSliceSource(Meta{}, recs), reg, nil))
+	src := struct{ Source }{NewSliceSource(Meta{}, recs)}
+	if _, lends := Source(src).(Borrower); lends {
+		t.Fatal("test source lends; Borrow's fallback would not run")
+	}
+	lender := Lender(MeterSource(src, reg, nil))
 	n := 0
 	for ; ; n++ {
 		if _, err := lender.Borrow(); err != nil {
