@@ -221,7 +221,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				src := trace.MeterSource(trace.NewSliceSource(trace.Meta{Link: "bench"}, recs), reg, nil)
+				// noop reads the bare records: the tap is instrumentation,
+				// and MeterSource puts it there even without a registry.
+				var src trace.Source = trace.NewSliceSource(trace.Meta{Link: "bench"}, recs)
+				if reg != nil {
+					src = trace.MeterSource(src, reg, nil)
+				}
 				res, err := core.Run(e, src)
 				if err != nil {
 					b.Fatal(err)

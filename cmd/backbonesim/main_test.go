@@ -23,7 +23,7 @@ func TestRunWritesOneBackbone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunPcap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := trace.NewPcapReader(f); err != nil {
+	if _, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatPcap}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,19 +15,16 @@ import (
 	"loopscope/internal/traffic"
 )
 
-// warmMeter passes its source's records on, lent or copied as the
-// caller asks, and reads the allocation counters at the first record
-// stamped after warm.
+// warmMeter lends its source's records on and reads the allocation
+// counters at the first record stamped after warm.
 type warmMeter struct {
 	trace.Source
-	lender trace.Borrower
 	warm   time.Duration
 	n      int // records passed on since warm
 	warmed runtime.MemStats
 }
 
-func (m *warmMeter) Next() (trace.Record, error)   { return m.tally(m.Source.Next()) }
-func (m *warmMeter) Borrow() (trace.Record, error) { return m.tally(m.lender.Borrow()) }
+func (m *warmMeter) Borrow() (trace.Record, error) { return m.tally(m.Source.Borrow()) }
 
 func (m *warmMeter) tally(rec trace.Record, err error) (trace.Record, error) {
 	if err == nil && rec.Time > m.warm {
@@ -84,7 +81,7 @@ func TestScanAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &warmMeter{Source: src, lender: trace.Lender(src), warm: length / 2}
+		m := &warmMeter{Source: src, warm: length / 2}
 		sc, err := scanSource(m, nil, cfg, false)
 		var end runtime.MemStats
 		runtime.ReadMemStats(&end)

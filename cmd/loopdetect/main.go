@@ -199,7 +199,7 @@ var (
 // openTrace is the tool's single trace.Open call site: it translates
 // the ingestion flags into OpenOptions. The returned *DecodeStats is
 // non-nil only in salvage mode and fills in as the source is drained.
-func openTrace(path string) (trace.Source, *trace.DecodeStats, error) {
+func openTrace(path string) (*trace.File, *trace.DecodeStats, error) {
 	format := trace.FormatAuto
 	if traceFormat == "erf" {
 		format = trace.FormatERF
@@ -213,7 +213,7 @@ func openTrace(path string) (trace.Source, *trace.DecodeStats, error) {
 	})
 	sp.End()
 	if err == nil {
-		prog.SetOffset(trace.ProgressOf(src))
+		prog.SetOffset(src.Progress())
 	}
 	return src, stats, err
 }
@@ -277,10 +277,9 @@ func scanSource(src trace.Source, dstats *trace.DecodeStats, cfg core.Config, re
 	)
 	// Nothing here keeps a record past the next read (Engine.Observe
 	// does not retain Data), so records are borrowed, not copied.
-	lender := trace.Lender(src)
 	sp := reg.StartSpan("ingest")
 	for !interrupted.Load() {
-		rec, err := lender.Borrow()
+		rec, err := src.Borrow()
 		if err != nil {
 			readErr = err
 			break

@@ -240,8 +240,8 @@ func loopsEqual(t *testing.T, got, want []*core.Loop) {
 }
 
 // TestChaosSalvageRoundTrip is the acceptance gate for the salvage
-// layer: for each format, a chaos-corrupted trace read through
-// SalvageReader must never fail, must recover at least 90% of the
+// layer: for each format, a chaos-corrupted trace read through the
+// salvaging reader must never fail, must recover at least 90% of the
 // uncorrupted records, and the merged loops found on the clean
 // segments must equal the uncorrupted baseline.
 func TestChaosSalvageRoundTrip(t *testing.T) {
@@ -252,7 +252,7 @@ func TestChaosSalvageRoundTrip(t *testing.T) {
 
 			// Baseline: the same bytes, uncorrupted, via the same
 			// reader (so format-specific timestamp rounding cancels).
-			sr, err := trace.NewSalvageReader(bytes.NewReader(data), trace.SalvageOptions{Format: format})
+			sr, _, err := trace.OpenStream(bytes.NewReader(data), trace.OpenOptions{Format: format, Salvage: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestChaosSalvageRoundTrip(t *testing.T) {
 				t.Fatal("chaos injected nothing")
 			}
 
-			sr, err = trace.NewSalvageReader(bytes.NewReader(corrupted), trace.SalvageOptions{Format: format})
+			sr, stats, err := trace.OpenStream(bytes.NewReader(corrupted), trace.OpenOptions{Format: format, Salvage: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +299,6 @@ func TestChaosSalvageRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("salvage failed: %v", err)
 			}
-			stats := sr.Stats()
 			if stats.Errors == 0 {
 				t.Error("no decode errors recorded on a corrupted trace")
 			}

@@ -27,7 +27,7 @@ func TestRunWritesDetectableTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunPcapOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := trace.NewPcapReader(f)
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatPcap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRunByteChaosNeedsSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := trace.NewReader(f)
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
 	if err == nil {
 		_, err = trace.ReadAll(r)
 	}
@@ -124,7 +124,7 @@ func TestRunByteChaosNeedsSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sr, err := trace.NewSalvageReader(f, trace.SalvageOptions{})
+	sr, stats, err := trace.OpenStream(f, trace.OpenOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,6 @@ func TestRunByteChaosNeedsSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := sr.Stats()
 	if stats.Resyncs == 0 || !stats.TruncatedTail {
 		t.Errorf("expected resyncs and a truncated tail, got %+v", stats)
 	}
@@ -158,7 +157,7 @@ func TestRunRecordChaosStaysReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

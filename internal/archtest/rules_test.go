@@ -105,6 +105,11 @@ var rules = []rule{{
 	},
 	check: wire,
 }, {
+	name:   "lend",
+	reason: "every trace source lends (trace.Source is Meta and Borrow) and a kept record is copied by an owning read over Borrow; a Next() (trace.Record, error) anywhere but trace.File, which bench/ still compiles against, is a second read method on a source growing back",
+	dirs:   []string{"."},
+	check:  lend,
+}, {
 	name:   "http-surface",
 	reason: `the daemon and the aggregator serve one HTTP surface, under /api/v1/, so a retired path answers 404 on both tiers; the metrics handler's own routes (/metrics, /debug/) come in through its "/" mount`,
 	dirs:   []string{"internal/serve", "internal/agg"},
@@ -233,4 +238,48 @@ func jsonNames(st *ast.StructType) []string {
 	}
 	slices.Sort(names)
 	return names
+}
+
+// lend reports every method, and every interface method, declared as
+// Next() (trace.Record, error) outside bench/, trace.File's aside.
+func lend(t *tree, files []*file) []string {
+	var out []string
+	for _, f := range files {
+		home := path.Dir(f.path) == "internal/trace"
+		record := func(e ast.Expr) bool {
+			id, _ := e.(*ast.Ident)
+			return f.is(e, "loopscope/internal/trace", "Record") || home && id != nil && id.Name == "Record"
+		}
+		next := func(name *ast.Ident, fn *ast.FuncType, owner string) {
+			var res []ast.Expr
+			for _, r := range fn.Results.List {
+				for range max(1, len(r.Names)) {
+					res = append(res, r.Type)
+				}
+			}
+			if name.Name == "Next" && fn.Params.NumFields() == 0 && len(res) == 2 && record(res[0]) &&
+				types.ExprString(res[1]) == "error" && !(home && owner == "File.Next") {
+				out = append(out, t.at(name, owner))
+			}
+		}
+		if under(f.path, "bench") {
+			continue
+		}
+		ast.Inspect(f.syntax, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Type.Results != nil {
+					next(n.Name, n.Type, declared(n)[0])
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					if fn, ok := m.Type.(*ast.FuncType); ok && len(m.Names) == 1 && fn.Results != nil {
+						next(m.Names[0], fn, "interface method Next")
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

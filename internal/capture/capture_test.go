@@ -103,7 +103,7 @@ func TestTapStreamsToSink(t *testing.T) {
 		t.Errorf("tap errors = %d", tap.Errors())
 	}
 
-	r, err := trace.NewReader(&buf)
+	r, _, err := trace.OpenStream(&buf, trace.OpenOptions{Format: trace.FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

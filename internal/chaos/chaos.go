@@ -17,7 +17,8 @@
 //   - Byte-level faults (CorruptBytes): bit flips, garbage bursts and
 //     tail truncation applied to an encoded trace file. These produce
 //     structurally *damaged* files, the way storage and transfer
-//     degrade them — the inputs trace.SalvageReader exists for.
+//     degrade them — the inputs salvage (trace.OpenOptions.Salvage)
+//     exists for.
 //
 // Everything is driven by loopscope's splitmix64 RNG: the same seed
 // and configuration always produce the same faults, on any platform,
@@ -25,6 +26,7 @@
 package chaos
 
 import (
+	"bytes"
 	"io"
 
 	"loopscope/internal/stats"
@@ -237,7 +239,9 @@ func (f *faulter) flush() []trace.Record {
 }
 
 // Source wraps a trace.Source, injecting record-level faults as the
-// stream is read.
+// stream is read. It lends what its source lends: every record it
+// returns is one the source lent since its last read, save the one a
+// reorder holds back across a read, which it copies.
 type Source struct {
 	src     trace.Source
 	f       *faulter
@@ -253,8 +257,8 @@ func NewSource(src trace.Source, cfg RecordFaults) *Source {
 // Meta implements trace.Source.
 func (s *Source) Meta() trace.Meta { return s.src.Meta() }
 
-// Next implements trace.Source.
-func (s *Source) Next() (trace.Record, error) {
+// Borrow implements trace.Source.
+func (s *Source) Borrow() (trace.Record, error) {
 	for {
 		if len(s.queue) > 0 {
 			rec := s.queue[0]
@@ -264,7 +268,7 @@ func (s *Source) Next() (trace.Record, error) {
 		if s.drained {
 			return trace.Record{}, io.EOF
 		}
-		rec, err := s.src.Next()
+		rec, err := s.src.Borrow()
 		if err == io.EOF {
 			s.drained = true
 			s.queue = s.f.flush()
@@ -273,7 +277,13 @@ func (s *Source) Next() (trace.Record, error) {
 		if err != nil {
 			return trace.Record{}, err
 		}
+		held := s.f.held
 		s.queue = s.f.step(rec)
+		if h := s.f.held; h != nil && h != held {
+			// Held back past the next read of src, which lent its bytes
+			// only until then.
+			h.Data = bytes.Clone(h.Data)
+		}
 	}
 }
 

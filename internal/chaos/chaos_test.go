@@ -172,6 +172,63 @@ func TestSinkMatchesSource(t *testing.T) {
 	}
 }
 
+// TestSourceLendsOverAReader: over a reader that lends views of its
+// window, every record reordered and every one duplicated, the
+// delivered bytes equal the Sink's output for the same seed. The
+// trace spans many window refills, so a held-back record that kept
+// the reader's bytes instead of copying them would read as another.
+func TestSourceLendsOverAReader(t *testing.T) {
+	recs := mkRecords(20_000)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := RecordFaults{Seed: 3, Reorder: 1, Dup: 1}
+	r, _, err := trace.OpenStream(&buf, trace.OpenOptions{Format: trace.FormatNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(r, cfg)
+	got, err := trace.ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want []trace.Record
+	sink := NewSink(sinkFunc(func(r trace.Record) error {
+		want = append(want, r)
+		return nil
+	}), cfg)
+	for _, r := range recs {
+		if err := sink.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := src.Stats(); st.Reordered == 0 || st.Duplicated == 0 || st != sink.Stats() {
+		t.Fatalf("faults: source %+v, sink %+v", st, sink.Stats())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("source delivered %d records, sink %d", len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Data, want[i].Data) || got[i].Time != want[i].Time {
+			t.Fatalf("record %d: source delivered %x at %v, sink %x at %v", i, got[i].Data, got[i].Time, want[i].Data, want[i].Time)
+		}
+	}
+}
+
 type sinkFunc func(trace.Record) error
 
 func (f sinkFunc) Write(r trace.Record) error { return f(r) }

@@ -19,8 +19,8 @@ import (
 //
 // Records must arrive in non-decreasing time order. Observe does not
 // keep rec.Data past the call, so a caller may hand it a record
-// borrowed from a reader (trace.Borrower) and reuse the bytes once
-// Observe returns. Finish must be called exactly once, after the last
+// borrowed from a trace.Source and reuse the bytes once Observe
+// returns. Finish must be called exactly once, after the last
 // Observe; the Engine must not be reused afterwards.
 type Engine interface {
 	Observe(trace.Record)
@@ -168,16 +168,15 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 	return e, nil
 }
 
-// Run drives an Engine over a Source: it borrows each record
-// (trace.Lender), hands it to Observe, and returns the engine's Result
+// Run drives an Engine over a Source: it borrows each record, hands it
+// to Observe, and returns the engine's Result
 // once the source is drained. An engine that implements ErrFinisher
 // (the ParallelDetector, after a worker panic) can also fail at finish
 // time. On a read error the engine is still finished, so the parallel
 // detector's workers are released, and the error is returned.
 func Run(e Engine, src trace.Source) (*Result, error) {
-	lender := trace.Lender(src)
-	rec, err := lender.Borrow()
-	for ; err == nil; rec, err = lender.Borrow() {
+	rec, err := src.Borrow()
+	for ; err == nil; rec, err = src.Borrow() {
 		e.Observe(rec)
 	}
 	var res *Result

@@ -32,10 +32,9 @@ func ExtractLoopSource(src trace.Source, l *Loop, context time.Duration) ([]trac
 	}
 	lo, hi := l.Start-context, l.End+context
 	out := make([]trace.Record, 0, len(take))
-	lender := trace.Lender(src)
 	var rerr error
 	for i := 0; ; i++ {
-		rec, err := lender.Borrow()
+		rec, err := src.Borrow()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				rerr = err

@@ -177,10 +177,10 @@ func encodeTrace(t *testing.T, recs []trace.Record, newWriter func(io.Writer, tr
 }
 
 // nativeSource returns recs written in the native format and read back
-// by a trace.Reader, which lends its records.
+// by the strict native reader, which lends its records.
 func nativeSource(t *testing.T, recs []trace.Record) trace.Source {
 	t.Helper()
-	r, err := trace.NewReader(bytes.NewReader(encodeTrace(t, recs, nativeWriter)))
+	r, _, err := trace.OpenStream(bytes.NewReader(encodeTrace(t, recs, nativeWriter)), trace.OpenOptions{Format: trace.FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

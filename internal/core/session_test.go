@@ -273,7 +273,7 @@ type errSource struct {
 }
 
 func (s *errSource) Meta() trace.Meta { return trace.Meta{Link: "err"} }
-func (s *errSource) Next() (trace.Record, error) {
+func (s *errSource) Borrow() (trace.Record, error) {
 	if s.pos >= s.n {
 		return trace.Record{}, fmt.Errorf("mid-stream fault")
 	}

@@ -6,7 +6,7 @@ import "fmt"
 // progress reporter, tests, dashboards) agree on these constants
 // instead of scattering string literals.
 const (
-	// Ingest (trace.MeterSource).
+	// Ingest (the tap, trace.File).
 	MetricTraceRecords      = "loopscope_trace_records_total"
 	MetricTraceCaptureBytes = "loopscope_trace_capture_bytes_total"
 	MetricTraceWireBytes    = "loopscope_trace_wire_bytes_total"

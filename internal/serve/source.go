@@ -628,8 +628,7 @@ func (s *sourceState) feedUnit(ctx context.Context) (*unit, error) {
 			return nil, err
 		}
 		c := &connReader{conn: conn, stop: context.AfterFunc(ctx, func() { conn.Close() })}
-		if c.Source, _, err = trace.OpenStream(conn, trace.OpenOptions{}); err == nil {
-			c.lender = trace.Lender(c.Source)
+		if c.File, _, err = trace.OpenStream(conn, trace.OpenOptions{}); err == nil {
 			return &unit{r: c, link: c.Meta().Link, end: s.feedEnd}, nil
 		}
 		c.Close()
@@ -656,13 +655,12 @@ func (s *sourceState) feedEnd(_ *unit, err error) error {
 
 // connReader is a feed connection's stream: no offset, no size.
 type connReader struct {
-	trace.Source
-	lender trace.Borrower
-	conn   net.Conn
-	stop   func() bool
+	*trace.File
+	conn net.Conn
+	stop func() bool
 }
 
-func (c *connReader) Borrow(context.Context) (trace.Record, error) { return c.lender.Borrow() }
+func (c *connReader) Borrow(context.Context) (trace.Record, error) { return c.File.Borrow() }
 func (c *connReader) Offset() int64                                { return 0 }
 func (c *connReader) Size() int64                                  { return 0 }
 func (c *connReader) Close() error                                 { c.stop(); return c.conn.Close() }

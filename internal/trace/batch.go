@@ -15,6 +15,7 @@ type Batcher struct {
 	src  Source
 	size int
 	err  error
+	slab slab
 }
 
 // NewBatcher returns a Batcher over src. size <= 0 selects
@@ -41,11 +42,12 @@ func (b *Batcher) Next() ([]Record, error) {
 	}
 	recs := make([]Record, 0, b.size)
 	for len(recs) < b.size {
-		r, err := b.src.Next()
+		r, err := b.src.Borrow()
 		if err != nil {
 			b.err = err
 			return recs, err
 		}
+		r.Data = b.slab.own(r.Data)
 		recs = append(recs, r)
 	}
 	return recs, nil

@@ -19,7 +19,7 @@ type faultySource struct {
 
 func (s *faultySource) Meta() Meta { return Meta{Link: "faulty", SnapLen: DefaultSnapLen} }
 
-func (s *faultySource) Next() (Record, error) {
+func (s *faultySource) Borrow() (Record, error) {
 	if s.pos >= s.n {
 		return Record{}, s.err
 	}
@@ -105,7 +105,7 @@ func TestBatcherCancelMidBatch(t *testing.T) {
 	}
 }
 
-// ctxSource is a Source whose Next reports ctx.Err() once ctx is
+// ctxSource is a Source whose Borrow reports ctx.Err() once ctx is
 // cancelled, before touching src: the shape of a pipeline stage that
 // polls for cancellation between reads.
 type ctxSource struct {
@@ -117,18 +117,18 @@ func withContext(ctx context.Context, src Source) Source { return &ctxSource{ctx
 
 func (s *ctxSource) Meta() Meta { return s.src.Meta() }
 
-func (s *ctxSource) Next() (Record, error) {
+func (s *ctxSource) Borrow() (Record, error) {
 	if err := s.ctx.Err(); err != nil {
 		return Record{}, err
 	}
-	return s.src.Next()
+	return s.src.Borrow()
 }
 
 // funcSource adapts a closure to Source.
 type funcSource struct{ next func() (Record, error) }
 
-func (s *funcSource) Meta() Meta            { return Meta{Link: "func"} }
-func (s *funcSource) Next() (Record, error) { return s.next() }
+func (s *funcSource) Meta() Meta              { return Meta{Link: "func"} }
+func (s *funcSource) Borrow() (Record, error) { return s.next() }
 
 func TestMeterSourceMidStreamError(t *testing.T) {
 	boom := errors.New("read fault")
@@ -136,12 +136,12 @@ func TestMeterSourceMidStreamError(t *testing.T) {
 	src := MeterSource(&faultySource{n: 3, err: boom}, reg, nil)
 
 	for i := 0; i < 3; i++ {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.Borrow(); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
-	if _, err := src.Next(); !errors.Is(err, boom) {
-		t.Fatalf("Next: %v, want the source fault", err)
+	if _, err := src.Borrow(); !errors.Is(err, boom) {
+		t.Fatalf("Borrow: %v, want the source fault", err)
 	}
 	// Only successful reads are counted; the failed read is not.
 	if got := reg.Counter(obs.MetricTraceRecords).Value(); got != 3 {
@@ -157,12 +157,12 @@ func TestMeterSourceCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
 	src := MeterSource(withContext(ctx, NewSliceSource(Meta{}, make([]Record, 10))), reg, nil)
 
-	if _, err := src.Next(); err != nil {
+	if _, err := src.Borrow(); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if _, err := src.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next after cancel: %v", err)
+	if _, err := src.Borrow(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Borrow after cancel: %v", err)
 	}
 	if got := reg.Counter(obs.MetricTraceRecords).Value(); got != 1 {
 		t.Fatalf("records counter = %d, want 1", got)

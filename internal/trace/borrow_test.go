@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -59,10 +58,10 @@ func TestBorrowAllocationBudget(t *testing.T) {
 	measure("tail", func() (Record, error) { return tr.Borrow(context.Background()) })
 }
 
-// FuzzBorrowMatchesNext: on any bytes, in any format, gzipped or not,
-// strict or salvaging, borrowing and copying each record at delivery
-// reads exactly what Next reads and ends on the same error.
-func FuzzBorrowMatchesNext(f *testing.F) {
+// FuzzBorrowMatchesReadAll: on any bytes, in any format, gzipped or
+// not, strict or salvaging, borrowing and copying each record at
+// delivery reads exactly what ReadAll keeps and ends on the same error.
+func FuzzBorrowMatchesReadAll(f *testing.F) {
 	for _, format := range []Format{FormatNative, FormatPcap, FormatERF} {
 		data, _ := encodeTrace(f, format, randomRecords(rand.New(rand.NewSource(8)), format, 20))
 		f.Add(int(format), false, data)
@@ -76,37 +75,43 @@ func FuzzBorrowMatchesNext(f *testing.F) {
 	f.Add(int(FormatAuto), true, bytes.Repeat([]byte{0x01}, 64))
 	f.Fuzz(func(t *testing.T, format int, salvage bool, data []byte) {
 		opts := OpenOptions{Format: Format(format % 4), Salvage: salvage}
-		read := func(borrow bool) ([]Record, error) {
+		open := func() *File {
 			src, _, err := OpenStream(bytes.NewReader(data), opts)
 			if err != nil {
-				return nil, err
+				return nil
 			}
-			next := src.Next
-			if borrow {
-				next = src.(Borrower).Borrow
-			}
-			var recs []Record
-			for len(recs) < 10_000 {
-				rec, err := next()
-				if err != nil {
-					return recs, err
-				}
+			return src
+		}
+		src := open()
+		if src == nil {
+			return
+		}
+		want, wantErr := ReadAll(src)
+		var got []Record
+		var gotErr error
+		for src = open(); gotErr == nil; {
+			var rec Record
+			if rec, gotErr = src.Borrow(); gotErr == nil {
 				if cap(rec.Data) != len(rec.Data) {
-					t.Fatalf("record %d: cap(Data) %d != len %d", len(recs), cap(rec.Data), len(rec.Data))
+					t.Fatalf("lent record %d: cap(Data) %d != len %d", len(got), cap(rec.Data), len(rec.Data))
 				}
 				rec.Data = bytes.Clone(rec.Data)
-				recs = append(recs, rec)
+				got = append(got, rec)
 			}
-			return recs, nil
 		}
-		want, wantErr := read(false)
-		got, gotErr := read(true)
+		if gotErr == io.EOF {
+			gotErr = nil // ReadAll ends on EOF with no error
+		}
+		for i, rec := range want {
+			if cap(rec.Data) != len(rec.Data) {
+				t.Fatalf("kept record %d: cap(Data) %d != len %d", i, cap(rec.Data), len(rec.Data))
+			}
+		}
 		if !sameRecords(got, want) {
-			t.Fatalf("Borrow read %d records, Next %d, or they differ", len(got), len(want))
+			t.Fatalf("Borrow read %d records, ReadAll %d, or they differ", len(got), len(want))
 		}
-		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && (gotErr.Error() != wantErr.Error() ||
-			errors.Is(gotErr, io.EOF) != errors.Is(wantErr, io.EOF)) {
-			t.Fatalf("Borrow ended on %v, Next on %v", gotErr, wantErr)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("Borrow ended on %v, ReadAll on %v", gotErr, wantErr)
 		}
 	})
 }

@@ -13,9 +13,9 @@ import (
 // three readers are policies over those answers and a shared byte
 // window (window.go):
 //
-//	strict  (Reader)        the first malformed record is the error
-//	salvage (SalvageReader) malformed or implausible is damage to scan past
-//	tail    (TailReader)    need-more is "not yet", anything else permanent
+//	strict  (reader)         the first malformed record is the error
+//	salvage (salvageReader)  malformed or implausible is damage to scan past
+//	tail    (TailReader)     need-more is "not yet", anything else permanent
 //
 // Input rules, format × policy (TestInputRulePolicies pins each cell).
 // "pass" delivers the record as decoded; "clamp" delivers it with
@@ -84,9 +84,6 @@ const (
 	// maxRecordLen is the longest record any format's decode admits
 	// (native and ERF lengths are 16-bit fields); it sizes the window.
 	maxRecordLen = pcapRecHdrLen + maxPcapCapLen
-	// slabLen is how much own allocates at a time to cut captures
-	// from: some six hundred of the paper's 40-byte snapshots.
-	slabLen = 32 << 10
 )
 
 // status is a decode verdict on the bytes shown so far, for a file
@@ -129,9 +126,6 @@ type codec struct {
 	// becomes Meta.Start.
 	started bool
 	epoch   int64
-
-	// slab is the unused rest of the allocation own cuts Data from.
-	slab []byte
 }
 
 func newCodec(f Format) codec {
@@ -294,8 +288,8 @@ func (c *codec) malformedErr(h *recHeader) error {
 // lend consumes the decoded record at the front of w and returns it
 // with Data a view of the window, [h.data:h.size:h.size]: no copy and
 // no allocation, valid until the next need on w, which is the reader's
-// next Borrow or Next. Every reader decodes through it; own makes what
-// it returns a record the caller keeps.
+// next Borrow. Every reader decodes through it; an owning read copies
+// what it returns through a slab.
 func (c *codec) lend(h *recHeader, w *window) Record {
 	if !c.started {
 		c.started, c.epoch = true, h.ts
@@ -309,27 +303,4 @@ func (c *codec) lend(h *recHeader, w *window) Record {
 	}
 	w.consume(h.size)
 	return rec
-}
-
-// own is Next's half of a read: it copies the Data of a lent record
-// into a slab that neighbouring records share, with cap == len so that
-// an append cannot reach the next record's bytes. A slab is written
-// once and never reused, so it lives exactly as long as some record cut
-// from it does. A capture over a quarter slab gets its own allocation
-// rather than strand the rest of the current slab. It takes and
-// returns only the bytes: a whole Record passed in and out of a call
-// that does not inline is copied through the stack both ways.
-func (c *codec) own(lent []byte) []byte {
-	n := len(lent)
-	var data []byte
-	if n > slabLen/4 {
-		data = make([]byte, n)
-	} else {
-		if n > len(c.slab) {
-			c.slab = make([]byte, slabLen)
-		}
-		data, c.slab = c.slab[:n:n], c.slab[n:]
-	}
-	copy(data, lent)
-	return data
 }

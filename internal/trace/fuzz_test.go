@@ -28,12 +28,12 @@ func FuzzNativeReader(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		r, err := newReader(newWindow(bytes.NewReader(data)), FormatNative)
 		if err != nil {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			rec, err := r.Next()
+			rec, err := r.Borrow()
 			if errors.Is(err, io.EOF) {
 				return
 			}
@@ -66,12 +66,12 @@ func FuzzPcapReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewPcapReader(bytes.NewReader(data))
+		r, err := newReader(newWindow(bytes.NewReader(data)), FormatPcap)
 		if err != nil {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			if _, err := r.Next(); err != nil {
+			if _, err := r.Borrow(); err != nil {
 				return
 			}
 		}
@@ -99,12 +99,12 @@ func FuzzERFReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewERFReader(bytes.NewReader(data))
+		r, err := newReader(newWindow(bytes.NewReader(data)), FormatERF)
 		if err != nil {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			rec, err := r.Next()
+			rec, err := r.Borrow()
 			if err != nil {
 				break
 			}
@@ -166,13 +166,13 @@ func FuzzSalvageReader(f *testing.F) {
 		if format < int(FormatAuto) || format > int(FormatERF) {
 			return
 		}
-		s, err := NewSalvageReader(bytes.NewReader(data), SalvageOptions{Format: Format(format)})
+		s, err := newSalvageReader(newWindow(bytes.NewReader(data)), salvageOptions{Format: Format(format)})
 		if err != nil {
 			return
 		}
 		n := 0
 		for {
-			_, err := s.Next()
+			_, err := s.Borrow()
 			if err != nil {
 				break
 			}
@@ -181,7 +181,7 @@ func FuzzSalvageReader(f *testing.F) {
 				t.Fatalf("returned %d records from %d bytes", n, len(data))
 			}
 		}
-		st := s.Stats()
+		st := s.stats
 		if st.Records != n {
 			t.Fatalf("stats say %d records, reader returned %d", st.Records, n)
 		}

@@ -99,14 +99,14 @@ func TestSalvageGolden(t *testing.T) {
 				TruncateTail:  int(7 + seed),
 				Protect:       []chaos.Range{{Off: 0, Len: 64}},
 			})
-			s, err := trace.NewSalvageReader(bytes.NewReader(damaged), trace.SalvageOptions{Format: format})
+			s, stats, err := trace.OpenStream(bytes.NewReader(damaged), trace.OpenOptions{Format: format, Salvage: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := sha256.New()
 			n := 0
 			for {
-				rec, err := s.Next()
+				rec, err := s.Borrow()
 				if err != nil {
 					break
 				}
@@ -121,7 +121,7 @@ func TestSalvageGolden(t *testing.T) {
 			}
 			got = append(got, salvageGolden{
 				Format: format.String(), Seed: seed, Records: n,
-				SHA256: hex.EncodeToString(h.Sum(nil)), Stats: s.Stats(),
+				SHA256: hex.EncodeToString(h.Sum(nil)), Stats: *stats,
 			})
 		}
 	}

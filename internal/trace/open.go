@@ -17,16 +17,16 @@ type OpenOptions struct {
 	// explicitly (except under Salvage, whose auto-detection also
 	// recognises plausible ERF headers).
 	Format Format
-	// Salvage routes ingestion through SalvageReader: corrupt regions
-	// are skipped and decoding resynchronises on the next plausible
-	// record instead of aborting.
+	// Salvage reads through the salvaging policy: corrupt regions are
+	// skipped and decoding resynchronises on the next plausible record
+	// instead of aborting.
 	Salvage bool
 	// MaxDecodeErrors is the salvage error budget (<= 0: unlimited).
 	MaxDecodeErrors int
-	// Metrics, when non-nil, meters the returned source: records,
+	// Metrics, when non-nil, meters the returned File: records,
 	// bytes, capture-loss gaps, and (under Salvage) live decode-health
 	// gauges flow into the registry as the source is consumed. Nil
-	// keeps the source unwrapped — the uninstrumented default.
+	// leaves the tap's counters nil — the uninstrumented default.
 	Metrics *obs.Registry
 }
 
@@ -37,11 +37,10 @@ type OpenOptions struct {
 // regions. The path "-" reads the trace from standard input, so piped
 // captures work without a temp file.
 //
-// The returned Source owns the file handle; close it with CloseSource
-// (or a direct io.Closer assertion) when done. The *DecodeStats is
-// non-nil only under Salvage; it is a live view that fills in as the
-// source is consumed, so read it after draining.
-func Open(path string, opts OpenOptions) (Source, *DecodeStats, error) {
+// The returned File owns the file handle; close it when done. The
+// *DecodeStats is non-nil only under Salvage; it is a live view that
+// fills in as the source is consumed, so read it after draining.
+func Open(path string, opts OpenOptions) (*File, *DecodeStats, error) {
 	if path == "-" {
 		src, stats, err := OpenStream(os.Stdin, opts)
 		if err != nil {
@@ -53,25 +52,20 @@ func Open(path string, opts OpenOptions) (Source, *DecodeStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Meter here, not in OpenStream: the tap that owns the file is the
-	// one wrapper around the reader.
-	bare := opts
-	bare.Metrics = nil
-	src, stats, err := OpenStream(f, bare)
+	src, stats, err := OpenStream(f, opts)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	m := meter(src, opts.Metrics, stats)
-	m.f = f
-	return m, stats, nil
+	src.f = f
+	return src, stats, nil
 }
 
 // OpenStream is Open over an arbitrary reader: the same gzip and
 // format sniffing, done on the window's first bytes, so nothing is ever
 // seeked or reopened and pipes, sockets and stdin work. The caller
-// keeps ownership of r; the returned Source does not close it.
-func OpenStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
+// keeps ownership of r; closing the returned File does not close it.
+func OpenStream(r io.Reader, opts OpenOptions) (*File, *DecodeStats, error) {
 	w := newWindow(r)
 	if !w.need(4) {
 		return nil, nil, fmt.Errorf("reading magic: %w", w.short())
@@ -86,7 +80,7 @@ func OpenStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
 		}
 	}
 	if opts.Salvage {
-		src, err := newSalvageReader(w, SalvageOptions{
+		src, err := newSalvageReader(w, salvageOptions{
 			Format:    opts.Format,
 			MaxErrors: opts.MaxDecodeErrors,
 		})
@@ -108,17 +102,8 @@ func OpenStream(r io.Reader, opts OpenOptions) (Source, *DecodeStats, error) {
 	return MeterSource(src, opts.Metrics, nil), nil, nil
 }
 
-// ProgressOf returns src's progress function, or nil when the source
-// cannot report byte offsets (in-memory sources, bare readers).
-func ProgressOf(src Source) func() (offset, size int64) {
-	if m, ok := src.(*meteredSource); ok && m.f != nil {
-		return m.progress
-	}
-	return nil
-}
-
-// CloseSource closes src if Open gave it something to close; sources
-// without an underlying file are a no-op.
+// CloseSource closes src if it has something to close; sources without
+// an underlying file are a no-op.
 func CloseSource(src Source) error {
 	if c, ok := src.(io.Closer); ok {
 		return c.Close()
@@ -126,18 +111,18 @@ func CloseSource(src Source) error {
 	return nil
 }
 
-// meteredSource wraps a Source and counts what flows through it:
-// records, captured and wire bytes, capture-loss gaps, and — when the
-// underlying reader is a SalvageReader — the live decode-health
-// gauges. It is the ingest stage's instrumentation tap, and the source
-// Open returns: it owns the file Open opened. Every wrapper between a
-// reader and its caller costs a stack copy of each Record, so a
-// metered file read goes through this one wrapper and no second one;
-// without a registry the counters are nil and publishing is a no-op.
-type meteredSource struct {
-	src    Source
-	lender Borrower // src when it lends, else nil: Borrow calls Next
-	f      *os.File // the file Open opened, nil for any other source
+// File is the source Open and OpenStream return: a reader under the
+// ingest stage's instrumentation tap, which counts what flows through
+// it — records, captured and wire bytes, capture-loss gaps, and, over
+// a salvaging reader, the live decode-health gauges. Open's File also
+// owns the file it opened. Every wrapper between a reader and its
+// caller costs a stack copy of each Record, so a read goes through this
+// one wrapper and no second one; without a registry the counters are
+// nil and publishing is a no-op.
+type File struct {
+	src  Source
+	f    *os.File // the file Open opened, nil for any other source
+	slab slab     // Next's copies
 
 	recs     *obs.Counter
 	capBytes *obs.Counter
@@ -159,22 +144,13 @@ type meteredSource struct {
 	sSkipped  *obs.Gauge
 }
 
-// MeterSource wraps src so every record read updates the ingest
-// metrics in r (obs.MetricTraceRecords and friends). stats may be nil;
+// MeterSource puts the tap over src, so every record read updates the
+// ingest metrics in r (obs.MetricTraceRecords and friends). r may be
+// nil: the counters are then nil and count nothing. stats may be nil;
 // when it is the live DecodeStats of a salvage pass, the salvage
-// gauges track it. A nil registry returns src unchanged, so the
-// uninstrumented path has no wrapper at all.
-func MeterSource(src Source, r *obs.Registry, stats *DecodeStats) Source {
-	if r == nil {
-		return src
-	}
-	return meter(src, r, stats)
-}
-
-// meter builds the tap. r may be nil: Open wraps every file in the
-// tap, metered or not.
-func meter(src Source, r *obs.Registry, stats *DecodeStats) *meteredSource {
-	m := &meteredSource{
+// gauges track it.
+func MeterSource(src Source, r *obs.Registry, stats *DecodeStats) *File {
+	m := &File{
 		src:      src,
 		recs:     r.Counter(obs.MetricTraceRecords),
 		capBytes: r.Counter(obs.MetricTraceCaptureBytes),
@@ -182,7 +158,6 @@ func meter(src Source, r *obs.Registry, stats *DecodeStats) *meteredSource {
 		lossGaps: r.Counter(obs.MetricTraceLossGaps),
 		lostPkts: r.Counter(obs.MetricTraceLostPackets),
 	}
-	m.lender, _ = src.(Borrower)
 	if stats != nil && r != nil {
 		m.stats = stats
 		m.sRecords = r.Gauge(obs.MetricSalvageRecords)
@@ -195,7 +170,7 @@ func meter(src Source, r *obs.Registry, stats *DecodeStats) *meteredSource {
 }
 
 // Meta implements Source.
-func (m *meteredSource) Meta() Meta { return m.src.Meta() }
+func (m *File) Meta() Meta { return m.src.Meta() }
 
 // meterPublishEvery is how many records the tap counts privately
 // between publishes; a live reader of the registry (-progress,
@@ -203,7 +178,7 @@ func (m *meteredSource) Meta() Meta { return m.src.Meta() }
 const meterPublishEvery = 256
 
 // publish moves the private tallies into the registry.
-func (m *meteredSource) publish() {
+func (m *File) publish() {
 	m.recs.Add(m.nRecs)
 	m.capBytes.Add(m.nCap)
 	m.wireB.Add(m.nWire)
@@ -211,9 +186,8 @@ func (m *meteredSource) publish() {
 }
 
 // Close publishes what a reader that stopped early (an interrupted
-// run) left unpublished, then closes the wrapped source and the file;
-// CloseSource reaches it.
-func (m *meteredSource) Close() error {
+// run) left unpublished, then closes the wrapped source and the file.
+func (m *File) Close() error {
 	m.publish()
 	err := CloseSource(m.src)
 	if m.f != nil {
@@ -222,50 +196,55 @@ func (m *meteredSource) Close() error {
 	return err
 }
 
-// progress reports the file offset consumed so far and the file's
-// total size (ProgressOf). For gzipped traces both figures are in
-// compressed bytes (the only offsets the file handle knows), which is
-// exactly what a percent-done/ETA computation wants. The offset is
-// read from the OS file position, so buffered readers make it run a
-// little ahead of the records actually delivered; progress reporting
-// tolerates that slack.
-func (m *meteredSource) progress() (offset, size int64) {
-	off, _ := m.f.Seek(0, io.SeekCurrent) // 0 on error
-	st, err := m.f.Stat()
-	if err != nil {
-		return off, 0
+// Progress returns a function that reports the file offset consumed so
+// far and the file's total size, or nil when the source has no file
+// (a stream, stdin). For gzipped traces both figures are in compressed
+// bytes (the only offsets the file handle knows), which is exactly
+// what a percent-done/ETA computation wants. The offset is read from
+// the OS file position, so buffered readers make it run a little ahead
+// of the records actually delivered; progress reporting tolerates that
+// slack.
+func (m *File) Progress() func() (offset, size int64) {
+	if m.f == nil {
+		return nil
 	}
-	return off, st.Size()
+	return func() (offset, size int64) {
+		off, _ := m.f.Seek(0, io.SeekCurrent) // 0 on error
+		st, err := m.f.Stat()
+		if err != nil {
+			return off, 0
+		}
+		return off, st.Size()
+	}
 }
 
-// Next implements Source, counting successful reads. Every error —
-// end of trace, a tail with no data yet, a failure — publishes first,
-// so whoever looks at the registry after one sees exact counts.
-func (m *meteredSource) Next() (rec Record, err error) {
-	rec, err = m.src.Next()
+// Borrow implements Source, counting successful reads. Every error —
+// end of trace, a failure — publishes first, so whoever looks at the
+// registry after one sees exact counts.
+func (m *File) Borrow() (rec Record, err error) {
+	rec, err = m.src.Borrow()
 	m.count(len(rec.Data), rec.WireLen, rec.Lost, err)
 	return
 }
 
-// Borrow implements Borrower, lending when src does, and counts as
-// Next. Over a source that does not lend it calls Next itself rather
-// than through Lender's adapter, which would be a wrapper more.
-func (m *meteredSource) Borrow() (rec Record, err error) {
-	if m.lender != nil {
-		rec, err = m.lender.Borrow()
-	} else {
-		rec, err = m.src.Next()
+// Next is Borrow plus a copy of the record's Data into a slab. No tool
+// reads through it (every tool borrows, and ReadAll keeps a whole
+// trace); it is kept only because the benchmark harness
+// (bench/layers.go) compiles against it, and goes when that harness
+// moves to core.Run (ROADMAP items 1 and 8).
+func (m *File) Next() (rec Record, err error) {
+	if rec, err = m.Borrow(); err == nil {
+		rec.Data = m.slab.own(rec.Data)
 	}
-	m.count(len(rec.Data), rec.WireLen, rec.Lost, err)
-	return
+	return rec, err
 }
 
-// count tallies one read. Next and Borrow hand it only the record's
-// sizes and return their named result as read: a Record is too large
-// for the compiler to keep in registers, so passing it into a call and
-// back copies it through the stack twice per record, which costs more
-// than the tally.
-func (m *meteredSource) count(capLen, wireLen, lost int, err error) {
+// count tallies one read. Borrow hands it only the record's sizes and
+// returns its named result as read: a Record is too large for the
+// compiler to keep in registers, so passing it into a call and back
+// copies it through the stack twice per record, which costs more than
+// the tally.
+func (m *File) count(capLen, wireLen, lost int, err error) {
 	if err != nil {
 		m.publish()
 		return

@@ -106,7 +106,7 @@ func TestOpenDashReadsStdin(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("read %d records, want %d", len(got), len(want))
 	}
-	if ProgressOf(src) != nil {
+	if src.Progress() != nil {
 		t.Fatal("stdin source should not report byte progress")
 	}
 	if err := CloseSource(src); err != nil {

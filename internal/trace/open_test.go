@@ -216,10 +216,10 @@ func TestOpenRejectsGarbageAndMissing(t *testing.T) {
 	}
 }
 
-// TestOpenOneWrapper checks the source Open returns, metered or not: it
-// lends, reports file progress, counts every record it hands out when
-// metered, and closes the file. A metered file read goes through this
-// one wrapper and no second one.
+// TestOpenOneWrapper checks the File Open returns, metered or not: it
+// wraps the bare strict reader, lends, reports file progress, counts
+// every record it hands out when metered, and closes the file. A
+// metered file read goes through this one wrapper and no second one.
 func TestOpenOneWrapper(t *testing.T) {
 	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", FormatNative, false)
 	st, err := os.Stat(path)
@@ -231,21 +231,16 @@ func TestOpenOneWrapper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := src.(*meteredSource)
-		if !ok {
-			t.Fatalf("Open returned %T, want the one tap wrapper", src)
+		if _, ok := src.src.(*reader); !ok {
+			t.Fatalf("tap wraps %T, want the bare strict reader", src.src)
 		}
-		if _, ok := m.src.(*Reader); !ok {
-			t.Fatalf("tap wraps %T, want the bare *Reader", m.src)
-		}
-		progress := ProgressOf(src)
+		progress := src.Progress()
 		if progress == nil {
 			t.Fatal("a file source reports no progress")
 		}
-		lender := Lender(src)
 		n := 0
 		for ; ; n++ {
-			rec, err := lender.Borrow()
+			rec, err := src.Borrow()
 			if err != nil {
 				break
 			}
@@ -265,33 +260,37 @@ func TestOpenOneWrapper(t *testing.T) {
 		if err := CloseSource(src); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.f.Close(); err == nil {
+		if err := src.f.Close(); err == nil {
 			t.Fatal("the file is still open after CloseSource")
 		}
 	}
 }
 
-// TestMeterSourceBorrowsOverNext: over a source that does not lend,
-// Borrow reads through Next and counts as it does. A SliceSource lends,
-// so it is wrapped in a struct that carries only Source's methods.
-func TestMeterSourceBorrowsOverNext(t *testing.T) {
-	reg := obs.NewRegistry()
-	recs := openTestRecords()
-	src := struct{ Source }{NewSliceSource(Meta{}, recs)}
-	if _, lends := Source(src).(Borrower); lends {
-		t.Fatal("test source lends; Borrow's fallback would not run")
+// TestOpenStreamOneFrame: OpenStream with a registry, the way
+// loopdetect reads stdin, puts exactly one frame, the tap, between the
+// reader and its consumer, strict or salvaging.
+func TestOpenStreamOneFrame(t *testing.T) {
+	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", FormatNative, false)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lender := Lender(MeterSource(src, reg, nil))
-	n := 0
-	for ; ; n++ {
-		if _, err := lender.Borrow(); err != nil {
-			break
+	for _, salvage := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		src, _, err := OpenStream(bytes.NewReader(data), OpenOptions{Metrics: reg, Salvage: salvage})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n != len(recs) {
-		t.Fatalf("borrowed %d records, want %d", n, len(recs))
-	}
-	if got := reg.Counter(obs.MetricTraceCaptureBytes).Value(); got != int64(len(recs)*28) {
-		t.Fatalf("capture bytes counter = %d, want %d", got, len(recs)*28)
+		switch inner := src.src.(type) {
+		case *reader, *salvageReader:
+		default:
+			t.Fatalf("salvage %v: the tap wraps %T, want the bare reader", salvage, inner)
+		}
+		if got, err := ReadAll(src); err != nil || len(got) != len(want) {
+			t.Fatalf("salvage %v: read %d of %d records: %v", salvage, len(got), len(want), err)
+		}
+		if got := reg.Counter(obs.MetricTraceRecords).Value(); got != int64(len(want)) {
+			t.Fatalf("salvage %v: records counter = %d, want %d", salvage, got, len(want))
+		}
 	}
 }

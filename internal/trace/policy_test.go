@@ -257,7 +257,7 @@ func TestInputRulePolicies(t *testing.T) {
 				got, err := strictAll(data, f)
 				check(t, "strict", got, err, rule.strict)
 
-				got, stats, err := salvageAll(t, data, SalvageOptions{Format: f})
+				got, stats, err := salvageAll(t, data, salvageOptions{Format: f})
 				check(t, "salvage", got, err, rule.salvage)
 				if (stats.Errors > 0) != rule.salvage.corrupt || stats.TruncatedTail != rule.salvage.truncTail {
 					t.Errorf("salvage: stats %+v, want corrupt region %v, truncated tail %v",
@@ -299,7 +299,7 @@ func TestSalvageWindowMovesLittle(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSalvageReader(bytes.NewReader(buf.Bytes()), SalvageOptions{})
+	s, err := newSalvageReader(newWindow(bytes.NewReader(buf.Bytes())), salvageOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func checkPrefix(t *testing.T, f Format, data []byte, offs []int64, full []Recor
 		if err == nil {
 			t.Fatalf("cut %d: strict accepted a truncated file header", cut)
 		}
-		if _, err := NewSalvageReader(bytes.NewReader(data[:cut]), SalvageOptions{Format: f}); err == nil {
+		if _, err := newSalvageReader(newWindow(bytes.NewReader(data[:cut])), salvageOptions{Format: f}); err == nil {
 			t.Fatalf("cut %d: salvage accepted a truncated file header", cut)
 		}
 		return
@@ -379,7 +379,7 @@ func checkPrefix(t *testing.T, f Format, data []byte, offs []int64, full []Recor
 		t.Fatalf("cut %d: strict gave %d records ending %q (%v), want %d ending %q",
 			cut, len(got), endOf(err), err, whole, wantEnd)
 	}
-	got, stats, err := salvageAll(t, data[:cut], SalvageOptions{Format: f})
+	got, stats, err := salvageAll(t, data[:cut], salvageOptions{Format: f})
 	want := DecodeStats{Records: whole, BytesSkipped: cut - boundary, TruncatedTail: cut != boundary}
 	for _, r := range got {
 		if r.Lost > 0 {
@@ -543,7 +543,7 @@ func FuzzTailReader(f *testing.F) {
 
 		var want []Record
 		strictErr := io.ErrUnexpectedEOF // a file header still being written
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+		if r, err := newReader(newWindow(bytes.NewReader(data)), FormatNative); err == nil {
 			want, strictErr = ReadAll(r)
 		} else if !errors.Is(err, io.ErrUnexpectedEOF) {
 			strictErr = err

@@ -5,29 +5,17 @@ import (
 	"io"
 )
 
-// Reader is the strict policy over the codec, for all three formats:
+// reader is the strict policy over the codec, for all three formats:
 // the first malformed record is returned as the error and input that
 // ends inside a record wraps io.ErrUnexpectedEOF, so a caller can
 // still choose to analyse the partial trace.
-type Reader struct {
+type reader struct {
 	w *window
 	c codec
 }
 
-// NewReader parses the native-format header from r and returns a
-// Reader positioned at the first record.
-func NewReader(r io.Reader) (*Reader, error) { return newReader(newWindow(r), FormatNative) }
-
-// NewPcapReader parses the pcap global header from r. Either byte
-// order and either timestamp resolution is accepted.
-func NewPcapReader(r io.Reader) (*Reader, error) { return newReader(newWindow(r), FormatPcap) }
-
-// NewERFReader returns a reader of ERF TYPE_HDLC_POS records. ERF has
-// no file header; the first record's timestamp becomes the trace start.
-func NewERFReader(r io.Reader) (*Reader, error) { return newReader(newWindow(r), FormatERF) }
-
-func newReader(w *window, f Format) (*Reader, error) {
-	r := &Reader{w: w, c: newCodec(f)}
+func newReader(w *window, f Format) (*reader, error) {
+	r := &reader{w: w, c: newCodec(f)}
 	if err := r.c.readFileHeader(w); err != nil {
 		return nil, err
 	}
@@ -65,19 +53,11 @@ func (c *codec) readFileHeader(w *window) error {
 
 // Meta implements Source. For pcap and ERF the trace start is the
 // timestamp of the first record, so Meta is fully populated only after
-// the first Next.
-func (r *Reader) Meta() Meta { return r.c.meta }
+// the first Borrow.
+func (r *reader) Meta() Meta { return r.c.meta }
 
-// Next implements Source.
-func (r *Reader) Next() (rec Record, err error) {
-	if rec, err = r.Borrow(); err == nil {
-		rec.Data = r.c.own(rec.Data)
-	}
-	return rec, err
-}
-
-// Borrow implements Borrower.
-func (r *Reader) Borrow() (Record, error) {
+// Borrow implements Source.
+func (r *reader) Borrow() (Record, error) {
 	var h recHeader
 	switch st := r.c.pull(r.w, false, &h); {
 	case st == stOK:

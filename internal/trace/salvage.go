@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// SalvageReader is a fault-tolerant Source over a possibly damaged
-// trace file. Where the strict per-format readers abort on the first
-// malformed byte, SalvageReader treats decode failures as damage to
+// salvageReader is a fault-tolerant Source over a possibly damaged
+// trace file (OpenOptions.Salvage). Where the strict reader aborts on
+// the first malformed byte, salvageReader treats decode failures as damage to
 // route around: it skips forward byte by byte until it finds the next
 // plausible record header, validates the candidate against timestamp
 // continuity and a one-record lookahead, and resumes decoding there.
@@ -17,8 +17,8 @@ import (
 // as an error), and an optional error budget bounds how much damage
 // is acceptable before the trace is declared unusable.
 //
-// SalvageReader is deliberately stricter per record than the plain
-// readers: implausible header fields (caplen beyond the snapshot
+// salvageReader is deliberately stricter per record than the strict
+// reader: implausible header fields (caplen beyond the snapshot
 // length, ERF record lengths beyond ERF's practical maximum,
 // timestamps that jump backwards or implausibly far forward) are
 // treated as corruption rather than obeyed, because obeying a corrupt length field swallows the
@@ -29,8 +29,9 @@ import (
 // byte order to validate records against. ERF has no file header, so
 // ERF salvage can start anywhere.
 
-// ErrErrorBudget is returned (wrapped) by SalvageReader.Next when the
-// number of distinct decode errors exceeds SalvageOptions.MaxErrors.
+// ErrErrorBudget is returned (wrapped) by a salvaging source's Borrow
+// when the number of distinct decode errors exceeds
+// OpenOptions.MaxDecodeErrors.
 var ErrErrorBudget = errors.New("trace: decode error budget exceeded")
 
 // DecodeStats describes how a salvage pass went.
@@ -59,14 +60,14 @@ type DecodeStats struct {
 	LostRecords int
 }
 
-// SalvageOptions configures a SalvageReader. The zero value selects
+// salvageOptions configures a salvageReader. The zero value selects
 // format auto-detection, an unlimited error budget, and a one-hour
 // resync gap.
-type SalvageOptions struct {
+type salvageOptions struct {
 	// Format forces a specific on-disk format; FormatAuto sniffs.
 	Format Format
 	// MaxErrors is the error budget: the maximum number of distinct
-	// corrupt regions tolerated before Next fails with
+	// corrupt regions tolerated before Borrow fails with
 	// ErrErrorBudget. Zero or negative means unlimited.
 	MaxErrors int
 	// MaxGap bounds how far forward a record's timestamp may jump
@@ -80,11 +81,10 @@ type SalvageOptions struct {
 // captures stay far below 16 KiB per record.
 const erfMaxRlen = 1 << 14
 
-// SalvageReader implements Source over damaged trace files.
-type SalvageReader struct {
+type salvageReader struct {
 	w     *window
 	c     codec
-	opts  SalvageOptions
+	opts  salvageOptions
 	stats DecodeStats
 
 	syncing bool // currently scanning for a record boundary
@@ -99,18 +99,14 @@ type SalvageReader struct {
 	last, prev int64
 }
 
-// NewSalvageReader wraps r in a fault-tolerant reader. The file-level
-// header is parsed eagerly, so construction fails if it is missing or
-// corrupt (record-level damage is what salvage handles).
-func NewSalvageReader(r io.Reader, opts SalvageOptions) (*SalvageReader, error) {
-	return newSalvageReader(newWindow(r), opts)
-}
-
-func newSalvageReader(w *window, opts SalvageOptions) (*SalvageReader, error) {
+// newSalvageReader parses the file-level header eagerly, so it fails
+// if that is missing or corrupt (record-level damage is what salvage
+// handles).
+func newSalvageReader(w *window, opts salvageOptions) (*salvageReader, error) {
 	if opts.MaxGap <= 0 {
 		opts.MaxGap = time.Hour
 	}
-	s := &SalvageReader{w: w, c: newCodec(opts.Format), opts: opts}
+	s := &salvageReader{w: w, c: newCodec(opts.Format), opts: opts}
 	if opts.Format == FormatAuto {
 		// ERF has no magic, so the last resort is its record decode:
 		// one whole plausible header at byte zero.
@@ -133,19 +129,15 @@ func newSalvageReader(w *window, opts SalvageOptions) (*SalvageReader, error) {
 	return s, nil
 }
 
-// Meta implements Source. Like the strict pcap/ERF readers, Start is
+// Meta implements Source. Like the strict reader's, Start is
 // populated only after the first record for formats without a file
 // header.
-func (s *SalvageReader) Meta() Meta { return s.c.meta }
-
-// Stats returns a snapshot of the decode statistics so far. Call it
-// after draining the source for the full picture.
-func (s *SalvageReader) Stats() DecodeStats { return s.stats }
+func (s *salvageReader) Meta() Meta { return s.c.meta }
 
 // plausible is salvage's deliberately stricter reading of a header the
 // codec has already decoded: fields a strict reader obeys are treated
 // as corruption here when no real capture would carry them.
-func (s *SalvageReader) plausible(h *recHeader) bool {
+func (s *salvageReader) plausible(h *recHeader) bool {
 	// wireLen must be positive: no real packet is 0 bytes on the
 	// wire, and all-zero regions would otherwise parse as endless
 	// chains of empty records.
@@ -174,7 +166,7 @@ func (s *SalvageReader) plausible(h *recHeader) bool {
 // record exists there is nothing to anchor to (the pcap/ERF
 // epoch-based timestamps cover their whole u32 range), so the
 // lookahead check alone must carry the first resync.
-func (s *SalvageReader) timePlausible(h *recHeader) bool {
+func (s *salvageReader) timePlausible(h *recHeader) bool {
 	if !s.c.started {
 		return true
 	}
@@ -182,24 +174,16 @@ func (s *SalvageReader) timePlausible(h *recHeader) bool {
 }
 
 // skip discards n bytes of a corrupt region.
-func (s *SalvageReader) skip(n int) {
+func (s *salvageReader) skip(n int) {
 	s.w.consume(n)
 	s.stats.BytesSkipped += int64(n)
 }
 
-// Next implements Source. Decode errors are consumed internally
+// Borrow implements Source. Decode errors are consumed internally
 // (skipping to the next plausible record) unless the error budget is
-// exhausted, in which case Next fails with an error wrapping
+// exhausted, in which case Borrow fails with an error wrapping
 // ErrErrorBudget.
-func (s *SalvageReader) Next() (rec Record, err error) {
-	if rec, err = s.Borrow(); err == nil {
-		rec.Data = s.c.own(rec.Data)
-	}
-	return rec, err
-}
-
-// Borrow implements Borrower: Next without the copy.
-func (s *SalvageReader) Borrow() (Record, error) {
+func (s *salvageReader) Borrow() (Record, error) {
 	for {
 		if !s.w.need(s.c.recHdr) {
 			n := len(s.w.buffered())
@@ -268,7 +252,7 @@ func (s *SalvageReader) Borrow() (Record, error) {
 // resync candidate hold another plausible record header. A file that
 // ends before one whole header also passes: nothing contradicts the
 // candidate, and a stub after it becomes the truncated tail.
-func (s *SalvageReader) lookaheadOK(n int) bool {
+func (s *salvageReader) lookaheadOK(n int) bool {
 	if !s.w.need(n + s.c.recHdr) {
 		return true
 	}
@@ -279,7 +263,7 @@ func (s *SalvageReader) lookaheadOK(n int) bool {
 
 // beginRegion opens a corrupt region (idempotent while scanning):
 // it charges the error budget and rolls the timestamp anchor back.
-func (s *SalvageReader) beginRegion() error {
+func (s *salvageReader) beginRegion() error {
 	if s.syncing {
 		return nil
 	}
@@ -302,7 +286,7 @@ func (s *SalvageReader) beginRegion() error {
 
 // truncatedTail consumes the n remaining bytes as a truncated final
 // record and ends the stream.
-func (s *SalvageReader) truncatedTail(n int) error {
+func (s *salvageReader) truncatedTail(n int) error {
 	s.stats.TruncatedTail = true
 	s.skip(n)
 	return io.EOF

@@ -68,14 +68,14 @@ func encodeTrace(t testing.TB, format Format, recs []Record) (data []byte, offs 
 	return buf.Bytes(), offs
 }
 
-func salvageAll(t *testing.T, data []byte, opts SalvageOptions) ([]Record, DecodeStats, error) {
+func salvageAll(t *testing.T, data []byte, opts salvageOptions) ([]Record, DecodeStats, error) {
 	t.Helper()
-	s, err := NewSalvageReader(bytes.NewReader(data), opts)
+	s, err := newSalvageReader(newWindow(bytes.NewReader(data)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadAll(s)
-	return recs, s.Stats(), err
+	return recs, s.stats, err
 }
 
 func allFormats() []Format { return []Format{FormatNative, FormatPcap, FormatERF} }
@@ -86,7 +86,7 @@ func TestSalvageCleanRoundTrip(t *testing.T) {
 			want := testRecords(200)
 			data, _ := encodeTrace(t, f, want)
 			// Exercise both explicit format selection and sniffing.
-			for _, opt := range []SalvageOptions{{Format: f}, {}} {
+			for _, opt := range []salvageOptions{{Format: f}, {}} {
 				got, stats, err := salvageAll(t, data, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSalvageGarbageBurst(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				data[i] = 0xA5
 			}
-			got, stats, err := salvageAll(t, data, SalvageOptions{Format: f})
+			got, stats, err := salvageAll(t, data, salvageOptions{Format: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestSalvageTruncatedTail(t *testing.T) {
 			data, offs := encodeTrace(t, f, want)
 			// Cut the file in the middle of the last record.
 			cut := offs[49] + 5
-			got, stats, err := salvageAll(t, data[:cut], SalvageOptions{Format: f})
+			got, stats, err := salvageAll(t, data[:cut], salvageOptions{Format: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestSalvageErrorBudget(t *testing.T) {
 		}
 	}
 	// Budget of 3 tolerates them...
-	_, stats, err := salvageAll(t, data, SalvageOptions{Format: FormatNative, MaxErrors: 3})
+	_, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative, MaxErrors: 3})
 	if err != nil {
 		t.Fatalf("budget 3: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestSalvageErrorBudget(t *testing.T) {
 		t.Errorf("Errors = %d, want 3", stats.Errors)
 	}
 	// ...a budget of 2 does not.
-	_, _, err = salvageAll(t, data, SalvageOptions{Format: FormatNative, MaxErrors: 2})
+	_, _, err = salvageAll(t, data, salvageOptions{Format: FormatNative, MaxErrors: 2})
 	if !errors.Is(err, ErrErrorBudget) {
 		t.Fatalf("budget 2: err = %v, want ErrErrorBudget", err)
 	}
@@ -209,7 +209,7 @@ func TestSalvageBackwardsTimestamp(t *testing.T) {
 	// Native record header: time is the first 8 bytes (big endian).
 	// Zero them on record 10 (its true offset is 10ms).
 	copy(data[offs[10]:offs[10]+8], make([]byte, 8))
-	got, stats, err := salvageAll(t, data, SalvageOptions{Format: FormatNative})
+	got, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSalvageERFLossCounter(t *testing.T) {
 	data, _ := encodeTrace(t, FormatERF, recs)
 
 	// Strict reader round-trips the counter.
-	r, err := NewERFReader(bytes.NewReader(data))
+	r, err := newReader(newWindow(bytes.NewReader(data)), FormatERF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestSalvageERFLossCounter(t *testing.T) {
 	}
 
 	// Salvage reader accumulates the same totals in its stats.
-	_, stats, err := salvageAll(t, data, SalvageOptions{Format: FormatERF})
+	_, stats, err := salvageAll(t, data, salvageOptions{Format: FormatERF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,28 +270,28 @@ func TestSalvageERFLossCounter(t *testing.T) {
 func TestSalvageRejectsCorruptFileHeader(t *testing.T) {
 	data, _ := encodeTrace(t, FormatNative, testRecords(5))
 	data[0] = 'X' // break the magic
-	if _, err := NewSalvageReader(bytes.NewReader(data), SalvageOptions{Format: FormatNative}); err == nil {
+	if _, err := newSalvageReader(newWindow(bytes.NewReader(data)), salvageOptions{Format: FormatNative}); err == nil {
 		t.Error("corrupt native file header accepted")
 	}
-	if _, err := NewSalvageReader(bytes.NewReader([]byte("garbage!")), SalvageOptions{}); err == nil {
+	if _, err := newSalvageReader(newWindow(bytes.NewReader([]byte("garbage!"))), salvageOptions{}); err == nil {
 		t.Error("unrecognizable input accepted by auto-detection")
 	}
 }
 
 func TestSalvageEmptyAndTinyInputs(t *testing.T) {
-	if _, err := NewSalvageReader(bytes.NewReader(nil), SalvageOptions{}); err == nil {
+	if _, err := newSalvageReader(newWindow(bytes.NewReader(nil)), salvageOptions{}); err == nil {
 		t.Error("empty input accepted by auto-detection")
 	}
 	// An explicitly-ERF stub shorter than one header is a truncated
 	// tail, not an error.
-	s, err := NewSalvageReader(bytes.NewReader([]byte{1, 2, 3}), SalvageOptions{Format: FormatERF})
+	s, err := newSalvageReader(newWindow(bytes.NewReader([]byte{1, 2, 3})), salvageOptions{Format: FormatERF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Next(); err != io.EOF {
-		t.Fatalf("Next = %v, want io.EOF", err)
+	if _, err := s.Borrow(); err != io.EOF {
+		t.Fatalf("Borrow = %v, want io.EOF", err)
 	}
-	if !s.Stats().TruncatedTail {
+	if !s.stats.TruncatedTail {
 		t.Error("tiny ERF stub not reported as truncated tail")
 	}
 }
@@ -315,7 +315,7 @@ func TestSalvagePoisonedTimestampAnchor(t *testing.T) {
 		data[offs[100]+int64(i)] = byte(poisoned >> (56 - 8*i))
 	}
 
-	got, stats, err := salvageAll(t, data, SalvageOptions{Format: FormatNative})
+	got, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"hash"
 	"io"
 	"math/rand"
 	"runtime"
@@ -11,8 +12,8 @@ import (
 	"unsafe"
 )
 
-// Tests of codec.own's slabs: records cut from a shared allocation
-// must behave like records that own theirs.
+// Tests of the owning reads' slabs: records cut from a shared
+// allocation must behave like records that own theirs.
 
 // chunkReader hands out at most n bytes per Read, so window refills end
 // mid-record at ever-different offsets and compaction runs often.
@@ -41,9 +42,10 @@ func (r *repeatReader) Read(p []byte) (n int, err error) {
 	return n, nil
 }
 
-// TestReadAllocationBudget: a strict read costs a slab every few
-// hundred records and nothing else — no allocation per record, and not
-// many more bytes than the captures themselves (here 30 on average).
+// TestReadAllocationBudget: an owning read (File.Next) costs a slab
+// every few hundred records and nothing else — no allocation per
+// record, and not many more bytes than the captures themselves (here
+// 30 on average).
 func TestReadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -53,13 +55,13 @@ func TestReadAllocationBudget(t *testing.T) {
 		data, _ := encodeTrace(t, f, randomRecords(rand.New(rand.NewSource(5)), f, n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := newReader(newWindow(bytes.NewReader(data)), f)
+		src, _, err := OpenStream(bytes.NewReader(data), OpenOptions{Format: f})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := 0
 		for ; err == nil; got++ {
-			_, err = r.Next()
+			_, err = src.Next()
 		}
 		runtime.ReadMemStats(&after)
 		if err != io.EOF || got-1 != n {
@@ -74,48 +76,71 @@ func TestReadAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestRecordsSurviveTheReader: what the Source contract promises of a
+// teeSource hashes each record's Data as its source lends it.
+type teeSource struct {
+	Source
+	h hash.Hash
+}
+
+func (s teeSource) Borrow() (Record, error) {
+	rec, err := s.Source.Borrow()
+	s.h.Write(rec.Data)
+	return rec, err
+}
+
+// TestRecordsSurviveTheReader: what an owning read promises of a
 // delivered record — nothing overwrites it, whatever the reader does
 // next — holds for records cut from slabs, through hundreds of slabs
 // and window compactions, after the reader is gone, and when a consumer
-// appends to one record's Data right beside the next one's.
+// appends to one record's Data right beside the next one's, for both
+// owning reads, ReadAll and File.Next.
 func TestRecordsSurviveTheReader(t *testing.T) {
 	const n = 200_000
+	reads := map[string]func(*File) ([]Record, error){
+		"ReadAll": func(src *File) ([]Record, error) { return ReadAll(src) },
+		"File.Next": func(src *File) ([]Record, error) {
+			recs := make([]Record, 0, n)
+			for {
+				rec, err := src.Next()
+				if err == io.EOF {
+					return recs, nil
+				}
+				if err != nil {
+					return recs, err
+				}
+				recs = append(recs, rec)
+			}
+		},
+	}
 	for _, f := range []Format{FormatNative, FormatPcap, FormatERF} {
 		data, _ := encodeTrace(t, f, randomRecords(rand.New(rand.NewSource(6)), f, n))
-		r, err := newReader(newWindow(chunkReader{bytes.NewReader(data), 4093}), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		atDelivery := sha256.New()
-		recs := make([]Record, 0, n)
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
+		for name, read := range reads {
+			r, err := newReader(newWindow(chunkReader{bytes.NewReader(data), 4093}), f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cap(rec.Data) != len(rec.Data) {
-				t.Fatalf("%v: record %d: cap(Data) %d != len %d", f, len(recs), cap(rec.Data), len(rec.Data))
+			atDelivery := sha256.New()
+			recs, err := read(MeterSource(teeSource{r, atDelivery}, nil, nil))
+			if err != nil {
+				t.Fatal(err)
 			}
-			atDelivery.Write(rec.Data)
-			recs = append(recs, rec)
-		}
-		if len(recs) != n || r.w.moved == 0 {
-			t.Fatalf("%v: %d of %d records, window moved %d bytes; want all, and compaction", f, len(recs), n, r.w.moved)
-		}
-		r, data = nil, nil
-		runtime.GC()
-		afterwards := sha256.New()
-		for i := range recs {
-			grown := append(recs[i].Data, 0xff)
-			grown[0] ^= 0xff // a copy: neither this record nor the next may see it
-			afterwards.Write(recs[i].Data)
-		}
-		if !bytes.Equal(atDelivery.Sum(nil), afterwards.Sum(nil)) {
-			t.Errorf("%v: records changed after delivery", f)
+			if len(recs) != n || r.w.moved == 0 {
+				t.Fatalf("%v %s: %d of %d records, window moved %d bytes; want all, and compaction", f, name, len(recs), n, r.w.moved)
+			}
+			r = nil
+			runtime.GC()
+			afterwards := sha256.New()
+			for i := range recs {
+				if cap(recs[i].Data) != len(recs[i].Data) {
+					t.Fatalf("%v %s: record %d: cap(Data) %d != len %d", f, name, i, cap(recs[i].Data), len(recs[i].Data))
+				}
+				grown := append(recs[i].Data, 0xff)
+				grown[0] ^= 0xff // a copy: neither this record nor the next may see it
+				afterwards.Write(recs[i].Data)
+			}
+			if !bytes.Equal(atDelivery.Sum(nil), afterwards.Sum(nil)) {
+				t.Errorf("%v %s: records changed after delivery", f, name)
+			}
 		}
 	}
 }
@@ -138,7 +163,7 @@ func TestLargeCaptureLeavesTheSlab(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewPcapReader(&buf)
+	r, _, err := OpenStream(&buf, OpenOptions{Format: FormatPcap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +182,8 @@ func TestLargeCaptureLeavesTheSlab(t *testing.T) {
 	if uintptr(unsafe.Pointer(&got[0].Data[0]))+40 != uintptr(unsafe.Pointer(&got[2].Data[0])) {
 		t.Error("the record after the large capture does not follow the one before it in the slab")
 	}
-	if len(r.c.slab) != slabLen-80 {
-		t.Errorf("slab has %d bytes left after two 40-byte records, want %d", len(r.c.slab), slabLen-80)
+	if len(r.slab) != slabLen-80 {
+		t.Errorf("slab has %d bytes left after two 40-byte records, want %d", len(r.slab), slabLen-80)
 	}
 }
 
@@ -186,7 +211,7 @@ func TestOneRecordPinsOneSlab(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	r, err := NewReader(io.MultiReader(&hdr, &repeatReader{rec: one.Bytes(), left: n * one.Len()}))
+	r, _, err := OpenStream(io.MultiReader(&hdr, &repeatReader{rec: one.Bytes(), left: n * one.Len()}), OpenOptions{Format: FormatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

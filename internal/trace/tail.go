@@ -40,14 +40,14 @@ type TailOptions struct {
 	// idle tail costs close to nothing, a busy one is read at full
 	// cadence. Zero keeps the fixed Poll interval.
 	PollMax time.Duration
-	// IdleTimeout, when positive, makes Next return ErrTailIdle after
+	// IdleTimeout, when positive, makes Borrow return ErrTailIdle after
 	// the file has been fully consumed and no new record has arrived
 	// for this long. Zero waits forever.
 	IdleTimeout time.Duration
 }
 
 // TailReader follows a native-format trace file that is still being
-// written. Next delivers complete records as they are appended,
+// written. Borrow delivers complete records as they are appended,
 // blocking (by polling) while the writer is mid-record or idle:
 //
 //   - every complete record is delivered once, in file order, and a
@@ -87,10 +87,11 @@ type TailReader struct {
 	refills int64 // refills: one check and one read each (tests pin it)
 	last    int64 // newest delivered record's timestamp
 	poll    *resil.Retrier
+	slab    slab // Next's copies
 }
 
 // OpenTail opens path for tailing. The file must exist, but may still
-// be empty: the native header is parsed lazily, on the first Next, so
+// be empty: the native header is parsed lazily, on the first Borrow, so
 // a daemon can attach to a capture file the writer has only just
 // created. Callers that need to wait for the file to appear retry
 // OpenTail (the serve supervisor's restart-with-backoff does exactly
@@ -122,7 +123,7 @@ func OpenTail(path string, opts TailOptions) (*TailReader, error) {
 }
 
 // Meta returns the trace metadata. Before the header has been read
-// (no Next call has succeeded yet) it returns the zero Meta.
+// (no Borrow call has succeeded yet) it returns the zero Meta.
 func (t *TailReader) Meta() Meta { return t.c.meta }
 
 // Offset returns the byte offset consumed so far (safe concurrently).
@@ -151,7 +152,7 @@ func (t *TailReader) FileID() string {
 // value. It lets a caller bound one phase of consumption — e.g. a
 // checkpoint replay, where every expected byte is already on disk and
 // any idle wait means the file does not match the checkpoint — without
-// reopening the reader. Not safe concurrently with Next.
+// reopening the reader. Not safe concurrently with Borrow.
 func (t *TailReader) SetIdleTimeout(d time.Duration) time.Duration {
 	prev := t.opts.IdleTimeout
 	t.opts.IdleTimeout = d
@@ -162,7 +163,7 @@ func (t *TailReader) SetIdleTimeout(d time.Duration) time.Duration {
 // begins, instead of at the first record: the header is still read, and
 // Offset and Records count on from there. A resumed daemon re-reads
 // from its checkpoint's restart point this way, not from the file's
-// start. Call it before the first Next.
+// start. Call it before the first Borrow.
 func (t *TailReader) StartAt(off, n int64) { t.seekOff, t.seekN = off, n }
 
 // Close releases the file handle.
@@ -170,7 +171,7 @@ func (t *TailReader) Close() error { return t.f.Close() }
 
 // tailSource feeds the window of a TailReader: check for truncation and
 // rotation, then read on from where the last read stopped. A failed
-// check is the window's sticky error, which Next returns once the
+// check is the window's sticky error, which Borrow returns once the
 // records buffered ahead of it are delivered.
 type tailSource struct{ t *TailReader }
 
@@ -204,20 +205,23 @@ func (s tailSource) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Next returns the next complete record, blocking until one is
-// appended. It returns ctx.Err() on cancellation, ErrTailTruncated if
-// the file shrank, ErrTailRotated once the path names a new file and
-// the old one is drained, ErrTailIdle on idle timeout, and any decode
-// error permanently.
+// Next is Borrow plus a copy of the record's Data into a slab. No tool
+// reads through it (the daemon borrows); it is kept only because the
+// benchmark harness (bench/layers.go) compiles against it, and goes
+// when that harness moves to core.Run (ROADMAP items 1 and 8).
 func (t *TailReader) Next(ctx context.Context) (rec Record, err error) {
 	if rec, err = t.Borrow(ctx); err == nil {
-		rec.Data = t.c.own(rec.Data)
+		rec.Data = t.slab.own(rec.Data)
 	}
 	return rec, err
 }
 
-// Borrow is Next without the copy: the record's Data is a view of the
-// reader's window, valid until the next Borrow or Next (see Borrower).
+// Borrow returns the next complete record, blocking until one is
+// appended. The record's Data is a view of the reader's window, valid
+// until the next Borrow or Next. It returns ctx.Err() on cancellation,
+// ErrTailTruncated if the file shrank, ErrTailRotated once the path
+// names a new file and the old one is drained, ErrTailIdle on idle
+// timeout, and any decode error permanently.
 func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
 	// Per call, not per wait: draining a backlog never waits and must
 	// still stop. A receive on Done costs an atomic load; ctx.Err locks.

@@ -7,8 +7,10 @@
 // Writing is one Writer per format (native.go, pcap.go, erf.go).
 // Reading is one codec (codec.go: the only code that decodes an
 // on-disk field, and the table of input rules) and one byte window
-// (window.go) under three policies: the strict Reader, the
-// SalvageReader for damaged files and the TailReader for growing ones.
+// (window.go) under three policies: strict and salvaging, which Open
+// puts under one tap (File), and the TailReader for growing files.
+// Every source lends its records (Source.Borrow); a record is copied
+// only by an owning read, through one slab.
 //
 // A trace is a time-ordered sequence of Records captured on a single
 // unidirectional link. Like the Sprint traces the paper analyses,
@@ -36,10 +38,11 @@ type Record struct {
 	WireLen int
 	// Data holds the captured snapshot (at most the trace's SnapLen
 	// bytes, never more than WireLen). Treat it as read-only; from a
-	// reader of this package cap == len. Next hands out a copy that
+	// reader of this package cap == len. Borrow lends a view of the
+	// source's buffer, valid only until the next read of the same
+	// source; ReadAll and the other owning reads hand out a copy that
 	// shares a backing array with neighbouring records and that nothing
-	// overwrites; Borrow hands out a view of the reader's buffer, valid
-	// only until the next Borrow or Next on the same source.
+	// overwrites.
 	Data []byte
 	// Lost counts packets the capture hardware dropped immediately
 	// before this record (the ERF per-record loss counter). Only the
@@ -58,35 +61,15 @@ type Meta struct {
 	SnapLen int
 }
 
-// Source yields trace records in capture order. Next returns io.EOF
-// after the last record.
+// Source yields trace records in capture order. Borrow returns io.EOF
+// after the last record. It lends: the record's Data is a view of the
+// source's buffer, valid until the next Borrow on the same source. A
+// consumer that keeps nothing of a record past its next read borrows;
+// one that keeps records reads through ReadAll, which copies them.
 type Source interface {
 	Meta() Meta
-	Next() (Record, error)
-}
-
-// Borrower is implemented by sources that can lend records: Borrow is
-// Next without the copy, returning a record whose Data is a view of the
-// source's buffer, valid until the next Borrow or Next on the same
-// source. A consumer that keeps nothing of a record past its next read
-// borrows; one that keeps records calls Next.
-type Borrower interface {
 	Borrow() (Record, error)
 }
-
-// Lender returns src as a Borrower: src itself when it lends records,
-// otherwise one whose Borrow is src's Next. It is an interface and not
-// a func because a method value adds a closure call per record.
-func Lender(src Source) Borrower {
-	if b, ok := src.(Borrower); ok {
-		return b
-	}
-	return nextLender{src}
-}
-
-type nextLender struct{ Source }
-
-func (l nextLender) Borrow() (Record, error) { return l.Next() }
 
 // Sink consumes trace records in capture order.
 type Sink interface {
@@ -113,8 +96,9 @@ func NewSliceSource(meta Meta, recs []Record) *SliceSource {
 // Meta implements Source.
 func (s *SliceSource) Meta() Meta { return s.meta }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Record, error) {
+// Borrow implements Source. The records are the caller's already, so
+// lending one hands it out as it is.
+func (s *SliceSource) Borrow() (Record, error) {
 	if s.pos >= len(s.recs) {
 		return Record{}, io.EOF
 	}
@@ -123,26 +107,57 @@ func (s *SliceSource) Next() (Record, error) {
 	return r, nil
 }
 
-// Borrow implements Borrower. The records are the caller's already, so
-// lending them is Next, and Lender returns the source itself.
-func (s *SliceSource) Borrow() (Record, error) { return s.Next() }
-
 // Reset rewinds the source to the first record.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// ReadAll drains a Source into memory.
+// ReadAll drains a Source into memory: the one owning read of a whole
+// trace. It borrows each record and copies its Data into slabs the
+// records share.
 func ReadAll(src Source) ([]Record, error) {
 	var recs []Record
+	var s slab
 	for {
-		r, err := src.Next()
+		r, err := src.Borrow()
 		if err == io.EOF {
 			return recs, nil
 		}
 		if err != nil {
 			return recs, err
 		}
+		r.Data = s.own(r.Data)
 		recs = append(recs, r)
 	}
+}
+
+// slabLen is how much a slab allocates at a time to cut captures from:
+// some six hundred of the paper's 40-byte snapshots.
+const slabLen = 32 << 10
+
+// slab is the unused rest of the allocation own cuts Data from. Every
+// owning read (ReadAll, Batcher, TailReader.Next, File.Next) copies a
+// borrowed record through one.
+type slab []byte
+
+// own copies a borrowed capture into the slab, with cap == len so that
+// an append cannot reach the next record's bytes. A slab is written
+// once and never reused, so it lives exactly as long as some record cut
+// from it does. A capture over a quarter slab gets its own allocation
+// rather than strand the rest of the current slab. It takes and returns
+// only the bytes: a whole Record passed in and out of a call that does
+// not inline is copied through the stack both ways.
+func (s *slab) own(lent []byte) []byte {
+	n := len(lent)
+	var data []byte
+	if n > slabLen/4 {
+		data = make([]byte, n)
+	} else {
+		if n > len(*s) {
+			*s = make([]byte, slabLen)
+		}
+		data, *s = (*s)[:n:n], (*s)[n:]
+	}
+	copy(data, lent)
+	return data
 }
 
 // Validator checks the structural invariants of a record sequence one

@@ -36,7 +36,7 @@ func TestNativeRoundTrip(t *testing.T) {
 		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
 	}
 
-	r, err := NewReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatNative)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +45,15 @@ func TestNativeRoundTrip(t *testing.T) {
 		t.Errorf("meta mismatch: %+v", got)
 	}
 	for i, want := range recs {
-		got, err := r.Next()
+		got, err := r.Borrow()
 		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
+			t.Fatalf("Borrow %d: %v", i, err)
 		}
 		if got.Time != want.Time || got.WireLen != want.WireLen || !bytes.Equal(got.Data, want.Data) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.Borrow(); err != io.EOF {
 		t.Errorf("after last record err = %v, want EOF", err)
 	}
 }
@@ -73,10 +73,10 @@ func TestNativeRejectsBadRecords(t *testing.T) {
 }
 
 func TestNativeBadMagic(t *testing.T) {
-	if _, err := NewReader(strings.NewReader("NOPE....")); err == nil {
+	if _, err := newReader(newWindow(strings.NewReader("NOPE....")), FormatNative); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := NewReader(strings.NewReader("LS")); err == nil {
+	if _, err := newReader(newWindow(strings.NewReader("LS")), FormatNative); err == nil {
 		t.Error("truncated magic accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewPcapReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatPcap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +106,15 @@ func TestPcapRoundTrip(t *testing.T) {
 		t.Errorf("snaplen = %d", r.Meta().SnapLen)
 	}
 	for i, want := range recs {
-		got, err := r.Next()
+		got, err := r.Borrow()
 		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
+			t.Fatalf("Borrow %d: %v", i, err)
 		}
 		if got.Time != want.Time || got.WireLen != want.WireLen || !bytes.Equal(got.Data, want.Data) {
 			t.Errorf("record %d mismatch: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.Borrow(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 }
@@ -139,11 +139,11 @@ func TestPcapMicrosecondAndBigEndian(t *testing.T) {
 	}
 	buf.Write(hdr)
 	buf.Write(rec)
-	r, err := NewPcapReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatPcap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Next()
+	got, err := r.Borrow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +170,13 @@ func TestPcapRejectsWrongLinkType(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[20] = 1 // linktype ethernet (little-endian field)
-	if _, err := NewPcapReader(bytes.NewReader(b)); err == nil {
+	if _, err := newReader(newWindow(bytes.NewReader(b)), FormatPcap); err == nil {
 		t.Error("ethernet link type accepted")
 	}
 }
 
 func TestPcapBadMagic(t *testing.T) {
-	if _, err := NewPcapReader(strings.NewReader("this is not a pcap file.")); err == nil {
+	if _, err := newReader(newWindow(strings.NewReader("this is not a pcap file.")), FormatPcap); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -194,20 +194,25 @@ func TestSliceSource(t *testing.T) {
 	if len(got) != len(recs) {
 		t.Fatalf("ReadAll returned %d records", len(got))
 	}
-	if _, err := s.Next(); err != io.EOF {
+	if _, err := s.Borrow(); err != io.EOF {
 		t.Errorf("exhausted source err = %v", err)
 	}
 	s.Reset()
-	if r, err := s.Next(); err != nil || r.Time != recs[0].Time {
+	if r, err := s.Borrow(); err != nil || r.Time != recs[0].Time {
 		t.Errorf("Reset did not rewind")
 	}
 }
 
-// TestSliceSourceLends: core.Run over a SliceSource borrows from it
-// directly, through no adapter.
+// TestSliceSourceLends: a SliceSource lends the caller's records as
+// they are, Data included, with no copy.
 func TestSliceSourceLends(t *testing.T) {
-	if s := NewSliceSource(Meta{}, sampleRecords()); Lender(s) != Borrower(s) {
-		t.Errorf("Lender wraps a SliceSource")
+	recs := sampleRecords()
+	s := NewSliceSource(Meta{}, recs)
+	for i := range recs {
+		r, err := s.Borrow()
+		if err != nil || &r.Data[0] != &recs[i].Data[0] {
+			t.Fatalf("record %d: %v, or Data is a copy", i, err)
+		}
 	}
 }
 
@@ -251,7 +256,7 @@ func TestNativeRoundTripLarge(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatNative)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +294,14 @@ func TestERFRoundTrip(t *testing.T) {
 		t.Errorf("Count = %d", w.Count())
 	}
 
-	r, err := NewERFReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatERF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range recs {
-		got, err := r.Next()
+		got, err := r.Borrow()
 		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
+			t.Fatalf("Borrow %d: %v", i, err)
 		}
 		// ERF's fractional timestamp has 2^-32 s resolution; allow a
 		// few nanoseconds of rounding.
@@ -308,7 +313,7 @@ func TestERFRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if _, err := r.Borrow(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 	if !r.Meta().Start.Truncate(time.Microsecond).Equal(meta.Start.Add(recs[0].Time).Truncate(time.Microsecond)) {
@@ -323,11 +328,11 @@ func TestERFRejectsUnknownType(t *testing.T) {
 	hdr[10], hdr[11] = 0, 24
 	buf.Write(hdr)
 	buf.Write(make([]byte, 8))
-	r, err := NewERFReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatERF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
+	if _, err := r.Borrow(); err == nil {
 		t.Error("ethernet ERF record accepted")
 	}
 }
@@ -338,11 +343,11 @@ func TestERFRejectsShortRlen(t *testing.T) {
 	hdr[8] = 1
 	hdr[10], hdr[11] = 0, 10 // rlen shorter than the header itself
 	buf.Write(hdr)
-	r, err := NewERFReader(&buf)
+	r, err := newReader(newWindow(&buf), FormatERF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
+	if _, err := r.Borrow(); err == nil {
 		t.Error("bogus rlen accepted")
 	}
 }
