@@ -24,16 +24,15 @@ type warmMeter struct {
 	warmed runtime.MemStats
 }
 
-func (m *warmMeter) Borrow() (trace.Record, error) { return m.tally(m.Source.Borrow()) }
-
-func (m *warmMeter) tally(rec trace.Record, err error) (trace.Record, error) {
+func (m *warmMeter) Borrow(rec *trace.Record) error {
+	err := m.Source.Borrow(rec)
 	if err == nil && rec.Time > m.warm {
 		if m.n == 0 {
 			runtime.ReadMemStats(&m.warmed)
 		}
 		m.n++
 	}
-	return rec, err
+	return err
 }
 
 // TestScanAllocationBudget: over the second half of a sparse capture,

@@ -159,14 +159,14 @@ type heapSampler struct {
 	peak uint64
 }
 
-func (h *heapSampler) Borrow() (trace.Record, error) {
+func (h *heapSampler) Borrow(rec *trace.Record) error {
 	if h.n++; h.n%10000 == 0 {
 		runtime.GC() // the live heap, not what the collector has yet to sweep
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		h.peak = max(h.peak, ms.HeapInuse)
 	}
-	return h.Source.Borrow()
+	return h.Source.Borrow(rec)
 }
 
 // TestScanHoldsNoRecords: what scan holds does not grow with the trace.

@@ -274,14 +274,13 @@ func scanSource(src trace.Source, dstats *trace.DecodeStats, cfg core.Config, re
 		invalid error // the first -validate failure
 		readErr error
 		n       int
+		rec     trace.Record
 	)
 	// Nothing here keeps a record past the next read (Engine.Observe
 	// does not retain Data), so records are borrowed, not copied.
 	sp := reg.StartSpan("ingest")
 	for !interrupted.Load() {
-		rec, err := src.Borrow()
-		if err != nil {
-			readErr = err
+		if readErr = src.Borrow(&rec); readErr != nil {
 			break
 		}
 		if validateMode && invalid == nil {

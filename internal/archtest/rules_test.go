@@ -106,7 +106,7 @@ var rules = []rule{{
 	check: wire,
 }, {
 	name:   "lend",
-	reason: "every trace source lends (trace.Source is Meta and Borrow) and a kept record is copied by an owning read over Borrow; a Next() (trace.Record, error) anywhere but trace.File, which bench/ still compiles against, is a second read method on a source growing back",
+	reason: "every trace source lends (trace.Source is Meta and Borrow) and a kept record is copied by an owning read over Borrow; a Next() (trace.Record, error) anywhere but trace.File, which bench/ still compiles against, is a second read method on a source growing back, and a Borrow that returns a trace.Record, rather than fill the caller's, copies 48 bytes through every frame between the codec and the consumer",
 	dirs:   []string{"."},
 	check:  lend,
 }, {
@@ -241,7 +241,8 @@ func jsonNames(st *ast.StructType) []string {
 }
 
 // lend reports every method, and every interface method, declared as
-// Next() (trace.Record, error) outside bench/, trace.File's aside.
+// Next() (trace.Record, error) outside bench/, trace.File's aside, and
+// every Borrow there whose results include a trace.Record.
 func lend(t *tree, files []*file) []string {
 	var out []string
 	for _, f := range files {
@@ -250,15 +251,16 @@ func lend(t *tree, files []*file) []string {
 			id, _ := e.(*ast.Ident)
 			return f.is(e, "loopscope/internal/trace", "Record") || home && id != nil && id.Name == "Record"
 		}
-		next := func(name *ast.Ident, fn *ast.FuncType, owner string) {
+		read := func(name *ast.Ident, fn *ast.FuncType, owner string) {
 			var res []ast.Expr
 			for _, r := range fn.Results.List {
 				for range max(1, len(r.Names)) {
 					res = append(res, r.Type)
 				}
 			}
-			if name.Name == "Next" && fn.Params.NumFields() == 0 && len(res) == 2 && record(res[0]) &&
-				types.ExprString(res[1]) == "error" && !(home && owner == "File.Next") {
+			next := name.Name == "Next" && fn.Params.NumFields() == 0 && len(res) == 2 && record(res[0]) &&
+				types.ExprString(res[1]) == "error" && !(home && owner == "File.Next")
+			if next || name.Name == "Borrow" && slices.ContainsFunc(res, record) {
 				out = append(out, t.at(name, owner))
 			}
 		}
@@ -269,12 +271,12 @@ func lend(t *tree, files []*file) []string {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Recv != nil && n.Type.Results != nil {
-					next(n.Name, n.Type, declared(n)[0])
+					read(n.Name, n.Type, declared(n)[0])
 				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
 					if fn, ok := m.Type.(*ast.FuncType); ok && len(m.Names) == 1 && fn.Results != nil {
-						next(m.Names[0], fn, "interface method Next")
+						read(m.Names[0], fn, "interface method "+m.Names[0].Name)
 					}
 				}
 			}

@@ -7,3 +7,5 @@ import "loopscope/internal/trace"
 type slice struct{ recs []trace.Record }
 
 func (s *slice) Next() (trace.Record, error) { return s.recs[0], nil }
+
+func (s *slice) Borrow() (trace.Record, error) { return s.recs[0], nil }

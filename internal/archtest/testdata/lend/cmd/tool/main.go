@@ -7,4 +7,6 @@ type src struct{}
 
 func (src) Next() (Record, error) { return Record{}, nil }
 
+func (src) Borrow() (Record, error) { return Record{}, nil }
+
 func main() {}

@@ -6,3 +6,5 @@ import "loopscope/internal/trace"
 type fake struct{}
 
 func (fake) Next() (trace.Record, error) { return trace.Record{}, nil }
+
+func (fake) Borrow() (trace.Record, error) { return trace.Record{}, nil }

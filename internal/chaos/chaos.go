@@ -247,6 +247,7 @@ type Source struct {
 	f       *faulter
 	queue   []trace.Record
 	drained bool
+	lent    trace.Record // what src lends into: a local would escape
 }
 
 // NewSource returns a fault-injecting view of src.
@@ -258,27 +259,27 @@ func NewSource(src trace.Source, cfg RecordFaults) *Source {
 func (s *Source) Meta() trace.Meta { return s.src.Meta() }
 
 // Borrow implements trace.Source.
-func (s *Source) Borrow() (trace.Record, error) {
+func (s *Source) Borrow(rec *trace.Record) error {
 	for {
 		if len(s.queue) > 0 {
-			rec := s.queue[0]
+			*rec = s.queue[0]
 			s.queue = s.queue[1:]
-			return rec, nil
+			return nil
 		}
 		if s.drained {
-			return trace.Record{}, io.EOF
+			return io.EOF
 		}
-		rec, err := s.src.Borrow()
+		err := s.src.Borrow(&s.lent)
 		if err == io.EOF {
 			s.drained = true
 			s.queue = s.f.flush()
 			continue
 		}
 		if err != nil {
-			return trace.Record{}, err
+			return err
 		}
 		held := s.f.held
-		s.queue = s.f.step(rec)
+		s.queue = s.f.step(s.lent)
 		if h := s.f.held; h != nil && h != held {
 			// Held back past the next read of src, which lent its bytes
 			// only until then.

@@ -168,15 +168,16 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 	return e, nil
 }
 
-// Run drives an Engine over a Source: it borrows each record, hands it
-// to Observe, and returns the engine's Result
+// Run drives an Engine over a Source: it borrows each record into one
+// Record, hands it to Observe, and returns the engine's Result
 // once the source is drained. An engine that implements ErrFinisher
 // (the ParallelDetector, after a worker panic) can also fail at finish
 // time. On a read error the engine is still finished, so the parallel
 // detector's workers are released, and the error is returned.
 func Run(e Engine, src trace.Source) (*Result, error) {
-	rec, err := src.Borrow()
-	for ; err == nil; rec, err = src.Borrow() {
+	var rec trace.Record
+	err := src.Borrow(&rec)
+	for ; err == nil; err = src.Borrow(&rec) {
 		e.Observe(rec)
 	}
 	var res *Result

@@ -33,9 +33,9 @@ func ExtractLoopSource(src trace.Source, l *Loop, context time.Duration) ([]trac
 	lo, hi := l.Start-context, l.End+context
 	out := make([]trace.Record, 0, len(take))
 	var rerr error
+	var rec trace.Record
 	for i := 0; ; i++ {
-		rec, err := src.Borrow()
-		if err != nil {
+		if err := src.Borrow(&rec); err != nil {
 			if !errors.Is(err, io.EOF) {
 				rerr = err
 			}

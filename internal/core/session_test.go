@@ -273,14 +273,15 @@ type errSource struct {
 }
 
 func (s *errSource) Meta() trace.Meta { return trace.Meta{Link: "err"} }
-func (s *errSource) Borrow() (trace.Record, error) {
+func (s *errSource) Borrow(rec *trace.Record) error {
 	if s.pos >= s.n {
-		return trace.Record{}, fmt.Errorf("mid-stream fault")
+		return fmt.Errorf("mid-stream fault")
 	}
 	s.pos++
 	data := make([]byte, 40)
 	data[0] = 0x45
-	return trace.Record{Time: time.Duration(s.pos), WireLen: 40, Data: data}, nil
+	*rec = trace.Record{Time: time.Duration(s.pos), WireLen: 40, Data: data}
+	return nil
 }
 
 // TestRunSourceErrorReleasesWorkers: a mid-stream source error must

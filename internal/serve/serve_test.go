@@ -938,6 +938,87 @@ func TestDaemonHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestDaemonSourceMetrics: take publishes a source's records counter
+// and lag gauge in batches, yet both read exact wherever the source
+// waits: once it has caught up with the file (a daemon without
+// ExitIdle, which never reports idle), and once it reports idle short
+// of a record cut off mid-header, where it never catches up. Exact
+// means every record taken, and the lag /api/v1/sources shows.
+func TestDaemonSourceMetrics(t *testing.T) {
+	recs := serveTestTrace(t, 3, 6)
+	if len(recs)%publishEvery == 0 {
+		recs = recs[1:]
+	}
+	for _, c := range []struct {
+		name     string
+		partial  int           // bytes of a record header after the last record
+		exitIdle time.Duration // 0: run until the records are in, then stop
+	}{
+		{"caught-up", 0, 0},
+		{"idle-short-of-a-record", 5, 250 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			obs.VerifyNoLeaks(t)
+			tracePath := filepath.Join(t.TempDir(), "capture.lspt")
+			writeTraceFile(t, tracePath, testMeta(), recs)
+			f, err := os.OpenFile(tracePath, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(make([]byte, c.partial)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			reg := obs.NewRegistry()
+			d, err := New(Config{
+				Detector:           core.DefaultConfig(),
+				CheckpointInterval: 10 * time.Millisecond,
+				ExitIdle:           c.exitIdle,
+				TailPoll:           2 * time.Millisecond,
+				Metrics:            reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddTailSource("m1", tracePath); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- d.Run(ctx) }()
+			srv := httptest.NewServer(d.Handler())
+			defer srv.Close()
+			var sources struct {
+				Sources []loopscope.Source `json:"sources"`
+			}
+			if c.exitIdle > 0 {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "every record taken", func() bool {
+				getV1(t, srv.URL+"/api/v1/sources", &sources)
+				return len(sources.Sources) == 1 && sources.Sources[0].Records == int64(len(recs))
+			})
+			if got := reg.Counter(obs.LabelMetric(obs.MetricServeSourceRecords, "source", "m1")).Value(); got != int64(len(recs)) {
+				t.Errorf("records counter = %d, want the %d records taken", got, len(recs))
+			}
+			if lag := sources.Sources[0].LagBytes; lag != int64(c.partial) {
+				t.Errorf("/api/v1/sources lag = %d bytes, want %d", lag, c.partial)
+			}
+			if got := reg.Gauge(obs.LabelMetric(obs.MetricServeSourceLagBytes, "source", "m1")).Value(); got != sources.Sources[0].LagBytes {
+				t.Errorf("lag gauge = %d, /api/v1/sources says %d", got, sources.Sources[0].LagBytes)
+			}
+			if c.exitIdle == 0 {
+				cancel()
+				<-done
+			}
+		})
+	}
+}
+
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)

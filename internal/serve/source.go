@@ -75,6 +75,9 @@ type sourceState struct {
 	// on.
 	marks []mark
 
+	// unpublished counts the live records taken since recordsC and lagG
+	// were last set (see publish).
+	unpublished  int64
 	recordsC     *obs.Counter
 	lagG         *obs.Gauge
 	lagSegsG     *obs.Gauge
@@ -249,7 +252,7 @@ type unit struct {
 // reader is a *trace.TailReader or a feed's connReader. Its records
 // are borrowed: take keeps nothing of one past the next read.
 type reader interface {
-	Borrow(context.Context) (trace.Record, error)
+	Borrow(context.Context, *trace.Record) error
 	Meta() trace.Meta
 	Offset() int64
 	Size() int64
@@ -309,14 +312,20 @@ func (s *sourceState) read(ctx context.Context, u *unit) error {
 		return err
 	}
 	var idleSince time.Time
+	var rec trace.Record
 	for {
-		rec, err := u.r.Borrow(ctx)
-		switch {
-		case err == nil:
+		err := u.r.Borrow(ctx, &rec)
+		if err == nil {
 			idleSince = time.Time{}
 			if err := s.take(u, rec); err != nil {
 				return err
 			}
+			continue
+		}
+		s.mu.Lock()
+		s.publish()
+		s.mu.Unlock()
+		switch {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		case s.replayTo != nil && (u.file == s.replayTo.File || !errors.Is(err, trace.ErrTailIdle)):
@@ -459,14 +468,33 @@ func (s *sourceState) take(u *unit, rec trace.Record) error {
 	s.cp.Records, s.cp.Offset = u.n, u.at
 	s.cp.HighWaterNs = int64(s.sess.HighWater())
 	s.lagBytes = u.r.Size() - u.at + s.laterBytes
-	s.lagG.Set(s.lagBytes)
 	s.idle = false
-	s.recordsC.Inc()
+	if s.unpublished++; s.unpublished == publishEvery || s.lagBytes == 0 && u.path != "" {
+		s.publish()
+	}
 	s.mu.Unlock()
 	if s.d.testCrash != nil && s.d.testCrash(s.name, u.n) {
 		return errTestCrash
 	}
 	return nil
+}
+
+// publishEvery is how many live records take counts privately between
+// updates of the source's records counter and lag gauge, as the ingest
+// tap (trace.File) does: a live reader of /metrics lags the source by
+// fewer than this many records while it delivers. take also publishes
+// when a file-backed unit has caught up, the one point read sees before
+// its reader waits, and read after every read error, so an idle or
+// stopped source reads exact. (What a failed take leaves unpublished
+// goes out with the next run's.)
+const publishEvery = 256
+
+// publish sets the records counter and lag gauge from what take
+// counted. The caller holds s.mu.
+func (s *sourceState) publish() {
+	s.recordsC.Add(s.unpublished)
+	s.unpublished = 0
+	s.lagG.Set(s.lagBytes)
 }
 
 // openTail opens a file-backed reader under the daemon's poll policy.
@@ -660,7 +688,7 @@ type connReader struct {
 	stop func() bool
 }
 
-func (c *connReader) Borrow(context.Context) (trace.Record, error) { return c.File.Borrow() }
-func (c *connReader) Offset() int64                                { return 0 }
-func (c *connReader) Size() int64                                  { return 0 }
-func (c *connReader) Close() error                                 { c.stop(); return c.conn.Close() }
+func (c *connReader) Borrow(_ context.Context, rec *trace.Record) error { return c.File.Borrow(rec) }
+func (c *connReader) Offset() int64                                     { return 0 }
+func (c *connReader) Size() int64                                       { return 0 }
+func (c *connReader) Close() error                                      { c.stop(); return c.conn.Close() }

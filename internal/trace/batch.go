@@ -40,15 +40,13 @@ func (b *Batcher) Next() ([]Record, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	recs := make([]Record, 0, b.size)
-	for len(recs) < b.size {
-		r, err := b.src.Borrow()
-		if err != nil {
+	recs := make([]Record, b.size)
+	for i := range recs {
+		if err := b.src.Borrow(&recs[i]); err != nil {
 			b.err = err
-			return recs, err
+			return recs[:i], err
 		}
-		r.Data = b.slab.own(r.Data)
-		recs = append(recs, r)
+		recs[i].Data = b.slab.own(recs[i].Data)
 	}
 	return recs, nil
 }

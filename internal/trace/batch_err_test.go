@@ -19,12 +19,13 @@ type faultySource struct {
 
 func (s *faultySource) Meta() Meta { return Meta{Link: "faulty", SnapLen: DefaultSnapLen} }
 
-func (s *faultySource) Borrow() (Record, error) {
+func (s *faultySource) Borrow(rec *Record) error {
 	if s.pos >= s.n {
-		return Record{}, s.err
+		return s.err
 	}
 	s.pos++
-	return Record{Time: time.Duration(s.pos) * time.Millisecond, WireLen: 40, Data: make([]byte, 40)}, nil
+	*rec = Record{Time: time.Duration(s.pos) * time.Millisecond, WireLen: 40, Data: make([]byte, 40)}
+	return nil
 }
 
 func TestBatcherMidStreamError(t *testing.T) {
@@ -117,18 +118,24 @@ func withContext(ctx context.Context, src Source) Source { return &ctxSource{ctx
 
 func (s *ctxSource) Meta() Meta { return s.src.Meta() }
 
-func (s *ctxSource) Borrow() (Record, error) {
+func (s *ctxSource) Borrow(rec *Record) error {
 	if err := s.ctx.Err(); err != nil {
-		return Record{}, err
+		return err
 	}
-	return s.src.Borrow()
+	return s.src.Borrow(rec)
 }
 
 // funcSource adapts a closure to Source.
 type funcSource struct{ next func() (Record, error) }
 
-func (s *funcSource) Meta() Meta              { return Meta{Link: "func"} }
-func (s *funcSource) Borrow() (Record, error) { return s.next() }
+func (s *funcSource) Meta() Meta { return Meta{Link: "func"} }
+func (s *funcSource) Borrow(rec *Record) error {
+	r, err := s.next()
+	if err == nil {
+		*rec = r
+	}
+	return err
+}
 
 func TestMeterSourceMidStreamError(t *testing.T) {
 	boom := errors.New("read fault")
@@ -136,11 +143,11 @@ func TestMeterSourceMidStreamError(t *testing.T) {
 	src := MeterSource(&faultySource{n: 3, err: boom}, reg, nil)
 
 	for i := 0; i < 3; i++ {
-		if _, err := src.Borrow(); err != nil {
+		if _, err := borrow(src); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
-	if _, err := src.Borrow(); !errors.Is(err, boom) {
+	if _, err := borrow(src); !errors.Is(err, boom) {
 		t.Fatalf("Borrow: %v, want the source fault", err)
 	}
 	// Only successful reads are counted; the failed read is not.
@@ -157,11 +164,11 @@ func TestMeterSourceCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
 	src := MeterSource(withContext(ctx, NewSliceSource(Meta{}, make([]Record, 10))), reg, nil)
 
-	if _, err := src.Borrow(); err != nil {
+	if _, err := borrow(src); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if _, err := src.Borrow(); !errors.Is(err, context.Canceled) {
+	if _, err := borrow(src); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Borrow after cancel: %v", err)
 	}
 	if got := reg.Counter(obs.MetricTraceRecords).Value(); got != 1 {

@@ -33,7 +33,7 @@ func FuzzNativeReader(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			rec, err := r.Borrow()
+			rec, err := borrow(r)
 			if errors.Is(err, io.EOF) {
 				return
 			}
@@ -71,7 +71,7 @@ func FuzzPcapReader(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			if _, err := r.Borrow(); err != nil {
+			if _, err := borrow(r); err != nil {
 				return
 			}
 		}
@@ -104,7 +104,7 @@ func FuzzERFReader(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1000; i++ {
-			rec, err := r.Borrow()
+			rec, err := borrow(r)
 			if err != nil {
 				break
 			}
@@ -172,7 +172,7 @@ func FuzzSalvageReader(f *testing.F) {
 		}
 		n := 0
 		for {
-			_, err := s.Borrow()
+			_, err := borrow(s)
 			if err != nil {
 				break
 			}

@@ -105,11 +105,8 @@ func TestSalvageGolden(t *testing.T) {
 			}
 			h := sha256.New()
 			n := 0
-			for {
-				rec, err := s.Borrow()
-				if err != nil {
-					break
-				}
+			var rec trace.Record
+			for s.Borrow(&rec) == nil {
 				var fixed [24]byte
 				binary.BigEndian.PutUint64(fixed[0:], uint64(rec.Time))
 				binary.BigEndian.PutUint64(fixed[8:], uint64(rec.WireLen))

@@ -123,6 +123,7 @@ type File struct {
 	src  Source
 	f    *os.File // the file Open opened, nil for any other source
 	slab slab     // Next's copies
+	lent Record   // what Next borrows into: a local would escape
 
 	recs     *obs.Counter
 	capBytes *obs.Counter
@@ -135,7 +136,8 @@ type File struct {
 	nRecs, nCap, nWire int64
 
 	// stats is the live salvage DecodeStats, nil for strict readers.
-	// The gauges mirror it so /metrics shows decode health mid-run.
+	// The gauges mirror it, published with the counters, so /metrics
+	// shows decode health mid-run.
 	stats     *DecodeStats
 	sRecords  *obs.Gauge
 	sSalvaged *obs.Gauge
@@ -183,6 +185,13 @@ func (m *File) publish() {
 	m.capBytes.Add(m.nCap)
 	m.wireB.Add(m.nWire)
 	m.nRecs, m.nCap, m.nWire = 0, 0, 0
+	if m.stats != nil {
+		m.sRecords.Set(int64(m.stats.Records))
+		m.sSalvaged.Set(int64(m.stats.Salvaged))
+		m.sErrors.Set(int64(m.stats.Errors))
+		m.sResyncs.Set(int64(m.stats.Resyncs))
+		m.sSkipped.Set(m.stats.BytesSkipped)
+	}
 }
 
 // Close publishes what a reader that stopped early (an interrupted
@@ -221,10 +230,22 @@ func (m *File) Progress() func() (offset, size int64) {
 // Borrow implements Source, counting successful reads. Every error —
 // end of trace, a failure — publishes first, so whoever looks at the
 // registry after one sees exact counts.
-func (m *File) Borrow() (rec Record, err error) {
-	rec, err = m.src.Borrow()
-	m.count(len(rec.Data), rec.WireLen, rec.Lost, err)
-	return
+func (m *File) Borrow(rec *Record) error {
+	if err := m.src.Borrow(rec); err != nil {
+		m.publish()
+		return err
+	}
+	m.nRecs++
+	m.nCap += int64(len(rec.Data))
+	m.nWire += int64(rec.WireLen)
+	if m.nRecs == meterPublishEvery {
+		m.publish()
+	}
+	if rec.Lost > 0 {
+		m.lossGaps.Inc()
+		m.lostPkts.Add(int64(rec.Lost))
+	}
+	return nil
 }
 
 // Next is Borrow plus a copy of the record's Data into a slab. No tool
@@ -232,38 +253,11 @@ func (m *File) Borrow() (rec Record, err error) {
 // trace); it is kept only because the benchmark harness
 // (bench/layers.go) compiles against it, and goes when that harness
 // moves to core.Run (ROADMAP items 1 and 8).
-func (m *File) Next() (rec Record, err error) {
-	if rec, err = m.Borrow(); err == nil {
-		rec.Data = m.slab.own(rec.Data)
+func (m *File) Next() (Record, error) {
+	if err := m.Borrow(&m.lent); err != nil {
+		return Record{}, err
 	}
-	return rec, err
-}
-
-// count tallies one read. Borrow hands it only the record's sizes and
-// returns its named result as read: a Record is too large for the
-// compiler to keep in registers, so passing it into a call and back
-// copies it through the stack twice per record, which costs more than
-// the tally.
-func (m *File) count(capLen, wireLen, lost int, err error) {
-	if err != nil {
-		m.publish()
-		return
-	}
-	m.nRecs++
-	m.nCap += int64(capLen)
-	m.nWire += int64(wireLen)
-	if m.nRecs == meterPublishEvery {
-		m.publish()
-	}
-	if lost > 0 {
-		m.lossGaps.Inc()
-		m.lostPkts.Add(int64(lost))
-	}
-	if m.stats != nil {
-		m.sRecords.Set(int64(m.stats.Records))
-		m.sSalvaged.Set(int64(m.stats.Salvaged))
-		m.sErrors.Set(int64(m.stats.Errors))
-		m.sResyncs.Set(int64(m.stats.Resyncs))
-		m.sSkipped.Set(m.stats.BytesSkipped)
-	}
+	rec := m.lent
+	rec.Data = m.slab.own(rec.Data)
+	return rec, nil
 }

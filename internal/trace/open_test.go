@@ -240,7 +240,7 @@ func TestOpenOneWrapper(t *testing.T) {
 		}
 		n := 0
 		for ; ; n++ {
-			rec, err := src.Borrow()
+			rec, err := borrow(src)
 			if err != nil {
 				break
 			}
@@ -291,6 +291,27 @@ func TestOpenStreamOneFrame(t *testing.T) {
 		}
 		if got := reg.Counter(obs.MetricTraceRecords).Value(); got != int64(len(want)) {
 			t.Fatalf("salvage %v: records counter = %d, want %d", salvage, got, len(want))
+		}
+	}
+
+	// The salvage gauges go out with the counters, so once the read ends
+	// they match the DecodeStats, the bytes of a truncated tail skipped
+	// at the end included.
+	reg := obs.NewRegistry()
+	src, stats, err := OpenStream(bytes.NewReader(data[:len(data)-3]), OpenOptions{Metrics: reg, Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadAll(src); err != nil || stats.BytesSkipped == 0 {
+		t.Fatalf("truncated tail: %v, %d bytes skipped", err, stats.BytesSkipped)
+	}
+	for name, want := range map[string]int64{
+		obs.MetricSalvageRecords: int64(stats.Records), obs.MetricSalvageSalvaged: int64(stats.Salvaged),
+		obs.MetricSalvageErrors: int64(stats.Errors), obs.MetricSalvageResyncs: int64(stats.Resyncs),
+		obs.MetricSalvageBytesSkipped: stats.BytesSkipped,
+	} {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %d, DecodeStats says %d", name, got, want)
 		}
 	}
 }

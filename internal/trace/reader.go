@@ -57,15 +57,16 @@ func (c *codec) readFileHeader(w *window) error {
 func (r *reader) Meta() Meta { return r.c.meta }
 
 // Borrow implements Source.
-func (r *reader) Borrow() (Record, error) {
+func (r *reader) Borrow(rec *Record) error {
 	var h recHeader
 	switch st := r.c.pull(r.w, false, &h); {
 	case st == stOK:
-		return r.c.lend(&h, r.w), nil
+		r.c.lend(&h, r.w, rec)
+		return nil
 	case st == stMalformed:
-		return Record{}, r.c.malformedErr(&h)
+		return r.c.malformedErr(&h)
 	case r.w.err == io.EOF && len(r.w.buffered()) == 0:
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	return Record{}, fmt.Errorf("trace: reading %v record: %w", r.c.format, r.w.short())
+	return fmt.Errorf("trace: reading %v record: %w", r.c.format, r.w.short())
 }

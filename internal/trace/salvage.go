@@ -183,32 +183,32 @@ func (s *salvageReader) skip(n int) {
 // (skipping to the next plausible record) unless the error budget is
 // exhausted, in which case Borrow fails with an error wrapping
 // ErrErrorBudget.
-func (s *salvageReader) Borrow() (Record, error) {
+func (s *salvageReader) Borrow(rec *Record) error {
 	for {
 		if !s.w.need(s.c.recHdr) {
 			n := len(s.w.buffered())
 			switch {
 			case n > 0:
 				// Partial header at EOF: truncated tail.
-				return Record{}, s.truncatedTail(n)
+				return s.truncatedTail(n)
 			case s.w.err != io.EOF:
-				return Record{}, fmt.Errorf("trace: salvage read: %w", s.w.err)
+				return fmt.Errorf("trace: salvage read: %w", s.w.err)
 			}
-			return Record{}, io.EOF
+			return io.EOF
 		}
 		var h recHeader
 		st := s.c.record(s.w.buffered(), &h)
 		if st == stMalformed || !s.plausible(&h) {
 			// Implausible header: corruption. Skip a byte and scan.
 			if err := s.beginRegion(); err != nil {
-				return Record{}, err
+				return err
 			}
 			s.skip(1)
 			continue
 		}
 		if !s.w.need(h.size) {
 			// A record (or resync candidate) the file ends inside of.
-			return Record{}, s.truncatedTail(len(s.w.buffered()))
+			return s.truncatedTail(len(s.w.buffered()))
 		}
 
 		if s.syncing {
@@ -229,22 +229,22 @@ func (s *salvageReader) Borrow() (Record, error) {
 			// not consume: the same bytes are re-judged against the
 			// rolled-back anchor as a resync candidate.
 			if err := s.beginRegion(); err != nil {
-				return Record{}, err
+				return err
 			}
 			continue
 		}
 
-		rec := s.c.lend(&h, s.w)
+		s.c.lend(&h, s.w, rec)
 		s.prev, s.last = s.last, h.ts
 		s.stats.Records++
 		if s.stats.Resyncs > 0 {
 			s.stats.Salvaged++
 		}
-		if rec.Lost > 0 {
+		if h.lost > 0 {
 			s.stats.LossEvents++
-			s.stats.LostRecords += rec.Lost
+			s.stats.LostRecords += h.lost
 		}
-		return rec, nil
+		return nil
 	}
 }
 

@@ -288,7 +288,7 @@ func TestSalvageEmptyAndTinyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Borrow(); err != io.EOF {
+	if _, err := borrow(s); err != io.EOF {
 		t.Fatalf("Borrow = %v, want io.EOF", err)
 	}
 	if !s.stats.TruncatedTail {

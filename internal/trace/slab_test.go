@@ -82,10 +82,12 @@ type teeSource struct {
 	h hash.Hash
 }
 
-func (s teeSource) Borrow() (Record, error) {
-	rec, err := s.Source.Borrow()
-	s.h.Write(rec.Data)
-	return rec, err
+func (s teeSource) Borrow(rec *Record) error {
+	err := s.Source.Borrow(rec)
+	if err == nil {
+		s.h.Write(rec.Data)
+	}
+	return err
 }
 
 // TestRecordsSurviveTheReader: what an owning read promises of a

@@ -87,7 +87,8 @@ type TailReader struct {
 	refills int64 // refills: one check and one read each (tests pin it)
 	last    int64 // newest delivered record's timestamp
 	poll    *resil.Retrier
-	slab    slab // Next's copies
+	slab    slab   // Next's copies
+	lent    Record // what Next borrows into: a local would escape
 }
 
 // OpenTail opens path for tailing. The file must exist, but may still
@@ -209,25 +210,28 @@ func (s tailSource) Read(p []byte) (int, error) {
 // reads through it (the daemon borrows); it is kept only because the
 // benchmark harness (bench/layers.go) compiles against it, and goes
 // when that harness moves to core.Run (ROADMAP items 1 and 8).
-func (t *TailReader) Next(ctx context.Context) (rec Record, err error) {
-	if rec, err = t.Borrow(ctx); err == nil {
-		rec.Data = t.slab.own(rec.Data)
+func (t *TailReader) Next(ctx context.Context) (Record, error) {
+	if err := t.Borrow(ctx, &t.lent); err != nil {
+		return Record{}, err
 	}
-	return rec, err
+	rec := t.lent
+	rec.Data = t.slab.own(rec.Data)
+	return rec, nil
 }
 
-// Borrow returns the next complete record, blocking until one is
-// appended. The record's Data is a view of the reader's window, valid
-// until the next Borrow or Next. It returns ctx.Err() on cancellation,
-// ErrTailTruncated if the file shrank, ErrTailRotated once the path
-// names a new file and the old one is drained, ErrTailIdle on idle
-// timeout, and any decode error permanently.
-func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
+// Borrow writes the next complete record into *rec, blocking until one
+// is appended. The record's Data is a view of the reader's window,
+// valid until the next Borrow or Next. It returns ctx.Err() on
+// cancellation, ErrTailTruncated if the file shrank, ErrTailRotated
+// once the path names a new file and the old one is drained,
+// ErrTailIdle on idle timeout, and any decode error permanently; on
+// any error it leaves *rec as it was.
+func (t *TailReader) Borrow(ctx context.Context, rec *Record) error {
 	// Per call, not per wait: draining a backlog never waits and must
 	// still stop. A receive on Done costs an atomic load; ctx.Err locks.
 	select {
 	case <-ctx.Done():
-		return Record{}, ctx.Err()
+		return ctx.Err()
 	default:
 	}
 	var idleSince time.Time // set at this call's first wait
@@ -235,15 +239,15 @@ func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
 		var h recHeader
 		switch st := t.c.pull(t.w, !t.hdrDone, &h); {
 		case st == stMalformed:
-			return Record{}, fmt.Errorf("trace: tail %s: %w", t.path, t.c.malformedErr(&h))
+			return fmt.Errorf("trace: tail %s: %w", t.path, t.c.malformedErr(&h))
 		case st == stNeedMore:
 			// The end of a growing file is "not yet"; a failed check or read
 			// is permanent. The refill ran inside this pull: t.rotated is current.
 			if t.w.err != io.EOF {
-				return Record{}, t.w.err
+				return t.w.err
 			}
 			if t.rotated {
-				return Record{}, ErrTailRotated
+				return ErrTailRotated
 			}
 			wait := t.poll.Next()
 			if d := t.opts.IdleTimeout; d > 0 {
@@ -252,12 +256,12 @@ func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
 				}
 				// A timeout shorter than the poll is still honoured on time.
 				if wait = min(wait, d-time.Since(idleSince)); wait <= 0 {
-					return Record{}, ErrTailIdle
+					return ErrTailIdle
 				}
 			}
 			select {
 			case <-ctx.Done():
-				return Record{}, ctx.Err()
+				return ctx.Err()
 			case <-time.After(wait):
 			}
 		case !t.hdrDone:
@@ -271,14 +275,15 @@ func (t *TailReader) Borrow(ctx context.Context) (Record, error) {
 				t.n.Store(t.seekN)
 			}
 		case h.ts < t.last:
-			return Record{}, fmt.Errorf("trace: tail %s: record %d goes back in time (%v < %v)",
+			return fmt.Errorf("trace: tail %s: record %d goes back in time (%v < %v)",
 				t.path, t.n.Load(), time.Duration(h.ts), time.Duration(t.last))
 		default:
 			t.last = h.ts
 			t.off.Add(int64(h.size))
 			t.n.Add(1)
 			t.poll.Reset()
-			return t.c.lend(&h, t.w), nil
+			t.c.lend(&h, t.w, rec)
+			return nil
 		}
 	}
 }

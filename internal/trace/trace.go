@@ -9,8 +9,9 @@
 // on-disk field, and the table of input rules) and one byte window
 // (window.go) under three policies: strict and salvaging, which Open
 // puts under one tap (File), and the TailReader for growing files.
-// Every source lends its records (Source.Borrow); a record is copied
-// only by an owning read, through one slab.
+// Every source lends its records: Source.Borrow fills the caller's
+// Record in place, so a record is written once, by the codec, and
+// copied only by an owning read, through one slab.
 //
 // A trace is a time-ordered sequence of Records captured on a single
 // unidirectional link. Like the Sprint traces the paper analyses,
@@ -38,7 +39,7 @@ type Record struct {
 	WireLen int
 	// Data holds the captured snapshot (at most the trace's SnapLen
 	// bytes, never more than WireLen). Treat it as read-only; from a
-	// reader of this package cap == len. Borrow lends a view of the
+	// reader of this package cap == len. Borrow fills in a view of the
 	// source's buffer, valid only until the next read of the same
 	// source; ReadAll and the other owning reads hand out a copy that
 	// shares a backing array with neighbouring records and that nothing
@@ -61,14 +62,19 @@ type Meta struct {
 	SnapLen int
 }
 
-// Source yields trace records in capture order. Borrow returns io.EOF
-// after the last record. It lends: the record's Data is a view of the
-// source's buffer, valid until the next Borrow on the same source. A
-// consumer that keeps nothing of a record past its next read borrows;
-// one that keeps records reads through ReadAll, which copies them.
+// Source yields trace records in capture order. Borrow writes the next
+// record into *rec and returns io.EOF after the last one. It lends: the
+// record's Data is a view of the source's buffer, valid until the next
+// Borrow on the same source. On any error, io.EOF included, *rec is left
+// as it was. A consumer declares one Record outside its read loop and
+// keeps nothing of it past the next read; one that keeps records reads
+// through ReadAll, which copies them. Borrow fills the caller's record
+// rather than return one: a returned Record is copied again at every
+// frame between the codec and the consumer, and those copies cost more
+// than the framing.
 type Source interface {
 	Meta() Meta
-	Borrow() (Record, error)
+	Borrow(rec *Record) error
 }
 
 // Sink consumes trace records in capture order.
@@ -98,34 +104,35 @@ func (s *SliceSource) Meta() Meta { return s.meta }
 
 // Borrow implements Source. The records are the caller's already, so
 // lending one hands it out as it is.
-func (s *SliceSource) Borrow() (Record, error) {
+func (s *SliceSource) Borrow(rec *Record) error {
 	if s.pos >= len(s.recs) {
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	r := s.recs[s.pos]
+	*rec = s.recs[s.pos]
 	s.pos++
-	return r, nil
+	return nil
 }
 
 // Reset rewinds the source to the first record.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
 // ReadAll drains a Source into memory: the one owning read of a whole
-// trace. It borrows each record and copies its Data into slabs the
-// records share.
+// trace. It borrows each record into its slot of the result and copies
+// its Data into slabs the records share.
 func ReadAll(src Source) ([]Record, error) {
 	var recs []Record
 	var s slab
 	for {
-		r, err := src.Borrow()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
+		recs = append(recs, Record{})
+		r := &recs[len(recs)-1]
+		if err := src.Borrow(r); err != nil {
+			recs = recs[:len(recs)-1]
+			if err == io.EOF {
+				return recs, nil
+			}
 			return recs, err
 		}
 		r.Data = s.own(r.Data)
-		recs = append(recs, r)
 	}
 }
 

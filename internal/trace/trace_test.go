@@ -45,7 +45,7 @@ func TestNativeRoundTrip(t *testing.T) {
 		t.Errorf("meta mismatch: %+v", got)
 	}
 	for i, want := range recs {
-		got, err := r.Borrow()
+		got, err := borrow(r)
 		if err != nil {
 			t.Fatalf("Borrow %d: %v", i, err)
 		}
@@ -53,7 +53,7 @@ func TestNativeRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got, want)
 		}
 	}
-	if _, err := r.Borrow(); err != io.EOF {
+	if _, err := borrow(r); err != io.EOF {
 		t.Errorf("after last record err = %v, want EOF", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestPcapRoundTrip(t *testing.T) {
 		t.Errorf("snaplen = %d", r.Meta().SnapLen)
 	}
 	for i, want := range recs {
-		got, err := r.Borrow()
+		got, err := borrow(r)
 		if err != nil {
 			t.Fatalf("Borrow %d: %v", i, err)
 		}
@@ -114,7 +114,7 @@ func TestPcapRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Borrow(); err != io.EOF {
+	if _, err := borrow(r); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestPcapMicrosecondAndBigEndian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Borrow()
+	got, err := borrow(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +194,11 @@ func TestSliceSource(t *testing.T) {
 	if len(got) != len(recs) {
 		t.Fatalf("ReadAll returned %d records", len(got))
 	}
-	if _, err := s.Borrow(); err != io.EOF {
+	if _, err := borrow(s); err != io.EOF {
 		t.Errorf("exhausted source err = %v", err)
 	}
 	s.Reset()
-	if r, err := s.Borrow(); err != nil || r.Time != recs[0].Time {
+	if r, err := borrow(s); err != nil || r.Time != recs[0].Time {
 		t.Errorf("Reset did not rewind")
 	}
 }
@@ -209,7 +209,7 @@ func TestSliceSourceLends(t *testing.T) {
 	recs := sampleRecords()
 	s := NewSliceSource(Meta{}, recs)
 	for i := range recs {
-		r, err := s.Borrow()
+		r, err := borrow(s)
 		if err != nil || &r.Data[0] != &recs[i].Data[0] {
 			t.Fatalf("record %d: %v, or Data is a copy", i, err)
 		}
@@ -299,7 +299,7 @@ func TestERFRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range recs {
-		got, err := r.Borrow()
+		got, err := borrow(r)
 		if err != nil {
 			t.Fatalf("Borrow %d: %v", i, err)
 		}
@@ -313,7 +313,7 @@ func TestERFRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch: %+v vs %+v", i, got, want)
 		}
 	}
-	if _, err := r.Borrow(); err != io.EOF {
+	if _, err := borrow(r); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 	if !r.Meta().Start.Truncate(time.Microsecond).Equal(meta.Start.Add(recs[0].Time).Truncate(time.Microsecond)) {
@@ -332,7 +332,7 @@ func TestERFRejectsUnknownType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Borrow(); err == nil {
+	if _, err := borrow(r); err == nil {
 		t.Error("ethernet ERF record accepted")
 	}
 }
@@ -347,7 +347,7 @@ func TestERFRejectsShortRlen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Borrow(); err == nil {
+	if _, err := borrow(r); err == nil {
 		t.Error("bogus rlen accepted")
 	}
 }
