@@ -65,8 +65,11 @@ type Timeline struct {
 	dirty   []bool      // per atom: some router's decision moved this step
 	scratch []int32     // one router's freshly flattened column
 	ends    []uint64    // two tables' sorted endpoint sets, compared
+	from    []int32     // per atom, where its movers start in movers (see walk)
+	movers  []int32     // routers by the atoms their runs start on
 
 	rewalked  int // atoms walked, over the Timeline's life
+	visited   int // routers stepped on by walks, over the Timeline's life
 	collected int // boundary collections, over the Timeline's life
 }
 
@@ -204,17 +207,44 @@ func (t *Timeline) sameEnds(a, b *RouterFIB) bool {
 
 // walk extracts the cycles of every dirty atom's functional graph over
 // R routers, replacing what was known for the atom, and leaves no atom
-// dirty. Atoms are walked in ascending order, so each router's cursor
+// dirty. The graph of atom a differs from that of a−1 only at the
+// routers whose run starts at a, its movers (on atom 0, every router).
+// So a's cycles are a−1's that hold no mover, plus those closed by
+// walks from the movers; a walk stops at a router already settled on a,
+// kept cycles included, so every cycle it closes holds a mover. a−1's
+// cycles are current: atoms are walked in ascending order, and a clean
+// atom's cycles still hold. For the same reason each router's cursor
 // into its runs only moves forward.
 func (t *Timeline) walk(R int) {
 	atoms := len(t.dirty)
+	// Atom a's movers are t.movers[from[a]:from[a+1]], bucketed by the
+	// start of every run.
+	from := slices.Grow(t.from[:0], atoms+2)[:atoms+2]
+	clear(from)
+	for _, runs := range t.runs {
+		for _, rn := range runs {
+			from[rn.start+2]++
+		}
+	}
+	for a := 2; a < len(from); a++ {
+		from[a] += from[a-1]
+	}
+	t.movers = slices.Grow(t.movers[:0], int(from[atoms+1]))[:from[atoms+1]]
+	for r, runs := range t.runs {
+		for _, rn := range runs {
+			t.movers[from[rn.start+1]] = int32(r)
+			from[rn.start+1]++
+		}
+	}
+	t.from = from
+
 	seen := make([]int32, R)   // last atom that fully processed the router
+	moved := make([]int32, R)  // last atom the router moved on
 	onPath := make([]int32, R) // walk id currently holding the router
 	pathPos := make([]int32, R)
 	at := make([]int32, R) // per router, its run holding the current atom
 	for i := range seen {
-		seen[i] = -1
-		onPath[i] = -1
+		seen[i], moved[i], onPath[i] = -1, -1, -1
 	}
 	path := make([]int32, 0, R)
 	walkID := int32(-1)
@@ -224,14 +254,28 @@ func (t *Timeline) walk(R int) {
 		}
 		t.dirty[a] = false
 		t.rewalked++
+		movers := t.movers[from[a]:from[a+1]]
+		for _, r := range movers {
+			moved[r] = int32(a)
+		}
 		var found [][]int32
-		for start := 0; start < R; start++ {
+		if a > 0 {
+			for _, c := range t.cycles[a-1] {
+				if !slices.ContainsFunc(c, func(r int32) bool { return moved[r] == int32(a) }) {
+					found = append(found, c)
+					for _, r := range c {
+						seen[r] = int32(a)
+					}
+				}
+			}
+		}
+		for _, start := range movers {
 			if seen[start] == int32(a) {
 				continue
 			}
 			walkID++
 			path = path[:0]
-			cur := int32(start)
+			cur := start
 			for cur >= 0 && seen[cur] != int32(a) {
 				if onPath[cur] == walkID {
 					// Closed a cycle: the tail of path from cur's
@@ -248,6 +292,7 @@ func (t *Timeline) walk(R int) {
 				}
 				at[cur], cur = i, runs[i].nh
 			}
+			t.visited += len(path)
 			for _, r := range path {
 				seen[r] = int32(a)
 			}

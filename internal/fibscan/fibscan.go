@@ -19,19 +19,22 @@
 // The scan is a sweep: each router's table is flattened once into its
 // piecewise-constant forwarding function (routing.Table.RangeWalk, the
 // field-of-sets representation), the functions are aligned on the
-// global atom partition, and cycles are extracted per atom in O(R)
-// with epoch-stamped visitation, so the whole scan is
-// O(entries + atoms × routers) in time — topologies far larger than
-// packet-level simulation can drive. Each router's function is kept as
-// runs of atoms with one next hop, not one entry per atom, so memory
-// is O(routers + entries + atoms).
+// global atom partition, and each router's function is kept as runs of
+// atoms with one next hop, so memory is O(routers + entries + atoms).
+// Adjacent atoms' graphs differ only at the routers whose run starts
+// between them, so cycles are extracted by walking atom 0 from every
+// router and each later atom only from those routers, with
+// epoch-stamped visitation: the whole scan is O(entries + atoms +
+// routers + run starts × path length) in time, not atoms × routers —
+// topologies far larger than packet-level simulation can drive.
 //
 // A timeline is read and scanned one snapshot at a time, and a snapshot
 // costs what changed in it: the Reader does not decode again a router
 // whose bytes repeat (decode ∝ the changed routers' bytes, plus one
 // scanner pass over the rest); the Timeline re-flattens only routers
 // whose tables moved (∝ their entries) and re-walks only atoms where a
-// column moved (∝ dirty atoms × routers). What would make that unsound
+// column moved (∝ the run starts on them × path length, after one pass
+// over every run to bucket them by atom). What would make that unsound
 // falls back to the same code with every router changed and every atom
 // dirty (see Timeline). Equal bytes and equal tables license reuse; the
 // revision field is carried and never consulted. Held at any time: one

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -253,6 +254,9 @@ func TestTimelineMatchesFreshScan(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, after %q:\nstep  %+v\nfresh %+v", seed, what, got, want)
 			}
+			if len(s.Routers) > 0 {
+				checkSweep(t, &tl, fmt.Sprintf("seed %d, after %q", seed, what))
+			}
 			if walked := tl.rewalked - before; walked < got.Atoms {
 				partial++
 			} else {
@@ -405,6 +409,28 @@ func TestTimelineAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestFirstSweepVisitsRunStarts pins the walk's cost on the bench
+// timeline's first snapshot: each router once on atom 0, then a few
+// routers per run that starts on a later atom, not atoms × routers
+// (4.0 M visits when every atom was walked from every router).
+func TestFirstSweepVisitsRunStarts(t *testing.T) {
+	snap, _ := Synthetic(1000, 4000, 8)
+	var tl Timeline
+	rep := tl.Step(&snap)
+	starts := 0
+	for _, runs := range tl.runs {
+		starts += len(runs) - 1
+	}
+	if rep.Atoms != 4002 || starts+len(tl.runs) != 13009 {
+		t.Fatalf("%d atoms and %d runs; the budget was set on 4002 and 13009", rep.Atoms, starts+len(tl.runs))
+	}
+	budget := len(snap.Routers) + 4*starts
+	t.Logf("visited %d routers: %d routers, %d run starts after atom 0, budget %d", tl.visited, len(snap.Routers), starts, budget)
+	if tl.visited > budget {
+		t.Errorf("visited %d routers, budget %d (routers + 4 × run starts)", tl.visited, budget)
+	}
+}
+
 // liveHeap is the heap in use after a collection.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -416,8 +442,8 @@ func liveHeap() uint64 {
 // TestTimelineHeapAllocationBudget: what a Timeline keeps grows with
 // the tables, not with routers × atoms. Two hubs with full tables and
 // 1,998 spokes holding one default route each: 2,000 routers, 5,998
-// entries, 2,002 atoms. Measured after one Step: 65 B per entry, atom
-// and router (630 KiB) with one run-length column per router, against
+// entries, 2,002 atoms. Measured after one Step: 68 B per entry, atom
+// and router (662 KiB) with one run-length column per router, against
 // 1,656 B (15.8 MiB) with the router × atom matrix it replaced.
 func TestTimelineHeapAllocationBudget(t *testing.T) {
 	const budget = 128 // bytes per entry, atom and router
@@ -449,11 +475,74 @@ func TestTimelineHeapAllocationBudget(t *testing.T) {
 }
 
 // FuzzTimelineMatchesScan holds the incremental Step against a fresh
-// Scan on arbitrary small tables: a short run of snapshots of up to 6
-// routers over 8 overlapping prefixes (0.0.0.0/0 among them), with
+// Scan on arbitrary small tables (see fuzzTimeline).
+func FuzzTimelineMatchesScan(f *testing.F) {
+	fuzzTimeline(f, func(t *testing.T, step int64, tl *Timeline, s *Snapshot) {
+		if got, want := tl.Step(s), Scan(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d over %+v:\nstep  %+v\nfresh %+v", step, s.Routers, got, want)
+		}
+	})
+}
+
+// FuzzSweepMatchesFullWalk holds the walk, which derives each atom's
+// cycles from the atom before, against fullWalk on the same runs, on
+// the tables of FuzzTimelineMatchesScan. Step against Scan cannot do
+// that: both walk the same way.
+func FuzzSweepMatchesFullWalk(f *testing.F) {
+	fuzzTimeline(f, func(t *testing.T, step int64, tl *Timeline, s *Snapshot) {
+		tl.Step(s)
+		if len(s.Routers) > 0 {
+			checkSweep(t, tl, fmt.Sprintf("step %d over %+v", step, s.Routers))
+		}
+	})
+}
+
+// fullWalk is the reference for Timeline.walk: every atom's graph
+// walked from every router, decisions read off the runs. Each atom's
+// cycles come out canonical and sorted.
+func fullWalk(tl *Timeline) [][][]int32 {
+	out := make([][][]int32, len(tl.bounds)-1)
+	for a := range out {
+		seen := make([]bool, len(tl.runs))
+		for start := range tl.runs {
+			onPath := map[int32]int{}
+			var path []int32
+			for cur := int32(start); cur >= 0 && !seen[cur]; cur = decision(tl, int(cur), a) {
+				if i, ok := onPath[cur]; ok {
+					out[a] = append(out[a], canonical(path[i:]))
+					break
+				}
+				onPath[cur] = len(path)
+				path = append(path, cur)
+			}
+			for _, r := range path {
+				seen[r] = true
+			}
+		}
+		slices.SortFunc(out[a], slices.Compare)
+	}
+	return out
+}
+
+// checkSweep fails t unless every atom's cycles, as the last Step left
+// them, are fullWalk's.
+func checkSweep(t *testing.T, tl *Timeline, what string) {
+	t.Helper()
+	for a, want := range fullWalk(tl) {
+		got := slices.Clone(tl.cycles[a])
+		slices.SortFunc(got, slices.Compare)
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%s: atom %d [%#x, %#x) holds cycles %v, a full walk %v", what, a, tl.bounds[a], tl.bounds[a+1], got, want)
+		}
+	}
+}
+
+// fuzzTimeline runs check on each snapshot of a short run decoded from
+// the fuzz input, through one Timeline: arbitrary small tables of up to
+// 6 routers over 8 overlapping prefixes (0.0.0.0/0 among them), with
 // locals, next hops outside the snapshot, repeated names and empty
 // snapshots.
-func FuzzTimelineMatchesScan(f *testing.F) {
+func fuzzTimeline(f *testing.F, check func(t *testing.T, step int64, tl *Timeline, s *Snapshot)) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0x01, 1, 0, 0x01, 0, 0, 2, 0, 0x01, 1, 0, 0x00, 0x01})
 	f.Add([]byte{3, 0, 0x05, 1, 2, 0x10, 0, 0x06, 2, 0, 0x03, 0x00, 0x01, 0x80, 2, 0x81, 0x04,
@@ -502,9 +591,7 @@ func FuzzTimelineMatchesScan(f *testing.F) {
 				}
 				s.Routers = append(s.Routers, rf)
 			}
-			if got, want := tl.Step(&s), Scan(&s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d over %+v:\nstep  %+v\nfresh %+v", step, s.Routers, got, want)
-			}
+			check(t, step, &tl, &s)
 		}
 	})
 }

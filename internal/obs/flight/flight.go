@@ -255,8 +255,9 @@ func New(opts Options) *Recorder {
 
 // Shard returns the shard-local recording handle for shard i, creating
 // it on first use. Detector shards each hold their own handle so hot
-// paths never share a mutex; Seal scans all of them. Nil-safe: a nil
-// Recorder returns a nil (no-op) handle.
+// paths never share a mutex; Recorder.Seal scans all of them,
+// ShardRecorder.Seal its own. Nil-safe: a nil Recorder returns a nil
+// (no-op) handle.
 func (r *Recorder) Shard(i int) *ShardRecorder {
 	if r == nil || i < 0 {
 		return nil
@@ -354,11 +355,30 @@ type Trail struct {
 // resumed run re-seals replayed loops). margin widens the window
 // backwards from start so context (rejected candidates, prior closes)
 // is kept; callers pass MergeWindow plus a couple of replica gaps.
-// Nil-safe: a nil Recorder returns nil.
+// Seal scans every shard, for detectors whose shards split prefixes;
+// ShardRecorder.Seal scans one. Nil-safe: a nil Recorder returns nil.
 func (r *Recorder) Seal(id string, prefix routing.Prefix, start, end, margin time.Duration) *Trail {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	shards := r.shards
+	r.mu.Unlock()
+	return r.seal(shards, id, prefix, start, end, margin)
+}
+
+// Seal is Recorder.Seal over this shard's ring alone, for a shard that
+// holds one event source: a daemon source's trail must not take in
+// another source's events on the same prefix and times. Nil-safe.
+func (s *ShardRecorder) Seal(id string, prefix routing.Prefix, start, end, margin time.Duration) *Trail {
+	if s == nil {
+		return nil
+	}
+	return s.r.seal([]*ShardRecorder{s}, id, prefix, start, end, margin)
+}
+
+// seal collects the trail from shards and stores it.
+func (r *Recorder) seal(shards []*ShardRecorder, id string, prefix routing.Prefix, start, end, margin time.Duration) *Trail {
 	from := start - margin
 	if margin < 0 || from > start { // negative margin or underflow
 		from = start
@@ -369,9 +389,6 @@ func (r *Recorder) Seal(id string, prefix routing.Prefix, start, end, margin tim
 		StartNs: int64(start),
 		EndNs:   int64(end),
 	}
-	r.mu.Lock()
-	shards := r.shards
-	r.mu.Unlock()
 	for _, s := range shards {
 		var lossy bool
 		t.Events, lossy = s.collect(prefix, from, end, t.Events)

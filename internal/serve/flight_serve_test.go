@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,53 @@ func TestDaemonFlightTraceAndStatusz(t *testing.T) {
 	}
 	if cp := snap.Gauges[obs.MetricServeCheckpointUnixNs]; cp == 0 {
 		t.Error("checkpoint gauge never set")
+	}
+}
+
+// TestDaemonTrailsKeepToTheirSource: two tail sources with loops on
+// the same /24 at the same trace-clock times. Each source records into
+// a flight shard of its own, so a loop's trail holds its own source's
+// decisions: the same events beside the other source as alone.
+func TestDaemonTrailsKeepToTheirSource(t *testing.T) {
+	dir := t.TempDir()
+	loops := []scriptedLoop{{prefix: 0, start: 2 * time.Second}, {prefix: 0, start: 20 * time.Second}}
+	for name, seed := range map[string]uint64{"t1": 31, "t2": 77} {
+		writeTraceFile(t, filepath.Join(dir, name+".lspt"), testMeta(), serveScriptedTrace(t, seed, loops))
+	}
+	trails := func(sources ...string) map[string][]flight.Event {
+		fr := flight.New(flight.Options{})
+		d, err := New(Config{Detector: core.DefaultConfig(), ExitIdle: 250 * time.Millisecond, TailPoll: 2 * time.Millisecond, Flight: fr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range sources {
+			if err := d.AddTailSource(name, filepath.Join(dir, name+".lspt")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := d.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]flight.Event{}
+		for _, id := range fr.TrailIDs() {
+			evs := fr.Trail(id).Events
+			for i := range evs {
+				evs[i].Seq = 0 // one counter across shards: it differs between runs
+			}
+			out[id] = evs
+		}
+		return out
+	}
+	alone, both := trails("t1"), trails("t1", "t2")
+	if len(alone) == 0 || len(both) <= len(alone) {
+		t.Fatalf("%d trails from t1 alone, %d beside t2; want some from each source", len(alone), len(both))
+	}
+	for id, want := range alone {
+		if got := both[id]; !reflect.DeepEqual(got, want) {
+			t.Errorf("trail %s holds %d events beside t2, %d alone", id, len(got), len(want))
+		}
 	}
 }
 

@@ -941,8 +941,9 @@ func TestDaemonHTTPAPI(t *testing.T) {
 // TestDaemonSourceMetrics: take publishes a source's records counter
 // and lag gauge in batches, yet both read exact wherever the source
 // waits: once it has caught up with the file (a daemon without
-// ExitIdle, which never reports idle), and once it reports idle short
-// of a record cut off mid-header, where it never catches up. Exact
+// ExitIdle, which never reports idle), once it reports idle short of a
+// record cut off mid-header, where it never catches up, and within
+// feedPublish of a feed connection going quiet without closing. Exact
 // means every record taken, and the lag /api/v1/sources shows.
 func TestDaemonSourceMetrics(t *testing.T) {
 	recs := serveTestTrace(t, 3, 6)
@@ -953,23 +954,14 @@ func TestDaemonSourceMetrics(t *testing.T) {
 		name     string
 		partial  int           // bytes of a record header after the last record
 		exitIdle time.Duration // 0: run until the records are in, then stop
+		feed     bool          // a connection that stays open instead of a file
 	}{
-		{"caught-up", 0, 0},
-		{"idle-short-of-a-record", 5, 250 * time.Millisecond},
+		{"caught-up", 0, 0, false},
+		{"idle-short-of-a-record", 5, 250 * time.Millisecond, false},
+		{"quiet-feed", 0, 0, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			obs.VerifyNoLeaks(t)
-			tracePath := filepath.Join(t.TempDir(), "capture.lspt")
-			writeTraceFile(t, tracePath, testMeta(), recs)
-			f, err := os.OpenFile(tracePath, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(make([]byte, c.partial)); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
 			reg := obs.NewRegistry()
 			d, err := New(Config{
 				Detector:           core.DefaultConfig(),
@@ -981,7 +973,23 @@ func TestDaemonSourceMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddTailSource("m1", tracePath); err != nil {
+			var addr net.Addr
+			if c.feed {
+				addr, err = d.AddFeedSource("m1", "tcp", "127.0.0.1:0")
+			} else {
+				tracePath := filepath.Join(t.TempDir(), "capture.lspt")
+				writeTraceFile(t, tracePath, testMeta(), recs)
+				f, err := os.OpenFile(tracePath, os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(make([]byte, c.partial)); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				err = d.AddTailSource("m1", tracePath)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -990,6 +998,25 @@ func TestDaemonSourceMetrics(t *testing.T) {
 			go func() { done <- d.Run(ctx) }()
 			srv := httptest.NewServer(d.Handler())
 			defer srv.Close()
+			if c.feed {
+				conn, err := net.Dial(addr.Network(), addr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				w, err := trace.NewWriter(conn, testMeta())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if err := w.Write(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var sources struct {
 				Sources []loopscope.Source `json:"sources"`
 			}
@@ -998,11 +1025,13 @@ func TestDaemonSourceMetrics(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			counter := reg.Counter(obs.LabelMetric(obs.MetricServeSourceRecords, "source", "m1"))
 			waitFor(t, "every record taken", func() bool {
 				getV1(t, srv.URL+"/api/v1/sources", &sources)
-				return len(sources.Sources) == 1 && sources.Sources[0].Records == int64(len(recs))
+				return len(sources.Sources) == 1 && sources.Sources[0].Records == int64(len(recs)) &&
+					(!c.feed || counter.Value() == int64(len(recs)))
 			})
-			if got := reg.Counter(obs.LabelMetric(obs.MetricServeSourceRecords, "source", "m1")).Value(); got != int64(len(recs)) {
+			if got := counter.Value(); got != int64(len(recs)) {
 				t.Errorf("records counter = %d, want the %d records taken", got, len(recs))
 			}
 			if lag := sources.Sources[0].LagBytes; lag != int64(c.partial) {

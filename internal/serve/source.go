@@ -141,7 +141,9 @@ func (s *sourceState) emit(se core.SessionEvent) {
 	}
 	if fr := s.d.cfg.Flight; fr != nil {
 		margin := s.d.cfg.Detector.MergeWindow + 2*s.d.cfg.Detector.MaxReplicaGap
-		tr := fr.Seal(ev.ID, se.Loop.Prefix, se.Loop.Start, se.Loop.End, margin)
+		// From this source's shard only: the shards split sources, not
+		// prefixes, and another source's loop can share prefix and times.
+		tr := fr.Shard(s.flightShard).Seal(ev.ID, se.Loop.Prefix, se.Loop.Start, se.Loop.End, margin)
 		if !se.Truncated {
 			s.d.trailLog.Write(tr)
 		}
@@ -310,6 +312,9 @@ func (s *sourceState) read(ctx context.Context, u *unit) error {
 	s.start(u)
 	if err := s.resume(u); err != nil {
 		return err
+	}
+	if u.path == "" {
+		defer s.publishOnTimer()()
 	}
 	var idleSince time.Time
 	var rec trace.Record
@@ -485,9 +490,14 @@ func (s *sourceState) take(u *unit, rec trace.Record) error {
 // fewer than this many records while it delivers. take also publishes
 // when a file-backed unit has caught up, the one point read sees before
 // its reader waits, and read after every read error, so an idle or
-// stopped source reads exact. (What a failed take leaves unpublished
-// goes out with the next run's.)
-const publishEvery = 256
+// stopped source reads exact. A feed connection waits inside Borrow,
+// where read cannot see it, so a feed unit also publishes every
+// feedPublish while open. (What a failed take leaves unpublished goes
+// out with the next run's.)
+const (
+	publishEvery = 256
+	feedPublish  = time.Second
+)
 
 // publish sets the records counter and lag gauge from what take
 // counted. The caller holds s.mu.
@@ -495,6 +505,28 @@ func (s *sourceState) publish() {
 	s.recordsC.Add(s.unpublished)
 	s.unpublished = 0
 	s.lagG.Set(s.lagBytes)
+}
+
+// publishOnTimer publishes what take counted every feedPublish, until
+// the returned stop is called; stop returns once the timer's goroutine
+// has.
+func (s *sourceState) publishOnTimer() (stop func()) {
+	tick, quit, exited := time.NewTicker(feedPublish), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				s.mu.Lock()
+				s.publish()
+				s.mu.Unlock()
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
 }
 
 // openTail opens a file-backed reader under the daemon's poll policy.
