@@ -7,10 +7,10 @@ package trace
 const DefaultBatchSize = 256
 
 // Batcher adapts a Source to batched reads: Next returns up to size
-// owned records at a time instead of one. No tool reads through it
-// (core.Run borrows one record at a time). It is kept only because
-// the benchmark harness (bench/layers.go) compiles against it, and
-// goes when that harness moves to core.Run (ROADMAP items 1 and 8).
+// owned records at a time instead of one. ReadAll collects its
+// batches; no tool reads through it otherwise (core.Run borrows one
+// record at a time), and the benchmark harness (bench/layers.go)
+// compiles against it.
 type Batcher struct {
 	src  Source
 	size int

@@ -117,23 +117,26 @@ func (s *SliceSource) Borrow(rec *Record) error {
 func (s *SliceSource) Reset() { s.pos = 0 }
 
 // ReadAll drains a Source into memory: the one owning read of a whole
-// trace. It borrows each record into its slot of the result and copies
-// its Data into slabs the records share.
+// trace. It reads through a Batcher, whose fixed-size batches borrow
+// each record into its slot and copy its Data into slabs the records
+// share, and at the end copies the batches once into a result of exact
+// size, where a growing slice would copy every record again at each
+// doubling.
 func ReadAll(src Source) ([]Record, error) {
-	var recs []Record
-	var s slab
-	for {
-		recs = append(recs, Record{})
-		r := &recs[len(recs)-1]
-		if err := src.Borrow(r); err != nil {
-			recs = recs[:len(recs)-1]
-			if err == io.EOF {
-				return recs, nil
-			}
-			return recs, err
-		}
-		r.Data = s.own(r.Data)
+	b, n := NewBatcher(src, 0), 0
+	var batches [][]Record
+	for b.err == nil { // Next keeps the error that ended the source
+		recs, _ := b.Next()
+		batches, n = append(batches, recs), n+len(recs)
 	}
+	all := make([]Record, 0, n)
+	for _, recs := range batches {
+		all = append(all, recs...)
+	}
+	if b.err == io.EOF {
+		return all, nil
+	}
+	return all, b.err
 }
 
 // slabLen is how much a slab allocates at a time to cut captures from:

@@ -20,14 +20,15 @@ func (h *boxedHeap) Pop() any          { old := *h; n := len(old); r := old[n-1]
 
 // TestRecordHeapBreaksTiesLikeContainerHeap: under a random schedule of
 // pushes and pops over a handful of distinct timestamps — almost every
-// comparison a tie, which the golden traces never produce — the typed
-// heap pops the very records container/heap pops (WireLen tags them).
+// comparison a tie, which the golden traces never produce — the key
+// heap pops the very records container/heap pops (WireLen tags them),
+// through arena slots that are freed and reused all along.
 func TestRecordHeapBreaksTiesLikeContainerHeap(t *testing.T) {
 	rng := stats.NewRNG(3)
 	var typed recordHeap
 	var boxed boxedHeap
 	for i := 0; i < 20000; i++ {
-		if len(typed) > 0 && rng.Intn(5) < 2 {
+		if len(typed.keys) > 0 && rng.Intn(5) < 2 {
 			got, want := typed.pop(), heap.Pop(&boxed).(trace.Record)
 			if got.Time != want.Time || got.WireLen != want.WireLen {
 				t.Fatalf("step %d: popped (%v, #%d), container/heap pops (%v, #%d)",

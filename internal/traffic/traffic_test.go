@@ -259,10 +259,11 @@ func TestSynthesizeDeterminism(t *testing.T) {
 }
 
 // TestSynthesizeGolden pins the synthesizer's output byte for byte:
-// the SHA-256 of the native-format encoding of three small seeded
-// traces. The constants were taken before the replica heap was
-// rewritten without container/heap, so they hold the rewrite to the
-// same pops in the same order, ties included.
+// the SHA-256 of the native-format encoding of four small seeded
+// traces. The first three constants were taken before the replica heap
+// was rewritten without container/heap, and the storm's before the
+// heap came to order keys over a record arena, so they hold each
+// rewrite to the same pops in the same order, ties included.
 func TestSynthesizeGolden(t *testing.T) {
 	dests := []routing.Prefix{
 		routing.MustParsePrefix("198.51.100.0/24"),
@@ -293,6 +294,25 @@ func TestSynthesizeGolden(t *testing.T) {
 		loop(dests[1], 5*time.Second, 2*time.Second, 4, 1*time.Millisecond),
 		loop(dests[0], 500*time.Millisecond, 7*time.Second, 2, 5*time.Millisecond),
 	}
+	// Shaped like the bench's loop storm (bench/workloads.go): hundreds
+	// of loops reusing the popular prefixes in disjoint slots with a gap
+	// between them, deltas 2–6 and 40-byte snaps, so that the heap holds
+	// the replica streams of many loops at once.
+	storm := base
+	storm.Duration, storm.PacketsPerSecond, storm.SnapLen = 12*time.Second, 2000, trace.DefaultSnapLen
+	storm.DestPrefixes = make([]routing.Prefix, 64)
+	for i := range storm.DestPrefixes {
+		storm.DestPrefixes[i] = routing.NewPrefix(packet.AddrFromUint32(0xC0000000|uint32(i)<<8), 24)
+	}
+	pick := stats.NewRNG(14)
+	deltas := []int{2, 2, 2, 3, 3, 4, 6}
+	for r := 0; r < 8; r++ {
+		for i := 0; i < 30; i++ {
+			start := time.Duration(i)*400*time.Millisecond + time.Duration(pick.Intn(150))*time.Millisecond
+			rev := time.Duration(300+pick.Intn(501)) * time.Microsecond
+			storm.Loops = append(storm.Loops, loop(storm.DestPrefixes[r], start, 100*time.Millisecond, deltas[pick.Intn(len(deltas))], rev))
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  traffic.SynthConfig
@@ -302,6 +322,7 @@ func TestSynthesizeGolden(t *testing.T) {
 		{"background", base, 11, "b5dbbb4e292642e68b230c6e7dd1e06d5fd1b0c99525c93867e1c896c3f78ce8"},
 		{"loops", loops, 12, "ad99b0f394bee3adc57dae48d3766e09a0324c178f0524d96c59c1b5d1558d05"},
 		{"reused prefixes", reused, 13, "a646fe1c34169808fcf57520e7949d9ef0c13db5adc45397c82ba803098be046"},
+		{"storm", storm, 15, "4d8ae4ee97819f300b2ba67cc79256d4af058f2b0e4ae76efb1763053d352d98"},
 	} {
 		sum := sha256.New()
 		w, err := trace.NewWriter(sum, trace.Meta{Link: tc.cfg.Link, SnapLen: tc.cfg.SnapLen})
