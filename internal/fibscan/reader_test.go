@@ -32,17 +32,7 @@ func decodeWhole(r io.Reader) (*SnapshotFile, error) {
 // prefixes, k) per given loop count k, a second apart.
 func encodedTimeline(t testing.TB, routers, prefixes int, loops ...int) []byte {
 	t.Helper()
-	f := &SnapshotFile{Network: "synthetic"}
-	for i, k := range loops {
-		snap, _ := Synthetic(routers, prefixes, k)
-		snap.TakenNs = int64(i) * 1e9
-		f.Snapshots = append(f.Snapshots, snap)
-	}
-	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encode(t, syntheticFile(routers, prefixes, loops...))
 }
 
 // The Reader decodes a router once for as long as its bytes repeat, and

@@ -40,7 +40,7 @@ func Synthetic(routers, prefixes, loops int) (Snapshot, []routing.Prefix) {
 		return routing.NewPrefix(packet.AddrFromUint32(0x10000000|uint32(i)<<8), 24)
 	}
 	// Looped prefixes, spread evenly.
-	looped := make(map[int]bool, loops)
+	looped := make([]bool, prefixes)
 	var loopedPrefixes []routing.Prefix
 	for j := 0; j < loops; j++ {
 		i := j * prefixes / loops
@@ -48,7 +48,10 @@ func Synthetic(routers, prefixes, loops int) (Snapshot, []routing.Prefix) {
 		loopedPrefixes = append(loopedPrefixes, prefixAt(i))
 	}
 
-	hubName := func(h int) string { return fmt.Sprintf("hub%d", h) }
+	hubNames := make([]string, hubs)
+	for h := range hubNames {
+		hubNames[h] = fmt.Sprintf("hub%d", h)
+	}
 	// Shorter ring direction from hub h towards hub o.
 	ringNext := func(h, o int) int {
 		fwd := (o - h + hubs) % hubs
@@ -60,7 +63,7 @@ func Synthetic(routers, prefixes, loops int) (Snapshot, []routing.Prefix) {
 
 	s := Snapshot{Routers: make([]RouterFIB, 0, routers)}
 	for h := 0; h < hubs; h++ {
-		rf := RouterFIB{Name: hubName(h), Revision: 1, Routes: make([]Route, 0, prefixes)}
+		rf := RouterFIB{Name: hubNames[h], Revision: 1, Routes: make([]Route, 0, prefixes)}
 		for i := 0; i < prefixes; i++ {
 			p := prefixAt(i)
 			owner := i % hubs
@@ -71,16 +74,16 @@ func Synthetic(routers, prefixes, loops int) (Snapshot, []routing.Prefix) {
 				succ := (owner + 1) % hubs
 				switch h {
 				case owner:
-					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubName(succ)})
+					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubNames[succ]})
 				case succ:
-					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubName(owner)})
+					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubNames[owner]})
 				default:
-					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubName(ringNext(h, owner))})
+					rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubNames[ringNext(h, owner)]})
 				}
 			case h == owner:
 				rf.Locals = append(rf.Locals, p)
 			default:
-				rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubName(ringNext(h, owner))})
+				rf.Routes = append(rf.Routes, Route{Prefix: p, NextHop: hubNames[ringNext(h, owner)]})
 			}
 		}
 		s.Routers = append(s.Routers, rf)
@@ -91,7 +94,7 @@ func Synthetic(routers, prefixes, loops int) (Snapshot, []routing.Prefix) {
 			Revision: 1,
 			Routes: []Route{{
 				Prefix:  routing.MustParsePrefix("0.0.0.0/0"),
-				NextHop: hubName((sp - hubs) % hubs),
+				NextHop: hubNames[(sp-hubs)%hubs],
 			}},
 		})
 	}

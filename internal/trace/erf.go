@@ -66,15 +66,10 @@ func (w *ERFWriter) Write(r Record) error {
 		return fmt.Errorf("trace: ERF record too long: %d", rlen)
 	}
 	abs := w.meta.Start.Add(r.Time)
-	var hdr [erfHeaderLen]byte
 	// ERF timestamp: little-endian u64, seconds in the high word,
 	// 2^-32 fractional seconds in the low word.
 	frac := uint64(abs.Nanosecond()) << 32 / 1_000_000_000
 	ts := uint64(abs.Unix())<<32 | frac
-	binary.LittleEndian.PutUint64(hdr[0:8], ts)
-	hdr[8] = erfTypeHDLCPOS
-	hdr[9] = 0 // flags: varying-length records, interface 0
-	binary.BigEndian.PutUint16(hdr[10:12], uint16(rlen))
 	lctr := r.Lost
 	if lctr < 0 {
 		lctr = 0
@@ -82,12 +77,14 @@ func (w *ERFWriter) Write(r Record) error {
 	if lctr > math.MaxUint16 {
 		lctr = math.MaxUint16
 	}
-	binary.BigEndian.PutUint16(hdr[12:14], uint16(lctr))
-	binary.BigEndian.PutUint16(hdr[14:16], uint16(r.WireLen+hdlcHeaderLen))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(hdlcIPv4[:]); err != nil {
+	// The ERF header and the HDLC header after it are built in the
+	// buffer's free space, as Writer.Write does.
+	hdr := binary.LittleEndian.AppendUint64(w.w.AvailableBuffer(), ts)
+	hdr = append(hdr, erfTypeHDLCPOS, 0) // flags: varying-length records, interface 0
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(rlen))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(lctr))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(r.WireLen+hdlcHeaderLen))
+	if _, err := w.w.Write(append(hdr, hdlcIPv4[:]...)); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(r.Data); err != nil {

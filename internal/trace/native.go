@@ -68,11 +68,12 @@ func (w *Writer) Write(r Record) error {
 	if r.WireLen > 0xffff || r.WireLen < len(r.Data) {
 		return fmt.Errorf("trace: bad wirelen %d for caplen %d", r.WireLen, len(r.Data))
 	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(r.Time))
-	binary.BigEndian.PutUint16(hdr[8:10], uint16(r.WireLen))
-	binary.BigEndian.PutUint16(hdr[10:12], uint16(len(r.Data)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	// The header is built in the buffer's free space: a local array
+	// would escape through Write, an allocation per record.
+	hdr := binary.BigEndian.AppendUint64(w.w.AvailableBuffer(), uint64(r.Time))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(r.WireLen))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(r.Data)))
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(r.Data); err != nil {

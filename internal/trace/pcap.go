@@ -52,12 +52,12 @@ func (w *PcapWriter) Write(r Record) error {
 		return fmt.Errorf("trace: record caplen %d exceeds snaplen %d", len(r.Data), w.meta.SnapLen)
 	}
 	abs := w.meta.Start.Add(r.Time)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(abs.Unix()))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(abs.Nanosecond()))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(r.Data)))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(r.WireLen))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	// Built in the buffer's free space, as Writer.Write does.
+	hdr := binary.LittleEndian.AppendUint32(w.w.AvailableBuffer(), uint32(abs.Unix()))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(abs.Nanosecond()))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(r.Data)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(r.WireLen))
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(r.Data); err != nil {

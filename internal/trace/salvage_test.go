@@ -34,25 +34,7 @@ func testRecords(n int) []Record {
 func encodeTrace(t testing.TB, format Format, recs []Record) (data []byte, offs []int64) {
 	t.Helper()
 	var buf bytes.Buffer
-	meta := Meta{Link: "salvage-test", SnapLen: 48, Start: time.Unix(1_000_000, 0)}
-	var w interface {
-		Write(Record) error
-		Flush() error
-	}
-	var err error
-	switch format {
-	case FormatNative:
-		w, err = NewWriter(&buf, meta)
-	case FormatPcap:
-		w, err = NewPcapWriter(&buf, meta)
-	case FormatERF:
-		w, err = NewERFWriter(&buf, meta)
-	default:
-		t.Fatalf("bad format %v", format)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newFormatWriter(t, format, &buf, Meta{Link: "salvage-test", SnapLen: 48, Start: time.Unix(1_000_000, 0)})
 	for _, r := range recs {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
@@ -66,6 +48,33 @@ func encodeTrace(t testing.TB, format Format, recs []Record) (data []byte, offs 
 		t.Fatal(err)
 	}
 	return buf.Bytes(), offs
+}
+
+// formatWriter is what the three formats' writers share.
+type formatWriter interface {
+	Write(Record) error
+	Flush() error
+}
+
+// newFormatWriter returns the writer of format over out.
+func newFormatWriter(t testing.TB, format Format, out io.Writer, meta Meta) formatWriter {
+	t.Helper()
+	var w formatWriter
+	var err error
+	switch format {
+	case FormatNative:
+		w, err = NewWriter(out, meta)
+	case FormatPcap:
+		w, err = NewPcapWriter(out, meta)
+	case FormatERF:
+		w, err = NewERFWriter(out, meta)
+	default:
+		t.Fatalf("bad format %v", format)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func salvageAll(t *testing.T, data []byte, opts salvageOptions) ([]Record, DecodeStats, error) {

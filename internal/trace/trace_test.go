@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -349,5 +351,31 @@ func TestERFRejectsShortRlen(t *testing.T) {
 	}
 	if _, err := borrow(r); err == nil {
 		t.Error("bogus rlen accepted")
+	}
+}
+
+// TestWriteAllocationBudget: a written record costs its bytes in the
+// writer's buffer and no allocation of its own, in every format.
+func TestWriteAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 50_000
+	for _, f := range []Format{FormatNative, FormatPcap, FormatERF} {
+		recs := randomRecords(rand.New(rand.NewSource(5)), f, n)
+		w := newFormatWriter(t, f, io.Discard, Meta{Link: "budget", SnapLen: 48, Start: time.Unix(1_000_000, 0)})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("%v: %.4f allocs per record", f, allocs)
+		if allocs > 0.01 {
+			t.Errorf("%v: writing costs %.4f allocs per record, budget 0.01", f, allocs)
+		}
 	}
 }
