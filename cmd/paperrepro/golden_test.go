@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,6 +18,11 @@ var update = flag.Bool("update", false, "rewrite testdata/all.golden from the cu
 
 var golden = filepath.Join("testdata", "all.golden")
 
+// paperSession is the scale-1 session `paperrepro -exp all` renders,
+// simulated once per test binary: TestGoldenAll renders it and
+// TestPaperShapes checks the paper's claims over it.
+var paperSession = sync.OnceValue(func() *session { return simulate(1) })
+
 // TestGoldenAll compares `paperrepro -exp all` at scale 1 with
 // testdata/all.golden, the output EXPERIMENTS.md quotes.
 func TestGoldenAll(t *testing.T) {
@@ -24,7 +30,7 @@ func TestGoldenAll(t *testing.T) {
 		t.Skip("simulates every experiment at full scale")
 	}
 	var got bytes.Buffer
-	if err := run("all", 1, "", &got); err != nil {
+	if err := render(&got, paperSession(), "all", ""); err != nil {
 		t.Fatal(err)
 	}
 	if *update {

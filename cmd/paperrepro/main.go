@@ -174,8 +174,8 @@ func simulate(scale float64) *session {
 	return s
 }
 
-// run prints experiment exp ("all" for every one) at the given scale to
-// w, and writes the figure CSVs into csvDir unless it is empty.
+// run checks exp and scale, then simulates the session at that scale
+// and renders it.
 func run(exp string, scale float64, csvDir string, w io.Writer) error {
 	exp = strings.ToLower(exp)
 	known := exp == "all"
@@ -188,8 +188,12 @@ func run(exp string, scale float64, csvDir string, w io.Writer) error {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("scale %v: want a finite number above 0", scale)
 	}
+	return render(w, simulate(scale), exp, csvDir)
+}
 
-	s := simulate(scale)
+// render prints experiment exp ("all" for every one) of session s to w,
+// and writes the figure CSVs into csvDir unless it is empty.
+func render(w io.Writer, s *session, exp, csvDir string) error {
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return err

@@ -1,37 +1,24 @@
-package scenario
+package main
 
 import (
 	"testing"
 	"time"
 
 	"loopscope/internal/analysis"
-	"loopscope/internal/core"
 	"loopscope/internal/packet"
+	"loopscope/internal/scenario"
 )
 
-// TestPaperShapes runs the full four-backbone reproduction and asserts
-// the qualitative claims of every table and figure. It is the
-// regression test for EXPERIMENTS.md; run with -short to skip the
-// ~1 minute of simulation.
+// TestPaperShapes asserts the qualitative claims of every table and
+// figure over the four-backbone session TestGoldenAll renders. It is the
+// regression test for EXPERIMENTS.md; -short and the race detector skip
+// it with the simulation.
 func TestPaperShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full four-backbone simulation")
+	if testing.Short() || raceEnabled {
+		t.Skip("checks the full four-backbone simulation")
 	}
-	var (
-		reps []*analysis.Report
-		ress []*core.Result
-		nets []*Backbone
-	)
-	for _, spec := range PaperBackbones() {
-		bb := Build(spec)
-		bb.Run()
-		recs := bb.Records()
-		res := core.DetectRecords(recs, core.DefaultConfig())
-		rep := analysis.Analyze(bb.Meta(), recs, res)
-		reps = append(reps, rep)
-		ress = append(ress, res)
-		nets = append(nets, bb)
-	}
+	s := paperSession()
+	reps := s.reps
 	bb1, bb2, bb3, bb4 := reps[0], reps[1], reps[2], reps[3]
 
 	// --- Table I ---------------------------------------------------
@@ -181,7 +168,7 @@ func TestPaperShapes(t *testing.T) {
 		if r.RoutingLoops > r.ReplicaStreams {
 			t.Errorf("Table II: %s loops %d > streams %d", r.Link, r.RoutingLoops, r.ReplicaStreams)
 		}
-		if ress[i].PairsDiscarded < 0 {
+		if s.runs[i].res.PairsDiscarded < 0 {
 			t.Errorf("Table II: negative pair count")
 		}
 	}
@@ -206,8 +193,8 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// --- §VI loss and delay -----------------------------------------
-	for i, bb := range nets {
-		lr := AnalyzeLoss(bb.Net)
+	for i, r := range s.runs {
+		lr := scenario.AnalyzeLoss(r.bb.Net)
 		if lr.OverallLoopLossRate <= 0 {
 			t.Errorf("loss: %s no loop loss", reps[i].Link)
 		}
@@ -217,7 +204,7 @@ func TestPaperShapes(t *testing.T) {
 		if lr.MaxLoopShare <= lr.OverallLoopLossRate {
 			t.Errorf("loss: %s no per-minute spike", reps[i].Link)
 		}
-		dr := AnalyzeDelay(bb.Net)
+		dr := scenario.AnalyzeDelay(r.bb.Net)
 		if dr.EscapedCount > 0 {
 			// The paper reports 1-10%. At reduced scale the TTL-32
 			// population on backbone4 lives only ~100 ms in a loop,
@@ -233,12 +220,12 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// Detector-vs-ground-truth sanity across all four.
-	for i, bb := range nets {
-		gt := bb.Net.GroundTruthWindows(time.Minute)
+	for i, r := range s.runs {
+		gt := r.bb.Net.GroundTruthWindows(time.Minute)
 		if len(gt) == 0 {
 			t.Fatalf("%s: no ground truth", reps[i].Link)
 		}
-		if len(ress[i].Loops) == 0 {
+		if len(r.res.Loops) == 0 {
 			t.Fatalf("%s: no detected loops", reps[i].Link)
 		}
 	}

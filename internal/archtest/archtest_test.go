@@ -9,6 +9,10 @@
 // Rules match identifiers, not text. A selector matches when its left
 // side is the name the file's import list binds to the banned import
 // path, whatever that name is, in a call or as a method value.
+//
+// TestDocNamesResolve holds the documents to the code the same way: the
+// Go names README.md, DESIGN.md and EXPERIMENTS.md quote must be
+// declared, and testdata/docnames is the document where it must fire.
 package archtest
 
 import (
