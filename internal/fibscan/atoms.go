@@ -1,6 +1,7 @@
 package fibscan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -64,6 +65,7 @@ type Timeline struct {
 	cycles  [][][]int32 // per atom, the canonical cycles found on it
 	dirty   []bool      // per atom: some router's decision moved this step
 	scratch []int32     // one router's freshly flattened column
+	order   []int32     // one router's routes, shortest prefix first
 	ends    []uint64    // two tables' sorted endpoint sets, compared
 	from    []int32     // per atom, where its movers start in movers (see walk)
 	movers  []int32     // routers by the atoms their runs start on
@@ -71,6 +73,7 @@ type Timeline struct {
 	rewalked  int // atoms walked, over the Timeline's life
 	visited   int // routers stepped on by walks, over the Timeline's life
 	collected int // boundary collections, over the Timeline's life
+	painted   int // atoms painted by fillRouter, over the Timeline's life
 }
 
 // run says that a router decides nh from atom start up to the start of
@@ -154,7 +157,7 @@ func (t *Timeline) Step(s *Snapshot) *Report {
 		for a := range col {
 			col[a] = nhDrop
 		}
-		fillRouter(&t.routers[r], t.idx, t.bounds, col, &missing)
+		t.fillRouter(&t.routers[r], col, &missing)
 		old := t.runs[r]
 		for i, rn := range old {
 			end := int32(atoms)
@@ -198,11 +201,48 @@ func sameTable(a, b *RouterFIB) bool {
 }
 
 // sameEnds reports whether two tables hold the same set of prefix
-// endpoints, sorting both in one reused buffer.
+// endpoints. Equal merges of routes and locals hold equal prefixes, so
+// they prove it without sorting: a table written in ascending order
+// whose next hops changed, or whose prefixes moved between routes and
+// locals, merges as before. Otherwise both endpoint sets are sorted in
+// one reused buffer.
 func (t *Timeline) sameEnds(a, b *RouterFIB) bool {
+	if n := len(a.Routes) + len(a.Locals); n == len(b.Routes)+len(b.Locals) {
+		ma, mb := merger{a.Routes, a.Locals}, merger{b.Routes, b.Locals}
+		for n > 0 && ma.next() == mb.next() {
+			n--
+		}
+		if n == 0 {
+			return true
+		}
+	}
 	ea := sortedSet(appendEnds(t.ends[:0], a))
 	t.ends = appendEnds(ea, b)
 	return slices.Equal(ea, sortedSet(t.ends[len(ea):]))
+}
+
+// merger yields a table's route and local prefixes as one sequence,
+// in comparePrefix order when both lists are in it.
+type merger struct {
+	routes []Route
+	locals []routing.Prefix
+}
+
+// next pops the smaller head; it must not be called on an empty merger.
+func (m *merger) next() routing.Prefix {
+	if len(m.locals) == 0 || len(m.routes) > 0 && comparePrefix(m.routes[0].Prefix, m.locals[0]) <= 0 {
+		p := m.routes[0].Prefix
+		m.routes = m.routes[1:]
+		return p
+	}
+	p := m.locals[0]
+	m.locals = m.locals[1:]
+	return p
+}
+
+// comparePrefix orders prefixes by first address, then by length.
+func comparePrefix(a, b routing.Prefix) int {
+	return cmp.Or(cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()), cmp.Compare(a.Bits, b.Bits))
 }
 
 // walk extracts the cycles of every dirty atom's functional graph over
@@ -338,50 +378,65 @@ func sortedSet(s []uint64) []uint64 {
 }
 
 // fillRouter computes one router's forwarding decision per atom into
-// col (length = number of atoms). The FIB is flattened once through
-// RangeWalk; locals are painted last because local delivery wins over
-// any FIB match.
-func fillRouter(rf *RouterFIB, idx map[string]int32, bounds []uint64, col []int32, missing *[]string) {
-	tab := routing.NewTable[int32]()
+// col (length = number of atoms, every entry nhDrop). Routes are painted
+// shortest prefix first, each over its own atoms, so a longer prefix
+// overwrites those it nests in: longest-prefix match. Each length's
+// routes are put in address order by stable sorts (a counting sort on
+// the length, then, unless they are in order already, by address), so
+// a repeated prefix's entries are adjacent in input order: only the
+// last is painted, as routing.Table.Insert keeps the last, and no atom
+// is painted more than once per length. Locals are painted last
+// because local delivery wins over any FIB match.
+func (t *Timeline) fillRouter(rf *RouterFIB, col []int32, missing *[]string) {
+	var from [34]int32 // from[b]: the next slot in order of a /b route
 	for _, rt := range rf.Routes {
-		nh, ok := idx[rt.NextHop]
+		from[rt.Prefix.Bits+1]++
+	}
+	for b := 1; b < len(from); b++ {
+		from[b] += from[b-1]
+	}
+	order := slices.Grow(t.order[:0], len(rf.Routes))[:len(rf.Routes)]
+	for i, rt := range rf.Routes {
+		order[from[rt.Prefix.Bits]] = int32(i)
+		from[rt.Prefix.Bits]++
+	}
+	byAddr := func(i, j int32) int {
+		return cmp.Compare(rf.Routes[i].Prefix.Addr.Uint32(), rf.Routes[j].Prefix.Addr.Uint32())
+	}
+	lo := int32(0)
+	for _, hi := range from[:33] { // from[b] now ends the /b routes
+		if !slices.IsSortedFunc(order[lo:hi], byAddr) {
+			slices.SortStableFunc(order[lo:hi], byAddr)
+		}
+		lo = hi
+	}
+	t.order = order
+	for j, i := range order {
+		rt := &rf.Routes[i]
+		nh, ok := t.idx[rt.NextHop]
 		if !ok {
 			*missing = append(*missing, rt.NextHop)
 			nh = nhDrop
 		}
-		tab.Insert(rt.Prefix, nh)
+		if j+1 == len(order) || rf.Routes[order[j+1]].Prefix != rt.Prefix {
+			t.paint(col, rt.Prefix, nh)
+		}
 	}
-	// Align the flattened function on the atom partition. A RangeWalk
-	// segment can span several atoms (all with its value, since value
-	// changes only occur on this router's own prefix boundaries, all
-	// of which are atom boundaries) and an atom can span several
-	// segments (all with equal values, for the same reason), so a
-	// two-pointer merge suffices.
-	ai := 0
-	tab.RangeWalk(func(lo, hi uint64, v int32, ok bool) bool {
-		if !ok {
-			// Uncovered space stays nhDrop; advance past it.
-			for ai < len(col) && bounds[ai+1] <= hi {
-				ai++
-			}
-			return true
-		}
-		for ai < len(col) && bounds[ai] < hi {
-			col[ai] = v
-			if bounds[ai+1] > hi {
-				break // atom continues into the next segment
-			}
-			ai++
-		}
-		return true
-	})
 	for _, p := range rf.Locals {
-		lo, hi := p.Range()
-		a := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= lo })
-		for ; a < len(col) && bounds[a] < hi; a++ {
-			col[a] = nhLocal
-		}
+		t.paint(col, p, nhLocal)
 	}
+}
+
+// paint sets col to nh on every atom of p, whose endpoints are
+// boundaries.
+func (t *Timeline) paint(col []int32, p routing.Prefix, nh int32) {
+	lo, hi := p.Range()
+	first, _ := slices.BinarySearch(t.bounds, lo)
+	a := first
+	for ; a < len(col) && t.bounds[a] < hi; a++ {
+		col[a] = nh
+	}
+	t.painted += a - first
 }
 
 // cycleAccumulator merges per-atom cycle sightings into Cycle values:
@@ -459,15 +514,7 @@ func (ca *cycleAccumulator) finish(routers []RouterFIB) []Cycle {
 		// the routes steering traffic around the loop — whose range
 		// intersects the looping space. An ingress default route
 		// elsewhere also reaches the loop, but it does not define it.
-		for _, p := range memberPrefixes(routers, acc.routers) {
-			plo, phi := p.Range()
-			for _, rg := range c.Ranges {
-				if plo < rg.hi && rg.lo < phi {
-					c.Prefixes = append(c.Prefixes, p)
-					break
-				}
-			}
-		}
+		c.Prefixes = memberPrefixes(routers, acc.routers, c.Ranges)
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -481,25 +528,20 @@ func (ca *cycleAccumulator) finish(routers []RouterFIB) []Cycle {
 }
 
 // memberPrefixes returns every distinct FIB prefix across the given
-// members of routers, sorted by range start then by length.
-func memberPrefixes(routers []RouterFIB, members []int32) []routing.Prefix {
-	set := make(map[routing.Prefix]struct{})
+// members of routers that overlaps ranges (ascending and disjoint),
+// sorted by first address then by length.
+func memberPrefixes(routers []RouterFIB, members []int32, ranges []AddrRange) []routing.Prefix {
+	var out []routing.Prefix
 	for _, r := range members {
 		for _, rt := range routers[r].Routes {
-			set[rt.Prefix] = struct{}{}
+			// Only the first range that ends past lo can overlap.
+			lo, hi := rt.Prefix.Range()
+			i := sort.Search(len(ranges), func(i int) bool { return ranges[i].hi > lo })
+			if i < len(ranges) && ranges[i].lo < hi {
+				out = append(out, rt.Prefix)
+			}
 		}
 	}
-	out := make([]routing.Prefix, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, _ := out[i].Range()
-		aj, _ := out[j].Range()
-		if ai != aj {
-			return ai < aj
-		}
-		return out[i].Bits < out[j].Bits
-	})
-	return out
+	slices.SortFunc(out, comparePrefix)
+	return slices.Compact(out)
 }

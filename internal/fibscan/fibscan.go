@@ -16,17 +16,19 @@
 // precisely the forwarding loops any packet addressed into the atom
 // would experience if it reached a cycle member. No packets needed.
 //
-// The scan is a sweep: each router's table is flattened once into its
-// piecewise-constant forwarding function (routing.Table.RangeWalk, the
-// field-of-sets representation), the functions are aligned on the
-// global atom partition, and each router's function is kept as runs of
-// atoms with one next hop, so memory is O(routers + entries + atoms).
-// Adjacent atoms' graphs differ only at the routers whose run starts
-// between them, so cycles are extracted by walking atom 0 from every
-// router and each later atom only from those routers, with
-// epoch-stamped visitation: the whole scan is O(entries + atoms +
-// routers + run starts × path length) in time, not atoms × routers —
-// topologies far larger than packet-level simulation can drive.
+// The scan is a sweep: each router's table is flattened once onto the
+// global atom partition into its piecewise-constant forwarding function
+// (the field-of-sets representation) by painting its routes shortest
+// prefix first, so that a longer prefix overwrites those it nests in,
+// which is longest-prefix match. Each router's
+// function is kept as runs of atoms with one next hop, so memory is
+// O(routers + entries + atoms). Adjacent atoms' graphs differ only at
+// the routers whose run starts between them, so cycles are extracted by
+// walking atom 0 from every router and each later atom only from those
+// routers, with epoch-stamped visitation: the whole scan is O(entries +
+// atoms + routers + run starts × path length) in time, not atoms ×
+// routers — topologies far larger than packet-level simulation can
+// drive.
 //
 // A timeline is read and scanned one snapshot at a time, and a snapshot
 // costs what changed in it: the Reader does not decode again a router

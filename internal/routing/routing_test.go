@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,57 @@ func TestPrefixEquality(t *testing.T) {
 	// Masked construction makes equal networks comparable.
 	if NewPrefix(packet.MustParseAddr("10.1.2.3"), 24) != NewPrefix(packet.MustParseAddr("10.1.2.200"), 24) {
 		t.Error("same /24 from different hosts not equal")
+	}
+}
+
+func TestPrefixRange(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		lo, hi uint64
+	}{
+		{"0.0.0.0/0", 0, 1 << 32},
+		{"128.0.0.0/1", 1 << 31, 1 << 32},
+		{"10.0.0.0/8", 0x0A000000, 0x0B000000},
+		{"255.255.255.255/32", 0xFFFFFFFF, 1 << 32},
+	} {
+		lo, hi := MustParsePrefix(tc.in).Range()
+		if lo != tc.lo || hi != tc.hi {
+			t.Errorf("%s: Range() = [%d,%d), want [%d,%d)", tc.in, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
+func TestPrefixJSONRoundTrip(t *testing.T) {
+	in := MustParsePrefix("198.51.100.0/24")
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != `"198.51.100.0/24"` {
+		t.Fatalf("marshalled %s", b)
+	}
+	var out Prefix
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("round trip %v != %v", out, in)
+	}
+	if err := json.Unmarshal([]byte(`"not-a-prefix"`), &out); err == nil {
+		t.Fatal("bad prefix accepted")
+	}
+	// Usable as a JSON map key.
+	m := map[Prefix]int{in: 3}
+	b, err = json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back map[Prefix]int
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back[in] != 3 {
+		t.Fatalf("map round trip: %v", back)
 	}
 }
 

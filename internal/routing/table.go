@@ -141,41 +141,6 @@ func (t *Table[V]) walk(n *trieNode[V], addr uint32, depth int, fn func(Prefix, 
 	return t.walk(n.child[1], addr|1<<(31-depth), depth+1, fn)
 }
 
-// RangeWalk projects the table's longest-prefix-match function onto
-// the address line: it visits disjoint half-open ranges [lo, hi) in
-// ascending order, together covering the entire 32-bit space, where v
-// is the LPM result effective at every address of the range and ok
-// reports whether any entry covers it. Ranges split only where the
-// trie has structure, so a value change always falls on the boundary
-// of some inserted prefix; adjacent ranges may carry equal values.
-// The walk stops early if fn returns false.
-//
-// This is the field-of-sets building block for header-space atom
-// construction (internal/fibscan): overlapping and nested prefixes
-// come out flattened into the piecewise-constant forwarding function
-// the router actually applies.
-func (t *Table[V]) RangeWalk(fn func(lo, hi uint64, v V, ok bool) bool) {
-	var zero V
-	t.rangeWalk(t.root, 0, 0, zero, false, fn)
-}
-
-func (t *Table[V]) rangeWalk(n *trieNode[V], base uint64, depth int, inherited V, inheritedOK bool, fn func(uint64, uint64, V, bool) bool) bool {
-	size := uint64(1) << (32 - depth)
-	if n == nil {
-		return fn(base, base+size, inherited, inheritedOK)
-	}
-	if n.set {
-		inherited, inheritedOK = n.value, true
-	}
-	if depth == 32 || (n.child[0] == nil && n.child[1] == nil) {
-		return fn(base, base+size, inherited, inheritedOK)
-	}
-	if !t.rangeWalk(n.child[0], base, depth+1, inherited, inheritedOK, fn) {
-		return false
-	}
-	return t.rangeWalk(n.child[1], base+size/2, depth+1, inherited, inheritedOK, fn)
-}
-
 // Entries returns all (prefix, value) pairs in walk order.
 func (t *Table[V]) Entries() []Entry[V] {
 	var out []Entry[V]
