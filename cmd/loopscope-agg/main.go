@@ -57,15 +57,6 @@ import (
 	"loopscope/internal/resil"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -77,8 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	_ = stdout
 	fs := flag.NewFlagSet("loopscope-agg", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var polls multiFlag
-	fs.Var(&polls, "poll", "pull loop events from a loopscoped daemon: [name=]baseURL (repeatable)")
+	var polls []string
+	fs.Func("poll", "pull loop events from a loopscoped daemon: [name=]baseURL (repeatable)", func(v string) error {
+		polls = append(polls, v)
+		return nil
+	})
 	var (
 		httpAddr     = fs.String("http", "", "serve the fleet API (plus /metrics, /debug/pprof); a bare :port binds loopback only")
 		journalPath  = fs.String("journal", "", "append accepted observations to this JSONL file (the restart source of truth)")

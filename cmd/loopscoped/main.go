@@ -65,17 +65,17 @@ import (
 // journalMaxBytes is the size past which the journal rotates.
 const journalMaxBytes = 64 << 20
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// appendTo is a repeatable string flag's fs.Func: each use appends to
+// dst.
+func appendTo(dst *[]string) func(string) error {
+	return func(v string) error {
+		*dst = append(*dst, v)
+		return nil
+	}
 }
 
 // run is main's testable body: parse args, build the daemon, run it.
@@ -84,10 +84,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("loopscoped", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var tails, watches, listens multiFlag
-	fs.Var(&tails, "tail", "follow a growing native trace file: [name=]path (repeatable)")
-	fs.Var(&watches, "watch", "process a rotated-capture directory in segment order: [name=]dir (repeatable)")
-	fs.Var(&listens, "listen", "accept native trace streams: [name=]tcp:host:port or [name=]unix:/path.sock (repeatable)")
+	var tails, watches, listens []string
+	fs.Func("tail", "follow a growing native trace file: [name=]path (repeatable)", appendTo(&tails))
+	fs.Func("watch", "process a rotated-capture directory in segment order: [name=]dir (repeatable)", appendTo(&watches))
+	fs.Func("listen", "accept native trace streams: [name=]tcp:host:port or [name=]unix:/path.sock (repeatable)", appendTo(&listens))
 	var (
 		journalPath  = fs.String("journal", "", "append loop events to this JSONL file")
 		retain       = fs.Duration("retain", 168*time.Hour, "journal retention horizon: rotated segments (journal.<unix-seconds>) older than this are deleted (0: keep forever)")

@@ -66,9 +66,6 @@ type Alarm struct {
 	Peak int
 }
 
-// Duration returns the alarm length.
-func (a Alarm) Duration() time.Duration { return a.End - a.Start }
-
 // prefixWatch is the per-prefix sliding state.
 type prefixWatch struct {
 	// times holds ICMP arrival times still inside the baseline

@@ -429,9 +429,11 @@ func runDual(w io.Writer, s *session) {
 			{Delta: 5, Prefixes: 3, Failures: 3, RepairAfter: 25 * time.Second},
 		},
 	}
-	d := scenario.BuildDual(spec)
-	d.Run()
-	m1, m2 := d.Records()
+	// Two clean taps on pocket 0's cycle: the monitored link and the
+	// next link, one router downstream.
+	cl := scenario.BuildCluster(spec, 2)
+	cl.Run()
+	m1, m2 := cl.Vantages[0].Tap.Records(), cl.Vantages[1].Tap.Records()
 	resA := detect(m1, core.DefaultConfig())
 	resB := detect(m2, core.DefaultConfig())
 	fmt.Fprintf(w, "upstream tap:   %d packets, %d streams, %d loops\n", len(m1), len(resA.Streams), len(resA.Loops))

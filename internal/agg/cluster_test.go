@@ -20,6 +20,8 @@ import (
 // same injected loop, each vantage's detector reports it
 // independently, and the aggregator must collapse the three reports
 // into exactly one FleetLoop carrying all three vantage attributions.
+// Each consecutive pair of taps must see the same replica streams one
+// TTL apart.
 // Measured against the simulator's ground-truth loop windows, dedup
 // precision and recall are both required to be 1.0, and a kill -9
 // restart (journal replay, no Close) must reproduce the identical
@@ -51,8 +53,10 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 	// feed every detected loop to the aggregator, exactly as a fleet
 	// of loopscoped daemons would report it.
 	reported := 0
-	for _, v := range cl.Vantages {
+	results := make([]*core.Result, len(cl.Vantages))
+	for i, v := range cl.Vantages {
 		res := core.DetectRecords(v.Tap.Records(), core.DefaultConfig())
+		results[i] = res
 		if len(res.Loops) == 0 {
 			t.Fatalf("vantage %s (%s): detector found no loops", v.Name, v.Link.Name)
 		}
@@ -93,6 +97,38 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 	}
 	if len(fl.Evidence) != reported {
 		t.Errorf("fleet loop evidence = %d entries, want every observation (%d)", len(fl.Evidence), reported)
+	}
+
+	// Consecutive vantages sit one forwarding hop apart on the cycle:
+	// their streams must pair on the packet identity, with equal TTL
+	// deltas, and the pairs' modal TTL offset must recover the one-hop
+	// separation — the correlation paperrepro's dual experiment prints.
+	for i := 1; i < len(results); i++ {
+		up, down := results[i-1], results[i]
+		downstream := make(map[uint64]*core.ReplicaStream, len(down.Streams))
+		for _, s := range down.Streams {
+			downstream[s.Ident] = s
+		}
+		var offsets stats.IntHist
+		for _, sa := range up.Streams {
+			sb, ok := downstream[sa.Ident]
+			if !ok {
+				continue
+			}
+			if sa.TTLDelta() != sb.TTLDelta() {
+				t.Errorf("vp%d/vp%d: pair deltas differ: %d vs %d", i-1, i, sa.TTLDelta(), sb.TTLDelta())
+			}
+			// The downstream tap may have missed the first revolution.
+			d := sa.TTLDelta()
+			offsets.Add(((int(sa.Replicas[0].TTL)-int(sb.Replicas[0].TTL))%d + d) % d)
+		}
+		if offsets.N == 0 {
+			t.Fatalf("vp%d/vp%d: no stream pairs matched (%d and %d streams)", i-1, i, len(up.Streams), len(down.Streams))
+		}
+		if hop := offsets.Mode(); hop != 1 {
+			t.Errorf("vp%d/vp%d: inferred tap separation = %d hops, want 1", i-1, i, hop)
+		}
+		t.Logf("vp%d/vp%d: %d pairs of %d and %d streams", i-1, i, offsets.N, len(up.Streams), len(down.Streams))
 	}
 
 	// Precision and recall against the simulator's ground truth must
@@ -141,85 +177,4 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 	if !reflect.DeepEqual(replay.FleetLoops(), loops) {
 		t.Errorf("journal replay diverged:\n got %+v\nwant %+v", replay.FleetLoops(), loops)
 	}
-}
-
-// TestDualVantage runs the two-tap experiment (one network monitored at
-// two consecutive links): each tap's loops go to the aggregator as one
-// vantage's events, and a loop must be attributed to both taps. The
-// two results' streams must pair on their packet identity, with equal
-// TTL deltas, and the pairs' modal TTL offset must recover the one-hop
-// separation of the taps.
-func TestDualVantage(t *testing.T) {
-	spec := scenario.Spec{
-		Name:             "dual",
-		Seed:             11,
-		Duration:         2 * time.Minute,
-		PacketsPerSecond: 600,
-		StablePrefixes:   16,
-		Pockets: []scenario.PocketSpec{
-			{Delta: 3, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
-			{Delta: 4, Prefixes: 3, Failures: 2, RepairAfter: 25 * time.Second},
-		},
-	}
-	d := scenario.BuildDual(spec)
-	d.Run()
-	m1, m2 := d.Records()
-	if len(m1) < 5000 || len(m2) < 5000 {
-		t.Fatalf("traces too small: %d / %d", len(m1), len(m2))
-	}
-	resA := core.DetectRecords(m1, core.DefaultConfig())
-	resB := core.DetectRecords(m2, core.DefaultConfig())
-	if len(resA.Streams) == 0 || len(resB.Streams) == 0 {
-		t.Skipf("seed produced no dual-visible loops (A=%d B=%d streams)",
-			len(resA.Streams), len(resB.Streams))
-	}
-
-	a := newTestAgg(t, Config{})
-	for _, tap := range []struct {
-		name string
-		res  *core.Result
-	}{{"upstream", resA}, {"downstream", resB}} {
-		for _, l := range tap.res.Loops {
-			ev := loopscope.Event{ID: flight.LoopID(tap.name, l.Prefix.String(), int64(l.Start)), Prefix: l.Prefix.String(),
-				StartNs: int64(l.Start), EndNs: int64(l.End), TTLDelta: l.Streams[0].TTLDelta(), Idents: serve.LoopIdents(l)}
-			if _, err := a.Ingest(Observation{Vantage: tap.name, Event: ev}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	both := 0
-	for _, fl := range a.FleetLoops() {
-		if len(fl.Vantages) == 2 {
-			both++
-		}
-	}
-	if both == 0 {
-		t.Error("no loop visible from both taps")
-	}
-
-	downstream := make(map[uint64]*core.ReplicaStream, len(resB.Streams))
-	for _, s := range resB.Streams {
-		downstream[s.Ident] = s
-	}
-	var offsets stats.IntHist
-	for _, sa := range resA.Streams {
-		sb, ok := downstream[sa.Ident]
-		if !ok {
-			continue
-		}
-		if sa.TTLDelta() != sb.TTLDelta() {
-			t.Errorf("pair deltas differ: %d vs %d", sa.TTLDelta(), sb.TTLDelta())
-		}
-		// The downstream tap may have missed the first revolution.
-		d := sa.TTLDelta()
-		offsets.Add(((int(sa.Replicas[0].TTL)-int(sb.Replicas[0].TTL))%d + d) % d)
-	}
-	if offsets.N == 0 {
-		t.Fatalf("no stream pairs matched across taps (A=%d B=%d)", len(resA.Streams), len(resB.Streams))
-	}
-	// The taps sit one forwarding hop apart (c0->c1 and c1->c2).
-	if hop := offsets.Mode(); hop != 1 {
-		t.Errorf("inferred tap separation = %d hops, want 1", hop)
-	}
-	t.Logf("pairs=%d of A=%d B=%d streams; fleet loops seen by both taps=%d", offsets.N, len(resA.Streams), len(resB.Streams), both)
 }

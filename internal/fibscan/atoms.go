@@ -60,15 +60,16 @@ type Timeline struct {
 	idx     map[string]int32 // router name → index, first occurrence
 	clean   bool             // the last step scanned routers and warned of nothing
 
-	bounds  []uint64    // atom a is [bounds[a], bounds[a+1])
-	runs    [][]run     // per router, its decisions in ascending atoms
-	cycles  [][][]int32 // per atom, the canonical cycles found on it
-	dirty   []bool      // per atom: some router's decision moved this step
-	scratch []int32     // one router's freshly flattened column
-	order   []int32     // one router's routes, shortest prefix first
-	ends    []uint64    // two tables' sorted endpoint sets, compared
-	from    []int32     // per atom, where its movers start in movers (see walk)
-	movers  []int32     // routers by the atoms their runs start on
+	bounds  []uint64         // atom a is [bounds[a], bounds[a+1])
+	runs    [][]run          // per router, its decisions in ascending atoms
+	cycles  [][][]int32      // per atom, the canonical cycles found on it
+	dirty   []bool           // per atom: some router's decision moved this step
+	scratch []int32          // one router's freshly flattened column
+	order   []int32          // one router's routes, shortest prefix first
+	locals  []routing.Prefix // one router's locals, in address order
+	ends    []uint64         // two tables' sorted endpoint sets, compared
+	from    []int32          // per atom, where its movers start in movers (see walk)
+	movers  []int32          // routers by the atoms their runs start on
 
 	rewalked  int // atoms walked, over the Timeline's life
 	visited   int // routers stepped on by walks, over the Timeline's life
@@ -386,7 +387,10 @@ func sortedSet(s []uint64) []uint64 {
 // a repeated prefix's entries are adjacent in input order: only the
 // last is painted, as routing.Table.Insert keeps the last, and no atom
 // is painted more than once per length. Locals are painted last
-// because local delivery wins over any FIB match.
+// because local delivery wins over any FIB match, in address order
+// (sorted in a copy unless they are in it already: the kept table keeps
+// the input's order), skipping any nested in the last one painted, so
+// no atom is painted twice by them.
 func (t *Timeline) fillRouter(rf *RouterFIB, col []int32, missing *[]string) {
 	var from [34]int32 // from[b]: the next slot in order of a /b route
 	for _, rt := range rf.Routes {
@@ -422,8 +426,18 @@ func (t *Timeline) fillRouter(rf *RouterFIB, col []int32, missing *[]string) {
 			t.paint(col, rt.Prefix, nh)
 		}
 	}
-	for _, p := range rf.Locals {
-		t.paint(col, p, nhLocal)
+	locals := rf.Locals
+	if !slices.IsSortedFunc(locals, comparePrefix) {
+		t.locals = append(t.locals[:0], locals...)
+		slices.SortFunc(t.locals, comparePrefix)
+		locals = t.locals
+	}
+	end := uint64(0) // past the last local painted
+	for _, p := range locals {
+		if lo, hi := p.Range(); lo >= end {
+			t.paint(col, p, nhLocal)
+			end = hi
+		}
 	}
 }
 

@@ -193,17 +193,24 @@ func FuzzSameEndsMatchesSortedSets(f *testing.F) {
 // TestRepeatedPrefixPaintsOnce: a prefix given many times, its copies
 // apart in the table, paints its atoms once, so painting a table costs
 // at most one pass over the atoms per prefix length, whatever it
-// repeats.
+// repeats. Locals, repeated or nested in one another, paint each atom
+// at most once.
 func TestRepeatedPrefixPaintsOnce(t *testing.T) {
 	extra := []Route{
 		{Prefix: routing.MustParsePrefix("0.0.0.0/0"), NextHop: "hub1"},
 		{Prefix: routing.MustParsePrefix("17.0.0.0/8"), NextHop: "hub1"},
 		{Prefix: routing.MustParsePrefix("16.0.0.0/8"), NextHop: "spoke0"},
 	}
+	locals := []routing.Prefix{
+		routing.MustParsePrefix("18.1.0.0/16"),
+		routing.MustParsePrefix("18.0.0.0/8"),
+		routing.MustParsePrefix("18.1.2.0/24"),
+	}
 	painted := func(copies int) (int, *Report) {
 		s, _ := Synthetic(200, 1000, 4)
 		for i := 0; i < copies; i++ {
 			s.Routers[0].Routes = append(s.Routers[0].Routes, extra...)
+			s.Routers[0].Locals = append(s.Routers[0].Locals, locals...)
 		}
 		var tl Timeline
 		rep := tl.Step(&s)
@@ -215,6 +222,6 @@ func TestRepeatedPrefixPaintsOnce(t *testing.T) {
 		t.Fatalf("300 copies report %+v, one copy %+v", got, want)
 	}
 	if many != once {
-		t.Errorf("painted %d atoms with 300 copies of %d routes, %d with one", many, len(extra), once)
+		t.Errorf("painted %d atoms with 300 copies of %d routes and %d locals, %d with one", many, len(extra), len(locals), once)
 	}
 }

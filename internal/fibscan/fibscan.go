@@ -85,9 +85,6 @@ type Snapshot struct {
 	Routers []RouterFIB `json:"routers"`
 }
 
-// Taken returns the capture time as a duration since run start.
-func (s *Snapshot) Taken() time.Duration { return time.Duration(s.TakenNs) }
-
 // AddrRange is an inclusive range of destination addresses — one or
 // more adjacent header-space atoms with identical forwarding
 // behaviour.
@@ -105,9 +102,6 @@ func (r AddrRange) First() packet.Addr { return packet.AddrFromUint32(uint32(r.l
 
 // Last returns the highest address of the range (inclusive).
 func (r AddrRange) Last() packet.Addr { return packet.AddrFromUint32(uint32(r.hi - 1)) }
-
-// Size returns the number of addresses covered.
-func (r AddrRange) Size() uint64 { return r.hi - r.lo }
 
 // Overlaps reports whether the range shares any address with prefix p.
 func (r AddrRange) Overlaps(p routing.Prefix) bool {

@@ -147,9 +147,6 @@ func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
 // Routers returns all routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 
-// Links returns all unidirectional links in creation order.
-func (n *Network) Links() []*Link { return n.links }
-
 // Connect creates a bidirectional link between a and b (two
 // unidirectional links cross-referenced via Reverse) and returns the
 // a→b direction.

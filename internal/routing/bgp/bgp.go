@@ -185,9 +185,6 @@ func (p *Protocol) AddSpeaker(r *netsim.Router, asn ASN) *Speaker {
 // Speaker returns the instance on router id, or nil.
 func (p *Protocol) Speaker(id netsim.NodeID) *Speaker { return p.speakers[id] }
 
-// ASN returns the speaker's AS number.
-func (s *Speaker) ASN() ASN { return s.asn }
-
 // Peer establishes a BGP session between routers a and b. Same-AS
 // pairs form I-BGP sessions, different-AS pairs E-BGP. E-BGP peers
 // must be direct neighbors in the topology (single-hop sessions).
@@ -610,11 +607,4 @@ func (s *Speaker) linkDown(l *netsim.Link) {
 	for _, prefix := range affected {
 		s.decide(prefix)
 	}
-}
-
-// InstalledVia reports the neighbor the speaker has programmed for a
-// prefix, for tests.
-func (s *Speaker) InstalledVia(prefix routing.Prefix) (netsim.NodeID, bool) {
-	v, ok := s.installed[prefix]
-	return v, ok
 }

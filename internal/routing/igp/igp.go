@@ -148,9 +148,6 @@ func (p *Protocol) Start() {
 	}
 }
 
-// Speaker returns the protocol instance of a router, for tests.
-func (p *Protocol) Speaker(id netsim.NodeID) *speaker { return p.speakers[id] }
-
 // LSDBSize returns the number of LSAs a router currently holds.
 func (p *Protocol) LSDBSize(id netsim.NodeID) int { return len(p.speakers[id].lsdb) }
 

@@ -141,16 +141,6 @@ func (t *Table[V]) walk(n *trieNode[V], addr uint32, depth int, fn func(Prefix, 
 	return t.walk(n.child[1], addr|1<<(31-depth), depth+1, fn)
 }
 
-// Entries returns all (prefix, value) pairs in walk order.
-func (t *Table[V]) Entries() []Entry[V] {
-	var out []Entry[V]
-	t.Walk(func(p Prefix, v V) bool {
-		out = append(out, Entry[V]{Prefix: p, Value: v})
-		return true
-	})
-	return out
-}
-
 // Entry is one routing-table row.
 type Entry[V any] struct {
 	Prefix Prefix

@@ -22,7 +22,6 @@ const (
 type PcapWriter struct {
 	w    *bufio.Writer
 	meta Meta
-	n    int
 }
 
 // NewPcapWriter writes a pcap global header to w and returns a writer
@@ -63,12 +62,8 @@ func (w *PcapWriter) Write(r Record) error {
 	if _, err := w.w.Write(r.Data); err != nil {
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (w *PcapWriter) Count() int { return w.n }
 
 // Flush flushes buffered data to the underlying writer.
 func (w *PcapWriter) Flush() error { return w.w.Flush() }
