@@ -6,6 +6,7 @@ package loopscope_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -487,7 +488,7 @@ func BenchmarkFIBScan(b *testing.B) {
 			found := 0
 			for _, p := range looped {
 				for i := range rep.Cycles {
-					if rep.Cycles[i].CoversPrefix(p) {
+					if slices.Contains(rep.Cycles[i].Prefixes, p) {
 						found++
 						break
 					}

@@ -247,7 +247,7 @@ type scanned struct {
 // go to stderr, so the operator sees how bad the damage was. A -validate
 // failure does not stop the read — a read error further on outranks it.
 // A worker panic inside the parallel engine comes back as an error
-// wrapping core.ErrWorkerPanic rather than crashing the tool.
+// wrapping the core worker-panic error rather than crashing the tool.
 func scan(path string, cfg core.Config, report bool, opts ...core.Option) (*scanned, error) {
 	src, dstats, err := openTrace(path)
 	if err != nil {

@@ -128,7 +128,7 @@ func TestIndicatorAgainstDetector(t *testing.T) {
 		trouble = append(trouble, window{l.Start - 15*time.Second, l.End + 30*time.Second})
 	}
 	var openFail time.Duration = -1
-	for _, e := range bb.Net.Journal.All() {
+	for _, e := range bb.Net.Journal.Filter(events.LinkFailed, events.LinkRepaired) {
 		switch e.Kind {
 		case events.LinkFailed:
 			openFail = e.At

@@ -82,7 +82,7 @@ const (
 // Transports an observation can arrive by.
 const (
 	TransportPush = "push"
-	TransportPull = "pull"
+	transportPull = "pull"
 )
 
 // Config configures an Aggregator.
@@ -115,16 +115,16 @@ type Observation struct {
 
 // The aggregator renders the wire types of pkg/loopscope directly.
 type (
-	FleetLoop   = loopscope.FleetLoop
-	Evidence    = loopscope.FleetEvidence
-	VantageInfo = loopscope.FleetVantage
+	fleetLoop   = loopscope.FleetLoop
+	evidence    = loopscope.FleetEvidence
+	vantageInfo = loopscope.FleetVantage
 )
 
 // member is one observation in the fleet loop graph. parent is its
 // union-find link: a component's members lead to one root, which one
 // depends on arrival order, so nothing rendered reads it.
 type member struct {
-	ev     Evidence
+	ev     evidence
 	key    string // the destination prefix aggregated to keyBits
 	parent int
 }
@@ -370,7 +370,7 @@ func (a *Aggregator) closeOutProvenanceLocked(o *Observation, vs *vantageState) 
 // themselves, so the components do not depend on arrival order.
 func (a *Aggregator) correlateLocked(o Observation) {
 	i := len(a.members)
-	a.members = append(a.members, member{ev: evidence(o), key: aggKey(o.Event.Prefix), parent: i})
+	a.members = append(a.members, member{ev: evidenceOf(o), key: aggKey(o.Event.Prefix), parent: i})
 	a.loops++
 	for _, id := range o.Event.Idents {
 		if j, ok := a.byIdent[id]; ok {
@@ -452,9 +452,9 @@ func aggKey(prefix string) string {
 	return p.String()
 }
 
-// evidence renders an observation's evidence row.
-func evidence(o Observation) Evidence {
-	return Evidence{
+// evidenceOf renders an observation's evidence row.
+func evidenceOf(o Observation) evidence {
+	return evidence{
 		Vantage:   o.Vantage,
 		EventID:   o.Event.ID,
 		Source:    o.Event.Source,
@@ -512,7 +512,7 @@ func (vs *vantageState) noteTransport(t string) {
 // ID), each loop's evidence by (start, vantage, event ID), vantage
 // lists sorted: the same observations render the same document in any
 // arrival order.
-func (a *Aggregator) FleetLoops() []FleetLoop {
+func (a *Aggregator) FleetLoops() []fleetLoop {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	order := make([]int, len(a.members))
@@ -520,7 +520,7 @@ func (a *Aggregator) FleetLoops() []FleetLoop {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int { return evidenceCmp(&a.members[i].ev, &a.members[j].ev) })
-	out := make([]FleetLoop, 0, a.loops)
+	out := make([]fleetLoop, 0, a.loops)
 	at := make(map[int]int, a.loops) // component root -> index in out
 	for _, i := range order {
 		m, root := &a.members[i], a.find(i)
@@ -530,7 +530,7 @@ func (a *Aggregator) FleetLoops() []FleetLoop {
 			// reference member.
 			k = len(out)
 			at[root] = k
-			out = append(out, FleetLoop{ID: fleetID(m.key, m.ev.Vantage, m.ev.EventID),
+			out = append(out, fleetLoop{ID: fleetID(m.key, m.ev.Vantage, m.ev.EventID),
 				Prefix: m.key, TTLDelta: m.ev.TTLDelta, StartNs: m.ev.StartNs, EndNs: m.ev.EndNs})
 		}
 		fl := &out[k]
@@ -545,21 +545,21 @@ func (a *Aggregator) FleetLoops() []FleetLoop {
 	for _, fl := range out {
 		slices.Sort(fl.Vantages)
 	}
-	slices.SortFunc(out, func(x, y FleetLoop) int {
+	slices.SortFunc(out, func(x, y fleetLoop) int {
 		return cmp.Or(cmp.Compare(x.StartNs, y.StartNs), strings.Compare(x.ID, y.ID))
 	})
 	return out
 }
 
 // evidenceCmp orders evidence rows by (start, vantage, event ID).
-func evidenceCmp(x, y *Evidence) int {
+func evidenceCmp(x, y *evidence) int {
 	return cmp.Or(cmp.Compare(x.StartNs, y.StartNs), strings.Compare(x.Vantage, y.Vantage), strings.Compare(x.EventID, y.EventID))
 }
 
-// Vantages renders the per-vantage standing table, sorted by name.
+// vantageList renders the per-vantage standing table, sorted by name.
 // Lag is measured against the aggregator's clock at render time and
 // mirrored into the per-vantage lag gauge.
-func (a *Aggregator) Vantages() []VantageInfo {
+func (a *Aggregator) vantageList() []vantageInfo {
 	nowNs := a.now().UnixNano()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -568,10 +568,10 @@ func (a *Aggregator) Vantages() []VantageInfo {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]VantageInfo, 0, len(names))
+	out := make([]vantageInfo, 0, len(names))
 	for _, name := range names {
 		vs := a.vantages[name]
-		info := VantageInfo{
+		info := vantageInfo{
 			Name:           name,
 			Transports:     sortedSet(vs.transports),
 			Observations:   vs.observations,
@@ -604,23 +604,23 @@ func sortedSet(m map[string]bool) []string {
 	return out
 }
 
-// Stats answers a fleet stats query: the per-vantage analytics merged
+// statsDoc answers a fleet stats query: the per-vantage analytics merged
 // across the fleet (or one vantage). The collector merges sources in
 // sorted name order with exactly associative and commutative sketch
 // merges, so the document does not depend on observation arrival
 // order across vantages.
-func (a *Aggregator) Stats(q analytics.Query) (*loopscope.Stats, error) {
+func (a *Aggregator) statsDoc(q analytics.Query) (*loopscope.Stats, error) {
 	return a.stats.Query(q)
 }
 
-// Latency renders the pipeline-latency document, optionally narrowed
+// latencyDoc renders the pipeline-latency document, optionally narrowed
 // to one vantage and/or one segment.
-func (a *Aggregator) Latency(vantage, segment string) *loopscope.FleetLatency {
+func (a *Aggregator) latencyDoc(vantage, segment string) *loopscope.FleetLatency {
 	return a.latency.Snapshot(vantage, segment)
 }
 
-// KnownVantage reports whether the aggregator has state for name.
-func (a *Aggregator) KnownVantage(name string) bool {
+// knownVantage reports whether the aggregator has state for name.
+func (a *Aggregator) knownVantage(name string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	_, ok := a.vantages[name]
@@ -638,8 +638,8 @@ func (a *Aggregator) Counts() (observations int64, duplicates int64, fleetLoops 
 	return observations, duplicates, a.loops, len(a.vantages)
 }
 
-// Cursor returns the pull transport's resume position for a vantage.
-func (a *Aggregator) Cursor(name string) int64 {
+// cursorNow returns the pull transport's resume position for a vantage.
+func (a *Aggregator) cursorNow(name string) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if vs := a.vantages[name]; vs != nil {
@@ -648,10 +648,10 @@ func (a *Aggregator) Cursor(name string) int64 {
 	return 0
 }
 
-// SetCursor records the pull transport's resume position. It only
+// setCursor records the pull transport's resume position. It only
 // becomes durable at the next SaveCheckpoint; a stale cursor merely
 // refetches events the seen-set then deduplicates.
-func (a *Aggregator) SetCursor(name string, seq int64) {
+func (a *Aggregator) setCursor(name string, seq int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.vantageLocked(name).cursor = seq

@@ -182,7 +182,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 
 func statsJSON(t *testing.T, a *Aggregator) string {
 	t.Helper()
-	st, err := a.Stats(analytics.Query{})
+	st, err := a.statsDoc(analytics.Query{})
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
@@ -428,16 +428,16 @@ func TestCursorCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cp := dir + "/cursors.json"
 	a1 := newTestAgg(t, Config{Checkpoint: cp})
-	a1.SetCursor("bb1", 17)
-	a1.SetCursor("bb2", 5)
+	a1.setCursor("bb1", 17)
+	a1.setCursor("bb2", 5)
 	if err := a1.SaveCheckpoint(); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	a2 := newTestAgg(t, Config{Checkpoint: cp})
-	if got := a2.Cursor("bb1"); got != 17 {
+	if got := a2.cursorNow("bb1"); got != 17 {
 		t.Errorf("bb1 cursor = %d, want 17", got)
 	}
-	if got := a2.Cursor("bb2"); got != 5 {
+	if got := a2.cursorNow("bb2"); got != 5 {
 		t.Errorf("bb2 cursor = %d, want 5", got)
 	}
 
@@ -445,7 +445,7 @@ func TestCursorCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a3 := newTestAgg(t, Config{Checkpoint: cp})
-	if got := a3.Cursor("bb1"); got != 0 {
+	if got := a3.cursorNow("bb1"); got != 0 {
 		t.Errorf("cursor from corrupt checkpoint = %d, want 0", got)
 	}
 	if _, err := os.Stat(cp + ".corrupt"); err != nil {
@@ -466,8 +466,8 @@ func TestParentCursorFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := newTestAgg(t, Config{Checkpoint: cp, Now: func() time.Time { return time.Unix(1_700_000_123, 456) }})
-	if a.Cursor("bb1") != 17 || a.Cursor("bb2") != 5 {
-		t.Fatalf("cursors = %d, %d; want 17, 5", a.Cursor("bb1"), a.Cursor("bb2"))
+	if a.cursorNow("bb1") != 17 || a.cursorNow("bb2") != 5 {
+		t.Fatalf("cursors = %d, %d; want 17, 5", a.cursorNow("bb1"), a.cursorNow("bb2"))
 	}
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestVantageTable(t *testing.T) {
 	a.Ingest(obs1("bb2", "10.1.2.0/24", "e1", sec(10), sec(40), 3))
 	a.Ingest(obs1("bb1", "10.1.2.0/24", "e2", sec(12), sec(41), 3))
 	a.Ingest(obs1("bb1", "10.1.2.0/24", "e2", sec(12), sec(41), 3)) // dup
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if len(vs) != 2 || vs[0].Name != "bb1" || vs[1].Name != "bb2" {
 		t.Fatalf("vantages = %+v, want sorted [bb1 bb2]", vs)
 	}
@@ -506,7 +506,7 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := a.Ingest(Observation{Event: ev}); err != nil {
 		t.Fatalf("source fallback rejected: %v", err)
 	}
-	if vs := a.Vantages(); len(vs) != 1 || vs[0].Name != "tap7" {
+	if vs := a.vantageList(); len(vs) != 1 || vs[0].Name != "tap7" {
 		t.Errorf("vantages = %+v, want attribution to source tap7", vs)
 	}
 }

@@ -27,9 +27,6 @@ import (
 // restart (journal replay, no Close) must reproduce the identical
 // fleet loop set.
 func TestClusterDedupPrecisionRecall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full backbone simulation")
-	}
 	spec := scenario.Spec{
 		Name:             "cluster",
 		Seed:             7,
@@ -74,7 +71,7 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 				TTLDelta:   l.Streams[0].TTLDelta(),
 				Idents:     serve.LoopIdents(l),
 			}
-			accepted, err := a.Ingest(Observation{Vantage: v.Name, Transport: TransportPull, Event: ev})
+			accepted, err := a.Ingest(Observation{Vantage: v.Name, Transport: transportPull, Event: ev})
 			if err != nil || !accepted {
 				t.Fatalf("Ingest(%s %s) = %v, %v", v.Name, ev.Prefix, accepted, err)
 			}
@@ -140,7 +137,7 @@ func TestClusterDedupPrecisionRecall(t *testing.T) {
 		t.Fatal("simulation produced no ground-truth loops")
 	}
 	const slack = int64(time.Second)
-	matchesWindow := func(fl FleetLoop, w netsim.LoopWindow) bool {
+	matchesWindow := func(fl fleetLoop, w netsim.LoopWindow) bool {
 		return fl.Prefix == w.Prefix.String() &&
 			fl.StartNs <= int64(w.End)+slack && int64(w.Start) <= fl.EndNs+slack
 	}

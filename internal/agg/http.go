@@ -67,7 +67,7 @@ func (a *Aggregator) healthDoc() loopscope.FleetHealth {
 // vantageParam is what ?vantage= may name: a vantage the aggregator
 // has state for.
 func (a *Aggregator) vantageParam() api.Names {
-	return api.Names{Param: "vantage", Known: a.KnownVantage}
+	return api.Names{Param: "vantage", Known: a.knownVantage}
 }
 
 // v1FleetLoops serves GET /api/v1/fleet/loops?limit=&prefix=: the
@@ -102,7 +102,7 @@ func (a *Aggregator) v1FleetLoops(w http.ResponseWriter, r *http.Request) {
 // v1FleetVantages serves GET /api/v1/fleet/vantages.
 func (a *Aggregator) v1FleetVantages(w http.ResponseWriter, r *http.Request) {
 	if api.StrictParams(w, r) {
-		api.WriteOK(w, http.StatusOK, loopscope.FleetVantageList{Vantages: a.Vantages()}, loopscope.Meta{})
+		api.WriteOK(w, http.StatusOK, loopscope.FleetVantageList{Vantages: a.vantageList()}, loopscope.Meta{})
 	}
 }
 
@@ -115,7 +115,7 @@ func (a *Aggregator) v1FleetStats(w http.ResponseWriter, r *http.Request) {
 	if !api.StrictParams(w, r, "window", "vantage", "metric") {
 		return
 	}
-	if st := api.Stats(w, r, a.vantageParam(), a.Stats); st != nil {
+	if st := api.Stats(w, r, a.vantageParam(), a.statsDoc); st != nil {
 		api.WriteOK(w, http.StatusOK, st, loopscope.Meta{})
 	}
 }
@@ -141,7 +141,7 @@ func (a *Aggregator) v1FleetLatency(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown segment %q (one of %v)", segment, provenance.Segments))
 		return
 	}
-	api.WriteOK(w, http.StatusOK, a.Latency(vantage, segment), loopscope.Meta{})
+	api.WriteOK(w, http.StatusOK, a.latencyDoc(vantage, segment), loopscope.Meta{})
 }
 
 // v1Ingest is the push transport: the webhook target loopscoped's
@@ -182,7 +182,7 @@ func (a *Aggregator) v1Ingest(w http.ResponseWriter, r *http.Request) {
 
 // v1Statusz serves the human status page, GET /api/v1/statusz.
 func (a *Aggregator) v1Statusz(w http.ResponseWriter, _ *http.Request) {
-	if err := api.WritePage(w, statusPage(a.healthDoc(), a.Vantages(), a.Latency("", ""))); err != nil {
+	if err := api.WritePage(w, statusPage(a.healthDoc(), a.vantageList(), a.latencyDoc("", ""))); err != nil {
 		a.log.Error("statusz render failed", "err", err)
 	}
 }

@@ -95,7 +95,7 @@ func TestFleetStatsEndpoint(t *testing.T) {
 		t.Errorf("bb2 stats = %+v, %v; want 1 loop", one, err)
 	}
 
-	a.SetCursor("idle", 0) // what a poll target's first round records
+	a.setCursor("idle", 0) // what a poll target's first round records
 	idle, err := client.FleetStats(ctx, loopscope.FleetStatsQuery{Window: "300s", Vantage: "idle"})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestIngestEndpoint(t *testing.T) {
 	if !res.Accepted || res.Vantage != "bb9" || res.ID != "push1" {
 		t.Errorf("ingest result = %+v, want accepted from bb9", res)
 	}
-	if !a.KnownVantage("bb9") {
+	if !a.knownVantage("bb9") {
 		t.Error("vantage bb9 not registered after push")
 	}
 

@@ -29,7 +29,7 @@ func obsProv(vantage, prefix, id string, startNs, endNs int64, publishedAt time.
 
 func latencyJSON(t *testing.T, a *Aggregator) string {
 	t.Helper()
-	buf, err := json.Marshal(a.Latency("", ""))
+	buf, err := json.Marshal(a.latencyDoc("", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestProvenanceCloseOut(t *testing.T) {
 		t.Error("close-out mutated the caller's record (aliasing)")
 	}
 
-	st := a.Latency("", "")
+	st := a.latencyDoc("", "")
 	got := map[string]uint64{}
 	for _, row := range st.Segments {
 		if row.Vantage != "bb1" {
@@ -87,7 +87,7 @@ func TestProvenanceCloseOut(t *testing.T) {
 		t.Error("send_ingest present without a webhook stamp")
 	}
 
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if len(vs) != 1 || vs[0].SkewSamples != 1 {
 		t.Fatalf("vantage skew not surfaced: %+v", vs)
 	}
@@ -118,7 +118,7 @@ func TestProvenanceSkewClampedAndCounted(t *testing.T) {
 	if _, err := a.Ingest(o); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range a.Latency("", "").Segments {
+	for _, row := range a.latencyDoc("", "").Segments {
 		switch row.Segment {
 		case provenance.SegPublishIngest, provenance.SegDetectCluster:
 			if row.Count != 0 || row.Clamped != 1 {
@@ -136,7 +136,7 @@ func TestProvenanceSkewClampedAndCounted(t *testing.T) {
 	if v := reg.Counter(obs.LabelMetric(obs.MetricProvenanceSkewTotal, "vantage", "bb9")).Value(); v != 2 {
 		t.Errorf("skew counter = %d, want 2 (publish_ingest + detect_cluster)", v)
 	}
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if len(vs) != 1 || vs[0].SkewNs >= 0 || vs[0].SkewSamples != 1 {
 		t.Errorf("vantage skew = %+v, want negative estimate with 1 sample", vs)
 	}
@@ -163,7 +163,7 @@ func TestLatencyReplayByteIdentical(t *testing.T) {
 		}
 	}
 	want := latencyJSON(t, a1)
-	wantVantages, _ := json.Marshal(a1.Vantages())
+	wantVantages, _ := json.Marshal(a1.vantageList())
 
 	// No Close — the journal handle is abandoned, exactly like kill -9.
 	// The replayed aggregator gets a *different* (advanced) clock to
@@ -173,10 +173,10 @@ func TestLatencyReplayByteIdentical(t *testing.T) {
 	if got := latencyJSON(t, a2); got != want {
 		t.Errorf("replayed latency document differs:\n got %s\nwant %s", got, want)
 	}
-	gotVantages, _ := json.Marshal(a2.Vantages())
+	gotVantages, _ := json.Marshal(a2.vantageList())
 	// The vantage table includes render-time lag, which legitimately
 	// depends on the clock; compare only the skew fields.
-	var w, g []VantageInfo
+	var w, g []vantageInfo
 	json.Unmarshal(wantVantages, &w)
 	json.Unmarshal(gotVantages, &g)
 	if len(w) != len(g) {
@@ -201,7 +201,7 @@ func TestProvenanceAbsentEventsStillCluster(t *testing.T) {
 	if got := len(a.FleetLoops()); got != 1 {
 		t.Fatalf("got %d fleet loops, want 1", got)
 	}
-	if st := a.Latency("", ""); len(st.Segments) != 0 {
+	if st := a.latencyDoc("", ""); len(st.Segments) != 0 {
 		t.Fatalf("latency table fed by a prov-less event: %+v", st.Segments)
 	}
 }
@@ -223,7 +223,7 @@ func TestStatsReplayKeepsWindows(t *testing.T) {
 	}
 	loops := func(a *Aggregator, window time.Duration) int {
 		t.Helper()
-		st, err := a.Stats(analytics.Query{Window: window})
+		st, err := a.statsDoc(analytics.Query{Window: window})
 		if err != nil {
 			t.Fatal(err)
 		}

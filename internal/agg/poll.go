@@ -37,7 +37,7 @@ func (a *Aggregator) PollLoop(ctx context.Context, target PollTarget, interval t
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
-		if name, err := a.PollOnce(ctx, client, target); err != nil && ctx.Err() == nil {
+		if name, err := a.pollRound(ctx, client, target); err != nil && ctx.Err() == nil {
 			a.log.Warn("poll round failed", "target", name, "url", target.URL, "err", err)
 		} else if name != target.Name {
 			target.Name = name
@@ -50,7 +50,7 @@ func (a *Aggregator) PollLoop(ctx context.Context, target PollTarget, interval t
 	}
 }
 
-// PollOnce performs one poll round: walk pages newest-to-oldest until
+// pollRound performs one poll round: walk pages newest-to-oldest until
 // reaching the cursor, then ingest the new events oldest-first, so the
 // journal keeps each vantage's events in emission order (the fleet
 // loops are the same in any order) and the cursor only ever advances
@@ -58,14 +58,14 @@ func (a *Aggregator) PollLoop(ctx context.Context, target PollTarget, interval t
 // the vantage name the round resolved to (the daemon's own identity
 // when discovered, target.Name otherwise); the outcome feeds that
 // vantage's health/lag standing.
-func (a *Aggregator) PollOnce(ctx context.Context, client *loopscope.Client, target PollTarget) (string, error) {
+func (a *Aggregator) pollRound(ctx context.Context, client *loopscope.Client, target PollTarget) (string, error) {
 	name, err := a.pollOnce(ctx, client, target)
 	a.notePollResult(name, err)
 	return name, err
 }
 
 func (a *Aggregator) pollOnce(ctx context.Context, client *loopscope.Client, target PollTarget) (string, error) {
-	last := a.Cursor(target.Name)
+	last := a.cursorNow(target.Name)
 	var pending []loopscope.LoopEvent
 	vantage := ""
 	cursor := int64(0)
@@ -109,13 +109,13 @@ func (a *Aggregator) pollOnce(ctx context.Context, client *loopscope.Client, tar
 		if v == "" {
 			v = name
 		}
-		if _, err := a.Ingest(Observation{Vantage: v, Transport: TransportPull, Event: le.Event}); err != nil {
+		if _, err := a.Ingest(Observation{Vantage: v, Transport: transportPull, Event: le.Event}); err != nil {
 			return name, err
 		}
 		if le.Seq > newest {
 			newest = le.Seq
 		}
 	}
-	a.SetCursor(name, newest)
+	a.setCursor(name, newest)
 	return name, nil
 }

@@ -59,7 +59,7 @@ func TestPollWalksPagesAndResumes(t *testing.T) {
 	a := newTestAgg(t, Config{})
 	client := loopscope.New(ts.URL)
 	target := PollTarget{Name: "target0", URL: ts.URL}
-	name, err := a.PollOnce(context.Background(), client, target)
+	name, err := a.pollRound(context.Background(), client, target)
 	if err != nil {
 		t.Fatalf("PollOnce: %v", err)
 	}
@@ -67,35 +67,35 @@ func TestPollWalksPagesAndResumes(t *testing.T) {
 	if name != "bb1" {
 		t.Errorf("resolved name = %q, want discovered vantage bb1", name)
 	}
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if len(vs) != 1 || vs[0].Name != "bb1" || vs[0].Observations != 5 {
 		t.Fatalf("after first poll: vantages = %+v, want bb1 with 5 observations", vs)
 	}
-	if got := a.Cursor("bb1"); got != 5 {
+	if got := a.cursorNow("bb1"); got != 5 {
 		t.Errorf("cursor = %d, want 5", got)
 	}
-	if got := vs[0].Transports; len(got) != 1 || got[0] != TransportPull {
+	if got := vs[0].Transports; len(got) != 1 || got[0] != transportPull {
 		t.Errorf("transports = %v, want [pull]", got)
 	}
 
 	// Steady state: nothing new, nothing re-ingested.
-	if _, err := a.PollOnce(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
+	if _, err := a.pollRound(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if vs := a.Vantages(); vs[0].Observations != 5 || vs[0].Duplicates != 0 {
+	if vs := a.vantageList(); vs[0].Observations != 5 || vs[0].Duplicates != 0 {
 		t.Errorf("steady-state poll changed counts: %+v", vs[0])
 	}
 
 	// Two more events arrive; the next round picks up exactly those.
 	fd.publish("10.9.9.0/24", "e5", sec(9000), sec(9010), 5)
 	fd.publish("10.9.9.0/24", "e6", sec(9010), sec(9020), 5)
-	if _, err := a.PollOnce(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
+	if _, err := a.pollRound(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if vs := a.Vantages(); vs[0].Observations != 7 {
+	if vs := a.vantageList(); vs[0].Observations != 7 {
 		t.Errorf("after catch-up: %d observations, want 7", vs[0].Observations)
 	}
-	if got := a.Cursor("bb1"); got != 7 {
+	if got := a.cursorNow("bb1"); got != 7 {
 		t.Errorf("cursor = %d, want 7", got)
 	}
 }
@@ -112,10 +112,10 @@ func TestPollDaemonRestartResetsCursor(t *testing.T) {
 	defer ts.Close()
 	a := newTestAgg(t, Config{})
 	client := loopscope.New(ts.URL)
-	if _, err := a.PollOnce(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
+	if _, err := a.pollRound(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Cursor("bb1"); got != 4 {
+	if got := a.cursorNow("bb1"); got != 4 {
 		t.Fatalf("cursor = %d, want 4", got)
 	}
 
@@ -124,14 +124,14 @@ func TestPollDaemonRestartResetsCursor(t *testing.T) {
 	fd.ring = serve.NewRing(64)
 	fd.publish("10.1.2.0/24", "e3", sec(3000), sec(3010), 3)
 	fd.publish("10.8.8.0/24", "new", sec(9000), sec(9010), 4)
-	if _, err := a.PollOnce(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
+	if _, err := a.pollRound(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if vs[0].Observations != 5 || vs[0].Duplicates != 1 {
 		t.Errorf("after restart refetch: %d obs / %d dups, want 5/1", vs[0].Observations, vs[0].Duplicates)
 	}
-	if got := a.Cursor("bb1"); got != 2 {
+	if got := a.cursorNow("bb1"); got != 2 {
 		t.Errorf("cursor = %d, want reset ring's 2", got)
 	}
 }
@@ -141,10 +141,10 @@ func TestPollDaemonRestartResetsCursor(t *testing.T) {
 func TestPollErrorDegradesVantage(t *testing.T) {
 	a := newTestAgg(t, Config{})
 	dead := loopscope.New("http://127.0.0.1:1") // nothing listens here
-	if _, err := a.PollOnce(context.Background(), dead, PollTarget{Name: "bb1", URL: "http://127.0.0.1:1"}); err == nil {
+	if _, err := a.pollRound(context.Background(), dead, PollTarget{Name: "bb1", URL: "http://127.0.0.1:1"}); err == nil {
 		t.Fatal("want error polling a dead daemon")
 	}
-	vs := a.Vantages()
+	vs := a.vantageList()
 	if len(vs) != 1 || vs[0].LastErr == "" {
 		t.Fatalf("vantage standing after failed poll = %+v, want lastError set", vs)
 	}
@@ -152,10 +152,10 @@ func TestPollErrorDegradesVantage(t *testing.T) {
 	fd := &fakeDaemon{ring: serve.NewRing(8), vantage: "bb1", pageCap: 100}
 	ts := httptest.NewServer(fd.handler())
 	defer ts.Close()
-	if _, err := a.PollOnce(context.Background(), loopscope.New(ts.URL), PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
+	if _, err := a.pollRound(context.Background(), loopscope.New(ts.URL), PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if vs := a.Vantages(); vs[0].LastErr != "" {
+	if vs := a.vantageList(); vs[0].LastErr != "" {
 		t.Errorf("lastError survives recovery: %+v", vs[0])
 	}
 }

@@ -39,7 +39,7 @@ func TestWebhookPushIntoAggregator(t *testing.T) {
 	if ev.Vantage != "bb2" || ev.EventID != "push-e2e" || ev.Source != "tap3" {
 		t.Errorf("evidence = %+v, want bb2/push-e2e/tap3", ev)
 	}
-	if vs := a.Vantages(); len(vs) != 1 || vs[0].Transports[0] != TransportPush {
+	if vs := a.vantageList(); len(vs) != 1 || vs[0].Transports[0] != TransportPush {
 		t.Errorf("vantage standing = %+v, want push transport for bb2", vs)
 	}
 }

@@ -1,4 +1,4 @@
-package analysis_test
+package analysis
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"loopscope/internal/analysis"
 	"loopscope/internal/core"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
@@ -22,8 +21,8 @@ import (
 // memory: walk the records, decode and classify each, and ask the
 // per-record membership index whether it looped. The Accumulator answers
 // the looped half from the validated streams instead and must agree.
-func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result) *analysis.Report {
-	r := &analysis.Report{
+func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result) *Report {
+	r := &Report{
 		Link:              meta.Link,
 		TotalPackets:      res.TotalPackets,
 		LoopedPackets:     res.LoopedPackets,
@@ -40,9 +39,17 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 	if n := len(recs); n > 0 {
 		r.Duration = recs[n-1].Time - recs[0].Time
 	}
-	membership := res.Membership()
+	membership := make([]int32, res.TotalPackets)
+	for i := range membership {
+		membership[i] = -1
+	}
+	for _, s := range res.Streams {
+		for _, rep := range s.Replicas {
+			membership[rep.Index] = int32(s.ID)
+		}
+	}
 	var wireBytes uint64
-	var allCounts, loopCounts [analysis.NumClasses]int
+	var allCounts, loopCounts [numClasses]int
 	for i, rec := range recs {
 		wireBytes += uint64(rec.WireLen)
 		pkt, err := packet.Decode(rec.Data)
@@ -54,7 +61,7 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 		}
 		mask := packet.Classify(&pkt)
 		looped := i < len(membership) && membership[i] >= 0
-		for c := 0; c < analysis.NumClasses; c++ {
+		for c := 0; c < numClasses; c++ {
 			if mask&(1<<c) != 0 {
 				allCounts[c]++
 				if looped {
@@ -66,7 +73,7 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 	if r.Duration > 0 {
 		r.AvgBandwidthMbps = float64(wireBytes) * 8 / r.Duration.Seconds() / 1e6
 	}
-	for c := 0; c < analysis.NumClasses; c++ {
+	for c := 0; c < numClasses; c++ {
 		if r.TotalPackets > 0 {
 			r.AllClassFrac[c] = float64(allCounts[c]) / float64(r.TotalPackets)
 		}
@@ -79,7 +86,7 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 		r.ReplicasPerStream.Add(float64(s.Count()))
 		r.SpacingMs.Add(float64(s.MeanSpacing()) / float64(time.Millisecond))
 		r.StreamDurationMs.Add(float64(s.Duration()) / float64(time.Millisecond))
-		r.DestSeries = append(r.DestSeries, analysis.DestPoint{Time: s.Start(), Dst: s.Summary.Dst})
+		r.DestSeries = append(r.DestSeries, destPoint{Time: s.Start(), Dst: s.Summary.Dst})
 		if s.Escaped() {
 			r.EscapedStreams++
 			r.EscapeDelayMs.Add(float64(s.LoopDelay()) / float64(time.Millisecond))
@@ -93,7 +100,7 @@ func analyzeByMembership(meta trace.Meta, recs []trace.Record, res *core.Result)
 
 // requireSameReport compares two reports field by field; floats must be
 // equal, not close.
-func requireSameReport(t *testing.T, label string, got, want *analysis.Report) {
+func requireSameReport(t *testing.T, label string, got, want *Report) {
 	t.Helper()
 	g, w := reflect.ValueOf(*got), reflect.ValueOf(*want)
 	for i := 0; i < g.NumField(); i++ {
@@ -113,7 +120,7 @@ func checkAccumulator(t *testing.T, label string, meta trace.Meta, recs []trace.
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc := analysis.NewAccumulator(meta)
+		acc := NewAccumulator(meta)
 		for _, r := range recs {
 			acc.Add(r)
 			e.Observe(r)
@@ -122,7 +129,7 @@ func checkAccumulator(t *testing.T, label string, meta trace.Meta, recs []trace.
 		want := analyzeByMembership(meta, recs, res)
 		label := fmt.Sprintf("%s workers %d", label, workers)
 		requireSameReport(t, label, acc.Finish(res), want)
-		requireSameReport(t, label+" (Analyze)", analysis.Analyze(meta, recs, res), want)
+		requireSameReport(t, label+" (Analyze)", Analyze(meta, recs, res), want)
 		looped = res.LoopedPackets
 	}
 	return looped
@@ -256,8 +263,8 @@ func FuzzAccumulatorMatchesDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs := tallyRecords(data)
-		acc := analysis.NewAccumulator(trace.Meta{})
-		var counts [analysis.NumClasses]int
+		acc := NewAccumulator(trace.Meta{})
+		var counts [numClasses]int
 		icmp := &stats.IntHist{}
 		for _, r := range recs {
 			acc.Add(r)
@@ -268,7 +275,7 @@ func FuzzAccumulatorMatchesDecode(f *testing.F) {
 			if pkt.Kind == packet.KindICMP && pkt.HasTransport {
 				icmp.Add(int(pkt.ICMP.Type))
 			}
-			for c, mask := 0, packet.Classify(&pkt); c < analysis.NumClasses; c++ {
+			for c, mask := 0, packet.Classify(&pkt); c < numClasses; c++ {
 				if mask&(1<<c) != 0 {
 					counts[c]++
 				}
@@ -352,7 +359,7 @@ func TestShortSnapsAreParseErrors(t *testing.T) {
 	}
 
 	res := core.DetectRecords(recs, detCfg)
-	rep, cleanRep := analysis.Analyze(trace.Meta{}, recs, res), analysis.Analyze(trace.Meta{}, clean, want)
+	rep, cleanRep := Analyze(trace.Meta{}, recs, res), Analyze(trace.Meta{}, clean, want)
 	var wire uint64
 	for _, r := range recs {
 		wire += uint64(r.WireLen)

@@ -17,13 +17,13 @@ import (
 	"loopscope/internal/trace"
 )
 
-// NumClasses is the number of traffic-type categories (Figure 5's
+// numClasses is the number of traffic-type categories (Figure 5's
 // x-axis).
-const NumClasses = 11
+const numClasses = 11
 
-// DestPoint is one Figure-7 sample: a replica stream's start time and
+// destPoint is one Figure-7 sample: a replica stream's start time and
 // destination address.
-type DestPoint struct {
+type destPoint struct {
 	Time time.Duration
 	Dst  packet.Addr
 }
@@ -51,11 +51,11 @@ type Report struct {
 	SpacingMs *stats.CDF
 	// Figure 5: per-class fraction of all packets. A packet can be in
 	// several classes, so fractions do not sum to 1.
-	AllClassFrac [NumClasses]float64
+	AllClassFrac [numClasses]float64
 	// Figure 6: per-class fraction of looped packets.
-	LoopedClassFrac [NumClasses]float64
+	LoopedClassFrac [numClasses]float64
 	// Figure 7: destination addresses of replica streams over time.
-	DestSeries []DestPoint
+	DestSeries []destPoint
 	// Figure 8: CDF of replica-stream duration (milliseconds).
 	StreamDurationMs *stats.CDF
 	// Figure 9: CDF of merged routing-loop duration (seconds).
@@ -172,12 +172,12 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 			r.ICMPTypes.Add(t)
 		}
 	}
-	var allCounts, loopCounts [NumClasses]int
+	var allCounts, loopCounts [numClasses]int
 	for cell, n := range a.tally {
 		if n > 0 {
 			p := cellPacket(cell)
 			mask := packet.Classify(&p)
-			for c := 0; c < NumClasses; c++ {
+			for c := 0; c < numClasses; c++ {
 				if mask&(1<<c) != 0 {
 					allCounts[c] += n
 				}
@@ -185,13 +185,13 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 		}
 	}
 	for _, s := range res.Streams {
-		for c := 0; c < NumClasses; c++ {
+		for c := 0; c < numClasses; c++ {
 			if s.Summary.ClassMask&(1<<c) != 0 {
 				loopCounts[c] += s.Count()
 			}
 		}
 	}
-	for c := 0; c < NumClasses; c++ {
+	for c := 0; c < numClasses; c++ {
 		if r.TotalPackets > 0 {
 			r.AllClassFrac[c] = float64(allCounts[c]) / float64(r.TotalPackets)
 		}
@@ -205,7 +205,7 @@ func (a *Accumulator) Finish(res *core.Result) *Report {
 		r.ReplicasPerStream.Add(float64(s.Count()))
 		r.SpacingMs.Add(float64(s.MeanSpacing()) / float64(time.Millisecond))
 		r.StreamDurationMs.Add(float64(s.Duration()) / float64(time.Millisecond))
-		r.DestSeries = append(r.DestSeries, DestPoint{Time: s.Start(), Dst: s.Summary.Dst})
+		r.DestSeries = append(r.DestSeries, destPoint{Time: s.Start(), Dst: s.Summary.Dst})
 		if s.Escaped() {
 			r.EscapedStreams++
 			r.EscapeDelayMs.Add(float64(s.LoopDelay()) / float64(time.Millisecond))

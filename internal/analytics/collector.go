@@ -16,14 +16,14 @@ import (
 // are exact.
 const (
 	MetricDuration    = "duration"     // loop duration, ns (Sketch)
-	MetricTTLDelta    = "ttl_delta"    // dominant TTL decrement (IntHist, exact)
-	MetricStreams     = "streams"      // replica streams per loop (IntHist, exact)
-	MetricReplicas    = "replicas"     // replica packets per loop (Sketch)
+	metricTTLDelta    = "ttl_delta"    // dominant TTL decrement (IntHist, exact)
+	metricStreams     = "streams"      // replica streams per loop (IntHist, exact)
+	metricReplicas    = "replicas"     // replica packets per loop (Sketch)
 	MetricEscapeDelay = "escape_delay" // time an escaped stream was trapped, ns (Sketch)
 )
 
 // Metrics lists every metric name, in presentation order.
-var Metrics = []string{MetricDuration, MetricTTLDelta, MetricStreams, MetricReplicas, MetricEscapeDelay}
+var Metrics = []string{MetricDuration, metricTTLDelta, metricStreams, metricReplicas, MetricEscapeDelay}
 
 // LoopObs is one finalized loop, reduced to what the analytics layer
 // records. Both feeding paths build it: the daemon from a published
@@ -68,9 +68,9 @@ var tiers = []tier{
 	{24 * time.Hour, 14},
 }
 
-// MaxWindow is the largest queryable window; longer horizons use the
+// maxWindow is the largest queryable window; longer horizons use the
 // cumulative "all" view.
-const MaxWindow = 14 * 24 * time.Hour
+const maxWindow = 14 * 24 * time.Hour
 
 // topKCap bounds the per-prefix heavy-hitter summaries. 64 prefixes
 // per window segment is far past what a statusz table or a NOC
@@ -80,30 +80,30 @@ const topKCap = 64
 // metricSet is one window's worth of sketches: every metric plus the
 // prefix top-K. It is the unit of merging.
 type metricSet struct {
-	Duration    Sketch        `json:"duration"`
+	Duration    sketch        `json:"duration"`
 	TTLDelta    stats.IntHist `json:"ttlDelta"`
 	Streams     stats.IntHist `json:"streams"`
-	Replicas    Sketch        `json:"replicas"`
-	EscapeDelay Sketch        `json:"escapeDelay"`
-	Prefixes    *TopK         `json:"prefixes,omitempty"`
+	Replicas    sketch        `json:"replicas"`
+	EscapeDelay sketch        `json:"escapeDelay"`
+	Prefixes    *topK         `json:"prefixes,omitempty"`
 	Loops       uint64        `json:"loops"`
 }
 
 // record folds one loop observation in.
 func (m *metricSet) record(o LoopObs) {
 	m.Loops++
-	m.Duration.Add(o.DurationNs)
+	m.Duration.add(o.DurationNs)
 	m.TTLDelta.Add(o.TTLDelta)
 	m.Streams.Add(o.Streams)
-	m.Replicas.Add(int64(o.Replicas))
+	m.Replicas.add(int64(o.Replicas))
 	for _, d := range o.EscapeDelaysNs {
-		m.EscapeDelay.Add(d)
+		m.EscapeDelay.add(d)
 	}
 	if o.Prefix != "" {
 		if m.Prefixes == nil {
-			m.Prefixes = NewTopK(topKCap)
+			m.Prefixes = newTopK(topKCap)
 		}
-		m.Prefixes.Add(o.Prefix)
+		m.Prefixes.add(o.Prefix)
 	}
 }
 
@@ -113,16 +113,16 @@ func (m *metricSet) merge(other *metricSet) {
 		return
 	}
 	m.Loops += other.Loops
-	m.Duration.Merge(&other.Duration)
+	m.Duration.merge(&other.Duration)
 	m.TTLDelta.Merge(&other.TTLDelta)
 	m.Streams.Merge(&other.Streams)
-	m.Replicas.Merge(&other.Replicas)
-	m.EscapeDelay.Merge(&other.EscapeDelay)
+	m.Replicas.merge(&other.Replicas)
+	m.EscapeDelay.merge(&other.EscapeDelay)
 	if other.Prefixes != nil {
 		if m.Prefixes == nil {
-			m.Prefixes = NewTopK(topKCap)
+			m.Prefixes = newTopK(topKCap)
 		}
-		m.Prefixes.Merge(other.Prefixes)
+		m.Prefixes.merge(other.Prefixes)
 	}
 }
 
@@ -291,8 +291,8 @@ func ParseWindow(s string) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad window %q: want a duration like 5m, 1h, 24h, or \"all\"", s)
 	}
-	if d < time.Minute || d > MaxWindow {
-		return 0, fmt.Errorf("window %q out of range: want 1m..%s or \"all\"", s, MaxWindow)
+	if d < time.Minute || d > maxWindow {
+		return 0, fmt.Errorf("window %q out of range: want 1m..%s or \"all\"", s, maxWindow)
 	}
 	return d, nil
 }
@@ -379,7 +379,7 @@ func (c *Collector) Query(q Query) (*loopscope.Stats, error) {
 		TopPrefixes: []loopscope.TopPrefix{},
 	}
 	if merged.Prefixes != nil {
-		st.TopPrefixes = merged.Prefixes.Top()
+		st.TopPrefixes = merged.Prefixes.top()
 	}
 	for _, name := range Metrics {
 		if q.Metric != "" && q.Metric != name {
@@ -431,11 +431,11 @@ func (m *metricSet) metric(name string) (distribution, string) {
 	switch name {
 	case MetricDuration:
 		return &m.Duration, "sketch"
-	case MetricTTLDelta:
+	case metricTTLDelta:
 		return &m.TTLDelta, "exact"
-	case MetricStreams:
+	case metricStreams:
 		return &m.Streams, "exact"
-	case MetricReplicas:
+	case metricReplicas:
 		return &m.Replicas, "sketch"
 	}
 	return &m.EscapeDelay, "sketch"

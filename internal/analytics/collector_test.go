@@ -57,7 +57,7 @@ func TestCollectorRecordAndQuery(t *testing.T) {
 	if dur.Min != 1_000_000 || dur.Max != 10_000_000 {
 		t.Fatalf("duration min/max %d/%d", dur.Min, dur.Max)
 	}
-	ttl := st.Metrics[MetricTTLDelta]
+	ttl := st.Metrics[metricTTLDelta]
 	if ttl.Kind != "exact" || ttl.Count != 10 {
 		t.Fatalf("ttl stats %+v", ttl)
 	}
@@ -70,11 +70,11 @@ func TestCollectorRecordAndQuery(t *testing.T) {
 	}
 
 	// Single-metric query trims the response.
-	st, err = c.Query(Query{Source: "src-a", Metric: MetricStreams})
+	st, err = c.Query(Query{Source: "src-a", Metric: metricStreams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Metrics) != 1 || st.Metrics[MetricStreams].Count != 10 {
+	if len(st.Metrics) != 1 || st.Metrics[metricStreams].Count != 10 {
 		t.Fatalf("metric-filtered stats %+v", st.Metrics)
 	}
 
@@ -197,7 +197,7 @@ func TestCollectorObservationTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewCollector(Options{Now: clock}).DecodeSnapshot(data); err != nil {
+	if err := NewCollector(Options{Now: clock}).decodeSnapshot(data); err != nil {
 		t.Fatalf("snapshot of out-of-order observations: %v", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	restored := NewCollector(Options{Now: clock})
-	if err := restored.DecodeSnapshot(data); err != nil {
+	if err := restored.decodeSnapshot(data); err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range []string{"", "src-0", "src-1", "src-2"} {
@@ -297,7 +297,7 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 	}
 	for cut := 0; cut < len(data); cut++ {
 		fresh := NewCollector(Options{})
-		if err := fresh.DecodeSnapshot(data[:cut]); err == nil {
+		if err := fresh.decodeSnapshot(data[:cut]); err == nil {
 			t.Fatalf("truncation at byte %d/%d decoded successfully", cut, len(data))
 		}
 		if ing, _ := fresh.Counts(); ing != 0 {
@@ -306,7 +306,7 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 	}
 	// The full image still decodes.
 	fresh := NewCollector(Options{})
-	if err := fresh.DecodeSnapshot(data); err != nil {
+	if err := fresh.decodeSnapshot(data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -327,7 +327,7 @@ var badSnapshots = map[string]string{
 func TestSnapshotRejectsBadImages(t *testing.T) {
 	for name, img := range badSnapshots {
 		c := NewCollector(Options{})
-		if err := c.DecodeSnapshot([]byte(img)); err == nil {
+		if err := c.decodeSnapshot([]byte(img)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

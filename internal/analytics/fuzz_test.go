@@ -26,7 +26,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1,"sources":{"s":{"tiers":[[],[],[]],"all":{"duration":{"n":0,"sum":0,"min":0,"max":0},"ttlDelta":{"counts":{"3":2},"n":2},"streams":{"n":0},"replicas":{"n":0,"sum":0,"min":0,"max":0},"escapeDelay":{"n":0,"sum":0,"min":0,"max":0},"loops":2}}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCollector(Options{})
-		if c.DecodeSnapshot(data) != nil {
+		if c.decodeSnapshot(data) != nil {
 			return
 		}
 		for _, q := range []Query{{}, {Window: time.Hour}} {
@@ -39,7 +39,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		again := NewCollector(Options{})
-		if err := again.DecodeSnapshot(image); err != nil {
+		if err := again.decodeSnapshot(image); err != nil {
 			t.Fatalf("re-encoded image rejected: %v\n%s", err, image)
 		}
 		if image2, _ := again.Snapshot(); !bytes.Equal(image, image2) {

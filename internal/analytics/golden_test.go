@@ -61,7 +61,7 @@ func TestGoldenDocuments(t *testing.T) {
 		{},
 		{Window: time.Hour},
 		{Source: "bb2"},
-		{Window: time.Hour, Source: "bb3", Metric: MetricTTLDelta},
+		{Window: time.Hour, Source: "bb3", Metric: metricTTLDelta},
 	} {
 		st, err := c.Query(q)
 		if err != nil {

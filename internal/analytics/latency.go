@@ -24,7 +24,7 @@ const latencyExemplarCap = 4
 
 // latencyCell is one (segment, vantage) accumulation.
 type latencyCell struct {
-	Sketch    Sketch                      `json:"sketch"`
+	Sketch    sketch                      `json:"sketch"`
 	Clamped   uint64                      `json:"clamped,omitempty"`
 	Exemplars []loopscope.LatencyExemplar `json:"exemplars,omitempty"`
 }
@@ -57,7 +57,7 @@ func (s *LatencyStore) Observe(segment, vantage, eventID string, ns int64, clamp
 		c.Clamped++
 		return
 	}
-	c.Sketch.Add(ns)
+	c.Sketch.add(ns)
 	c.noteExemplar(eventID, ns)
 }
 
@@ -97,30 +97,6 @@ func (c *latencyCell) noteExemplar(eventID string, ns int64) {
 	})
 	if len(c.Exemplars) > latencyExemplarCap {
 		c.Exemplars = c.Exemplars[:latencyExemplarCap]
-	}
-}
-
-// Merge folds another store in (fleet-of-fleets aggregation). Sketch
-// merges are element-wise and exactly associative/commutative, clamp
-// counts add, and exemplar selection re-runs the same deterministic
-// top-K, so merge order does not matter.
-func (s *LatencyStore) Merge(other *LatencyStore) {
-	if s == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for seg, byV := range other.cells {
-		for vantage, oc := range byV {
-			c := s.cellLocked(seg, vantage)
-			c.Sketch.Merge(&oc.Sketch)
-			c.Clamped += oc.Clamped
-			for _, e := range oc.Exemplars {
-				c.noteExemplar(e.EventID, e.Ns)
-			}
-		}
 	}
 }
 

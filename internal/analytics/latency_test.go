@@ -43,29 +43,6 @@ func TestLatencyStoreOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestLatencyStoreMerge(t *testing.T) {
-	whole, left, right := NewLatencyStore(), NewLatencyStore(), NewLatencyStore()
-	for i := 0; i < 100; i++ {
-		seg := provenance.SegDetectCluster
-		v := fmt.Sprintf("bb%d", i%2)
-		id := fmt.Sprintf("ev-%03d", i)
-		ns := int64(1000 * (i + 1))
-		clamped := i%11 == 0
-		whole.Observe(seg, v, id, ns, clamped)
-		if i%2 == 0 {
-			left.Observe(seg, v, id, ns, clamped)
-		} else {
-			right.Observe(seg, v, id, ns, clamped)
-		}
-	}
-	left.Merge(right)
-	dw, _ := json.Marshal(whole.Snapshot("", ""))
-	dm, _ := json.Marshal(left.Snapshot("", ""))
-	if string(dw) != string(dm) {
-		t.Fatalf("merge != whole:\n%s\n%s", dw, dm)
-	}
-}
-
 func TestLatencyStoreClampedKeptOutOfSketch(t *testing.T) {
 	s := NewLatencyStore()
 	s.Observe(provenance.SegPublishIngest, "bb1", "ev-1", 500, false)
@@ -152,7 +129,6 @@ func TestLatencyStoreSnapshotFiltersAndOrder(t *testing.T) {
 func TestLatencyStoreNilSafe(t *testing.T) {
 	var s *LatencyStore
 	s.Observe("x", "y", "z", 1, false) // must not panic
-	s.Merge(NewLatencyStore())
 	if st := s.Snapshot("", ""); len(st.Segments) != 0 {
 		t.Fatalf("nil snapshot: %+v", st)
 	}

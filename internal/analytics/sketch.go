@@ -81,7 +81,7 @@ func sketchValue(i int) int64 {
 	return int64(math.Round(v))
 }
 
-// Sketch is a mergeable quantile sketch over non-negative int64
+// sketch is a mergeable quantile sketch over non-negative int64
 // observations (durations in nanoseconds, counts): a log-scale
 // histogram with fixed global bucket boundaries and a guaranteed
 // relative error of SketchAlpha on every quantile. The zero value is
@@ -91,7 +91,7 @@ func sketchValue(i int) int64 {
 // bucket index off+j. Zero and negative observations (a zero-duration
 // loop cannot happen, but the type should not lie) are counted in
 // Zeros and sort before every positive bucket.
-type Sketch struct {
+type sketch struct {
 	Off   int      `json:"off,omitempty"`
 	Bins  []uint64 `json:"bins,omitempty"`
 	Zeros uint64   `json:"zeros,omitempty"`
@@ -103,8 +103,8 @@ type Sketch struct {
 	Max int64   `json:"max"`
 }
 
-// Add records one observation.
-func (s *Sketch) Add(v int64) {
+// add records one observation.
+func (s *sketch) add(v int64) {
 	if s.N == 0 || v < s.Min {
 		s.Min = v
 	}
@@ -126,7 +126,7 @@ func (s *Sketch) Add(v int64) {
 }
 
 // grow extends the sparse bucket window to include global index i.
-func (s *Sketch) grow(i int) {
+func (s *sketch) grow(i int) {
 	if len(s.Bins) == 0 {
 		s.Off = i
 		s.Bins = []uint64{0}
@@ -143,10 +143,10 @@ func (s *Sketch) grow(i int) {
 	}
 }
 
-// Merge folds other into s. Merging is element-wise addition over
+// merge folds other into s. Merging is element-wise addition over
 // identical global buckets, so it is associative and commutative:
 // any merge tree over the same observations yields the same sketch.
-func (s *Sketch) Merge(other *Sketch) {
+func (s *sketch) merge(other *sketch) {
 	if other == nil || other.N == 0 {
 		return
 	}
@@ -173,11 +173,11 @@ func (s *Sketch) Merge(other *Sketch) {
 }
 
 // Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.N }
+func (s *sketch) Count() uint64 { return s.N }
 
 // MinMax returns the exact smallest and largest observations (0, 0
 // when empty).
-func (s *Sketch) MinMax() (int64, int64) {
+func (s *sketch) MinMax() (int64, int64) {
 	if s.N == 0 {
 		return 0, 0
 	}
@@ -185,7 +185,7 @@ func (s *Sketch) MinMax() (int64, int64) {
 }
 
 // Mean returns the arithmetic mean, or 0 when empty.
-func (s *Sketch) Mean() float64 {
+func (s *sketch) Mean() float64 {
 	if s.N == 0 {
 		return 0
 	}
@@ -195,7 +195,7 @@ func (s *Sketch) Mean() float64 {
 // Quantile returns an estimate of the q-quantile (q in (0, 1]) with
 // relative error at most SketchAlpha. It returns 0 on an empty sketch
 // (analytics endpoints prefer a zero row over a panic).
-func (s *Sketch) Quantile(q float64) int64 {
+func (s *sketch) Quantile(q float64) int64 {
 	if s.N == 0 {
 		return 0
 	}
@@ -232,7 +232,7 @@ func (s *Sketch) Quantile(q float64) int64 {
 
 // Buckets returns the non-empty log-scale buckets in increasing value
 // order, the zero bucket first when populated.
-func (s *Sketch) Buckets() []stats.Bucket {
+func (s *sketch) Buckets() []stats.Bucket {
 	var out []stats.Bucket
 	if s.Zeros > 0 {
 		out = append(out, stats.Bucket{Lo: 0, Hi: 0, Count: s.Zeros})
@@ -253,7 +253,7 @@ func (s *Sketch) Buckets() []stats.Bucket {
 // validate rejects structurally impossible sketch images (negative
 // offsets past the index range, count mismatches) so a corrupt
 // snapshot cannot smuggle in quantile answers that crash later.
-func (s *Sketch) validate() error {
+func (s *sketch) validate() error {
 	if s.Off < 0 || s.Off > sketchMaxIndex {
 		return fmt.Errorf("analytics: sketch offset %d out of range", s.Off)
 	}

@@ -36,11 +36,11 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 	for name, gen := range shapes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			var s Sketch
+			var s sketch
 			cdf := &stats.CDF{}
 			for i := 0; i < 20_000; i++ {
 				v := gen(rng)
-				s.Add(v)
+				s.add(v)
 				cdf.Add(float64(v))
 			}
 			for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
@@ -79,14 +79,14 @@ func TestSketchMergeAssociativeCommutative(t *testing.T) {
 			parts[p] = append(parts[p], rng.Int63n(1_000_000_000)-5) // includes <=0
 		}
 	}
-	build := func(vals []int64) *Sketch {
-		var s Sketch
+	build := func(vals []int64) *sketch {
+		var s sketch
 		for _, v := range vals {
-			s.Add(v)
+			s.add(v)
 		}
 		return &s
 	}
-	sketchEqual := func(a, b *Sketch) bool {
+	sketchEqual := func(a, b *sketch) bool {
 		if a.Off != b.Off || a.Zeros != b.Zeros || a.N != b.N ||
 			a.Sum != b.Sum || a.Min != b.Min || a.Max != b.Max ||
 			len(a.Bins) != len(b.Bins) {
@@ -111,9 +111,9 @@ func TestSketchMergeAssociativeCommutative(t *testing.T) {
 	// all equal the reference exactly.
 	orders := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}}
 	for _, order := range orders {
-		var acc Sketch
+		var acc sketch
 		for _, idx := range order {
-			acc.Merge(build(parts[idx]))
+			acc.merge(build(parts[idx]))
 		}
 		if !sketchEqual(&acc, ref) {
 			t.Fatalf("fold order %v diverged from direct build", order)
@@ -121,34 +121,34 @@ func TestSketchMergeAssociativeCommutative(t *testing.T) {
 	}
 	// Balanced tree: ((0+1)+(2+3))+4.
 	l := build(parts[0])
-	l.Merge(build(parts[1]))
+	l.merge(build(parts[1]))
 	r := build(parts[2])
-	r.Merge(build(parts[3]))
-	l.Merge(r)
-	l.Merge(build(parts[4]))
+	r.merge(build(parts[3]))
+	l.merge(r)
+	l.merge(build(parts[4]))
 	if !sketchEqual(l, ref) {
 		t.Fatal("balanced merge tree diverged from direct build")
 	}
 	// Merging an empty sketch is the identity.
-	var empty Sketch
+	var empty sketch
 	before := *ref
-	ref.Merge(&empty)
+	ref.merge(&empty)
 	if !sketchEqual(ref, &before) {
 		t.Fatal("merging empty sketch changed state")
 	}
 }
 
 func TestSketchEdgeCases(t *testing.T) {
-	var s Sketch
+	var s sketch
 	if got := s.Quantile(0.5); got != 0 {
 		t.Fatalf("empty sketch quantile = %d, want 0", got)
 	}
 	if s.Buckets() != nil {
 		t.Fatal("empty sketch has buckets")
 	}
-	s.Add(0)
-	s.Add(-3)
-	s.Add(math.MaxInt64)
+	s.add(0)
+	s.add(-3)
+	s.add(math.MaxInt64)
 	if s.N != 3 || s.Zeros != 2 {
 		t.Fatalf("N=%d zeros=%d, want 3, 2", s.N, s.Zeros)
 	}
@@ -172,10 +172,10 @@ func TestSketchEdgeCases(t *testing.T) {
 }
 
 func TestSketchBuckets(t *testing.T) {
-	var s Sketch
+	var s sketch
 	vals := []int64{0, 5, 5, 1000, 999999}
 	for _, v := range vals {
-		s.Add(v)
+		s.add(v)
 	}
 	bs := s.Buckets()
 	if len(bs) == 0 || bs[0].Lo != 0 || bs[0].Hi != 0 || bs[0].Count != 1 {
@@ -199,17 +199,17 @@ func TestSketchBuckets(t *testing.T) {
 }
 
 func TestTopKSpaceSaving(t *testing.T) {
-	tk := NewTopK(3)
+	tk := newTopK(3)
 	counts := map[string]int{"a": 100, "b": 50, "c": 30, "d": 2, "e": 1}
 	// Interleave deterministically.
 	for i := 0; i < 100; i++ {
 		for key, n := range counts {
 			if i < n {
-				tk.Add(key)
+				tk.add(key)
 			}
 		}
 	}
-	top := tk.Top()
+	top := tk.top()
 	if len(top) != 3 {
 		t.Fatalf("len=%d, want 3", len(top))
 	}
@@ -229,19 +229,19 @@ func TestTopKSpaceSaving(t *testing.T) {
 }
 
 func TestTopKMerge(t *testing.T) {
-	a, b := NewTopK(2), NewTopK(2)
+	a, b := newTopK(2), newTopK(2)
 	for key, n := range map[string]int{"x": 10, "y": 5} {
 		for i := 0; i < n; i++ {
-			a.Add(key)
+			a.add(key)
 		}
 	}
 	for key, n := range map[string]int{"x": 7, "z": 6} {
 		for i := 0; i < n; i++ {
-			b.Add(key)
+			b.add(key)
 		}
 	}
-	a.Merge(b)
-	top := a.Top()
+	a.merge(b)
+	top := a.top()
 	if len(top) != 2 || top[0].Key != "x" || top[0].Count != 17 {
 		t.Fatalf("merged top %v", top)
 	}
@@ -253,10 +253,10 @@ func TestTopKMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Merge with nil/empty is identity.
-	before := a.Top()
-	a.Merge(nil)
-	a.Merge(NewTopK(2))
-	after := a.Top()
+	before := a.top()
+	a.merge(nil)
+	a.merge(newTopK(2))
+	after := a.top()
 	if len(before) != len(after) || before[0] != after[0] {
 		t.Fatal("nil/empty merge changed state")
 	}

@@ -41,12 +41,12 @@ func (c *Collector) Snapshot() ([]byte, error) {
 	return json.Marshal(&snap)
 }
 
-// DecodeSnapshot strictly parses and validates a snapshot image,
+// decodeSnapshot strictly parses and validates a snapshot image,
 // replacing the Collector's state. Unknown fields, version skew, and
 // structurally impossible sketches are all rejected — same discipline
 // as the daemon checkpoint decoder, so a torn or tampered file can
 // never half-load.
-func (c *Collector) DecodeSnapshot(data []byte) error {
+func (c *Collector) decodeSnapshot(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var snap snapshot
@@ -137,5 +137,5 @@ func (c *Collector) Save(path string) error {
 // degrade health — analytics restart empty rather than refusing to
 // start the daemon.
 func (c *Collector) Load(path string) (quarantined bool, err error) {
-	return durable.Load(path, c.DecodeSnapshot)
+	return durable.Load(path, c.decodeSnapshot)
 }

@@ -7,7 +7,7 @@ import (
 	"loopscope/pkg/loopscope"
 )
 
-// TopK is a space-saving heavy-hitter counter (Metwally et al.): it
+// topK is a space-saving heavy-hitter counter (Metwally et al.): it
 // tracks at most Cap keys; when a new key arrives at capacity it
 // evicts the key with the smallest count and inherits that count as
 // its overestimation error. For any key actually among the heaviest,
@@ -19,22 +19,22 @@ import (
 // into the survivors' error the same way eviction does. The result is
 // order-insensitive in which keys survive only up to ties; the count
 // and error bounds hold regardless of merge order.
-type TopK struct {
+type topK struct {
 	Cap   int                   `json:"cap"`
 	Items []loopscope.TopPrefix `json:"items,omitempty"`
 	idx   map[string]int        // key -> Items index; rebuilt after decode
 }
 
-// NewTopK returns a counter tracking at most cap keys (minimum 1).
-func NewTopK(cap int) *TopK {
+// newTopK returns a counter tracking at most cap keys (minimum 1).
+func newTopK(cap int) *topK {
 	if cap < 1 {
 		cap = 1
 	}
-	return &TopK{Cap: cap, idx: make(map[string]int)}
+	return &topK{Cap: cap, idx: make(map[string]int)}
 }
 
 // ensureIdx rebuilds the key index after a decode left it nil.
-func (t *TopK) ensureIdx() {
+func (t *topK) ensureIdx() {
 	if t.idx != nil {
 		return
 	}
@@ -44,8 +44,8 @@ func (t *TopK) ensureIdx() {
 	}
 }
 
-// Add counts one occurrence of key.
-func (t *TopK) Add(key string) {
+// add counts one occurrence of key.
+func (t *topK) add(key string) {
 	t.ensureIdx()
 	if i, ok := t.idx[key]; ok {
 		t.Items[i].Count++
@@ -70,8 +70,8 @@ func (t *TopK) Add(key string) {
 	t.idx[key] = min
 }
 
-// Merge folds other into t.
-func (t *TopK) Merge(other *TopK) {
+// merge folds other into t.
+func (t *topK) merge(other *topK) {
 	if other == nil || len(other.Items) == 0 {
 		return
 	}
@@ -114,8 +114,8 @@ func (t *TopK) Merge(other *TopK) {
 	t.ensureIdx()
 }
 
-// Top returns the tracked keys, heaviest first (ties by key).
-func (t *TopK) Top() []loopscope.TopPrefix {
+// top returns the tracked keys, heaviest first (ties by key).
+func (t *topK) top() []loopscope.TopPrefix {
 	out := make([]loopscope.TopPrefix, len(t.Items))
 	copy(out, t.Items)
 	sort.Slice(out, func(i, j int) bool {
@@ -128,7 +128,7 @@ func (t *TopK) Top() []loopscope.TopPrefix {
 }
 
 // validate rejects impossible images from a snapshot.
-func (t *TopK) validate() error {
+func (t *topK) validate() error {
 	if t.Cap < 1 || t.Cap > 1<<16 {
 		return errors.New("analytics: top-k capacity out of range")
 	}

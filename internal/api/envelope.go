@@ -40,12 +40,12 @@ const (
 // WriteOK renders one enveloped v1 response.
 func WriteOK(w http.ResponseWriter, code int, data any, meta loopscope.Meta) {
 	meta.API = "v1"
-	WriteJSON(w, code, loopscope.Envelope{Data: data, Meta: &meta})
+	writeJSON(w, code, loopscope.Envelope{Data: data, Meta: &meta})
 }
 
 // WriteError renders one v1 error object.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	WriteJSON(w, status, loopscope.Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
+	writeJSON(w, status, loopscope.Envelope{Error: &loopscope.APIError{Code: code, Message: msg}})
 }
 
 // query parses the request's raw query. r.URL.Query() drops every
@@ -160,8 +160,8 @@ func Stats(w http.ResponseWriter, r *http.Request, n Names, query func(analytics
 	return nil
 }
 
-// WriteJSON renders one API response.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON renders one API response.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

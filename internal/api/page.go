@@ -23,14 +23,14 @@ type Page struct {
 // section with no Columns has no table.
 type Section struct {
 	Heading string
-	Columns []Column
+	Columns []column
 	Rows    [][]Cell
 	Note    string
 }
 
-// Column heads a table column; a numeric column's cells are
+// column heads a table column; a numeric column's cells are
 // right-aligned.
-type Column struct {
+type column struct {
 	Name string
 	Num  bool
 }
@@ -43,11 +43,11 @@ type Cell struct {
 
 // Columns heads a table. A name ending in "#" heads a numeric column;
 // the "#" is not shown.
-func Columns(names ...string) []Column {
-	cols := make([]Column, len(names))
+func Columns(names ...string) []column {
+	cols := make([]column, len(names))
 	for i, n := range names {
 		name, num := strings.CutSuffix(n, "#")
-		cols[i] = Column{Name: name, Num: num}
+		cols[i] = column{Name: name, Num: num}
 	}
 	return cols
 }
@@ -67,7 +67,7 @@ func Row(values ...any) []Cell {
 }
 
 // MapSection is a two-column table of m, by key; none when m is empty.
-func MapSection[V any](heading string, cols []Column, m map[string]V) []Section {
+func MapSection[V any](heading string, cols []column, m map[string]V) []Section {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

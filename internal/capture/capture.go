@@ -130,8 +130,8 @@ func duplicateBytes(data []byte, drop int) []byte {
 func (t *LinkTap) emit(rec trace.Record, retain bool) {
 	t.wireBytes += uint64(rec.WireLen)
 	// A failed sink stays failed (a full disk does not un-fill), so
-	// the first error is kept for Err and the sink is not written
-	// again; in-memory retention continues regardless.
+	// the first error is kept and the sink is not written again;
+	// in-memory retention continues regardless.
 	if t.sink != nil && t.sinkErr == nil {
 		if err := t.sink.Write(rec); err != nil {
 			t.errs++
@@ -143,34 +143,11 @@ func (t *LinkTap) emit(rec trace.Record, retain bool) {
 	}
 }
 
-// Duplicates returns the number of injected link-layer duplicates.
-func (t *LinkTap) Duplicates() int { return t.dups }
-
 // Meta returns the trace metadata.
 func (t *LinkTap) Meta() trace.Meta { return t.meta }
 
 // Records returns the retained records in capture order.
 func (t *LinkTap) Records() []trace.Record { return t.recs }
-
-// Count returns the number of packets captured.
-func (t *LinkTap) Count() int { return len(t.recs) }
-
-// WireBytes returns the total on-the-wire bytes observed.
-func (t *LinkTap) WireBytes() uint64 { return t.wireBytes }
-
-// Errors returns the number of capture failures (serialisation or
-// sink errors).
-func (t *LinkTap) Errors() int { return t.errs }
-
-// Err returns the first sink write error, or nil. Once a sink write
-// fails the sink receives no further records, so callers that stream
-// captures to disk must check Err before trusting the output file.
-func (t *LinkTap) Err() error { return t.sinkErr }
-
-// Source returns the retained records as a trace.Source.
-func (t *LinkTap) Source() *trace.SliceSource {
-	return trace.NewSliceSource(t.meta, t.recs)
-}
 
 // String summarises the tap.
 func (t *LinkTap) String() string {

@@ -1,4 +1,4 @@
-package capture_test
+package capture
 
 import (
 	"bytes"
@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"loopscope/internal/capture"
 	"loopscope/internal/core"
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
@@ -43,14 +42,14 @@ func pkt(id uint16, payload int) packet.Packet {
 
 func TestTapSnapshotsAndCounts(t *testing.T) {
 	n, a, l := buildLink(t)
-	tap := capture.NewLinkTap(l, 40, nil, true)
+	tap := NewLinkTap(l, 40, nil, true)
 
 	n.Inject(a, pkt(1, 1000))
 	n.Inject(a, pkt(2, 0)) // 40-byte packet: snapshot == whole packet
 	n.Sim.Run(time.Second)
 
 	recs := tap.Records()
-	if len(recs) != 2 || tap.Count() != 2 {
+	if len(recs) != 2 || len(tap.recs) != 2 {
 		t.Fatalf("captured %d records", len(recs))
 	}
 	if len(recs[0].Data) != 40 || recs[0].WireLen != 1040 {
@@ -59,8 +58,8 @@ func TestTapSnapshotsAndCounts(t *testing.T) {
 	if len(recs[1].Data) != 40 || recs[1].WireLen != 40 {
 		t.Errorf("record 1: caplen=%d wirelen=%d", len(recs[1].Data), recs[1].WireLen)
 	}
-	if tap.WireBytes() != 1080 {
-		t.Errorf("wire bytes = %d", tap.WireBytes())
+	if tap.wireBytes != 1080 {
+		t.Errorf("wire bytes = %d", tap.wireBytes)
 	}
 	if err := trace.Validate(recs); err != nil {
 		t.Errorf("captured trace invalid: %v", err)
@@ -87,7 +86,7 @@ func TestTapStreamsToSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := capture.NewLinkTap(l, 40, w, false)
+	tap := NewLinkTap(l, 40, w, false)
 
 	for i := 0; i < 100; i++ {
 		n.Inject(a, pkt(uint16(i+1), 200))
@@ -96,11 +95,11 @@ func TestTapStreamsToSink(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if tap.Count() != 0 {
-		t.Errorf("retain=false kept %d records", tap.Count())
+	if len(tap.recs) != 0 {
+		t.Errorf("retain=false kept %d records", len(tap.recs))
 	}
-	if tap.Errors() != 0 {
-		t.Errorf("tap errors = %d", tap.Errors())
+	if tap.errs != 0 {
+		t.Errorf("tap errors = %d", tap.errs)
 	}
 
 	r, _, err := trace.OpenStream(&buf, trace.OpenOptions{Format: trace.FormatNative})
@@ -137,7 +136,7 @@ var errSinkFull = errors.New("sink full")
 func TestTapSurfacesSinkError(t *testing.T) {
 	n, a, l := buildLink(t)
 	sink := &failAfterSink{n: 3}
-	tap := capture.NewLinkTap(l, 40, sink, true)
+	tap := NewLinkTap(l, 40, sink, true)
 
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * time.Millisecond
@@ -146,10 +145,10 @@ func TestTapSurfacesSinkError(t *testing.T) {
 	}
 	n.Sim.Run(time.Second)
 
-	if err := tap.Err(); !errors.Is(err, errSinkFull) {
-		t.Fatalf("tap.Err() = %v, want errSinkFull", err)
+	if err := tap.sinkErr; !errors.Is(err, errSinkFull) {
+		t.Fatalf("tap.sinkErr = %v, want errSinkFull", err)
 	}
-	if tap.Errors() == 0 {
+	if tap.errs == 0 {
 		t.Error("sink failure not counted")
 	}
 	// After the first failure the sink must not be written again...
@@ -157,25 +156,25 @@ func TestTapSurfacesSinkError(t *testing.T) {
 		t.Errorf("sink saw %d failed writes, want exactly 1", sink.failed)
 	}
 	// ...but in-memory capture continues.
-	if tap.Count() != 10 {
-		t.Errorf("retained %d records, want 10", tap.Count())
+	if len(tap.recs) != 10 {
+		t.Errorf("retained %d records, want 10", len(tap.recs))
 	}
 }
 
 func TestTapDefaultSnapLen(t *testing.T) {
 	_, _, l := buildLink(t)
-	tap := capture.NewLinkTap(l, 0, nil, true)
+	tap := NewLinkTap(l, 0, nil, true)
 	if tap.Meta().SnapLen != trace.DefaultSnapLen {
 		t.Errorf("snaplen = %d", tap.Meta().SnapLen)
 	}
-	if tap.Source().Meta().SnapLen != trace.DefaultSnapLen {
+	if tap.Meta().SnapLen != trace.DefaultSnapLen {
 		t.Error("source meta mismatch")
 	}
 }
 
 func TestTapDuplicateInjection(t *testing.T) {
 	n, a, l := buildLink(t)
-	tap := capture.NewLinkTapOpts(l, capture.Options{
+	tap := NewLinkTapOpts(l, Options{
 		SnapLen: 40, Retain: true,
 		DupRate: 1, DupTTLDrop: 2, DupDelay: 500 * time.Microsecond,
 		RNG: stats.NewRNG(1),
@@ -188,8 +187,8 @@ func TestTapDuplicateInjection(t *testing.T) {
 	n.Sim.Run(time.Second)
 
 	recs := tap.Records()
-	if tap.Duplicates() != 3 {
-		t.Errorf("duplicates = %d, want 3", tap.Duplicates())
+	if tap.dups != 3 {
+		t.Errorf("duplicates = %d, want 3", tap.dups)
 	}
 	// At least the first two duplicates must have been flushed.
 	if len(recs) < 4 {

@@ -200,8 +200,8 @@ func (s *ReplicaStream) MeanSpacing() time.Duration {
 	return s.Duration() / time.Duration(len(s.Replicas)-1)
 }
 
-// LastTTL returns the TTL of the final replica.
-func (s *ReplicaStream) LastTTL() uint8 {
+// lastTTL returns the TTL of the final replica.
+func (s *ReplicaStream) lastTTL() uint8 {
 	return s.Replicas[len(s.Replicas)-1].TTL
 }
 
@@ -212,7 +212,7 @@ func (s *ReplicaStream) LastTTL() uint8 {
 // the paper's available signal.)
 func (s *ReplicaStream) Escaped() bool {
 	d := s.TTLDelta()
-	return int(s.LastTTL()) > d && d > 0
+	return int(s.lastTTL()) > d && d > 0
 }
 
 // LoopDelay estimates the extra delay the loop imposed on this packet
@@ -263,22 +263,4 @@ type Result struct {
 	// same-subnet packet was not looping during the stream (step 2,
 	// second condition).
 	SubnetInvalidated int
-}
-
-// Membership maps record index -> validated stream ID, or -1 for
-// records outside every validated stream; its length is TotalPackets.
-// It is rebuilt from Streams on every call and costs four bytes per
-// record of the trace, which is why no Result carries it: a caller that
-// wants to know which packets looped usually wants the streams.
-func (r *Result) Membership() []int32 {
-	m := make([]int32, r.TotalPackets)
-	for i := range m {
-		m[i] = -1
-	}
-	for _, s := range r.Streams {
-		for _, rep := range s.Replicas {
-			m[rep.Index] = int32(s.ID)
-		}
-	}
-	return m
 }

@@ -343,9 +343,9 @@ func NewStreamDetector(cfg Config, emit func(*Loop)) *Detector {
 	}
 }
 
-// SetFlight attaches a flight-recorder shard. Call before the first
+// setFlight attaches a flight-recorder shard. Call before the first
 // Observe; a nil shard (the default) keeps recording disabled.
-func (d *Detector) SetFlight(sr *flight.ShardRecorder) { d.fr = sr }
+func (d *Detector) setFlight(sr *flight.ShardRecorder) { d.fr = sr }
 
 func (d *Detector) state(dst packet.Addr) *prefixState {
 	net := dst.Uint32() & d.prefixMask

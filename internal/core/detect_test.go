@@ -269,7 +269,7 @@ func TestEscapedHeuristic(t *testing.T) {
 		t.Fatalf("streams = %d, want 1", len(res.Streams))
 	}
 	if !res.Streams[0].Escaped() {
-		t.Errorf("stream ending at TTL %d should be classified escaped", res.Streams[0].LastTTL())
+		t.Errorf("stream ending at TTL %d should be classified escaped", res.Streams[0].lastTTL())
 	}
 
 	// Run the TTL down to (almost) nothing: the packet died inside.
@@ -280,7 +280,7 @@ func TestEscapedHeuristic(t *testing.T) {
 		t.Fatalf("streams = %d, want 1", len(res2.Streams))
 	}
 	if res2.Streams[0].Escaped() {
-		t.Errorf("stream ending at TTL %d should be classified expired", res2.Streams[0].LastTTL())
+		t.Errorf("stream ending at TTL %d should be classified expired", res2.Streams[0].lastTTL())
 	}
 }
 
@@ -292,7 +292,7 @@ func TestMembershipIndex(t *testing.T) {
 	sortRecords(recs)
 
 	res := DetectRecords(recs, DefaultConfig())
-	membership := res.Membership()
+	membership := memberIndex(res)
 	if len(membership) != len(recs) {
 		t.Fatalf("membership length = %d, want %d", len(membership), len(recs))
 	}
@@ -465,4 +465,19 @@ func TestPrefixCacheForgetsEvictedState(t *testing.T) {
 	if len(got.Loops) != 2 {
 		t.Errorf("%d loops, want 2", len(got.Loops))
 	}
+}
+
+// memberIndex maps record index -> validated stream ID, or -1 for
+// records outside every validated stream; its length is TotalPackets.
+func memberIndex(r *Result) []int32 {
+	m := make([]int32, r.TotalPackets)
+	for i := range m {
+		m[i] = -1
+	}
+	for _, s := range r.Streams {
+		for _, rep := range s.Replicas {
+			m[rep.Index] = int32(s.ID)
+		}
+	}
+	return m
 }

@@ -45,16 +45,16 @@ type ErrFinisher interface {
 	FinishErr() (*Result, error)
 }
 
-// ConfigError is the single error type every invalid Config produces,
+// configError is the single error type every invalid Config produces,
 // whichever constructor rejects it.
-type ConfigError struct {
+type configError struct {
 	// Field names the offending Config field.
 	Field string
 	// Reason states the violated constraint.
 	Reason string
 }
 
-func (e *ConfigError) Error() string {
+func (e *configError) Error() string {
 	return fmt.Sprintf("core: invalid config: %s %s", e.Field, e.Reason)
 }
 
@@ -64,19 +64,19 @@ func (e *ConfigError) Error() string {
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.MinReplicas < 2:
-		return &ConfigError{Field: "MinReplicas", Reason: "must be at least 2"}
+		return &configError{Field: "MinReplicas", Reason: "must be at least 2"}
 	case cfg.MemberReplicas < 2 || cfg.MemberReplicas > cfg.MinReplicas:
-		return &ConfigError{Field: "MemberReplicas", Reason: "must be in [2, MinReplicas]"}
+		return &configError{Field: "MemberReplicas", Reason: "must be in [2, MinReplicas]"}
 	case cfg.MinTTLDelta < 1:
-		return &ConfigError{Field: "MinTTLDelta", Reason: "must be at least 1"}
+		return &configError{Field: "MinTTLDelta", Reason: "must be at least 1"}
 	case cfg.PrefixBits < 0 || cfg.PrefixBits > 32:
-		return &ConfigError{Field: "PrefixBits", Reason: "must be in [0, 32]"}
+		return &configError{Field: "PrefixBits", Reason: "must be in [0, 32]"}
 	case cfg.MaxReplicaGap <= 0:
-		return &ConfigError{Field: "MaxReplicaGap", Reason: "must be positive"}
+		return &configError{Field: "MaxReplicaGap", Reason: "must be positive"}
 	case cfg.MergeWindow < 0:
-		return &ConfigError{Field: "MergeWindow", Reason: "must not be negative"}
+		return &configError{Field: "MergeWindow", Reason: "must not be negative"}
 	case cfg.MaxActiveStreams < 0:
-		return &ConfigError{Field: "MaxActiveStreams", Reason: "must not be negative"}
+		return &configError{Field: "MaxActiveStreams", Reason: "must not be negative"}
 	}
 	return nil
 }
@@ -160,7 +160,7 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 	} else {
 		workers = 1
 		d := NewStreamDetector(cfg, o.emit)
-		d.SetFlight(o.flight.Shard(0))
+		d.setFlight(o.flight.Shard(0))
 		e = d
 	}
 	o.metrics.Counter(obs.MetricEngineBuilds).Inc()

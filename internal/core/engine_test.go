@@ -38,7 +38,7 @@ func TestNewRejectsInvalidConfigs(t *testing.T) {
 			cfg := ok
 			c.mut(&cfg)
 			_, err := New(cfg)
-			var ce *ConfigError
+			var ce *configError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *ConfigError", err)
 			}
@@ -78,7 +78,7 @@ func TestNewDispatch(t *testing.T) {
 	if _, ok := mustNew(WithWorkers(1)).(*Detector); !ok {
 		t.Error("WithWorkers(1) did not select a single Detector")
 	}
-	p, ok := mustNew(WithWorkers(3)).(*ParallelDetector)
+	p, ok := mustNew(WithWorkers(3)).(*parallelDetector)
 	if !ok || p.workers != 3 {
 		t.Errorf("WithWorkers(3) = %T with %d workers", p, p.workers)
 	}
@@ -88,7 +88,7 @@ func TestNewDispatch(t *testing.T) {
 	}
 	if e := mustNew(); e == nil {
 		t.Error("default construction failed")
-	} else if _, isPar := e.(*ParallelDetector); isPar {
+	} else if _, isPar := e.(*parallelDetector); isPar {
 		e.Finish()
 	}
 }

@@ -183,7 +183,7 @@ func TestFlightRejectReasons(t *testing.T) {
 
 	fr := flight.New(flight.Options{SampleEvery: 1})
 	d := NewDetector(cfg)
-	d.SetFlight(fr.Shard(0))
+	d.setFlight(fr.Shard(0))
 	for _, r := range recs {
 		d.Observe(r)
 	}

@@ -16,7 +16,7 @@ import "loopscope/internal/obs/flight"
 // refusal force-evicts the coldest instead, so sustained pressure slows
 // stream formation rather than freezing out all new traffic.
 func (d *Detector) admitStream() bool {
-	if d.cfg.MaxActiveStreams <= 0 || d.LiveBuilders() < d.cfg.MaxActiveStreams {
+	if d.cfg.MaxActiveStreams <= 0 || d.liveBuilders() < d.cfg.MaxActiveStreams {
 		return true
 	}
 	const victimScan = 8
@@ -64,13 +64,13 @@ type ShedCounts struct {
 	Packets int64
 }
 
-// Shed returns the current shed counters (zero without a cap).
-func (d *Detector) Shed() ShedCounts {
+// shedCounts returns the current shed counters (zero without a cap).
+func (d *Detector) shedCounts() ShedCounts {
 	return ShedCounts{Streams: d.shedStreams, Packets: d.shedPackets}
 }
 
-// LiveBuilders returns the per-packet state the governor caps: the
+// liveBuilders returns the per-packet state the governor caps: the
 // first observations the table holds unpromoted plus the builders of
 // packets seen more than once. Either kind is one packet that may still
 // turn out to loop.
-func (d *Detector) LiveBuilders() int { return d.first.live + d.builders }
+func (d *Detector) liveBuilders() int { return d.first.live + d.builders }

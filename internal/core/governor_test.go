@@ -44,7 +44,7 @@ func runStorm(cfg Config, recs []trace.Record) (loops []*Loop, peak int, stats S
 	sd := NewStreamDetector(cfg, func(l *Loop) { loops = append(loops, l) })
 	for _, r := range recs {
 		sd.Observe(r)
-		if n := sd.LiveBuilders(); n > peak {
+		if n := sd.liveBuilders(); n > peak {
 			peak = n
 		}
 	}

@@ -196,7 +196,7 @@ func TestIndexInfluencesNothing(t *testing.T) {
 			if k != 0 {
 				d.first = newFirstTable(k, slots, cfg.MaxReplicaGap)
 			}
-			d.SetFlight(fr.Shard(0))
+			d.setFlight(fr.Shard(0))
 			for _, r := range recs {
 				d.Observe(r)
 				longestChain = max(longestChain, d.builders-len(d.active))
@@ -305,8 +305,8 @@ func TestPromotedBuilderCarriesItsEntry(t *testing.T) {
 	if b.firstEntry != seq || len(b.moreEntries) != 1 || b.moreEntries[0] != seq+1 || b.frOpen || b.chain != nil {
 		t.Fatalf("the promoted builder's entries or links are not its own: %+v", b)
 	}
-	if d.first.live != 0 || ps.open != 1 || !ps.entries[seq-ps.base].open || d.LiveBuilders() != 1 || ps.undecided() != b.start() {
-		t.Fatalf("promotion left the entry behind or closed the packet: %d live entries, %d open, %d live", d.first.live, ps.open, d.LiveBuilders())
+	if d.first.live != 0 || ps.open != 1 || !ps.entries[seq-ps.base].open || d.liveBuilders() != 1 || ps.undecided() != b.start() {
+		t.Fatalf("promotion left the entry behind or closed the packet: %d live entries, %d open, %d live", d.first.live, ps.open, d.liveBuilders())
 	}
 
 	// The next packet into the same generation writes the same arena
@@ -336,7 +336,7 @@ func TestFlightStreamIDStable(t *testing.T) {
 		data := capture(t, pkt, snap)
 		fr := flight.New(flight.Options{SampleEvery: 1})
 		d := NewDetector(DefaultConfig())
-		d.SetFlight(fr.Shard(0))
+		d.setFlight(fr.Shard(0))
 		for i, ttl := range []uint8{62, 60, 59, 57, 55} { // one duplicate
 			r := trace.Record{Time: time.Duration(i) * time.Millisecond, WireLen: 400, Data: bytes.Clone(data)}
 			r.Data[8] = ttl

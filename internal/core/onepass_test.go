@@ -102,7 +102,7 @@ func TestRecordIndexIsOnlyReported(t *testing.T) {
 				s.Replicas[i].Index = at(s.Replicas[i].Index)
 			}
 		}
-		got.TotalPackets = want.TotalPackets // Membership() sizes by it; the indices here exceed it
+		got.TotalPackets = want.TotalPackets // memberIndex sizes by it; the indices here exceed it
 		if !reflect.DeepEqual(got.Streams, want.Streams) || !reflect.DeepEqual(got.Loops, want.Loops) {
 			t.Fatalf("seed %d: result depends on the indices observed at", seed)
 		}

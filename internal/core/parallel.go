@@ -13,12 +13,12 @@ import (
 	"loopscope/internal/trace"
 )
 
-// ErrWorkerPanic is the sentinel wrapped into the error a
+// errWorkerPanic is the sentinel wrapped into the error a
 // ParallelDetector surfaces when one of its worker shards panics. The
 // panic is recovered inside the worker, the peer shards are cancelled
 // (they drain their queues without further processing), and FinishErr
 // reports the first panic with its shard number, value and stack.
-var ErrWorkerPanic = errors.New("core: worker shard panicked")
+var errWorkerPanic = errors.New("core: worker shard panicked")
 
 // shardConsumeHook, when non-nil, is called with each batch a shard
 // worker is about to process. Tests use it to inject a panicking
@@ -26,7 +26,7 @@ var ErrWorkerPanic = errors.New("core: worker shard panicked")
 // single predictable branch per batch).
 var shardConsumeHook func(shard int, recs []trace.Record)
 
-// ParallelDetector is the multi-core detection engine. It fans the
+// parallelDetector is the multi-core detection engine. It fans the
 // trace out to N worker shards keyed by the destination /PrefixBits
 // prefix, each running its own Detector, so the whole hot path —
 // header decode, replica matching, stream building, subnet validation,
@@ -56,7 +56,7 @@ var shardConsumeHook func(shard int, recs []trace.Record)
 // batches of DefaultBatchSize over bounded channels (backpressure, not
 // unbounded queueing), each shard feeds its own Detector, and spent
 // batches come back to be filled again.
-type ParallelDetector struct {
+type parallelDetector struct {
 	cfg     Config
 	workers int
 
@@ -126,8 +126,8 @@ type shardState struct {
 // detection, not ingest, is the bottleneck). A non-nil flight recorder
 // gives each worker shard its own recorder shard, so the hot paths
 // never share a lock.
-func newParallelDetector(cfg Config, workers int, reg *obs.Registry, fr *flight.Recorder) *ParallelDetector {
-	p := &ParallelDetector{
+func newParallelDetector(cfg Config, workers int, reg *obs.Registry, fr *flight.Recorder) *parallelDetector {
+	p := &parallelDetector{
 		cfg:        cfg,
 		workers:    workers,
 		pending:    make([]shardBatch, workers),
@@ -145,7 +145,7 @@ func newParallelDetector(cfg Config, workers int, reg *obs.Registry, fr *flight.
 			recs:  reg.Counter(obs.ShardMetric(obs.MetricShardRecords, i)),
 			depth: reg.Gauge(obs.ShardMetric(obs.MetricShardQueueDepth, i)),
 		}
-		s.det.SetFlight(fr.Shard(i))
+		s.det.setFlight(fr.Shard(i))
 		p.shards[i] = s
 		p.wg.Add(1)
 		go p.worker(i, s)
@@ -159,7 +159,7 @@ func newParallelDetector(cfg Config, workers int, reg *obs.Registry, fr *flight.
 // recovered, recorded as the detector's error, the peer shards are
 // cancelled, and the channel is drained so Observe never blocks on a
 // dead consumer.
-func (p *ParallelDetector) worker(i int, s *shardState) {
+func (p *parallelDetector) worker(i int, s *shardState) {
 	defer p.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,17 +199,17 @@ func (p *ParallelDetector) worker(i int, s *shardState) {
 
 // recordPanic stores the first worker panic (with stack) and cancels
 // the peers.
-func (p *ParallelDetector) recordPanic(shard int, v any) {
+func (p *parallelDetector) recordPanic(shard int, v any) {
 	p.panicMu.Lock()
 	if p.panicErr == nil {
-		p.panicErr = fmt.Errorf("%w: shard %d: %v\n%s", ErrWorkerPanic, shard, v, debug.Stack())
+		p.panicErr = fmt.Errorf("%w: shard %d: %v\n%s", errWorkerPanic, shard, v, debug.Stack())
 	}
 	p.panicMu.Unlock()
 	p.cancelOnce.Do(func() { close(p.cancel) })
 }
 
 // canceled reports whether a worker panic has cancelled the pipeline.
-func (p *ParallelDetector) canceled() bool {
+func (p *parallelDetector) canceled() bool {
 	select {
 	case <-p.cancel:
 		return true
@@ -226,7 +226,7 @@ func (p *ParallelDetector) canceled() bool {
 // cannot decode anyway (the shard's Detector counts the parse error);
 // they are spread round-robin so a corrupt region cannot overload one
 // shard.
-func (p *ParallelDetector) shardOf(data []byte) int {
+func (p *parallelDetector) shardOf(data []byte) int {
 	if len(data) < 20 {
 		p.shortShard++
 		return p.shortShard % p.workers
@@ -246,7 +246,7 @@ func (p *ParallelDetector) shardOf(data []byte) int {
 // Observe routes the next record to its shard, batching hand-offs.
 // Records must arrive in non-decreasing time order. The record's Data
 // is copied into the batch, not kept.
-func (p *ParallelDetector) Observe(rec trace.Record) {
+func (p *parallelDetector) Observe(rec trace.Record) {
 	s := p.shardOf(rec.Data)
 	b := &p.pending[s]
 	if b.recs == nil {
@@ -280,7 +280,7 @@ func (s *shardState) spent() shardBatch {
 }
 
 // ObserveBatch routes a whole slice of records (BatchObserver).
-func (p *ParallelDetector) ObserveBatch(recs []trace.Record) {
+func (p *parallelDetector) ObserveBatch(recs []trace.Record) {
 	for _, r := range recs {
 		p.Observe(r)
 	}
@@ -291,7 +291,7 @@ func (p *ParallelDetector) ObserveBatch(recs []trace.Record) {
 // the pipeline's backpressure. After a worker panic the batch is
 // dropped instead: the run is already failed and the workers are only
 // draining.
-func (p *ParallelDetector) flushShard(s int) {
+func (p *parallelDetector) flushShard(s int) {
 	b := p.pending[s]
 	if len(b.recs) == 0 {
 		return
@@ -325,7 +325,7 @@ func (p *ParallelDetector) flushShard(s int) {
 // can recover a typed error instead of the process dying on an
 // unreachable goroutine); error-aware callers should prefer
 // FinishErr, which core.Run and the tools use.
-func (p *ParallelDetector) Finish() *Result {
+func (p *parallelDetector) Finish() *Result {
 	res, err := p.FinishErr()
 	if err != nil {
 		panic(err)
@@ -337,7 +337,7 @@ func (p *ParallelDetector) Finish() *Result {
 // returning an error wrapping ErrWorkerPanic if any worker shard
 // panicked (the Result is nil in that case: with a shard lost the
 // reduce would be silently incomplete).
-func (p *ParallelDetector) FinishErr() (*Result, error) {
+func (p *parallelDetector) FinishErr() (*Result, error) {
 	for s := range p.shards {
 		p.flushShard(s)
 		close(p.shards[s].ch)

@@ -32,7 +32,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 			got.TotalPackets, got.ParseErrors, got.LoopedPackets, got.PairsDiscarded, got.SubnetInvalidated,
 			want.TotalPackets, want.ParseErrors, want.LoopedPackets, want.PairsDiscarded, want.SubnetInvalidated)
 	}
-	if !reflect.DeepEqual(got.Membership(), want.Membership()) {
+	if !reflect.DeepEqual(memberIndex(got), memberIndex(want)) {
 		t.Fatalf("%s: membership differs", label)
 	}
 	if len(got.Streams) != len(want.Streams) {
@@ -136,7 +136,7 @@ func TestParallelParseErrors(t *testing.T) {
 func TestParallelEmptyTrace(t *testing.T) {
 	for _, w := range parallelWorkerCounts {
 		res := newParallelDetector(DefaultConfig(), w, nil, nil).Finish()
-		if res.TotalPackets != 0 || len(res.Streams) != 0 || len(res.Loops) != 0 || len(res.Membership()) != 0 {
+		if res.TotalPackets != 0 || len(res.Streams) != 0 || len(res.Loops) != 0 || len(memberIndex(res)) != 0 {
 			t.Errorf("workers %d: non-empty result from empty trace: %+v", w, res)
 		}
 	}
@@ -170,7 +170,7 @@ func TestParallelWorkerPanic(t *testing.T) {
 		if res != nil {
 			t.Fatalf("workers %d: got a result alongside a worker panic", w)
 		}
-		if !errors.Is(err, ErrWorkerPanic) {
+		if !errors.Is(err, errWorkerPanic) {
 			t.Fatalf("workers %d: error %v does not wrap ErrWorkerPanic", w, err)
 		}
 		if !strings.Contains(err.Error(), "injected shard fault") {
@@ -195,7 +195,7 @@ func TestParallelWorkerPanicFinish(t *testing.T) {
 			t.Fatal("Finish did not re-raise the worker panic")
 		}
 		err, ok := v.(error)
-		if !ok || !errors.Is(err, ErrWorkerPanic) {
+		if !ok || !errors.Is(err, errWorkerPanic) {
 			t.Fatalf("recovered %v (%T), want an error wrapping ErrWorkerPanic", v, v)
 		}
 	}()
@@ -216,7 +216,7 @@ func TestParallelWorkerPanicRun(t *testing.T) {
 	if res != nil {
 		t.Fatal("Run returned a result alongside a worker panic")
 	}
-	if !errors.Is(err, ErrWorkerPanic) {
+	if !errors.Is(err, errWorkerPanic) {
 		t.Fatalf("Run error %v does not wrap ErrWorkerPanic", err)
 	}
 }

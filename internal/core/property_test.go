@@ -92,7 +92,7 @@ func TestMembershipConsistencyQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		recs := randomTrace(seed, 8*time.Second, 600, 2)
 		res := DetectRecords(recs, DefaultConfig())
-		membership := res.Membership()
+		membership := memberIndex(res)
 		if len(membership) != len(recs) {
 			return false
 		}
@@ -249,7 +249,7 @@ func TestDetectorDeterminism(t *testing.T) {
 		return func(fr *flight.Recorder) []*Loop {
 			var loops []*Loop
 			sd := NewStreamDetector(cfg, func(l *Loop) { loops = append(loops, l) })
-			sd.SetFlight(fr.Shard(0))
+			sd.setFlight(fr.Shard(0))
 			for _, r := range recs {
 				sd.Observe(r)
 			}
@@ -264,7 +264,7 @@ func TestDetectorDeterminism(t *testing.T) {
 	}{
 		{"NewDetector", true, func(fr *flight.Recorder) []*Loop {
 			d := NewDetector(cfg)
-			d.SetFlight(fr.Shard(0))
+			d.setFlight(fr.Shard(0))
 			for _, r := range recs {
 				d.Observe(r)
 			}

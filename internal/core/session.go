@@ -86,7 +86,7 @@ func (s *Session) onLoop(l *Loop) {
 // SetFlight attaches a flight-recorder shard to the underlying
 // detector. Call before the first Observe; nil keeps recording
 // disabled.
-func (s *Session) SetFlight(sr *flight.ShardRecorder) { s.sd.SetFlight(sr) }
+func (s *Session) SetFlight(sr *flight.ShardRecorder) { s.sd.setFlight(sr) }
 
 // RestartPoint returns the index r of the record (counted as Records
 // counts) a fresh session must be fed from to emit, from the next
@@ -125,7 +125,7 @@ func (s *Session) HighWater() time.Duration { return s.highWater }
 // Shed returns the detector's running shed counters — what the memory
 // governor (Config.MaxActiveStreams) has given up so far. The serve
 // daemon diffs successive snapshots into loopscope_shed_total.
-func (s *Session) Shed() ShedCounts { return s.sd.Shed() }
+func (s *Session) Shed() ShedCounts { return s.sd.shedCounts() }
 
 // Emitted returns the number of final loop emissions so far: the Seq
 // the next one will carry.

@@ -185,9 +185,8 @@ func TestStreamingBoundedMemory(t *testing.T) {
 // TestStreamingFinishAllocatesPerPrefix: ending a run on its counters —
 // FinishStats, and Session.Complete and Drain on top of it — must cost
 // memory in proportion to the prefixes still holding state, never to
-// the records observed; a per-record index (4 B/record for
-// Result.Membership) would be the largest allocation of a multi-hour
-// run, made at its very end.
+// the records observed; a per-record index (4 B/record) would be the
+// largest allocation of a multi-hour run, made at its very end.
 func TestStreamingFinishAllocatesPerPrefix(t *testing.T) {
 	const n, prefixes = 200_000, 64
 	finishers := map[string]func() (observe func(trace.Record), finish func() StreamStats){

@@ -25,7 +25,7 @@ func refTTLDelta(s *ReplicaStream) int {
 }
 
 func refEscaped(s *ReplicaStream) bool {
-	return int(s.LastTTL()) > refTTLDelta(s) && refTTLDelta(s) > 0
+	return int(s.lastTTL()) > refTTLDelta(s) && refTTLDelta(s) > 0
 }
 
 // TestTTLDeltaMatchesReference: TTLDelta and Escaped agree with the

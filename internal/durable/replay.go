@@ -9,10 +9,10 @@ import (
 	"os"
 )
 
-// MaxLine bounds one record during Replay. Events and observations are
+// maxLine bounds one record during Replay. Events and observations are
 // a few KB; a megabyte leaves orders of magnitude of headroom while
 // keeping a garbage file from being read into memory whole.
-const MaxLine = 1 << 20
+const maxLine = 1 << 20
 
 // Replay streams the lines of the file at path through fn, in order,
 // and returns how many it skipped. One corrupt record costs that
@@ -38,7 +38,7 @@ func Replay(path string, fn func(line []byte) error) (skipped int, err error) {
 	over := false   // the current line already exceeded MaxLine
 	for {
 		chunk, rerr := r.ReadSlice('\n')
-		if over = over || len(line)+len(chunk) > MaxLine; !over {
+		if over = over || len(line)+len(chunk) > maxLine; !over {
 			line = append(line, chunk...)
 		}
 		if rerr == bufio.ErrBufferFull {

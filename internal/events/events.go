@@ -64,9 +64,9 @@ func (k Kind) String() string {
 	}
 }
 
-// RootCause reports whether the kind is an exogenous input rather
+// rootCause reports whether the kind is an exogenous input rather
 // than a protocol reaction.
-func (k Kind) RootCause() bool {
+func (k Kind) rootCause() bool {
 	switch k {
 	case LinkFailed, LinkRepaired, PrefixWithdrawn, PrefixAdvertised:
 		return true
@@ -131,15 +131,6 @@ func (j *Journal) Len() int {
 	return len(j.evs)
 }
 
-// All returns the events in order. The slice is shared; do not
-// mutate.
-func (j *Journal) All() []Event {
-	if j == nil {
-		return nil
-	}
-	return j.evs
-}
-
 // Filter returns the events of the given kinds, in order.
 func (j *Journal) Filter(kinds ...Kind) []Event {
 	if j == nil {
@@ -165,21 +156,9 @@ func (j *Journal) RootCauses() []Event {
 	}
 	var out []Event
 	for _, e := range j.evs {
-		if e.Kind.RootCause() {
+		if e.Kind.rootCause() {
 			out = append(out, e)
 		}
-	}
-	return out
-}
-
-// CountByKind tallies the journal.
-func (j *Journal) CountByKind() map[Kind]int {
-	out := make(map[Kind]int)
-	if j == nil {
-		return out
-	}
-	for _, e := range j.evs {
-		out[e.Kind]++
 	}
 	return out
 }

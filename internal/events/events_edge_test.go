@@ -15,17 +15,11 @@ func TestEmptyJournal(t *testing.T) {
 	if j.Len() != 0 {
 		t.Errorf("Len = %d", j.Len())
 	}
-	if got := j.All(); len(got) != 0 {
-		t.Errorf("All = %v", got)
-	}
 	if got := j.Filter(LinkFailed, FIBUpdated); got != nil {
 		t.Errorf("Filter = %v", got)
 	}
 	if got := j.RootCauses(); got != nil {
 		t.Errorf("RootCauses = %v", got)
-	}
-	if got := j.CountByKind(); len(got) != 0 {
-		t.Errorf("CountByKind = %v", got)
 	}
 }
 
@@ -36,8 +30,8 @@ func TestSingleEventJournal(t *testing.T) {
 	e := Event{At: 3 * time.Second, Kind: SPFComputed, Node: "r1"}
 	j := NewJournal()
 	j.Append(e)
-	if j.Len() != 1 || !reflect.DeepEqual(j.All(), []Event{e}) {
-		t.Fatalf("journal = %v", j.All())
+	if j.Len() != 1 || !reflect.DeepEqual(j.evs, []Event{e}) {
+		t.Fatalf("journal = %v", j.evs)
 	}
 	if got := j.Filter(SPFComputed); len(got) != 1 || !reflect.DeepEqual(got[0], e) {
 		t.Errorf("Filter(SPFComputed) = %v", got)
@@ -47,9 +41,6 @@ func TestSingleEventJournal(t *testing.T) {
 	}
 	if got := j.RootCauses(); got != nil {
 		t.Errorf("RootCauses over a reaction-only journal = %v", got)
-	}
-	if got := j.CountByKind(); got[SPFComputed] != 1 || len(got) != 1 {
-		t.Errorf("CountByKind = %v", got)
 	}
 }
 
@@ -70,8 +61,8 @@ func TestOutOfOrderTimestamps(t *testing.T) {
 	for _, e := range evs {
 		j.Append(e)
 	}
-	if !reflect.DeepEqual(j.All(), evs) {
-		t.Errorf("All reordered the events: %v", j.All())
+	if !reflect.DeepEqual(j.evs, evs) {
+		t.Errorf("Append reordered the events: %v", j.evs)
 	}
 	fibs := j.Filter(FIBUpdated)
 	if len(fibs) != 2 || fibs[0].Node != "b" || fibs[1].Node != "c" {
@@ -80,10 +71,6 @@ func TestOutOfOrderTimestamps(t *testing.T) {
 	roots := j.RootCauses()
 	if len(roots) != 2 || roots[0].Kind != LinkFailed || roots[1].Kind != LinkRepaired {
 		t.Errorf("RootCauses = %v", roots)
-	}
-	counts := j.CountByKind()
-	if counts[FIBUpdated] != 2 || counts[LinkFailed] != 1 || counts[LinkRepaired] != 1 {
-		t.Errorf("CountByKind = %v", counts)
 	}
 }
 
@@ -94,7 +81,7 @@ func TestKindBounds(t *testing.T) {
 		if k.String() != "unknown" {
 			t.Errorf("Kind(%d).String() = %q", k, k.String())
 		}
-		if k.RootCause() {
+		if k.rootCause() {
 			t.Errorf("Kind(%d) claims to be a root cause", k)
 		}
 	}

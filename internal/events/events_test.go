@@ -27,9 +27,6 @@ func TestJournalBasics(t *testing.T) {
 	if j.Len() != 7 {
 		t.Fatalf("Len = %d", j.Len())
 	}
-	if got := len(j.All()); got != 7 {
-		t.Errorf("All = %d", got)
-	}
 	roots := j.RootCauses()
 	if len(roots) != 3 {
 		t.Fatalf("root causes = %d, want 3", len(roots))
@@ -45,9 +42,8 @@ func TestJournalBasics(t *testing.T) {
 	if len(both) != 2 {
 		t.Errorf("Filter(two kinds) = %d", len(both))
 	}
-	counts := j.CountByKind()
-	if counts[LSAOriginated] != 1 || counts[SPFComputed] != 1 {
-		t.Errorf("counts = %v", counts)
+	if len(j.Filter(LSAOriginated)) != 1 || len(j.Filter(SPFComputed)) != 1 {
+		t.Errorf("Filter(LSAOriginated), Filter(SPFComputed) = %v, %v", j.Filter(LSAOriginated), j.Filter(SPFComputed))
 	}
 }
 
@@ -63,8 +59,8 @@ func TestKindStringsAndRootness(t *testing.T) {
 	rooted := map[Kind]bool{LinkFailed: true, LinkRepaired: true,
 		PrefixWithdrawn: true, PrefixAdvertised: true}
 	for k := Kind(0); k < numKinds; k++ {
-		if k.RootCause() != rooted[k] {
-			t.Errorf("RootCause(%v) = %v", k, k.RootCause())
+		if k.rootCause() != rooted[k] {
+			t.Errorf("rootCause(%v) = %v", k, k.rootCause())
 		}
 	}
 }
@@ -83,8 +79,7 @@ func TestEventString(t *testing.T) {
 func TestNilJournal(t *testing.T) {
 	var j *Journal
 	j.Append(Event{Kind: LinkFailed}) // must not panic
-	if j.Len() != 0 || j.All() != nil || j.Filter(LinkFailed) != nil ||
-		j.RootCauses() != nil || len(j.CountByKind()) != 0 {
+	if j.Len() != 0 || j.Filter(LinkFailed) != nil || j.RootCauses() != nil {
 		t.Error("nil journal must be inert")
 	}
 }

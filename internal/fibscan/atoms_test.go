@@ -58,6 +58,7 @@ func FuzzFillRouterMatchesLookup(f *testing.F) {
 	f.Add(fillSeed("10.0.0.0/8>r1 10.0.0.0/8>r7 10.0.0.0/8>r0 10.0.0.0/9>r5", ""))    // repeated, missing
 	f.Add(fillSeed("0.0.0.0/0>r1 10.1.0.0/16>r0 | 10.0.0.0/8 10.1.2.0/24", ""))       // locals over routes
 	f.Add(fillSeed("10.0.0.0/8>r1 11.0.0.0/8>r2 10.0.0.0/8>r0 9.0.0.0/8>r7", "", "")) // repeated, apart
+	f.Add(fillSeed("| 0.0.0.0/15 0.0.0.0/0", ""))                                     // locals, longest first
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {

@@ -31,10 +31,10 @@ type TableLoop struct {
 	Snapshots int `json:"snapshots"`
 }
 
-// CoversPrefix reports whether any of the loop's ranges intersects p.
-func (t *TableLoop) CoversPrefix(p routing.Prefix) bool {
+// coversPrefix reports whether any of the loop's ranges intersects p.
+func (t *TableLoop) coversPrefix(p routing.Prefix) bool {
 	for _, r := range t.Ranges {
-		if r.Overlaps(p) {
+		if r.overlaps(p) {
 			return true
 		}
 	}
@@ -170,7 +170,7 @@ func matches(t *TableLoop, tr *TraceLoop, slack time.Duration) bool {
 	if t.FirstSeen-slack > tr.End || tr.Start > t.LastSeen+slack {
 		return false
 	}
-	return t.CoversPrefix(tr.Prefix)
+	return t.coversPrefix(tr.Prefix)
 }
 
 // CrossValidate classifies every loop either detector found into

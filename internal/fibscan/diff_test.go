@@ -86,7 +86,7 @@ func TestCollateUnionsFootprint(t *testing.T) {
 	if !reflect.DeepEqual(l.Prefixes, want) {
 		t.Errorf("prefixes = %v, want %v", l.Prefixes, want)
 	}
-	if !l.CoversPrefix(routing.MustParsePrefix("10.0.128.0/17")) {
+	if !l.coversPrefix(routing.MustParsePrefix("10.0.128.0/17")) {
 		t.Errorf("union lost coverage")
 	}
 }

@@ -92,32 +92,26 @@ type AddrRange struct {
 	lo, hi uint64 // half-open [lo, hi)
 }
 
-// NewAddrRange builds the inclusive range [first, last].
-func NewAddrRange(first, last packet.Addr) AddrRange {
+// newAddrRange builds the inclusive range [first, last].
+func newAddrRange(first, last packet.Addr) AddrRange {
 	return AddrRange{lo: uint64(first.Uint32()), hi: uint64(last.Uint32()) + 1}
 }
 
-// First returns the lowest address of the range.
-func (r AddrRange) First() packet.Addr { return packet.AddrFromUint32(uint32(r.lo)) }
+// first returns the lowest address of the range.
+func (r AddrRange) first() packet.Addr { return packet.AddrFromUint32(uint32(r.lo)) }
 
-// Last returns the highest address of the range (inclusive).
-func (r AddrRange) Last() packet.Addr { return packet.AddrFromUint32(uint32(r.hi - 1)) }
+// last returns the highest address of the range (inclusive).
+func (r AddrRange) last() packet.Addr { return packet.AddrFromUint32(uint32(r.hi - 1)) }
 
-// Overlaps reports whether the range shares any address with prefix p.
-func (r AddrRange) Overlaps(p routing.Prefix) bool {
+// overlaps reports whether the range shares any address with prefix p.
+func (r AddrRange) overlaps(p routing.Prefix) bool {
 	plo, phi := p.Range()
 	return r.lo < phi && plo < r.hi
 }
 
-// Contains reports whether addr falls inside the range.
-func (r AddrRange) Contains(addr packet.Addr) bool {
-	a := uint64(addr.Uint32())
-	return r.lo <= a && a < r.hi
-}
-
 // String formats the range as "first-last".
 func (r AddrRange) String() string {
-	return fmt.Sprintf("%s-%s", r.First(), r.Last())
+	return fmt.Sprintf("%s-%s", r.first(), r.last())
 }
 
 // MarshalJSON encodes the range as {"first":"a.b.c.d","last":"a.b.c.d"}.
@@ -125,7 +119,7 @@ func (r AddrRange) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		First string `json:"first"`
 		Last  string `json:"last"`
-	}{r.First().String(), r.Last().String()})
+	}{r.first().String(), r.last().String()})
 }
 
 // UnmarshalJSON is the inverse of MarshalJSON.
@@ -148,7 +142,7 @@ func (r *AddrRange) UnmarshalJSON(b []byte) error {
 	if last.Uint32() < first.Uint32() {
 		return fmt.Errorf("fibscan: inverted range %s-%s", raw.First, raw.Last)
 	}
-	*r = NewAddrRange(first, last)
+	*r = newAddrRange(first, last)
 	return nil
 }
 
@@ -173,16 +167,6 @@ type Cycle struct {
 // crossing one cycle link once per revolution would show).
 func (c *Cycle) Len() int { return len(c.Routers) }
 
-// CoversPrefix reports whether any affected range intersects p.
-func (c *Cycle) CoversPrefix(p routing.Prefix) bool {
-	for _, r := range c.Ranges {
-		if r.Overlaps(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // Report is the result of scanning one snapshot.
 type Report struct {
 	// TakenNs echoes the snapshot capture time.
@@ -203,14 +187,3 @@ type Report struct {
 
 // Taken returns the snapshot capture time.
 func (r *Report) Taken() time.Duration { return time.Duration(r.TakenNs) }
-
-// CyclesCovering returns the cycles whose ranges intersect p.
-func (r *Report) CyclesCovering(p routing.Prefix) []Cycle {
-	var out []Cycle
-	for _, c := range r.Cycles {
-		if c.CoversPrefix(p) {
-			out = append(out, c)
-		}
-	}
-	return out
-}

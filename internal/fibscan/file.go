@@ -23,8 +23,8 @@ type SnapshotFile struct {
 	Snapshots []Snapshot `json:"snapshots"`
 }
 
-// Validate checks the structural invariants a reader relies on.
-func (f *SnapshotFile) Validate() error {
+// validate checks the structural invariants a reader relies on.
+func (f *SnapshotFile) validate() error {
 	if f.Version != FileVersion {
 		return fmt.Errorf("fibscan: unsupported snapshot file version %d (want %d)", f.Version, FileVersion)
 	}
@@ -48,7 +48,7 @@ func (f *SnapshotFile) Encode(w io.Writer) error {
 	if f.Version == 0 {
 		f.Version = FileVersion
 	}
-	if err := f.Validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return err
 	}
 	// Twice the flush size: a router of up to encodeFlush bytes fits
@@ -150,10 +150,10 @@ func appendString(b []byte, s string) []byte {
 	return append(append(append(b, '"'), s...), '"')
 }
 
-// Decode reads and validates a snapshot file: what a Reader yields,
+// decode reads and validates a snapshot file: what a Reader yields,
 // collected. Routers whose bytes repeat from one snapshot to the next
 // share their tables (see Reader), so the result is read-only.
-func Decode(r io.Reader) (*SnapshotFile, error) {
+func decode(r io.Reader) (*SnapshotFile, error) {
 	rd := NewReader(r)
 	err := rd.Each(func(s *Snapshot) error {
 		rd.file.Snapshots = append(rd.file.Snapshots, *s)
@@ -185,5 +185,5 @@ func ReadFile(path string) (*SnapshotFile, error) {
 		return nil, err
 	}
 	defer in.Close()
-	return Decode(in)
+	return decode(in)
 }

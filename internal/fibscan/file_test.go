@@ -51,7 +51,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err := f.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -104,7 +104,7 @@ var badSnapshotFiles = map[string]string{
 func TestSnapshotFileRejectsBadInput(t *testing.T) {
 	cases := badSnapshotFiles
 	for name, in := range cases {
-		if _, err := Decode(strings.NewReader(in)); err == nil {
+		if _, err := decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted invalid input", name)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSnapshotFileRejectsBadInput(t *testing.T) {
 		"trailing document": "offset 29: data after the end of the document",
 		"snapshots twice":   `offset 65: duplicate key "snapshots"`,
 	} {
-		if _, err := Decode(strings.NewReader(cases[name])); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := decode(strings.NewReader(cases[name])); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want it to contain %q", name, err, want)
 		}
 	}
@@ -134,7 +134,7 @@ func TestSnapshotFileRejectsBadInput(t *testing.T) {
 
 	// A version that follows the snapshots is still checked, and still
 	// accepted when right.
-	if f, err := Decode(strings.NewReader(`{"snapshots":[null,{"takenNs":1,"routers":null}],"network":"late","version":1}`)); err != nil ||
+	if f, err := decode(strings.NewReader(`{"snapshots":[null,{"takenNs":1,"routers":null}],"network":"late","version":1}`)); err != nil ||
 		len(f.Snapshots) != 2 || f.Network != "late" || f.Version != FileVersion {
 		t.Errorf("version after snapshots: %+v, %v", f, err)
 	}
@@ -276,7 +276,7 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if want := encodeJSON(t, file); !bytes.Equal(got, want) {
 			t.Fatalf("Encode wrote\n%s\nencoding/json\n%s", got, want)
 		}
-		back, err := Decode(bytes.NewReader(got))
+		back, err := decode(bytes.NewReader(got))
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}

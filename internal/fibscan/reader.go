@@ -91,7 +91,7 @@ func (r *Reader) Each(fn func(*Snapshot) error) error {
 	if err != nil {
 		return fmt.Errorf("fibscan: snapshot file, offset %d: %w", r.off+int64(r.pos), err)
 	}
-	return r.file.Validate()
+	return r.file.validate()
 }
 
 // snapshot reads one element of the snapshots array, reusing the

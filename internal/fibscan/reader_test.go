@@ -22,7 +22,7 @@ func decodeWhole(r io.Reader) (*SnapshotFile, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, err
 	}
-	if err := f.Validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	return &f, nil
@@ -141,7 +141,7 @@ func TestReaderWindowEdges(t *testing.T) {
 			"byte by byte": iotest.OneByteReader(strings.NewReader(in)),
 			"half reads":   iotest.HalfReader(strings.NewReader(in)),
 		} {
-			got, err := Decode(src)
+			got, err := decode(src)
 			if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
 				t.Errorf("%s, %s: read as another value (%v) than encoding/json's (%v)", name, how, err, wantErr)
 			}
@@ -170,7 +170,7 @@ func FuzzReadTimeline(f *testing.F) {
 	f.Add([]byte(`{"version":1,"snapshots":null}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(bytes.NewReader(data))
+		got, err := decode(bytes.NewReader(data))
 		want, refErr := decodeWhole(bytes.NewReader(data))
 		switch {
 		case refErr != nil:
@@ -185,7 +185,7 @@ func FuzzReadTimeline(f *testing.F) {
 			t.Fatalf("decoded\n%+v\nreference\n%+v", got, want)
 		}
 
-		slow, slowErr := Decode(iotest.OneByteReader(bytes.NewReader(data)))
+		slow, slowErr := decode(iotest.OneByteReader(bytes.NewReader(data)))
 		if !reflect.DeepEqual(got, slow) || (err == nil) != (slowErr == nil) ||
 			(err != nil && err.Error() != slowErr.Error()) {
 			t.Fatalf("one Read: %+v, %v\nbyte by byte: %+v, %v", got, err, slow, slowErr)

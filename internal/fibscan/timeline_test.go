@@ -50,7 +50,7 @@ func TestTimelineWithoutRevisions(t *testing.T) {
 	                         {"name":"b","routes":[],"locals":["10.0.0.0/8"]}]},
 	 {"takenNs":3,"routers":[{"name":"a","routes":[{"prefix":"10.0.0.0/8","nextHop":"b"}]},
 	                         {"name":"b","routes":[{"prefix":"10.0.0.0/8","nextHop":"a"}]}]}]}`
-	f, err := Decode(strings.NewReader(file))
+	f, err := decode(strings.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Tap observes packets crossing a link, timestamped at the instant the
+// tapFunc observes packets crossing a link, timestamped at the instant the
 // last bit leaves the transmitting router — the same observation point
 // as an optical splitter feeding a capture card.
-type Tap func(at Time, tp *TransitPacket)
+type tapFunc func(at Time, tp *TransitPacket)
 
 // Link is one unidirectional link. Connect creates them in pairs;
 // Reverse points at the opposite direction.
@@ -49,7 +49,7 @@ type Link struct {
 	up        bool
 	busyUntil Time
 	inQueue   int
-	taps      []Tap
+	taps      []tapFunc
 }
 
 // Up reports whether the link is currently up.
@@ -59,7 +59,7 @@ func (l *Link) Up() bool { return l.up }
 func (l *Link) QueueDepth() int { return l.inQueue }
 
 // AddTap registers a tap on this link.
-func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
+func (l *Link) AddTap(t tapFunc) { l.taps = append(l.taps, t) }
 
 // txTime returns the serialisation delay of wireLen bytes.
 func (l *Link) txTime(wireLen int) Time {
@@ -71,11 +71,11 @@ func (l *Link) txTime(wireLen int) Time {
 func (l *Link) send(tp *TransitPacket) {
 	sim := l.net.Sim
 	if !l.up {
-		l.net.drop(tp, DropLinkDown)
+		l.net.drop(tp, dropLinkDown)
 		return
 	}
 	if l.inQueue >= l.QueueLimit {
-		l.net.drop(tp, DropQueueFull)
+		l.net.drop(tp, dropQueueFull)
 		return
 	}
 	if l.LossRate > 0 && l.net.lossRNG.Bool(l.LossRate) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSimulatorOrdering(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	var order []int
 	s.Schedule(3*time.Second, func() { order = append(order, 3) })
 	s.Schedule(time.Second, func() { order = append(order, 1) })
@@ -35,7 +35,7 @@ func TestSimulatorOrdering(t *testing.T) {
 }
 
 func TestSimulatorRunBoundary(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	ran := false
 	s.At(5*time.Second, func() { ran = true })
 	s.Run(4 * time.Second)
@@ -52,7 +52,7 @@ func TestSimulatorRunBoundary(t *testing.T) {
 }
 
 func TestSimulatorNestedScheduling(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	n := 0
 	var tick func()
 	tick = func() {
@@ -69,7 +69,7 @@ func TestSimulatorNestedScheduling(t *testing.T) {
 }
 
 func TestSimulatorClampsPast(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	var at Time
 	s.At(2*time.Second, func() {
 		s.At(time.Second, func() { at = s.Now() }) // in the past
@@ -150,8 +150,8 @@ func TestLinkQueueOverflow(t *testing.T) {
 		n.Inject(a, testPacket(uint16(i+1), 64, 1000))
 	}
 	n.Sim.Run(time.Second)
-	if n.Drops[DropQueueFull] != 6 {
-		t.Errorf("queue-full drops = %d, want 6", n.Drops[DropQueueFull])
+	if n.Drops[dropQueueFull] != 6 {
+		t.Errorf("queue-full drops = %d, want 6", n.Drops[dropQueueFull])
 	}
 	if n.Delivered != 4 {
 		t.Errorf("delivered = %d, want 4", n.Delivered)
@@ -298,8 +298,8 @@ func TestLinkFailureCallbacksAndDrops(t *testing.T) {
 	if downAt != wantDetect {
 		t.Errorf("down callback at %v, want %v", downAt, wantDetect)
 	}
-	if n.Drops[DropLinkDown] != 1 {
-		t.Errorf("link-down drops = %d", n.Drops[DropLinkDown])
+	if n.Drops[dropLinkDown] != 1 {
+		t.Errorf("link-down drops = %d", n.Drops[dropLinkDown])
 	}
 
 	// Repair restores forwarding.
@@ -345,9 +345,9 @@ func TestLoopGroundTruthAndExpiry(t *testing.T) {
 func TestGroundTruthWindowsSplitByGap(t *testing.T) {
 	n := NewNetwork()
 	d := packet.MustParseAddr("198.51.100.9")
-	n.recordLoop(GroundTruthLoop{At: 0, Dst: d, LoopSize: 2})
-	n.recordLoop(GroundTruthLoop{At: time.Second, Dst: d, LoopSize: 2})
-	n.recordLoop(GroundTruthLoop{At: 10 * time.Second, Dst: d, LoopSize: 3})
+	n.recordLoop(groundTruthLoop{At: 0, Dst: d, LoopSize: 2})
+	n.recordLoop(groundTruthLoop{At: time.Second, Dst: d, LoopSize: 2})
+	n.recordLoop(groundTruthLoop{At: 10 * time.Second, Dst: d, LoopSize: 3})
 	ws := n.GroundTruthWindows(2 * time.Second)
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d, want 2", len(ws))
@@ -417,7 +417,7 @@ func TestSetRouteToNonNeighborPanics(t *testing.T) {
 }
 
 func TestSimulatorStep(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	ran := 0
 	s.Schedule(time.Second, func() { ran++ })
 	s.Schedule(2*time.Second, func() { ran++ })

@@ -94,7 +94,7 @@ type Network struct {
 	// Fates holds retained packet outcomes.
 	Fates []Fate
 	// GroundTruth holds every observed forwarding-cycle event.
-	GroundTruth []GroundTruthLoop
+	GroundTruth []groundTruthLoop
 	// Minutes holds per-minute loss accounting.
 	Minutes []MinuteBucket
 
@@ -118,7 +118,7 @@ type Network struct {
 // NewNetwork returns an empty network on a fresh simulator.
 func NewNetwork() *Network {
 	n := &Network{
-		Sim:             NewSimulator(),
+		Sim:             newSimulator(),
 		ICMPMinInterval: 500 * time.Microsecond,
 		EchoReplies:     true,
 		lossRNG:         stats.NewRNG(0x1055),
@@ -341,7 +341,7 @@ func (n *Network) deliver(r *Router, tp *TransitPacket) {
 }
 
 // recordLoop appends a ground-truth loop observation.
-func (n *Network) recordLoop(g GroundTruthLoop) {
+func (n *Network) recordLoop(g groundTruthLoop) {
 	n.GroundTruth = append(n.GroundTruth, g)
 	n.minute().LoopEvents++
 }
@@ -350,7 +350,7 @@ func (n *Network) recordLoop(g GroundTruthLoop) {
 // loop intervals, directly comparable with detector output: events for
 // the same destination /24 separated by less than gap are one loop.
 func (n *Network) GroundTruthWindows(gap Time) []LoopWindow {
-	byPrefix := make(map[routing.Prefix][]GroundTruthLoop)
+	byPrefix := make(map[routing.Prefix][]groundTruthLoop)
 	for _, g := range n.GroundTruth {
 		p := routing.PrefixOf(g.Dst, 24)
 		byPrefix[p] = append(byPrefix[p], g)

@@ -122,7 +122,7 @@ func (r *Router) receive(tp *TransitPacket) {
 		if tp.LoopSize == 0 {
 			tp.LoopSize = size
 		}
-		r.net.recordLoop(GroundTruthLoop{
+		r.net.recordLoop(groundTruthLoop{
 			At:       r.net.Sim.Now(),
 			Node:     r.ID,
 			Dst:      tp.Pkt.IP.Dst,

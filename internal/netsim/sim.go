@@ -53,9 +53,9 @@ type Simulator struct {
 	events uint64
 }
 
-// NewSimulator returns a simulator at time zero with no pending
+// newSimulator returns a simulator at time zero with no pending
 // events.
-func NewSimulator() *Simulator {
+func newSimulator() *Simulator {
 	return &Simulator{}
 }
 

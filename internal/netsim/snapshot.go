@@ -1,69 +1,28 @@
 package netsim
 
-import "loopscope/internal/routing"
+import (
+	"loopscope/internal/fibscan"
+	"loopscope/internal/routing"
+)
 
-// RouterFIB is one router's forwarding state at snapshot time: the
-// FIB projected to next-hop router names, the locally delivered
-// prefixes, and the revision counter that stamps which version of the
-// table was captured. Entry values are the *names* of next-hop
-// routers rather than link pointers so a snapshot is self-contained —
-// serialisable, diffable, and consumable by the static analyzer
-// (internal/fibscan) with no live Network behind it.
-type RouterFIB struct {
-	ID       NodeID
-	Name     string
-	Revision uint64
-	// Routes maps destination prefixes to next-hop router names, in
-	// the FIB's deterministic walk order.
-	Routes []routing.Entry[string]
-	// Locals are the prefixes the router delivers locally. Local
-	// delivery is checked before the FIB (see Router.receive), so a
-	// forwarding cycle through a router that owns the destination is
-	// not a loop packets could ever experience.
-	Locals []routing.Prefix
-}
-
-// FIBSnapshot is a consistent capture of every router's FIB at one
-// simulated instant. The simulator serialises all FIB mutations
-// through its event loop, so a snapshot taken between events is
-// atomic across the whole network — the property real control planes
-// lack and the reason the trace/table cross-validation is interesting.
-type FIBSnapshot struct {
-	// At is the virtual capture time.
-	At Time
-	// Routers holds one entry per router, in creation (NodeID) order.
-	Routers []RouterFIB
-}
-
-// SnapshotFIBs captures every router's FIB and local-delivery table,
-// stamped with the current virtual time and per-router FIBRevision.
-// The returned snapshot shares nothing with the live network.
-func (n *Network) SnapshotFIBs() FIBSnapshot {
-	snap := FIBSnapshot{At: n.Sim.Now()}
-	snap.Routers = make([]RouterFIB, 0, len(n.routers))
-	for _, r := range n.routers {
-		rf := RouterFIB{
-			ID:       r.ID,
-			Name:     r.Name,
-			Revision: r.fibRevision,
-			Locals:   r.LocalPrefixes(),
-		}
+// SnapshotFIBs captures every router's FIB, projected to next-hop router
+// names, and its locally delivered prefixes, in creation (NodeID) order,
+// stamped with the current virtual time and each router's FIBRevision.
+// The simulator serialises all FIB mutations through its event loop, so
+// a snapshot taken between events is atomic across the whole network —
+// the property real control planes lack and the reason the trace/table
+// cross-validation is interesting. The returned snapshot shares nothing
+// with the live network, so the static analyzer (internal/fibscan) needs
+// no live Network behind it.
+func (n *Network) SnapshotFIBs() fibscan.Snapshot {
+	snap := fibscan.Snapshot{TakenNs: int64(n.Sim.Now()), Routers: make([]fibscan.RouterFIB, len(n.routers))}
+	for i, r := range n.routers {
+		rf := fibscan.RouterFIB{Name: r.Name, Revision: r.fibRevision, Routes: []fibscan.Route{}, Locals: r.LocalPrefixes()}
 		r.fib.Walk(func(p routing.Prefix, l *Link) bool {
-			rf.Routes = append(rf.Routes, routing.Entry[string]{Prefix: p, Value: l.To.Name})
+			rf.Routes = append(rf.Routes, fibscan.Route{Prefix: p, NextHop: l.To.Name})
 			return true
 		})
-		snap.Routers = append(snap.Routers, rf)
+		snap.Routers[i] = rf
 	}
 	return snap
-}
-
-// RevisionSum returns the sum of all routers' FIB revisions — a cheap
-// change detector: two snapshots of the same network with equal sums
-// captured no FIB mutation in between (revisions only increment).
-func (s *FIBSnapshot) RevisionSum() uint64 {
-	var sum uint64
-	for i := range s.Routers {
-		sum += s.Routers[i].Revision
-	}
-	return sum
 }

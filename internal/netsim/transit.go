@@ -51,8 +51,8 @@ type DropReason int
 const (
 	DropTTLExpired DropReason = iota
 	DropNoRoute
-	DropQueueFull
-	DropLinkDown
+	dropQueueFull
+	dropLinkDown
 	DropLineError
 	numDropReasons
 )
@@ -64,9 +64,9 @@ func (r DropReason) String() string {
 		return "ttl-expired"
 	case DropNoRoute:
 		return "no-route"
-	case DropQueueFull:
+	case dropQueueFull:
 		return "queue-full"
-	case DropLinkDown:
+	case dropLinkDown:
 		return "link-down"
 	case DropLineError:
 		return "line-error"
@@ -90,10 +90,10 @@ type Fate struct {
 	Class     packet.ClassMask
 }
 
-// GroundTruthLoop is one observed forwarding-cycle event: a packet
+// groundTruthLoop is one observed forwarding-cycle event: a packet
 // revisited a router. The recorder aggregates these by destination /24
 // to form ground-truth loop intervals comparable with detector output.
-type GroundTruthLoop struct {
+type groundTruthLoop struct {
 	At       Time
 	Node     NodeID
 	Dst      packet.Addr

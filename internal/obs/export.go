@@ -14,7 +14,7 @@ import (
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Histograms map[string]histogramSnapshot `json:"histograms"`
 	Stages     []StageTiming                `json:"stages"`
 }
 
@@ -24,7 +24,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
+		Histograms: map[string]histogramSnapshot{},
 	}
 	if r == nil {
 		return s
@@ -62,18 +62,18 @@ func splitSeries(name string) (base, labels string) {
 	return name, ""
 }
 
-// WritePrometheus writes the registry in the Prometheus text
+// writePrometheus writes the registry in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
 // samples, histograms with cumulative _bucket/_sum/_count series, and
 // stage timings as loopscope_stage_seconds_total /
 // loopscope_stage_runs_total series labelled by stage. Output is
 // deterministic (names sorted, stages in pipeline order).
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	snap := r.Snapshot()
 
 	header := func(base, kind string) {
-		fmt.Fprintf(bw, "# HELP %s %s\n", base, MetricHelp(base))
+		fmt.Fprintf(bw, "# HELP %s %s\n", base, helpFor(base))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", base, kind)
 	}
 	writeFamily := func(kind string, values map[string]int64) {
@@ -135,9 +135,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSON writes the snapshot as one indented JSON document (the
+// writeJSON writes the snapshot as one indented JSON document (the
 // /debug/vars payload; also usable for archiving a run's metrics).
-func (r *Registry) WriteJSON(w io.Writer) error {
+func (r *Registry) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())

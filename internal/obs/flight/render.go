@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Describe renders one event as a human-readable phrase (without its
+// describe renders one event as a human-readable phrase (without its
 // timestamp), the same wording the /statusz page and loopdetect
 // -explain use.
-func (e Event) Describe() string {
+func (e Event) describe() string {
 	st := fmt.Sprintf("%08x", uint32(e.Stream)^uint32(e.Stream>>32))
 	switch e.Kind {
 	case KindStreamOpen:
@@ -60,6 +60,6 @@ func RenderTrail(w io.Writer, t *Trail) {
 		return
 	}
 	for _, ev := range t.Events {
-		fmt.Fprintf(w, "  %12v  %-12s %s\n", ev.Time, ev.Kind, ev.Describe())
+		fmt.Fprintf(w, "  %12v  %-12s %s\n", ev.Time, ev.Kind, ev.describe())
 	}
 }

@@ -73,7 +73,7 @@ func BindLogFlags(fs *flag.FlagSet) func(LogOptions) (*slog.Logger, error) {
 	level := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	format := fs.String("log-format", "text", "log output format: text or json")
 	return func(opts LogOptions) (*slog.Logger, error) {
-		l, err := ParseLogLevel(*level)
+		l, err := parseLogLevel(*level)
 		if err != nil {
 			return nil, err
 		}
@@ -96,8 +96,8 @@ func NoteTornRepair(reg *Registry, log *slog.Logger, file, path string, torn int
 	log.Warn("torn trailing line quarantined", "file", file, "path", path, "bytes", torn)
 }
 
-// ParseLogLevel maps a -log-level flag value to a slog.Level.
-func ParseLogLevel(s string) (slog.Level, error) {
+// parseLogLevel maps a -log-level flag value to a slog.Level.
+func parseLogLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
 		return slog.LevelDebug, nil
@@ -111,9 +111,9 @@ func ParseLogLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
 }
 
-// LevelString renders a slog.Level as the lowercase label used for the
+// levelString renders a slog.Level as the lowercase label used for the
 // per-level metric series.
-func LevelString(l slog.Level) string {
+func levelString(l slog.Level) string {
 	switch {
 	case l < slog.LevelInfo:
 		return "debug"
@@ -138,7 +138,7 @@ func (c *countingHandler) Enabled(ctx context.Context, l slog.Level) bool {
 }
 
 func (c *countingHandler) Handle(ctx context.Context, r slog.Record) error {
-	c.reg.Counter(LabelMetric(MetricLogMessages, "level", LevelString(r.Level))).Inc()
+	c.reg.Counter(LabelMetric(MetricLogMessages, "level", levelString(r.Level))).Inc()
 	return c.next.Handle(ctx, r)
 }
 
@@ -190,7 +190,7 @@ func (h *plainHandler) Handle(_ context.Context, r slog.Record) error {
 		sb.WriteByte(' ')
 	}
 	if r.Level != slog.LevelInfo {
-		sb.WriteString(strings.ToUpper(LevelString(r.Level)))
+		sb.WriteString(strings.ToUpper(levelString(r.Level)))
 		sb.WriteByte(' ')
 	}
 	sb.WriteString(r.Message)

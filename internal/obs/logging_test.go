@@ -23,13 +23,13 @@ func TestParseLogLevel(t *testing.T) {
 		{"verbose", 0, true},
 	}
 	for _, c := range cases {
-		got, err := ParseLogLevel(c.in)
+		got, err := parseLogLevel(c.in)
 		if (err != nil) != c.err {
-			t.Errorf("ParseLogLevel(%q) err = %v, want err=%v", c.in, err, c.err)
+			t.Errorf("parseLogLevel(%q) err = %v, want err=%v", c.in, err, c.err)
 			continue
 		}
 		if !c.err && got != c.want {
-			t.Errorf("ParseLogLevel(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("parseLogLevel(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -102,8 +102,8 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram.
-type HistogramSnapshot struct {
+// histogramSnapshot is a point-in-time copy of a histogram.
+type histogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one more entry
 	// than Bounds (the +Inf bucket) and is per-bucket, not cumulative.
 	Bounds []int64 `json:"bounds"`
@@ -113,8 +113,8 @@ type HistogramSnapshot struct {
 }
 
 // snapshot copies the histogram's current state.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
+func (h *Histogram) snapshot() histogramSnapshot {
+	s := histogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
 	}

@@ -20,7 +20,7 @@ const (
 	MetricSalvageResyncs      = "loopscope_salvage_resyncs"
 	MetricSalvageBytesSkipped = "loopscope_salvage_bytes_skipped"
 
-	// Detection pipeline (core.ParallelDetector). The per-shard
+	// Detection pipeline (core's parallel detector). The per-shard
 	// series carry a shard label; build names with ShardMetric.
 	MetricShardRecords       = "loopscope_detect_shard_records_total"
 	MetricShardQueueDepth    = "loopscope_detect_queue_depth"
@@ -172,9 +172,9 @@ var metricHelp = map[string]string{
 	"loopscope_stage_runs_total":    "Completed spans per pipeline stage.",
 }
 
-// MetricHelp returns the HELP string for a metric family (the name
+// helpFor returns the HELP string for a metric family (the name
 // with any label suffix stripped).
-func MetricHelp(family string) string {
+func helpFor(family string) string {
 	if h, ok := metricHelp[family]; ok {
 		return h
 	}

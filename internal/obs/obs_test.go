@@ -186,7 +186,7 @@ func TestWritePrometheus(t *testing.T) {
 	sp.End()
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

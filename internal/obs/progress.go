@@ -96,7 +96,7 @@ func (p *Progress) Start() {
 			case <-p.stop:
 				return
 			case now := <-t.C:
-				fmt.Fprintln(p.w, p.Line(now))
+				fmt.Fprintln(p.w, p.line(now))
 			}
 		}
 	}()
@@ -110,13 +110,13 @@ func (p *Progress) Stop() {
 	}
 	close(p.stop)
 	<-p.done
-	fmt.Fprintln(p.w, p.Line(time.Now()))
+	fmt.Fprintln(p.w, p.line(time.Now()))
 }
 
-// Line formats one progress report for the given instant and advances
+// line formats one progress report for the given instant and advances
 // the rate baseline. Exposed for tests; normal use goes through
 // Start/Stop.
-func (p *Progress) Line(now time.Time) string {
+func (p *Progress) line(now time.Time) string {
 	snap := p.reg.Snapshot()
 	recs := snap.Counters[MetricTraceRecords]
 

@@ -21,7 +21,7 @@ func TestProgressLine(t *testing.T) {
 	})
 	p.lastAt = time.Now().Add(-2 * time.Second)
 
-	line := p.Line(time.Now())
+	line := p.line(time.Now())
 	for _, want := range []string{"1.50M records", "50.0% of 512.0 MiB", "ETA", "shard skew 1.33"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("line missing %q: %s", want, line)
@@ -30,7 +30,7 @@ func TestProgressLine(t *testing.T) {
 
 	// Second tick: rate derives from the delta since the first.
 	r.Counter(MetricTraceRecords).Add(1_000_000)
-	line = p.Line(p.lastAt.Add(time.Second))
+	line = p.line(p.lastAt.Add(time.Second))
 	if !strings.Contains(line, "2.50M records") {
 		t.Errorf("second line missing total: %s", line)
 	}
@@ -44,7 +44,7 @@ func TestProgressWithoutOffset(t *testing.T) {
 	r.Counter(MetricTraceRecords).Add(10)
 	p := NewProgress(r, ProgressOptions{Interval: time.Hour, W: &strings.Builder{}})
 	p.lastAt = time.Now().Add(-time.Second)
-	line := p.Line(time.Now())
+	line := p.line(time.Now())
 	if strings.Contains(line, "%") || strings.Contains(line, "ETA") {
 		t.Errorf("offset fields present without an offset source: %s", line)
 	}

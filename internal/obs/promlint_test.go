@@ -195,7 +195,7 @@ func TestPrometheusExpositionValid(t *testing.T) {
 	sp.End()
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -301,7 +301,7 @@ func TestPrometheusSampleNamesDistinct(t *testing.T) {
 	r.Gauge(MetricEngineWorkers).Set(1)
 	r.Histogram(LabelMetric(MetricServeDetectLatencyNs, "source", "a"), DetectLatencyBounds).Observe(1)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	samples, _, _ := parseExposition(t, sb.String())

@@ -10,12 +10,12 @@ type ClassMask uint16
 // Traffic-type categories, in the order the paper plots them.
 const (
 	ClassTCP ClassMask = 1 << iota
-	ClassACK
-	ClassPSH
+	classACK
+	classPSH
 	ClassRST
-	ClassURG
+	classURG
 	ClassSYN
-	ClassFIN
+	classFIN
 	ClassUDP
 	ClassMcast
 	ClassICMP
@@ -66,22 +66,22 @@ func Classify(p *Packet) ClassMask {
 		if p.HasTransport {
 			f := p.TCP.Flags
 			if f&TCPAck != 0 {
-				m |= ClassACK
+				m |= classACK
 			}
 			if f&TCPPsh != 0 {
-				m |= ClassPSH
+				m |= classPSH
 			}
 			if f&TCPRst != 0 {
 				m |= ClassRST
 			}
 			if f&TCPUrg != 0 {
-				m |= ClassURG
+				m |= classURG
 			}
 			if f&TCPSyn != 0 {
 				m |= ClassSYN
 			}
 			if f&TCPFin != 0 {
-				m |= ClassFIN
+				m |= classFIN
 			}
 		}
 	case KindUDP:

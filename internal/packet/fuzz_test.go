@@ -43,8 +43,8 @@ func FuzzDecode(f *testing.F) {
 		_ = pkt.SrcPort()
 		_ = pkt.DstPort()
 		// Header length never exceeds the captured bytes.
-		if pkt.IP.HeaderLen() > len(data) {
-			t.Fatalf("header length %d > capture %d", pkt.IP.HeaderLen(), len(data))
+		if pkt.IP.headerLen() > len(data) {
+			t.Fatalf("header length %d > capture %d", pkt.IP.headerLen(), len(data))
 		}
 	})
 }
@@ -133,9 +133,9 @@ func FuzzFrameIPv4MatchesDecode(f *testing.F) {
 		if (n != 0) != (err == nil) {
 			t.Fatalf("FrameIPv4 says %d, DecodeIPv4 says %v", n, err)
 		}
-		if err == nil && (n != h.HeaderLen() || data[8] != h.TTL || Addr(data[16:20]) != h.Dst) {
+		if err == nil && (n != h.headerLen() || data[8] != h.TTL || Addr(data[16:20]) != h.Dst) {
 			t.Fatalf("framed length %d, TTL %d, destination %v; decoded %d, %d, %v",
-				n, data[8], Addr(data[16:20]), h.HeaderLen(), h.TTL, h.Dst)
+				n, data[8], Addr(data[16:20]), h.headerLen(), h.TTL, h.Dst)
 		}
 	})
 }

@@ -39,8 +39,8 @@ const (
 	FlagMF = 0x1 // more fragments
 )
 
-// HeaderLen returns the header length in bytes implied by IHL.
-func (h *IPv4Header) HeaderLen() int { return int(h.IHL) * 4 }
+// headerLen returns the header length in bytes implied by IHL.
+func (h *IPv4Header) headerLen() int { return int(h.IHL) * 4 }
 
 // FrameIPv4 makes DecodeIPv4's checks on the front of data — at least
 // 20 bytes, version 4, IHL at least 5 and the whole header captured —
@@ -70,7 +70,7 @@ func DecodeIPv4(data []byte) (IPv4Header, error) {
 	if h.IHL < 5 {
 		return h, fmt.Errorf("packet: bad IHL %d", h.IHL)
 	}
-	if len(data) < h.HeaderLen() {
+	if len(data) < h.headerLen() {
 		return h, fmt.Errorf("packet: IPv4 options truncated")
 	}
 	h.TOS = data[1]
@@ -87,15 +87,15 @@ func DecodeIPv4(data []byte) (IPv4Header, error) {
 	return h, nil
 }
 
-// Encode serialises the header into buf, which must be at least
+// encode serialises the header into buf, which must be at least
 // HeaderLen() bytes, and writes a freshly computed header checksum
 // both into buf and into h.Checksum. It returns the number of bytes
 // written.
-func (h *IPv4Header) Encode(buf []byte) (int, error) {
+func (h *IPv4Header) encode(buf []byte) (int, error) {
 	if h.IHL == 0 {
 		h.IHL = 5
 	}
-	n := h.HeaderLen()
+	n := h.headerLen()
 	if len(buf) < n {
 		return 0, fmt.Errorf("packet: buffer too small for IPv4 header: %d < %d", len(buf), n)
 	}
@@ -123,7 +123,7 @@ func (h *IPv4Header) Encode(buf []byte) (int, error) {
 // VerifyChecksum reports whether the stored header checksum matches a
 // recomputation over data (which must hold at least the full header).
 func (h *IPv4Header) VerifyChecksum(data []byte) bool {
-	n := h.HeaderLen()
+	n := h.headerLen()
 	if len(data) < n {
 		return false
 	}

@@ -65,7 +65,7 @@ func (p *Packet) transportHeaderLen() int {
 	case KindTCP:
 		return int(p.TCP.DataOffset) * 4
 	case KindUDP:
-		return UDPHeaderLen
+		return udpHeaderLen
 	case KindICMP:
 		return ICMPHeaderLen
 	default:
@@ -76,7 +76,7 @@ func (p *Packet) transportHeaderLen() int {
 // WireLen returns the total on-the-wire length of the packet
 // (IP header + transport header + payload).
 func (p *Packet) WireLen() int {
-	return p.IP.HeaderLen() + p.transportHeaderLen() + p.PayloadLen
+	return p.IP.headerLen() + p.transportHeaderLen() + p.PayloadLen
 }
 
 // Decode parses an IPv4 packet from data, which may be a truncated
@@ -91,23 +91,23 @@ func Decode(data []byte) (Packet, error) {
 		return p, err
 	}
 	p.IP = ip
-	rest := data[ip.HeaderLen():]
+	rest := data[ip.headerLen():]
 	switch ip.Protocol {
 	case ProtoTCP:
 		p.Kind = KindTCP
-		if tcp, err := DecodeTCP(rest); err == nil {
+		if tcp, err := decodeTCP(rest); err == nil {
 			p.TCP = tcp
 			p.HasTransport = true
 		}
 	case ProtoUDP:
 		p.Kind = KindUDP
-		if udp, err := DecodeUDP(rest); err == nil {
+		if udp, err := decodeUDP(rest); err == nil {
 			p.UDP = udp
 			p.HasTransport = true
 		}
 	case ProtoICMP:
 		p.Kind = KindICMP
-		if icmp, err := DecodeICMP(rest); err == nil {
+		if icmp, err := decodeICMP(rest); err == nil {
 			p.ICMP = icmp
 			p.HasTransport = true
 		}
@@ -115,12 +115,12 @@ func Decode(data []byte) (Packet, error) {
 		p.Kind = KindOther
 	}
 	if p.HasTransport {
-		p.PayloadLen = int(ip.TotalLength) - ip.HeaderLen() - p.transportHeaderLen()
+		p.PayloadLen = int(ip.TotalLength) - ip.headerLen() - p.transportHeaderLen()
 		if p.PayloadLen < 0 {
 			p.PayloadLen = 0
 		}
 	} else {
-		p.PayloadLen = int(ip.TotalLength) - ip.HeaderLen()
+		p.PayloadLen = int(ip.TotalLength) - ip.headerLen()
 		if p.PayloadLen < 0 {
 			p.PayloadLen = 0
 		}
@@ -150,7 +150,7 @@ func (p *Packet) Serialize(buf []byte, max int) (int, error) {
 	// full-packet checksums.
 	var scratch [IPv4HeaderLen + 60 + 8]byte
 	p.IP.TotalLength = uint16(full)
-	ipLen, err := p.IP.Encode(scratch[:])
+	ipLen, err := p.IP.encode(scratch[:])
 	if err != nil {
 		return 0, err
 	}
@@ -164,7 +164,7 @@ func (p *Packet) Serialize(buf []byte, max int) (int, error) {
 	thl := 0
 	switch p.Kind {
 	case KindTCP:
-		thl, err = p.TCP.Encode(scratch[ipLen:])
+		thl, err = p.TCP.encode(scratch[ipLen:])
 		if err != nil {
 			return 0, err
 		}
@@ -178,8 +178,8 @@ func (p *Packet) Serialize(buf []byte, max int) (int, error) {
 		binary.BigEndian.PutUint16(seg[16:18], ck)
 		p.TCP.Checksum = ck
 	case KindUDP:
-		p.UDP.Length = uint16(UDPHeaderLen + p.PayloadLen)
-		thl, err = p.UDP.Encode(scratch[ipLen:])
+		p.UDP.Length = uint16(udpHeaderLen + p.PayloadLen)
+		thl, err = p.UDP.encode(scratch[ipLen:])
 		if err != nil {
 			return 0, err
 		}
@@ -194,7 +194,7 @@ func (p *Packet) Serialize(buf []byte, max int) (int, error) {
 		binary.BigEndian.PutUint16(seg[6:8], ck)
 		p.UDP.Checksum = ck
 	case KindICMP:
-		thl, err = p.ICMP.Encode(scratch[ipLen:])
+		thl, err = p.ICMP.encode(scratch[ipLen:])
 		if err != nil {
 			return 0, err
 		}

@@ -109,7 +109,7 @@ func TestIPv4EncodeDecodeRoundTrip(t *testing.T) {
 		Src: MustParseAddr("10.1.2.3"), Dst: MustParseAddr("192.0.2.200"),
 	}
 	var buf [20]byte
-	n, err := h.Encode(buf[:])
+	n, err := h.encode(buf[:])
 	if err != nil || n != 20 {
 		t.Fatalf("Encode: n=%d err=%v", n, err)
 	}
@@ -153,7 +153,7 @@ func TestIPv4DecodeErrors(t *testing.T) {
 func TestIPv4FragmentFields(t *testing.T) {
 	h := IPv4Header{Version: 4, IHL: 5, Flags: FlagMF, FragOffset: 0x1234 & 0x1fff, TTL: 1, Protocol: ProtoUDP}
 	var buf [20]byte
-	if _, err := h.Encode(buf[:]); err != nil {
+	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeIPv4(buf[:])
@@ -171,17 +171,17 @@ func TestTCPEncodeDecodeRoundTrip(t *testing.T) {
 		DataOffset: 5, Flags: TCPSyn | TCPAck, Window: 8192, Checksum: 0xabcd, Urgent: 7,
 	}
 	var buf [20]byte
-	if _, err := h.Encode(buf[:]); err != nil {
+	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTCP(buf[:])
+	got, err := decodeTCP(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != h {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 	}
-	if _, err := DecodeTCP(buf[:19]); err == nil {
+	if _, err := decodeTCP(buf[:19]); err == nil {
 		t.Error("truncated TCP header decoded")
 	}
 }
@@ -189,10 +189,10 @@ func TestTCPEncodeDecodeRoundTrip(t *testing.T) {
 func TestUDPEncodeDecodeRoundTrip(t *testing.T) {
 	h := UDPHeader{SrcPort: 53, DstPort: 33434, Length: 80, Checksum: 0x1111}
 	var buf [8]byte
-	if _, err := h.Encode(buf[:]); err != nil {
+	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUDP(buf[:])
+	got, err := decodeUDP(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestUDPEncodeDecodeRoundTrip(t *testing.T) {
 func TestICMPEncodeDecodeRoundTrip(t *testing.T) {
 	h := ICMPHeader{Type: ICMPTimeExceeded, Code: 0, Rest: 0xfeedface}
 	var buf [8]byte
-	if _, err := h.Encode(buf[:]); err != nil {
+	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	ComputeICMPChecksum(buf[:])
-	got, err := DecodeICMP(buf[:])
+	got, err := decodeICMP(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,16 +340,16 @@ func TestClassify(t *testing.T) {
 	}{
 		{"syn-ack", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPSyn | TCPAck}},
-			ClassTCP | ClassSYN | ClassACK},
+			ClassTCP | ClassSYN | classACK},
 		{"fin-ack-psh", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPFin | TCPAck | TCPPsh}},
-			ClassTCP | ClassFIN | ClassACK | ClassPSH},
+			ClassTCP | classFIN | classACK | classPSH},
 		{"rst", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPRst}},
 			ClassTCP | ClassRST},
 		{"urg", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPUrg | TCPAck}},
-			ClassTCP | ClassURG | ClassACK},
+			ClassTCP | classURG | classACK},
 		{"udp", Packet{Kind: KindUDP, HasTransport: true}, ClassUDP},
 		{"udp-mcast", Packet{Kind: KindUDP, HasTransport: true,
 			IP: IPv4Header{Dst: MustParseAddr("224.0.0.5")}},
@@ -365,7 +365,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestClassMaskString(t *testing.T) {
-	m := ClassTCP | ClassSYN | ClassACK
+	m := ClassTCP | ClassSYN | classACK
 	if s := m.String(); s != "TCP+ACK+SYN" {
 		t.Errorf("String = %q", s)
 	}
@@ -380,7 +380,7 @@ func TestClassIndex(t *testing.T) {
 			t.Errorf("ClassIndex(1<<%d) = %d", i, got)
 		}
 	}
-	if ClassIndex(ClassTCP|ClassACK) != -1 {
+	if ClassIndex(ClassTCP|classACK) != -1 {
 		t.Error("multi-bit mask should map to -1")
 	}
 }

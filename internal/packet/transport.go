@@ -30,8 +30,8 @@ type TCPHeader struct {
 	Urgent           uint16
 }
 
-// DecodeTCP parses a TCP header from the front of data.
-func DecodeTCP(data []byte) (TCPHeader, error) {
+// decodeTCP parses a TCP header from the front of data.
+func decodeTCP(data []byte) (TCPHeader, error) {
 	var h TCPHeader
 	if len(data) < TCPHeaderLen {
 		return h, fmt.Errorf("packet: TCP header truncated: %d bytes", len(data))
@@ -48,9 +48,9 @@ func DecodeTCP(data []byte) (TCPHeader, error) {
 	return h, nil
 }
 
-// Encode serialises the header into buf (>= TCPHeaderLen bytes)
+// encode serialises the header into buf (>= TCPHeaderLen bytes)
 // without computing a checksum. Returns bytes written.
-func (h *TCPHeader) Encode(buf []byte) (int, error) {
+func (h *TCPHeader) encode(buf []byte) (int, error) {
 	if len(buf) < TCPHeaderLen {
 		return 0, fmt.Errorf("packet: buffer too small for TCP header")
 	}
@@ -69,8 +69,8 @@ func (h *TCPHeader) Encode(buf []byte) (int, error) {
 	return TCPHeaderLen, nil
 }
 
-// UDPHeaderLen is the length of a UDP header.
-const UDPHeaderLen = 8
+// udpHeaderLen is the length of a UDP header.
+const udpHeaderLen = 8
 
 // UDPHeader is a decoded UDP header.
 type UDPHeader struct {
@@ -79,10 +79,10 @@ type UDPHeader struct {
 	Checksum         uint16
 }
 
-// DecodeUDP parses a UDP header from the front of data.
-func DecodeUDP(data []byte) (UDPHeader, error) {
+// decodeUDP parses a UDP header from the front of data.
+func decodeUDP(data []byte) (UDPHeader, error) {
 	var h UDPHeader
-	if len(data) < UDPHeaderLen {
+	if len(data) < udpHeaderLen {
 		return h, fmt.Errorf("packet: UDP header truncated: %d bytes", len(data))
 	}
 	h.SrcPort = binary.BigEndian.Uint16(data[0:2])
@@ -92,17 +92,17 @@ func DecodeUDP(data []byte) (UDPHeader, error) {
 	return h, nil
 }
 
-// Encode serialises the header into buf (>= UDPHeaderLen bytes)
+// encode serialises the header into buf (>= UDPHeaderLen bytes)
 // without computing a checksum. Returns bytes written.
-func (h *UDPHeader) Encode(buf []byte) (int, error) {
-	if len(buf) < UDPHeaderLen {
+func (h *UDPHeader) encode(buf []byte) (int, error) {
+	if len(buf) < udpHeaderLen {
 		return 0, fmt.Errorf("packet: buffer too small for UDP header")
 	}
 	binary.BigEndian.PutUint16(buf[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(buf[2:4], h.DstPort)
 	binary.BigEndian.PutUint16(buf[4:6], h.Length)
 	binary.BigEndian.PutUint16(buf[6:8], h.Checksum)
-	return UDPHeaderLen, nil
+	return udpHeaderLen, nil
 }
 
 // ICMP message types used by the simulator and the analysis.
@@ -126,8 +126,8 @@ type ICMPHeader struct {
 	Rest uint32
 }
 
-// DecodeICMP parses an ICMP header from the front of data.
-func DecodeICMP(data []byte) (ICMPHeader, error) {
+// decodeICMP parses an ICMP header from the front of data.
+func decodeICMP(data []byte) (ICMPHeader, error) {
 	var h ICMPHeader
 	if len(data) < ICMPHeaderLen {
 		return h, fmt.Errorf("packet: ICMP header truncated: %d bytes", len(data))
@@ -139,9 +139,9 @@ func DecodeICMP(data []byte) (ICMPHeader, error) {
 	return h, nil
 }
 
-// Encode serialises the header into buf (>= ICMPHeaderLen bytes)
+// encode serialises the header into buf (>= ICMPHeaderLen bytes)
 // without computing a checksum. Returns bytes written.
-func (h *ICMPHeader) Encode(buf []byte) (int, error) {
+func (h *ICMPHeader) encode(buf []byte) (int, error) {
 	if len(buf) < ICMPHeaderLen {
 		return 0, fmt.Errorf("packet: buffer too small for ICMP header")
 	}

@@ -10,7 +10,7 @@ type BreakerState int
 
 const (
 	// BreakerClosed: requests flow; consecutive failures are counted.
-	BreakerClosed BreakerState = iota
+	breakerClosed BreakerState = iota
 	// BreakerHalfOpen: the open period elapsed; a limited probe is
 	// allowed through to test the backend.
 	BreakerHalfOpen
@@ -21,7 +21,7 @@ const (
 // String returns the stable wire name.
 func (s BreakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
 	case BreakerHalfOpen:
 		return "half-open"
@@ -54,17 +54,16 @@ type BreakerConfig struct {
 // SuccessThreshold probe successes close it, any probe failure
 // re-opens it. It protects a failing backend (and the caller's retry
 // budget) from being hammered while clearly advertising the outage
-// through State/Health.
+// through OnChange.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu          sync.Mutex
-	state       BreakerState
-	failures    int
-	successes   int
-	openedAt    time.Time
-	probing     bool
-	transitions int64
+	mu        sync.Mutex
+	state     BreakerState
+	failures  int
+	successes int
+	openedAt  time.Time
+	probing   bool
 }
 
 // NewBreaker returns a closed breaker.
@@ -92,7 +91,7 @@ func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return true
 	case BreakerOpen:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenFor {
@@ -120,12 +119,12 @@ func (b *Breaker) Success() {
 		b.probing = false
 		b.successes++
 		if b.successes >= b.cfg.SuccessThreshold {
-			b.setStateLocked(BreakerClosed)
+			b.setStateLocked(breakerClosed)
 		}
 	case BreakerOpen:
 		// A straggling in-flight success from before the trip: treat it
 		// as evidence the backend recovered.
-		b.setStateLocked(BreakerClosed)
+		b.setStateLocked(breakerClosed)
 	}
 }
 
@@ -134,7 +133,7 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
 			b.trip()
@@ -163,34 +162,7 @@ func (b *Breaker) setStateLocked(s BreakerState) {
 	if s != BreakerHalfOpen {
 		b.successes = 0
 	}
-	b.transitions++
 	if b.cfg.OnChange != nil {
 		b.cfg.OnChange(s)
 	}
-}
-
-// State returns the current position.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Transitions returns how many state changes have occurred.
-func (b *Breaker) Transitions() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.transitions
-}
-
-// Health maps the breaker position onto the component health ladder:
-// closed is healthy, half-open degraded, open failing.
-func (b *Breaker) Health() Health {
-	switch b.State() {
-	case BreakerOpen:
-		return Failing
-	case BreakerHalfOpen:
-		return Degraded
-	}
-	return Healthy
 }

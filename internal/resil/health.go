@@ -85,9 +85,9 @@ func (s *HealthSet) Snapshot() map[string]string {
 	return out
 }
 
-// Worst returns the worst state across all components (Healthy for an
+// worst returns the worst state across all components (Healthy for an
 // empty or nil set).
-func (s *HealthSet) Worst() Health {
+func (s *HealthSet) worst() Health {
 	if s == nil {
 		return Healthy
 	}
@@ -105,7 +105,7 @@ func (s *HealthSet) Worst() Health {
 // Status is the health documents' one-word rollup: "ok" while every
 // component is healthy, else the worst state's name.
 func (s *HealthSet) Status() string {
-	if worst := s.Worst(); worst != Healthy {
+	if worst := s.worst(); worst != Healthy {
 		return worst.String()
 	}
 	return "ok"

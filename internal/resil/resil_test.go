@@ -129,23 +129,20 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		Now:              clk.Now,
 	})
 
-	if b.State() != BreakerClosed || !b.Allow() {
+	if b.state != breakerClosed || !b.Allow() {
 		t.Fatal("new breaker should be closed and allowing")
 	}
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("breaker tripped below threshold")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.state != BreakerOpen {
 		t.Fatal("breaker did not trip at threshold")
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allowed a request")
-	}
-	if b.Health() != Failing {
-		t.Fatalf("open breaker health = %v, want Failing", b.Health())
 	}
 
 	clk.Advance(9 * time.Second)
@@ -156,24 +153,18 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("breaker refused the half-open probe")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after probe admit = %v, want half-open", b.State())
-	}
-	if b.Health() != Degraded {
-		t.Fatalf("half-open health = %v, want Degraded", b.Health())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state after probe admit = %v, want half-open", b.state)
 	}
 	if b.Allow() {
 		t.Fatal("second concurrent probe allowed while one is in flight")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("breaker did not close after successful probe")
 	}
-	if b.Health() != Healthy {
-		t.Fatalf("closed health = %v, want Healthy", b.Health())
-	}
 
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerClosed}
+	want := []BreakerState{BreakerOpen, BreakerHalfOpen, breakerClosed}
 	if len(changes) != len(want) {
 		t.Fatalf("transitions = %v, want %v", changes, want)
 	}
@@ -182,16 +173,13 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("transition %d = %v, want %v", i, changes[i], want[i])
 		}
 	}
-	if b.Transitions() != 3 {
-		t.Fatalf("Transitions() = %d, want 3", b.Transitions())
-	}
 }
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, Now: clk.Now})
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.state != BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
 	clk.Advance(2 * time.Second)
@@ -199,7 +187,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		t.Fatal("probe refused")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.state != BreakerOpen {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
 	// The open window restarts from the probe failure.
@@ -220,11 +208,11 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	b.Success()
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("non-consecutive failures tripped the breaker")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.state != BreakerOpen {
 		t.Fatal("three consecutive failures did not trip")
 	}
 }
@@ -238,14 +226,14 @@ func TestBreakerSuccessThreshold(t *testing.T) {
 		t.Fatal("probe refused")
 	}
 	b.Success()
-	if b.State() != BreakerHalfOpen {
+	if b.state != BreakerHalfOpen {
 		t.Fatal("breaker closed before SuccessThreshold")
 	}
 	if !b.Allow() {
 		t.Fatal("second probe refused after first succeeded")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
+	if b.state != breakerClosed {
 		t.Fatal("breaker did not close at SuccessThreshold")
 	}
 }
@@ -263,7 +251,7 @@ func TestHealthSet(t *testing.T) {
 	var events []string
 	hs := NewHealthSet(func(c string, h Health) { events = append(events, c+"="+h.String()) })
 
-	if hs.Worst() != Healthy {
+	if hs.worst() != Healthy {
 		t.Fatal("empty set not Healthy")
 	}
 	hs.Set("journal", Healthy)
@@ -276,8 +264,8 @@ func TestHealthSet(t *testing.T) {
 	if got := hs.Get("never-set"); got != Healthy {
 		t.Fatalf("Get(never-set) = %v, want Healthy", got)
 	}
-	if hs.Worst() != Failing {
-		t.Fatalf("Worst() = %v, want Failing", hs.Worst())
+	if hs.worst() != Failing {
+		t.Fatalf("Worst() = %v, want Failing", hs.worst())
 	}
 	snap := hs.Snapshot()
 	if snap["journal"] != "healthy" || snap["webhook"] != "failing" {
@@ -294,15 +282,15 @@ func TestHealthSet(t *testing.T) {
 	}
 
 	hs.Set("webhook", Healthy)
-	if hs.Worst() != Healthy {
-		t.Fatalf("Worst() after recovery = %v, want Healthy", hs.Worst())
+	if hs.worst() != Healthy {
+		t.Fatalf("Worst() after recovery = %v, want Healthy", hs.worst())
 	}
 }
 
 func TestHealthSetNilSafe(t *testing.T) {
 	var hs *HealthSet
 	hs.Set("x", Failing)
-	if hs.Get("x") != Healthy || hs.Worst() != Healthy || hs.Snapshot() != nil {
+	if hs.Get("x") != Healthy || hs.worst() != Healthy || hs.Snapshot() != nil {
 		t.Fatal("nil HealthSet not inert")
 	}
 }

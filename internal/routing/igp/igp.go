@@ -27,26 +27,26 @@ import (
 // routers make progress at different speeds.
 type Config struct {
 	// FloodHop is the per-hop LSA propagation + processing delay.
-	FloodHop Jittered
+	FloodHop jittered
 	// SPFHold is the hold-down between receiving new topology and
 	// starting the SPF computation.
-	SPFHold Jittered
+	SPFHold jittered
 	// SPFCompute is the time the shortest-path computation takes.
-	SPFCompute Jittered
+	SPFCompute jittered
 	// FIBUpdate is the time from SPF completion to the forwarding
 	// table actually changing. Skew in this stage is the dominant
 	// cause of transient loops.
-	FIBUpdate Jittered
+	FIBUpdate jittered
 }
 
-// Jittered re-exports routing.Jittered for configuration brevity.
-type Jittered = routing.Jittered
+// jittered re-exports routing.Jittered for configuration brevity.
+type jittered = routing.Jittered
 
 // Fixed returns a zero-width range.
-func Fixed(d time.Duration) Jittered { return routing.Fixed(d) }
+func Fixed(d time.Duration) jittered { return routing.Fixed(d) }
 
 // Range returns the range [min, max].
-func Range(min, max time.Duration) Jittered { return routing.Range(min, max) }
+func Range(min, max time.Duration) jittered { return routing.Range(min, max) }
 
 // DefaultConfig approximates a tuned early-2000s ISIS deployment:
 // link-state convergence in single-digit seconds.

@@ -24,9 +24,9 @@ type CollateralReport struct {
 	Windows int
 }
 
-// Inflation returns mean(InLoop) / mean(Quiet); 1 means loops had no
+// inflation returns mean(InLoop) / mean(Quiet); 1 means loops had no
 // collateral effect.
-func (c *CollateralReport) Inflation() float64 {
+func (c *CollateralReport) inflation() float64 {
 	if c.Quiet.N() == 0 || c.InLoop.N() == 0 || c.Quiet.Mean() == 0 {
 		return 0
 	}
@@ -76,6 +76,6 @@ func RenderCollateral(link string, c *CollateralReport) string {
 		c.InLoop.Mean(), c.InLoop.Quantile(0.5), c.InLoop.Quantile(0.99), c.InLoop.N())
 	fmt.Fprintf(&b, "  never-looped traffic in quiet air: mean %.2fms  p50 %.2fms  p99 %.2fms  (%d pkts)\n",
 		c.Quiet.Mean(), c.Quiet.Quantile(0.5), c.Quiet.Quantile(0.99), c.Quiet.N())
-	fmt.Fprintf(&b, "  inflation: x%.2f mean\n", c.Inflation())
+	fmt.Fprintf(&b, "  inflation: x%.2f mean\n", c.inflation())
 	return b.String()
 }

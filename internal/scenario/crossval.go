@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"loopscope/internal/core"
 	"loopscope/internal/fibscan"
 	"loopscope/internal/netsim"
 )
@@ -69,13 +68,13 @@ func (cv *CrossVal) tick() {
 	sum := cv.revisionSum()
 	switch {
 	case !cv.captured || sum != cv.lastSum:
-		cv.Snapshots = append(cv.Snapshots, fibSnapshot(cv.Net))
+		cv.Snapshots = append(cv.Snapshots, cv.Net.SnapshotFIBs())
 		cv.captured = true
 		cv.lastSum = sum
 	case now-cv.lastTaken() >= netsim.Time(cv.heartbeat):
 		// Heartbeat: same tables, new timestamp; the router data is
 		// shared with the previous capture, which is safe because
-		// fibSnapshot copied it out of the live FIBs.
+		// SnapshotFIBs copied it out of the live FIBs.
 		prev := cv.Snapshots[len(cv.Snapshots)-1]
 		cv.Snapshots = append(cv.Snapshots, fibscan.Snapshot{
 			TakenNs: int64(now),
@@ -87,33 +86,8 @@ func (cv *CrossVal) tick() {
 	}
 }
 
-// fibSnapshot copies the network's current FIB state into the
-// analyzer's self-contained snapshot model.
-func fibSnapshot(n *netsim.Network) fibscan.Snapshot {
-	fs := n.SnapshotFIBs()
-	s := fibscan.Snapshot{TakenNs: int64(fs.At), Routers: make([]fibscan.RouterFIB, len(fs.Routers))}
-	for i, src := range fs.Routers {
-		rf := &s.Routers[i]
-		*rf = fibscan.RouterFIB{Name: src.Name, Revision: src.Revision, Locals: src.Locals, Routes: make([]fibscan.Route, len(src.Routes))}
-		for j, e := range src.Routes {
-			rf.Routes[j] = fibscan.Route{Prefix: e.Prefix, NextHop: e.Value}
-		}
-	}
-	return s
-}
-
 func (cv *CrossVal) lastTaken() netsim.Time {
 	return netsim.Time(cv.Snapshots[len(cv.Snapshots)-1].TakenNs)
-}
-
-// TraceLoops converts trace-detector output into the form
-// fibscan.CrossValidate consumes.
-func TraceLoops(res *core.Result) []fibscan.TraceLoop {
-	out := make([]fibscan.TraceLoop, 0, len(res.Loops))
-	for _, l := range res.Loops {
-		out = append(out, fibscan.TraceLoop{Prefix: l.Prefix, Start: l.Start, End: l.End})
-	}
-	return out
 }
 
 // SnapshotFile packages the captured timeline in the shared on-disk

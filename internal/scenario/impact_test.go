@@ -269,7 +269,7 @@ func TestCollateralDelayOnBusyLink(t *testing.T) {
 	if rep.InLoop.N() == 0 || rep.Quiet.N() == 0 {
 		t.Fatalf("one side empty: in=%d quiet=%d", rep.InLoop.N(), rep.Quiet.N())
 	}
-	if infl := rep.Inflation(); infl < 1.2 {
+	if infl := rep.inflation(); infl < 1.2 {
 		t.Errorf("inflation = %.2f, want clean traffic visibly delayed during the loop", infl)
 	}
 	out := RenderCollateral("busy", rep)

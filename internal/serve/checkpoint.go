@@ -69,13 +69,13 @@ type SourceCheckpoint struct {
 	// an earlier segment. Nil in checkpoints written before it existed,
 	// which resume fresh. A feed's bytes are gone with its connection,
 	// so a feed never resumes from its restart point.
-	Restart *RestartPoint `json:"restart,omitempty"`
+	Restart *restartPoint `json:"restart,omitempty"`
 }
 
-// RestartPoint is a record a resume can re-read from: the segment that
+// restartPoint is a record a resume can re-read from: the segment that
 // holds it (dir sources), how many records of it come before, the byte
 // offset it starts at and the segment's time base.
-type RestartPoint struct {
+type restartPoint struct {
 	File       string `json:"file,omitempty"`
 	Records    int64  `json:"records"`
 	Offset     int64  `json:"offset"`
@@ -88,13 +88,13 @@ type RestartPoint struct {
 // validKinds is the closed set of source kinds a checkpoint may name.
 var validKinds = map[string]bool{"tail": true, "dir": true, "feed": true}
 
-// DecodeCheckpoint parses and validates a checkpoint image. It is
+// decodeCheckpoint parses and validates a checkpoint image. It is
 // deliberately strict — unknown fields, wrong version, negative
 // positions, unknown source kinds and trailing garbage are all
 // rejected — because resuming from a corrupt checkpoint would silently
 // re-emit or skip loop events. A rejected checkpoint makes the daemon
 // start fresh, which is always safe (the journal still deduplicates).
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var c Checkpoint
@@ -118,7 +118,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if !validKinds[s.Kind] {
 			return nil, fmt.Errorf("serve: checkpoint: source %q has unknown kind %q", name, s.Kind)
 		}
-		r := cmp.Or(s.Restart, &RestartPoint{})
+		r := cmp.Or(s.Restart, &restartPoint{})
 		if s.Records < 0 || s.Offset < 0 || s.Emitted < 0 || s.HighWaterNs < 0 || s.TimeBaseNs < 0 ||
 			r.Records < 0 || r.Offset < 0 || r.TimeBaseNs < 0 {
 			return nil, fmt.Errorf("serve: checkpoint: source %q has negative position", name)
@@ -130,13 +130,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// LoadCheckpoint reads and validates the checkpoint at path. A missing
+// loadCheckpoint reads and validates the checkpoint at path. A missing
 // file is not an error: it returns (nil, false, nil), meaning "start
 // fresh". A corrupt one is quarantined by durable.Load: cp is nil,
 // quarantined is true and err says why it was rejected.
-func LoadCheckpoint(path string) (cp *Checkpoint, quarantined bool, err error) {
+func loadCheckpoint(path string) (cp *Checkpoint, quarantined bool, err error) {
 	quarantined, err = durable.Load(path, func(data []byte) (derr error) {
-		cp, derr = DecodeCheckpoint(data)
+		cp, derr = decodeCheckpoint(data)
 		return derr
 	})
 	return cp, quarantined, err

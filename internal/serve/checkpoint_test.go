@@ -28,7 +28,7 @@ const validCheckpointJSON = `{
 }`
 
 func TestDecodeCheckpointValid(t *testing.T) {
-	cp, err := DecodeCheckpoint([]byte(validCheckpointJSON))
+	cp, err := decodeCheckpoint([]byte(validCheckpointJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		"truncated": validCheckpointJSON[:len(validCheckpointJSON)/2],
 	}
 	for name, data := range cases {
-		if _, err := DecodeCheckpoint([]byte(data)); err == nil {
+		if _, err := decodeCheckpoint([]byte(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -73,7 +73,7 @@ func TestDecodeCheckpointFeedAtOffsetZero(t *testing.T) {
 	// normal shape, not corruption.
 	data := `{"version": 1, "savedAtNs": 1,
 		"sources": {"f": {"kind": "feed", "records": 42, "offset": 0, "emitted": 3, "highWaterNs": 9}}}`
-	if _, err := DecodeCheckpoint([]byte(data)); err != nil {
+	if _, err := decodeCheckpoint([]byte(data)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +83,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "cp.json")
 
 	// Missing file: start fresh, not an error.
-	cp, _, err := LoadCheckpoint(path)
+	cp, _, err := loadCheckpoint(path)
 	if err != nil || cp != nil {
 		t.Fatalf("missing checkpoint: cp=%v err=%v", cp, err)
 	}
@@ -94,7 +94,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if err := want.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadCheckpoint(path)
+	got, _, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(validCheckpointJSON[:60]))
 	f.Add([]byte(validCheckpointJSON + "\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := DecodeCheckpoint(data)
+		cp, err := decodeCheckpoint(data)
 		if err != nil {
 			if cp != nil {
 				t.Fatal("non-nil checkpoint alongside error")
@@ -161,7 +161,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp2, err := DecodeCheckpoint(out)
+		cp2, err := decodeCheckpoint(out)
 		if err != nil {
 			t.Fatalf("canonical re-encode rejected: %v", err)
 		}

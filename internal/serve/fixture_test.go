@@ -78,7 +78,7 @@ func TestParentJournalFixture(t *testing.T) {
 // same document (modulo the save timestamp).
 func TestParentCheckpointFixture(t *testing.T) {
 	path, want := copyFixture(t, "parent_checkpoint.json")
-	cp, quarantined, err := LoadCheckpoint(path)
+	cp, quarantined, err := loadCheckpoint(path)
 	if err != nil || quarantined || cp == nil {
 		t.Fatalf("fixture did not load: cp=%v quarantined=%v err=%v", cp, quarantined, err)
 	}

@@ -90,7 +90,7 @@ func (d *Daemon) healthDoc() loopscope.Health {
 		records += s.Records
 	}
 	return loopscope.Health{
-		Events:  d.ring.Total(),
+		Events:  d.ring.published(),
 		Health:  d.health.Snapshot(),
 		Records: records,
 		Sources: len(d.sources),
@@ -225,7 +225,7 @@ type statusExtras struct {
 // events and the extras. One glance answers "is it alive, is it keeping
 // up, what has it found, and can I see why", the last through each
 // event's link into /api/v1/trace.
-func statusPage(h loopscope.Health, sources []loopscope.Source, recent Page, st *loopscope.Stats, x statusExtras) api.Page {
+func statusPage(h loopscope.Health, sources []loopscope.Source, recent page, st *loopscope.Stats, x statusExtras) api.Page {
 	summary := fmt.Sprintf("uptime %v", time.Duration(h.UptimeS)*time.Second)
 	if x.checkpointNs > 0 {
 		summary += fmt.Sprintf(" · last checkpoint %v ago", time.Since(time.Unix(0, x.checkpointNs)).Round(time.Millisecond))

@@ -19,24 +19,24 @@ import (
 	"loopscope/internal/resil"
 )
 
-// FsyncPolicy selects how aggressively the journal and trail log flush
+// fsyncPolicy selects how aggressively the journal and trail log flush
 // to stable storage; the type and its values live in internal/durable.
-type FsyncPolicy = durable.FsyncPolicy
+type fsyncPolicy = durable.FsyncPolicy
 
 const (
-	FsyncOff    = durable.FsyncOff
+	fsyncOff    = durable.FsyncOff
 	FsyncAlways = durable.FsyncAlways
 )
 
 // ParseFsyncPolicy parses the -fsync flag value.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
+func ParseFsyncPolicy(s string) (fsyncPolicy, error) {
 	switch s {
 	case "", "off":
-		return FsyncOff, nil
+		return fsyncOff, nil
 	case "always":
 		return FsyncAlways, nil
 	}
-	return FsyncOff, fmt.Errorf("serve: unknown fsync policy %q (want off or always)", s)
+	return fsyncOff, fmt.Errorf("serve: unknown fsync policy %q (want off or always)", s)
 }
 
 // JournalOptions configures NewJournal.
@@ -55,13 +55,8 @@ type JournalOptions struct {
 	Retain time.Duration
 	// Now supplies the retention clock; nil uses time.Now. Tests pin it.
 	Now func() time.Time
-	// PendingMax bounds the in-memory retry queue for events whose
-	// write failed (<= 0: 1024). While the queue is non-empty the
-	// journal is degraded; when it overflows, new events are dropped
-	// (counted) — bounded memory beats unbounded hope.
-	PendingMax int
 	// Fsync selects the flush-to-stable-storage policy.
-	Fsync FsyncPolicy
+	Fsync fsyncPolicy
 	// Injector, when non-nil, is consulted before every file append
 	// (chaos tests); production passes nil.
 	Injector resil.Injector
@@ -116,14 +111,17 @@ type Journal struct {
 	skipped   *obs.Counter
 }
 
+// pendingMax bounds the in-memory retry queue for events whose write
+// failed. While the queue is non-empty the journal is degraded; when it
+// overflows, new events are dropped (counted) — bounded memory beats
+// unbounded hope.
+const pendingMax = 1024
+
 // NewJournal opens (creating if needed) the journal at opts.Path —
 // quarantining a torn trailing line left by a crash — prunes expired
 // segments, and loads the dedup index from the rotated segments and the
 // live file.
 func NewJournal(opts JournalOptions) (*Journal, error) {
-	if opts.PendingMax <= 0 {
-		opts.PendingMax = 1024
-	}
 	log := opts.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -310,7 +308,7 @@ func (j *Journal) Publish(e Event) {
 
 // parkLocked queues a marshaled line for retry, dropping on overflow.
 func (j *Journal) parkLocked(id string, data []byte) {
-	if len(j.pending) >= j.opts.PendingMax {
+	if len(j.pending) >= pendingMax {
 		j.drops.Inc()
 		j.log.Warn("journal: pending queue full; event dropped", "event", id, "pending", len(j.pending))
 		return

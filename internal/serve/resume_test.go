@@ -124,7 +124,7 @@ func TestDaemonDirResumeAcrossSegmentCut(t *testing.T) {
 	if err := d1.Run(ctx); !errors.Is(err, errTestCrash) {
 		t.Fatalf("crash run returned %v", err)
 	}
-	cp, _, err := LoadCheckpoint(cpPath)
+	cp, _, err := loadCheckpoint(cpPath)
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint after crash: %v", err)
 	}
@@ -261,7 +261,7 @@ func TestDaemonResumeAfterShedding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cp, _, err := LoadCheckpoint(cpPath)
+	cp, _, err := loadCheckpoint(cpPath)
 	if err != nil || cp == nil || cp.Sources["src"].Restart == nil || !cp.Sources["src"].Restart.Shed {
 		t.Fatalf("checkpoint %+v (%v): want a restart point marked shed", cp, err)
 	}

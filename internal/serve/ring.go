@@ -44,15 +44,15 @@ func (r *Ring) Publish(e Event) {
 // Close implements Sink; the ring has nothing to drain.
 func (r *Ring) Close(context.Context) error { return nil }
 
-// Total returns the number of events ever published.
-func (r *Ring) Total() int64 {
+// published returns the number of events ever published.
+func (r *Ring) published() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// Page is one page of a cursor walk over the ring.
-type Page struct {
+// page is one page of a cursor walk over the ring.
+type page struct {
 	// Events are up to limit retained events, newest first, each with
 	// its publish sequence number (1-based, monotonically assigned).
 	Events []loopscope.LoopEvent
@@ -71,10 +71,10 @@ type Page struct {
 // from the newest event. Sequence numbers are stable across pages, so
 // a client walking Next cursors sees each retained event at most once
 // even while new events are being published.
-func (r *Ring) PageAfter(cursor int64, limit int, keep func(Event) bool) Page {
+func (r *Ring) PageAfter(cursor int64, limit int, keep func(Event) bool) page {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := Page{Events: []loopscope.LoopEvent{}, Total: r.total, Held: len(r.buf)}
+	p := page{Events: []loopscope.LoopEvent{}, Total: r.total, Held: len(r.buf)}
 	size := len(r.buf)
 	if size == 0 || limit <= 0 {
 		return p

@@ -64,7 +64,7 @@ type Config struct {
 	TailPollMax time.Duration
 	// Fsync selects the flush-to-stable-storage policy for the journal
 	// and trail sinks the daemon owns.
-	Fsync FsyncPolicy
+	Fsync fsyncPolicy
 	// FaultInjector, when non-nil, injects runtime faults at the
 	// daemon's I/O seams (journal/trail/checkpoint writes, webhook
 	// posts, source reads). Chaos tests wire a chaos.Plan here;
@@ -108,7 +108,7 @@ type Daemon struct {
 	sinks    []Sink
 	sources  []*sourceState
 	cp       *Checkpoint
-	trailLog *TrailLog
+	trailLog *trailLog
 	health   *resil.HealthSet
 
 	started  time.Time
@@ -172,7 +172,7 @@ func New(cfg Config) (*Daemon, error) {
 		log.Info("component health changed", "component", component, "health", h.String())
 	})
 	if cfg.CheckpointPath != "" {
-		cp, quarantined, err := LoadCheckpoint(cfg.CheckpointPath)
+		cp, quarantined, err := loadCheckpoint(cfg.CheckpointPath)
 		if err := d.loaded("checkpoint", "checkpoint", cfg.CheckpointPath, quarantined, err); err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	if cfg.TrailPath != "" && cfg.Flight != nil {
-		tl, err := NewTrailLog(TrailLogOptions{
+		tl, err := newTrailLog(trailLogOptions{
 			Path:     cfg.TrailPath,
 			Fsync:    cfg.Fsync,
 			Injector: cfg.FaultInjector,

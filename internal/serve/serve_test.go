@@ -230,7 +230,7 @@ func TestDaemonKillRestartEquivalence(t *testing.T) {
 					return false
 				}
 				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-					if cp, _, err := LoadCheckpoint(cpPath); err == nil && cp != nil && cp.Sources["src"].Records > 0 {
+					if cp, _, err := loadCheckpoint(cpPath); err == nil && cp != nil && cp.Sources["src"].Records > 0 {
 						break
 					}
 				}
@@ -242,7 +242,7 @@ func TestDaemonKillRestartEquivalence(t *testing.T) {
 			if err := d1.Run(ctx); !errors.Is(err, errTestCrash) {
 				t.Fatalf("crash run returned %v", err)
 			}
-			cp, _, err := LoadCheckpoint(cpPath)
+			cp, _, err := loadCheckpoint(cpPath)
 			if err != nil || cp == nil {
 				t.Fatalf("no checkpoint after crash: %v", err)
 			}
@@ -382,7 +382,7 @@ func TestDaemonDirKillRestartEquivalence(t *testing.T) {
 	if err := d1.Run(ctx); !errors.Is(err, errTestCrash) {
 		t.Fatalf("crash run returned %v", err)
 	}
-	cp, _, err := LoadCheckpoint(cpPath)
+	cp, _, err := loadCheckpoint(cpPath)
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint after crash: %v", err)
 	}
@@ -617,7 +617,7 @@ func TestDaemonDirResumeShortSegment(t *testing.T) {
 
 	var got SourceCheckpoint
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if cp, _, err := LoadCheckpoint(cpPath); err == nil && cp != nil {
+		if cp, _, err := loadCheckpoint(cpPath); err == nil && cp != nil {
 			got = cp.Sources["src"]
 		}
 		if looseFinalCount(journal2) >= 2 && got.Records == int64(keep) && got.Offset <= cutBytes {
@@ -1073,8 +1073,8 @@ func TestRingPageNewest(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.Publish(testEvent(i))
 	}
-	if r.Total() != 6 {
-		t.Fatalf("total = %d", r.Total())
+	if r.published() != 6 {
+		t.Fatalf("total = %d", r.published())
 	}
 	got := r.PageAfter(0, 10, nil).Events
 	if len(got) != 4 {

@@ -145,7 +145,7 @@ func (s *sourceState) emit(se core.SessionEvent) {
 		// prefixes, and another source's loop can share prefix and times.
 		tr := fr.Shard(s.flightShard).Seal(ev.ID, se.Loop.Prefix, se.Loop.Start, se.Loop.End, margin)
 		if !se.Truncated {
-			s.d.trailLog.Write(tr)
+			s.d.trailLog.write(tr)
 		}
 	}
 	// The analytics feed keys on the event ID, so a resume that
@@ -186,7 +186,7 @@ func (s *sourceState) snapshot() SourceCheckpoint {
 // and where it is.
 type mark struct {
 	idx int64
-	at  RestartPoint
+	at  restartPoint
 }
 
 // markEvery bounds how many records a resume re-reads beyond the
@@ -456,7 +456,7 @@ func (s *sourceState) take(u *unit, rec trace.Record) error {
 	}
 	rec.Time = max(rec.Time+u.base, s.sess.HighWater())
 	if i := s.sess.Records(); i == 0 || i >= s.marks[len(s.marks)-1].idx+markEvery && rec.Time > s.sess.HighWater() {
-		s.marks = append(s.marks, mark{i, RestartPoint{File: u.file, Records: u.n - 1, Offset: u.at, TimeBaseNs: int64(u.base)}})
+		s.marks = append(s.marks, mark{i, restartPoint{File: u.file, Records: u.n - 1, Offset: u.at, TimeBaseNs: int64(u.base)}})
 	}
 	s.sess.Observe(rec)
 	u.at = u.r.Offset()

@@ -297,7 +297,7 @@ func TestDaemonTailRotation(t *testing.T) {
 	if err := d.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	cp, _, err := LoadCheckpoint(cpPath)
+	cp, _, err := loadCheckpoint(cpPath)
 	if err != nil || cp == nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestDaemonDirCheckpointedSegmentDeleted(t *testing.T) {
 	if len(refF)+len(refT) == 0 || !sameSet(refF, gotF) || !sameSet(refT, gotT) {
 		t.Errorf("resume past a deleted segment journaled %d/%d final/truncated, a fresh run %d/%d", len(gotF), len(gotT), len(refF), len(refT))
 	}
-	cp, _, err := LoadCheckpoint(cpPath)
+	cp, _, err := loadCheckpoint(cpPath)
 	if err != nil || cp == nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -436,7 +436,7 @@ func forceCheckpointAt(t *testing.T, d *Daemon, cpPath string, n int) *SourceChe
 			if err := d.checkpoint(); err != nil {
 				t.Errorf("forced checkpoint: %v", err)
 			}
-			cp, _, err := LoadCheckpoint(cpPath)
+			cp, _, err := loadCheckpoint(cpPath)
 			if err != nil || cp == nil {
 				t.Errorf("forced checkpoint did not load: %v", err)
 			} else {
@@ -508,7 +508,7 @@ func TestSourceCheckpointFields(t *testing.T) {
 		runToIdle(t, d, nil)
 		want := SourceCheckpoint{Kind: "tail", Path: path, FileID: trace.FileID(st),
 			Records: int64(n), Offset: offsetAfter(t, path, n), Emitted: emitted, HighWaterNs: hw,
-			Restart: &RestartPoint{Records: restart, Offset: offsetAfter(t, path, int(restart))}}
+			Restart: &restartPoint{Records: restart, Offset: offsetAfter(t, path, int(restart))}}
 		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("tail checkpoint\n got %+v\nwant %+v", *got, want)
 		}
@@ -541,10 +541,10 @@ func TestSourceCheckpointFields(t *testing.T) {
 		runToIdle(t, d, nil)
 		want := SourceCheckpoint{Kind: "dir", Path: segDir, File: "seg-001.lspt",
 			Records: int64(n - k), Offset: offsetAfter(t, seg2Path, n-k), Emitted: emitted, HighWaterNs: hw,
-			TimeBaseNs: int64(cut), Restart: &RestartPoint{File: "seg-001.lspt", Records: restart - int64(k),
+			TimeBaseNs: int64(cut), Restart: &restartPoint{File: "seg-001.lspt", Records: restart - int64(k),
 				Offset: offsetAfter(t, seg2Path, int(restart)-k), TimeBaseNs: int64(cut)}}
 		if restart < int64(k) {
-			want.Restart = &RestartPoint{File: "seg-000.lspt", Records: restart,
+			want.Restart = &restartPoint{File: "seg-000.lspt", Records: restart,
 				Offset: offsetAfter(t, filepath.Join(segDir, "seg-000.lspt"), int(restart))}
 		}
 		if !reflect.DeepEqual(*got, want) {
@@ -563,7 +563,7 @@ func TestSourceCheckpointFields(t *testing.T) {
 		}
 		runToIdle(t, d, func() { sendFeed(t, addr, recs, false) })
 		want := SourceCheckpoint{Kind: "feed", Path: "127.0.0.1:0",
-			Records: int64(n), Emitted: emitted, HighWaterNs: hw, Restart: &RestartPoint{Records: restart}}
+			Records: int64(n), Emitted: emitted, HighWaterNs: hw, Restart: &restartPoint{Records: restart}}
 		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("feed checkpoint\n got %+v\nwant %+v", *got, want)
 		}

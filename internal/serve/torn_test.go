@@ -113,7 +113,7 @@ func TestTrailLogTornTailRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tl, err := NewTrailLog(TrailLogOptions{Path: path, Metrics: reg})
+	tl, err := newTrailLog(trailLogOptions{Path: path, Metrics: reg})
 	if err != nil {
 		t.Fatalf("reopen after torn trail write: %v", err)
 	}

@@ -11,12 +11,12 @@ import (
 	"loopscope/internal/resil"
 )
 
-// TrailLogOptions configures NewTrailLog.
-type TrailLogOptions struct {
+// trailLogOptions configures newTrailLog.
+type trailLogOptions struct {
 	// Path is the JSONL file trails append to.
 	Path string
 	// Fsync selects the flush-to-stable-storage policy.
-	Fsync FsyncPolicy
+	Fsync fsyncPolicy
 	// Injector, when non-nil, is consulted before every append (chaos
 	// tests); production passes nil.
 	Injector resil.Injector
@@ -26,7 +26,7 @@ type TrailLogOptions struct {
 	Logger *slog.Logger
 }
 
-// TrailLog persists sealed flight-recorder trails as JSONL — one trail
+// trailLog persists sealed flight-recorder trails as JSONL — one trail
 // (the full decision history behind one journaled loop event) per
 // line. It is deliberately append-only and dedup-free: trails are
 // keyed by the same deterministic loop ID as journal events, so a
@@ -34,15 +34,15 @@ type TrailLogOptions struct {
 // duplicates exactly as it does for the journal. Like the journal it
 // is a durable.Log: a torn trailing line left by a crash is
 // quarantined on open.
-type TrailLog struct {
+type trailLog struct {
 	mu     sync.Mutex
 	file   *durable.Log
 	log    *slog.Logger
 	closed bool
 }
 
-// NewTrailLog opens (creating if needed) the trail log.
-func NewTrailLog(opts TrailLogOptions) (*TrailLog, error) {
+// newTrailLog opens (creating if needed) the trail log.
+func newTrailLog(opts trailLogOptions) (*trailLog, error) {
 	log := opts.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -52,15 +52,15 @@ func NewTrailLog(opts TrailLogOptions) (*TrailLog, error) {
 		return nil, err
 	}
 	obs.NoteTornRepair(opts.Metrics, log, "trails", opts.Path, torn)
-	return &TrailLog{file: file, log: log}, nil
+	return &trailLog{file: file, log: log}, nil
 }
 
-// Write appends one trail. Nil-safe: a nil receiver (trail persistence
+// write appends one trail. Nil-safe: a nil receiver (trail persistence
 // disabled) and a nil trail (not sealed, e.g. ring overwritten) are
 // both no-ops. Trails are diagnostic evidence, not the durable record,
 // so a failed write is logged and the trail lost — the journal event
 // it annotates is retried separately.
-func (t *TrailLog) Write(tr *flight.Trail) {
+func (t *trailLog) write(tr *flight.Trail) {
 	if t == nil || tr == nil {
 		return
 	}
@@ -81,7 +81,7 @@ func (t *TrailLog) Write(tr *flight.Trail) {
 }
 
 // Close releases the file. Nil-safe.
-func (t *TrailLog) Close() error {
+func (t *trailLog) Close() error {
 	if t == nil {
 		return nil
 	}

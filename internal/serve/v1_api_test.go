@@ -60,7 +60,7 @@ func newV1Fixture(t *testing.T) (*Daemon, *httptest.Server) {
 	if err := d.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if d.ring.Total() == 0 {
+	if d.ring.published() == 0 {
 		t.Fatal("fixture daemon published no events")
 	}
 	srv := httptest.NewServer(d.Handler())
@@ -237,8 +237,8 @@ func TestV1API(t *testing.T) {
 			if err := json.Unmarshal(body, &env); err != nil {
 				t.Fatal(err)
 			}
-			if env.Meta.Total == nil || *env.Meta.Total != d.ring.Total() {
-				t.Fatalf("meta.total = %v, want %d", env.Meta.Total, d.ring.Total())
+			if env.Meta.Total == nil || *env.Meta.Total != d.ring.published() {
+				t.Fatalf("meta.total = %v, want %d", env.Meta.Total, d.ring.published())
 			}
 			if len(env.Data.Events) > 2 {
 				t.Fatalf("page holds %d events, limit was 2", len(env.Data.Events))
@@ -305,8 +305,8 @@ func TestV1API(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Sources != 1 || h.Events != d.ring.Total() {
-			t.Errorf("health = %+v, want 1 source, %d events", h, d.ring.Total())
+		if h.Sources != 1 || h.Events != d.ring.published() {
+			t.Errorf("health = %+v, want 1 source, %d events", h, d.ring.published())
 		}
 
 		srcs, err := c.Sources(ctx)
@@ -331,8 +331,8 @@ func TestV1API(t *testing.T) {
 				}
 			}
 			if page.NextCursor == 0 {
-				if page.Total != d.ring.Total() {
-					t.Errorf("client total = %d, want %d", page.Total, d.ring.Total())
+				if page.Total != d.ring.published() {
+					t.Errorf("client total = %d, want %d", page.Total, d.ring.published())
 				}
 				break
 			}

@@ -36,8 +36,6 @@ type WebhookOptions struct {
 	Breaker resil.BreakerConfig
 	// Timeout bounds each POST (<= 0: 10s).
 	Timeout time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 	// Injector, when non-nil, is consulted before every POST (chaos
 	// tests); production passes nil.
 	Injector resil.Injector
@@ -83,10 +81,7 @@ func NewWebhook(opts WebhookOptions) *Webhook {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 10 * time.Second
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: opts.Timeout}
-	}
+	client := &http.Client{Timeout: opts.Timeout}
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Webhook{
 		opts:      opts,

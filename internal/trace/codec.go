@@ -201,8 +201,8 @@ func (c *codec) fileHeader(b []byte, h *recHeader) (st status) {
 			h.bad = fmt.Sprintf("not a pcap file (magic % x)", b[:4])
 			return stMalformed
 		}
-		if lt := c.order.Uint32(b[20:24]); lt != LinkTypeRaw {
-			h.bad = fmt.Sprintf("unsupported pcap link type %d (want %d, raw IP)", lt, LinkTypeRaw)
+		if lt := c.order.Uint32(b[20:24]); lt != linkTypeRaw {
+			h.bad = fmt.Sprintf("unsupported pcap link type %d (want %d, raw IP)", lt, linkTypeRaw)
 			return stMalformed
 		}
 		c.meta = Meta{Link: "pcap", SnapLen: int(c.order.Uint32(b[16:20]))}

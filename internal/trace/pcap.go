@@ -14,8 +14,8 @@ import (
 const (
 	pcapMagicMicros = 0xa1b2c3d4
 	pcapMagicNanos  = 0xa1b23c4d
-	// LinkTypeRaw is the pcap link type for raw IP packets.
-	LinkTypeRaw = 101
+	// linkTypeRaw is the pcap link type for raw IP packets.
+	linkTypeRaw = 101
 )
 
 // PcapWriter writes a libpcap capture file with nanosecond timestamps.
@@ -38,7 +38,7 @@ func NewPcapWriter(w io.Writer, meta Meta) (*PcapWriter, error) {
 	binary.LittleEndian.PutUint32(hdr[8:12], 0) // thiszone
 	binary.LittleEndian.PutUint32(hdr[12:16], 0)
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(meta.SnapLen))
-	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeRaw)
+	binary.LittleEndian.PutUint32(hdr[20:24], linkTypeRaw)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, err
 	}

@@ -188,7 +188,7 @@ func (g *Generator) pickTTL() uint8 {
 	return ttls[g.rng.WeightedChoice(w)].TTL
 }
 
-func (g *Generator) pickSize(sizes []SizeWeight) int {
+func (g *Generator) pickSize(sizes []sizeWeight) int {
 	w := make([]float64, len(sizes))
 	for i, s := range sizes {
 		w[i] = s.Weight

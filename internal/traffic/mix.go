@@ -16,8 +16,8 @@ type TTLWeight struct {
 	Weight float64
 }
 
-// SizeWeight is one packet-size choice with its relative weight.
-type SizeWeight struct {
+// sizeWeight is one packet-size choice with its relative weight.
+type sizeWeight struct {
 	// Payload is the transport payload length in bytes.
 	Payload int
 	Weight  float64
@@ -42,9 +42,9 @@ type Mix struct {
 	InitialTTLs []TTLWeight
 
 	// DataSizes is the payload-size distribution of TCP data packets.
-	DataSizes []SizeWeight
+	DataSizes []sizeWeight
 	// UDPSizes is the payload-size distribution of UDP packets.
-	UDPSizes []SizeWeight
+	UDPSizes []sizeWeight
 
 	// FlowPackets is the Pareto shape/bounds for TCP flow lengths in
 	// packets.
@@ -89,12 +89,12 @@ func DefaultMix() Mix {
 			{TTL: 128, Weight: 0.40}, // Windows 2000
 			{TTL: 255, Weight: 0.10}, // Solaris and friends
 		},
-		DataSizes: []SizeWeight{
+		DataSizes: []sizeWeight{
 			{Payload: 0, Weight: 0.15},    // pure ACK inside data flows
 			{Payload: 536, Weight: 0.25},  // old default MSS
 			{Payload: 1460, Weight: 0.60}, // ethernet MSS
 		},
-		UDPSizes: []SizeWeight{
+		UDPSizes: []sizeWeight{
 			{Payload: 32, Weight: 0.40},  // DNS-ish
 			{Payload: 160, Weight: 0.35}, // media
 			{Payload: 1024, Weight: 0.25},
