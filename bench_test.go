@@ -5,6 +5,7 @@
 package loopscope_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -192,7 +193,7 @@ func BenchmarkStreamingVsBatch(b *testing.B) {
 			for _, r := range recs {
 				sd.Observe(r)
 			}
-			sd.FinishStats()
+			sd.Finish()
 		}
 	})
 }
@@ -330,8 +331,16 @@ func BenchmarkAnalyticsIngest(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 			if c != nil {
-				ingested, _ := c.Counts()
-				b.ReportMetric(float64(ingested)/float64(b.N), "analytics_loops/op")
+				b.StopTimer() // the count is read off the snapshot, outside the timing
+				snap, err := c.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				var n struct{ Ingested uint64 }
+				if err := json.Unmarshal(snap, &n); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(n.Ingested)/float64(b.N), "analytics_loops/op")
 				_ = loops
 			}
 		})

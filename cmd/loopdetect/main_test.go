@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -173,9 +172,10 @@ func synthLoopTrace() []trace.Record {
 	}, stats.NewRNG(4))
 }
 
-// encodeWithOffsets writes recs in the given salvage format and
-// returns the encoded bytes plus each record's starting byte offset.
-func encodeWithOffsets(t *testing.T, format trace.Format, recs []trace.Record) ([]byte, []int64) {
+// encodeWithOffsets writes recs in the named format ("native", "pcap"
+// or "erf") and returns the encoded bytes plus each record's starting
+// byte offset.
+func encodeWithOffsets(t *testing.T, format string, recs []trace.Record) ([]byte, []int64) {
 	t.Helper()
 	var buf bytes.Buffer
 	meta := trace.Meta{Link: "test", SnapLen: 40, Start: time.Unix(0, 0)}
@@ -185,11 +185,11 @@ func encodeWithOffsets(t *testing.T, format trace.Format, recs []trace.Record) (
 	}
 	var err error
 	switch format {
-	case trace.FormatNative:
+	case "native":
 		w, err = trace.NewWriter(&buf, meta)
-	case trace.FormatPcap:
+	case "pcap":
 		w, err = trace.NewPcapWriter(&buf, meta)
-	case trace.FormatERF:
+	case "erf":
 		w, err = trace.NewERFWriter(&buf, meta)
 	}
 	if err != nil {
@@ -246,13 +246,20 @@ func loopsEqual(t *testing.T, got, want []*core.Loop) {
 // segments must equal the uncorrupted baseline.
 func TestChaosSalvageRoundTrip(t *testing.T) {
 	recs := synthLoopTrace()
-	for _, format := range []trace.Format{trace.FormatNative, trace.FormatPcap, trace.FormatERF} {
-		t.Run(format.String(), func(t *testing.T) {
+	for _, format := range []string{"native", "pcap", "erf"} {
+		t.Run(format, func(t *testing.T) {
 			data, offs := encodeWithOffsets(t, format, recs)
+			// Opened as loopdetect opens it: native and pcap sniffed from
+			// the file header, which the damage below spares; ERF, which
+			// has no magic, named.
+			opts := trace.OpenOptions{Salvage: true}
+			if format == "erf" {
+				opts.Format = trace.FormatERF
+			}
 
 			// Baseline: the same bytes, uncorrupted, via the same
 			// reader (so format-specific timestamp rounding cancels).
-			sr, _, err := trace.OpenStream(bytes.NewReader(data), trace.OpenOptions{Format: format, Salvage: true})
+			sr, _, err := trace.OpenStream(bytes.NewReader(data), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +298,7 @@ func TestChaosSalvageRoundTrip(t *testing.T) {
 				t.Fatal("chaos injected nothing")
 			}
 
-			sr, stats, err := trace.OpenStream(bytes.NewReader(corrupted), trace.OpenOptions{Format: format, Salvage: true})
+			sr, stats, err := trace.OpenStream(bytes.NewReader(corrupted), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,10 +321,10 @@ func TestChaosSalvageRoundTrip(t *testing.T) {
 // TestSalvageCLIBehavior covers the -salvage / -max-decode-errors
 // contract: salvage succeeds on a corrupted trace with decode stats,
 // the strict path fails on it, and an exceeded error budget fails
-// with ErrErrorBudget.
+// saying so.
 func TestSalvageCLIBehavior(t *testing.T) {
 	recs := synthLoopTrace()
-	data, offs := encodeWithOffsets(t, trace.FormatNative, recs)
+	data, offs := encodeWithOffsets(t, "native", recs)
 	corrupted, _ := chaos.CorruptBytes(data, chaos.ByteFaults{
 		Seed: 17, GarbageBursts: 12, BurstLen: 150,
 		Protect: []chaos.Range{{Off: 0, Len: offs[0]}},
@@ -350,8 +357,8 @@ func TestSalvageCLIBehavior(t *testing.T) {
 
 	// A tiny error budget trips.
 	maxDecodeErrors = 1
-	if _, err := scan(path, cfg, false); !errors.Is(err, trace.ErrErrorBudget) {
-		t.Errorf("budget 1: err = %v, want ErrErrorBudget", err)
+	if _, err := scan(path, cfg, false); err == nil || !strings.Contains(err.Error(), "decode error budget exceeded") {
+		t.Errorf("budget 1: err = %v, want the decode error budget exceeded", err)
 	}
 }
 
@@ -360,7 +367,7 @@ func TestSalvageCLIBehavior(t *testing.T) {
 // warning instead of being thrown away.
 func TestTruncatedTraceAnalyzedPartially(t *testing.T) {
 	recs := synthLoopTrace()
-	data, offs := encodeWithOffsets(t, trace.FormatNative, recs)
+	data, offs := encodeWithOffsets(t, "native", recs)
 	cut := offs[len(offs)-1] + 3 // mid final record
 	dir := t.TempDir()
 	path := filepath.Join(dir, "truncated.lspt")
@@ -463,7 +470,7 @@ func TestJSONIncludesDecodeStats(t *testing.T) {
 	recs := synthLoopTrace()
 	// Give the ERF records some capture-loss gaps as well.
 	recs[100].Lost = 3
-	data, offs := encodeWithOffsets(t, trace.FormatERF, recs)
+	data, offs := encodeWithOffsets(t, "erf", recs)
 	corrupted, _ := chaos.CorruptBytes(data, chaos.ByteFaults{
 		Seed: 23, GarbageBursts: 5, BurstLen: 120,
 		Protect: []chaos.Range{{Off: 0, Len: offs[101]}},

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -190,7 +191,15 @@ func TestRunAnalyticsSnapshotBesideCheckpoint(t *testing.T) {
 		if _, err := c.Load(cp + ".analytics"); err != nil {
 			t.Fatal(err)
 		}
-		return c.Counts()
+		snap, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n struct{ Ingested, Deduped uint64 }
+		if err := json.Unmarshal(snap, &n); err != nil {
+			t.Fatal(err)
+		}
+		return n.Ingested, n.Deduped
 	}
 	in1, dup1 := counts()
 	if in1 == 0 {

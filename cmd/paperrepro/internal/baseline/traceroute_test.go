@@ -140,9 +140,7 @@ func TestTracerouteMissesShortLoop(t *testing.T) {
 	gt := net.GroundTruthWindows(2 * time.Second)
 	var longest time.Duration
 	for _, w := range gt {
-		if w.Duration() > longest {
-			longest = w.Duration()
-		}
+		longest = max(longest, w.End-w.Start)
 	}
 	if longest > 15*time.Second {
 		t.Fatalf("unexpectedly long loop: %v", longest)

@@ -25,8 +25,8 @@ import (
 	"loopscope/internal/stats"
 )
 
-// Attribution ties one detected loop to its control-plane story.
-type Attribution struct {
+// attribution ties one detected loop to its control-plane story.
+type attribution struct {
 	Loop *core.Loop
 	// Cause is the attributed root-cause event, nil when nothing
 	// plausible was found in the window.
@@ -46,7 +46,7 @@ type Attribution struct {
 
 // Report summarises an attribution run.
 type Report struct {
-	Attributions []Attribution
+	Attributions []attribution
 	// ByCause counts attributed loops per root-cause kind;
 	// unattributed loops count under the zero Kind with ok=false, see
 	// Unattributed.
@@ -68,7 +68,7 @@ func Attribute(loops []*core.Loop, j *events.Journal, window time.Duration) *Rep
 	fibs := j.Filter(events.FIBUpdated)
 
 	for _, l := range loops {
-		a := Attribution{Loop: l}
+		a := attribution{Loop: l}
 		if c := findCause(roots, l, window); c != nil {
 			a.Cause = c
 			a.OnsetLatency = l.Start - c.At

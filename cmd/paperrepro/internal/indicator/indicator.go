@@ -187,15 +187,6 @@ func (d *Detector) Finish() []Alarm {
 	return d.alarms
 }
 
-// Run processes a whole trace.
-func Run(recs []trace.Record, cfg Config) []Alarm {
-	d := New(cfg)
-	for _, r := range recs {
-		d.Observe(r)
-	}
-	return d.Finish()
-}
-
 // Evaluation compares alarms with detector ground truth.
 type Evaluation struct {
 	// LoopsCovered / Loops: recall over detector loops (a loop counts

@@ -35,6 +35,15 @@ func icmpRec(t *testing.T, at time.Duration, dst string, id uint16) trace.Record
 	return trace.Record{Time: at, WireLen: p.WireLen(), Data: buf[:n]}
 }
 
+// alarmsOf runs the indicator over recs with the default configuration.
+func alarmsOf(recs []trace.Record) []indicator.Alarm {
+	d := indicator.New(indicator.DefaultConfig())
+	for _, r := range recs {
+		d.Observe(r)
+	}
+	return d.Finish()
+}
+
 func TestSurgeRaisesAlarm(t *testing.T) {
 	var recs []trace.Record
 	// Baseline: one ping per 10 s for 2 minutes.
@@ -52,7 +61,7 @@ func TestSurgeRaisesAlarm(t *testing.T) {
 			"198.51.100.1", uint16(500+i)))
 	}
 
-	alarms := indicator.Run(recs, indicator.DefaultConfig())
+	alarms := alarmsOf(recs)
 	if len(alarms) != 1 {
 		t.Fatalf("alarms = %d, want 1 (%+v)", len(alarms), alarms)
 	}
@@ -75,7 +84,7 @@ func TestBaselineTrafficDoesNotAlarm(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		recs = append(recs, icmpRec(t, time.Duration(i)*time.Second, "203.0.113.7", uint16(i+1)))
 	}
-	alarms := indicator.Run(recs, indicator.DefaultConfig())
+	alarms := alarmsOf(recs)
 	if len(alarms) != 0 {
 		t.Fatalf("steady traffic raised %d alarms: %+v", len(alarms), alarms)
 	}
@@ -88,7 +97,7 @@ func TestColdStartNeedsAbsoluteFloor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recs = append(recs, icmpRec(t, time.Duration(i)*200*time.Millisecond, "203.0.113.7", uint16(i+1)))
 	}
-	alarms := indicator.Run(recs, indicator.DefaultConfig())
+	alarms := alarmsOf(recs)
 	if len(alarms) != 0 {
 		t.Fatalf("cold start alarmed: %+v", alarms)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -96,10 +97,10 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// --- Figure 5 --------------------------------------------------
-	syn := packet.ClassIndex(packet.ClassSYN)
-	icmp := packet.ClassIndex(packet.ClassICMP)
-	tcp := packet.ClassIndex(packet.ClassTCP)
-	udp := packet.ClassIndex(packet.ClassUDP)
+	syn := slices.Index(packet.ClassNames[:], "SYN")
+	icmp := slices.Index(packet.ClassNames[:], "ICMP")
+	tcp := slices.Index(packet.ClassNames[:], "TCP")
+	udp := slices.Index(packet.ClassNames[:], "UDP")
 	for _, r := range reps {
 		if r.AllClassFrac[tcp] < 0.8 {
 			t.Errorf("Fig 5: %s TCP fraction = %.2f, want > 0.8", r.Link, r.AllClassFrac[tcp])

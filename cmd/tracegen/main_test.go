@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -22,12 +23,14 @@ func TestRunWritesDetectableTrace(t *testing.T) {
 	if err := run(path, gen(20*time.Second, 3000, 5, 64, 7, false, false)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
+	if !bytes.HasPrefix(data, []byte("LSPT")) {
+		t.Fatalf("not a native trace: it starts % x", data[:min(4, len(data))])
+	}
+	r, _, err := trace.OpenStream(bytes.NewReader(data), trace.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +56,16 @@ func TestRunPcapOutput(t *testing.T) {
 	if err := run(path, gen(5*time.Second, 1000, 2, 32, 3, true, false)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatPcap})
+	// Little-endian pcap with nanosecond timestamps, as trace.PcapWriter
+	// writes it.
+	if !bytes.HasPrefix(data, []byte{0x4d, 0x3c, 0xb2, 0xa1}) {
+		t.Fatalf("not a pcap file: it starts % x", data[:min(4, len(data))])
+	}
+	r, _, err := trace.OpenStream(bytes.NewReader(data), trace.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestRunByteChaosNeedsSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{})
 	if err == nil {
 		_, err = trace.ReadAll(r)
 	}
@@ -157,7 +164,7 @@ func TestRunRecordChaosStaysReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, _, err := trace.OpenStream(f, trace.OpenOptions{Format: trace.FormatNative})
+	r, _, err := trace.OpenStream(f, trace.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

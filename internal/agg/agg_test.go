@@ -213,7 +213,7 @@ func TestTornJournalTailQuarantined(t *testing.T) {
 	if _, err := os.Stat(journal + ".quarantine"); err != nil {
 		t.Errorf("quarantine sidecar missing: %v", err)
 	}
-	if got := reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "agg-journal")).Value(); got != 1 {
+	if got := reg.Counter(obs.LabelMetric("loopscope_serve_torn_repairs_total", "file", "agg-journal")).Value(); got != 1 {
 		t.Errorf("torn repair counter = %d, want 1", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"loopscope/internal/analytics"
 	"loopscope/internal/obs"
-	"loopscope/internal/obs/provenance"
 	"loopscope/pkg/loopscope"
 )
 
@@ -76,14 +75,14 @@ func TestProvenanceCloseOut(t *testing.T) {
 		got[row.Segment] = row.Count
 	}
 	for _, seg := range []string{
-		provenance.SegDetectPublish, provenance.SegPublishJournal,
-		provenance.SegPublishIngest, provenance.SegIngestCluster, provenance.SegDetectCluster,
+		"detect_publish", "publish_journal",
+		"publish_ingest", "ingest_cluster", "detect_cluster",
 	} {
 		if got[seg] != 1 {
 			t.Errorf("segment %s count = %d, want 1 (rows: %v)", seg, got[seg], got)
 		}
 	}
-	if _, ok := got[provenance.SegSendIngest]; ok {
+	if _, ok := got["send_ingest"]; ok {
 		t.Error("send_ingest present without a webhook stamp")
 	}
 
@@ -120,14 +119,14 @@ func TestProvenanceSkewClampedAndCounted(t *testing.T) {
 	}
 	for _, row := range a.latencyDoc("", "").Segments {
 		switch row.Segment {
-		case provenance.SegPublishIngest, provenance.SegDetectCluster:
+		case "publish_ingest", "detect_cluster":
 			if row.Count != 0 || row.Clamped != 1 {
 				t.Errorf("%s: count=%d clamped=%d, want 0/1", row.Segment, row.Count, row.Clamped)
 			}
 			if len(row.Exemplars) != 0 {
 				t.Errorf("%s: clamped observation produced exemplars %+v", row.Segment, row.Exemplars)
 			}
-		case provenance.SegDetectPublish, provenance.SegPublishJournal:
+		case "detect_publish", "publish_journal":
 			if row.Count != 1 || row.Clamped != 0 {
 				t.Errorf("%s: same-process segment corrupted: count=%d clamped=%d", row.Segment, row.Count, row.Clamped)
 			}

@@ -12,12 +12,12 @@ import (
 	"loopscope/pkg/loopscope"
 )
 
-// fakeDaemon serves a real serve.Ring through the daemon's
-// /api/v1/loops contract (envelope, cursor pagination, vantage meta),
-// capped at a tiny page size so the poller's multi-page walk is
-// actually exercised.
+// fakeDaemon serves the events it publishes through the daemon's
+// /api/v1/loops contract (envelope, cursor pagination newest first,
+// vantage meta), capped at a tiny page size so the poller's multi-page
+// walk is actually exercised.
 type fakeDaemon struct {
-	ring    *serve.Ring
+	events  []loopscope.LoopEvent // in publish order: events[i].Seq is i+1
 	vantage string
 	pageCap int
 }
@@ -30,26 +30,34 @@ func (f *fakeDaemon) handler() http.Handler {
 		if v := r.URL.Query().Get("cursor"); v != "" {
 			cursor, _ = strconv.ParseInt(v, 10, 64)
 		}
-		page := f.ring.PageAfter(cursor, limit, nil)
-		meta := loopscope.Meta{Vantage: f.vantage, Total: &page.Total}
-		if page.Next > 0 {
-			meta.NextCursor = &page.Next
+		total := int64(len(f.events))
+		if cursor <= 0 || cursor > total {
+			cursor = total
 		}
-		api.WriteOK(w, http.StatusOK, loopscope.EventList{Events: page.Events}, meta)
+		list := loopscope.EventList{Events: []loopscope.LoopEvent{}}
+		meta := loopscope.Meta{Vantage: f.vantage, Total: &total}
+		for seq := cursor; seq > 0; seq-- {
+			if len(list.Events) == limit {
+				meta.NextCursor = &seq
+				break
+			}
+			list.Events = append(list.Events, f.events[seq-1])
+		}
+		api.WriteOK(w, http.StatusOK, list, meta)
 	})
 	return mux
 }
 
 func (f *fakeDaemon) publish(prefix, id string, startNs, endNs int64, ttlDelta int) {
-	f.ring.Publish(serve.Event{
+	f.events = append(f.events, loopscope.LoopEvent{Seq: int64(len(f.events) + 1), Event: serve.Event{
 		ID: id, Source: "tap", Vantage: f.vantage, Prefix: prefix,
 		StartNs: startNs, EndNs: endNs, DurationNs: endNs - startNs,
 		Streams: 2, Replicas: 8, TTLDelta: ttlDelta,
-	})
+	}})
 }
 
 func TestPollWalksPagesAndResumes(t *testing.T) {
-	fd := &fakeDaemon{ring: serve.NewRing(64), vantage: "bb1", pageCap: 2}
+	fd := &fakeDaemon{vantage: "bb1", pageCap: 2}
 	for i := 0; i < 5; i++ {
 		fd.publish("10.1.2.0/24", "e"+strconv.Itoa(i), sec(int64(i*1000)), sec(int64(i*1000+10)), 3)
 	}
@@ -61,7 +69,7 @@ func TestPollWalksPagesAndResumes(t *testing.T) {
 	target := PollTarget{Name: "target0", URL: ts.URL}
 	name, err := a.pollRound(context.Background(), client, target)
 	if err != nil {
-		t.Fatalf("PollOnce: %v", err)
+		t.Fatalf("pollRound: %v", err)
 	}
 	// The daemon's own vantage identity supersedes the target label.
 	if name != "bb1" {
@@ -104,7 +112,7 @@ func TestPollWalksPagesAndResumes(t *testing.T) {
 // detects total < cursor, refetches from scratch, and the seen-set
 // absorbs the overlap.
 func TestPollDaemonRestartResetsCursor(t *testing.T) {
-	fd := &fakeDaemon{ring: serve.NewRing(64), vantage: "bb1", pageCap: 100}
+	fd := &fakeDaemon{vantage: "bb1", pageCap: 100}
 	for i := 0; i < 4; i++ {
 		fd.publish("10.1.2.0/24", "e"+strconv.Itoa(i), sec(int64(i*1000)), sec(int64(i*1000+10)), 3)
 	}
@@ -121,7 +129,7 @@ func TestPollDaemonRestartResetsCursor(t *testing.T) {
 
 	// "Restart": fresh ring, same daemon, two events — one old (same
 	// ID, deduped) and one genuinely new.
-	fd.ring = serve.NewRing(64)
+	fd.events = nil
 	fd.publish("10.1.2.0/24", "e3", sec(3000), sec(3010), 3)
 	fd.publish("10.8.8.0/24", "new", sec(9000), sec(9010), 4)
 	if _, err := a.pollRound(context.Background(), client, PollTarget{Name: "bb1", URL: ts.URL}); err != nil {
@@ -149,7 +157,7 @@ func TestPollErrorDegradesVantage(t *testing.T) {
 		t.Fatalf("vantage standing after failed poll = %+v, want lastError set", vs)
 	}
 
-	fd := &fakeDaemon{ring: serve.NewRing(8), vantage: "bb1", pageCap: 100}
+	fd := &fakeDaemon{vantage: "bb1", pageCap: 100}
 	ts := httptest.NewServer(fd.handler())
 	defer ts.Close()
 	if _, err := a.pollRound(context.Background(), loopscope.New(ts.URL), PollTarget{Name: "bb1", URL: ts.URL}); err != nil {

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestAnalyzeReport(t *testing.T) {
 		t.Errorf("median spacing = %v ms", got)
 	}
 	// All-traffic mix: mostly TCP.
-	if rep.AllClassFrac[packet.ClassIndex(packet.ClassTCP)] < 0.5 {
+	if rep.AllClassFrac[slices.Index(packet.ClassNames[:], "TCP")] < 0.5 {
 		t.Error("TCP fraction implausible")
 	}
 	// Dest series points at the looping /24.

@@ -12,7 +12,7 @@ import (
 )
 
 // Metric names the stats API accepts. Sketch-backed metrics answer
-// quantiles within SketchAlpha relative error; IntHist-backed metrics
+// quantiles within sketchAlpha relative error; IntHist-backed metrics
 // are exact.
 const (
 	MetricDuration    = "duration"     // loop duration, ns (Sketch)
@@ -269,20 +269,9 @@ func (c *Collector) RecordLoop(source string, o LoopObs) {
 	sw.All.record(o)
 }
 
-// Counts reports how many loops were ingested and how many were
-// suppressed as duplicates.
-func (c *Collector) Counts() (ingested, deduped uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ingested, c.deduped
-}
-
 // ParseWindow parses a stats window parameter: "all" (or empty) means
 // the cumulative view; otherwise a Go duration between one minute and
-// MaxWindow.
+// maxWindow.
 func ParseWindow(s string) (time.Duration, error) {
 	if s == "" || s == "all" {
 		return 0, nil
@@ -374,7 +363,7 @@ func (c *Collector) Query(q Query) (*loopscope.Stats, error) {
 		Window:      windowName,
 		Source:      q.Source,
 		Loops:       merged.Loops,
-		ErrorBound:  SketchAlpha,
+		ErrorBound:  sketchAlpha,
 		Metrics:     make(map[string]loopscope.MetricStats),
 		TopPrefixes: []loopscope.TopPrefix{},
 	}

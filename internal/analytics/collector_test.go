@@ -35,7 +35,7 @@ func TestCollectorRecordAndQuery(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.RecordLoop("src-a", obsN(i))
 	}
-	ing, dup := c.Counts()
+	ing, dup := c.ingested, c.deduped
 	if ing != 10 || dup != 0 {
 		t.Fatalf("counts %d/%d, want 10/0", ing, dup)
 	}
@@ -109,7 +109,7 @@ func TestCollectorDedup(t *testing.T) {
 	o2.ID = "" // no ID: always counted
 	c.RecordLoop("s", o2)
 	c.RecordLoop("s", o2)
-	ing, dup := c.Counts()
+	ing, dup := c.ingested, c.deduped
 	if ing != 3 || dup != 1 {
 		t.Fatalf("counts %d/%d, want 3/1", ing, dup)
 	}
@@ -276,8 +276,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// The seen ring rides along: replaying an old event stays deduped.
 	restored.RecordLoop("src-0", obsN(0))
-	ing, dup := restored.Counts()
-	wantIng, _ := c.Counts()
+	ing, dup := restored.ingested, restored.deduped
+	wantIng := c.ingested
 	if ing != wantIng || dup != 1 {
 		t.Fatalf("post-restore replay: ingested %d (want %d), deduped %d (want 1)", ing, wantIng, dup)
 	}
@@ -300,7 +300,7 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 		if err := fresh.decodeSnapshot(data[:cut]); err == nil {
 			t.Fatalf("truncation at byte %d/%d decoded successfully", cut, len(data))
 		}
-		if ing, _ := fresh.Counts(); ing != 0 {
+		if ing := fresh.ingested; ing != 0 {
 			t.Fatalf("failed decode at byte %d mutated collector", cut)
 		}
 	}
@@ -311,7 +311,7 @@ func TestSnapshotTruncationEveryByte(t *testing.T) {
 	}
 }
 
-// badSnapshots are snapshot images DecodeSnapshot must refuse, by what
+// badSnapshots are snapshot images decodeSnapshot must refuse, by what
 // is wrong with them.
 var badSnapshots = map[string]string{
 	"unknown field": `{"version":1,"sources":{},"bogus":1}`,
@@ -349,7 +349,7 @@ func TestSnapshotSaveLoadQuarantine(t *testing.T) {
 	if q, err := loaded.Load(path); err != nil || q {
 		t.Fatalf("load: q=%v err=%v", q, err)
 	}
-	if ing, _ := loaded.Counts(); ing != 5 {
+	if ing := loaded.ingested; ing != 5 {
 		t.Fatalf("loaded ingested=%d, want 5", ing)
 	}
 
@@ -374,7 +374,7 @@ func TestSnapshotSaveLoadQuarantine(t *testing.T) {
 	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 		t.Fatalf("corrupt file still in place: %v", statErr)
 	}
-	if ing, _ := hurt.Counts(); ing != 0 {
+	if ing := hurt.ingested; ing != 0 {
 		t.Fatal("corrupt load left state behind")
 	}
 }
@@ -382,9 +382,6 @@ func TestSnapshotSaveLoadQuarantine(t *testing.T) {
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	c.RecordLoop("s", obsN(0)) // must not panic
-	if ing, dup := c.Counts(); ing != 0 || dup != 0 {
-		t.Fatal("nil counts")
-	}
 	if _, err := c.Query(Query{}); err == nil {
 		t.Fatal("nil query accepted")
 	}
@@ -406,7 +403,7 @@ func TestParentSnapshotFixture(t *testing.T) {
 	if q, err := c.Load(path); err != nil || q {
 		t.Fatalf("fixture did not load: quarantined=%v err=%v", q, err)
 	}
-	if ing, _ := c.Counts(); ing != 6 {
+	if ing := c.ingested; ing != 6 {
 		t.Errorf("loaded ingested=%d, want 6", ing)
 	}
 	if err := c.Save(path); err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecodeSnapshot: whatever bytes sit in the analytics snapshot file,
-// DecodeSnapshot rejects them or accepts a state that answers queries
+// decodeSnapshot rejects them or accepts a state that answers queries
 // without panicking, and the image Snapshot writes of an accepted state
 // decodes again to the same bytes.
 func FuzzDecodeSnapshot(f *testing.F) {

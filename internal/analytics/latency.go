@@ -103,7 +103,7 @@ func (c *latencyCell) noteExemplar(eventID string, ns int64) {
 // Snapshot renders the latency document. Optional filters narrow to
 // one vantage and/or one segment; empty strings keep everything.
 func (s *LatencyStore) Snapshot(vantage, segment string) *loopscope.FleetLatency {
-	st := &loopscope.FleetLatency{ErrorBound: SketchAlpha, Segments: []loopscope.LatencySegment{}}
+	st := &loopscope.FleetLatency{ErrorBound: sketchAlpha, Segments: []loopscope.LatencySegment{}}
 	if s == nil {
 		return st
 	}
@@ -148,25 +148,4 @@ func (s *LatencyStore) Snapshot(vantage, segment string) *loopscope.FleetLatency
 		}
 	}
 	return st
-}
-
-// Vantages lists the vantages the store has rows for, sorted.
-func (s *LatencyStore) Vantages() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[string]bool{}
-	for _, byV := range s.cells {
-		for v := range byV {
-			seen[v] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -45,9 +45,9 @@ func TestLatencyStoreOrderIndependent(t *testing.T) {
 
 func TestLatencyStoreClampedKeptOutOfSketch(t *testing.T) {
 	s := NewLatencyStore()
-	s.Observe(provenance.SegPublishIngest, "bb1", "ev-1", 500, false)
-	s.Observe(provenance.SegPublishIngest, "bb1", "ev-2", 0, true)
-	s.Observe(provenance.SegPublishIngest, "bb1", "ev-3", 0, true)
+	s.Observe("publish_ingest", "bb1", "ev-1", 500, false)
+	s.Observe("publish_ingest", "bb1", "ev-2", 0, true)
+	s.Observe("publish_ingest", "bb1", "ev-3", 0, true)
 	st := s.Snapshot("", "")
 	if len(st.Segments) != 1 {
 		t.Fatalf("got %d rows, want 1", len(st.Segments))
@@ -121,9 +121,6 @@ func TestLatencyStoreSnapshotFiltersAndOrder(t *testing.T) {
 	if len(seg.Segments) != 1 || seg.Segments[0].Segment != provenance.SegDetectCluster {
 		t.Fatalf("segment filter: %+v", seg.Segments)
 	}
-	if vs := s.Vantages(); len(vs) != 2 || vs[0] != "bb1" || vs[1] != "bb2" {
-		t.Fatalf("Vantages() = %v", vs)
-	}
 }
 
 func TestLatencyStoreNilSafe(t *testing.T) {
@@ -131,8 +128,5 @@ func TestLatencyStoreNilSafe(t *testing.T) {
 	s.Observe("x", "y", "z", 1, false) // must not panic
 	if st := s.Snapshot("", ""); len(st.Segments) != 0 {
 		t.Fatalf("nil snapshot: %+v", st)
-	}
-	if s.Vantages() != nil {
-		t.Fatal("nil Vantages not nil")
 	}
 }

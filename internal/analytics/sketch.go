@@ -16,7 +16,7 @@
 //     fleet view, without drift.
 //   - stats.IntHist: the exact integer-keyed histogram, for the small
 //     discrete distributions (TTL delta, streams per loop).
-//   - TopK: a space-saving heavy-hitter counter for per-prefix loop
+//   - topK: a space-saving heavy-hitter counter for per-prefix loop
 //     counts, mergeable with a documented error bound.
 //
 // The Collector stacks these into time-partitioned window tiers and is
@@ -39,15 +39,15 @@ import (
 	"loopscope/internal/stats"
 )
 
-// SketchAlpha is the Sketch's guaranteed relative error bound: any
-// quantile estimate q̂ satisfies |q̂ - q| <= SketchAlpha * q for the
+// sketchAlpha is the Sketch's guaranteed relative error bound: any
+// quantile estimate q̂ satisfies |q̂ - q| <= sketchAlpha * q for the
 // true quantile value q within the representable range. It is a
 // compile-time constant so every sketch in the system (and therefore
 // every merge) uses identical bucket boundaries.
-const SketchAlpha = 0.01
+const sketchAlpha = 0.01
 
 // sketchGammaLn is ln((1+α)/(1-α)), the log-scale bucket width.
-var sketchGammaLn = math.Log((1 + SketchAlpha) / (1 - SketchAlpha))
+var sketchGammaLn = math.Log((1 + sketchAlpha) / (1 - sketchAlpha))
 
 // sketchMaxIndex bounds the bucket index range: values above
 // gamma^sketchMaxIndex (≈ 4.9e18, comfortably past int64 nanosecond
@@ -84,7 +84,7 @@ func sketchValue(i int) int64 {
 // sketch is a mergeable quantile sketch over non-negative int64
 // observations (durations in nanoseconds, counts): a log-scale
 // histogram with fixed global bucket boundaries and a guaranteed
-// relative error of SketchAlpha on every quantile. The zero value is
+// relative error of sketchAlpha on every quantile. The zero value is
 // an empty sketch ready for Add.
 //
 // Buckets are stored sparsely: bins[j] counts observations in global
@@ -193,7 +193,7 @@ func (s *sketch) Mean() float64 {
 }
 
 // Quantile returns an estimate of the q-quantile (q in (0, 1]) with
-// relative error at most SketchAlpha. It returns 0 on an empty sketch
+// relative error at most sketchAlpha. It returns 0 on an empty sketch
 // (analytics endpoints prefer a zero row over a panic).
 func (s *sketch) Quantile(q float64) int64 {
 	if s.N == 0 {

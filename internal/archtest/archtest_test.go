@@ -8,7 +8,10 @@
 //
 // Rules match identifiers, not text. A selector matches when its left
 // side is the name the file's import list binds to the banned import
-// path, whatever that name is, in a call or as a method value.
+// path, whatever that name is, in a call or as a method value. The
+// exports rule resolves names with go/types: it type-checks the tree's
+// packages, the standard library's from GOROOT source, and holds every
+// exported name under internal/ to a user in another package.
 //
 // TestDocNamesResolve holds the documents to the code the same way: the
 // Go names README.md, DESIGN.md and EXPERIMENTS.md quote must be
@@ -177,8 +180,10 @@ func (t *tree) run(r rule) []string {
 	return out
 }
 
-func (t *tree) at(n ast.Node, what string) string {
-	p := t.fset.Position(n.Pos())
+func (t *tree) at(n ast.Node, what string) string { return t.pos(n.Pos(), what) }
+
+func (t *tree) pos(pos token.Pos, what string) string {
+	p := t.fset.Position(pos)
 	return fmt.Sprintf("%s:%d: %s", t.rel(p.Filename), p.Line, what)
 }
 

@@ -32,10 +32,12 @@ var (
 	// codeBlock matches a fenced block, whose backticks quote nothing.
 	codeBlock = regexp.MustCompile("(?ms)^```.*?^```$")
 	codeSpan  = regexp.MustCompile("`([^`\n]+)`")
-	// goName matches a dotted name, as written or called: `core.Run`,
-	// `OpenOptions.Metrics`, `TailReader`, `core.Run(eng, src)`; it is
-	// checked when some part of it is exported.
-	goName   = regexp.MustCompile(`^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?$`)
+	// goName matches a dotted name, as written, called, pointed to, taken
+	// the address of, in a slice type or as a composite literal:
+	// `core.Run`, `OpenOptions.Metrics`, `TailReader`, `core.Run(eng, src)`,
+	// `*core.Result`, `&trace.OpenOptions{Salvage: true}`, `[]trace.Record`;
+	// it is checked when some part of it is exported.
+	goName   = regexp.MustCompile(`^(?:\*|&|\[\])?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\)|\{.*\})?$`)
 	exported = regexp.MustCompile(`(^|\.)[A-Z]`)
 	// fileName matches a token with a file extension, which is a file's
 	// name and not a Go name: `BENCHMARK.json`, `README.md`.

@@ -122,6 +122,11 @@ var rules = []rule{{
 		route := pattern[strings.LastIndexByte(pattern, ' ')+1:]
 		return pattern != "" && route != "/" && !strings.HasPrefix(route, "/api/v1/")
 	},
+}, {
+	name:   "exports",
+	reason: "an exported name under internal/ is surface another package relies on: a non-test file of another package (cmd/, examples/ and bench/ count) uses it, or it is a method an interface of the module or of a linked standard package calls; a name only its own package or tests use is unexported, or deleted with the test that only checked it, and a test helper other packages share is listed, with its reason, in exportAllow",
+	dirs:   []string{"."},
+	check:  exports,
 }}
 
 // simulation matches the packages that stand in for the paper's

@@ -193,7 +193,7 @@ func TestSourceLendsOverAReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := RecordFaults{Seed: 3, Reorder: 1, Dup: 1}
-	r, _, err := trace.OpenStream(&buf, trace.OpenOptions{Format: trace.FormatNative})
+	r, _, err := trace.OpenStream(&buf, trace.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ import (
 	"loopscope/internal/stats"
 )
 
-// ErrInjected is the base error every injected fault wraps, so tests
+// errInjected is the base error every injected fault wraps, so tests
 // and logs can tell a chaos-made failure from a real one with
 // errors.Is.
-var ErrInjected = errors.New("chaos: injected fault")
+var errInjected = errors.New("chaos: injected fault")
 
 // Rule schedules faults for one operation. Invocations of the
 // operation are counted from zero; the rule applies inside the
@@ -31,7 +31,7 @@ type Rule struct {
 	// Prob is the per-invocation fault probability in (0, 1]; values
 	// above 1 always fire.
 	Prob float64
-	// Err is the fault to inject, wrapped together with ErrInjected.
+	// Err is the fault to inject, wrapped together with errInjected.
 	// A nil Err with a positive Delay injects latency only.
 	Err error
 	// Delay, when positive, is slept before returning — a slow
@@ -126,14 +126,7 @@ func (p *Plan) Fault(op resil.Op) error {
 	if fire.Err == nil {
 		return nil
 	}
-	return fmt.Errorf("%w: %s invocation %d: %w", ErrInjected, op, n, fire.Err)
-}
-
-// Invocations returns how many times op has been reached so far.
-func (p *Plan) Invocations(op resil.Op) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count[op]
+	return fmt.Errorf("%w: %s invocation %d: %w", errInjected, op, n, fire.Err)
 }
 
 // Log returns a copy of the faults injected so far, in order.

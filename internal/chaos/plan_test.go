@@ -18,8 +18,8 @@ func TestPlanWindow(t *testing.T) {
 	var fails []int
 	for i := 0; i < 6; i++ {
 		if err := p.Fault(resil.OpJournalWrite); err != nil {
-			if !errors.Is(err, ErrInjected) || !errors.Is(err, boom) {
-				t.Fatalf("invocation %d: error %v does not wrap ErrInjected and the rule error", i, err)
+			if !errors.Is(err, errInjected) || !errors.Is(err, boom) {
+				t.Fatalf("invocation %d: error %v does not wrap errInjected and the rule error", i, err)
 			}
 			fails = append(fails, i)
 		}
@@ -27,8 +27,8 @@ func TestPlanWindow(t *testing.T) {
 	if len(fails) != 2 || fails[0] != 2 || fails[1] != 3 {
 		t.Fatalf("faults fired at %v, want [2 3]", fails)
 	}
-	if got := p.Invocations(resil.OpJournalWrite); got != 6 {
-		t.Fatalf("Invocations = %d, want 6", got)
+	if got := p.count[resil.OpJournalWrite]; got != 6 {
+		t.Fatalf("%d invocations, want 6", got)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestPlanConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := p.Invocations(resil.OpJournalWrite); got != 1600 {
-		t.Fatalf("Invocations = %d, want 1600", got)
+	if got := p.count[resil.OpJournalWrite]; got != 1600 {
+		t.Fatalf("%d invocations, want 1600", got)
 	}
 }
 

@@ -23,8 +23,8 @@
 // prefix as the trace clock passes each decision's horizon, so it holds
 // only the undecided tail of the trace. Collecting what it emits and
 // canonicalising at Finish gives the whole-trace Result; taking loops
-// from its callback and ending on FinishStats gives bounded-memory
-// online detection. ParallelDetector shards a trace over several
+// from its callback and ending on its counters gives bounded-memory
+// online detection. New's default engine shards a trace over several
 // Detectors, Session adds what a resumable daemon needs, and
 // NaiveDetectRecords is the independent whole-trace reference the
 // Detector is tested against.
@@ -70,7 +70,7 @@ type Config struct {
 	ValidateSubnet bool
 	// MaxActiveStreams caps the per-packet state a Detector holds —
 	// packets seen once plus builders of packets seen again, see
-	// Detector.LiveBuilders (0: unlimited; under ParallelDetector the
+	// Detector.liveBuilders (0: unlimited; under parallelDetector the
 	// cap applies to each shard). The cap is the detector's overload
 	// self-protection: an IPID-collision storm — every packet distinct,
 	// none ever growing a replica stream — would otherwise inflate that
@@ -78,7 +78,7 @@ type Config struct {
 	// state first, coldest first by the record index of each packet's
 	// last observation (packets below MemberReplicas, which cannot be
 	// loop evidence yet), and degrades to sampled admission of new
-	// packets, counting everything it gave up (see Detector.Shed). Only
+	// packets, counting everything it gave up (see Session.Shed). Only
 	// the loopscoped daemon sets it.
 	MaxActiveStreams int
 }

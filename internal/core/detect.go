@@ -51,19 +51,15 @@ import (
 // (TestShortSnapsAreParseErrors in internal/analysis pins this).
 //
 // The same machine serves every use. NewDetector collects the loops
-// and Finish returns them as a canonical *Result; NewStreamDetector
-// additionally hands each loop to a callback the moment it is final,
-// and FinishStats ends such a run without building any per-record
-// output:
-//
-//	sd := core.NewStreamDetector(cfg, func(l *core.Loop) { ... })
-//	for each record { sd.Observe(rec) }
-//	stats := sd.FinishStats()
+// and Finish returns them as a canonical *Result; NewStreamDetector,
+// which New builds WithStreaming, additionally hands each loop to a
+// callback the moment it is final; and finishStats, on which a Session
+// ends, closes a run without building any per-record output.
 type Detector struct {
 	cfg  Config
 	emit func(*Loop)
 	// loops retains every finalized loop, in emission order, for
-	// Finish, unless forget is set: a Session ends on FinishStats
+	// Finish, unless forget is set: a Session ends on finishStats
 	// alone, so a daemon would otherwise keep every loop it ever
 	// emitted.
 	loops  []*Loop
@@ -404,7 +400,7 @@ func (d *Detector) Observe(rec trace.Record) { d.observeAt(rec, d.n) }
 // observeAt is Observe for a record whose position in the whole trace
 // is idx. The index is written into the Replica that reports the record
 // and otherwise only compared, as any increasing numbering would be, so
-// a ParallelDetector shard passes the global one and its streams need no
+// a parallelDetector shard passes the global one and its streams need no
 // renumbering afterwards.
 func (d *Detector) observeAt(rec trace.Record, idx int) {
 	d.n++
@@ -829,11 +825,11 @@ type StreamStats struct {
 	ShedPackets int64
 }
 
-// FinishStats closes all open streams, emits every outstanding loop
+// finishStats closes all open streams, emits every outstanding loop
 // and returns the run's counters. It allocates nothing per record, so
 // it is how a bounded-memory run (a feed, a multi-hour capture) ends;
 // the loops have all gone to the emit callback.
-func (d *Detector) FinishStats() StreamStats {
+func (d *Detector) finishStats() StreamStats {
 	for d.live.head != nil {
 		d.close(d.live.head, flight.ReasonEndOfTrace)
 	}
@@ -854,10 +850,10 @@ func (d *Detector) FinishStats() StreamStats {
 	}
 }
 
-// Finish implements Engine: FinishStats, then the collected loops as a
+// Finish implements Engine: finishStats, then the collected loops as a
 // canonical *Result (see canonicalize).
 func (d *Detector) Finish() *Result {
-	st := d.FinishStats()
+	st := d.finishStats()
 	res := &Result{
 		Loops:             d.loops,
 		TotalPackets:      st.TotalPackets,

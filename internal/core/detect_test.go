@@ -396,7 +396,7 @@ func TestBackwardsTimestampsNoPanic(t *testing.T) {
 		recs := randomTrace(seed, 20*time.Second, 2000, 8)
 		rng := stats.NewRNG(seed + 1000)
 		for i := range recs {
-			if rng.Float64() < 0.01 {
+			if rng.Bool(0.01) {
 				recs[i].Time -= time.Duration(rng.Int63n(int64(5 * time.Second)))
 			}
 		}

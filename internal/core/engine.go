@@ -12,7 +12,7 @@ import (
 )
 
 // Engine is the detection interface: the Detector and the multi-core
-// ParallelDetector that shards the trace over several Detectors consume
+// parallelDetector that shards the trace over several Detectors consume
 // trace records in capture order through Observe and deliver the
 // analysis through Finish. Callers construct an Engine with New and
 // drive it with Run.
@@ -27,7 +27,7 @@ type Engine interface {
 	Finish() *Result
 }
 
-// BatchObserver is implemented by the ParallelDetector, which takes a
+// BatchObserver is implemented by the parallelDetector, which takes a
 // whole slice of records per call. Run does not use it (it observes
 // one borrowed record at a time). It is kept only because the
 // benchmark harness (bench/layers.go) compiles against it, and goes
@@ -37,9 +37,9 @@ type BatchObserver interface {
 }
 
 // ErrFinisher is implemented by engines whose Finish can fail without
-// the failure being the caller's fault — the ParallelDetector, whose
+// the failure being the caller's fault — the parallelDetector, whose
 // worker shards recover panics and surface them as a wrapped
-// ErrWorkerPanic. Run finishes through this interface when the engine
+// errWorkerPanic. Run finishes through this interface when the engine
 // provides it; on engines without it Finish cannot fail.
 type ErrFinisher interface {
 	FinishErr() (*Result, error)
@@ -59,7 +59,7 @@ func (e *configError) Error() string {
 }
 
 // Validate checks the configuration against the constraints every
-// detector variant shares. It returns a *ConfigError describing the
+// detector variant shares. It returns a *configError describing the
 // first violation, or nil.
 func (cfg Config) Validate() error {
 	switch {
@@ -93,7 +93,7 @@ type options struct {
 // Option configures New.
 type Option func(*options)
 
-// WithWorkers selects the multi-core ParallelDetector with n worker
+// WithWorkers selects the multi-core parallelDetector with n worker
 // shards. n == 0 means runtime.GOMAXPROCS(0); n == 1 degenerates to
 // a single Detector (identical output, no pipeline overhead).
 func WithWorkers(n int) Option {
@@ -110,7 +110,7 @@ func WithStreaming(emit func(*Loop)) Option {
 }
 
 // WithMetrics instruments the engine against a metrics registry: the
-// engine records its worker count, and the ParallelDetector
+// engine records its worker count, and the parallelDetector
 // additionally its per-shard record counters, queue-depth gauges,
 // backpressure counters and reduce-stage span. A nil registry is the
 // uninstrumented default and costs nothing on the hot path.
@@ -132,7 +132,7 @@ func WithFlight(rec *flight.Recorder) Option {
 // trace over one Detector per core; WithWorkers sets the shard count
 // and WithStreaming selects one Detector with an emit hook. The
 // configuration is validated uniformly (every violation surfaces as a
-// *ConfigError); incompatible option combinations are rejected. The
+// *configError); incompatible option combinations are rejected. The
 // engine's metrics and flight recorder are wired as it is built.
 func New(cfg Config, opts ...Option) (Engine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -171,7 +171,7 @@ func New(cfg Config, opts ...Option) (Engine, error) {
 // Run drives an Engine over a Source: it borrows each record into one
 // Record, hands it to Observe, and returns the engine's Result
 // once the source is drained. An engine that implements ErrFinisher
-// (the ParallelDetector, after a worker panic) can also fail at finish
+// (the parallelDetector, after a worker panic) can also fail at finish
 // time. On a read error the engine is still finished, so the parallel
 // detector's workers are released, and the error is returned.
 func Run(e Engine, src trace.Source) (*Result, error) {

@@ -16,7 +16,7 @@ import (
 )
 
 // TestNewRejectsInvalidConfigs: every constructor-visible violation
-// must surface as a *ConfigError naming the offending field.
+// must surface as a *configError naming the offending field.
 func TestNewRejectsInvalidConfigs(t *testing.T) {
 	ok := DefaultConfig()
 	cases := []struct {
@@ -40,7 +40,7 @@ func TestNewRejectsInvalidConfigs(t *testing.T) {
 			_, err := New(cfg)
 			var ce *configError
 			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v, want *ConfigError", err)
+				t.Fatalf("err = %v, want *configError", err)
 			}
 			if ce.Field != c.field {
 				t.Errorf("Field = %q, want %q", ce.Field, c.field)
@@ -64,7 +64,7 @@ func TestNewRejectsOptionConflicts(t *testing.T) {
 }
 
 // TestNewDispatch: the options select the documented engines — one
-// Detector, or a ParallelDetector over several.
+// Detector, or a parallelDetector over several.
 func TestNewDispatch(t *testing.T) {
 	cfg := DefaultConfig()
 	mustNew := func(opts ...Option) Engine {

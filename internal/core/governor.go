@@ -8,7 +8,7 @@ import "loopscope/internal/obs/flight"
 
 // admitStream decides whether a new first observation may be
 // remembered. Below the cap (or with no cap) it always may. At the cap
-// (LiveBuilders) it first tries to evict a low-value victim — scanning
+// (liveBuilders) it first tries to evict a low-value victim — scanning
 // a bounded number of the coldest table entries and builders for one
 // that has not reached MemberReplicas, i.e. state that cannot yet be
 // evidence of anything. Failing that, admission degrades to sampling:

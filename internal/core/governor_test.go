@@ -48,7 +48,7 @@ func runStorm(cfg Config, recs []trace.Record) (loops []*Loop, peak int, stats S
 			peak = n
 		}
 	}
-	stats = sd.FinishStats()
+	stats = sd.finishStats()
 	return loops, peak, stats
 }
 

@@ -180,7 +180,7 @@ func encodeTrace(t *testing.T, recs []trace.Record, newWriter func(io.Writer, tr
 // by the strict native reader, which lends its records.
 func nativeSource(t *testing.T, recs []trace.Record) trace.Source {
 	t.Helper()
-	r, _, err := trace.OpenStream(bytes.NewReader(encodeTrace(t, recs, nativeWriter)), trace.OpenOptions{Format: trace.FormatNative})
+	r, _, err := trace.OpenStream(bytes.NewReader(encodeTrace(t, recs, nativeWriter)), trace.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

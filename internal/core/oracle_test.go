@@ -110,7 +110,7 @@ func TestOracleIndependence(t *testing.T) {
 		for _, r := range recs {
 			sd.Observe(r)
 		}
-		st := sd.FinishStats()
+		st := sd.finishStats()
 		if st.TotalPackets != want.TotalPackets || st.LoopedPackets != want.LoopedPackets ||
 			st.Streams != len(want.Streams) || st.PairsDiscarded != want.PairsDiscarded ||
 			st.SubnetInvalidated != want.SubnetInvalidated {

@@ -14,7 +14,7 @@ import (
 )
 
 // errWorkerPanic is the sentinel wrapped into the error a
-// ParallelDetector surfaces when one of its worker shards panics. The
+// parallelDetector surfaces when one of its worker shards panics. The
 // panic is recovered inside the worker, the peer shards are cancelled
 // (they drain their queues without further processing), and FinishErr
 // reports the first panic with its shard number, value and stack.
@@ -193,7 +193,7 @@ func (p *parallelDetector) worker(i int, s *shardState) {
 		// Cancelled: the result would be discarded anyway, and the
 		// shard's state may be mid-update.
 	default:
-		s.stats = s.det.FinishStats()
+		s.stats = s.det.finishStats()
 	}
 }
 
@@ -334,7 +334,7 @@ func (p *parallelDetector) Finish() *Result {
 }
 
 // FinishErr drains the pipeline and reduces the per-shard results,
-// returning an error wrapping ErrWorkerPanic if any worker shard
+// returning an error wrapping errWorkerPanic if any worker shard
 // panicked (the Result is nil in that case: with a shard lost the
 // reduce would be silently incomplete).
 func (p *parallelDetector) FinishErr() (*Result, error) {

@@ -153,7 +153,7 @@ func installPanicHook(t *testing.T, v any) {
 
 // TestParallelWorkerPanic: a panic inside a worker shard must not kill
 // the process or deadlock the producer; FinishErr surfaces it as an
-// error wrapping ErrWorkerPanic with the panic value and a stack.
+// error wrapping errWorkerPanic with the panic value and a stack.
 func TestParallelWorkerPanic(t *testing.T) {
 	installPanicHook(t, "injected shard fault")
 	recs := randomTrace(3, 6*time.Second, 500, 3)
@@ -171,7 +171,7 @@ func TestParallelWorkerPanic(t *testing.T) {
 			t.Fatalf("workers %d: got a result alongside a worker panic", w)
 		}
 		if !errors.Is(err, errWorkerPanic) {
-			t.Fatalf("workers %d: error %v does not wrap ErrWorkerPanic", w, err)
+			t.Fatalf("workers %d: error %v does not wrap errWorkerPanic", w, err)
 		}
 		if !strings.Contains(err.Error(), "injected shard fault") {
 			t.Errorf("workers %d: error does not carry the panic value: %v", w, err)
@@ -196,7 +196,7 @@ func TestParallelWorkerPanicFinish(t *testing.T) {
 		}
 		err, ok := v.(error)
 		if !ok || !errors.Is(err, errWorkerPanic) {
-			t.Fatalf("recovered %v (%T), want an error wrapping ErrWorkerPanic", v, v)
+			t.Fatalf("recovered %v (%T), want an error wrapping errWorkerPanic", v, v)
 		}
 	}()
 	p.Finish()
@@ -217,6 +217,6 @@ func TestParallelWorkerPanicRun(t *testing.T) {
 		t.Fatal("Run returned a result alongside a worker panic")
 	}
 	if !errors.Is(err, errWorkerPanic) {
-		t.Fatalf("Run error %v does not wrap ErrWorkerPanic", err)
+		t.Fatalf("Run error %v does not wrap errWorkerPanic", err)
 	}
 }

@@ -253,7 +253,7 @@ func TestDetectorDeterminism(t *testing.T) {
 			for _, r := range recs {
 				sd.Observe(r)
 			}
-			sd.FinishStats()
+			sd.finishStats()
 			return loops
 		}
 	}

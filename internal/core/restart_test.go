@@ -61,7 +61,7 @@ func resumeAt(t *testing.T, cfg Config, recs []trace.Record, cut int, at func(in
 	for _, rec := range recs[cut:] {
 		d.Observe(rec)
 	}
-	d.FinishStats()
+	d.finishStats()
 
 	f := NewStreamDetector(cfg, func(l *Loop) {
 		if live {
@@ -73,7 +73,7 @@ func resumeAt(t *testing.T, cfg Config, recs []trace.Record, cut int, at func(in
 		f.observeAt(recs[i], i)
 	}
 	live = true
-	f.FinishStats()
+	f.finishStats()
 	return orig, fresh, r
 }
 

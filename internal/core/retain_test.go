@@ -30,7 +30,7 @@ func TestEnginesDoNotRetainRecordData(t *testing.T) {
 			var emitted []*Loop
 			d := NewStreamDetector(cfg, func(l *Loop) { emitted = append(emitted, l) })
 			in(d.Observe)
-			return []any{d.FinishStats(), emitted}
+			return []any{d.finishStats(), emitted}
 		},
 		"Session": func(in feed) any {
 			var events []SessionEvent
@@ -43,7 +43,7 @@ func TestEnginesDoNotRetainRecordData(t *testing.T) {
 		},
 	}
 	for _, workers := range []int{1, 2, 4} {
-		engines[fmt.Sprintf("ParallelDetector/%d", workers)] = func(in feed) any {
+		engines[fmt.Sprintf("parallelDetector/%d", workers)] = func(in feed) any {
 			p := newParallelDetector(cfg, workers, nil, nil)
 			in(p.Observe)
 			return p.Finish()
@@ -126,6 +126,6 @@ func TestParallelHandOffAllocationBudget(t *testing.T) {
 	t.Logf("%d records: %.4f allocs and %.2f B per record once warm, Finish included",
 		len(recs), float64(end.Mallocs-warmed.Mallocs)/float64(len(recs)-warm), size)
 	if size > 4 {
-		t.Errorf("ParallelDetector.Observe at 2 workers allocates %.2f B per record once warm; budget 4", size)
+		t.Errorf("parallelDetector.Observe at 2 workers allocates %.2f B per record once warm; budget 4", size)
 	}
 }

@@ -140,7 +140,7 @@ func (s *Session) Drain() StreamStats {
 	}
 	s.draining = true
 	s.drained = true
-	return s.sd.FinishStats()
+	return s.sd.finishStats()
 }
 
 // Complete finishes the stream normally: the source reported a genuine
@@ -152,5 +152,5 @@ func (s *Session) Complete() StreamStats {
 		return StreamStats{}
 	}
 	s.drained = true
-	return s.sd.FinishStats()
+	return s.sd.finishStats()
 }

@@ -235,7 +235,7 @@ func TestSessionMatchesStreamDetector(t *testing.T) {
 	}
 }
 
-// TestSessionRetainsNoLoops: a session ends on FinishStats, never
+// TestSessionRetainsNoLoops: a session ends on finishStats, never
 // Finish, so its detector must not keep what it emits; in a daemon that
 // list would hold every loop, stream and replica for the life of the
 // process.

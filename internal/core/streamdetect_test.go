@@ -24,7 +24,7 @@ func collectStreaming(recs []trace.Record, cfg Config) ([]*Loop, StreamStats) {
 	for _, r := range recs {
 		sd.Observe(r)
 	}
-	stats := sd.FinishStats()
+	stats := sd.finishStats()
 	return loops, stats
 }
 
@@ -167,7 +167,7 @@ func TestStreamingBoundedMemory(t *testing.T) {
 		p := mkPkt("192.0.2.1", "198.51.100.9", uint16(i%60000+1), 60, uint64(i))
 		sd.Observe(rec(t, time.Duration(i)*50*time.Millisecond, p))
 	}
-	stats := sd.FinishStats()
+	stats := sd.finishStats()
 	if stats.TotalPackets != n {
 		t.Fatalf("packets = %d", stats.TotalPackets)
 	}
@@ -183,16 +183,16 @@ func TestStreamingBoundedMemory(t *testing.T) {
 }
 
 // TestStreamingFinishAllocatesPerPrefix: ending a run on its counters —
-// FinishStats, and Session.Complete and Drain on top of it — must cost
+// finishStats, and Session.Complete and Drain on top of it — must cost
 // memory in proportion to the prefixes still holding state, never to
 // the records observed; a per-record index (4 B/record) would be the
 // largest allocation of a multi-hour run, made at its very end.
 func TestStreamingFinishAllocatesPerPrefix(t *testing.T) {
 	const n, prefixes = 200_000, 64
 	finishers := map[string]func() (observe func(trace.Record), finish func() StreamStats){
-		"FinishStats": func() (func(trace.Record), func() StreamStats) {
+		"finishStats": func() (func(trace.Record), func() StreamStats) {
 			sd := NewStreamDetector(DefaultConfig(), nil)
-			return sd.Observe, sd.FinishStats
+			return sd.Observe, sd.finishStats
 		},
 		"Session.Complete": func() (func(trace.Record), func() StreamStats) {
 			s, _ := NewSession(DefaultConfig(), nil)
@@ -260,7 +260,7 @@ func TestStreamingScale(t *testing.T) {
 		n++
 		sd.Observe(r)
 	})
-	stats := sd.FinishStats()
+	stats := sd.finishStats()
 	if n < 4_000_000 {
 		t.Fatalf("only %d records", n)
 	}
@@ -313,7 +313,7 @@ func TestEmittedLoopsOutlivePooledState(t *testing.T) {
 			early = len(emitted)
 		}
 	}
-	d.FinishStats()
+	d.finishStats()
 	if early < 10 {
 		t.Fatalf("%d loops emitted in the first half of the trace; the test needs the pools to turn over after emissions", early)
 	}

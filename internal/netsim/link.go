@@ -55,9 +55,6 @@ type Link struct {
 // Up reports whether the link is currently up.
 func (l *Link) Up() bool { return l.up }
 
-// QueueDepth returns the number of packets queued or in transmission.
-func (l *Link) QueueDepth() int { return l.inQueue }
-
 // AddTap registers a tap on this link.
 func (l *Link) AddTap(t tapFunc) { l.taps = append(l.taps, t) }
 
@@ -79,7 +76,7 @@ func (l *Link) send(tp *TransitPacket) {
 		return
 	}
 	if l.LossRate > 0 && l.net.lossRNG.Bool(l.LossRate) {
-		l.net.drop(tp, DropLineError)
+		l.net.drop(tp, dropLineError)
 		return
 	}
 	l.inQueue++

@@ -29,9 +29,6 @@ func TestSimulatorOrdering(t *testing.T) {
 	if s.Now() != 10*time.Second {
 		t.Errorf("Now = %v after Run(10s)", s.Now())
 	}
-	if s.EventsRun() != 4 {
-		t.Errorf("EventsRun = %d", s.EventsRun())
-	}
 }
 
 func TestSimulatorRunBoundary(t *testing.T) {
@@ -42,8 +39,8 @@ func TestSimulatorRunBoundary(t *testing.T) {
 	if ran {
 		t.Error("future event ran early")
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d", s.Pending())
+	if len(s.queue) != 1 {
+		t.Errorf("%d events pending", len(s.queue))
 	}
 	s.Run(5 * time.Second)
 	if !ran {
@@ -373,7 +370,7 @@ func TestLineLoss(t *testing.T) {
 		})
 	}
 	n.Sim.Run(time.Minute)
-	lossRate := float64(n.Drops[DropLineError]) / total
+	lossRate := float64(n.Drops[dropLineError]) / total
 	if lossRate < 0.08 || lossRate > 0.12 {
 		t.Errorf("line loss rate = %v, want ~0.1", lossRate)
 	}
@@ -416,25 +413,6 @@ func TestSetRouteToNonNeighborPanics(t *testing.T) {
 	a.SetRoute(routing.MustParsePrefix("0.0.0.0/0"), 1)
 }
 
-func TestSimulatorStep(t *testing.T) {
-	s := newSimulator()
-	ran := 0
-	s.Schedule(time.Second, func() { ran++ })
-	s.Schedule(2*time.Second, func() { ran++ })
-	if !s.Step() || ran != 1 {
-		t.Fatalf("first step: ran=%d", ran)
-	}
-	if s.Now() != time.Second {
-		t.Errorf("Now = %v", s.Now())
-	}
-	if !s.Step() || ran != 2 {
-		t.Fatalf("second step: ran=%d", ran)
-	}
-	if s.Step() {
-		t.Error("empty queue stepped")
-	}
-}
-
 func TestLinkStringAndAccessors(t *testing.T) {
 	n, _, _, l := buildPair(1e9, time.Millisecond, 16)
 	if l.String() != "a->b" {
@@ -443,7 +421,7 @@ func TestLinkStringAndAccessors(t *testing.T) {
 	if !l.Up() {
 		t.Error("fresh link down")
 	}
-	if l.QueueDepth() != 0 {
+	if l.inQueue != 0 {
 		t.Error("fresh link queued")
 	}
 	n.FailLink(l, 0)
@@ -455,8 +433,8 @@ func TestLinkStringAndAccessors(t *testing.T) {
 
 func TestRouterAccessors(t *testing.T) {
 	_, a, b, _ := buildPair(1e9, time.Millisecond, 16)
-	if got := a.Neighbors(); len(got) != 1 || got[0] != b.ID {
-		t.Errorf("Neighbors = %v", got)
+	if got := a.Links(); len(got) != 1 || got[0].To.ID != b.ID {
+		t.Errorf("Links = %v", got)
 	}
 	if a.LinkTo(99) != nil {
 		t.Error("LinkTo unknown returned a link")

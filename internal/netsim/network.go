@@ -392,6 +392,3 @@ type LoopWindow struct {
 	Events      int
 	MaxLoopSize int
 }
-
-// Duration returns the window length.
-func (w LoopWindow) Duration() Time { return w.End - w.Start }

@@ -42,16 +42,6 @@ func (r *Router) LinkTo(id NodeID) *Link {
 	return nil
 }
 
-// Neighbors returns the IDs of routers reachable over one (currently
-// existing, regardless of up/down state) link.
-func (r *Router) Neighbors() []NodeID {
-	out := make([]NodeID, 0, len(r.links))
-	for _, l := range r.links {
-		out = append(out, l.To.ID)
-	}
-	return out
-}
-
 // AttachPrefix marks prefix as locally delivered at this router (a
 // customer network or peering exit hanging off it).
 func (r *Router) AttachPrefix(p routing.Prefix) {

@@ -47,10 +47,9 @@ func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	events uint64
+	now   Time
+	queue eventHeap
+	seq   uint64
 }
 
 // newSimulator returns a simulator at time zero with no pending
@@ -61,9 +60,6 @@ func newSimulator() *Simulator {
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// EventsRun returns the number of events executed so far.
-func (s *Simulator) EventsRun() uint64 { return s.events }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 func (s *Simulator) Schedule(delay Time, fn func()) {
@@ -89,26 +85,9 @@ func (s *Simulator) Run(until Time) {
 	for len(s.queue) > 0 && s.queue.peek().at <= until {
 		e := s.queue.popEvent()
 		s.now = e.at
-		s.events++
 		e.fn()
 	}
 	if s.now < until {
 		s.now = until
 	}
 }
-
-// Step executes the single next event, if any, and reports whether one
-// ran.
-func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	e := s.queue.popEvent()
-	s.now = e.at
-	s.events++
-	e.fn()
-	return true
-}
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }

@@ -53,7 +53,7 @@ const (
 	DropNoRoute
 	dropQueueFull
 	dropLinkDown
-	DropLineError
+	dropLineError
 	numDropReasons
 )
 
@@ -68,7 +68,7 @@ func (r DropReason) String() string {
 		return "queue-full"
 	case dropLinkDown:
 		return "link-down"
-	case DropLineError:
+	case dropLineError:
 		return "line-error"
 	default:
 		return "unknown"

@@ -87,12 +87,12 @@ func BindLogFlags(fs *flag.FlagSet) func(LogOptions) (*slog.Logger, error) {
 
 // NoteTornRepair counts and logs a torn trailing line that opening a
 // durable.Log moved into its quarantine sidecar; file names the log in
-// the MetricTornRepairs label. A torn count of zero does nothing.
+// the metricTornRepairs label. A torn count of zero does nothing.
 func NoteTornRepair(reg *Registry, log *slog.Logger, file, path string, torn int64) {
 	if torn == 0 {
 		return
 	}
-	reg.Counter(LabelMetric(MetricTornRepairs, "file", file)).Inc()
+	reg.Counter(LabelMetric(metricTornRepairs, "file", file)).Inc()
 	log.Warn("torn trailing line quarantined", "file", file, "path", path, "bytes", torn)
 }
 

@@ -48,14 +48,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value; 0 on a nil gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {

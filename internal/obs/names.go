@@ -72,7 +72,7 @@ const (
 	MetricBreakerState       = "loopscope_breaker_state"
 	MetricBreakerTransitions = "loopscope_breaker_transitions_total"
 	MetricJournalRequeued    = "loopscope_serve_journal_requeued_total"
-	MetricTornRepairs        = "loopscope_serve_torn_repairs_total"
+	metricTornRepairs        = "loopscope_serve_torn_repairs_total"
 	MetricJournalSkipped     = "loopscope_journal_lines_skipped_total"
 
 	// Time-partitioned journal retention and analytics persistence.
@@ -153,7 +153,7 @@ var metricHelp = map[string]string{
 	MetricBreakerState:          "Circuit breaker position (0 closed, 1 half-open, 2 open).",
 	MetricBreakerTransitions:    "Circuit breaker state transitions.",
 	MetricJournalRequeued:       "Journal events parked for retry after a write failure.",
-	MetricTornRepairs:           "Torn (partial) trailing lines quarantined on startup.",
+	metricTornRepairs:           "Torn (partial) trailing lines quarantined on startup.",
 	MetricJournalSegmentsPruned: "Journal segments deleted by time-partitioned retention.",
 	MetricAnalyticsIngested:     "Loop events folded into the analytics sketches.",
 	MetricAnalyticsDeduped:      "Replayed loop events suppressed by the analytics seen-ID ring.",

@@ -58,18 +58,18 @@ const (
 // detect_cluster is the end-to-end figure an operator cares about.
 const (
 	SegDetectPublish  = "detect_publish"
-	SegPublishJournal = "publish_journal"
+	segPublishJournal = "publish_journal"
 	SegPublishSend    = "publish_send"
 	SegSendIngest     = "send_ingest"
-	SegPublishIngest  = "publish_ingest"
-	SegIngestCluster  = "ingest_cluster"
+	segPublishIngest  = "publish_ingest"
+	segIngestCluster  = "ingest_cluster"
 	SegDetectCluster  = "detect_cluster"
 )
 
 // Segments is the canonical rendering order of the latency table.
 var Segments = []string{
-	SegDetectPublish, SegPublishJournal, SegPublishSend,
-	SegSendIngest, SegPublishIngest, SegIngestCluster, SegDetectCluster,
+	SegDetectPublish, segPublishJournal, SegPublishSend,
+	SegSendIngest, segPublishIngest, segIngestCluster, SegDetectCluster,
 }
 
 // SegmentRank orders segments for deterministic documents; unknown
@@ -133,11 +133,11 @@ func Latencies(r *Record) []SegmentLatency {
 		out = append(out, l)
 	}
 	add(SegDetectPublish, r.DetectedNs, r.PublishedNs, false)
-	add(SegPublishJournal, r.PublishedNs, r.JournaledNs, false)
+	add(segPublishJournal, r.PublishedNs, r.JournaledNs, false)
 	add(SegPublishSend, r.PublishedNs, r.WebhookSentNs, false)
 	add(SegSendIngest, r.WebhookSentNs, r.IngestedNs, true)
-	add(SegPublishIngest, r.PublishedNs, r.IngestedNs, true)
-	add(SegIngestCluster, r.IngestedNs, r.ClusteredNs, true)
+	add(segPublishIngest, r.PublishedNs, r.IngestedNs, true)
+	add(segIngestCluster, r.IngestedNs, r.ClusteredNs, true)
 	add(SegDetectCluster, r.DetectedNs, r.ClusteredNs, true)
 	return out
 }

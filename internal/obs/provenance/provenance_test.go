@@ -85,9 +85,9 @@ func TestLatencies(t *testing.T) {
 	}
 	want := map[string]int64{
 		SegDetectPublish:  500,
-		SegPublishJournal: 400,
-		SegPublishIngest:  3500,
-		SegIngestCluster:  0,
+		segPublishJournal: 400,
+		segPublishIngest:  3500,
+		segIngestCluster:  0,
 		SegDetectCluster:  4000,
 	}
 	if len(got) != len(want) {
@@ -114,7 +114,7 @@ func TestLatenciesClampNegative(t *testing.T) {
 		Stamp(HopClustered, 9400)
 	for _, l := range Latencies(r) {
 		switch l.Segment {
-		case SegPublishIngest:
+		case segPublishIngest:
 			if !l.Clamped || l.Ns != 0 {
 				t.Errorf("publish_ingest = %+v, want clamped zero", l)
 			}

@@ -9,17 +9,17 @@ type ClassMask uint16
 
 // Traffic-type categories, in the order the paper plots them.
 const (
-	ClassTCP ClassMask = 1 << iota
+	classTCP ClassMask = 1 << iota
 	classACK
 	classPSH
-	ClassRST
+	classRST
 	classURG
 	ClassSYN
 	classFIN
-	ClassUDP
-	ClassMcast
+	classUDP
+	classMcast
 	ClassICMP
-	ClassOther
+	classOther
 
 	numClasses = 11
 )
@@ -62,7 +62,7 @@ func Classify(p *Packet) ClassMask {
 	var m ClassMask
 	switch p.Kind {
 	case KindTCP:
-		m |= ClassTCP
+		m |= classTCP
 		if p.HasTransport {
 			f := p.TCP.Flags
 			if f&TCPAck != 0 {
@@ -72,7 +72,7 @@ func Classify(p *Packet) ClassMask {
 				m |= classPSH
 			}
 			if f&TCPRst != 0 {
-				m |= ClassRST
+				m |= classRST
 			}
 			if f&TCPUrg != 0 {
 				m |= classURG
@@ -85,14 +85,14 @@ func Classify(p *Packet) ClassMask {
 			}
 		}
 	case KindUDP:
-		m |= ClassUDP
+		m |= classUDP
 	case KindICMP:
 		m |= ClassICMP
 	default:
-		m |= ClassOther
+		m |= classOther
 	}
 	if p.IP.Dst.IsMulticast() {
-		m |= ClassMcast
+		m |= classMcast
 	}
 	return m
 }

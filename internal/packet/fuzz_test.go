@@ -39,7 +39,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		// A decodable packet classifies and masks without panicking.
 		_ = Classify(&pkt)
-		_ = pkt.TransportChecksum()
 		_ = pkt.SrcPort()
 		_ = pkt.DstPort()
 		// Header length never exceeds the captured bytes.
@@ -98,7 +97,7 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		if got.IP.ID != id || got.IP.TTL != ttl || got.Kind != p.Kind {
 			t.Fatalf("round trip mismatch: %+v", got.IP)
 		}
-		if !got.IP.VerifyChecksum(buf) {
+		if !headerChecksumOK(&got.IP, buf) {
 			t.Fatal("bad IP checksum in own output")
 		}
 		// Truncated snapshot agrees byte-for-byte with the prefix.

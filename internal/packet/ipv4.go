@@ -36,7 +36,7 @@ type IPv4Header struct {
 // IPv4 flag bits.
 const (
 	FlagDF = 0x2 // don't fragment
-	FlagMF = 0x1 // more fragments
+	flagMF = 0x1 // more fragments
 )
 
 // headerLen returns the header length in bytes implied by IHL.
@@ -118,16 +118,4 @@ func (h *IPv4Header) encode(buf []byte) (int, error) {
 	h.Checksum = Checksum(buf[:n], 0)
 	binary.BigEndian.PutUint16(buf[10:12], h.Checksum)
 	return n, nil
-}
-
-// VerifyChecksum reports whether the stored header checksum matches a
-// recomputation over data (which must hold at least the full header).
-func (h *IPv4Header) VerifyChecksum(data []byte) bool {
-	n := h.headerLen()
-	if len(data) < n {
-		return false
-	}
-	// Checksumming the header including the stored checksum yields 0
-	// when valid.
-	return Checksum(data[:n], 0) == 0
 }

@@ -218,22 +218,6 @@ func (p *Packet) Serialize(buf []byte, max int) (int, error) {
 	return n, nil
 }
 
-// TransportChecksum returns the transport-layer checksum, the paper's
-// stand-in for payload identity in 40-byte snapshots. It returns 0
-// when no transport header was parsed.
-func (p *Packet) TransportChecksum() uint16 {
-	switch p.Kind {
-	case KindTCP:
-		return p.TCP.Checksum
-	case KindUDP:
-		return p.UDP.Checksum
-	case KindICMP:
-		return p.ICMP.Checksum
-	default:
-		return 0
-	}
-}
-
 // SrcPort returns the transport source port, or 0 when not applicable.
 func (p *Packet) SrcPort() uint16 {
 	switch p.Kind {

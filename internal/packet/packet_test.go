@@ -1,10 +1,18 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// headerChecksumOK is the receiver's check on the IPv4 header h decoded
+// from data: the header's bytes, stored checksum included, sum to zero.
+func headerChecksumOK(h *IPv4Header, data []byte) bool {
+	n := h.headerLen()
+	return len(data) >= n && Checksum(data[:n], 0) == 0
+}
 
 func TestChecksumRFC1071(t *testing.T) {
 	// Worked example from RFC 1071 §3: words 0001 f203 f4f5 f6f7.
@@ -120,12 +128,12 @@ func TestIPv4EncodeDecodeRoundTrip(t *testing.T) {
 	if got != h {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 	}
-	if !got.VerifyChecksum(buf[:]) {
+	if !headerChecksumOK(&got, buf[:]) {
 		t.Error("header checksum does not verify")
 	}
 	// Corrupt a byte: checksum must fail.
 	buf[9] ^= 0xff
-	if c, _ := DecodeIPv4(buf[:]); c.VerifyChecksum(buf[:]) {
+	if c, _ := DecodeIPv4(buf[:]); headerChecksumOK(&c, buf[:]) {
 		t.Error("corrupted header still verifies")
 	}
 }
@@ -151,7 +159,7 @@ func TestIPv4DecodeErrors(t *testing.T) {
 }
 
 func TestIPv4FragmentFields(t *testing.T) {
-	h := IPv4Header{Version: 4, IHL: 5, Flags: FlagMF, FragOffset: 0x1234 & 0x1fff, TTL: 1, Protocol: ProtoUDP}
+	h := IPv4Header{Version: 4, IHL: 5, Flags: flagMF, FragOffset: 0x1234 & 0x1fff, TTL: 1, Protocol: ProtoUDP}
 	var buf [20]byte
 	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
@@ -160,7 +168,7 @@ func TestIPv4FragmentFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Flags != FlagMF || got.FragOffset != h.FragOffset {
+	if got.Flags != flagMF || got.FragOffset != h.FragOffset {
 		t.Errorf("fragment fields: got flags=%d off=%d", got.Flags, got.FragOffset)
 	}
 }
@@ -207,7 +215,7 @@ func TestICMPEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := h.encode(buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	ComputeICMPChecksum(buf[:])
+	binary.BigEndian.PutUint16(buf[2:4], Checksum(buf[:], 0)) // as Serialize does
 	got, err := decodeICMP(buf[:])
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +267,7 @@ func TestPacketSerializeDecodeRoundTrip(t *testing.T) {
 	if got.PayloadLen != p.PayloadLen {
 		t.Errorf("payload length %d, want %d", got.PayloadLen, p.PayloadLen)
 	}
-	if !got.IP.VerifyChecksum(buf) {
+	if !headerChecksumOK(&got.IP, buf) {
 		t.Error("IP checksum does not verify")
 	}
 }
@@ -340,22 +348,22 @@ func TestClassify(t *testing.T) {
 	}{
 		{"syn-ack", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPSyn | TCPAck}},
-			ClassTCP | ClassSYN | classACK},
+			classTCP | ClassSYN | classACK},
 		{"fin-ack-psh", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPFin | TCPAck | TCPPsh}},
-			ClassTCP | classFIN | classACK | classPSH},
+			classTCP | classFIN | classACK | classPSH},
 		{"rst", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPRst}},
-			ClassTCP | ClassRST},
+			classTCP | classRST},
 		{"urg", Packet{Kind: KindTCP, HasTransport: true,
 			TCP: TCPHeader{Flags: TCPUrg | TCPAck}},
-			ClassTCP | classURG | classACK},
-		{"udp", Packet{Kind: KindUDP, HasTransport: true}, ClassUDP},
+			classTCP | classURG | classACK},
+		{"udp", Packet{Kind: KindUDP, HasTransport: true}, classUDP},
 		{"udp-mcast", Packet{Kind: KindUDP, HasTransport: true,
 			IP: IPv4Header{Dst: MustParseAddr("224.0.0.5")}},
-			ClassUDP | ClassMcast},
+			classUDP | classMcast},
 		{"icmp", Packet{Kind: KindICMP, HasTransport: true}, ClassICMP},
-		{"other", Packet{Kind: KindOther}, ClassOther},
+		{"other", Packet{Kind: KindOther}, classOther},
 	}
 	for _, c := range cases {
 		if got := Classify(&c.pkt); got != c.want {
@@ -365,7 +373,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestClassMaskString(t *testing.T) {
-	m := ClassTCP | ClassSYN | classACK
+	m := classTCP | ClassSYN | classACK
 	if s := m.String(); s != "TCP+ACK+SYN" {
 		t.Errorf("String = %q", s)
 	}
@@ -380,7 +388,7 @@ func TestClassIndex(t *testing.T) {
 			t.Errorf("ClassIndex(1<<%d) = %d", i, got)
 		}
 	}
-	if ClassIndex(ClassTCP|classACK) != -1 {
+	if ClassIndex(classTCP|classACK) != -1 {
 		t.Error("multi-bit mask should map to -1")
 	}
 }
@@ -433,7 +441,7 @@ func TestSerializeDecodeQuick(t *testing.T) {
 		}
 		return got.IP.ID == id && got.IP.TTL == ttl &&
 			got.UDP.SrcPort == sport && got.UDP.DstPort == dport &&
-			got.PayloadLen == pay && got.IP.VerifyChecksum(buf)
+			got.PayloadLen == pay && headerChecksumOK(&got.IP, buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -151,12 +151,3 @@ func (h *ICMPHeader) encode(buf []byte) (int, error) {
 	binary.BigEndian.PutUint32(buf[4:8], h.Rest)
 	return ICMPHeaderLen, nil
 }
-
-// ComputeICMPChecksum computes the ICMP checksum over message (header
-// + payload), stores it in the serialised bytes, and returns it.
-func ComputeICMPChecksum(message []byte) uint16 {
-	message[2], message[3] = 0, 0
-	ck := Checksum(message, 0)
-	binary.BigEndian.PutUint16(message[2:4], ck)
-	return ck
-}

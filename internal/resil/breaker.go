@@ -9,7 +9,7 @@ import (
 type BreakerState int
 
 const (
-	// BreakerClosed: requests flow; consecutive failures are counted.
+	// breakerClosed: requests flow; consecutive failures are counted.
 	breakerClosed BreakerState = iota
 	// BreakerHalfOpen: the open period elapsed; a limited probe is
 	// allowed through to test the backend.

@@ -60,25 +60,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// RouteSource ranks how a route was learned, for the E-BGP-over-I-BGP
+// routeSource ranks how a route was learned, for the E-BGP-over-I-BGP
 // step of the decision process.
-type RouteSource int
+type routeSource int
 
 // Route sources, in decreasing preference.
 const (
-	SourceLocal RouteSource = iota
-	SourceEBGP
-	SourceIBGP
+	sourceLocal routeSource = iota
+	sourceEBGP
+	sourceIBGP
 )
 
-// Route is one BGP path for a prefix as stored in an Adj-RIB-In.
-type Route struct {
+// route is one BGP path for a prefix as stored in an Adj-RIB-In.
+type route struct {
 	Prefix    routing.Prefix
 	Path      []ASN
 	LocalPref int
 	// Source records how this router learned the route; the decision
 	// process prefers local > E-BGP > I-BGP.
-	Source RouteSource
+	Source routeSource
 	// Egress is the router whose loopback the forwarding plane must
 	// resolve to reach this route's exit point.
 	Egress netsim.NodeID
@@ -87,7 +87,7 @@ type Route struct {
 	From netsim.NodeID
 }
 
-func (r *Route) clone() *Route {
+func (r *route) clone() *route {
 	c := *r
 	c.Path = append([]ASN(nil), r.Path...)
 	return &c
@@ -104,11 +104,11 @@ func pathContains(path []ASN, asn ASN) bool {
 	return false
 }
 
-// update is one BGP message: an advertisement (Route != nil) or a
-// withdrawal (Route == nil) for Prefix.
+// update is one BGP message: an advertisement (route != nil) or a
+// withdrawal (route == nil) for Prefix.
 type update struct {
 	prefix routing.Prefix
-	route  *Route
+	route  *route
 	from   netsim.NodeID
 }
 
@@ -142,9 +142,9 @@ type Speaker struct {
 
 	peers map[netsim.NodeID]*peerState
 	// adjIn[prefix][peer] is the route last advertised by peer.
-	adjIn map[routing.Prefix]map[netsim.NodeID]*Route
+	adjIn map[routing.Prefix]map[netsim.NodeID]*route
 	// best is the outcome of the decision process.
-	best map[routing.Prefix]*Route
+	best map[routing.Prefix]*route
 	// installed mirrors what is programmed into the FIB.
 	installed map[routing.Prefix]netsim.NodeID
 	gen       map[routing.Prefix]uint64
@@ -158,7 +158,7 @@ type peerState struct {
 	// mraiArmed marks the pacing timer as running; advertisements
 	// queue in pending until it fires.
 	mraiArmed bool
-	pending   map[routing.Prefix]*Route
+	pending   map[routing.Prefix]*route
 	pendingW  map[routing.Prefix]bool
 	// advertised tracks what we last sent, to suppress no-op
 	// re-advertisements and to know what to withdraw.
@@ -170,8 +170,8 @@ func (p *Protocol) AddSpeaker(r *netsim.Router, asn ASN) *Speaker {
 	s := &Speaker{
 		p: p, r: r, asn: asn,
 		peers:     make(map[netsim.NodeID]*peerState),
-		adjIn:     make(map[routing.Prefix]map[netsim.NodeID]*Route),
-		best:      make(map[routing.Prefix]*Route),
+		adjIn:     make(map[routing.Prefix]map[netsim.NodeID]*route),
+		best:      make(map[routing.Prefix]*route),
 		installed: make(map[routing.Prefix]netsim.NodeID),
 		gen:       make(map[routing.Prefix]uint64),
 		origin:    make(map[routing.Prefix]bool),
@@ -205,7 +205,7 @@ func (p *Protocol) Peer(a, b netsim.NodeID) error {
 func newPeerState(id netsim.NodeID, ebgp bool) *peerState {
 	return &peerState{
 		id: id, ebgp: ebgp,
-		pending:    make(map[routing.Prefix]*Route),
+		pending:    make(map[routing.Prefix]*route),
 		pendingW:   make(map[routing.Prefix]bool),
 		advertised: make(map[routing.Prefix]bool),
 	}
@@ -235,11 +235,11 @@ func (p *Protocol) MeshAS(asn ASN) {
 // path, as the network does for its own customer prefixes and stub
 // external ASes do for theirs.
 func (s *Speaker) Originate(prefix routing.Prefix) {
-	r := &Route{
+	r := &route{
 		Prefix:    prefix,
 		Path:      nil,
 		LocalPref: s.p.cfg.LocalPref,
-		Source:    SourceLocal,
+		Source:    sourceLocal,
 		Egress:    s.r.ID,
 		From:      -1,
 	}
@@ -267,10 +267,10 @@ func (s *Speaker) Withdraw(prefix routing.Prefix) {
 	s.decide(prefix)
 }
 
-func (s *Speaker) setAdjIn(prefix routing.Prefix, from netsim.NodeID, r *Route) {
+func (s *Speaker) setAdjIn(prefix routing.Prefix, from netsim.NodeID, r *route) {
 	m := s.adjIn[prefix]
 	if m == nil {
-		m = make(map[netsim.NodeID]*Route)
+		m = make(map[netsim.NodeID]*route)
 		s.adjIn[prefix] = m
 	}
 	m[from] = r
@@ -282,16 +282,10 @@ func (s *Speaker) clearAdjIn(prefix routing.Prefix, from netsim.NodeID) {
 	}
 }
 
-// Best returns the current best route for prefix, if any.
-func (s *Speaker) Best(prefix routing.Prefix) (*Route, bool) {
-	r, ok := s.best[prefix]
-	return r, ok
-}
-
 // decide runs the decision process for one prefix and propagates the
 // outcome to the FIB and to peers.
 func (s *Speaker) decide(prefix routing.Prefix) {
-	var best *Route
+	var best *route
 	var bestFrom netsim.NodeID
 	for from, r := range s.adjIn[prefix] {
 		if r == nil {
@@ -319,19 +313,13 @@ func (s *Speaker) decide(prefix routing.Prefix) {
 	s.announce(prefix, best)
 }
 
-// Better reports whether route a strictly beats route b under the
-// decision process: higher local-pref, then shorter AS path, then
-// local-over-E-BGP-over-I-BGP, then lower egress ID. Exported for
-// policy inspection and tests; nil arguments are not allowed.
-func Better(a, b *Route) bool { return betterRoute(a, b) }
-
 // betterRoute reports whether a strictly beats b: higher local-pref,
 // then shorter AS path, then local-over-E-BGP-over-I-BGP, then lower
 // egress ID. The source step is what real BGP uses to keep a border
 // router anchored to its own external route instead of deferring to a
 // mesh peer — without it two egresses can deadlock pointing at each
 // other.
-func betterRoute(a, b *Route) bool {
+func betterRoute(a, b *route) bool {
 	if a.LocalPref != b.LocalPref {
 		return a.LocalPref > b.LocalPref
 	}
@@ -344,7 +332,7 @@ func betterRoute(a, b *Route) bool {
 	return a.Egress < b.Egress
 }
 
-func routesEqual(a, b *Route) bool {
+func routesEqual(a, b *route) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
@@ -363,7 +351,7 @@ func routesEqual(a, b *Route) bool {
 // scheduleInstall programs the FIB after the FIB-update delay,
 // resolving the route's egress through the router's current FIB
 // (recursive next-hop resolution).
-func (s *Speaker) scheduleInstall(prefix routing.Prefix, best *Route) {
+func (s *Speaker) scheduleInstall(prefix routing.Prefix, best *route) {
 	s.gen[prefix]++
 	gen := s.gen[prefix]
 	delay := s.p.cfg.FIBUpdate.Draw(s.p.rng)
@@ -375,7 +363,7 @@ func (s *Speaker) scheduleInstall(prefix routing.Prefix, best *Route) {
 	})
 }
 
-func (s *Speaker) install(prefix routing.Prefix, best *Route) {
+func (s *Speaker) install(prefix routing.Prefix, best *route) {
 	if best == nil || s.origin[prefix] {
 		// No route, or we deliver it ourselves: nothing to program
 		// (originating routers have the prefix locally attached).
@@ -422,7 +410,7 @@ func (s *Speaker) install(prefix routing.Prefix, best *Route) {
 // Peers are visited in ID order: the pacing and message timers draw
 // from a shared RNG, so iteration order must be deterministic for the
 // simulation to be reproducible.
-func (s *Speaker) announce(prefix routing.Prefix, best *Route) {
+func (s *Speaker) announce(prefix routing.Prefix, best *route) {
 	for _, id := range s.sortedPeerIDs() {
 		s.queueToPeer(s.peers[id], prefix, best)
 	}
@@ -440,8 +428,8 @@ func (s *Speaker) sortedPeerIDs() []netsim.NodeID {
 
 // queueToPeer applies the export policy for one peer and queues the
 // resulting advertisement/withdrawal.
-func (s *Speaker) queueToPeer(ps *peerState, prefix routing.Prefix, best *Route) {
-	var out *Route
+func (s *Speaker) queueToPeer(ps *peerState, prefix routing.Prefix, best *route) {
+	var out *route
 	if best != nil {
 		switch {
 		case ps.ebgp:
@@ -525,7 +513,7 @@ func prefixLess(a, b routing.Prefix) bool {
 	return a.Bits < b.Bits
 }
 
-func sortedPrefixes(m map[routing.Prefix]*Route) []routing.Prefix {
+func sortedPrefixes(m map[routing.Prefix]*route) []routing.Prefix {
 	out := make([]routing.Prefix, 0, len(m))
 	for p := range m {
 		out = append(out, p)
@@ -560,20 +548,20 @@ func (s *Speaker) receive(u update) {
 		return // AS-path loop prevention
 	}
 	// Route-flap damping may withhold the update entirely.
-	route, withheld := s.applyDamping(u, ps)
+	adv, withheld := s.applyDamping(u, ps)
 	if withheld {
 		// A freshly suppressed route must also leave the RIB.
 		s.clearAdjIn(u.prefix, u.from)
 		s.decide(u.prefix)
 		return
 	}
-	if route != nil {
-		r := route.clone()
+	if adv != nil {
+		r := adv.clone()
 		if ps.ebgp {
 			r.LocalPref = s.p.cfg.LocalPref
-			r.Source = SourceEBGP
+			r.Source = sourceEBGP
 		} else {
-			r.Source = SourceIBGP
+			r.Source = sourceIBGP
 		}
 		r.From = u.from
 		s.setAdjIn(u.prefix, u.from, r)

@@ -1,4 +1,4 @@
-package bgp_test
+package bgp
 
 import (
 	"testing"
@@ -7,7 +7,6 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
-	"loopscope/internal/routing/bgp"
 	"loopscope/internal/routing/igp"
 	"loopscope/internal/stats"
 )
@@ -45,9 +44,9 @@ func TestEgressShiftLoop(t *testing.T) {
 	ip := igp.Attach(net, igp.DefaultConfig(), rng.Fork())
 	ip.Start()
 
-	cfg := bgp.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.MRAI = routing.Range(500*time.Millisecond, 3*time.Second)
-	p := bgp.Attach(net, cfg, rng.Fork())
+	p := Attach(net, cfg, rng.Fork())
 	p.AddSpeaker(b1, 100)
 	p.AddSpeaker(b2, 100)
 	p.AddSpeaker(b3, 100)
@@ -114,5 +113,5 @@ func TestEgressShiftLoop(t *testing.T) {
 	}
 	w := net.GroundTruthWindows(time.Minute)
 	t.Logf("loop windows: %d, first duration %v, ground-truth events %d, messages %d",
-		len(w), w[0].Duration(), len(net.GroundTruth), p.Messages)
+		len(w), w[0].End-w[0].Start, len(net.GroundTruth), p.Messages)
 }

@@ -1,4 +1,4 @@
-package bgp_test
+package bgp
 
 import (
 	"testing"
@@ -7,7 +7,6 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
-	"loopscope/internal/routing/bgp"
 	"loopscope/internal/routing/igp"
 	"loopscope/internal/stats"
 )
@@ -21,8 +20,8 @@ func fastIGP() igp.Config {
 	}
 }
 
-func fastBGP() bgp.Config {
-	return bgp.Config{
+func fastBGP() Config {
+	return Config{
 		MsgDelay:  routing.Fixed(10 * time.Millisecond),
 		MRAI:      routing.Fixed(50 * time.Millisecond),
 		FIBUpdate: routing.Fixed(10 * time.Millisecond),
@@ -32,7 +31,7 @@ func fastBGP() bgp.Config {
 
 // twoExit builds: ext1(AS200) - b1 - b2 - b3 - ext2(AS300), AS 100 in
 // the middle with an I-BGP mesh, dst originated by both externals.
-func twoExit(t *testing.T) (*netsim.Network, *bgp.Protocol, []*netsim.Router, routing.Prefix) {
+func twoExit(t *testing.T) (*netsim.Network, *Protocol, []*netsim.Router, routing.Prefix) {
 	t.Helper()
 	n := netsim.NewNetwork()
 	mk := func(name string, oct byte) *netsim.Router {
@@ -51,7 +50,7 @@ func twoExit(t *testing.T) (*netsim.Network, *bgp.Protocol, []*netsim.Router, ro
 	ip := igp.Attach(n, fastIGP(), stats.NewRNG(1))
 	ip.Start()
 
-	p := bgp.Attach(n, fastBGP(), stats.NewRNG(2))
+	p := Attach(n, fastBGP(), stats.NewRNG(2))
 	p.AddSpeaker(b1, 100)
 	p.AddSpeaker(b2, 100)
 	p.AddSpeaker(b3, 100)
@@ -78,7 +77,7 @@ func TestDecisionPrefersLowerEgressOnTie(t *testing.T) {
 	n.Sim.Run(5 * time.Second)
 
 	b2 := rs[1]
-	best, ok := p.Speaker(b2.ID).Best(dst)
+	best, ok := p.Speaker(b2.ID).best[dst]
 	if !ok {
 		t.Fatal("b2 has no best route")
 	}
@@ -98,11 +97,11 @@ func TestBorderPrefersItsEBGPRoute(t *testing.T) {
 
 	// b3 hears the mesh route with egress b1 (lower ID) but must keep
 	// its own E-BGP route: E-BGP beats I-BGP in the decision process.
-	best, ok := p.Speaker(rs[2].ID).Best(dst)
+	best, ok := p.Speaker(rs[2].ID).best[dst]
 	if !ok {
 		t.Fatal("b3 has no best route")
 	}
-	if best.Source != bgp.SourceEBGP {
+	if best.Source != sourceEBGP {
 		t.Errorf("b3 best source = %v, want E-BGP", best.Source)
 	}
 	if best.Egress != rs[4].ID {
@@ -113,32 +112,32 @@ func TestBorderPrefersItsEBGPRoute(t *testing.T) {
 func TestDecisionProcessOrdering(t *testing.T) {
 	// The full preference chain, pairwise: local-pref beats path
 	// length beats source beats egress ID.
-	short := &bgp.Route{Path: []bgp.ASN{100}, LocalPref: 100, Source: bgp.SourceIBGP, Egress: 5}
-	long := &bgp.Route{Path: []bgp.ASN{100, 200}, LocalPref: 100, Source: bgp.SourceEBGP, Egress: 1}
-	prefd := &bgp.Route{Path: []bgp.ASN{100, 200, 300}, LocalPref: 200, Source: bgp.SourceIBGP, Egress: 9}
-	ebgp := &bgp.Route{Path: []bgp.ASN{100}, LocalPref: 100, Source: bgp.SourceEBGP, Egress: 7}
-	lowEgress := &bgp.Route{Path: []bgp.ASN{100}, LocalPref: 100, Source: bgp.SourceEBGP, Egress: 3}
+	short := &route{Path: []ASN{100}, LocalPref: 100, Source: sourceIBGP, Egress: 5}
+	long := &route{Path: []ASN{100, 200}, LocalPref: 100, Source: sourceEBGP, Egress: 1}
+	prefd := &route{Path: []ASN{100, 200, 300}, LocalPref: 200, Source: sourceIBGP, Egress: 9}
+	ebgp := &route{Path: []ASN{100}, LocalPref: 100, Source: sourceEBGP, Egress: 7}
+	lowEgress := &route{Path: []ASN{100}, LocalPref: 100, Source: sourceEBGP, Egress: 3}
 
-	if !bgp.Better(prefd, short) {
+	if !betterRoute(prefd, short) {
 		t.Error("higher local-pref must win regardless of path length")
 	}
-	if !bgp.Better(short, long) {
+	if !betterRoute(short, long) {
 		t.Error("shorter path must win at equal local-pref")
 	}
-	if !bgp.Better(ebgp, short) {
+	if !betterRoute(ebgp, short) {
 		t.Error("E-BGP must beat I-BGP at equal pref and length")
 	}
-	if !bgp.Better(lowEgress, ebgp) {
+	if !betterRoute(lowEgress, ebgp) {
 		t.Error("lower egress must win the final tie-break")
 	}
-	if bgp.Better(ebgp, ebgp) {
+	if betterRoute(ebgp, ebgp) {
 		t.Error("a route must not beat itself")
 	}
 
 	// Sanity in the live network: b1's own E-BGP route wins.
 	n, p, rs, dst := twoExit(t)
 	n.Sim.Run(5 * time.Second)
-	best, _ := p.Speaker(rs[0].ID).Best(dst)
+	best, _ := p.Speaker(rs[0].ID).best[dst]
 	if best == nil || best.Egress != rs[3].ID {
 		t.Fatalf("b1 best = %+v, want its E-BGP route via e1", best)
 	}
@@ -152,7 +151,7 @@ func TestWithdrawalShiftsEgressEverywhere(t *testing.T) {
 	n.Sim.Run(30 * time.Second)
 
 	for _, r := range rs[:3] {
-		best, ok := p.Speaker(r.ID).Best(dst)
+		best, ok := p.Speaker(r.ID).best[dst]
 		if r == rs[2] {
 			// b3: its own E-BGP route.
 			if !ok || best.Egress != rs[4].ID {
@@ -172,7 +171,7 @@ func TestWithdrawalShiftsEgressEverywhere(t *testing.T) {
 	// Re-advertise: the preferred egress must flip back.
 	p.Speaker(rs[3].ID).Originate(dst)
 	n.Sim.Run(60 * time.Second)
-	if best, ok := p.Speaker(rs[1].ID).Best(dst); !ok || best.Egress != rs[0].ID {
+	if best, ok := p.Speaker(rs[1].ID).best[dst]; !ok || best.Egress != rs[0].ID {
 		t.Errorf("after re-advertise b2 best = %+v, want egress b1", best)
 	}
 }
@@ -186,7 +185,7 @@ func TestEBGPSessionDiesWithLink(t *testing.T) {
 	n.FailLink(rs[0].LinkTo(rs[3].ID), 6*time.Second)
 	n.Sim.Run(40 * time.Second)
 
-	if best, ok := p.Speaker(rs[0].ID).Best(dst); !ok || best.Egress != rs[2].ID {
+	if best, ok := p.Speaker(rs[0].ID).best[dst]; !ok || best.Egress != rs[2].ID {
 		t.Errorf("b1 best after session death = %+v, want egress b3", best)
 	}
 }
@@ -207,7 +206,7 @@ func TestASPathLoopPrevention(t *testing.T) {
 	ip := igp.Attach(n, fastIGP(), stats.NewRNG(3))
 	ip.Start()
 
-	p := bgp.Attach(n, fastBGP(), stats.NewRNG(4))
+	p := Attach(n, fastBGP(), stats.NewRNG(4))
 	p.AddSpeaker(a, 100)
 	p.AddSpeaker(b, 200)
 	p.AddSpeaker(c, 300)
@@ -223,12 +222,12 @@ func TestASPathLoopPrevention(t *testing.T) {
 	n.Sim.Run(10 * time.Second)
 
 	// c hears [200 100]; a must never see the route come back.
-	if best, ok := p.Speaker(c.ID).Best(dst); !ok {
+	if best, ok := p.Speaker(c.ID).best[dst]; !ok {
 		t.Error("c never learned the route")
 	} else if len(best.Path) != 2 || best.Path[0] != 200 || best.Path[1] != 100 {
 		t.Errorf("c path = %v, want [200 100]", best.Path)
 	}
-	if best, _ := p.Speaker(a.ID).Best(dst); best != nil && best.From != -1 {
+	if best, _ := p.Speaker(a.ID).best[dst]; best != nil && best.From != -1 {
 		t.Errorf("a accepted a looped route: %+v", best)
 	}
 }
@@ -249,7 +248,7 @@ func TestMRAIPacesUpdates(t *testing.T) {
 
 	cfg := fastBGP()
 	cfg.MRAI = routing.Fixed(10 * time.Second)
-	p := bgp.Attach(n, cfg, stats.NewRNG(6))
+	p := Attach(n, cfg, stats.NewRNG(6))
 	p.AddSpeaker(a, 100)
 	p.AddSpeaker(b, 200)
 	if err := p.Peer(a.ID, b.ID); err != nil {
@@ -278,7 +277,7 @@ func TestPeerValidation(t *testing.T) {
 	a := n.AddRouter("a", packet.AddrFrom(10, 0, 3, 1))
 	b := n.AddRouter("b", packet.AddrFrom(10, 0, 3, 2))
 	// No link between a and b.
-	p := bgp.Attach(n, fastBGP(), stats.NewRNG(7))
+	p := Attach(n, fastBGP(), stats.NewRNG(7))
 	p.AddSpeaker(a, 100)
 	p.AddSpeaker(b, 200)
 	if err := p.Peer(a.ID, b.ID); err == nil {
@@ -302,8 +301,8 @@ func TestRouteFlapDamping(t *testing.T) {
 	ip.Start()
 
 	cfg := fastBGP()
-	cfg.Damping = bgp.DefaultDamping()
-	p := bgp.Attach(n, cfg, stats.NewRNG(9))
+	cfg.Damping = DefaultDamping()
+	p := Attach(n, cfg, stats.NewRNG(9))
 	sb := p.AddSpeaker(border, 100)
 	se := p.AddSpeaker(ext, 200)
 	if err := p.Peer(border.ID, ext.ID); err != nil {
@@ -326,20 +325,21 @@ func TestRouteFlapDamping(t *testing.T) {
 
 	// The border must have suppressed the flapping route: no best
 	// route despite the final advertisement.
-	if !sb.Suppressed(int(ext.ID), dst) {
+	held := dampKey{peer: int(ext.ID), prefix: dst}
+	if ds := sb.damp[held]; ds == nil || !ds.suppressed {
 		t.Fatal("route not suppressed after four flaps")
 	}
-	if _, ok := sb.Best(dst); ok {
+	if _, ok := sb.best[dst]; ok {
 		t.Error("suppressed route still selected")
 	}
 
 	// After the penalty decays below reuse, the held advertisement is
 	// reinstated automatically.
 	n.Sim.Run(90 * time.Second)
-	if sb.Suppressed(int(ext.ID), dst) {
+	if ds := sb.damp[held]; ds != nil && ds.suppressed {
 		t.Fatal("route still suppressed after decay")
 	}
-	best, ok := sb.Best(dst)
+	best, ok := sb.best[dst]
 	if !ok || best.Egress != ext.ID {
 		t.Errorf("held route not reinstated: %+v ok=%v", best, ok)
 	}
@@ -360,7 +360,7 @@ func TestDampingDisabledByDefault(t *testing.T) {
 	ip := igp.Attach(n, fastIGP(), stats.NewRNG(8))
 	ip.Start()
 
-	p := bgp.Attach(n, fastBGP(), stats.NewRNG(9)) // no damping
+	p := Attach(n, fastBGP(), stats.NewRNG(9)) // no damping
 	sb := p.AddSpeaker(border, 100)
 	se := p.AddSpeaker(ext, 200)
 	if err := p.Peer(border.ID, ext.ID); err != nil {
@@ -375,7 +375,7 @@ func TestDampingDisabledByDefault(t *testing.T) {
 	}
 	n.Sim.At(3*time.Second, func() { se.Originate(dst) })
 	n.Sim.Run(10 * time.Second)
-	if _, ok := sb.Best(dst); !ok {
+	if _, ok := sb.best[dst]; !ok {
 		t.Error("without damping the final advertisement must be selected")
 	}
 }
@@ -409,7 +409,7 @@ func TestPathHunting(t *testing.T) {
 
 	cfg := fastBGP()
 	cfg.MRAI = routing.Fixed(2 * time.Second)
-	p := bgp.Attach(n, cfg, stats.NewRNG(2))
+	p := Attach(n, cfg, stats.NewRNG(2))
 	p.AddSpeaker(hub, 100)
 	p.AddSpeaker(s1, 201)
 	p.AddSpeaker(s2, 202)
@@ -429,7 +429,7 @@ func TestPathHunting(t *testing.T) {
 	n.Sim.Run(60 * time.Second)
 
 	// Converged: hub prefers the shortest path via s1.
-	best, ok := p.Speaker(hub.ID).Best(dst)
+	best, ok := p.Speaker(hub.ID).best[dst]
 	if !ok || len(best.Path) != 2 {
 		t.Fatalf("hub best = %+v, want path length 2 via s1", best)
 	}
@@ -446,7 +446,7 @@ func TestPathHunting(t *testing.T) {
 		if done {
 			return
 		}
-		if b, ok := p.Speaker(hub.ID).Best(dst); ok {
+		if b, ok := p.Speaker(hub.ID).best[dst]; ok {
 			l := len(b.Path)
 			if len(hunt) == 0 || hunt[len(hunt)-1] != l {
 				hunt = append(hunt, l)

@@ -52,7 +52,7 @@ type dampState struct {
 	suppressed bool
 	// held is the last advertisement received while suppressed (nil =
 	// the prefix is withdrawn).
-	held       *Route
+	held       *route
 	reuseTimer bool
 }
 
@@ -74,7 +74,7 @@ type dampKey struct {
 // applyDamping intercepts an incoming E-BGP update; it returns the
 // update to apply now (possibly nil to treat as withdrawn) and whether
 // the update was withheld.
-func (s *Speaker) applyDamping(u update, ps *peerState) (apply *Route, withheld bool) {
+func (s *Speaker) applyDamping(u update, ps *peerState) (apply *route, withheld bool) {
 	cfg := s.p.cfg.Damping
 	if !cfg.Enabled || !ps.ebgp {
 		return u.route, false
@@ -136,7 +136,7 @@ func (s *Speaker) scheduleReuse(key dampKey, ds *dampState) {
 		if ds.held != nil {
 			r := ds.held.clone()
 			r.LocalPref = s.p.cfg.LocalPref
-			r.Source = SourceEBGP
+			r.Source = sourceEBGP
 			r.From = netsim.NodeID(key.peer)
 			s.setAdjIn(key.prefix, r.From, r)
 		} else {
@@ -145,11 +145,4 @@ func (s *Speaker) scheduleReuse(key dampKey, ds *dampState) {
 		ds.held = nil
 		s.decide(key.prefix)
 	})
-}
-
-// Suppressed reports whether the speaker is currently withholding the
-// peer's route for prefix, for tests and operators.
-func (s *Speaker) Suppressed(peer int, prefix routing.Prefix) bool {
-	ds := s.damp[dampKey{peer: peer, prefix: prefix}]
-	return ds != nil && ds.suppressed
 }

@@ -24,8 +24,8 @@ import (
 	"loopscope/internal/stats"
 )
 
-// Infinity is the unreachable metric (RIP uses 16).
-const Infinity = 16
+// infinity is the unreachable metric (RIP uses 16).
+const infinity = 16
 
 // Config tunes the protocol.
 type Config struct {
@@ -39,7 +39,7 @@ type Config struct {
 	MsgDelay routing.Jittered
 	// SplitHorizon enables split horizon with poisoned reverse: routes
 	// learned from a neighbor are advertised back to it with metric
-	// Infinity.
+	// infinity.
 	SplitHorizon bool
 	// Triggered enables triggered updates on route changes (without
 	// them, convergence is purely periodic and loops last longest).
@@ -133,18 +133,6 @@ func (p *Protocol) Start() {
 	}
 }
 
-// Speaker returns a router's instance, for tests.
-func (p *Protocol) Speaker(id netsim.NodeID) *speaker { return p.speakers[id] }
-
-// Metric returns the speaker's current metric for a prefix (Infinity
-// if absent), for tests.
-func (s *speaker) Metric(pfx routing.Prefix) int {
-	if rt, ok := s.table[pfx]; ok {
-		return rt.metric
-	}
-	return Infinity
-}
-
 func (s *speaker) schedulePeriodic() {
 	s.p.net.Sim.Schedule(s.p.cfg.UpdateInterval.Draw(s.p.rng), func() {
 		s.advertise()
@@ -181,7 +169,7 @@ func (s *speaker) advertise() {
 			rt := s.table[pfx]
 			metric := rt.metric
 			if s.p.cfg.SplitHorizon && rt.learned == nb {
-				metric = Infinity // poisoned reverse
+				metric = infinity // poisoned reverse
 			}
 			adv = append(adv, advEntry{prefix: pfx, metric: metric})
 		}
@@ -216,13 +204,13 @@ func (s *speaker) receive(from netsim.NodeID, adv []advEntry) {
 	changed := false
 	for _, e := range adv {
 		offered := e.metric + 1
-		if offered > Infinity {
-			offered = Infinity
+		if offered > infinity {
+			offered = infinity
 		}
 		cur, ok := s.table[e.prefix]
 		switch {
 		case !ok:
-			if offered < Infinity {
+			if offered < infinity {
 				s.table[e.prefix] = &route{metric: offered, via: from, learned: from}
 				changed = true
 			}
@@ -251,8 +239,8 @@ func (s *speaker) linkDown(l *netsim.Link) {
 	nb := l.To.ID
 	changed := false
 	for _, rt := range s.table {
-		if rt.via == nb && rt.metric < Infinity {
-			rt.metric = Infinity
+		if rt.via == nb && rt.metric < infinity {
+			rt.metric = infinity
 			changed = true
 		}
 	}
@@ -269,7 +257,7 @@ func (s *speaker) install() {
 		switch {
 		case rt.via == -1:
 			// Directly attached: delivery handles it.
-		case rt.metric >= Infinity:
+		case rt.metric >= infinity:
 			if _, ok := s.installed[pfx]; ok {
 				s.r.RemoveRoute(pfx)
 				delete(s.installed, pfx)

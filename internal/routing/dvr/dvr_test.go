@@ -1,4 +1,4 @@
-package dvr_test
+package dvr
 
 import (
 	"testing"
@@ -10,13 +10,12 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
-	"loopscope/internal/routing/dvr"
 	"loopscope/internal/stats"
 )
 
 // line builds ing -> a -> b -> c with a prefix at c, returns the
 // monitored a->b link and the b-c link (the one to fail).
-func line(t *testing.T, cfg dvr.Config, seed uint64) (*netsim.Network, *dvr.Protocol,
+func line(t *testing.T, cfg Config, seed uint64) (*netsim.Network, *Protocol,
 	*netsim.Router, *netsim.Link, *netsim.Link, routing.Prefix) {
 	t.Helper()
 	n := netsim.NewNetwork()
@@ -34,13 +33,13 @@ func line(t *testing.T, cfg dvr.Config, seed uint64) (*netsim.Network, *dvr.Prot
 	c.AttachPrefix(dst)
 	ing.AttachPrefix(routing.MustParsePrefix("192.0.2.0/24"))
 
-	p := dvr.Attach(n, cfg, stats.NewRNG(seed))
+	p := Attach(n, cfg, stats.NewRNG(seed))
 	p.Start()
 	return n, p, ing, mon, bc, dst
 }
 
 func TestConvergesFromColdStart(t *testing.T) {
-	n, p, ing, _, _, dst := line(t, dvr.DefaultConfig(), 1)
+	n, p, ing, _, _, dst := line(t, DefaultConfig(), 1)
 	// A few periodic rounds spread the routes hop by hop.
 	n.Sim.Run(30 * time.Second)
 	if via, ok := n.Router(1).RouteVia(packet.MustParseAddr("203.0.113.9")); !ok {
@@ -48,8 +47,8 @@ func TestConvergesFromColdStart(t *testing.T) {
 	} else if n.Router(via).Name != "b" {
 		t.Errorf("a routes via %v", n.Router(via).Name)
 	}
-	if m := p.Speaker(1).Metric(dst); m != 2 {
-		t.Errorf("a's metric = %d, want 2 (a->b->c)", m)
+	if rt := p.speakers[1].table[dst]; rt == nil || rt.metric != 2 {
+		t.Errorf("a's route = %+v, want metric 2 (a->b->c)", rt)
 	}
 	// Traffic flows end to end.
 	n.Sim.At(31*time.Second, func() {
@@ -72,7 +71,7 @@ func TestConvergesFromColdStart(t *testing.T) {
 // failure behind b makes a and b point at each other and count to 16
 // one periodic round at a time — the canonical long transient loop.
 func TestCountToInfinityWithoutSplitHorizon(t *testing.T) {
-	cfg := dvr.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.SplitHorizon = false
 	cfg.Triggered = false
 	// Count-to-infinity needs a's stale advertisement to reach b
@@ -125,7 +124,7 @@ func TestCountToInfinityWithoutSplitHorizon(t *testing.T) {
 // TestSplitHorizonSuppressesLoop: with poisoned reverse and triggered
 // updates, the same failure converges quickly; any loop is brief.
 func TestSplitHorizonSuppressesLoop(t *testing.T) {
-	n, p, ing, mon, bc, dst := line(t, dvr.DefaultConfig(), 3)
+	n, p, ing, mon, bc, dst := line(t, DefaultConfig(), 3)
 	n.Sim.Run(40 * time.Second)
 
 	tap := capture.NewLinkTap(mon, 40, nil, true)
@@ -146,10 +145,10 @@ func TestSplitHorizonSuppressesLoop(t *testing.T) {
 	n.FailLink(bc, 60*time.Second)
 	n.Sim.Run(4 * time.Minute)
 
-	// b poisons immediately; a learns Infinity on the next update:
+	// b poisons immediately; a learns infinity on the next update:
 	// both end with no route, quickly.
-	if m := p.Speaker(2).Metric(dst); m < dvr.Infinity {
-		t.Errorf("a still believes metric %d after failure", m)
+	if rt := p.speakers[2].table[dst]; rt != nil && rt.metric < infinity {
+		t.Errorf("a still believes metric %d after failure", rt.metric)
 	}
 	res := core.DetectRecords(tap.Records(), core.DefaultConfig())
 	var longest time.Duration
@@ -172,7 +171,7 @@ func TestSplitHorizonSuppressesLoop(t *testing.T) {
 func TestSplitHorizonInsufficientForThreeNodeLoop(t *testing.T) {
 	found := false
 	for seed := uint64(1); seed <= 24 && !found; seed++ {
-		cfg := dvr.DefaultConfig()
+		cfg := DefaultConfig()
 		cfg.Triggered = false // periodic-only, the worst case
 		// A slow, jittery control plane desynchronises the poison's
 		// arrival at a and b, opening the window in which b's stale
@@ -193,7 +192,7 @@ func TestSplitHorizonInsufficientForThreeNodeLoop(t *testing.T) {
 		dst := routing.MustParsePrefix("203.0.113.0/24")
 		d.AttachPrefix(dst)
 
-		p := dvr.Attach(n, cfg, stats.NewRNG(seed))
+		p := Attach(n, cfg, stats.NewRNG(seed))
 		p.Start()
 		n.Sim.Run(40 * time.Second)
 		// Probes to keep the data plane exercised.

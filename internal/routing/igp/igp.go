@@ -148,9 +148,6 @@ func (p *Protocol) Start() {
 	}
 }
 
-// LSDBSize returns the number of LSAs a router currently holds.
-func (p *Protocol) LSDBSize(id netsim.NodeID) int { return len(p.speakers[id].lsdb) }
-
 // linkDown reacts to a detected failure of an attached link:
 // re-originate our LSA without that adjacency and flood it.
 func (s *speaker) linkDown(l *netsim.Link) {

@@ -1,4 +1,4 @@
-package igp_test
+package igp
 
 import (
 	"testing"
@@ -7,7 +7,6 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
-	"loopscope/internal/routing/igp"
 	"loopscope/internal/stats"
 )
 
@@ -38,14 +37,14 @@ func TestTransientLoopFigure1(t *testing.T) {
 	ext.AttachPrefix(dst)
 	ext2.AttachPrefix(dst)
 
-	cfg := igp.Config{
-		FloodHop:   igp.Fixed(10 * time.Millisecond),
-		SPFHold:    igp.Fixed(100 * time.Millisecond),
-		SPFCompute: igp.Fixed(10 * time.Millisecond),
+	cfg := Config{
+		FloodHop:   Fixed(10 * time.Millisecond),
+		SPFHold:    Fixed(100 * time.Millisecond),
+		SPFCompute: Fixed(10 * time.Millisecond),
 		// Wide FIB-update skew makes the loop window easy to hit.
-		FIBUpdate: igp.Range(50*time.Millisecond, 2*time.Second),
+		FIBUpdate: Range(50*time.Millisecond, 2*time.Second),
 	}
-	p := igp.Attach(net, cfg, rng)
+	p := Attach(net, cfg, rng)
 	p.Start()
 
 	// Before the failure, R1 reaches the prefix via R.
@@ -105,9 +104,9 @@ func TestTransientLoopFigure1(t *testing.T) {
 	if w.Prefix != dst {
 		t.Errorf("loop window prefix = %v, want %v", w.Prefix, dst)
 	}
-	if w.Duration() <= 0 || w.Duration() > 10*time.Second {
-		t.Errorf("loop window duration = %v, want within (0, 10s]", w.Duration())
+	if d := w.End - w.Start; d <= 0 || d > 10*time.Second {
+		t.Errorf("loop window duration = %v, want within (0, 10s]", d)
 	}
 	t.Logf("loop window: %v..%v (%v), %d events, delivered=%d ttlDrops=%d",
-		w.Start, w.End, w.Duration(), w.Events, net.Delivered, net.Drops[netsim.DropTTLExpired])
+		w.Start, w.End, w.End-w.Start, w.Events, net.Delivered, net.Drops[netsim.DropTTLExpired])
 }

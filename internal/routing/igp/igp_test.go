@@ -1,4 +1,4 @@
-package igp_test
+package igp
 
 import (
 	"testing"
@@ -7,16 +7,15 @@ import (
 	"loopscope/internal/netsim"
 	"loopscope/internal/packet"
 	"loopscope/internal/routing"
-	"loopscope/internal/routing/igp"
 	"loopscope/internal/stats"
 )
 
-func fastConfig() igp.Config {
-	return igp.Config{
-		FloodHop:   igp.Fixed(5 * time.Millisecond),
-		SPFHold:    igp.Fixed(20 * time.Millisecond),
-		SPFCompute: igp.Fixed(5 * time.Millisecond),
-		FIBUpdate:  igp.Fixed(10 * time.Millisecond),
+func fastConfig() Config {
+	return Config{
+		FloodHop:   Fixed(5 * time.Millisecond),
+		SPFHold:    Fixed(20 * time.Millisecond),
+		SPFCompute: Fixed(5 * time.Millisecond),
+		FIBUpdate:  Fixed(10 * time.Millisecond),
 	}
 }
 
@@ -48,7 +47,7 @@ func grid(t *testing.T) (*netsim.Network, []*netsim.Router, routing.Prefix) {
 
 func TestInitialConvergenceShortestPaths(t *testing.T) {
 	n, rs, dst := grid(t)
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(1))
+	p := Attach(n, fastConfig(), stats.NewRNG(1))
 	p.Start()
 
 	probe := packet.MustParseAddr("203.0.113.1")
@@ -67,7 +66,7 @@ func TestInitialConvergenceShortestPaths(t *testing.T) {
 	_ = dst
 	// Every router must hold 6 LSAs.
 	for i := range rs {
-		if got := p.LSDBSize(rs[i].ID); got != 6 {
+		if got := len(p.speakers[rs[i].ID].lsdb); got != 6 {
 			t.Errorf("router %d LSDB size = %d", i, got)
 		}
 	}
@@ -91,7 +90,7 @@ func TestAsymmetricCosts(t *testing.T) {
 	b.AttachPrefix(dst)
 	a.AttachPrefix(routing.MustParsePrefix("192.0.2.0/24"))
 
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(2))
+	p := Attach(n, fastConfig(), stats.NewRNG(2))
 	p.Start()
 
 	if via, ok := a.RouteVia(packet.MustParseAddr("198.51.100.1")); !ok || via != c.ID {
@@ -105,7 +104,7 @@ func TestAsymmetricCosts(t *testing.T) {
 
 func TestReconvergenceAfterFailureAndRepair(t *testing.T) {
 	n, rs, _ := grid(t)
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(3))
+	p := Attach(n, fastConfig(), stats.NewRNG(3))
 	p.Start()
 	probe := packet.MustParseAddr("203.0.113.1")
 
@@ -138,7 +137,7 @@ func TestPartitionRemovesRoutes(t *testing.T) {
 	dst := routing.MustParsePrefix("203.0.113.0/24")
 	c.AttachPrefix(dst)
 
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(4))
+	p := Attach(n, fastConfig(), stats.NewRNG(4))
 	p.Start()
 	probe := packet.MustParseAddr("203.0.113.1")
 	if _, ok := a.RouteVia(probe); !ok {
@@ -170,7 +169,7 @@ func TestAnycastPrefersCloserOrigin(t *testing.T) {
 	rs[0].AttachPrefix(dst)
 	rs[4].AttachPrefix(dst)
 
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(5))
+	p := Attach(n, fastConfig(), stats.NewRNG(5))
 	p.Start()
 	probe := packet.MustParseAddr("198.51.100.1")
 
@@ -191,7 +190,7 @@ func TestSPFRunsBounded(t *testing.T) {
 	// A single failure must not cause an SPF storm: with hold-downs,
 	// each router runs O(1) SPFs per event.
 	n, rs, _ := grid(t)
-	p := igp.Attach(n, fastConfig(), stats.NewRNG(6))
+	p := Attach(n, fastConfig(), stats.NewRNG(6))
 	p.Start()
 	before := p.SPFRuns
 	n.FailLink(rs[4].LinkTo(rs[5].ID), time.Second)

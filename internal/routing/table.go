@@ -11,7 +11,6 @@ import "loopscope/internal/packet"
 // all FIB updates through the event loop.
 type Table[V any] struct {
 	root *trieNode[V]
-	size int
 }
 
 type trieNode[V any] struct {
@@ -24,9 +23,6 @@ type trieNode[V any] struct {
 func NewTable[V any]() *Table[V] {
 	return &Table[V]{root: &trieNode[V]{}}
 }
-
-// Len returns the number of prefixes in the table.
-func (t *Table[V]) Len() int { return t.size }
 
 // bitAt returns bit i (0 = most significant) of the address.
 func bitAt(a uint32, i int) int {
@@ -43,9 +39,6 @@ func (t *Table[V]) Insert(p Prefix, v V) {
 			n.child[b] = &trieNode[V]{}
 		}
 		n = n.child[b]
-	}
-	if !n.set {
-		t.size++
 	}
 	n.set = true
 	n.value = v
@@ -71,23 +64,7 @@ func (t *Table[V]) Remove(p Prefix) bool {
 	n.set = false
 	var zero V
 	n.value = zero
-	t.size--
 	return true
-}
-
-// Get returns the exact-match entry for prefix.
-func (t *Table[V]) Get(p Prefix) (V, bool) {
-	n := t.root
-	a := p.Addr.Uint32()
-	for i := 0; i < p.Bits; i++ {
-		b := bitAt(a, i)
-		if n.child[b] == nil {
-			var zero V
-			return zero, false
-		}
-		n = n.child[b]
-	}
-	return n.value, n.set
 }
 
 // Lookup performs a longest-prefix match for addr, returning the value
@@ -139,21 +116,4 @@ func (t *Table[V]) walk(n *trieNode[V], addr uint32, depth int, fn func(Prefix, 
 		return false
 	}
 	return t.walk(n.child[1], addr|1<<(31-depth), depth+1, fn)
-}
-
-// Entry is one routing-table row.
-type Entry[V any] struct {
-	Prefix Prefix
-	Value  V
-}
-
-// Clone returns a deep copy of the table structure (values are copied
-// by assignment).
-func (t *Table[V]) Clone() *Table[V] {
-	c := NewTable[V]()
-	t.Walk(func(p Prefix, v V) bool {
-		c.Insert(p, v)
-		return true
-	})
-	return c
 }

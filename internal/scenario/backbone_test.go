@@ -184,8 +184,8 @@ func TestPersistentLoopClassification(t *testing.T) {
 	}
 	// No traffic to the misconfigured prefix is ever delivered.
 	for _, w := range b.Net.GroundTruthWindows(time.Minute) {
-		if w.Prefix == p.Prefix && w.Duration() < traceEnd/2 {
-			t.Errorf("ground-truth window for persistent prefix only %v", w.Duration())
+		if w.Prefix == p.Prefix && w.End-w.Start < traceEnd/2 {
+			t.Errorf("ground-truth window for persistent prefix only %v", w.End-w.Start)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func (d *Daemon) v1Loops(w http.ResponseWriter, r *http.Request) {
 	if src != "" {
 		keep = func(e Event) bool { return e.Source == src }
 	}
-	page := d.ring.PageAfter(cursor, limit, keep)
+	page := d.ring.pageAfter(cursor, limit, keep)
 	meta := loopscope.Meta{Total: &page.Total}
 	if page.Next > 0 {
 		meta.NextCursor = &page.Next
@@ -206,7 +206,7 @@ func (d *Daemon) v1Statusz(w http.ResponseWriter, _ *http.Request) {
 	// The cumulative query fails only with analytics off, which a nil
 	// document shows.
 	st, _ := d.cfg.Analytics.Query(analytics.Query{})
-	page := statusPage(d.healthDoc(), d.sourceInfos(), d.ring.PageAfter(0, 20, nil), st, x)
+	page := statusPage(d.healthDoc(), d.sourceInfos(), d.ring.pageAfter(0, 20, nil), st, x)
 	if err := api.WritePage(w, page); err != nil {
 		d.log.Warn("statusz render failed", "err", err)
 	}

@@ -376,13 +376,6 @@ func (j *Journal) rotateLocked() {
 	j.pruneLocked()
 }
 
-// Pending returns how many events are parked awaiting retry.
-func (j *Journal) Pending() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.pending)
-}
-
 // Close implements Sink: one final retry of parked events, then
 // release the file. Events still parked after that are counted as
 // dropped — they were never durable.

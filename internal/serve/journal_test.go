@@ -183,7 +183,7 @@ func TestJournalDropsCountedAndLogged(t *testing.T) {
 	}
 
 	j.Publish(testEvent(1))
-	if got := j.Pending(); got != 1 {
+	if got := len(j.pending); got != 1 {
 		t.Fatalf("pending = %d, want 1 (failed write should park, not drop)", got)
 	}
 	if got := reg.Counter(obs.MetricJournalRequeued).Value(); got != 1 {
@@ -235,7 +235,7 @@ func TestJournalPendingRetryRecovers(t *testing.T) {
 	}
 	j.Publish(testEvent(1))
 	j.Publish(testEvent(2))
-	if got := j.Pending(); got != 2 {
+	if got := len(j.pending); got != 2 {
 		t.Fatalf("pending = %d, want 2", got)
 	}
 
@@ -244,7 +244,7 @@ func TestJournalPendingRetryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Publish(testEvent(3))
-	if got := j.Pending(); got != 0 {
+	if got := len(j.pending); got != 0 {
 		t.Fatalf("pending after recovery = %d, want 0", got)
 	}
 	data, err := os.ReadFile(path)

@@ -51,7 +51,7 @@ func TestProvenancePushPullIdenticalRecords(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	pulled := d.ring.PageAfter(0, ringSize, nil).Events
+	pulled := d.ring.pageAfter(0, ringSize, nil).Events
 	if len(pulled) == 0 {
 		t.Fatal("ring holds no events; trace too quiet")
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -209,11 +208,7 @@ func TestDaemonParentCheckpointResumesFresh(t *testing.T) {
 	dir := t.TempDir()
 	path, cpPath := filepath.Join(dir, "capture.lspt"), filepath.Join(dir, "cp.json")
 	writeTraceFile(t, path, testMeta(), recs)
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent := &Checkpoint{Sources: map[string]SourceCheckpoint{"src": {Kind: "tail", Path: path, FileID: trace.FileID(st),
+	parent := &Checkpoint{Sources: map[string]SourceCheckpoint{"src": {Kind: "tail", Path: path, FileID: fileIDOf(t, path),
 		Records: 1000, Offset: offsetAfter(t, path, 1000), Emitted: 1, HighWaterNs: int64(recs[999].Time)}}}
 	if err := parent.Save(cpPath); err != nil {
 		t.Fatal(err)

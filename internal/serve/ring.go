@@ -66,12 +66,12 @@ type page struct {
 	Held  int
 }
 
-// PageAfter returns up to limit events with sequence <= cursor that
+// pageAfter returns up to limit events with sequence <= cursor that
 // pass keep (nil keeps everything), newest first. A cursor <= 0 starts
 // from the newest event. Sequence numbers are stable across pages, so
 // a client walking Next cursors sees each retained event at most once
 // even while new events are being published.
-func (r *Ring) PageAfter(cursor int64, limit int, keep func(Event) bool) page {
+func (r *Ring) pageAfter(cursor int64, limit int, keep func(Event) bool) page {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p := page{Events: []loopscope.LoopEvent{}, Total: r.total, Held: len(r.buf)}

@@ -87,6 +87,17 @@ func serveScriptedTrace(t *testing.T, seed uint64, loops []scriptedLoop) []trace
 	return traffic.Synthesize(cfg, rng)
 }
 
+// fileIDOf returns the identity a tail source checkpoints for path.
+func fileIDOf(t *testing.T, path string) string {
+	t.Helper()
+	tr, err := trace.OpenTail(path, trace.TailOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	return tr.FileID()
+}
+
 // writeTraceFile writes recs as a native trace file.
 func writeTraceFile(t *testing.T, path string, meta trace.Meta, recs []trace.Record) {
 	t.Helper()
@@ -274,8 +285,7 @@ func TestDaemonKillRestartEquivalence(t *testing.T) {
 			// persisted seen-ID ring) must hold exactly the reference
 			// run's cumulative distributions — same unique-event count,
 			// byte-identical stats document.
-			refIngested, _ := ref.cfg.Analytics.Counts()
-			gotIngested, _ := d2.cfg.Analytics.Counts()
+			refIngested, gotIngested := ingestedBy(t, ref.cfg.Analytics), ingestedBy(t, d2.cfg.Analytics)
 			if gotIngested != refIngested {
 				t.Fatalf("resumed analytics ingested %d unique events, reference %d", gotIngested, refIngested)
 			}
@@ -1067,7 +1077,7 @@ func getJSON(t *testing.T, url string, v any) {
 // events, newest first — what the status page shows.
 func TestRingPageNewest(t *testing.T) {
 	r := NewRing(4)
-	if got := r.PageAfter(0, 3, nil).Events; len(got) != 0 {
+	if got := r.pageAfter(0, 3, nil).Events; len(got) != 0 {
 		t.Fatalf("empty ring returned %v", got)
 	}
 	for i := 0; i < 6; i++ {
@@ -1076,7 +1086,7 @@ func TestRingPageNewest(t *testing.T) {
 	if r.published() != 6 {
 		t.Fatalf("total = %d", r.published())
 	}
-	got := r.PageAfter(0, 10, nil).Events
+	got := r.pageAfter(0, 10, nil).Events
 	if len(got) != 4 {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
@@ -1085,7 +1095,22 @@ func TestRingPageNewest(t *testing.T) {
 			t.Fatalf("newest[%d] = %s, want %s", i, e.Event.ID, want)
 		}
 	}
-	if got := r.PageAfter(0, 2, nil).Events; len(got) != 2 || got[0].Event.ID != testEvent(5).ID {
-		t.Fatalf("PageAfter(0, 2) = %v", got)
+	if got := r.pageAfter(0, 2, nil).Events; len(got) != 2 || got[0].Event.ID != testEvent(5).ID {
+		t.Fatalf("pageAfter(0, 2) = %v", got)
 	}
+}
+
+// ingestedBy returns how many unique loop events c has folded in, as its
+// snapshot records it.
+func ingestedBy(t *testing.T, c *analytics.Collector) uint64 {
+	t.Helper()
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n struct{ Ingested uint64 }
+	if err := json.Unmarshal(snap, &n); err != nil {
+		t.Fatal(err)
+	}
+	return n.Ingested
 }

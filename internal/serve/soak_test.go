@@ -149,7 +149,10 @@ func TestChaosSoakEquivalence(t *testing.T) {
 			t.Errorf("writing fault log: %v", err)
 		}
 	}
-	t.Logf("soak injected %d faults across %d ops; journal pending at close: %d", len(faults), len(ops), j.Pending())
+	j.mu.Lock()
+	pending := len(j.pending)
+	j.mu.Unlock()
+	t.Logf("soak injected %d faults across %d ops; journal pending at close: %d", len(faults), len(ops), pending)
 
 	// Equivalence: the faulted run's final loop set must be exactly the
 	// clean run's — no loss through the ENOSPC window, no duplicates

@@ -277,7 +277,7 @@ func TestDaemonTailRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newID := trace.FileID(st)
+	newID := fileIDOf(t, tracePath)
 	waitFor(t, "the new file", func() bool {
 		cp := s.snapshot()
 		return cp.FileID == newID && cp.Records == int64(len(recsB))
@@ -496,17 +496,13 @@ func TestSourceCheckpointFields(t *testing.T) {
 		dir := t.TempDir()
 		path, cpPath := filepath.Join(dir, "capture.lspt"), filepath.Join(dir, "cp.json")
 		writeTraceFile(t, path, testMeta(), recs)
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		d := fieldsDaemon(t, filepath.Join(dir, "loops.jsonl"), cpPath)
 		got := forceCheckpointAt(t, d, cpPath, n)
 		if err := d.AddTailSource("trace", path); err != nil {
 			t.Fatal(err)
 		}
 		runToIdle(t, d, nil)
-		want := SourceCheckpoint{Kind: "tail", Path: path, FileID: trace.FileID(st),
+		want := SourceCheckpoint{Kind: "tail", Path: path, FileID: fileIDOf(t, path),
 			Records: int64(n), Offset: offsetAfter(t, path, n), Emitted: emitted, HighWaterNs: hw,
 			Restart: &restartPoint{Records: restart, Offset: offsetAfter(t, path, int(restart))}}
 		if !reflect.DeepEqual(*got, want) {

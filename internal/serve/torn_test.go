@@ -70,7 +70,7 @@ func TestJournalTornTailEveryByteBoundary(t *testing.T) {
 			if !bytes.Equal(q, want) {
 				t.Fatalf("cut=%d: quarantine = %q, want %q", cut, q, want)
 			}
-			if got := reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "journal")).Value(); got != 1 {
+			if got := reg.Counter(obs.LabelMetric("loopscope_serve_torn_repairs_total", "file", "journal")).Value(); got != 1 {
 				t.Fatalf("cut=%d: torn repair counter = %d, want 1", cut, got)
 			}
 		} else if qerr == nil {
@@ -132,7 +132,7 @@ func TestTrailLogTornTailRepaired(t *testing.T) {
 	if want := "{\"id\":\"b\",\"trunc\n"; string(q) != want {
 		t.Fatalf("quarantine = %q, want %q", q, want)
 	}
-	if got := reg.Counter(obs.LabelMetric(obs.MetricTornRepairs, "file", "trails")).Value(); got != 1 {
+	if got := reg.Counter(obs.LabelMetric("loopscope_serve_torn_repairs_total", "file", "trails")).Value(); got != 1 {
 		t.Fatalf("torn repair counter = %d, want 1", got)
 	}
 }

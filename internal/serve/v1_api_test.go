@@ -289,8 +289,8 @@ func TestV1API(t *testing.T) {
 		if got.Loops == 0 {
 			t.Error("fixture recorded no loops")
 		}
-		if got.ErrorBound != analytics.SketchAlpha {
-			t.Errorf("errorBound = %v, want %v", got.ErrorBound, analytics.SketchAlpha)
+		if got.ErrorBound != 0.01 {
+			t.Errorf("errorBound = %v, want the sketch's 0.01", got.ErrorBound)
 		}
 	})
 
@@ -338,7 +338,7 @@ func TestV1API(t *testing.T) {
 			}
 			q.Cursor = page.NextCursor
 		}
-		if ringLen := int64(len(d.ring.PageAfter(0, ringSize, nil).Events)); walked != ringLen {
+		if ringLen := int64(len(d.ring.pageAfter(0, ringSize, nil).Events)); walked != ringLen {
 			t.Errorf("client walked %d events, ring holds %d", walked, ringLen)
 		}
 

@@ -60,15 +60,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.samples[i]
 }
 
-// Min returns the smallest observation. It panics on an empty CDF.
-func (c *CDF) Min() float64 {
-	if len(c.samples) == 0 {
-		panic("stats: Min of empty CDF")
-	}
-	c.sort()
-	return c.samples[0]
-}
-
 // Max returns the largest observation. It panics on an empty CDF.
 func (c *CDF) Max() float64 {
 	if len(c.samples) == 0 {

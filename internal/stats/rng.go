@@ -53,15 +53,15 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
+// float returns a uniform float64 in [0, 1).
+func (r *RNG) float() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Exp returns an exponentially distributed value with the given mean.
 // It is used for Poisson packet inter-arrival times.
 func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
+	u := r.float()
 	// Guard against log(0).
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
@@ -75,7 +75,7 @@ func (r *RNG) Pareto(alpha, min, max float64) float64 {
 	if min <= 0 || max <= min {
 		panic("stats: Pareto requires 0 < min < max")
 	}
-	u := r.Float64()
+	u := r.float()
 	ha := math.Pow(max, -alpha)
 	la := math.Pow(min, -alpha)
 	return math.Pow(ha+u*(la-ha), -1/alpha)
@@ -83,7 +83,7 @@ func (r *RNG) Pareto(alpha, min, max float64) float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
+	return r.float() < p
 }
 
 // Fork derives an independent generator from the current stream. It
@@ -103,7 +103,7 @@ func (r *RNG) WeightedChoice(weights []float64) int {
 	if total <= 0 {
 		panic("stats: WeightedChoice with non-positive total weight")
 	}
-	x := r.Float64() * total
+	x := r.float() * total
 	for i, w := range weights {
 		x -= w
 		if x < 0 {

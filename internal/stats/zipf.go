@@ -37,12 +37,9 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 	return &Zipf{cum: cum, rng: rng}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Sample returns a rank in [0, N()).
+// Sample returns a rank in [0, n), n the rank count it was made with.
 func (z *Zipf) Sample() int {
-	u := z.rng.Float64()
+	u := z.rng.float()
 	// Binary search for the first cum[i] >= u.
 	lo, hi := 0, len(z.cum)-1
 	for lo < hi {

@@ -27,9 +27,6 @@ func NewBatcher(src Source, size int) *Batcher {
 	return &Batcher{src: src, size: size}
 }
 
-// Meta reports the underlying source's metadata.
-func (b *Batcher) Meta() Meta { return b.src.Meta() }
-
 // Next returns the next batch of records. The final batch may be
 // shorter than the batch size, and a non-empty batch may accompany a
 // non-nil error (io.EOF once the source is drained, or the source's

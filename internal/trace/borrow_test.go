@@ -38,7 +38,7 @@ func TestBorrowAllocationBudget(t *testing.T) {
 			t.Errorf("%s: borrowing costs %.4f allocs and %.2f B per record, budget 0.001 and 1", name, allocs, size)
 		}
 	}
-	for _, f := range []Format{FormatNative, FormatPcap, FormatERF} {
+	for _, f := range []Format{formatNative, formatPcap, FormatERF} {
 		data, _ := encodeTrace(t, f, randomRecords(rand.New(rand.NewSource(7)), f, n))
 		r, err := newReader(newWindow(bytes.NewReader(data)), f)
 		if err != nil {
@@ -63,7 +63,7 @@ func TestBorrowAllocationBudget(t *testing.T) {
 // not, strict or salvaging, borrowing and copying each record at
 // delivery reads exactly what ReadAll keeps and ends on the same error.
 func FuzzBorrowMatchesReadAll(f *testing.F) {
-	for _, format := range []Format{FormatNative, FormatPcap, FormatERF} {
+	for _, format := range []Format{formatNative, formatPcap, FormatERF} {
 		data, _ := encodeTrace(f, format, randomRecords(rand.New(rand.NewSource(8)), format, 20))
 		f.Add(int(format), false, data)
 		f.Add(int(format), true, data[:len(data)-5])

@@ -50,10 +50,10 @@ const (
 	// falls back to ERF when the first bytes look like a plausible ERF
 	// record header.
 	FormatAuto Format = iota
-	// FormatNative is the loopscope native format.
-	FormatNative
-	// FormatPcap is the libpcap file format.
-	FormatPcap
+	// formatNative is the loopscope native format.
+	formatNative
+	// formatPcap is the libpcap file format.
+	formatPcap
 	// FormatERF is the Endace extensible record format (HDLC PoS).
 	FormatERF
 )
@@ -63,9 +63,9 @@ func (f Format) String() string {
 	switch f {
 	case FormatAuto:
 		return "auto"
-	case FormatNative:
+	case formatNative:
 		return "native"
-	case FormatPcap:
+	case formatPcap:
 		return "pcap"
 	case FormatERF:
 		return "erf"
@@ -130,7 +130,7 @@ type codec struct {
 
 func newCodec(f Format) codec {
 	c := codec{format: f, recHdr: pcapRecHdrLen} // pcap and ERF headers are both 16 bytes
-	if f == FormatNative {
+	if f == formatNative {
 		c.recHdr, c.started = nativeRecHdrLen, true
 	}
 	return c
@@ -157,10 +157,10 @@ func pcapOrder(b []byte) (order binary.ByteOrder, nanores, ok bool) {
 func sniff(b []byte) Format {
 	if len(b) >= 4 {
 		if [4]byte(b[:4]) == nativeMagic {
-			return FormatNative
+			return formatNative
 		}
 		if _, _, ok := pcapOrder(b); ok {
-			return FormatPcap
+			return formatPcap
 		}
 	}
 	return FormatAuto
@@ -172,7 +172,7 @@ func sniff(b []byte) Format {
 func (c *codec) fileHeader(b []byte, h *recHeader) (st status) {
 	*h = recHeader{}
 	switch c.format {
-	case FormatNative:
+	case formatNative:
 		if len(b) >= 4 && [4]byte(b[:4]) != nativeMagic {
 			h.bad = fmt.Sprintf("bad magic %q", b[:4])
 			return stMalformed
@@ -192,7 +192,7 @@ func (c *codec) fileHeader(b []byte, h *recHeader) (st status) {
 			Start:   time.Unix(0, int64(binary.BigEndian.Uint64(b[8:16]))),
 			SnapLen: int(binary.BigEndian.Uint16(b[6:8])),
 		}
-	case FormatPcap:
+	case formatPcap:
 		if h.size = pcapFileHdrLen; len(b) < h.size {
 			return stNeedMore
 		}
@@ -227,7 +227,7 @@ func (c *codec) record(b []byte, h *recHeader) (st status) {
 		return stNeedMore
 	}
 	switch c.format {
-	case FormatNative:
+	case formatNative:
 		h.ts = int64(binary.BigEndian.Uint64(b[0:8]))
 		h.wireLen = int(binary.BigEndian.Uint16(b[8:10]))
 		capLen := int(binary.BigEndian.Uint16(b[10:12]))
@@ -235,7 +235,7 @@ func (c *codec) record(b []byte, h *recHeader) (st status) {
 		if capLen > c.meta.SnapLen {
 			h.bad = "caplen exceeds the file's snaplen"
 		}
-	case FormatPcap:
+	case formatPcap:
 		sub := int64(c.order.Uint32(b[4:8]))
 		if c.nanores {
 			h.fracBad = sub >= 1e9

@@ -44,7 +44,6 @@ var hdlcIPv4 = [4]byte{0xff, 0x03, 0x00, 0x21}
 type ERFWriter struct {
 	w    *bufio.Writer
 	meta Meta
-	n    int
 }
 
 // NewERFWriter returns a writer; ERF has no file header, so records
@@ -90,12 +89,8 @@ func (w *ERFWriter) Write(r Record) error {
 	if _, err := w.w.Write(r.Data); err != nil {
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (w *ERFWriter) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *ERFWriter) Flush() error { return w.w.Flush() }

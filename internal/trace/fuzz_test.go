@@ -28,7 +28,7 @@ func FuzzNativeReader(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := newReader(newWindow(bytes.NewReader(data)), FormatNative)
+		r, err := newReader(newWindow(bytes.NewReader(data)), formatNative)
 		if err != nil {
 			return
 		}
@@ -66,7 +66,7 @@ func FuzzPcapReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := newReader(newWindow(bytes.NewReader(data)), FormatPcap)
+		r, err := newReader(newWindow(bytes.NewReader(data)), formatPcap)
 		if err != nil {
 			return
 		}
@@ -121,7 +121,7 @@ func FuzzERFReader(f *testing.F) {
 // loop forever, and its statistics must stay consistent with what it
 // returned.
 func FuzzSalvageReader(f *testing.F) {
-	for _, format := range []Format{FormatNative, FormatPcap, FormatERF} {
+	for _, format := range []Format{formatNative, formatPcap, FormatERF} {
 		var buf bytes.Buffer
 		meta := Meta{Link: "seed", SnapLen: 40, Start: time.Unix(1, 0)}
 		var w interface {
@@ -130,9 +130,9 @@ func FuzzSalvageReader(f *testing.F) {
 		}
 		var err error
 		switch format {
-		case FormatNative:
+		case formatNative:
 			w, err = NewWriter(&buf, meta)
-		case FormatPcap:
+		case formatPcap:
 			w, err = NewPcapWriter(&buf, meta)
 		case FormatERF:
 			w, err = NewERFWriter(&buf, meta)

@@ -17,10 +17,10 @@ func TestOpenStreamPipe(t *testing.T) {
 		format Format
 		gz     bool
 	}{
-		{"native", FormatNative, false},
-		{"native-gz", FormatNative, true},
-		{"pcap", FormatPcap, false},
-		{"pcap-gz", FormatPcap, true},
+		{"native", formatNative, false},
+		{"native-gz", formatNative, true},
+		{"pcap", formatPcap, false},
+		{"pcap-gz", formatPcap, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +60,7 @@ func TestOpenStreamPipe(t *testing.T) {
 // TestOpenStreamSalvage routes a pipe through the salvage reader.
 func TestOpenStreamSalvage(t *testing.T) {
 	dir := t.TempDir()
-	path, want := writeOpenTest(t, dir, "salv.lspt", FormatNative, false)
+	path, want := writeOpenTest(t, dir, "salv.lspt", formatNative, false)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestOpenStreamSalvage(t *testing.T) {
 // os.Stdin for a pipe.
 func TestOpenDashReadsStdin(t *testing.T) {
 	dir := t.TempDir()
-	path, want := writeOpenTest(t, dir, "stdin.lspt", FormatNative, false)
+	path, want := writeOpenTest(t, dir, "stdin.lspt", formatNative, false)
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)

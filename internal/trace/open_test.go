@@ -43,9 +43,9 @@ func writeOpenTest(t *testing.T, dir, name string, format Format, gz bool) (stri
 	}
 	var err error
 	switch format {
-	case FormatNative:
+	case formatNative:
 		w, err = NewWriter(&buf, meta)
-	case FormatPcap:
+	case formatPcap:
 		w, err = NewPcapWriter(&buf, meta)
 	case FormatERF:
 		w, err = NewERFWriter(&buf, meta)
@@ -90,12 +90,12 @@ func TestOpenFormats(t *testing.T) {
 		gz   bool
 		opts OpenOptions
 	}{
-		{"native", FormatNative, false, OpenOptions{}},
-		{"native-gz", FormatNative, true, OpenOptions{}},
-		{"pcap", FormatPcap, false, OpenOptions{}},
-		{"pcap-gz", FormatPcap, true, OpenOptions{}},
-		{"native-forced", FormatNative, false, OpenOptions{Format: FormatNative}},
-		{"pcap-forced", FormatPcap, false, OpenOptions{Format: FormatPcap}},
+		{"native", formatNative, false, OpenOptions{}},
+		{"native-gz", formatNative, true, OpenOptions{}},
+		{"pcap", formatPcap, false, OpenOptions{}},
+		{"pcap-gz", formatPcap, true, OpenOptions{}},
+		{"native-forced", formatNative, false, OpenOptions{Format: formatNative}},
+		{"pcap-forced", formatPcap, false, OpenOptions{Format: formatPcap}},
 		{"erf-forced", FormatERF, false, OpenOptions{Format: FormatERF}},
 		{"erf-gz-forced", FormatERF, true, OpenOptions{Format: FormatERF}},
 	}
@@ -121,7 +121,7 @@ func TestOpenFormats(t *testing.T) {
 				t.Error("record 7 data mismatch")
 			}
 			// Only the native format persists the link name.
-			if c.enc == FormatNative && src.Meta().Link != "open-test" {
+			if c.enc == formatNative && src.Meta().Link != "open-test" {
 				t.Errorf("meta link = %q", src.Meta().Link)
 			}
 		})
@@ -132,7 +132,7 @@ func TestOpenFormats(t *testing.T) {
 // region and expose live decode statistics.
 func TestOpenSalvage(t *testing.T) {
 	dir := t.TempDir()
-	path, want := writeOpenTest(t, dir, "damaged", FormatNative, false)
+	path, want := writeOpenTest(t, dir, "damaged", formatNative, false)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestOpenSalvage(t *testing.T) {
 // reader's error budget.
 func TestOpenSalvageBudget(t *testing.T) {
 	dir := t.TempDir()
-	path, _ := writeOpenTest(t, dir, "budget", FormatNative, false)
+	path, _ := writeOpenTest(t, dir, "budget", formatNative, false)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestOpenRejectsGarbageAndMissing(t *testing.T) {
 // every record it hands out when metered, and closes the file. A
 // metered file read goes through this one wrapper and no second one.
 func TestOpenOneWrapper(t *testing.T) {
-	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", FormatNative, false)
+	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", formatNative, false)
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestOpenOneWrapper(t *testing.T) {
 // loopdetect reads stdin, puts exactly one frame, the tap, between the
 // reader and its consumer, strict or salvaging.
 func TestOpenStreamOneFrame(t *testing.T) {
-	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", FormatNative, false)
+	path, want := writeOpenTest(t, t.TempDir(), "t.lspt", formatNative, false)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -69,9 +69,9 @@ func ruleRecords() []Record {
 // setWireLen overwrites the wire-length field of the record at off.
 func setWireLen(data []byte, f Format, off int64, wireLen int) {
 	switch f {
-	case FormatNative:
+	case formatNative:
 		binary.BigEndian.PutUint16(data[off+8:], uint16(wireLen))
-	case FormatPcap:
+	case formatPcap:
 		binary.LittleEndian.PutUint32(data[off+12:], uint32(wireLen))
 	case FormatERF:
 		binary.BigEndian.PutUint16(data[off+14:], uint16(wireLen+hdlcHeaderLen))
@@ -110,7 +110,7 @@ type outcome struct {
 }
 
 func TestInputRulePolicies(t *testing.T) {
-	all := []Format{FormatNative, FormatPcap, FormatERF}
+	all := []Format{formatNative, formatPcap, FormatERF}
 	pass := outcome{records: 4, end: endEOF, victimLen: 100}
 	clamp := outcome{records: 4, end: endEOF, victimLen: 44}
 	corrupt := outcome{records: 3, end: endEOF, corrupt: true}
@@ -133,7 +133,7 @@ func TestInputRulePolicies(t *testing.T) {
 			tail:    outcome{records: 1, end: endError},
 		},
 		{
-			name: "caplen > wirelen", formats: []Format{FormatNative, FormatPcap},
+			name: "caplen > wirelen", formats: []Format{formatNative, formatPcap},
 			damage:  shrinkWireLen,
 			strict:  clamp,
 			salvage: corrupt,
@@ -156,7 +156,7 @@ func TestInputRulePolicies(t *testing.T) {
 			tail:    clamp,
 		},
 		{
-			name: "caplen > snaplen (native)", formats: []Format{FormatNative},
+			name: "caplen > snaplen (native)", formats: []Format{formatNative},
 			damage: func(f Format, data []byte, offs []int64) []byte {
 				binary.BigEndian.PutUint16(data[6:], 42)
 				return data
@@ -166,7 +166,7 @@ func TestInputRulePolicies(t *testing.T) {
 			tail:    outcome{records: 1, end: endError},
 		},
 		{
-			name: "caplen > snaplen (pcap: advisory)", formats: []Format{FormatPcap},
+			name: "caplen > snaplen (pcap: advisory)", formats: []Format{formatPcap},
 			damage: func(f Format, data []byte, offs []int64) []byte {
 				binary.LittleEndian.PutUint32(data[16:], 42)
 				return data
@@ -175,7 +175,7 @@ func TestInputRulePolicies(t *testing.T) {
 			salvage: corrupt,
 		},
 		{
-			name: "pcap caplen > 1 MiB", formats: []Format{FormatPcap},
+			name: "pcap caplen > 1 MiB", formats: []Format{formatPcap},
 			damage: func(f Format, data []byte, offs []int64) []byte {
 				binary.LittleEndian.PutUint32(data[offs[1]+8:], maxPcapCapLen+1)
 				binary.LittleEndian.PutUint32(data[offs[1]+12:], maxPcapCapLen+1)
@@ -264,7 +264,7 @@ func TestInputRulePolicies(t *testing.T) {
 						stats, rule.salvage.corrupt, rule.salvage.truncTail)
 				}
 
-				if f == FormatNative {
+				if f == formatNative {
 					want := rule.tail
 					if want.end == endEOF { // a tail never ends; it runs out of file
 						want.end = endIdle
@@ -410,7 +410,7 @@ func TestPoliciesAgreeEveryPrefix(t *testing.T) {
 			for cut := int64(0); cut <= int64(len(data)); cut++ {
 				checkPrefix(t, f, data, offs, full, cut)
 			}
-			if f == FormatNative {
+			if f == formatNative {
 				tailByteByByte(t, data, offs, full)
 			}
 		}
@@ -423,7 +423,7 @@ func TestPoliciesAgreeEveryPrefix(t *testing.T) {
 // bytes would be quadratic, so the cuts bracket the record's edges.
 func TestPoliciesAgreeLargeRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	recs := randomRecords(rng, FormatPcap, 8)
+	recs := randomRecords(rng, formatPcap, 8)
 	big := make([]byte, maxPcapCapLen)
 	rng.Read(big)
 	recs[3].Data, recs[3].WireLen = big, len(big)
@@ -444,13 +444,13 @@ func TestPoliciesAgreeLargeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	full, err := strictAll(data, FormatPcap)
+	full, err := strictAll(data, formatPcap)
 	if err != nil || len(full) != len(recs) || !bytes.Equal(full[3].Data, big) {
 		t.Fatalf("strict read %d of %d records: %v", len(full), len(recs), err)
 	}
 	for _, edge := range []int64{offs[3], offs[3] + windowMin, offs[4], int64(len(data))} {
 		for cut := edge - 20; cut <= edge+20 && cut <= int64(len(data)); cut++ {
-			checkPrefix(t, FormatPcap, data, offs, full, cut)
+			checkPrefix(t, formatPcap, data, offs, full, cut)
 		}
 	}
 }
@@ -543,7 +543,7 @@ func FuzzTailReader(f *testing.F) {
 
 		var want []Record
 		strictErr := io.ErrUnexpectedEOF // a file header still being written
-		if r, err := newReader(newWindow(bytes.NewReader(data)), FormatNative); err == nil {
+		if r, err := newReader(newWindow(bytes.NewReader(data)), formatNative); err == nil {
 			want, strictErr = ReadAll(r)
 		} else if !errors.Is(err, io.ErrUnexpectedEOF) {
 			strictErr = err

@@ -29,10 +29,10 @@ import (
 // byte order to validate records against. ERF has no file header, so
 // ERF salvage can start anywhere.
 
-// ErrErrorBudget is returned (wrapped) by a salvaging source's Borrow
+// errErrorBudget is returned (wrapped) by a salvaging source's Borrow
 // when the number of distinct decode errors exceeds
 // OpenOptions.MaxDecodeErrors.
-var ErrErrorBudget = errors.New("trace: decode error budget exceeded")
+var errErrorBudget = errors.New("trace: decode error budget exceeded")
 
 // DecodeStats describes how a salvage pass went.
 type DecodeStats struct {
@@ -68,7 +68,7 @@ type salvageOptions struct {
 	Format Format
 	// MaxErrors is the error budget: the maximum number of distinct
 	// corrupt regions tolerated before Borrow fails with
-	// ErrErrorBudget. Zero or negative means unlimited.
+	// errErrorBudget. Zero or negative means unlimited.
 	MaxErrors int
 	// MaxGap bounds how far forward a record's timestamp may jump
 	// past the last good record and still be considered plausible
@@ -145,7 +145,7 @@ func (s *salvageReader) plausible(h *recHeader) bool {
 		return false
 	}
 	switch s.c.format {
-	case FormatPcap:
+	case formatPcap:
 		snap := s.c.meta.SnapLen
 		return h.capLen() <= h.wireLen && h.wireLen <= maxPcapCapLen && (snap <= 0 || h.capLen() <= snap)
 	case FormatERF:
@@ -182,7 +182,7 @@ func (s *salvageReader) skip(n int) {
 // Borrow implements Source. Decode errors are consumed internally
 // (skipping to the next plausible record) unless the error budget is
 // exhausted, in which case Borrow fails with an error wrapping
-// ErrErrorBudget.
+// errErrorBudget.
 func (s *salvageReader) Borrow(rec *Record) error {
 	for {
 		if !s.w.need(s.c.recHdr) {
@@ -279,7 +279,7 @@ func (s *salvageReader) beginRegion() error {
 	s.stats.Errors++
 	if s.opts.MaxErrors > 0 && s.stats.Errors > s.opts.MaxErrors {
 		return fmt.Errorf("%w: %d corrupt regions (budget %d)",
-			ErrErrorBudget, s.stats.Errors, s.opts.MaxErrors)
+			errErrorBudget, s.stats.Errors, s.opts.MaxErrors)
 	}
 	return nil
 }

@@ -62,9 +62,9 @@ func newFormatWriter(t testing.TB, format Format, out io.Writer, meta Meta) form
 	var w formatWriter
 	var err error
 	switch format {
-	case FormatNative:
+	case formatNative:
 		w, err = NewWriter(out, meta)
-	case FormatPcap:
+	case formatPcap:
 		w, err = NewPcapWriter(out, meta)
 	case FormatERF:
 		w, err = NewERFWriter(out, meta)
@@ -87,7 +87,7 @@ func salvageAll(t *testing.T, data []byte, opts salvageOptions) ([]Record, Decod
 	return recs, s.stats, err
 }
 
-func allFormats() []Format { return []Format{FormatNative, FormatPcap, FormatERF} }
+func allFormats() []Format { return []Format{formatNative, formatPcap, FormatERF} }
 
 func TestSalvageCleanRoundTrip(t *testing.T) {
 	for _, f := range allFormats() {
@@ -188,7 +188,7 @@ func TestSalvageTruncatedTail(t *testing.T) {
 
 func TestSalvageErrorBudget(t *testing.T) {
 	want := testRecords(100)
-	data, offs := encodeTrace(t, FormatNative, want)
+	data, offs := encodeTrace(t, formatNative, want)
 	// Three separate corrupt regions.
 	for _, k := range []int{10, 40, 70} {
 		for i := offs[k]; i < offs[k+1]; i++ {
@@ -196,7 +196,7 @@ func TestSalvageErrorBudget(t *testing.T) {
 		}
 	}
 	// Budget of 3 tolerates them...
-	_, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative, MaxErrors: 3})
+	_, stats, err := salvageAll(t, data, salvageOptions{Format: formatNative, MaxErrors: 3})
 	if err != nil {
 		t.Fatalf("budget 3: %v", err)
 	}
@@ -204,9 +204,9 @@ func TestSalvageErrorBudget(t *testing.T) {
 		t.Errorf("Errors = %d, want 3", stats.Errors)
 	}
 	// ...a budget of 2 does not.
-	_, _, err = salvageAll(t, data, salvageOptions{Format: FormatNative, MaxErrors: 2})
-	if !errors.Is(err, ErrErrorBudget) {
-		t.Fatalf("budget 2: err = %v, want ErrErrorBudget", err)
+	_, _, err = salvageAll(t, data, salvageOptions{Format: formatNative, MaxErrors: 2})
+	if !errors.Is(err, errErrorBudget) {
+		t.Fatalf("budget 2: err = %v, want errErrorBudget", err)
 	}
 }
 
@@ -214,11 +214,11 @@ func TestSalvageBackwardsTimestamp(t *testing.T) {
 	// A record whose timestamp field is damaged (goes backwards) but
 	// whose length fields still parse must be skipped, not returned.
 	want := testRecords(20)
-	data, offs := encodeTrace(t, FormatNative, want)
+	data, offs := encodeTrace(t, formatNative, want)
 	// Native record header: time is the first 8 bytes (big endian).
 	// Zero them on record 10 (its true offset is 10ms).
 	copy(data[offs[10]:offs[10]+8], make([]byte, 8))
-	got, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative})
+	got, stats, err := salvageAll(t, data, salvageOptions{Format: formatNative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +277,9 @@ func TestSalvageERFLossCounter(t *testing.T) {
 }
 
 func TestSalvageRejectsCorruptFileHeader(t *testing.T) {
-	data, _ := encodeTrace(t, FormatNative, testRecords(5))
+	data, _ := encodeTrace(t, formatNative, testRecords(5))
 	data[0] = 'X' // break the magic
-	if _, err := newSalvageReader(newWindow(bytes.NewReader(data)), salvageOptions{Format: FormatNative}); err == nil {
+	if _, err := newSalvageReader(newWindow(bytes.NewReader(data)), salvageOptions{Format: formatNative}); err == nil {
 		t.Error("corrupt native file header accepted")
 	}
 	if _, err := newSalvageReader(newWindow(bytes.NewReader([]byte("garbage!"))), salvageOptions{}); err == nil {
@@ -314,7 +314,7 @@ func TestSalvageEmptyAndTinyInputs(t *testing.T) {
 // stream resynchronizes immediately.
 func TestSalvagePoisonedTimestampAnchor(t *testing.T) {
 	want := testRecords(200)
-	data, offs := encodeTrace(t, FormatNative, want)
+	data, offs := encodeTrace(t, formatNative, want)
 
 	// Rewrite record 100's timestamp to 30 minutes ahead — inside the
 	// default 1h MaxGap, so the static and continuity checks accept
@@ -324,7 +324,7 @@ func TestSalvagePoisonedTimestampAnchor(t *testing.T) {
 		data[offs[100]+int64(i)] = byte(poisoned >> (56 - 8*i))
 	}
 
-	got, stats, err := salvageAll(t, data, salvageOptions{Format: FormatNative})
+	got, stats, err := salvageAll(t, data, salvageOptions{Format: formatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

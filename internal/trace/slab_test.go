@@ -51,7 +51,7 @@ func TestReadAllocationBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 50_000
-	for _, f := range []Format{FormatNative, FormatPcap, FormatERF} {
+	for _, f := range []Format{formatNative, formatPcap, FormatERF} {
 		data, _ := encodeTrace(t, f, randomRecords(rand.New(rand.NewSource(5)), f, n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -114,7 +114,7 @@ func TestRecordsSurviveTheReader(t *testing.T) {
 			}
 		},
 	}
-	for _, f := range []Format{FormatNative, FormatPcap, FormatERF} {
+	for _, f := range []Format{formatNative, formatPcap, FormatERF} {
 		data, _ := encodeTrace(t, f, randomRecords(rand.New(rand.NewSource(6)), f, n))
 		for name, read := range reads {
 			r, err := newReader(newWindow(chunkReader{bytes.NewReader(data), 4093}), f)
@@ -165,7 +165,7 @@ func TestLargeCaptureLeavesTheSlab(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := OpenStream(&buf, OpenOptions{Format: FormatPcap})
+	r, _, err := OpenStream(&buf, OpenOptions{Format: formatPcap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestOneRecordPinsOneSlab(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	r, _, err := OpenStream(io.MultiReader(&hdr, &repeatReader{rec: one.Bytes(), left: n * one.Len()}), OpenOptions{Format: FormatNative})
+	r, _, err := OpenStream(io.MultiReader(&hdr, &repeatReader{rec: one.Bytes(), left: n * one.Len()}), OpenOptions{Format: formatNative})
 	if err != nil {
 		t.Fatal(err)
 	}

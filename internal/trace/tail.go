@@ -116,7 +116,7 @@ func OpenTail(path string, opts TailOptions) (*TailReader, error) {
 	h.Write([]byte(path))
 	t := &TailReader{
 		path: path, f: f, opts: opts,
-		c:    newCodec(FormatNative),
+		c:    newCodec(formatNative),
 		poll: resil.NewRetrier(pol, h.Sum64()),
 	}
 	t.w = newWindow(tailSource{t})
@@ -146,7 +146,7 @@ func (t *TailReader) FileID() string {
 	if err != nil {
 		return ""
 	}
-	return FileID(st)
+	return fileID(st)
 }
 
 // SetIdleTimeout replaces the idle timeout and returns the previous
@@ -288,10 +288,10 @@ func (t *TailReader) Borrow(ctx context.Context, rec *Record) error {
 	}
 }
 
-// FileID renders a FileInfo's identity as "dev:inode" on platforms
+// fileID renders a FileInfo's identity as "dev:inode" on platforms
 // that expose it, or falls back to name+size+mtime. It is the identity
 // a checkpoint stores to recognise the file it described.
-func FileID(st os.FileInfo) string {
+func fileID(st os.FileInfo) string {
 	if id := sysFileID(st); id != "" {
 		return id
 	}

@@ -4,6 +4,6 @@ package trace
 
 import "os"
 
-// sysFileID has no portable implementation off Unix; FileID falls back
+// sysFileID has no portable implementation off Unix; fileID falls back
 // to name+size+mtime.
 func sysFileID(os.FileInfo) string { return "" }

@@ -113,9 +113,6 @@ func (s *SliceSource) Borrow(rec *Record) error {
 	return nil
 }
 
-// Reset rewinds the source to the first record.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // ReadAll drains a Source into memory: the one owning read of a whole
 // trace. It reads through a Batcher, whose fixed-size batches borrow
 // each record into its slot and copy its Data into slabs the records

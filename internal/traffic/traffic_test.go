@@ -3,6 +3,7 @@ package traffic_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,27 +77,28 @@ func TestGeneratorMixFractions(t *testing.T) {
 		}
 	}
 	total := float64(len(recs))
-	frac := func(c packet.ClassMask) float64 { return float64(counts[packet.ClassIndex(c)]) / total }
+	count := func(class string) int { return counts[slices.Index(packet.ClassNames[:], class)] }
+	frac := func(class string) float64 { return float64(count(class)) / total }
 
-	if f := frac(packet.ClassTCP); f < 0.78 {
+	if f := frac("TCP"); f < 0.78 {
 		t.Errorf("TCP fraction = %.3f, want > 0.78", f)
 	}
-	if f := frac(packet.ClassUDP); f < 0.05 || f > 0.18 {
+	if f := frac("UDP"); f < 0.05 || f > 0.18 {
 		t.Errorf("UDP fraction = %.3f, want 0.05-0.18", f)
 	}
-	if f := frac(packet.ClassSYN); f > 0.09 {
+	if f := frac("SYN"); f > 0.09 {
 		t.Errorf("SYN fraction = %.3f, want small", f)
 	}
-	if f := frac(packet.ClassICMP); f <= 0 || f > 0.08 {
+	if f := frac("ICMP"); f <= 0 || f > 0.08 {
 		t.Errorf("ICMP fraction = %.3f", f)
 	}
-	if counts[packet.ClassIndex(packet.ClassMcast)] == 0 {
+	if count("MCAST") == 0 {
 		t.Error("no multicast packets generated")
 	}
-	if counts[packet.ClassIndex(packet.ClassOther)] == 0 {
+	if count("OTHER") == 0 {
 		t.Error("no other-protocol packets generated")
 	}
-	if counts[packet.ClassIndex(packet.ClassRST)] == 0 {
+	if count("RST") == 0 {
 		t.Error("no RST packets generated")
 	}
 }
